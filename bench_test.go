@@ -15,6 +15,7 @@ import (
 
 	"wlcrc"
 	"wlcrc/internal/core"
+	"wlcrc/internal/coset"
 	"wlcrc/internal/exp"
 	"wlcrc/internal/hw"
 	"wlcrc/internal/pcm"
@@ -347,6 +348,24 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// encodePool is the fixture of the line-codec benchmarks: a rotating
+// pool of steady-state rewrites of gcc lines, each a warm line already
+// stored and the data that overwrites it.
+func encodePool(b *testing.B) (warm, data []wlcrc.Line) {
+	w, err := wlcrc.NewWorkload("gcc", 64, 9)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const pool = 64
+	warm = make([]wlcrc.Line, pool)
+	data = make([]wlcrc.Line, pool)
+	for i := range warm {
+		warm[i] = w.Next().New
+		data[i] = w.Next().New // the rewrite the loop measures
+	}
+	return warm, data
+}
+
 // BenchmarkEncodeInto measures the bare codec hot path — EncodeInto
 // over a rotating set of steady-state (old, data) pairs, no memory map
 // or metrics in the loop. This is the headline series BENCH_encode.json
@@ -355,28 +374,78 @@ func BenchmarkEncodeInto(b *testing.B) {
 	for _, name := range wlcrc.SchemeNames() {
 		b.Run(name, func(b *testing.B) {
 			sch := wlcrc.MustScheme(name)
-			w, err := wlcrc.NewWorkload("gcc", 64, 9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Pre-encode a pool of lines so the measured loop rewrites
+			warm, data := encodePool(b)
+			// Pre-encode the warm lines so the measured loop rewrites
 			// warmed cell states, like steady-state replay.
-			const pool = 64
-			olds := make([][]pcm.State, pool)
-			datas := make([]wlcrc.Line, pool)
+			olds := make([][]pcm.State, len(warm))
 			fresh := core.InitialCells(sch.TotalCells())
 			for i := range olds {
-				warm := w.Next().New
 				olds[i] = make([]pcm.State, sch.TotalCells())
-				sch.EncodeInto(olds[i], fresh, &warm)
-				datas[i] = w.Next().New // the rewrite the loop measures
+				sch.EncodeInto(olds[i], fresh, &warm[i])
 			}
 			dst := make([]pcm.State, sch.TotalCells())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := i % pool
-				sch.EncodeInto(dst, olds[k], &datas[k])
+				k := i % len(olds)
+				sch.EncodeInto(dst, olds[k], &data[k])
+			}
+			b.SetBytes(64)
+		})
+	}
+}
+
+// planePool encodes the encodePool fixture with a scheme's plane codec:
+// the warm lines' planes and, for each, the planes of its rewrite.
+func planePool(b *testing.B, name string) (ps core.PlaneScheme, olds, news [][]uint64, data []wlcrc.Line) {
+	sch := wlcrc.MustScheme(name)
+	ps, ok := core.PlaneCodec(sch)
+	if !ok {
+		b.Skip("counter-keyed scheme: no plane codec")
+	}
+	warm, data := encodePool(b)
+	n := coset.PlaneWords(sch.TotalCells())
+	fresh := make([]uint64, n) // all cells in the initial state
+	olds = make([][]uint64, len(warm))
+	news = make([][]uint64, len(warm))
+	for i := range olds {
+		olds[i] = make([]uint64, n)
+		news[i] = make([]uint64, n)
+		ps.EncodePlanesInto(olds[i], fresh, &warm[i])
+		ps.EncodePlanesInto(news[i], olds[i], &data[i])
+	}
+	return ps, olds, news, data
+}
+
+// BenchmarkEncodePlanesInto is BenchmarkEncodeInto for the plane codec,
+// which replay runs for every non-counter scheme; allocs/op must be 0.
+func BenchmarkEncodePlanesInto(b *testing.B) {
+	for _, name := range wlcrc.SchemeNames() {
+		b.Run(name, func(b *testing.B) {
+			ps, olds, news, data := planePool(b, name)
+			dst := news[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := i % len(olds)
+				ps.EncodePlanesInto(dst, olds[k], &data[k])
+			}
+			b.SetBytes(64)
+		})
+	}
+}
+
+// BenchmarkDecodePlanesInto decodes the planes BenchmarkEncodePlanesInto
+// writes; allocs/op must be 0.
+func BenchmarkDecodePlanesInto(b *testing.B) {
+	for _, name := range wlcrc.SchemeNames() {
+		b.Run(name, func(b *testing.B) {
+			ps, _, news, _ := planePool(b, name)
+			var out wlcrc.Line
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ps.DecodePlanesInto(news[i%len(news)], &out)
 			}
 			b.SetBytes(64)
 		})

@@ -8,9 +8,17 @@
 // caller uses (DIN messages are at most 492 bits). The generator
 // polynomial is g(x) = m1(x) * m3(x), the product of the minimal
 // polynomials of alpha and alpha^3, of degree 20.
+//
+// Parity (msg(x)*x^20 mod g(x)) is computed a byte at a time from one
+// 256-entry table built once per process; syndromes evaluate that
+// remainder at alpha and alpha^3. Packed forms take little-endian uint64
+// words; the []uint8 forms pack onto the same path. The tests keep the
+// bit-serial LFSR as the reference oracle.
 package bch
 
 import (
+	"sync"
+
 	"wlcrc/internal/gf2"
 )
 
@@ -20,15 +28,27 @@ const ParityBits = 20
 // MaxMessageBits is the maximum message length of the shortened code.
 const MaxMessageBits = 1023 - ParityBits
 
+// parityMask keeps the low ParityBits bits of a remainder.
+const parityMask = 1<<ParityBits - 1
+
+// msgWords is the number of uint64 words of the longest message.
+const msgWords = (MaxMessageBits + 63) / 64
+
 // Code is a double-error-correcting BCH codec. It is safe for concurrent
 // use after construction.
 type Code struct {
 	field *gf2.Field
-	gen   []uint8 // generator polynomial coefficients, ascending, degree 20
+	gen   []uint8     // generator polynomial coefficients, ascending, degree 20
+	rem   [256]uint32 // v(x)*x^20 mod g(x) per byte v, bit j = coefficient of x^j
 }
 
-// New constructs the t=2 BCH code over GF(2^10).
-func New() *Code {
+// shared is the one Code of the process: the code is fixed.
+var shared = sync.OnceValue(newCode)
+
+// New returns the t=2 BCH code over GF(2^10).
+func New() *Code { return shared() }
+
+func newCode() *Code {
 	f := gf2.NewField(10, 0)
 	m1 := f.MinimalPoly(1)
 	m3 := f.MinimalPoly(3)
@@ -36,7 +56,19 @@ func New() *Code {
 	if len(gen)-1 != ParityBits {
 		panic("bch: generator polynomial degree != 20")
 	}
-	return &Code{field: f, gen: gen}
+	c := &Code{field: f, gen: gen}
+	var g uint32 // x^20 mod g(x): the low 20 generator coefficients
+	for j, b := range gen[:ParityBits] {
+		g |= uint32(b) << j
+	}
+	for v := range c.rem { // v(x)*x^12, times x eight times mod g(x)
+		r := uint32(v) << (ParityBits - 8)
+		for i := 0; i < 8; i++ {
+			r = r<<1&parityMask ^ g*(r>>(ParityBits-1))
+		}
+		c.rem[v] = r
+	}
+	return c
 }
 
 func polyMulGF2(a, b []uint8) []uint8 {
@@ -73,41 +105,69 @@ func (c *Code) Encode(msg []uint8) []uint8 {
 // EncodeTo computes the parity bits into caller storage — the
 // allocation-free form of Encode. len(parity) must be ParityBits.
 func (c *Code) EncodeTo(msg, parity []uint8) {
-	if len(msg) > MaxMessageBits {
-		panic("bch: message too long for shortened code")
-	}
 	if len(parity) != ParityBits {
 		panic("bch: EncodeTo parity length != ParityBits")
 	}
-	// Polynomial division of msg(x)*x^20 by g(x) over GF(2), LFSR style.
-	rem := parity
-	for i := range rem {
-		rem[i] = 0
+	var words [msgWords]uint64
+	p := c.ParityWords(packBits(msg, &words), len(msg))
+	for j := range parity {
+		parity[j] = uint8(p >> j & 1)
 	}
-	for i := len(msg) - 1; i >= 0; i-- {
-		feedback := msg[i] ^ rem[ParityBits-1]
-		copy(rem[1:], rem[:ParityBits-1])
-		rem[0] = 0
-		if feedback == 1 {
-			for j := 0; j < ParityBits; j++ {
-				rem[j] ^= c.gen[j]
-			}
+}
+
+// ParityWords returns the parity of the nbits-bit message packed
+// LSB-first into msg (bit i is bit i%64 of msg[i/64]); bit j of the
+// result is parity bit j. Bits at or above nbits are ignored, so the
+// last word may hold other data, such as the parity itself.
+func (c *Code) ParityWords(msg []uint64, nbits int) uint32 {
+	if nbits > MaxMessageBits {
+		panic("bch: message too long for shortened code")
+	}
+	var r uint32
+	for k := (nbits+7)/8 - 1; k >= 0; k-- { // Horner's rule in x^8
+		b := byte(msg[k/8] >> (8 * (k % 8)))
+		if n := nbits - 8*k; n < 8 {
+			b &= 1<<n - 1
 		}
+		r = r<<8&parityMask ^ c.rem[byte(r>>(ParityBits-8))^b]
 	}
+	return r
 }
 
 // Syndromes evaluates the received codeword at alpha and alpha^3.
 // codeword[i] is the coefficient of x^i (parity first, then message).
 func (c *Code) Syndromes(codeword []uint8) (s1, s3 uint16) {
-	f := c.field
-	for i, bit := range codeword {
-		if bit == 0 {
-			continue
+	np := min(len(codeword), ParityBits)
+	var parity, words [msgWords]uint64
+	packBits(codeword[:np], &parity)
+	msg := codeword[np:]
+	return c.SyndromesWords(packBits(msg, &words), len(msg), uint32(parity[0]))
+}
+
+// SyndromesWords is Syndromes for the codeword with parity bits parity
+// (bit j = coefficient of x^j) and the message msg, packed as for
+// ParityWords. Both are zero exactly when parity == ParityWords(msg).
+func (c *Code) SyndromesWords(msg []uint64, nbits int, parity uint32) (s1, s3 uint16) {
+	r := c.ParityWords(msg, nbits) ^ parity // the word's remainder mod g(x)
+	for j := 0; r != 0; j, r = j+1, r>>1 {
+		if r&1 == 1 {
+			s1 ^= c.field.Exp(j)
+			s3 ^= c.field.Exp(3 * j)
 		}
-		s1 ^= f.Exp(i)
-		s3 ^= f.Exp(3 * i)
 	}
 	return s1, s3
+}
+
+// packBits packs the 0/1 elements of bits LSB-first into words and
+// returns the used prefix. It panics when bits exceeds the code.
+func packBits(bits []uint8, words *[msgWords]uint64) []uint64 {
+	if len(bits) > MaxMessageBits {
+		panic("bch: message too long for shortened code")
+	}
+	for i, b := range bits {
+		words[i/64] |= uint64(b&1) << (i % 64)
+	}
+	return words[:(len(bits)+63)/64]
 }
 
 // Decode corrects up to two bit errors in place. codeword is the full

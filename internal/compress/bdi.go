@@ -38,13 +38,16 @@ type bdiConfig struct {
 	dltBytes int
 }
 
+// bdiConfigs lists the base+delta encodings in ascending stream size
+// (ties in tag order), so the first one that fits a line is its
+// cheapest.
 var bdiConfigs = []bdiConfig{
-	{bdiB8D1, 8, 1},
-	{bdiB8D2, 8, 2},
-	{bdiB8D4, 8, 4},
-	{bdiB4D1, 4, 1},
-	{bdiB4D2, 4, 2},
-	{bdiB2D1, 2, 1},
+	{bdiB8D1, 8, 1}, // 140 bits
+	{bdiB4D1, 4, 1}, // 180
+	{bdiB8D2, 8, 2}, // 204
+	{bdiB4D2, 4, 2}, // 308
+	{bdiB2D1, 2, 1}, // 308
+	{bdiB8D4, 8, 4}, // 332
 }
 
 // bdiMaxSegs is the largest segment count of any configuration
@@ -52,45 +55,39 @@ var bdiConfigs = []bdiConfig{
 // arrays the allocation-free compressor works in.
 const bdiMaxSegs = memline.LineBytes / 2
 
-// bdiSegments fills segs with the line's segments and returns the
-// count.
-func bdiSegments(l *memline.Line, segBytes int, segs *[bdiMaxSegs]uint64) int {
-	n := memline.LineBytes / segBytes
-	for i := 0; i < n; i++ {
-		var v uint64
-		for b := segBytes - 1; b >= 0; b-- {
-			v = v<<8 | uint64(l[i*segBytes+b])
-		}
-		segs[i] = v
-	}
-	return n
-}
-
-// bdiTry attempts one base+delta configuration over segs, writing the
-// per-segment zero-base mask and deltas into caller scratch. It returns
-// the explicit base and ok=false if some segment fits neither base.
-func bdiTry(segs []uint64, segBytes, dltBytes int, mask *[bdiMaxSegs]bool, deltas *[bdiMaxSegs]uint64) (base uint64, ok bool) {
-	segBits := segBytes * 8
-	dltBits := dltBytes * 8
+// bdiTry attempts one base+delta configuration on the line, cutting its
+// segments from the 64-bit words as it goes and writing the per-segment
+// zero-base mask and deltas into caller scratch. It returns the
+// explicit base, or ok=false as soon as some segment fits neither base.
+func bdiTry(l *memline.Line, cfg bdiConfig, mask *[bdiMaxSegs]bool, deltas *[bdiMaxSegs]uint64) (base uint64, ok bool) {
+	segBits := cfg.segBytes * 8
+	dltBits := cfg.dltBytes * 8
+	segMask := ^uint64(0) >> uint(64-segBits)
 	haveBase := false
-	for i, s := range segs {
-		mask[i] = false
-		sv := memline.SignExtend(s, segBits)
-		if memline.FitsSigned(sv, dltBits) {
-			mask[i] = true // zero base
-			deltas[i] = s & (1<<uint(dltBits) - 1)
-			continue
+	i := 0
+	for wi := 0; wi < memline.LineWords; wi++ {
+		x := l.Word(wi)
+		for k := 0; k < 8/cfg.segBytes; k, i = k+1, i+1 {
+			s := x & segMask
+			x >>= uint(segBits)
+			mask[i] = false
+			sv := memline.SignExtend(s, segBits)
+			if memline.FitsSigned(sv, dltBits) {
+				mask[i] = true // zero base
+				deltas[i] = s & (1<<uint(dltBits) - 1)
+				continue
+			}
+			if !haveBase {
+				base = s
+				haveBase = true
+			}
+			d := (s - base) & segMask
+			dv := memline.SignExtend(d, segBits)
+			if !memline.FitsSigned(dv, dltBits) {
+				return 0, false
+			}
+			deltas[i] = d & (1<<uint(dltBits) - 1)
 		}
-		if !haveBase {
-			base = s
-			haveBase = true
-		}
-		d := (s - base) & (1<<uint(segBits) - 1)
-		dv := memline.SignExtend(d, segBits)
-		if !memline.FitsSigned(dv, dltBits) {
-			return 0, false
-		}
-		deltas[i] = d & (1<<uint(dltBits) - 1)
 	}
 	return base, true
 }
@@ -103,6 +100,64 @@ func bdiConfigSize(segBytes, dltBytes int) int {
 // BDIMaxBits is the worst-case BDI stream length (raw tag plus the
 // uncompressed line), sizing fixed scratch buffers for BDICompressTo.
 const BDIMaxBits = 4 + memline.LineBits
+
+// bdiChoose returns the cheapest applicable encoding of the line and its
+// stream length without writing anything. Only the tag of a zeros, rep8
+// or raw encoding is set.
+func bdiChoose(l *memline.Line) (bdiConfig, int) {
+	var or uint64
+	rep := true
+	w0 := l.Word(0)
+	for i := 0; i < memline.LineWords; i++ {
+		x := l.Word(i)
+		or |= x
+		rep = rep && x == w0
+	}
+	switch {
+	case or == 0:
+		return bdiConfig{tag: bdiZeros}, 4
+	case rep:
+		return bdiConfig{tag: bdiRep8}, 4 + 64
+	}
+	var deltas [bdiMaxSegs]uint64
+	var mask [bdiMaxSegs]bool
+	for _, cfg := range bdiConfigs {
+		if _, ok := bdiTry(l, cfg, &mask, &deltas); ok {
+			return cfg, bdiConfigSize(cfg.segBytes, cfg.dltBytes)
+		}
+	}
+	return bdiConfig{tag: bdiRaw}, BDIMaxBits
+}
+
+// bdiWrite writes the line's stream under the encoding bdiChoose picked.
+func bdiWrite(l *memline.Line, cfg bdiConfig, w *BitWriter) {
+	w.WriteBits(uint64(cfg.tag), 4)
+	switch cfg.tag {
+	case bdiZeros:
+	case bdiRep8:
+		w.WriteBits(l.Word(0), 64)
+	case bdiRaw:
+		for i := 0; i < memline.LineWords; i++ {
+			w.WriteBits(l.Word(i), 64)
+		}
+	default:
+		var deltas [bdiMaxSegs]uint64
+		var mask [bdiMaxSegs]bool
+		n := memline.LineBytes / cfg.segBytes
+		base, _ := bdiTry(l, cfg, &mask, &deltas)
+		w.WriteBits(base, cfg.segBytes*8)
+		for _, m := range mask[:n] {
+			if m {
+				w.WriteBits(1, 1)
+			} else {
+				w.WriteBits(0, 1)
+			}
+		}
+		for _, d := range deltas[:n] {
+			w.WriteBits(d, cfg.dltBytes*8)
+		}
+	}
+}
 
 // BDICompress encodes the line with the cheapest applicable BDI encoding
 // and returns the packed stream and its size in bits.
@@ -117,86 +172,25 @@ func BDICompress(l *memline.Line) ([]byte, int) {
 // working state lives in fixed-size scratch, so the call itself never
 // allocates.
 func BDICompressTo(l *memline.Line, w *BitWriter) int {
-	// Zeros?
-	zero := true
-	for _, b := range l {
-		if b != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		w.WriteBits(bdiZeros, 4)
-		return w.Len()
-	}
-	// Repeated 64-bit value?
-	rep := true
-	w0 := l.Word(0)
-	for i := 1; i < memline.LineWords; i++ {
-		if l.Word(i) != w0 {
-			rep = false
-			break
-		}
-	}
-	if rep {
-		w.WriteBits(bdiRep8, 4)
-		w.WriteBits(w0, 64)
-		return w.Len()
-	}
-	// Base+delta configs in order of compressed size. The try scratch is
-	// promoted to best on improvement, so two fixed sets suffice.
-	best := -1
-	bestSize := 4 + memline.LineBits // raw
-	var bestBase uint64
-	var bestN int
-	var segs, deltas, bestDeltas [bdiMaxSegs]uint64
-	var mask, bestMask [bdiMaxSegs]bool
-	for ci, cfg := range bdiConfigs {
-		size := bdiConfigSize(cfg.segBytes, cfg.dltBytes)
-		if size >= bestSize {
-			continue
-		}
-		n := bdiSegments(l, cfg.segBytes, &segs)
-		base, ok := bdiTry(segs[:n], cfg.segBytes, cfg.dltBytes, &mask, &deltas)
-		if !ok {
-			continue
-		}
-		best, bestSize = ci, size
-		bestBase, bestN = base, n
-		bestMask, bestDeltas = mask, deltas
-	}
-	if best < 0 {
-		w.WriteBits(bdiRaw, 4)
-		for i := 0; i < memline.LineWords; i++ {
-			w.WriteBits(l.Word(i), 64)
-		}
-		return w.Len()
-	}
-	cfg := bdiConfigs[best]
-	w.WriteBits(uint64(cfg.tag), 4)
-	w.WriteBits(bestBase, cfg.segBytes*8)
-	for _, m := range bestMask[:bestN] {
-		if m {
-			w.WriteBits(1, 1)
-		} else {
-			w.WriteBits(0, 1)
-		}
-	}
-	for _, d := range bestDeltas[:bestN] {
-		w.WriteBits(d, cfg.dltBytes*8)
-	}
+	cfg, _ := bdiChoose(l)
+	bdiWrite(l, cfg, w)
 	return w.Len()
 }
 
 // BDISize returns only the compressed size in bits.
 func BDISize(l *memline.Line) int {
-	_, n := BDICompress(l)
+	_, n := bdiChoose(l)
 	return n
 }
 
 // BDIDecompress reconstructs a line from a BDI stream.
 func BDIDecompress(buf []byte) memline.Line {
-	r := NewBitReader(buf)
+	r := WrapBitReader(buf)
+	return bdiDecode(&r)
+}
+
+// bdiDecode reads one BDI stream from r.
+func bdiDecode(r *BitReader) memline.Line {
 	tag := int(r.ReadBits(4))
 	var l memline.Line
 	switch tag {
@@ -256,20 +250,26 @@ func BDIDecompress(buf []byte) memline.Line {
 // bit plus the larger of the two substreams' worst cases.
 const FPCBDIMaxBits = 1 + FPCMaxBits
 
+// fpcbdiChoose sizes both candidates without writing either: BDI first,
+// then FPC, which stops early once it can neither beat BDI nor fit in
+// limit bits. It returns the FPC+BDI stream length — exact when at most
+// limit, otherwise some value above limit — and whether BDI wins, with
+// its encoding.
+func fpcbdiChoose(l *memline.Line, limit int) (bits int, useBDI bool, cfg bdiConfig) {
+	cfg, b := bdiChoose(l)
+	f := fpcSize(l, min(b, limit-1))
+	if b < f {
+		return b + 1, true, cfg
+	}
+	return f + 1, false, cfg
+}
+
 // FPCBDISize returns the size in bits of the better of FPC and BDI for
 // the line, plus one selector bit, which is how DIN [16] and Figure 4
 // account for the combined FPC+BDI scheme.
 func FPCBDISize(l *memline.Line) int {
-	var fBack [(FPCMaxBits + 7) / 8]byte
-	var bBack [(BDIMaxBits + 7) / 8]byte
-	fw := WrapBitWriter(fBack[:])
-	bw := WrapBitWriter(bBack[:])
-	f := FPCCompressTo(l, &fw)
-	b := BDICompressTo(l, &bw)
-	if b < f {
-		return b + 1
-	}
-	return f + 1
+	bits, _, _ := fpcbdiChoose(l, FPCBDIMaxBits)
+	return bits
 }
 
 // FPCBDICompress encodes with the better of FPC and BDI behind a one-bit
@@ -281,21 +281,28 @@ func FPCBDICompress(l *memline.Line) ([]byte, int) {
 }
 
 // FPCBDICompressTo encodes into w (back it with at least FPCBDIMaxBits
-// of storage) and returns the stream length in bits. The two candidate
-// substreams live in fixed stack scratch, so the call never allocates.
+// of storage) and returns the stream length in bits. The candidates are
+// sized first and only the winner is written, so the call never
+// allocates.
 func FPCBDICompressTo(l *memline.Line, w *BitWriter) int {
-	var fBack [(FPCMaxBits + 7) / 8]byte
-	var bBack [(BDIMaxBits + 7) / 8]byte
-	fw := WrapBitWriter(fBack[:])
-	bw := WrapBitWriter(bBack[:])
-	fBits := FPCCompressTo(l, &fw)
-	bBits := BDICompressTo(l, &bw)
-	if bBits < fBits {
+	return FPCBDICompressLimit(l, w, FPCBDIMaxBits)
+}
+
+// FPCBDICompressLimit is FPCBDICompressTo for callers that keep only
+// streams of at most maxBits, such as DIN's 369-bit gate: it writes the
+// stream only when it fits, and otherwise returns some value above
+// maxBits having written nothing (w then needs only maxBits of storage).
+func FPCBDICompressLimit(l *memline.Line, w *BitWriter, maxBits int) int {
+	bits, useBDI, cfg := fpcbdiChoose(l, maxBits)
+	if bits > maxBits {
+		return bits
+	}
+	if useBDI {
 		w.WriteBits(1, 1)
-		copyStream(w, bw.Bytes(), bBits)
+		bdiWrite(l, cfg, w)
 	} else {
 		w.WriteBits(0, 1)
-		copyStream(w, fw.Bytes(), fBits)
+		FPCCompressTo(l, w)
 	}
 	return w.Len()
 }
@@ -303,36 +310,8 @@ func FPCBDICompressTo(l *memline.Line, w *BitWriter) int {
 // FPCBDIDecompress inverts FPCBDICompress.
 func FPCBDIDecompress(buf []byte) memline.Line {
 	r := WrapBitReader(buf)
-	sel := r.ReadBits(1)
-	var back [(memline.LineBits + 16 + 7) / 8]byte
-	w := WrapBitWriter(back[:])
-	extractStream(&r, &w, memline.LineBits+16)
-	if sel == 1 {
-		return BDIDecompress(w.Bytes())
+	if r.ReadBits(1) == 1 {
+		return bdiDecode(&r)
 	}
-	return FPCDecompress(w.Bytes())
-}
-
-func copyStream(w *BitWriter, buf []byte, bits int) {
-	r := WrapBitReader(buf)
-	for bits > 0 {
-		n := bits
-		if n > 64 {
-			n = 64
-		}
-		w.WriteBits(r.ReadBits(n), n)
-		bits -= n
-	}
-}
-
-// extractStream re-packs maxBits bits from r into w, realigning a
-// stream that sits at a non-byte offset.
-func extractStream(r *BitReader, w *BitWriter, maxBits int) {
-	for w.Len() < maxBits {
-		n := maxBits - w.Len()
-		if n > 64 {
-			n = 64
-		}
-		w.WriteBits(r.ReadBits(n), n)
-	}
+	return fpcDecode(&r)
 }

@@ -95,14 +95,42 @@ func FPCCompressTo(l *memline.Line, w *BitWriter) int {
 }
 
 // FPCSize returns only the compressed size in bits.
-func FPCSize(l *memline.Line) int {
-	_, n := FPCCompress(l)
-	return n
+func FPCSize(l *memline.Line) int { return fpcSize(l, FPCMaxBits) }
+
+// fpcSize computes the FPC stream length without writing the stream,
+// reading the line a 64-bit word at a time; once the running length
+// passes limit it returns early with some value above limit.
+func fpcSize(l *memline.Line, limit int) int {
+	bits, run := 0, 0 // run: zero words in the open zero-run code
+	for i := 0; i < memline.LineWords; i++ {
+		x := l.Word(i)
+		for _, v := range [2]uint32{uint32(x), uint32(x >> 32)} {
+			if v == 0 {
+				if run%8 == 0 {
+					bits += 3 + 3
+				}
+				run++
+				continue
+			}
+			run = 0
+			_, _, n := fpcClassify(v)
+			bits += 3 + n
+		}
+		if bits > limit {
+			return bits
+		}
+	}
+	return bits
 }
 
 // FPCDecompress reconstructs a line from an FPC stream.
 func FPCDecompress(buf []byte) memline.Line {
-	r := NewBitReader(buf)
+	r := WrapBitReader(buf)
+	return fpcDecode(&r)
+}
+
+// fpcDecode reads one FPC stream from r.
+func fpcDecode(r *BitReader) memline.Line {
 	var words [fpcWords]uint32
 	for i := 0; i < fpcWords; {
 		prefix := int(r.ReadBits(3))

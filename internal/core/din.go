@@ -1,9 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+
 	"wlcrc/internal/bch"
 	"wlcrc/internal/compress"
-	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
 )
@@ -14,20 +15,22 @@ import (
 // 20-bit BCH code correcting two write-disturbance errors. The 33%
 // expansion only fits when FPC+BDI compresses the line to at most 369
 // bits (369 * 4/3 + 20 = 512); otherwise the line is written raw. One
-// flag cell records which path was taken.
+// flag cell records which path was taken. The paper finds only ~30% of
+// lines compressible enough; on the gcc workload it is ~37%.
 //
 // Fixed layout of an encoded line (bit positions within the 512-bit
 // region, all stored through the default mapping):
 //
 //	[0,   492)  3-to-4 expansion of the FPC+BDI stream zero-padded to 369 bits
 //	[492, 512)  BCH parity
+//
+// The cell and plane codecs share one word-parallel transform: FPC+BDI
+// is sized before only a fitting winner is written, 3-to-4 tables work a
+// stored word at a time, and a decode whose parity matches (every write
+// without injected faults) skips the BCH decoder.
 type DIN struct {
 	em    pcm.EnergyModel
 	codec *bch.Code
-	// enc3to4[v] is the 4-bit codeword (two symbols, low symbol in bits
-	// 0-1) for the 3-bit value v; dec4to3 inverts it (255 = invalid).
-	enc3to4 [8]uint8
-	dec4to3 [16]uint8
 }
 
 // dinMaxCompressed is the FPC+BDI size gate in bits.
@@ -36,25 +39,40 @@ const dinMaxCompressed = 369
 // dinPayloadBits is the fixed size of the expanded region.
 const dinPayloadBits = dinMaxCompressed * 4 / 3 // 492
 
+// dinParityShift is the BCH parity's position in the last stored word.
+const dinParityShift = dinPayloadBits % memline.WordBits // 44
+
+// dinExpand maps four 3-bit values (index bits 3g..3g+2) to their 4-bit
+// codewords (bits 4g..4g+3); dinContract maps two codewords (the index
+// nibbles) back to two 3-bit values, decoding invalid codewords as 0.
+var dinExpand, dinContract = dinTables()
+
+// dinTables builds the 3-to-4 tables. A codeword is two symbols, low
+// symbol in bits 0-1, avoiding S4: with the default mapping, S4 stores
+// symbol 01 (value 1), so codeword symbols are drawn from {00, 10, 11} =
+// {0, 2, 3}. That yields 9 two-symbol codewords for 8 values.
+func dinTables() (expand [1 << 12]uint16, contract [1 << 8]uint8) {
+	allowed := [3]uint8{0, 2, 3}
+	var enc [8]uint8
+	var dec [16]uint8
+	for v := range enc {
+		enc[v] = allowed[v/3]<<2 | allowed[v%3]
+		dec[enc[v]] = uint8(v)
+	}
+	for i := range expand {
+		for g := 0; g < 4; g++ {
+			expand[i] |= uint16(enc[i>>(3*g)&7]) << (4 * g)
+		}
+	}
+	for i := range contract {
+		contract[i] = dec[i&15] | dec[i>>4]<<3
+	}
+	return expand, contract
+}
+
 // NewDIN returns the DIN scheme.
 func NewDIN(cfg Config) *DIN {
-	d := &DIN{em: cfg.Energy, codec: bch.New()}
-	// Allowed symbols avoid the state S4 = C1 mapping of "01": with the
-	// default mapping, S4 stores symbol 01 (value 1), so codeword symbols
-	// are drawn from {00, 10, 11} = {0, 2, 3}. That yields 9 two-symbol
-	// codewords for 8 values.
-	allowed := []uint8{0, 2, 3}
-	for i := range d.dec4to3 {
-		d.dec4to3[i] = 255
-	}
-	for v := 0; v < 8; v++ {
-		lo := allowed[v%3]
-		hi := allowed[v/3]
-		cw := hi<<2 | lo
-		d.enc3to4[v] = cw
-		d.dec4to3[cw] = uint8(v)
-	}
-	return d
+	return &DIN{em: cfg.Energy, codec: bch.New()}
 }
 
 // Name implements Scheme.
@@ -66,8 +84,7 @@ func (*DIN) TotalCells() int { return memline.LineCells + 1 }
 // DataCells implements Scheme.
 func (*DIN) DataCells() int { return memline.LineCells }
 
-// Compressible reports whether the line passes DIN's FPC+BDI gate; the
-// paper finds only ~30% of lines do.
+// Compressible reports whether the line passes DIN's FPC+BDI gate.
 func (d *DIN) Compressible(data *memline.Line) bool {
 	return compress.FPCBDISize(data) <= dinMaxCompressed
 }
@@ -86,39 +103,10 @@ func (d *DIN) Encode(old []pcm.State, data *memline.Line) []pcm.State {
 
 // EncodeInto implements Scheme.
 func (d *DIN) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	var cBack [(compress.FPCBDIMaxBits + 7) / 8]byte
-	cw := compress.WrapBitWriter(cBack[:])
-	bits := compress.FPCBDICompressTo(data, &cw)
-	if bits > dinMaxCompressed {
-		rawEncode(data, dst)
-		dst[memline.LineCells] = flagUncompressed
-		return
-	}
-	// Zero-pad the stream to exactly 369 bits and expand 3 bits -> 4.
-	r := compress.WrapBitReader(cw.Bytes())
-	var eBack [memline.LineBytes]byte
-	w := compress.WrapBitWriter(eBack[:])
-	for i := 0; i < dinMaxCompressed/3; i++ {
-		w.WriteBits(uint64(d.enc3to4[r.ReadBits(3)]), 4)
-	}
-	// BCH parity over the expanded payload.
-	payload := w.Bytes()
-	var msg [dinPayloadBits]uint8
-	for i := range msg {
-		msg[i] = payload[i/8] >> (uint(i) % 8) & 1
-	}
-	var parity [bch.ParityBits]uint8
-	d.codec.EncodeTo(msg[:], parity[:])
-	// Lay out payload then parity as line bits, store through C1.
 	var stored memline.Line
-	for i, b := range msg {
-		stored.SetBit(i, int(b))
-	}
-	for i, b := range parity {
-		stored.SetBit(dinPayloadBits+i, int(b))
-	}
-	rawEncode(&stored, dst)
-	dst[memline.LineCells] = flagCompressed
+	l, flag := d.storedLine(data, &stored)
+	rawEncode(l, dst)
+	dst[memline.LineCells] = flag
 }
 
 // Decode implements Scheme.
@@ -130,39 +118,10 @@ func (d *DIN) Decode(cells []pcm.State) memline.Line {
 
 // DecodeInto implements Scheme.
 func (d *DIN) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	if cells[memline.LineCells] != flagCompressed {
-		rawDecodeInto(cells, dst)
-		return
+	rawDecodeInto(cells, dst)
+	if cells[memline.LineCells] == flagCompressed {
+		*dst = d.decodeStored(dst)
 	}
-	var stored memline.Line
-	rawDecodeInto(cells, &stored)
-	// Rebuild the BCH codeword (parity first, then message) and correct
-	// up to two errors. In normal simulator operation there are none —
-	// disturbance errors are modeled statistically, not injected — but
-	// CorrectLine exposes the repair path and tests exercise it.
-	var cw [bch.ParityBits + dinPayloadBits]uint8
-	for i := 0; i < dinPayloadBits; i++ {
-		cw[bch.ParityBits+i] = uint8(stored.Bit(i))
-	}
-	for i := 0; i < bch.ParityBits; i++ {
-		cw[i] = uint8(stored.Bit(dinPayloadBits + i))
-	}
-	d.codec.Decode(cw[:])
-	// De-expand 4 -> 3.
-	var sBack [(dinMaxCompressed + 7) / 8]byte
-	w := compress.WrapBitWriter(sBack[:])
-	for g := 0; g < dinPayloadBits/4; g++ {
-		var v uint8
-		for b := 0; b < 4; b++ {
-			v |= cw[bch.ParityBits+g*4+b] << uint(b)
-		}
-		dec := d.dec4to3[v]
-		if dec == 255 {
-			dec = 0 // uncorrectable garbage; decode deterministically
-		}
-		w.WriteBits(uint64(dec), 3)
-	}
-	*dst = compress.FPCBDIDecompress(w.Bytes())
 }
 
 // CorrectLine runs the BCH verification step of DIN on a stored cell
@@ -173,28 +132,70 @@ func (d *DIN) CorrectLine(cells []pcm.State) int {
 		return 0
 	}
 	stored := rawDecode(cells)
-	var cw [bch.ParityBits + dinPayloadBits]uint8
-	for i := 0; i < dinPayloadBits; i++ {
-		cw[bch.ParityBits+i] = uint8(stored.Bit(i))
-	}
-	for i := 0; i < bch.ParityBits; i++ {
-		cw[i] = uint8(stored.Bit(dinPayloadBits + i))
-	}
-	n, ok := d.codec.Decode(cw[:])
+	n, ok := d.correct(&stored)
 	if !ok {
 		return 0
 	}
-	if n > 0 {
-		var fixed memline.Line
-		for i := 0; i < dinPayloadBits; i++ {
-			fixed.SetBit(i, int(cw[bch.ParityBits+i]))
-		}
-		for i := 0; i < bch.ParityBits; i++ {
-			fixed.SetBit(dinPayloadBits+i, int(cw[i]))
-		}
-		for c := 0; c < memline.LineCells; c++ {
-			cells[c] = coset.C1[fixed.Symbol(c)]
+	rawEncode(&stored, cells)
+	return n
+}
+
+// storedLine is the front half of both encoders. When the FPC+BDI
+// stream fits the gate, it fills stored with the stream's 3-to-4
+// expansion and BCH parity and returns it with the compressed flag;
+// otherwise it returns data itself, to be stored raw.
+func (d *DIN) storedLine(data, stored *memline.Line) (*memline.Line, pcm.State) {
+	var stream memline.Line // the at most 369-bit stream, zero-padded
+	w := compress.WrapBitWriter(stream[:])
+	if compress.FPCBDICompressLimit(data, &w, dinMaxCompressed) > dinMaxCompressed {
+		return data, flagUncompressed
+	}
+	var words [memline.LineWords]uint64 // word j expands stream bits [48j, 48j+48)
+	for j := range words {
+		v := binary.LittleEndian.Uint64(stream[6*j:])
+		for k := 0; k < 4; k++ {
+			words[j] |= uint64(dinExpand[v>>(12*k)&0xfff]) << (16 * k)
 		}
 	}
-	return n
+	words[7] &= 1<<dinParityShift - 1
+	words[7] |= uint64(d.codec.ParityWords(words[:], dinPayloadBits)) << dinParityShift
+	*stored = memline.FromWords(words)
+	return stored, flagCompressed
+}
+
+// decodeStored is the back half of both decoders: it corrects a stored
+// compressed line in place and returns the data it encodes.
+func (d *DIN) decodeStored(stored *memline.Line) memline.Line {
+	d.correct(stored)
+	words := stored.Words()
+	words[7] &= 1<<dinParityShift - 1 // so the stream past bit 369 reads zero
+	var stream memline.Line
+	for j, x := range words {
+		var v uint64
+		for k := 0; k < 8; k++ {
+			v |= uint64(dinContract[byte(x>>(8*k))]) << (6 * k)
+		}
+		binary.LittleEndian.PutUint64(stream[6*j:], v)
+	}
+	return compress.FPCBDIDecompress(stream[:(dinMaxCompressed+7)/8])
+}
+
+// correct repairs up to two flipped bits of a stored compressed line in
+// place and reports how many; ok=false (line unchanged) means more
+// errors than the code corrects. Only a parity mismatch builds the
+// bit-vector codeword, parity first, that the BCH decoder takes.
+func (d *DIN) correct(stored *memline.Line) (n int, ok bool) {
+	words := stored.Words()
+	if d.codec.ParityWords(words[:], dinPayloadBits) == uint32(words[7]>>dinParityShift) {
+		return 0, true
+	}
+	var cw [bch.ParityBits + dinPayloadBits]uint8 // bit k is line bit k-20 mod 512
+	for k := range cw {
+		cw[k] = uint8(stored.Bit((k + dinPayloadBits) % memline.LineBits))
+	}
+	n, ok = d.codec.Decode(cw[:])
+	for k, b := range cw {
+		stored.SetBit((k+dinPayloadBits)%memline.LineBits, int(b))
+	}
+	return n, ok
 }

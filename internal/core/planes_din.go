@@ -1,16 +1,9 @@
 package core
 
-import (
-	"wlcrc/internal/bch"
-	"wlcrc/internal/compress"
-	"wlcrc/internal/memline"
-)
+import "wlcrc/internal/memline"
 
-// Plane-native DIN codec. DIN's whole transform (FPC+BDI, 3-to-4
-// expansion, BCH parity) happens on the data line before any cell state
-// exists; the stored bit layout then goes through the fixed C1 mapping,
-// so the plane path just swaps rawEncode/rawDecode for their plane
-// forms and writes the flag into the tail word.
+// Plane-native DIN codec: the cell codec's front and back halves with
+// the plane forms of rawEncode/rawDecode and the flag in the tail word.
 
 // CompressedWritePlanes implements PlaneCompressionGate.
 func (d *DIN) CompressedWritePlanes(planes []uint64) bool {
@@ -19,72 +12,16 @@ func (d *DIN) CompressedWritePlanes(planes []uint64) bool {
 
 // EncodePlanesInto implements PlaneScheme.
 func (d *DIN) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	var cBack [(compress.FPCBDIMaxBits + 7) / 8]byte
-	cw := compress.WrapBitWriter(cBack[:])
-	bits := compress.FPCBDICompressTo(data, &cw)
-	if bits > dinMaxCompressed {
-		rawEncodePlanes(data, dst)
-		setTailFlag(dst, flagUncompressed)
-		return
-	}
-	r := compress.WrapBitReader(cw.Bytes())
-	var eBack [memline.LineBytes]byte
-	w := compress.WrapBitWriter(eBack[:])
-	for i := 0; i < dinMaxCompressed/3; i++ {
-		w.WriteBits(uint64(d.enc3to4[r.ReadBits(3)]), 4)
-	}
-	payload := w.Bytes()
-	var msg [dinPayloadBits]uint8
-	for i := range msg {
-		msg[i] = payload[i/8] >> (uint(i) % 8) & 1
-	}
-	var parity [bch.ParityBits]uint8
-	d.codec.EncodeTo(msg[:], parity[:])
 	var stored memline.Line
-	for i, b := range msg {
-		stored.SetBit(i, int(b))
-	}
-	for i, b := range parity {
-		stored.SetBit(dinPayloadBits+i, int(b))
-	}
-	rawEncodePlanes(&stored, dst)
-	setTailFlag(dst, flagCompressed)
+	l, flag := d.storedLine(data, &stored)
+	rawEncodePlanes(l, dst)
+	setTailFlag(dst, flag)
 }
 
 // DecodePlanesInto implements PlaneScheme.
 func (d *DIN) DecodePlanesInto(planes []uint64, dst *memline.Line) {
-	if tailFlag(planes) != flagCompressed {
-		rawDecodePlanes(planes, dst)
-		return
+	rawDecodePlanes(planes, dst)
+	if tailFlag(planes) == flagCompressed {
+		*dst = d.decodeStored(dst)
 	}
-	var stored memline.Line
-	rawDecodePlanes(planes, &stored)
-	*dst = d.decodeExpanded(&stored)
-}
-
-// decodeExpanded inverts the expansion+BCH layout of a stored line —
-// the shared back half of DecodeInto and DecodePlanesInto.
-func (d *DIN) decodeExpanded(stored *memline.Line) memline.Line {
-	var cw [bch.ParityBits + dinPayloadBits]uint8
-	for i := 0; i < dinPayloadBits; i++ {
-		cw[bch.ParityBits+i] = uint8(stored.Bit(i))
-	}
-	for i := 0; i < bch.ParityBits; i++ {
-		cw[i] = uint8(stored.Bit(dinPayloadBits + i))
-	}
-	d.codec.Decode(cw[:])
-	var sBack [(dinMaxCompressed + 7) / 8]byte
-	w := compress.WrapBitWriter(sBack[:])
-	for g := 0; g < dinPayloadBits/4; g++ {
-		var v uint8
-		for b := 0; b < 4; b++ {
-			v |= cw[bch.ParityBits+g*4+b] << uint(b)
-		}
-		dec := d.dec4to3[v]
-		if dec == 255 {
-			dec = 0
-		}
-		w.WriteBits(uint64(dec), 3)
-	}
-	return compress.FPCBDIDecompress(w.Bytes())
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -650,20 +651,11 @@ func (e *Engine) RetiredLines() [][]uint64 {
 				all = append(all, fm.Retired()...)
 			}
 		}
-		sortUint64(all)
+		// Each unit's list is sorted, but units interleave addresses.
+		slices.Sort(all)
 		out[i] = all
 	}
 	return out
-}
-
-// sortUint64 sorts in place (the per-unit lists are already sorted, but
-// units interleave addresses, so the merged list is not).
-func sortUint64(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // DegradedError reports a replay that completed but crossed the

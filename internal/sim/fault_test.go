@@ -349,3 +349,38 @@ func TestVnRIterationCapWithoutFaultModel(t *testing.T) {
 		t.Errorf("fault stats touched with the model off: %+v", m.Faults)
 	}
 }
+
+// TestRetiredLinesMergesInterleavedUnits retires a few thousand
+// addresses spread over every routing unit, so each unit's sorted list
+// interleaves with the others, and checks the merged per-scheme sets
+// come back complete and sorted.
+func TestRetiredLinesMergesInterleavedUnits(t *testing.T) {
+	const lines = 4000
+	opts := DefaultOptions()
+	opts.Geometry = determinismGeometry()
+	opts.Faults = fault.Config{Enabled: true, SpareLines: lines, MaxRetiredFraction: 1}
+	e := NewEngine(opts, schemesForTest(t, "Baseline", "DIN")...)
+	if e.units < 2 {
+		t.Fatalf("geometry has %d routing units; the test needs several", e.units)
+	}
+	for i := range e.schemes {
+		// Retire in descending order so no unit's list starts sorted by
+		// insertion.
+		for a := uint64(lines); a > 0; a-- {
+			addr := (a - 1) * 3
+			if !e.shards[i*e.units+e.routeOf(addr)].fm.Retire(addr, nil, addr) {
+				t.Fatalf("scheme %d: spare pool exhausted at %d", i, addr)
+			}
+		}
+	}
+	for i, got := range e.RetiredLines() {
+		if len(got) != lines {
+			t.Fatalf("scheme %d: %d retired lines, want %d", i, len(got), lines)
+		}
+		for k, addr := range got {
+			if addr != uint64(k)*3 {
+				t.Fatalf("scheme %d: retired[%d] = %d, want %d", i, k, addr, k*3)
+			}
+		}
+	}
+}
