@@ -275,8 +275,8 @@ func BenchmarkReplayParallelScaling(b *testing.B) {
 }
 
 // BenchmarkReplayStorage replays the fixture serially on both line
-// stores: the plane-native arena (the default for plane-capable
-// schemes) and the reference scalar map forced by
+// stores: the plane-native arena (every scheme's default) and the
+// reference scalar map forced by
 // sim.Options.ScalarStorage. Results are bit-identical; only
 // wall-clock changes. benchguard gates the scalar/planes wall-clock
 // ratio — a same-box number that is meaningful on any machine, unlike
@@ -395,14 +395,13 @@ func BenchmarkEncodeInto(b *testing.B) {
 	}
 }
 
-// planePool encodes the encodePool fixture with a scheme's plane codec:
-// the warm lines' planes and, for each, the planes of its rewrite.
-func planePool(b *testing.B, name string) (ps core.PlaneScheme, olds, news [][]uint64, data []wlcrc.Line) {
+// planePool encodes the encodePool fixture with the keyed plane codec
+// replay stores a scheme's lines through: the warm lines' planes and,
+// for each, the planes of its rewrite. Pool line k lives at address k;
+// the warm write is its first (ctr 1), the rewrite its second (ctr 2).
+func planePool(b *testing.B, name string) (ps core.CounterPlaneScheme, olds, news [][]uint64, data []wlcrc.Line) {
 	sch := wlcrc.MustScheme(name)
-	ps, ok := core.PlaneCodec(sch)
-	if !ok {
-		b.Skip("counter-keyed scheme: no plane codec")
-	}
+	ps = core.CtrPlaneCodec(sch)
 	warm, data := encodePool(b)
 	n := coset.PlaneWords(sch.TotalCells())
 	fresh := make([]uint64, n) // all cells in the initial state
@@ -411,14 +410,14 @@ func planePool(b *testing.B, name string) (ps core.PlaneScheme, olds, news [][]u
 	for i := range olds {
 		olds[i] = make([]uint64, n)
 		news[i] = make([]uint64, n)
-		ps.EncodePlanesInto(olds[i], fresh, &warm[i])
-		ps.EncodePlanesInto(news[i], olds[i], &data[i])
+		ps.EncodeCtrPlanesInto(olds[i], fresh, uint64(i), 1, &warm[i])
+		ps.EncodeCtrPlanesInto(news[i], olds[i], uint64(i), 2, &data[i])
 	}
 	return ps, olds, news, data
 }
 
-// BenchmarkEncodePlanesInto is BenchmarkEncodeInto for the plane codec,
-// which replay runs for every non-counter scheme; allocs/op must be 0.
+// BenchmarkEncodePlanesInto is BenchmarkEncodeInto for the keyed plane
+// codec, which replay runs for every scheme; allocs/op must be 0.
 func BenchmarkEncodePlanesInto(b *testing.B) {
 	for _, name := range wlcrc.SchemeNames() {
 		b.Run(name, func(b *testing.B) {
@@ -428,7 +427,7 @@ func BenchmarkEncodePlanesInto(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := i % len(olds)
-				ps.EncodePlanesInto(dst, olds[k], &data[k])
+				ps.EncodeCtrPlanesInto(dst, olds[k], uint64(k), 2, &data[k])
 			}
 			b.SetBytes(64)
 		})
@@ -445,7 +444,8 @@ func BenchmarkDecodePlanesInto(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ps.DecodePlanesInto(news[i%len(news)], &out)
+				k := i % len(news)
+				ps.DecodeCtrPlanesInto(news[k], uint64(k), 2, &out)
 			}
 			b.SetBytes(64)
 		})

@@ -10,9 +10,10 @@ import (
 //
 // The replay engine stores lines in the bit-plane layout of
 // coset.PlaneWords: (lo, hi) uint64 pairs per 32 cells, tail bits zero.
-// Schemes implementing PlaneScheme encode and decode that layout
-// directly — reading old states and writing new states as planes — so
-// the per-write PackStates/UnpackStates round trips of the scalar API
+// Schemes implementing PlaneScheme (or, keyed by address and write
+// counter, CounterPlaneScheme) encode and decode that layout directly —
+// reading old states and writing new states as planes — so the
+// per-write PackStates/UnpackStates round trips of the scalar API
 // disappear from the hot path. The scalar EncodeInto/DecodeInto
 // implementations remain untouched as the reference the equivalence and
 // fuzz tests hold the plane paths to.
@@ -27,27 +28,60 @@ type PlaneScheme interface {
 	DecodePlanesInto(planes []uint64, dst *memline.Line)
 }
 
+// CounterPlaneScheme is the plane-resident form of CounterScheme: the
+// same keyed codec, reading and writing the coset.PlaneWords layout
+// under the PlaneScheme contract (dst fully written, tail-zero
+// invariant kept, old neither retained nor modified). Counter schemes
+// implement only this keyed pair, not the counter-blind PlaneScheme.
+type CounterPlaneScheme interface {
+	EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line)
+	DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line)
+}
+
 // PlaneCompressionGate is CompressionGate for plane-resident lines.
 type PlaneCompressionGate interface {
 	CompressedWritePlanes(planes []uint64) bool
 }
 
-// PlaneCodec resolves s's plane-native entry points, reporting whether
-// the scheme encodes plane-resident lines without materializing cell
-// vectors. Counter schemes always answer false — their keyed paths need
-// (addr, ctr) and run through the frontends' scalar adapter.
+// PlaneCodec resolves s's counter-blind plane entry points, reporting
+// whether s implements PlaneScheme. Counter schemes answer false: their
+// plane codec is keyed by (addr, ctr) — see CtrPlaneCodec, which
+// resolves the codec every frontend stores lines through.
 func PlaneCodec(s Scheme) (PlaneScheme, bool) {
-	if _, ok := s.(CounterScheme); ok {
-		return nil, false
-	}
 	ps, ok := s.(PlaneScheme)
 	return ps, ok
 }
 
+// CtrPlaneCodec resolves the keyed plane codec the replay frontends
+// store every line through, once at construction, as EncodeCtrFunc does
+// for cells: counter schemes get their own keyed plane pair, every other
+// scheme its PlaneScheme pair with (addr, ctr) ignored. Every scheme
+// NewScheme builds has one of the two; a scheme with neither is a bug,
+// and CtrPlaneCodec panics on it.
+func CtrPlaneCodec(s Scheme) CounterPlaneScheme {
+	switch c := s.(type) {
+	case CounterPlaneScheme:
+		return c
+	case PlaneScheme:
+		return unkeyedPlanes{c}
+	}
+	panic("core: scheme " + s.Name() + " has no plane codec")
+}
+
+// unkeyedPlanes adapts a PlaneScheme to the keyed plane API.
+type unkeyedPlanes struct{ ps PlaneScheme }
+
+func (u unkeyedPlanes) EncodeCtrPlanesInto(dst, old []uint64, _, _ uint64, data *memline.Line) {
+	u.ps.EncodePlanesInto(dst, old, data)
+}
+
+func (u unkeyedPlanes) DecodeCtrPlanesInto(planes []uint64, _, _ uint64, dst *memline.Line) {
+	u.ps.DecodePlanesInto(planes, dst)
+}
+
 // CompressedWritePlanesFunc resolves the plane-resident write
 // classifier: plane-gated schemes answer through their flag cell,
-// everything else counts every write as encoded. Only meaningful for
-// schemes on the plane-native path (PlaneCodec ok).
+// everything else counts every write as encoded.
 func CompressedWritePlanesFunc(s Scheme) func([]uint64) bool {
 	if g, ok := s.(PlaneCompressionGate); ok {
 		return g.CompressedWritePlanes
@@ -55,18 +89,22 @@ func CompressedWritePlanesFunc(s Scheme) func([]uint64) bool {
 	return func([]uint64) bool { return true }
 }
 
-// PlaneEncodeJob is one line write of a plane-resident batch encode run.
+// PlaneEncodeJob is one line write of a plane-resident batch encode
+// run, with the line's routing/counter context.
 type PlaneEncodeJob struct {
 	Dst, Old []uint64
+	Addr     uint64
+	Ctr      uint64
 	Data     *memline.Line
 }
 
 // EncodePlaneBatch encodes a run of plane-resident writes, hoisting the
 // interface dispatch out of the per-job loop — the plane counterpart of
 // EncodeBatchFunc for the shard's applyRun path.
-func EncodePlaneBatch(ps PlaneScheme, jobs []PlaneEncodeJob) {
+func EncodePlaneBatch(cs CounterPlaneScheme, jobs []PlaneEncodeJob) {
 	for i := range jobs {
-		ps.EncodePlanesInto(jobs[i].Dst, jobs[i].Old, jobs[i].Data)
+		j := &jobs[i]
+		cs.EncodeCtrPlanesInto(j.Dst, j.Old, j.Addr, j.Ctr, j.Data)
 	}
 }
 

@@ -213,3 +213,72 @@ func FuzzDecodePlanesNeverPanics(f *testing.F) {
 		s.planes.DecodePlanesInto(planes, &l) // must not panic
 	})
 }
+
+// counterPlaneSchemes are the counter-keyed schemes, all of which store
+// lines through the keyed plane codec.
+var counterPlaneSchemes = []string{"VCC-2", "VCC-4", "VCC-8", "Enc(WLCRC-16)", "Enc(COC+4cosets)", "Enc(FlipMin)"}
+
+// TestCounterPlanesMatchScalar is the keyed twin of
+// TestEncodePlanesMatchesScalar: for several (addr, ctr) keys, the
+// counter schemes' plane encode must equal the packed cell encode, leave
+// old untouched and the tail zero, decode back to the data under the
+// same key, and agree with the cell compression gate. CtrPlaneCodec must
+// resolve to the scheme's own keyed codec.
+func TestCounterPlanesMatchScalar(t *testing.T) {
+	r := prng.New(20261017)
+	keys := [][2]uint64{{0, 0}, {0, 1}, {7, 1}, {7, 2}, {0xDEAD, 42}, {1 << 40, 1<<32 + 3}}
+	for _, name := range counterPlaneSchemes {
+		s, err := NewScheme(name, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := s.(CounterScheme)
+		ps, ok := s.(CounterPlaneScheme)
+		if !ok {
+			t.Fatalf("%s: no keyed plane codec", name)
+		}
+		if CtrPlaneCodec(s) != ps {
+			t.Fatalf("%s: CtrPlaneCodec did not resolve the scheme's own codec", name)
+		}
+		if _, ok := PlaneCodec(s); ok {
+			t.Fatalf("%s: counter scheme reports a counter-blind plane codec", name)
+		}
+		gate := CompressedWriteFunc(s)
+		pgate := CompressedWritePlanesFunc(s)
+		n := s.TotalCells()
+		for trial := 0; trial < 20; trial++ {
+			for _, k := range keys {
+				addr, ctr := k[0], k[1]
+				data := randomBiasedLine(r)
+				old := randomOld(r, n)
+				want := make([]pcm.State, n)
+				cs.EncodeCtrInto(want, old, addr, ctr, &data)
+				wantP := packedPlanes(want)
+
+				oldP := packedPlanes(old)
+				oldSnap := append([]uint64(nil), oldP...)
+				dst := make([]uint64, len(oldP))
+				for i := range dst {
+					dst[i] = r.Uint64()
+				}
+				ps.EncodeCtrPlanesInto(dst, oldP, addr, ctr, &data)
+				if !reflect.DeepEqual(wantP, dst) {
+					t.Fatalf("%s (addr %#x ctr %d): plane encode differs from packed EncodeCtrInto\nwant %x\ngot  %x",
+						name, addr, ctr, wantP, dst)
+				}
+				if !reflect.DeepEqual(oldSnap, oldP) {
+					t.Fatalf("%s: EncodeCtrPlanesInto mutated old planes", name)
+				}
+				var got memline.Line
+				r.Fill(got[:])
+				ps.DecodeCtrPlanesInto(dst, addr, ctr, &got)
+				if !got.Equal(&data) {
+					t.Fatalf("%s (addr %#x ctr %d): plane decode round trip failed", name, addr, ctr)
+				}
+				if sc, pl := gate(want), pgate(dst); sc != pl {
+					t.Fatalf("%s: plane gate = %v, cell gate = %v", name, pl, sc)
+				}
+			}
+		}
+	}
+}

@@ -254,7 +254,11 @@ func NewScheme(name string, cfg Config) (Scheme, error) {
 		if UsesCounters(is) {
 			return nil, fmt.Errorf("core: %s: inner scheme is already counter-keyed", name)
 		}
-		return vcc.NewEncrypted(is, cfg.EncryptionKey), nil
+		in, ok := is.(vcc.Inner)
+		if !ok {
+			return nil, fmt.Errorf("core: %s: inner scheme has no plane codec", name)
+		}
+		return vcc.NewEncrypted(in, cfg.EncryptionKey), nil
 	}
 	switch name {
 	case "Baseline":

@@ -150,27 +150,33 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestArenaStorageSelection pins the storage dispatch of the
-// plane-native PR: every plane-capable scheme must get the arena store
-// (and no scalar map), while counter-keyed schemes keep the scalar map
-// path — their codecs need (addr, ctr) and have no plane entry points.
+// TestArenaStorageSelection pins the storage dispatch: every scheme,
+// counter-keyed ones included, gets the arena store (and no scalar map)
+// unless Options.ScalarStorage forces the scalar reference; counter
+// schemes keep their write counters beside whichever store they use.
 func TestArenaStorageSelection(t *testing.T) {
-	opts := DefaultOptions()
-	for _, name := range allocSchemes {
-		sch, err := core.NewScheme(name, core.DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		u := newShard(&opts, sch, nil, nil)
-		_, wantPlanes := core.PlaneCodec(sch)
-		if gotPlanes := u.arena != nil; gotPlanes != wantPlanes {
-			t.Errorf("%s: arena storage = %v, PlaneCodec = %v", name, gotPlanes, wantPlanes)
-		}
-		if wantPlanes && u.mem != nil {
-			t.Errorf("%s: plane-native shard also allocated the scalar map", name)
-		}
-		if !wantPlanes && u.mem == nil {
-			t.Errorf("%s: scalar shard has no map store", name)
+	for _, scalar := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.ScalarStorage = scalar
+		for _, name := range append(allocSchemes, "Enc(WLCRC-16)") {
+			sch, err := core.NewScheme(name, core.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			u := newShard(&opts, sch, nil, nil)
+			if gotPlanes := u.arena != nil; gotPlanes == scalar {
+				t.Errorf("%s: ScalarStorage=%v but arena storage = %v", name, scalar, gotPlanes)
+			}
+			if gotMap := u.mem != nil; gotMap != scalar {
+				t.Errorf("%s: ScalarStorage=%v but scalar map = %v", name, scalar, gotMap)
+			}
+			keyed := core.UsesCounters(sch)
+			if got := u.lineCtrs != nil || u.ctrs != nil; got != keyed {
+				t.Errorf("%s: counter store present = %v, UsesCounters = %v", name, got, keyed)
+			}
+			if u.lineCtrs != nil && u.ctrs != nil {
+				t.Errorf("%s: both counter stores allocated", name)
+			}
 		}
 	}
 }

@@ -119,32 +119,49 @@ func TestCompressionGateCollapsesOnEncryptedStream(t *testing.T) {
 	}
 }
 
-// TestShardCounterAdvances pins the counter-store semantics: one
-// counter per address, starting at 1, incrementing per write, surviving
-// resetMetrics but not reset.
+// TestShardCounterAdvances pins the counter-store semantics on both
+// line stores: one counter per address (slot-indexed beside the arena,
+// addr-keyed on the scalar reference), starting at 1, incrementing per
+// write, surviving resetMetrics but not reset.
 func TestShardCounterAdvances(t *testing.T) {
 	sch, err := core.NewScheme("VCC-4", core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	u := newShard(&opts, sch, nil, nil)
-	src := encryptedTrace(t, 1)
-	req := src.Reqs[0]
-	for i := 1; i <= 3; i++ {
-		if err := u.apply(&req, 0); err != nil {
-			t.Fatalf("write %d: %v", i, err)
+	for _, scalar := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.ScalarStorage = scalar
+		u := newShard(&opts, sch, nil, nil)
+		src := encryptedTrace(t, 1)
+		req := src.Reqs[0]
+		ctr := func() uint64 {
+			if scalar {
+				return u.ctrs[req.Addr]
+			}
+			slot, ok := u.arena.Lookup(req.Addr)
+			if !ok {
+				return 0
+			}
+			return u.lineCtrs[slot]
 		}
-		if got := u.ctrs[req.Addr]; got != uint64(i) {
-			t.Fatalf("after write %d: counter = %d", i, got)
+		for i := 1; i <= 3; i++ {
+			if err := u.apply(&req, 0); err != nil {
+				t.Fatalf("scalar=%v write %d: %v", scalar, i, err)
+			}
+			if got := ctr(); got != uint64(i) {
+				t.Fatalf("scalar=%v after write %d: counter = %d", scalar, i, got)
+			}
 		}
-	}
-	u.resetMetrics()
-	if got := u.ctrs[req.Addr]; got != 3 {
-		t.Errorf("resetMetrics cleared the counter store (ctr=%d)", got)
-	}
-	u.reset()
-	if got := u.ctrs[req.Addr]; got != 0 {
-		t.Errorf("reset kept the counter store (ctr=%d)", got)
+		u.resetMetrics()
+		if got := ctr(); got != 3 {
+			t.Errorf("scalar=%v: resetMetrics cleared the counter store (ctr=%d)", scalar, got)
+		}
+		u.reset()
+		if got := ctr(); got != 0 {
+			t.Errorf("scalar=%v: reset kept the counter store (ctr=%d)", scalar, got)
+		}
+		if !scalar && len(u.lineCtrs) != 0 {
+			t.Errorf("reset kept %d slot counters", len(u.lineCtrs))
+		}
 	}
 }

@@ -51,8 +51,13 @@ func determinismWorkerSet(banks int) []int {
 // DeepEqual metrics, snapshots, retired-line sets and errors —
 // including under the full stuck-at + repair pipeline, whose plane
 // fast path falls back to the scalar repair encoder on mismatches.
+// The counter-keyed schemes ride along: their slot-indexed counters
+// must key every plane encode, Verify decode and repair re-encode
+// exactly as the scalar store's counter map does.
 func TestScalarStorageBitIdentical(t *testing.T) {
 	geo := determinismGeometry()
+	names := append(append([]string(nil), engineSchemeNames...),
+		"VCC-2", "VCC-8", "Enc(WLCRC-16)", "Enc(COC+4cosets)")
 	modes := []struct {
 		name  string
 		src   func(t *testing.T) *trace.SliceSource
@@ -91,7 +96,7 @@ func TestScalarStorageBitIdentical(t *testing.T) {
 				opts.TrackWear = true
 				opts.ScalarStorage = scalar
 				mode.tweak(&opts)
-				e := NewEngine(opts, schemesForTest(t, engineSchemeNames...)...)
+				e := NewEngine(opts, schemesForTest(t, names...)...)
 				err = e.Run(src, 0)
 				if err != nil && !errors.As(err, new(*DegradedError)) {
 					t.Fatal(err)

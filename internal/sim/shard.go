@@ -44,27 +44,37 @@ type shard struct {
 	// construction, from the scheme's optional CompressionGate — not
 	// per request via name switches.
 	compressed func([]pcm.State) bool
-	// encodeCtr / decodeCtr are the codec entry points resolved once
-	// from the scheme's optional CounterScheme extension: counter-keyed
-	// schemes (VCC, Enc) get the per-line write counter, everything else
-	// ignores it. encodeBatch is the line-batch form (core.BatchEncoder
-	// or the hoisted loop), the entry point of applyRun.
+	// encodeCtr / decodeCtr are the cell codec entry points resolved
+	// once from the scheme's optional CounterScheme extension:
+	// counter-keyed schemes (VCC, Enc) get the per-line write counter,
+	// everything else ignores it. They serve the scalar reference store
+	// and the rare cell-level steps of the plane path (fault repair,
+	// faulty-line reads). encodeBatch is the scalar line-batch form
+	// (core.BatchEncoder or the hoisted loop).
 	encodeCtr   func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line)
 	decodeCtr   func(cells []pcm.State, addr, ctr uint64, dst *memline.Line)
 	encodeBatch func(jobs []core.EncodeJob)
 	// mem is this shard's cell-state view of its addresses — the scalar
-	// reference store, used only when the scheme has no plane codec.
+	// reference store, used only under Options.ScalarStorage.
 	mem map[uint64][]pcm.State
-	// Plane-native path: when the scheme implements core.PlaneScheme,
-	// lines live in the arena as bit-plane words — 128 contiguous data
-	// bytes per line instead of 256 scattered cell bytes — addressed by
-	// the arena's open slot index instead of the mem map, and every
-	// encode, diff, wear, disturb and fault step below runs on planes.
-	// planeEnc == nil selects the scalar path throughout.
-	planeEnc  core.PlaneScheme
+	// Plane-native path, every scheme's store unless
+	// Options.ScalarStorage is set: lines live in the arena as bit-plane
+	// words — 128 contiguous data bytes per line instead of 256
+	// scattered cell bytes — addressed by the arena's open slot index
+	// instead of the mem map, and every encode, diff, wear, disturb and
+	// fault step below runs on planes. planeEnc is the keyed plane codec
+	// resolved by core.CtrPlaneCodec; nil selects the scalar path
+	// throughout.
+	planeEnc  core.CounterPlaneScheme
 	planeGate func([]uint64) bool
 	arena     *arena.Lines
 	stride    int // plane words per line
+	// lineCtrs is the plane path's per-line write-counter store (the
+	// shard-local slice of an encryption engine's counter cache),
+	// indexed by arena slot; nil unless the scheme is a CounterScheme.
+	// Requests to one address always replay in trace order on one
+	// shard, so counters are deterministic for every worker count.
+	lineCtrs []uint64
 	// planeSpare is the plane path's free-buffer stack (the []uint64
 	// analog of spare): encode targets a detached buffer, settle commits
 	// it into the arena slot with one copy, and the buffer recycles.
@@ -80,13 +90,12 @@ type shard struct {
 	masks []uint64
 	// cellsOld/cellsNew are the plane path's scalar materialization
 	// scratch, touched only off the fast path: fault repair, VnR
-	// injection and recovery reads unpack into them.
+	// injection and recovery reads unpack into them. Allocated (with
+	// changed) only when the fault model or fault injection is on.
 	cellsOld, cellsNew []pcm.State
-	// ctrs is the per-line write-counter store (the shard-local slice of
-	// an encryption engine's counter cache); nil unless the scheme is a
-	// CounterScheme. Requests to one address always replay in trace
-	// order on one shard, so counters are deterministic for every worker
-	// count.
+	// ctrs is the scalar reference store's write-counter map, the
+	// addr-keyed twin of lineCtrs; nil unless the scheme is a
+	// CounterScheme on the scalar path.
 	ctrs map[uint64]uint64
 	// spare is the stack of free cell buffers EncodeInto targets: each
 	// settled request stores its freshly-encoded buffer and releases the
@@ -157,13 +166,12 @@ type shard struct {
 func newShard(opts *Options, sch core.Scheme, rnd *prng.Xoshiro256, fm *fault.Map) *shard {
 	n := sch.TotalCells()
 	u := &shard{
-		opts:    opts,
-		scheme:  sch,
-		changed: make([]bool, n),
-		rnd:     rnd,
-		m:       newMetrics(sch.Name()),
-		pub:     newMetrics(sch.Name()),
-		fm:      fm,
+		opts:   opts,
+		scheme: sch,
+		rnd:    rnd,
+		m:      newMetrics(sch.Name()),
+		pub:    newMetrics(sch.Name()),
+		fm:     fm,
 	}
 	if opts.TrackWear || fm != nil {
 		u.wear = wear.NewDense(n)
@@ -175,21 +183,31 @@ func newShard(opts *Options, sch core.Scheme, rnd *prng.Xoshiro256, fm *fault.Ma
 	if fm != nil {
 		u.encodeStuck = core.EncodeStuckFunc(sch)
 	}
-	if core.UsesCounters(sch) {
-		u.ctrs = make(map[uint64]uint64)
-	}
-	if ps, ok := core.PlaneCodec(sch); ok && !opts.ScalarStorage {
-		u.planeEnc = ps
+	keyed := core.UsesCounters(sch)
+	if !opts.ScalarStorage {
+		u.planeEnc = core.CtrPlaneCodec(sch)
 		u.planeGate = core.CompressedWritePlanesFunc(sch)
 		u.stride = coset.PlaneWords(n)
 		u.arena = arena.New(u.stride, 0)
 		u.planeSpare = [][]uint64{make([]uint64, u.stride)}
+		u.planeJobs = make([]planeJob, 0, shardRunCap)
+		u.pjobs = make([]core.PlaneEncodeJob, 0, shardRunCap)
 		u.masks = make([]uint64, u.stride/2)
-		u.cellsOld = make([]pcm.State, n)
-		u.cellsNew = make([]pcm.State, n)
+		if fm != nil || opts.InjectFaults {
+			u.cellsOld = make([]pcm.State, n)
+			u.cellsNew = make([]pcm.State, n)
+			u.changed = make([]bool, n)
+		}
+		if keyed {
+			u.lineCtrs = []uint64{}
+		}
 	} else {
+		u.changed = make([]bool, n)
 		u.mem = make(map[uint64][]pcm.State)
 		u.spare = [][]pcm.State{make([]pcm.State, n)}
+		if keyed {
+			u.ctrs = make(map[uint64]uint64)
+		}
 	}
 	return u
 }
@@ -200,6 +218,30 @@ func (u *shard) reserve(lines int) {
 	if u.arena != nil {
 		u.arena.Reserve(lines)
 	}
+}
+
+// nextCtr advances the write counter of the line in slot (fresh: just
+// inserted by Ensure) and returns the value this write is keyed by; 0
+// for schemes without counters. Arena slots are first-touch ordered, so
+// a fresh slot is always the next counter index.
+func (u *shard) nextCtr(slot int, fresh bool) uint64 {
+	if u.lineCtrs == nil {
+		return 0
+	}
+	if fresh {
+		u.lineCtrs = append(u.lineCtrs, 0)
+	}
+	u.lineCtrs[slot]++
+	return u.lineCtrs[slot]
+}
+
+// ctrOf returns the write counter the line in slot was last written
+// under; 0 for schemes without counters.
+func (u *shard) ctrOf(slot int) uint64 {
+	if u.lineCtrs == nil {
+		return 0
+	}
+	return u.lineCtrs[slot]
 }
 
 // takeSpare pops a free cell buffer (allocating only while the shard's
@@ -239,6 +281,7 @@ func (u *shard) putPlaneSpare(s []uint64) { u.planeSpare = append(u.planeSpare, 
 type planeJob struct {
 	slot int
 	addr uint64
+	ctr  uint64
 	seq  uint64
 	dst  []uint64
 	data *memline.Line
@@ -268,10 +311,11 @@ func (u *shard) prepare(addr uint64) (old []pcm.State, ctr uint64) {
 // uncorrectable stuck line.
 func (u *shard) apply(req *trace.Request, seq uint64) error {
 	if u.planeEnc != nil {
-		slot, _ := u.arena.Ensure(req.Addr)
+		slot, fresh := u.arena.Ensure(req.Addr)
+		ctr := u.nextCtr(slot, fresh)
 		dst := u.takePlaneSpare()
-		u.planeEnc.EncodePlanesInto(dst, u.arena.Planes(slot), &req.New)
-		return u.settlePlanes(dst, slot, req.Addr, seq, &req.New)
+		u.planeEnc.EncodeCtrPlanesInto(dst, u.arena.Planes(slot), req.Addr, ctr, &req.New)
+		return u.settlePlanes(dst, slot, req.Addr, ctr, seq, &req.New)
 	}
 	old, ctr := u.prepare(req.Addr)
 	dst := u.takeSpare()
@@ -429,14 +473,14 @@ func (u *shard) repairFaults(newCells, old []pcm.State, counts []uint32, addr, c
 // Energy sums, histogram observations and PRNG draws are bit-identical
 // to the scalar path (DiffWriteMasks and CountDisturbMasks visit cells
 // in the same ascending order), which the equivalence tests pin down.
-func (u *shard) settlePlanes(newP []uint64, slot int, addr, seq uint64, data *memline.Line) error {
+func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, data *memline.Line) error {
 	sch := u.scheme
 	m := &u.m
 	m.Writes++
 	oldP := u.arena.Planes(slot)
 	var faultErr error
 	if u.fm != nil {
-		faultErr = u.repairFaultsPlanes(newP, oldP, slot, addr, seq, data)
+		faultErr = u.repairFaultsPlanes(newP, oldP, slot, addr, ctr, seq, data)
 	}
 	st := u.opts.Energy.DiffWriteMasks(oldP, newP, u.masks, sch.DataCells())
 	m.Energy.Add(st)
@@ -468,7 +512,7 @@ func (u *shard) settlePlanes(newP []uint64, slot int, addr, seq uint64, data *me
 	var verifyErr error
 	if u.opts.Verify {
 		got := &u.decodeBuf
-		u.planeEnc.DecodePlanesInto(newP, got)
+		u.planeEnc.DecodeCtrPlanesInto(newP, addr, ctr, got)
 		if !got.Equal(data) {
 			m.DecodeErrors++
 			verifyErr = fmt.Errorf("sim: %s: decode mismatch at addr %#x", sch.Name(), addr)
@@ -500,8 +544,10 @@ func (u *shard) settlePlanes(newP []uint64, slot int, addr, seq uint64, data *me
 // plane scan; an actual repair is rare, so it materializes both cell
 // vectors, reuses the scalar repair pipeline verbatim (retry, ECC,
 // retirement), and packs the outcome back — including the pristine
-// all-S1 old vector a retirement resets the slot to.
-func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, seq uint64, data *memline.Line) error {
+// all-S1 old vector a retirement resets the slot to. ctr is the write's
+// counter: the retry-failure and retirement re-encodes must run under
+// the same keystream as the write itself.
+func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, ctr, seq uint64, data *memline.Line) error {
 	ls := u.fm.Stuck(addr)
 	if ls == nil || ls.MismatchCountPlanes(newP) == 0 {
 		return nil
@@ -510,7 +556,7 @@ func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, seq uint
 	newC, oldC := u.cellsNew[:n], u.cellsOld[:n]
 	coset.UnpackLine(newP, newC)
 	coset.UnpackLine(oldP, oldC)
-	err := u.repairFaults(newC, oldC, u.wear.SlotCounts(slot), addr, 0, seq, data)
+	err := u.repairFaults(newC, oldC, u.wear.SlotCounts(slot), addr, ctr, seq, data)
 	coset.PackLine(newC, newP)
 	coset.PackLine(oldC, oldP)
 	return err
@@ -542,20 +588,25 @@ func expandMasks(masks []uint64, dst []bool) {
 // directly; the fault path materializes cells for the ECC recovery.
 func (u *shard) readLine(addr uint64, dst *memline.Line) (ok bool, err error) {
 	var phys []pcm.State
+	var ctr uint64
 	if u.planeEnc != nil {
 		slot, ok := u.arena.Lookup(addr)
 		if !ok {
 			return false, nil
 		}
 		planes := u.arena.Planes(slot)
+		ctr = u.ctrOf(slot)
 		if u.fm == nil {
-			u.planeEnc.DecodePlanesInto(planes, dst)
+			u.planeEnc.DecodeCtrPlanesInto(planes, addr, ctr, dst)
 			return true, nil
 		}
 		phys = u.cellsOld[:u.scheme.TotalCells()]
 		coset.UnpackLine(planes, phys)
-	} else if phys, ok = u.mem[addr]; !ok {
-		return false, nil
+	} else {
+		if phys, ok = u.mem[addr]; !ok {
+			return false, nil
+		}
+		ctr = u.ctrs[addr] // a nil map reads 0
 	}
 	cells := phys
 	if u.fm != nil {
@@ -568,10 +619,6 @@ func (u *shard) readLine(addr uint64, dst *memline.Line) (ok bool, err error) {
 			return true, fmt.Errorf("sim: %s: uncorrectable read at addr %#x", u.scheme.Name(), addr)
 		}
 		cells = rec
-	}
-	var ctr uint64
-	if u.ctrs != nil {
-		ctr = u.ctrs[addr]
 	}
 	u.decodeCtr(cells, addr, ctr, dst)
 	return true, nil
@@ -676,10 +723,11 @@ func (u *shard) applyRunPlanes(rs []routedReq) (errSeq uint64, err error) {
 				return seq, err
 			}
 		}
-		slot, _ := u.arena.Ensure(rr.req.Addr)
+		slot, fresh := u.arena.Ensure(rr.req.Addr)
 		u.planeJobs = append(u.planeJobs, planeJob{
 			slot: slot,
 			addr: rr.req.Addr,
+			ctr:  u.nextCtr(slot, fresh),
 			seq:  rr.seq,
 			dst:  u.takePlaneSpare(),
 			data: &rr.req.New,
@@ -716,6 +764,8 @@ func (u *shard) flushRunPlanes() (errSeq uint64, err error) {
 		u.pjobs = append(u.pjobs, core.PlaneEncodeJob{
 			Dst:  j.dst,
 			Old:  u.arena.Planes(j.slot),
+			Addr: j.addr,
+			Ctr:  j.ctr,
 			Data: j.data,
 		})
 	}
@@ -726,7 +776,7 @@ func (u *shard) flushRunPlanes() (errSeq uint64, err error) {
 			u.putPlaneSpare(j.dst)
 			continue
 		}
-		if e := u.settlePlanes(j.dst, j.slot, j.addr, j.seq, j.data); e != nil {
+		if e := u.settlePlanes(j.dst, j.slot, j.addr, j.ctr, j.seq, j.data); e != nil {
 			err, errSeq = e, j.seq
 		}
 	}
@@ -795,12 +845,14 @@ func (u *shard) resetMetrics() {
 }
 
 // reset clears metrics and memory state while keeping every allocation
-// warm: the arena keeps its slab and index, the scalar store recycles
-// its line buffers through the spare stack and keeps its map buckets,
-// the counter map keeps its buckets, and the wear recorder keeps its
-// count array — a reset-and-rerun (warm-up flows, repeated experiment
-// phases) re-fills storage without rebuilding it.
+// warm: the arena keeps its slab and index, the slot counters keep
+// their array, the scalar store recycles its line buffers through the
+// spare stack and keeps its map buckets, the counter map keeps its
+// buckets, and the wear recorder keeps its count array — a
+// reset-and-rerun (warm-up flows, repeated experiment phases) re-fills
+// storage without rebuilding it.
 func (u *shard) reset() {
+	u.lineCtrs = u.lineCtrs[:0]
 	if u.arena != nil {
 		u.arena.Reset()
 	} else {
@@ -809,9 +861,7 @@ func (u *shard) reset() {
 			delete(u.mem, addr)
 		}
 	}
-	if u.ctrs != nil {
-		clear(u.ctrs)
-	}
+	clear(u.ctrs)
 	if u.wear != nil {
 		u.wear.Clear()
 	}

@@ -274,9 +274,9 @@ type Options struct {
 	// count is reported by Engine.IngestRouters. Ignored by Simulator.
 	IngestRouters int
 
-	// ScalarStorage forces plane-capable schemes onto the reference
-	// scalar store (a map of []pcm.State lines with per-write
-	// pack/unpack) instead of the plane-native arena. Results are
+	// ScalarStorage forces every scheme onto the reference scalar store
+	// (a map of []pcm.State lines, and for counter-keyed schemes a map
+	// of write counters) instead of the plane-native arena. Results are
 	// bit-identical either way — the scalar path exists as the
 	// equivalence reference and as the baseline the benchguard arena
 	// gate measures the plane path against. Leave it off outside

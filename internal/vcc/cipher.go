@@ -24,7 +24,8 @@
 //   - Scheme (VCC-2/4/8) and Encrypted (a wrapper that runs any inner
 //     scheme on ciphertext): core.Scheme implementations registered in
 //     internal/core (vcc.go, encrypted.go). Both implement the
-//     core.CounterScheme extension; their address/counter-blind
+//     core.CounterScheme extension and its plane form,
+//     core.CounterPlaneScheme; their address/counter-blind
 //     EncodeInto/DecodeInto forms fall back to (addr=0, ctr=0).
 //   - StreamEncryptor / EncryptSource: whiten a whole write-request
 //     stream the way an encrypted DIMM would see it, for workloads and

@@ -21,10 +21,14 @@ import (
 // on every write, incompressible or not, which is the whole point on
 // encrypted traffic.
 //
-// Scheme implements core.CounterScheme. The counter-blind
-// EncodeInto/DecodeInto forms use (addr=0, ctr=0) — a degenerate
-// static-whitening mode kept for the generic Scheme contract; replay
-// frontends always drive the counter-aware path.
+// Scheme implements core.CounterScheme (cells) and
+// core.CounterPlaneScheme (bit planes, the form replay frontends store
+// lines through); both share one candidate sweep and agree bit for bit.
+// The counter-blind EncodeInto/DecodeInto forms use (addr=0, ctr=0) — a
+// degenerate static-whitening mode kept for the generic Scheme
+// contract; replay frontends always drive the counter-aware path. There
+// is deliberately no counter-blind plane form, so core.PlaneCodec
+// answers false for Scheme.
 //
 // Scheme is immutable after construction and safe for concurrent use;
 // all per-call scratch lives on the caller's stack.
@@ -123,29 +127,56 @@ func (s *Scheme) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *mem
 	var idx [memline.LineWords]uint8
 	var p coset.WordPlanes
 	for w := 0; w < memline.LineWords; w++ {
-		cw := data.Word(w) ^ pad[w]
-		p.Init(cw, old[w*memline.WordCells:(w+1)*memline.WordCells])
-		clo, chi := p.Lo, p.Hi
-		// Candidate 0 is the zero vector: price the ciphertext directly.
-		best := 0
-		bestCost, _ := s.swar.CostCount(&p, coset.AllCells)
-		for c := 1; c < s.n; c++ {
-			vlo, vhi := memline.LoHiPlanes(vecs[c][w])
-			var cnt [4]int
-			// LoHiPlanes is linear over XOR, so the candidate's planes
-			// are two XORs — the word is never re-extracted.
-			s.swar.CountsPlanes(clo^vlo, chi^vhi, &p, coset.AllCells, &cnt)
-			cost, _ := s.swar.CostOf(&cnt)
-			if cost < bestCost {
-				best, bestCost = c, cost
-			}
-		}
+		p.Init(data.Word(w)^pad[w], old[w*memline.WordCells:(w+1)*memline.WordCells])
+		best, nlo, nhi := s.bestCandidate(&p, &vecs, w)
 		idx[w] = uint8(best)
-		vlo, vhi := memline.LoHiPlanes(vecs[best][w])
-		nlo, nhi := s.swar.ApplyPlanes(clo^vlo, chi^vhi)
 		coset.UnpackStates(nlo, nhi, dst[w*memline.WordCells:(w+1)*memline.WordCells])
 	}
 	s.packIndices(&idx, dst[memline.LineCells:s.TotalCells()])
+}
+
+// EncodeCtrPlanesInto implements core.CounterPlaneScheme: the same
+// candidate sweep as EncodeCtrInto, pricing against the stored planes
+// through SetOldPlanes and writing each winner's planes directly; the
+// indices go straight into the tail word pair.
+func (s *Scheme) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
+	var pad [memline.LineWords]uint64
+	var vecs [MaxCandidates][memline.LineWords]uint64
+	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
+
+	var idx uint64
+	var p coset.WordPlanes
+	for w := 0; w < memline.LineWords; w++ {
+		p.SetData(data.Word(w) ^ pad[w])
+		p.SetOldPlanes(old[2*w], old[2*w+1])
+		best, nlo, nhi := s.bestCandidate(&p, &vecs, w)
+		idx |= uint64(best) << uint(w*s.idxBits)
+		dst[2*w], dst[2*w+1] = nlo, nhi
+	}
+	dst[tailWord], dst[tailWord+1] = auxPlanes(idx, memline.LineWords*s.idxBits)
+}
+
+// bestCandidate returns the index of word w's cheapest candidate and
+// the state planes it stores: the ciphertext XORed with the candidate,
+// mapped through C1. p holds the ciphertext word's data planes and the
+// stored states. Candidate 0 is the zero vector, so the ciphertext is
+// priced directly; ties keep the lower index.
+func (s *Scheme) bestCandidate(p *coset.WordPlanes, vecs *[MaxCandidates][memline.LineWords]uint64, w int) (best int, lo, hi uint64) {
+	bestCost, _ := s.swar.CostCount(p, coset.AllCells)
+	blo, bhi := p.Lo, p.Hi
+	for c := 1; c < s.n; c++ {
+		// LoHiPlanes is linear over XOR, so the candidate's planes are
+		// two XORs — the word is never re-extracted.
+		vlo, vhi := memline.LoHiPlanes(vecs[c][w])
+		vlo, vhi = p.Lo^vlo, p.Hi^vhi
+		var cnt [4]int
+		s.swar.CountsPlanes(vlo, vhi, p, coset.AllCells, &cnt)
+		if cost, _ := s.swar.CostOf(&cnt); cost < bestCost {
+			best, bestCost, blo, bhi = c, cost, vlo, vhi
+		}
+	}
+	lo, hi = s.swar.ApplyPlanes(blo, bhi)
+	return best, lo, hi
 }
 
 // DecodeCtrInto implements core.CounterScheme: read the indices,
@@ -164,6 +195,47 @@ func (s *Scheme) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline
 		cw := memline.InterleavePlanes(dlo, dhi)
 		dst.SetWord(w, cw^vecs[idx[w]][w]^pad[w])
 	}
+}
+
+// DecodeCtrPlanesInto implements core.CounterPlaneScheme: DecodeCtrInto
+// reading the data words and the tail indices straight from the planes.
+func (s *Scheme) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
+	var pad [memline.LineWords]uint64
+	var vecs [MaxCandidates][memline.LineWords]uint64
+	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
+
+	idx := auxBits(planes[tailWord], planes[tailWord+1], memline.LineWords*s.idxBits)
+	mask := uint64(s.n - 1)
+	for w := 0; w < memline.LineWords; w++ {
+		dlo, dhi := s.swar.ApplyInvPlanes(planes[2*w], planes[2*w+1])
+		c := idx >> uint(w*s.idxBits) & mask
+		dst.SetWord(w, memline.InterleavePlanes(dlo, dhi)^vecs[c][w]^pad[w])
+	}
+}
+
+// tailWord is the plane-pair index of the word holding cells 256+, where
+// the candidate indices live.
+const tailWord = 2 * (memline.LineCells / memline.WordCells)
+
+// auxPlanes lays nbits bits of v (the per-word indices, idxBits each,
+// LSB-first) into the aux cells 256+ of the tail word pair under the
+// identity AuxPack mapping — bit 2k is the low plane and bit 2k+1 the
+// high plane of cell 256+k — the plane form of packIndices. Every other
+// bit of the pair is zero.
+func auxPlanes(v uint64, nbits int) (lo, hi uint64) {
+	for j := 0; j < nbits; j += 2 {
+		lo |= (v >> uint(j) & 1) << uint(j/2)
+		hi |= (v >> uint(j+1) & 1) << uint(j/2)
+	}
+	return lo, hi
+}
+
+// auxBits inverts auxPlanes.
+func auxBits(lo, hi uint64, nbits int) (v uint64) {
+	for j := 0; j < nbits; j += 2 {
+		v |= (lo>>uint(j/2)&1)<<uint(j) | (hi>>uint(j/2)&1)<<uint(j+1)
+	}
+	return v
 }
 
 // packIndices stores the eight per-word candidate indices, idxBits bits

@@ -348,6 +348,18 @@ func (s *vccInnerStub) DecodeInto(cells []pcm.State, dst *memline.Line) {
 	dst.SetSymbolsFrom(&syms)
 }
 
+func (s *vccInnerStub) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
+	cells := make([]pcm.State, memline.LineCells)
+	s.EncodeInto(cells, nil, data)
+	coset.PackLine(cells, dst)
+}
+
+func (s *vccInnerStub) DecodePlanesInto(planes []uint64, dst *memline.Line) {
+	cells := make([]pcm.State, memline.LineCells)
+	coset.UnpackLine(planes, cells)
+	s.DecodeInto(cells, dst)
+}
+
 // TestStreamEncryptorRoundTrip: whitening a recorded stream twice with
 // the same key restores it exactly — the tracegen -encrypt round trip.
 func TestStreamEncryptorRoundTrip(t *testing.T) {

@@ -67,35 +67,28 @@ func WithMemEnergy(em pcm.EnergyModel) MemOption {
 // the Table II device model, and can read back (decode) any line.
 // Memory is not safe for concurrent use.
 //
-// Lines are stored plane-native whenever the scheme supports it: each
-// line is a flat run of bit-plane words in a contiguous arena,
-// addressed by an open slot index, and the scheme encodes and decodes
-// the planes directly — no per-write cell pack/unpack and no map
-// lookup. Counter-keyed schemes (VCC-n, Enc) keep the scalar
-// map-of-cell-vectors store. Either way the write path is
-// allocation-free in steady state and the compression-flag convention
-// is resolved once at construction.
+// Every scheme's lines are stored plane-native: each line is a flat run
+// of bit-plane words in a contiguous arena, addressed by an open slot
+// index, and the scheme's keyed plane codec (core.CtrPlaneCodec)
+// encodes and decodes the planes directly — no per-write cell
+// pack/unpack and no map lookup. Counter-keyed schemes (VCC-n, Enc)
+// keep each line's write counter in a slot-indexed array beside the
+// arena. The write path is allocation-free in steady state and the
+// compression-flag convention is resolved once at construction.
 type Memory struct {
-	scheme     Scheme
-	compressed func([]pcm.State) bool
-	encodeCtr  func(dst, old []pcm.State, addr, ctr uint64, data *Line)
-	decodeCtr  func(cells []pcm.State, addr, ctr uint64, dst *Line)
-	energy     pcm.EnergyModel
-	disturb    pcm.DisturbModel
-	cells      map[uint64][]pcm.State
-	// Plane-native storage (nil planeEnc selects the scalar path).
-	planeEnc     core.PlaneScheme
-	planeGate    func([]uint64) bool
-	lines        *arena.Lines
-	planeScratch []uint64
-	masks        []uint64
-	// ctrs is the per-line write-counter store counter-keyed schemes
-	// (VCC-n, Enc) encode and decode against; nil for ordinary schemes.
-	ctrs    map[uint64]uint64
-	scratch []pcm.State
-	changed []bool
+	scheme  Scheme
+	codec   core.CounterPlaneScheme
+	gate    func([]uint64) bool
+	energy  pcm.EnergyModel
+	disturb pcm.DisturbModel
+	lines   *arena.Lines
+	// ctrs holds each line's write counter, indexed by arena slot; nil
+	// for schemes that ignore counters.
+	ctrs    []uint64
+	scratch []uint64
+	masks   []uint64
 	// lineBuf stages the written line: passing a stack copy's address
-	// through the Scheme interface would force a per-write heap escape.
+	// through the codec interface would force a per-write heap escape.
 	lineBuf Line
 	rnd     *prng.Xoshiro256
 	stats   MemStats
@@ -103,28 +96,19 @@ type Memory struct {
 
 // NewMemory builds a simulated PCM region using scheme for every line.
 func NewMemory(scheme Scheme, opts ...MemOption) *Memory {
+	stride := coset.PlaneWords(scheme.TotalCells())
 	m := &Memory{
 		scheme:  scheme,
+		codec:   core.CtrPlaneCodec(scheme),
+		gate:    core.CompressedWritePlanesFunc(scheme),
 		energy:  pcm.DefaultEnergy(),
 		disturb: pcm.DefaultDisturb(),
-	}
-	m.compressed = core.CompressedWriteFunc(scheme)
-	m.encodeCtr = core.EncodeCtrFunc(scheme)
-	m.decodeCtr = core.DecodeCtrFunc(scheme)
-	if ps, ok := core.PlaneCodec(scheme); ok {
-		stride := coset.PlaneWords(scheme.TotalCells())
-		m.planeEnc = ps
-		m.planeGate = core.CompressedWritePlanesFunc(scheme)
-		m.lines = arena.New(stride, 0)
-		m.planeScratch = make([]uint64, stride)
-		m.masks = make([]uint64, stride/2)
-	} else {
-		m.cells = make(map[uint64][]pcm.State)
-		m.scratch = make([]pcm.State, scheme.TotalCells())
-		m.changed = make([]bool, scheme.TotalCells())
+		lines:   arena.New(stride, 0),
+		scratch: make([]uint64, stride),
+		masks:   make([]uint64, stride/2),
 	}
 	if core.UsesCounters(scheme) {
-		m.ctrs = make(map[uint64]uint64)
+		m.ctrs = []uint64{}
 	}
 	for _, o := range opts {
 		o(m)
@@ -135,60 +119,24 @@ func NewMemory(scheme Scheme, opts ...MemOption) *Memory {
 // Scheme returns the memory's encoding scheme.
 func (m *Memory) Scheme() Scheme { return m.scheme }
 
-// Write stores data at the given line address and returns its cost.
+// Write stores data at the given line address and returns its cost:
+// one slot probe, a plane-resident encode into the reusable scratch,
+// the XOR-diff energy and disturbance charges, and a single plane copy
+// to commit.
 func (m *Memory) Write(addr uint64, data Line) WriteInfo {
-	if m.planeEnc != nil {
-		return m.writePlanes(addr, data)
-	}
-	old, ok := m.cells[addr]
-	if !ok {
-		old = core.InitialCells(m.scheme.TotalCells())
-	}
+	slot, fresh := m.lines.Ensure(addr)
 	var ctr uint64
 	if m.ctrs != nil {
-		ctr = m.ctrs[addr] + 1
-		m.ctrs[addr] = ctr
+		if fresh {
+			m.ctrs = append(m.ctrs, 0)
+		}
+		m.ctrs[slot]++
+		ctr = m.ctrs[slot]
 	}
+	old := m.lines.Planes(slot)
 	next := m.scratch
 	m.lineBuf = data
-	m.encodeCtr(next, old, addr, ctr, &m.lineBuf)
-	ws := m.energy.DiffWrite(old, next, m.scheme.DataCells())
-	m.changed = pcm.ChangedMaskInto(m.changed, old, next)
-	var sampler pcm.Sampler
-	if m.rnd != nil {
-		sampler = m.rnd
-	}
-	ds := m.disturb.CountDisturb(next, m.changed, m.scheme.DataCells(), sampler)
-	// Swap buffers: the encoded states become the stored line, the old
-	// stored line becomes the next write's scratch.
-	m.cells[addr] = next
-	m.scratch = old
-
-	info := WriteInfo{
-		EnergyPJ:      ws.Energy(),
-		UpdatedCells:  ws.Updated(),
-		DisturbErrors: ds.Errors(),
-		Compressed:    m.compressed(next),
-	}
-	m.stats.Writes++
-	m.stats.EnergyPJ += info.EnergyPJ
-	m.stats.UpdatedCells += info.UpdatedCells
-	m.stats.DisturbErrors += info.DisturbErrors
-	if info.Compressed {
-		m.stats.CompressedWrites++
-	}
-	return info
-}
-
-// writePlanes is Write on plane-native storage: one slot probe, a
-// plane-resident encode into the reusable scratch, the XOR-diff energy
-// and disturbance charges, and a single plane copy to commit.
-func (m *Memory) writePlanes(addr uint64, data Line) WriteInfo {
-	slot, _ := m.lines.Ensure(addr)
-	old := m.lines.Planes(slot)
-	next := m.planeScratch
-	m.lineBuf = data
-	m.planeEnc.EncodePlanesInto(next, old, &m.lineBuf)
+	m.codec.EncodeCtrPlanesInto(next, old, addr, ctr, &m.lineBuf)
 	ws := m.energy.DiffWriteMasks(old, next, m.masks, m.scheme.DataCells())
 	var sampler pcm.Sampler
 	if m.rnd != nil {
@@ -201,7 +149,7 @@ func (m *Memory) writePlanes(addr uint64, data Line) WriteInfo {
 		EnergyPJ:      ws.Energy(),
 		UpdatedCells:  ws.Updated(),
 		DisturbErrors: ds.Errors(),
-		Compressed:    m.planeGate(next),
+		Compressed:    m.gate(next),
 	}
 	m.stats.Writes++
 	m.stats.EnergyPJ += info.EnergyPJ
@@ -217,41 +165,26 @@ func (m *Memory) writePlanes(addr uint64, data Line) WriteInfo {
 // zero.
 func (m *Memory) Read(addr uint64) Line {
 	var l Line
-	if m.planeEnc != nil {
-		if slot, ok := m.lines.Lookup(addr); ok {
-			m.planeEnc.DecodePlanesInto(m.lines.Planes(slot), &l)
-		}
-		return l
-	}
-	cells, ok := m.cells[addr]
+	slot, ok := m.lines.Lookup(addr)
 	if !ok {
-		return Line{}
+		return l
 	}
 	var ctr uint64
 	if m.ctrs != nil {
-		ctr = m.ctrs[addr]
+		ctr = m.ctrs[slot]
 	}
-	m.decodeCtr(cells, addr, ctr, &l)
+	m.codec.DecodeCtrPlanesInto(m.lines.Planes(slot), addr, ctr, &l)
 	return l
 }
 
 // Written reports whether addr has ever been written.
 func (m *Memory) Written(addr uint64) bool {
-	if m.planeEnc != nil {
-		_, ok := m.lines.Lookup(addr)
-		return ok
-	}
-	_, ok := m.cells[addr]
+	_, ok := m.lines.Lookup(addr)
 	return ok
 }
 
 // Lines returns the number of distinct lines written.
-func (m *Memory) Lines() int {
-	if m.planeEnc != nil {
-		return m.lines.Len()
-	}
-	return len(m.cells)
-}
+func (m *Memory) Lines() int { return m.lines.Len() }
 
 // Stats returns the accumulated write statistics.
 func (m *Memory) Stats() MemStats { return m.stats }
