@@ -11,12 +11,15 @@
 //	cost     = Σ count[s]·WriteEnergy(s),  updates = Σ count[s]
 //
 // where sym[v] masks the cells whose data symbol is v and oldIs[s] the
-// cells currently in state s. The formula is exact — it groups the
+// cells currently in state s. This is the write-energy contract of
+// package pcm (EnergyModel.DiffWrite and DiffWriteMasks): energy
+// grouped by target state, exact for integer models. It groups the
 // per-cell energy additions of the CostTable path by target state, and
 // with integer-valued energy models (Table II and every model in this
 // repo) every partial sum is an exactly-representable integer, so the
-// SWAR cost, the scalar reference (CostCountRef), and the CostTable
-// accumulation agree bit for bit, including tie-breaks.
+// SWAR cost, the scalar reference (CostCountRef), the CostTable
+// accumulation and the settle-time energy pcm charges agree bit for
+// bit, including tie-breaks.
 package coset
 
 import (

@@ -322,6 +322,11 @@ func (j *Job) Spec() Spec { return j.spec }
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is Status with j.mu held.
+func (j *Job) statusLocked() Status {
 	st := Status{
 		ID:       j.id,
 		State:    j.state,
@@ -409,9 +414,13 @@ func (j *Job) setProgress(p ProgressInfo) {
 	j.mu.Unlock()
 }
 
-// finish moves the job to a terminal state, fans out the final state
-// event, and closes every subscriber channel.
-func (j *Job) finish(state State, errMsg string, degraded bool, results []Result) {
+// finish moves the job to a terminal state, hands the terminal Status
+// to persist, then fans out the final state event and closes every
+// subscriber channel. The job lock is held throughout, so no reader —
+// Status, Subscribe or an SSE stream — observes the terminal state
+// before persist has returned: a client that sees a job finish finds
+// its record in the store.
+func (j *Job) finish(state State, errMsg string, degraded bool, results []Result, persist func(Status) error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -425,6 +434,7 @@ func (j *Job) finish(state State, errMsg string, degraded bool, results []Result
 	}
 	j.finished = time.Now()
 	j.cancel = nil
+	persist(j.statusLocked())
 	j.publishLocked(Event{Type: "state", State: state})
 	for id, ch := range j.subs {
 		delete(j.subs, id)
@@ -432,9 +442,8 @@ func (j *Job) finish(state State, errMsg string, degraded bool, results []Result
 	}
 }
 
-// record converts the job to its persisted form.
-func (j *Job) record() (rec jobRecord) {
-	st := j.Status()
+// recordOf converts a job status to its persisted form.
+func recordOf(st Status) (rec jobRecord) {
 	raw, _ := json.Marshal(st.Spec)
 	rec.id = st.ID
 	rec.label = st.Spec.Label

@@ -94,8 +94,24 @@ func TestJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	m := NewManager(Config{Pool: 2, Store: st, SnapshotInterval: 10 * time.Millisecond})
+	m := NewManager(Config{Pool: 1, Store: st, SnapshotInterval: 10 * time.Millisecond})
 	defer m.Shutdown()
+
+	// The single worker is held by a gate job, so the lifecycle job is
+	// still pending when the test subscribes and its running event
+	// cannot fire first.
+	gate := make(chan struct{})
+	testRunHook = func(ctx context.Context, j *Job) ([]Result, bool, error) {
+		if j.spec.Label == "gate" {
+			<-gate
+			return nil, false, nil
+		}
+		return m.run(ctx, j)
+	}
+	t.Cleanup(func() { testRunHook = nil })
+	if _, err := m.Submit(Spec{Workload: "gcc", Writes: 1, Label: "gate"}); err != nil {
+		t.Fatal(err)
+	}
 
 	j, err := m.Submit(Spec{Workload: "gcc", Writes: 500, Schemes: []string{"Baseline", "WLCRC-16"}, Label: "lifecycle"})
 	if err != nil {
@@ -103,6 +119,10 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	ev, cancel := j.Subscribe(64)
 	defer cancel()
+	if s := j.State(); s != StatePending {
+		t.Fatalf("lifecycle job state at subscribe = %q, want pending", s)
+	}
+	close(gate)
 	waitState(t, j, StateDone)
 
 	stt := j.Status()

@@ -134,7 +134,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	m.order = append(m.order, j.id)
 	m.mu.Unlock()
 
-	if err := m.persist(j); err != nil {
+	if err := m.persist(j.Status()); err != nil {
 		m.forget(j.id)
 		return nil, err
 	}
@@ -144,8 +144,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		m.forget(j.id)
 		// The pending record was already written; supersede it so the
 		// store does not carry a job that never existed for clients.
-		j.finish(StateCanceled, ErrQueueFull.Error(), false, nil)
-		m.persist(j)
+		j.finish(StateCanceled, ErrQueueFull.Error(), false, nil, m.persist)
 		return nil, ErrQueueFull
 	}
 	m.submitted.Add(1)
@@ -198,9 +197,8 @@ func (m *Manager) Cancel(id string) bool {
 		// The queue still holds the pointer; the worker that eventually
 		// drains it sees the terminal state and skips it.
 		j.mu.Unlock()
-		j.finish(StateCanceled, "canceled before start", false, nil)
+		j.finish(StateCanceled, "canceled before start", false, nil, m.persist)
 		m.canceled.Add(1)
-		m.persist(j)
 		return true
 	case StateRunning:
 		cancel := j.cancel
@@ -227,9 +225,8 @@ func (m *Manager) Shutdown() {
 		select {
 		case j := <-m.queue:
 			if j.State() == StatePending {
-				j.finish(StateCanceled, "server shutting down", false, nil)
+				j.finish(StateCanceled, "server shutting down", false, nil, m.persist)
 				m.canceled.Add(1)
-				m.persist(j)
 			}
 		default:
 			close(m.queue)
@@ -262,9 +259,8 @@ func (m *Manager) worker() {
 			// Shutdown raced us to the queue: hand the job back to the
 			// Shutdown drain path by finishing it here.
 			if j.State() == StatePending {
-				j.finish(StateCanceled, "server shutting down", false, nil)
+				j.finish(StateCanceled, "server shutting down", false, nil, m.persist)
 				m.canceled.Add(1)
-				m.persist(j)
 			}
 			continue
 		}
@@ -320,37 +316,42 @@ func (m *Manager) runOne(j *Job) {
 		}
 	}()
 
+	// The finished job's record and series point are stored before
+	// any client can see it finish.
+	persist := func(st Status) error {
+		err := m.persist(st)
+		m.persistSeries(st)
+		return err
+	}
 	switch {
 	case runErr == nil:
-		j.finish(StateDone, "", degraded, results)
+		j.finish(StateDone, "", degraded, results, persist)
 		m.completed.Add(1)
 	case ctx.Err() != nil:
 		// Cancellation (client DELETE or server shutdown): keep the
 		// partial snapshot results alongside the canceled verdict.
-		j.finish(StateCanceled, "canceled", false, results)
+		j.finish(StateCanceled, "canceled", false, results, persist)
 		m.canceled.Add(1)
 	case degraded:
 		// Graceful degradation is a completed run with a verdict, not a
 		// failure: the metrics are complete.
-		j.finish(StateDone, runErr.Error(), true, results)
+		j.finish(StateDone, runErr.Error(), true, results, persist)
 		m.completed.Add(1)
 	default:
-		j.finish(StateFailed, runErr.Error(), false, results)
+		j.finish(StateFailed, runErr.Error(), false, results, persist)
 		m.failed.Add(1)
 	}
-	m.persist(j)
-	m.persistSeries(j)
 }
 
-// persist writes the job's current record to the store (no-op without
-// one). Persistence errors never fail the job — the in-memory state is
-// still authoritative for live clients — but they are surfaced in the
-// job error field when the job is otherwise clean.
-func (m *Manager) persist(j *Job) error {
+// persist writes a job's record to the store (no-op without one).
+// Only Submit acts on its error, refusing the job; later persistence
+// errors never fail the job — the in-memory state is still
+// authoritative for live clients.
+func (m *Manager) persist(st Status) error {
 	if m.cfg.Store == nil {
 		return nil
 	}
-	rec := j.record()
+	rec := recordOf(st)
 	results := make([]store.WorkloadResult, 0, len(rec.results))
 	for _, r := range rec.results {
 		results = append(results, store.WorkloadResult{Workload: r.Workload, Metrics: r.Metrics})
@@ -375,8 +376,7 @@ func (m *Manager) persist(j *Job) error {
 // energy under its Series name: scheme-name keys for single-workload
 // jobs (the BENCH_encode.json key shape) and "workload/scheme" keys
 // for sweeps.
-func (m *Manager) persistSeries(j *Job) {
-	st := j.Status()
+func (m *Manager) persistSeries(st Status) {
 	if m.cfg.Store == nil || st.Spec.Series == "" || st.State != StateDone {
 		return
 	}

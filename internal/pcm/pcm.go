@@ -100,6 +100,32 @@ func (w *WriteStats) Add(o WriteStats) {
 	w.UpdatedAux += o.UpdatedAux
 }
 
+// writeCounts tallies the cells one write programs by target state,
+// split into the data and aux regions.
+type writeCounts struct {
+	data, aux [NumStates]int
+}
+
+// price is the one write-energy formula every accounting path uses: each
+// region's energy is Σ_s count[s]·WriteEnergy(s), summed over s in
+// ascending order. Grouping the per-cell additions by target state is
+// exact for integer-valued energy models (Table II and every Fig. 14
+// level), where every partial sum is an exactly representable integer,
+// so the result equals the per-cell sum in any order bit for bit. For
+// other models it is still the same on every path, because every path
+// counts and then prices here.
+func (m *EnergyModel) price(c *writeCounts) WriteStats {
+	var st WriteStats
+	for s := 0; s < NumStates; s++ {
+		e := m.Reset + m.Set[s]
+		st.EnergyData += float64(c.data[s]) * e
+		st.EnergyAux += float64(c.aux[s]) * e
+		st.UpdatedData += c.data[s]
+		st.UpdatedAux += c.aux[s]
+	}
+	return st
+}
+
 // DiffWrite computes the differential-write cost of programming the cell
 // vector old into new. Only cells whose state changes are programmed
 // (Zhou et al. [37]); each programmed cell costs Reset + Set[new state].
@@ -109,27 +135,24 @@ func (m *EnergyModel) DiffWrite(old, new []State, dataCells int) WriteStats {
 	if len(old) != len(new) {
 		panic("pcm: DiffWrite on cell vectors of different length")
 	}
-	var st WriteStats
+	var c writeCounts
 	for i, n := range new {
 		if old[i] == n {
 			continue
 		}
-		e := m.WriteEnergy(n)
 		if i < dataCells {
-			st.EnergyData += e
-			st.UpdatedData++
+			c.data[n]++
 		} else {
-			st.EnergyAux += e
-			st.UpdatedAux++
+			c.aux[n]++
 		}
 	}
-	return st
+	return m.price(&c)
 }
 
 // DiffWriteMask is DiffWrite fused with ChangedMaskInto: one pass over
-// the cell vectors charges the write and fills changed with the
-// programmed-cell mask. The replay hot path calls this instead of the
-// two separate sweeps; changed is reused when large enough.
+// the cell vectors counts the write and fills changed with the
+// programmed-cell mask. The scalar store calls this instead of the two
+// separate sweeps; changed is reused when large enough.
 func (m *EnergyModel) DiffWriteMask(old, new []State, dataCells int, changed []bool) (WriteStats, []bool) {
 	if len(old) != len(new) {
 		panic("pcm: DiffWriteMask on cell vectors of different length")
@@ -138,23 +161,20 @@ func (m *EnergyModel) DiffWriteMask(old, new []State, dataCells int, changed []b
 		changed = make([]bool, len(old))
 	}
 	changed = changed[:len(old)]
-	var st WriteStats
+	var c writeCounts
 	for i, n := range new {
 		ch := old[i] != n
 		changed[i] = ch
 		if !ch {
 			continue
 		}
-		e := m.WriteEnergy(n)
 		if i < dataCells {
-			st.EnergyData += e
-			st.UpdatedData++
+			c.data[n]++
 		} else {
-			st.EnergyAux += e
-			st.UpdatedAux++
+			c.aux[n]++
 		}
 	}
-	return st, changed
+	return m.price(&c), changed
 }
 
 // ChangedMask returns a bitmask-style bool slice marking cells whose state

@@ -11,39 +11,53 @@ import "math/bits"
 // what makes the mask-based forms below drop-in replacements for the
 // scalar DiffWriteMask/CountDisturb pair.
 //
-// Both routines visit cells in ascending index order, charging each
-// cell exactly the way the scalar loops do, so energy sums and sampler
-// draw sequences are bit-identical to the reference path.
+// Energy is grouped by target state, exact for integer models:
+// DiffWriteMasks counts programmed cells per target state with
+// popcounts and prices the counts once through the same formula as the
+// scalar DiffWrite (EnergyModel.price), so the two agree bit for bit
+// under any model, and both equal the per-cell sum under the repo's
+// integer-valued models. Disturbance stays a per-cell walk in ascending
+// cell order: with a sampler each exposed cell draws from the PRNG, so
+// the draw sequence is the cell order, and the expected-value sum adds
+// non-integer DERs, where regrouping would change the rounding.
 
 // planeWordCells is the number of cells per plane word pair.
 const planeWordCells = 32
+
+// addStateCounts adds the cells of ch, by target state (lo, hi), to cnt.
+func addStateCounts(cnt *[NumStates]int, lo, hi, ch uint64) {
+	cnt[S1] += bits.OnesCount64(ch &^ (lo | hi))
+	cnt[S2] += bits.OnesCount64(ch & lo &^ hi)
+	cnt[S3] += bits.OnesCount64(ch & hi &^ lo)
+	cnt[S4] += bits.OnesCount64(ch & lo & hi)
+}
 
 // DiffWriteMasks computes the differential-write cost of programming
 // the plane-resident line oldP into newP and fills masks[w] with the
 // changed-cell mask of cells [32w, 32w+32). masks must have
 // len(oldP)/2 words; cells with index < dataCells are accounted as
-// data, the rest as aux.
+// data, the rest as aux. Each word adds its changed cells' per-state
+// popcounts to its region's counts — only the word holding the
+// data/aux boundary splits — and the counts are priced once at the
+// end, grouped by target state (exact for integer models, see above).
 func (m *EnergyModel) DiffWriteMasks(oldP, newP, masks []uint64, dataCells int) WriteStats {
-	var st WriteStats
+	var c writeCounts
 	for w := range masks {
 		lo, hi := newP[2*w], newP[2*w+1]
 		ch := (oldP[2*w] ^ lo) | (oldP[2*w+1] ^ hi)
 		masks[w] = ch
-		base := w * planeWordCells
-		for mch := ch; mch != 0; mch &= mch - 1 {
-			b := bits.TrailingZeros64(mch)
-			s := State(lo>>uint(b)&1 | (hi>>uint(b)&1)<<1)
-			e := m.Reset + m.Set[s]
-			if base+b < dataCells {
-				st.EnergyData += e
-				st.UpdatedData++
-			} else {
-				st.EnergyAux += e
-				st.UpdatedAux++
-			}
+		switch base := w * planeWordCells; {
+		case base+planeWordCells <= dataCells:
+			addStateCounts(&c.data, lo, hi, ch)
+		case base >= dataCells:
+			addStateCounts(&c.aux, lo, hi, ch)
+		default:
+			dm := uint64(1)<<uint(dataCells-base) - 1
+			addStateCounts(&c.data, lo, hi, ch&dm)
+			addStateCounts(&c.aux, lo, hi, ch&^dm)
 		}
 	}
-	return st
+	return m.price(&c)
 }
 
 // CountDisturbMasks is CountDisturb over a plane-resident post-write

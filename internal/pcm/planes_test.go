@@ -1,6 +1,7 @@
 package pcm
 
 import (
+	"math"
 	"testing"
 
 	"wlcrc/internal/prng"
@@ -30,27 +31,120 @@ func randStates(r *prng.Xoshiro256, n int) []State {
 	return cells
 }
 
+// diffWriteOrdered is the per-cell reference accounting: each
+// programmed cell adds Reset + Set[new state] to its region's energy in
+// ascending cell order. Production pricing groups the same additions by
+// target state (EnergyModel.price); under integer-valued models the two
+// agree bit for bit.
+func diffWriteOrdered(m *EnergyModel, old, new []State, dataCells int) WriteStats {
+	var st WriteStats
+	for i, n := range new {
+		if old[i] == n {
+			continue
+		}
+		e := m.Reset + m.Set[n]
+		if i < dataCells {
+			st.EnergyData += e
+			st.UpdatedData++
+		} else {
+			st.EnergyAux += e
+			st.UpdatedAux++
+		}
+	}
+	return st
+}
+
+// sameStats reports whether a and b are identical, comparing energies
+// by bit pattern.
+func sameStats(a, b WriteStats) bool {
+	return math.Float64bits(a.EnergyData) == math.Float64bits(b.EnergyData) &&
+		math.Float64bits(a.EnergyAux) == math.Float64bits(b.EnergyAux) &&
+		a.UpdatedData == b.UpdatedData && a.UpdatedAux == b.UpdatedAux
+}
+
+// integral reports whether every energy of m is an integer, the
+// condition under which grouped pricing equals the ordered oracle.
+func integral(m EnergyModel) bool {
+	if m.Reset != math.Trunc(m.Reset) {
+		return false
+	}
+	for _, e := range m.Set {
+		if e != math.Trunc(e) {
+			return false
+		}
+	}
+	return true
+}
+
+// fig14Models are the Table II model and the four Fig. 14 sensitivity
+// levels (the first level is Table II itself).
+func fig14Models() []EnergyModel {
+	return []EnergyModel{
+		DefaultEnergy(),
+		ScaledEnergy(307, 547), ScaledEnergy(152, 273), ScaledEnergy(75, 135), ScaledEnergy(50, 80),
+	}
+}
+
+// randModel draws an energy model: integer-valued pJ in [0, 1024) when
+// integer is set, arbitrary non-negative reals otherwise.
+func randModel(r *prng.Xoshiro256, integer bool) EnergyModel {
+	draw := func() float64 {
+		if integer {
+			return float64(r.Intn(1024))
+		}
+		return r.Float64() * 1000
+	}
+	m := EnergyModel{Reset: draw()}
+	for s := range m.Set {
+		m.Set[s] = draw()
+	}
+	return m
+}
+
+// packedModel decodes a fuzzed integer model: Reset from bits 0..9 and
+// Set[s] from the 12 bits at 10+12s.
+func packedModel(v uint64) EnergyModel {
+	m := EnergyModel{Reset: float64(v & 0x3ff)}
+	for s := range m.Set {
+		m.Set[s] = float64(v >> uint(10+12*s) & 0xfff)
+	}
+	return m
+}
+
+// tableIIPacked is DefaultEnergy in packedModel's encoding.
+const tableIIPacked = 36 | 20<<22 | 307<<34 | 547<<46
+
 // maskEquivCase cross-checks the plane-mask accounting against the
-// scalar reference for one (old, new) pair: DiffWriteMasks must produce
-// the exact WriteStats of DiffWrite (bit-identical floats — both visit
-// changed cells in the same ascending order) plus the changed mask of
-// ChangedMask, and CountDisturbMasks must produce the exact
-// DisturbStats of CountDisturb under both expected-value and sampled
-// accounting, with identical PRNG draw sequences.
-func maskEquivCase(t *testing.T, old, new []State, dataCells int, seed uint64) {
+// scalar reference for one (old, new) pair under energy model em:
+// DiffWriteMasks must produce the exact WriteStats of DiffWrite and
+// DiffWriteMask (all three count by target state and price through the
+// same formula, so they agree bit for bit under any model), plus the
+// changed mask of ChangedMask; under an integer-valued model all three
+// must also equal the per-cell ordered oracle. CountDisturbMasks must
+// produce the exact DisturbStats of CountDisturb under both
+// expected-value and sampled accounting, with identical PRNG draw
+// sequences.
+func maskEquivCase(t *testing.T, em EnergyModel, old, new []State, dataCells int, seed uint64) {
 	t.Helper()
-	em := DefaultEnergy()
 	dm := DefaultDisturb()
 	n := len(old)
 
 	wantW := em.DiffWrite(old, new, dataCells)
 	wantCh := ChangedMask(old, new)
+	if fused, _ := em.DiffWriteMask(old, new, dataCells, nil); !sameStats(fused, wantW) {
+		t.Fatalf("DiffWriteMask = %+v, DiffWrite = %+v", fused, wantW)
+	}
+	if integral(em) {
+		if ord := diffWriteOrdered(&em, old, new, dataCells); !sameStats(ord, wantW) {
+			t.Fatalf("model %+v: DiffWrite = %+v, ordered oracle = %+v", em, wantW, ord)
+		}
+	}
 
 	oldP, newP := packTestPlanes(old), packTestPlanes(new)
 	masks := make([]uint64, len(newP)/2)
 	gotW := em.DiffWriteMasks(oldP, newP, masks, dataCells)
-	if wantW != gotW {
-		t.Fatalf("DiffWriteMasks = %+v, DiffWrite = %+v", gotW, wantW)
+	if !sameStats(wantW, gotW) {
+		t.Fatalf("model %+v: DiffWriteMasks = %+v, DiffWrite = %+v", em, gotW, wantW)
 	}
 	for i, ch := range wantCh {
 		if got := masks[i/32]>>uint(i%32)&1 == 1; got != ch {
@@ -105,18 +199,21 @@ func TestPlaneMaskAccountingMatchesScalar(t *testing.T) {
 					new[sz.n/2] = (new[sz.n/2] + 1) % NumStates
 				}
 			}
-			maskEquivCase(t, old, new, sz.data, uint64(trial)+1)
+			maskEquivCase(t, DefaultEnergy(), old, new, sz.data, uint64(trial)+1)
 		}
 	}
 }
 
 // FuzzPlaneMaskAccounting fuzzes the same equivalence: the input bytes
-// drive both state vectors and the data-cell split.
+// drive both state vectors and the data-cell split, and model an
+// integer energy model (packedModel), so the ordered oracle is checked
+// too.
 func FuzzPlaneMaskAccounting(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3}, []byte{3, 2, 1, 0}, uint16(2))
-	f.Add([]byte{1}, []byte{2}, uint16(1))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 3}, []byte{1, 1, 1, 1, 0, 0, 0, 0, 3}, uint16(8))
-	f.Fuzz(func(t *testing.T, a, b []byte, dataSel uint16) {
+	f.Add([]byte{0, 1, 2, 3}, []byte{3, 2, 1, 0}, uint16(2), uint64(tableIIPacked))
+	f.Add([]byte{1}, []byte{2}, uint16(1), uint64(tableIIPacked))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 3}, []byte{1, 1, 1, 1, 0, 0, 0, 0, 3}, uint16(8), uint64(tableIIPacked))
+	f.Add([]byte{3, 3, 2, 1, 0, 2}, []byte{0, 1, 2, 3, 3, 1}, uint16(4), ^uint64(0))
+	f.Fuzz(func(t *testing.T, a, b []byte, dataSel uint16, model uint64) {
 		if len(a) == 0 || len(b) == 0 {
 			t.Skip("empty vectors")
 		}
@@ -131,6 +228,45 @@ func FuzzPlaneMaskAccounting(f *testing.F) {
 			new[i] = State(b[i%len(b)] % 4)
 		}
 		dataCells := int(dataSel) % (n + 1)
-		maskEquivCase(t, old, new, dataCells, uint64(dataSel)+7)
+		maskEquivCase(t, packedModel(model), old, new, dataCells, uint64(dataSel)+7)
 	})
+}
+
+// TestGroupedPricingMatchesOrderedOracle pins the exactness contract:
+// under Table II, every Fig. 14 level and seeded random integer-valued
+// models, the grouped scalar and plane pricing equal the per-cell
+// ordered sum bit for bit.
+func TestGroupedPricingMatchesOrderedOracle(t *testing.T) {
+	r := prng.New(20261017)
+	models := fig14Models()
+	for i := 0; i < 16; i++ {
+		models = append(models, randModel(r, true))
+	}
+	for _, em := range models {
+		for _, sz := range []struct{ n, data int }{{258, 256}, {268, 256}, {257, 256}, {33, 32}} {
+			for trial := 0; trial < 20; trial++ {
+				maskEquivCase(t, em, randStates(r, sz.n), randStates(r, sz.n), sz.data, uint64(trial)+1)
+			}
+		}
+	}
+	if got := packedModel(tableIIPacked); got != DefaultEnergy() {
+		t.Fatalf("packedModel(tableIIPacked) = %+v, want Table II", got)
+	}
+}
+
+// TestPlaneScalarAgreeNonInteger checks that the plane and scalar paths
+// agree bit for bit even where grouping is not exact: under seeded
+// non-integer models both count by target state and price through the
+// same formula.
+func TestPlaneScalarAgreeNonInteger(t *testing.T) {
+	r := prng.New(1711085)
+	for i := 0; i < 16; i++ {
+		em := randModel(r, false)
+		if integral(em) {
+			t.Fatalf("randModel drew an integer model %+v", em)
+		}
+		for trial := 0; trial < 20; trial++ {
+			maskEquivCase(t, em, randStates(r, 268), randStates(r, 268), 256, uint64(trial)+1)
+		}
+	}
 }

@@ -471,8 +471,11 @@ func (u *shard) repairFaults(newCells, old []pcm.State, counts []uint32, addr, c
 // as the changed-cell mask for wear, disturbance exposure and the fault
 // model, and the commit is a single 144-byte copy into the arena slot.
 // Energy sums, histogram observations and PRNG draws are bit-identical
-// to the scalar path (DiffWriteMasks and CountDisturbMasks visit cells
-// in the same ascending order), which the equivalence tests pin down.
+// to the scalar path, which the equivalence tests pin down: energy is
+// grouped by target state on both paths (exact for integer models, see
+// package pcm), and CountDisturbMasks visits exposed cells in the same
+// ascending order as CountDisturb, because its draws and non-integer
+// DER sums follow cell order.
 func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, data *memline.Line) error {
 	sch := u.scheme
 	m := &u.m

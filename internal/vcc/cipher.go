@@ -77,6 +77,38 @@ func (c Cipher) seed(addr, ctr uint64) uint64 {
 	return mix64(mix64(c.key()^addr*0x9e3779b97f4a7c15) ^ ctr*0xd1342543de82ef95)
 }
 
+// splitMixGamma is SplitMix64's state increment: output k of a stream
+// seeded with z is mix64(z + (k+1)·splitMixGamma).
+const splitMixGamma = 0x9e3779b97f4a7c15
+
+// Keystream is random access into the keystream of one (addr, ctr): the
+// stream Pad and Candidates read sequentially, any word of which costs
+// one mix64. Decode uses it to regenerate only the pad and the winning
+// candidate's word instead of every candidate.
+type Keystream struct{ seed uint64 }
+
+// Keystream returns the random-access keystream of (addr, ctr).
+func (c Cipher) Keystream(addr, ctr uint64) Keystream {
+	return Keystream{c.seed(addr, ctr)}
+}
+
+// word returns output i of the stream.
+func (ks Keystream) word(i int) uint64 {
+	return mix64(ks.seed + uint64(i+1)*splitMixGamma)
+}
+
+// Pad returns word w of the line's pad (Pad's pad[w]).
+func (ks Keystream) Pad(w int) uint64 { return ks.word(w) }
+
+// Candidate returns word w of virtual coset candidate v (Candidates'
+// vecs[v][w]): zero for v == 0, else output LineWords·v + w.
+func (ks Keystream) Candidate(v, w int) uint64 {
+	if v == 0 {
+		return 0
+	}
+	return ks.word(memline.LineWords*v + w)
+}
+
 // Pad fills pad with the eight 64-bit keystream words of (addr, ctr) —
 // the one-time pad a counter-mode AES engine would produce for the
 // line. XORing the pad into a line encrypts it; XORing again decrypts.

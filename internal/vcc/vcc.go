@@ -180,36 +180,31 @@ func (s *Scheme) bestCandidate(p *coset.WordPlanes, vecs *[MaxCandidates][memlin
 }
 
 // DecodeCtrInto implements core.CounterScheme: read the indices,
-// regenerate the candidates of (addr, ctr), undo the winning XOR and the
-// pad. dst is fully overwritten.
+// regenerate each word's pad and winning candidate word of (addr, ctr)
+// through Keystream, and undo the winning XOR and the pad. dst is fully
+// overwritten.
 func (s *Scheme) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
-	var pad [memline.LineWords]uint64
-	var vecs [MaxCandidates][memline.LineWords]uint64
-	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
-
+	ks := s.cipher.Keystream(addr, ctr)
 	var idx [memline.LineWords]uint8
 	s.unpackIndices(cells[memline.LineCells:s.TotalCells()], &idx)
 	for w := 0; w < memline.LineWords; w++ {
 		slo, shi := coset.PackStates(cells[w*memline.WordCells:])
 		dlo, dhi := s.swar.ApplyInvPlanes(slo, shi)
 		cw := memline.InterleavePlanes(dlo, dhi)
-		dst.SetWord(w, cw^vecs[idx[w]][w]^pad[w])
+		dst.SetWord(w, cw^ks.Candidate(int(idx[w]), w)^ks.Pad(w))
 	}
 }
 
 // DecodeCtrPlanesInto implements core.CounterPlaneScheme: DecodeCtrInto
 // reading the data words and the tail indices straight from the planes.
 func (s *Scheme) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
-	var pad [memline.LineWords]uint64
-	var vecs [MaxCandidates][memline.LineWords]uint64
-	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
-
+	ks := s.cipher.Keystream(addr, ctr)
 	idx := auxBits(planes[tailWord], planes[tailWord+1], memline.LineWords*s.idxBits)
 	mask := uint64(s.n - 1)
 	for w := 0; w < memline.LineWords; w++ {
 		dlo, dhi := s.swar.ApplyInvPlanes(planes[2*w], planes[2*w+1])
-		c := idx >> uint(w*s.idxBits) & mask
-		dst.SetWord(w, memline.InterleavePlanes(dlo, dhi)^vecs[c][w]^pad[w])
+		c := int(idx >> uint(w*s.idxBits) & mask)
+		dst.SetWord(w, memline.InterleavePlanes(dlo, dhi)^ks.Candidate(c, w)^ks.Pad(w))
 	}
 }
 

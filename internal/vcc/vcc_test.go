@@ -447,6 +447,38 @@ func TestCipherPadDeterminism(t *testing.T) {
 	}
 }
 
+// TestKeystreamMatchesCandidates: the random-access keystream returns
+// exactly the words the sequential Candidates stream produces, for
+// every candidate count, candidate and word over seeded (key, addr,
+// ctr), including the zero key (DefaultKey).
+func TestKeystreamMatchesCandidates(t *testing.T) {
+	r := prng.New(2112)
+	for trial := 0; trial < 64; trial++ {
+		c := Cipher{Key: r.Uint64()}
+		if trial == 0 {
+			c.Key = 0
+		}
+		addr, ctr := r.Uint64(), r.Uint64()>>uint(r.Intn(64))
+		ks := c.Keystream(addr, ctr)
+		for n := 1; n <= MaxCandidates; n++ {
+			var pad [memline.LineWords]uint64
+			var vecs [MaxCandidates][memline.LineWords]uint64
+			c.Candidates(addr, ctr, n, &pad, &vecs)
+			for w := 0; w < memline.LineWords; w++ {
+				if got := ks.Pad(w); got != pad[w] {
+					t.Fatalf("key %#x (%d,%d): Pad(%d) = %#x, want %#x", c.Key, addr, ctr, w, got, pad[w])
+				}
+				for v := 0; v < n; v++ {
+					if got := ks.Candidate(v, w); got != vecs[v][w] {
+						t.Fatalf("key %#x (%d,%d) n=%d: Candidate(%d,%d) = %#x, want %#x",
+							c.Key, addr, ctr, n, v, w, got, vecs[v][w])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWhitenLineInvolution: whitening twice restores the line.
 func TestWhitenLineInvolution(t *testing.T) {
 	r := prng.New(10)
