@@ -54,16 +54,17 @@
 //	go test -run xxx -bench 'BenchmarkEngineRun' -benchtime 2x -count 3 ./internal/sim/ | benchguard -faultfree
 //
 // With -arena it guards the PR 9 plane-native line store: the serial
-// replay on the reference scalar store (sim.Options.ScalarStorage)
-// over the same replay on the plane arena — BenchmarkReplayStorage/
-// storage=scalar over storage=planes — must stay at or above the
-// committed replay_arena_pr9 gate_ratio. The scalar path is the PR 8
-// storage preserved in-tree as the equivalence reference, so the ratio
-// re-measures the PR's speedup on every box: it collapses toward 1.0
-// only when the arena path loses its edge (a pack/unpack or map lookup
-// creeping back into the hot loop).
+// replay on the cell-vector reference store over the same replay on the
+// engine's plane arena — BenchmarkReplayStorage/storage=scalar over
+// storage=planes, in internal/sim — must stay at or above the committed
+// replay_arena_pr9 gate_ratio. The reference store lives only in the
+// sim tests (scalar_oracle_test.go), as the equivalence oracle the
+// arena must match bit for bit, so the ratio re-measures the arena's
+// edge on every box: it collapses toward 1.0 only when the arena path
+// loses it (cell-level settle work or map lookups creeping back into
+// the hot loop).
 //
-//	go test -run xxx -bench BenchmarkReplayStorage -benchtime 2x -count 3 . | benchguard -arena
+//	go test -run xxx -bench BenchmarkReplayStorage -benchtime 2x -count 3 ./internal/sim/ | benchguard -arena
 //
 // With -from-store <dir> the measured numbers come from a pcmserver
 // result store instead of bench output: the latest point of the named
@@ -111,7 +112,7 @@ type baseline struct {
 	// BenchmarkEngineRun + BenchmarkEngineRunFaults in internal/sim.
 	FaultFree *faultFreeBaseline `json:"fault_free_pr8"`
 	// Arena is the PR 9 plane-native line-store series, measured by
-	// BenchmarkReplayStorage at the repo root.
+	// BenchmarkReplayStorage in internal/sim.
 	Arena *arenaBaseline `json:"replay_arena_pr9"`
 }
 
@@ -159,13 +160,12 @@ type faultFreeBaseline struct {
 }
 
 // arenaBaseline records the plane-native line-store series: "planes"
-// is BenchmarkReplayStorage on the arena (the default store for
-// plane-capable schemes), "scalar" is the same serial replay forced
-// onto the reference scalar map. Both run in one process on one box,
-// so scalar/planes is machine-speed independent: it is the PR's
-// speedup, re-measured live. The gate requires the measured ratio to
-// stay at or above GateRatio — below it, the arena path has lost its
-// edge over the storage it replaced. The committed Ratio sits well
+// is BenchmarkReplayStorage on the engine's arena, "scalar" is the same
+// serial replay on the tests' cell-vector reference store. Both run in
+// one process on one box, so scalar/planes is machine-speed
+// independent: it is the arena's edge, re-measured live. The gate
+// requires the measured ratio to stay at or above GateRatio — below it,
+// the arena path has lost its edge over cell-vector storage. The committed Ratio sits well
 // above the gate; the margin between them is the noise headroom.
 type arenaBaseline struct {
 	NSPerRun  map[string]float64 `json:"ns_per_run_by_storage"`
@@ -453,11 +453,11 @@ func guardFaultFree(base baseline, m map[string]float64) {
 }
 
 // guardArena enforces the plane-native line-store baseline: serial
-// replay forced onto the reference scalar store must stay at or above
+// replay on the cell-vector reference store must stay at or above
 // gate_ratio times the plane-arena replay of the same fixture. The
 // two runs share a process and a box, so the ratio never moves with
-// machine speed — only with the arena path's actual edge over the
-// per-write pack/unpack and map-lookup storage it replaced.
+// machine speed — only with the arena path's actual edge over
+// cell-vector storage with per-write map lookups.
 func guardArena(base baseline, m map[string]float64) {
 	if base.Arena == nil || base.Arena.GateRatio == 0 {
 		log.Fatal("baseline has no replay_arena_pr9 series")

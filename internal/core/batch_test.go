@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"wlcrc/internal/memline"
@@ -24,21 +25,20 @@ func batchSchemes(t *testing.T) []Scheme {
 }
 
 // TestEncodeBatchMatchesPerLine is the batch entry point's contract: for
-// every scheme, one EncodeBatchFunc call over a run of address-distinct
-// jobs must produce, job for job, exactly the cell vectors the resolved
-// per-line counter-aware encode produces — and every encoded line must
-// still decode back to its data.
+// every scheme, one EncodePlaneBatch call over a run of address-distinct
+// jobs must produce, job for job, exactly the packed cell vector the
+// per-line counter-aware cell encode produces — and every encoded line
+// must still decode back to its data.
 func TestEncodeBatchMatchesPerLine(t *testing.T) {
 	rnd := prng.New(99)
 	for _, s := range batchSchemes(t) {
 		t.Run(s.Name(), func(t *testing.T) {
 			n := s.TotalCells()
 			enc := EncodeCtrFunc(s)
-			encBatch := EncodeBatchFunc(s)
-			dec := DecodeCtrFunc(s)
+			cs := CtrPlaneCodec(s)
 			for round := 0; round < 8; round++ {
 				const runLen = 7
-				jobs := make([]EncodeJob, runLen)
+				jobs := make([]PlaneEncodeJob, runLen)
 				data := make([]memline.Line, runLen)
 				olds := make([][]pcm.State, runLen)
 				for k := 0; k < runLen; k++ {
@@ -48,27 +48,25 @@ func TestEncodeBatchMatchesPerLine(t *testing.T) {
 						enc(olds[k], InitialCells(n), uint64(k), 1, &data[k])
 						data[k] = randomBiasedLine(rnd)
 					}
-					jobs[k] = EncodeJob{
-						Dst:  make([]pcm.State, n),
-						Old:  append([]pcm.State(nil), olds[k]...),
+					jobs[k] = PlaneEncodeJob{
+						Dst:  packedPlanes(make([]pcm.State, n)),
+						Old:  packedPlanes(olds[k]),
 						Addr: uint64(round*runLen + k),
 						Ctr:  uint64(round + 1),
 						Data: &data[k],
 					}
 				}
-				encBatch(jobs)
+				EncodePlaneBatch(cs, jobs)
 				for k := range jobs {
 					j := &jobs[k]
 					want := make([]pcm.State, n)
 					enc(want, olds[k], j.Addr, j.Ctr, &data[k])
-					for c := range want {
-						if j.Dst[c] != want[c] {
-							t.Fatalf("round %d job %d: batch encode differs from per-line encode at cell %d",
-								round, k, c)
-						}
+					if !slices.Equal(j.Dst, packedPlanes(want)) {
+						t.Fatalf("round %d job %d: batch encode differs from the packed per-line cell encode",
+							round, k)
 					}
 					var back memline.Line
-					dec(j.Dst, j.Addr, j.Ctr, &back)
+					cs.DecodeCtrPlanesInto(j.Dst, j.Addr, j.Ctr, &back)
 					if !back.Equal(&data[k]) {
 						t.Fatalf("round %d job %d: batch-encoded line fails decode round-trip", round, k)
 					}
@@ -80,32 +78,29 @@ func TestEncodeBatchMatchesPerLine(t *testing.T) {
 
 // TestEncodeBatchDoesNotMutateOldOrData pins the aliasing contract the
 // shard relies on: the batch encode reads Old and Data but never writes
-// them (Old buffers are recycled as future encode targets only after
-// the batch settles).
+// them (the shard commits each Dst into the Old slot only when the job
+// settles, after the whole run is encoded).
 func TestEncodeBatchDoesNotMutateOldOrData(t *testing.T) {
 	rnd := prng.New(3)
 	for _, s := range batchSchemes(t) {
 		n := s.TotalCells()
-		encBatch := EncodeBatchFunc(s)
 		const runLen = 4
-		jobs := make([]EncodeJob, runLen)
+		jobs := make([]PlaneEncodeJob, runLen)
 		data := make([]memline.Line, runLen)
-		oldCopies := make([][]pcm.State, runLen)
+		oldCopies := make([][]uint64, runLen)
 		dataCopies := make([]memline.Line, runLen)
 		for k := 0; k < runLen; k++ {
 			data[k] = randomBiasedLine(rnd)
-			old := InitialCells(n)
-			oldCopies[k] = append([]pcm.State(nil), old...)
+			old := packedPlanes(InitialCells(n))
+			oldCopies[k] = slices.Clone(old)
 			dataCopies[k] = data[k]
-			jobs[k] = EncodeJob{Dst: make([]pcm.State, n), Old: old,
+			jobs[k] = PlaneEncodeJob{Dst: make([]uint64, len(old)), Old: old,
 				Addr: uint64(k), Ctr: 1, Data: &data[k]}
 		}
-		encBatch(jobs)
+		EncodePlaneBatch(CtrPlaneCodec(s), jobs)
 		for k := range jobs {
-			for c := range oldCopies[k] {
-				if jobs[k].Old[c] != oldCopies[k][c] {
-					t.Fatalf("%s: batch encode mutated job %d's Old at cell %d", s.Name(), k, c)
-				}
+			if !slices.Equal(jobs[k].Old, oldCopies[k]) {
+				t.Fatalf("%s: batch encode mutated job %d's Old planes", s.Name(), k)
 			}
 			if !data[k].Equal(&dataCopies[k]) {
 				t.Fatalf("%s: batch encode mutated job %d's Data", s.Name(), k)

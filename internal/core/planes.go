@@ -98,9 +98,13 @@ type PlaneEncodeJob struct {
 	Data     *memline.Line
 }
 
-// EncodePlaneBatch encodes a run of plane-resident writes, hoisting the
-// interface dispatch out of the per-job loop — the plane counterpart of
-// EncodeBatchFunc for the shard's applyRun path.
+// EncodePlaneBatch encodes a run of plane-resident writes for the
+// shard's applyRun path, hoisting the interface dispatch out of the
+// per-job loop. Dst and Old must not alias, and no two jobs of one run
+// may share an address: the caller breaks runs on address repeats,
+// since the second write's Old would be the first write's Dst. Each
+// job's result equals a per-line EncodeCtrPlanesInto call; the point is
+// that one scheme's tables stay hot across the run.
 func EncodePlaneBatch(cs CounterPlaneScheme, jobs []PlaneEncodeJob) {
 	for i := range jobs {
 		j := &jobs[i]

@@ -22,10 +22,10 @@ var allocSchemes = []string{
 	"VCC-2", "VCC-4", "VCC-8",
 }
 
-// allocFixture builds a shard and a warmed request set: every address
-// has been written once, so the measured loop only exercises the
-// steady-state rewrite path.
-func allocFixture(t *testing.T, name string, opts Options) (*shard, []trace.Request) {
+// allocFixture builds a shard and a warmed routed request set: every
+// address has been written once, so the measured loop only exercises
+// the steady-state rewrite path.
+func allocFixture(t *testing.T, name string, opts Options) (*shard, []routedReq) {
 	t.Helper()
 	sch, err := core.NewScheme(name, core.DefaultConfig())
 	if err != nil {
@@ -39,14 +39,32 @@ func allocFixture(t *testing.T, name string, opts Options) (*shard, []trace.Requ
 	if !ok {
 		t.Fatal("gcc profile missing")
 	}
-	src := trace.Record(workload.NewGenerator(p, 64, 11), 256)
-	reqs := src.Reqs
-	for i := range reqs {
-		if err := u.apply(&reqs[i], uint64(i)); err != nil {
+	rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
+	for i := range rs {
+		if err := applyOne(u, rs, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return u, reqs
+	return u, rs
+}
+
+// routedBatch wraps requests as one routed unit-batch, sequence-numbered
+// in order, for tests that drive the engine's batch-encode entry point
+// (shard.applyRun) directly.
+func routedBatch(reqs []trace.Request) []routedReq {
+	rs := make([]routedReq, len(reqs))
+	for i := range reqs {
+		rs[i] = routedReq{seq: uint64(i), req: reqs[i]}
+	}
+	return rs
+}
+
+// applyOne replays request i (mod len(rs)) as a one-request run — the
+// per-request form of the batch entry point.
+func applyOne(u *shard, rs []routedReq, i int) error {
+	k := i % len(rs)
+	_, err := u.applyRun(rs[k : k+1])
+	return err
 }
 
 // TestSteadyStateApplyZeroAllocs is the PR's acceptance criterion: with
@@ -58,10 +76,10 @@ func TestSteadyStateApplyZeroAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, reqs := allocFixture(t, name, opts)
+			u, rs := allocFixture(t, name, opts)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				if err := applyOne(u, rs, i); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -82,10 +100,10 @@ func TestSteadyStateApplyZeroAllocsWear(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = false
 			opts.TrackWear = true
-			u, reqs := allocFixture(t, name, opts)
+			u, rs := allocFixture(t, name, opts)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				if err := applyOne(u, rs, i); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -100,20 +118,9 @@ func TestSteadyStateApplyZeroAllocsWear(t *testing.T) {
 	}
 }
 
-// routedBatch wraps warmed requests as one routed unit-batch so the
-// alloc tests can drive the engine's batch-encode entry point
-// (shard.applyRun) directly.
-func routedBatch(reqs []trace.Request) []routedReq {
-	rs := make([]routedReq, len(reqs))
-	for i := range reqs {
-		rs[i] = routedReq{seq: uint64(i), req: reqs[i]}
-	}
-	return rs
-}
-
 // TestSteadyStateApplyRunZeroAllocs pins the batch-encode path: after a
-// warm-up pass has grown the run buffers (jobs, jobSeqs, the spare cell
-// stack) to their steady-state capacity, replaying whole routed batches
+// warm-up pass has grown the run buffers (the job slices, the spare
+// plane stack) to their steady-state capacity, replaying whole routed batches
 // through applyRun must allocate nothing — with Verify off and on, for
 // every scheme. This is the path every Engine worker runs, so it is the
 // pipeline's real zero-alloc guarantee.
@@ -128,10 +135,9 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 				t.Run(scheme, func(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Verify = verify
-					u, reqs := allocFixture(t, scheme, opts)
-					rs := routedBatch(reqs)
+					u, rs := allocFixture(t, scheme, opts)
 					// Warm the run buffers themselves (allocFixture warmed
-					// via the single-request path only).
+					// with one-request runs only).
 					if _, err := u.applyRun(rs); err != nil {
 						t.Fatal(err)
 					}
@@ -147,37 +153,6 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 				})
 			}
 		})
-	}
-}
-
-// TestArenaStorageSelection pins the storage dispatch: every scheme,
-// counter-keyed ones included, gets the arena store (and no scalar map)
-// unless Options.ScalarStorage forces the scalar reference; counter
-// schemes keep their write counters beside whichever store they use.
-func TestArenaStorageSelection(t *testing.T) {
-	for _, scalar := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.ScalarStorage = scalar
-		for _, name := range append(allocSchemes, "Enc(WLCRC-16)") {
-			sch, err := core.NewScheme(name, core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			u := newShard(&opts, sch, nil, nil)
-			if gotPlanes := u.arena != nil; gotPlanes == scalar {
-				t.Errorf("%s: ScalarStorage=%v but arena storage = %v", name, scalar, gotPlanes)
-			}
-			if gotMap := u.mem != nil; gotMap != scalar {
-				t.Errorf("%s: ScalarStorage=%v but scalar map = %v", name, scalar, gotMap)
-			}
-			keyed := core.UsesCounters(sch)
-			if got := u.lineCtrs != nil || u.ctrs != nil; got != keyed {
-				t.Errorf("%s: counter store present = %v, UsesCounters = %v", name, got, keyed)
-			}
-			if u.lineCtrs != nil && u.ctrs != nil {
-				t.Errorf("%s: both counter stores allocated", name)
-			}
-		}
 	}
 }
 
@@ -212,19 +187,18 @@ func TestSteadyStateApplyZeroAllocsStuckRepair(t *testing.T) {
 			if !ok {
 				t.Fatal("gcc profile missing")
 			}
-			src := trace.Record(workload.NewGenerator(p, 64, 11), 256)
-			reqs := src.Reqs
-			for i := range reqs {
-				if err := u.apply(&reqs[i], uint64(i)); err != nil {
+			rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
+			for i := range rs {
+				if err := applyOne(u, rs, i); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if u.fm.Stats.Detected == 0 {
 				t.Fatal("warm-up never hit a stuck cell; the test is not exercising repair")
 			}
-			i := len(reqs)
+			i := len(rs)
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				if err := applyOne(u, rs, i); err != nil {
 					t.Fatal(err)
 				}
 				i++
@@ -237,17 +211,17 @@ func TestSteadyStateApplyZeroAllocsStuckRepair(t *testing.T) {
 }
 
 // TestSteadyStateApplyZeroAllocsVerify extends the guarantee to the
-// Verify path: decoding every write back through DecodeInto must not
-// allocate either.
+// Verify path: decoding every write back through the plane decode must
+// not allocate either.
 func TestSteadyStateApplyZeroAllocsVerify(t *testing.T) {
 	for _, name := range allocSchemes {
 		t.Run(name, func(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = true
-			u, reqs := allocFixture(t, name, opts)
+			u, rs := allocFixture(t, name, opts)
 			i := 0
 			avg := testing.AllocsPerRun(200, func() {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				if err := applyOne(u, rs, i); err != nil {
 					t.Fatal(err)
 				}
 				i++

@@ -11,7 +11,9 @@ package sim
 //
 // Comparing adjacent layers attributes regressions: a shard slowdown
 // with flat line cost is accounting overhead; an engine slowdown with
-// flat shard cost is dispatch overhead.
+// flat shard cost is dispatch overhead. BenchmarkReplayStorage (this
+// file) sets the serial engine against the cell-vector reference store
+// of the tests, the line-store gate.
 
 import (
 	"fmt"
@@ -23,10 +25,10 @@ import (
 	"wlcrc/internal/workload"
 )
 
-// benchShard builds a warmed shard and request set for b, mirroring the
-// alloc tests' fixture: every address pre-written once so the measured
-// loop is the steady-state rewrite path.
-func benchShard(b *testing.B, scheme string, opts Options) (*shard, []trace.Request) {
+// benchShard builds a warmed shard and routed request set for b,
+// mirroring the alloc tests' fixture: every address pre-written once so
+// the measured loop is the steady-state rewrite path.
+func benchShard(b *testing.B, scheme string, opts Options) (*shard, []routedReq) {
 	b.Helper()
 	sch, err := core.NewScheme(scheme, core.DefaultConfig())
 	if err != nil {
@@ -40,31 +42,31 @@ func benchShard(b *testing.B, scheme string, opts Options) (*shard, []trace.Requ
 	if !ok {
 		b.Fatal("gcc profile missing")
 	}
-	src := trace.Record(workload.NewGenerator(p, 64, 11), 256)
-	for i := range src.Reqs {
-		if err := u.apply(&src.Reqs[i], uint64(i)); err != nil {
+	rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
+	for i := range rs {
+		if err := applyOne(u, rs, i); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return u, src.Reqs
+	return u, rs
 }
 
 // benchShardSchemes spans the cost spectrum: plain differential write,
 // the paper's headline scheme, and a counter-keyed encrypted scheme.
 var benchShardSchemes = []string{"Baseline", "WLCRC-16", "VCC-4"}
 
-// BenchmarkShardApply measures the shard layer one request at a time —
-// the serial Simulator's inner loop.
+// BenchmarkShardApply measures the shard layer one request at a time,
+// as one-request runs through the batch entry point.
 func BenchmarkShardApply(b *testing.B) {
 	for _, scheme := range benchShardSchemes {
 		b.Run(scheme, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, reqs := benchShard(b, scheme, opts)
+			u, rs := benchShard(b, scheme, opts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := u.apply(&reqs[i%len(reqs)], uint64(i)); err != nil {
+				if err := applyOne(u, rs, i); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -81,11 +83,7 @@ func BenchmarkShardApplyRun(b *testing.B) {
 		b.Run(scheme, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, reqs := benchShard(b, scheme, opts)
-			rs := make([]routedReq, len(reqs))
-			for i := range reqs {
-				rs[i] = routedReq{seq: uint64(i), req: reqs[i]}
-			}
+			u, rs := benchShard(b, scheme, opts)
 			if _, err := u.applyRun(rs); err != nil { // warm run buffers
 				b.Fatal(err)
 			}
@@ -175,6 +173,46 @@ func BenchmarkEngineRunFaults(b *testing.B) {
 				}
 			}
 			writes := float64(len(src.Reqs) * b.N)
+			b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
+		})
+	}
+}
+
+// BenchmarkReplayStorage replays the root replay benchmarks' fixture
+// (the eight Fig. 8 schemes over 4000 gcc writes on a 1024-line
+// footprint) serially on both line stores: storage=planes is the Engine
+// with Workers: 1 on its plane arena, storage=scalar the cell-vector
+// reference store of the tests (scalarOracle). Results are
+// bit-identical (TestScalarStorageBitIdentical); only wall-clock
+// changes. benchguard -arena gates the scalar/planes wall-clock ratio —
+// a same-box number that is meaningful on any machine, unlike absolute
+// times — so a regression that erases the arena's advantage, such as
+// cell-level settle work creeping back into the hot loop, fails CI.
+func BenchmarkReplayStorage(b *testing.B) {
+	p, ok := workload.ProfileByName("gcc")
+	if !ok {
+		b.Fatal("gcc profile missing")
+	}
+	src := trace.Record(workload.NewGenerator(p, 1024, 17), 4000)
+	schemes := schemesForBench(b, "Baseline", "FlipMin", "FNW", "DIN", "6cosets",
+		"COC+4cosets", "WLC+4cosets", "WLCRC-16")
+	opts := DefaultOptions()
+	opts.Workers = 1
+	for _, storage := range []string{"planes", "scalar"} {
+		b.Run("storage="+storage, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				src.Rewind()
+				var err error
+				if storage == "planes" {
+					err = NewEngine(opts, schemes...).Run(src, 0)
+				} else {
+					err = newScalarOracle(opts, schemes...).Run(src)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			writes := float64(len(src.Reqs) * len(schemes) * b.N)
 			b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
 		})
 	}

@@ -54,32 +54,6 @@ func TestEngineCounterSchemesBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineCounterSchemesMatchSimulator checks the sharded engine
-// against the single-threaded reference for counter-keyed schemes: the
-// counter stores are per-frontend, so both must advance identically.
-func TestEngineCounterSchemesMatchSimulator(t *testing.T) {
-	src := encryptedTrace(t, 1500)
-	ref := New(DefaultOptions(), schemesForTest(t, counterSchemeNames...)...)
-	if err := ref.Run(src, 0); err != nil {
-		t.Fatal(err)
-	}
-	src.Rewind()
-	e := NewEngine(DefaultOptions(), schemesForTest(t, counterSchemeNames...)...)
-	if err := e.Run(src, 0); err != nil {
-		t.Fatal(err)
-	}
-	want, got := ref.Metrics(), e.Metrics()
-	for i := range want {
-		w, g := want[i], got[i]
-		if w.Scheme != g.Scheme || w.Writes != g.Writes ||
-			w.Energy.UpdatedData != g.Energy.UpdatedData ||
-			w.Energy.UpdatedAux != g.Energy.UpdatedAux ||
-			w.DecodeErrors != g.DecodeErrors {
-			t.Errorf("%s: simulator and engine diverge: %+v vs %+v", w.Scheme, w.Energy, g.Energy)
-		}
-	}
-}
-
 // TestCompressionGateCollapsesOnEncryptedStream is the acceptance
 // criterion of the encrypted scenario: on a counter-mode encrypted
 // workload the compression-gated WLCRC baseline falls back to raw on
@@ -119,49 +93,53 @@ func TestCompressionGateCollapsesOnEncryptedStream(t *testing.T) {
 	}
 }
 
-// TestShardCounterAdvances pins the counter-store semantics on both
-// line stores: one counter per address (slot-indexed beside the arena,
-// addr-keyed on the scalar reference), starting at 1, incrementing per
-// write, surviving resetMetrics but not reset.
+// TestShardCounterAdvances pins the counter-store semantics: one
+// slot-indexed counter per address beside the arena, starting at 1,
+// incrementing per write, surviving resetMetrics but not reset. Only
+// counter-keyed schemes get a counter store.
 func TestShardCounterAdvances(t *testing.T) {
+	opts := DefaultOptions()
+	for _, name := range append(allocSchemes, "Enc(WLCRC-16)") {
+		sch, err := core.NewScheme(name, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		u := newShard(&opts, sch, nil, nil)
+		if got, keyed := u.lineCtrs != nil, core.UsesCounters(sch); got != keyed {
+			t.Errorf("%s: counter store present = %v, UsesCounters = %v", name, got, keyed)
+		}
+	}
 	sch, err := core.NewScheme("VCC-4", core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, scalar := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.ScalarStorage = scalar
-		u := newShard(&opts, sch, nil, nil)
-		src := encryptedTrace(t, 1)
-		req := src.Reqs[0]
-		ctr := func() uint64 {
-			if scalar {
-				return u.ctrs[req.Addr]
-			}
-			slot, ok := u.arena.Lookup(req.Addr)
-			if !ok {
-				return 0
-			}
-			return u.lineCtrs[slot]
+	u := newShard(&opts, sch, nil, nil)
+	rs := routedBatch(encryptedTrace(t, 1).Reqs)
+	addr := rs[0].req.Addr
+	ctr := func() uint64 {
+		slot, ok := u.arena.Lookup(addr)
+		if !ok {
+			return 0
 		}
-		for i := 1; i <= 3; i++ {
-			if err := u.apply(&req, 0); err != nil {
-				t.Fatalf("scalar=%v write %d: %v", scalar, i, err)
-			}
-			if got := ctr(); got != uint64(i) {
-				t.Fatalf("scalar=%v after write %d: counter = %d", scalar, i, got)
-			}
+		return u.lineCtrs[slot]
+	}
+	for i := 1; i <= 3; i++ {
+		if err := applyOne(u, rs, 0); err != nil {
+			t.Fatalf("write %d: %v", i, err)
 		}
-		u.resetMetrics()
-		if got := ctr(); got != 3 {
-			t.Errorf("scalar=%v: resetMetrics cleared the counter store (ctr=%d)", scalar, got)
+		if got := ctr(); got != uint64(i) {
+			t.Fatalf("after write %d: counter = %d", i, got)
 		}
-		u.reset()
-		if got := ctr(); got != 0 {
-			t.Errorf("scalar=%v: reset kept the counter store (ctr=%d)", scalar, got)
-		}
-		if !scalar && len(u.lineCtrs) != 0 {
-			t.Errorf("reset kept %d slot counters", len(u.lineCtrs))
-		}
+	}
+	u.resetMetrics()
+	if got := ctr(); got != 3 {
+		t.Errorf("resetMetrics cleared the counter store (ctr=%d)", got)
+	}
+	u.reset()
+	if got := ctr(); got != 0 {
+		t.Errorf("reset kept the counter store (ctr=%d)", got)
+	}
+	if len(u.lineCtrs) != 0 {
+		t.Errorf("reset kept %d slot counters", len(u.lineCtrs))
 	}
 }

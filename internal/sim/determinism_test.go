@@ -37,6 +37,139 @@ func determinismWorkerSet(banks int) []int {
 	return out
 }
 
+// TestScalarStorageBitIdentical is the cross-storage leg of the net:
+// every matrix mode's trace replayed on the Engine's plane arena and on
+// the cell-vector reference store (scalarOracle) must produce DeepEqual
+// metrics, wear digests, retired-line sets and errors — including under
+// the full stuck-at + repair pipeline, whose plane fast path falls back
+// to the cell-level repair encoder on mismatches. The counter-keyed
+// schemes ride along in every mode: their slot-indexed counters must
+// key every plane encode, Verify decode and repair re-encode exactly as
+// the oracle's counter map does.
+func TestScalarStorageBitIdentical(t *testing.T) {
+	names := append(append([]string(nil), engineSchemeNames...),
+		"VCC-2", "VCC-4", "VCC-8", "Enc(WLCRC-16)", "Enc(COC+4cosets)")
+	for _, mode := range matrixModes {
+		mode.schemes = names
+		t.Run(mode.name, func(t *testing.T) {
+			src := mode.src(t)
+			e, planeErr := matrixRun(t, mode, src, 1, -1)
+			src.Rewind()
+			o := newScalarOracle(matrixOptions(mode, 1, -1), schemesForTest(t, names...)...)
+			oracleErr := o.Run(src)
+			if oracleErr != nil && !errors.As(oracleErr, new(*DegradedError)) {
+				t.Fatal(oracleErr)
+			}
+			planeMetrics, oracleMetrics := e.Metrics(), o.e.Metrics()
+			if oracleMetrics[0].Writes != 2500 {
+				t.Fatalf("oracle replayed %d writes, want 2500", oracleMetrics[0].Writes)
+			}
+			for i := range planeMetrics {
+				if !reflect.DeepEqual(planeMetrics[i], oracleMetrics[i]) {
+					t.Errorf("%s: plane-arena Metrics differ from the scalar oracle:\nplanes: %+v\noracle: %+v",
+						names[i], planeMetrics[i], oracleMetrics[i])
+				}
+			}
+			if planeRetired, oracleRetired := e.RetiredLines(), o.e.RetiredLines(); !reflect.DeepEqual(planeRetired, oracleRetired) {
+				t.Errorf("retired-line sets differ:\nplanes: %v\noracle: %v", planeRetired, oracleRetired)
+			}
+			if !reflect.DeepEqual(planeErr, oracleErr) {
+				t.Errorf("run errors differ:\nplanes: %v\noracle: %v", planeErr, oracleErr)
+			}
+		})
+	}
+}
+
+// matrixMode is one accounting mode of the determinism matrix: the
+// schemes it replays, its fixed trace and its option tweaks. The golden
+// files pin the same modes (golden_test.go).
+type matrixMode struct {
+	name    string
+	schemes []string
+	src     func(t *testing.T) *trace.SliceSource
+	tweak   func(*Options)
+}
+
+// matrixModes covers deterministic accounting, sampled disturbance,
+// fault injection + VnR, counter-keyed encrypted replay and the stuck-at
+// repair pipeline.
+var matrixModes = []matrixMode{
+	{
+		name:    "deterministic",
+		schemes: engineSchemeNames,
+		src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 512, 2500, 11) },
+		tweak:   func(o *Options) {},
+	},
+	{
+		name:    "sampled",
+		schemes: engineSchemeNames,
+		src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "mcf", 512, 2500, 23) },
+		tweak:   func(o *Options) { o.SampleDisturb = true; o.Seed = 42 },
+	},
+	{
+		name:    "faults",
+		schemes: engineSchemeNames,
+		src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "libq", 512, 2500, 5) },
+		tweak:   func(o *Options) { o.InjectFaults = true; o.Seed = 7 },
+	},
+	{
+		name:    "encrypted",
+		schemes: []string{"Baseline", "Enc(WLCRC-16)", "VCC-4"},
+		src:     func(t *testing.T) *trace.SliceSource { return encryptedTrace(t, 2500) },
+		tweak:   func(o *Options) {}, // Verify stays on: every write round-trips decrypt
+	},
+	{
+		// Stuck-at faults plus the whole repair pipeline: tiny
+		// endurance so wear onset, retries, ECC corrections,
+		// retirements, spare-pool exhaustion and uncorrectable
+		// writes all fire mid-trace. Graceful mode replays the full
+		// trace, so the run may legitimately end in a *DegradedError
+		// — which must itself be DeepEqual-identical across worker
+		// counts, like the retired-line sets.
+		name:    "stuck+repair",
+		schemes: engineSchemeNames,
+		src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 96, 2500, 31) },
+		tweak: func(o *Options) {
+			o.Seed = 13
+			o.Faults = fault.Config{
+				Enabled:            true,
+				CellEndurance:      8,
+				EnduranceSpread:    0.5,
+				ECCBits:            4,
+				SpareLines:         4,
+				MaxRetiredFraction: 1,
+				Static:             fault.RandomStatic(5, 40, 96),
+			}
+		},
+	},
+}
+
+// matrixOptions is mode's configuration over the matrix geometry with
+// wear tracking on.
+func matrixOptions(mode matrixMode, workers, ingest int) Options {
+	opts := DefaultOptions()
+	opts.Geometry = determinismGeometry()
+	opts.Workers = workers
+	opts.IngestRouters = ingest
+	opts.TrackWear = true
+	mode.tweak(&opts)
+	return opts
+}
+
+// matrixRun replays mode's trace on a fresh engine configured by
+// matrixOptions. A *DegradedError is a legitimate
+// outcome and is returned; any other error fails the test.
+func matrixRun(t *testing.T, mode matrixMode, src *trace.SliceSource, workers, ingest int) (e *Engine, err error) {
+	t.Helper()
+	src.Rewind()
+	e = NewEngine(matrixOptions(mode, workers, ingest), schemesForTest(t, mode.schemes...)...)
+	err = e.Run(src, 0)
+	if err != nil && !errors.As(err, new(*DegradedError)) {
+		t.Fatal(err)
+	}
+	return e, err
+}
+
 // TestEngineDeterminismMatrix is the layered determinism net: for
 // every accounting mode (deterministic, sampled disturbance, fault
 // injection + VnR, and counter-keyed encrypted replay), every worker
@@ -45,153 +178,13 @@ func determinismWorkerSet(banks int) []int {
 // bit-identical — reflect.DeepEqual, floats included — to the
 // Workers=1, ingest-off run of the same trace. The -race CI job runs
 // this matrix too, so the guarantee is checked under the race detector.
-// TestScalarStorageBitIdentical is the cross-storage leg of the net:
-// the same trace replayed on the plane-native arena and on the
-// reference scalar store (Options.ScalarStorage) must produce
-// DeepEqual metrics, snapshots, retired-line sets and errors —
-// including under the full stuck-at + repair pipeline, whose plane
-// fast path falls back to the scalar repair encoder on mismatches.
-// The counter-keyed schemes ride along: their slot-indexed counters
-// must key every plane encode, Verify decode and repair re-encode
-// exactly as the scalar store's counter map does.
-func TestScalarStorageBitIdentical(t *testing.T) {
-	geo := determinismGeometry()
-	names := append(append([]string(nil), engineSchemeNames...),
-		"VCC-2", "VCC-8", "Enc(WLCRC-16)", "Enc(COC+4cosets)")
-	modes := []struct {
-		name  string
-		src   func(t *testing.T) *trace.SliceSource
-		tweak func(*Options)
-	}{
-		{
-			name:  "deterministic",
-			src:   func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 512, 2500, 11) },
-			tweak: func(o *Options) {},
-		},
-		{
-			name: "stuck+repair",
-			src:  func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 96, 2500, 31) },
-			tweak: func(o *Options) {
-				o.Seed = 13
-				o.Faults = fault.Config{
-					Enabled:            true,
-					CellEndurance:      8,
-					EnduranceSpread:    0.5,
-					ECCBits:            4,
-					SpareLines:         4,
-					MaxRetiredFraction: 1,
-					Static:             fault.RandomStatic(5, 40, 96),
-				}
-			},
-		},
-	}
-	for _, mode := range modes {
-		t.Run(mode.name, func(t *testing.T) {
-			src := mode.src(t)
-			run := func(scalar bool) (metrics []Metrics, retired [][]uint64, err error) {
-				src.Rewind()
-				opts := DefaultOptions()
-				opts.Geometry = geo
-				opts.Workers = 1
-				opts.TrackWear = true
-				opts.ScalarStorage = scalar
-				mode.tweak(&opts)
-				e := NewEngine(opts, schemesForTest(t, names...)...)
-				err = e.Run(src, 0)
-				if err != nil && !errors.As(err, new(*DegradedError)) {
-					t.Fatal(err)
-				}
-				return e.Metrics(), e.RetiredLines(), err
-			}
-			planeMetrics, planeRetired, planeErr := run(false)
-			scalarMetrics, scalarRetired, scalarErr := run(true)
-			if !reflect.DeepEqual(planeMetrics, scalarMetrics) {
-				t.Error("plane-arena Metrics differ from scalar-storage reference")
-			}
-			if !reflect.DeepEqual(planeRetired, scalarRetired) {
-				t.Errorf("retired-line sets differ:\nplanes: %v\nscalar: %v", planeRetired, scalarRetired)
-			}
-			if !reflect.DeepEqual(planeErr, scalarErr) {
-				t.Errorf("run errors differ:\nplanes: %v\nscalar: %v", planeErr, scalarErr)
-			}
-		})
-	}
-}
-
 func TestEngineDeterminismMatrix(t *testing.T) {
-	geo := determinismGeometry()
-	banks := geo.Banks()
-	modes := []struct {
-		name    string
-		schemes []string
-		src     func(t *testing.T) *trace.SliceSource
-		tweak   func(*Options)
-	}{
-		{
-			name:    "deterministic",
-			schemes: engineSchemeNames,
-			src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 512, 2500, 11) },
-			tweak:   func(o *Options) {},
-		},
-		{
-			name:    "sampled",
-			schemes: engineSchemeNames,
-			src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "mcf", 512, 2500, 23) },
-			tweak:   func(o *Options) { o.SampleDisturb = true; o.Seed = 42 },
-		},
-		{
-			name:    "faults",
-			schemes: engineSchemeNames,
-			src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "libq", 512, 2500, 5) },
-			tweak:   func(o *Options) { o.InjectFaults = true; o.Seed = 7 },
-		},
-		{
-			name:    "encrypted",
-			schemes: []string{"Baseline", "Enc(WLCRC-16)", "VCC-4"},
-			src:     func(t *testing.T) *trace.SliceSource { return encryptedTrace(t, 2500) },
-			tweak:   func(o *Options) {}, // Verify stays on: every write round-trips decrypt
-		},
-		{
-			// Stuck-at faults plus the whole repair pipeline: tiny
-			// endurance so wear onset, retries, ECC corrections,
-			// retirements, spare-pool exhaustion and uncorrectable
-			// writes all fire mid-trace. Graceful mode replays the full
-			// trace, so the run may legitimately end in a *DegradedError
-			// — which must itself be DeepEqual-identical across worker
-			// counts, like the retired-line sets.
-			name:    "stuck+repair",
-			schemes: engineSchemeNames,
-			src:     func(t *testing.T) *trace.SliceSource { return fixedTrace(t, "gcc", 96, 2500, 31) },
-			tweak: func(o *Options) {
-				o.Seed = 13
-				o.Faults = fault.Config{
-					Enabled:            true,
-					CellEndurance:      8,
-					EnduranceSpread:    0.5,
-					ECCBits:            4,
-					SpareLines:         4,
-					MaxRetiredFraction: 1,
-					Static:             fault.RandomStatic(5, 40, 96),
-				}
-			},
-		},
-	}
-	for _, mode := range modes {
+	banks := determinismGeometry().Banks()
+	for _, mode := range matrixModes {
 		t.Run(mode.name, func(t *testing.T) {
 			src := mode.src(t)
 			run := func(workers, ingest int) (metrics, snapshot []Metrics, retired [][]uint64, err error) {
-				src.Rewind()
-				opts := DefaultOptions()
-				opts.Geometry = geo
-				opts.Workers = workers
-				opts.IngestRouters = ingest
-				opts.TrackWear = true
-				mode.tweak(&opts)
-				e := NewEngine(opts, schemesForTest(t, mode.schemes...)...)
-				err = e.Run(src, 0)
-				if err != nil && !errors.As(err, new(*DegradedError)) {
-					t.Fatal(err)
-				}
+				e, err := matrixRun(t, mode, src, workers, ingest)
 				return e.Metrics(), e.Snapshot(), e.RetiredLines(), err
 			}
 			wantMetrics, wantSnap, wantRetired, wantErr := run(1, -1)

@@ -700,23 +700,3 @@ func degradedError(ms []Metrics, cfg fault.Config) error {
 	}
 	return &DegradedError{Schemes: degraded, Threshold: threshold, Metrics: ms}
 }
-
-// Replayer is the interface shared by Simulator and Engine: replay a
-// write stream, then report per-scheme metrics. The compile-time
-// asserts below keep the two frontends' surfaces in lockstep; callers
-// that want to swap the serial reference for the parallel engine (or
-// back) can program against it.
-type Replayer interface {
-	Run(src trace.Source, max int) error
-	RunContext(ctx context.Context, src trace.Source, max int) error
-	Metrics() []Metrics
-	Snapshot() []Metrics
-	MetricsFor(name string) (Metrics, bool)
-	ResetMetrics()
-	Reset()
-}
-
-var (
-	_ Replayer = (*Simulator)(nil)
-	_ Replayer = (*Engine)(nil)
-)

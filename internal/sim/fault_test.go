@@ -24,14 +24,16 @@ func faultTestTrace(t *testing.T, profile string, footprint, n int, seed uint64)
 	return src, final
 }
 
-// checkReadBack reads every written address back through each shard's
-// controller read path and compares it bit-exactly against the last
-// write — the fault pipeline's end-to-end recoverability contract.
-func checkReadBack(t *testing.T, s *Simulator, final map[uint64]*memline.Line) {
+// checkReadBack reads every written address back through its owning
+// shard's controller read path, for every scheme, and compares it
+// bit-exactly against the last write — the fault pipeline's end-to-end
+// recoverability contract.
+func checkReadBack(t *testing.T, e *Engine, final map[uint64]*memline.Line) {
 	t.Helper()
-	for _, u := range s.shards {
+	for i := range e.schemes {
 		var got memline.Line
 		for addr, want := range final {
+			u := e.lineShard(i, addr)
 			ok, err := u.readLine(addr, &got)
 			if err != nil {
 				t.Fatalf("%s: read %#x: %v", u.scheme.Name(), addr, err)
@@ -60,7 +62,7 @@ func TestFaultRepairWithinECCBudget(t *testing.T) {
 		ECCBits: 8, // 4 interleaved ways
 		Static:  fault.RandomStatic(9, 24, 32),
 	}
-	s := New(opts, schemesForTest(t, "Baseline", "6cosets", "WLCRC-16")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline", "6cosets", "WLCRC-16")...)
 	if err := s.Run(src, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestFaultRetireBeyondBudget(t *testing.T) {
 		MaxRetiredFraction: 1,
 		Static:             static,
 	}
-	s := New(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
 	if err := s.Run(src, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestFaultFailFastVsGraceful(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Faults = cfg
 	opts.FailFast = true
-	s := New(opts, schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline")...)
 	err := s.Run(&trace.SliceSource{Reqs: reqs}, 0)
 	if err == nil || !strings.Contains(err.Error(), "uncorrectable stuck-at fault") {
 		t.Fatalf("FailFast err = %v, want uncorrectable abort", err)
@@ -160,7 +162,7 @@ func TestFaultFailFastVsGraceful(t *testing.T) {
 	}
 
 	opts.FailFast = false
-	s = New(opts, schemesForTest(t, "Baseline")...)
+	s = newSerialEngine(opts, schemesForTest(t, "Baseline")...)
 	err = s.Run(&trace.SliceSource{Reqs: reqs}, 0)
 	var de *DegradedError
 	if !errors.As(err, &de) {
@@ -203,7 +205,7 @@ func TestFaultBelowThresholdNoError(t *testing.T) {
 		MaxRetiredFraction: 0.9,
 		Static:             static,
 	}
-	s := New(opts, schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline")...)
 	if err := s.Run(src, 0); err != nil {
 		t.Fatalf("run below threshold errored: %v", err)
 	}
@@ -278,23 +280,6 @@ func TestEngineRunContextCancel(t *testing.T) {
 	}
 }
 
-// TestSimulatorRunContextCancel mirrors the contract on the serial
-// frontend.
-func TestSimulatorRunContextCancel(t *testing.T) {
-	src := fixedTrace(t, "mcf", 64, 2000, 7)
-	ctx, cancel := context.WithCancel(context.Background())
-	s := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
-	cs := &cancelAfterSource{src: src, n: 100, cancel: cancel}
-	err := s.RunContext(ctx, cs, 0)
-	cancel()
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v", err)
-	}
-	if w := s.Metrics()[0].Writes; w == 0 || w > 110 {
-		t.Errorf("canceled at request 100 but replayed %d writes", w)
-	}
-}
-
 // TestVnRIterationCapFeedsFaultPipeline covers the restore-loop cap
 // path: with the cap forced to one iteration on a disturbance-prone
 // profile, residual errors survive VnR, and with the fault model on
@@ -306,7 +291,7 @@ func TestVnRIterationCapFeedsFaultPipeline(t *testing.T) {
 	opts.MaxVnRIterations = 1
 	opts.Faults = fault.Config{Enabled: true, ECCBits: 8, MaxRetiredFraction: 1}
 	opts.FailFast = false
-	s := New(opts, schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline")...)
 	src, _ := faultTestTrace(t, "lesl", 128, 2000, 9)
 	err := s.Run(src, 0)
 	var de *DegradedError
@@ -336,7 +321,7 @@ func TestVnRIterationCapWithoutFaultModel(t *testing.T) {
 	opts.InjectFaults = true
 	opts.Seed = 11
 	opts.MaxVnRIterations = 1
-	s := New(opts, schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(opts, schemesForTest(t, "Baseline")...)
 	src, _ := faultTestTrace(t, "lesl", 128, 2000, 9)
 	if err := s.Run(src, 0); err != nil {
 		t.Fatal(err)

@@ -83,7 +83,7 @@ func FuzzStuckRepair(f *testing.F) {
 		replay := func() ([]Metrics, map[string]map[uint64]readResult) {
 			opts := DefaultOptions() // Verify on
 			opts.Faults = cfg
-			s := New(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
+			s := newSerialEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
 			err := s.Run(&trace.SliceSource{Reqs: reqs}, 0)
 			if err != nil {
 				if !errors.As(err, new(*DegradedError)) {
@@ -91,10 +91,11 @@ func FuzzStuckRepair(f *testing.F) {
 				}
 			}
 			reads := map[string]map[uint64]readResult{}
-			for _, u := range s.shards {
+			for i, sch := range s.schemes {
 				rs := map[uint64]readResult{}
 				var got memline.Line
 				for addr, want := range final {
+					u := s.lineShard(i, addr)
 					ok, rerr := u.readLine(addr, &got)
 					if !ok {
 						t.Fatalf("%s: written addr %#x not resident", u.scheme.Name(), addr)
@@ -109,7 +110,7 @@ func FuzzStuckRepair(f *testing.F) {
 							u.scheme.Name(), addr, u.fm.Stats)
 					}
 				}
-				reads[u.scheme.Name()] = rs
+				reads[sch.Name()] = rs
 			}
 			return s.Metrics(), reads
 		}
@@ -126,8 +127,8 @@ func FuzzStuckRepair(f *testing.F) {
 
 // fuzzGeometries is the geometry pool FuzzRouteSubShard draws from:
 // the paper's Table II array plus small and degenerate configurations
-// (down to a single bank with a single sub-shard, where the engine must
-// behave like the serial simulator).
+// (down to a single bank with a single sub-shard, where one shard per
+// scheme covers every address).
 func fuzzGeometries() []memsys.Config {
 	small := memsys.Config{Channels: 1, DIMMsPerChan: 1, BanksPerDIMM: 4,
 		WriteQueueCap: 8, DrainThreshold: 0.8}

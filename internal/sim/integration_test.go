@@ -56,7 +56,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	schemes := schemesForTest(t,
 		"Baseline", "FlipMin", "FNW", "DIN", "6cosets",
 		"COC+4cosets", "WLC+4cosets", "WLCRC-16")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	if err := s.Run(&trace.ReaderSource{R: rd}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	for i, sch := range schemes {
 		for addr, want := range lastWrite {
 			var got memline.Line
-			ok, err := s.shards[i].readLine(addr, &got)
+			ok, err := s.lineShard(i, addr).readLine(addr, &got)
 			if err != nil || !ok {
 				t.Fatalf("%s: no state for addr %d (ok=%v err=%v)", sch.Name(), addr, ok, err)
 			}
@@ -104,13 +104,13 @@ func TestEndToEndPipeline(t *testing.T) {
 }
 
 // TestCrossSchemeAgreementUnderSharedStream feeds one stream to many
-// simulators in different combinations and checks metrics are identical
+// engines in different combinations and checks metrics are identical
 // regardless of which other schemes share the run (no cross-scheme
 // state leakage).
 func TestCrossSchemeAgreementUnderSharedStream(t *testing.T) {
 	p, _ := workload.ProfileByName("cann")
 	run := func(names ...string) Metrics {
-		s := New(DefaultOptions(), schemesForTest(t, names...)...)
+		s := newSerialEngine(DefaultOptions(), schemesForTest(t, names...)...)
 		if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 128, 77), N: 800}, 0); err != nil {
 			t.Fatal(err)
 		}

@@ -5,32 +5,27 @@
 // and charges the differential-write energy, endurance (updated cells)
 // and write-disturbance models on every request.
 //
-// Two replay frontends share the same per-request core (see shard.go):
-//
-//   - Simulator is the single-threaded reference implementation with a
-//     synchronous per-request Write API.
-//   - Engine is the concurrent sharded pipeline (engine.go): it fans the
-//     trace out to per-scheme workers and, within a scheme, shards the
-//     address space by (bank, sub-shard) routing unit (memsys geometry)
-//     so independent lines replay in parallel on far more workers than
-//     there are banks. Per-shard metrics are merged in a fixed order,
-//     so an Engine run is bit-identical for every worker count —
-//     Options.Workers = 1 is the serial mode of the same engine.
+// Engine (engine.go) is the one replay frontend. It fans the trace out
+// to workers and, within a scheme, shards the address space by (bank,
+// sub-shard) routing unit (memsys geometry), so independent lines replay
+// in parallel on far more workers than there are banks. Each shard
+// (shard.go) stores its lines as bit planes in an arena and charges the
+// models on planes. Per-shard metrics are merged in a fixed order, so a
+// run is bit-identical for every worker count — Options.Workers = 1 is
+// the serial mode of the same engine. The tests keep a cell-vector
+// reference store (scalar_oracle_test.go) that the engine must match bit
+// for bit.
 package sim
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
 
-	"wlcrc/internal/core"
 	"wlcrc/internal/fault"
 	"wlcrc/internal/memsys"
 	"wlcrc/internal/pcm"
-	"wlcrc/internal/prng"
 	"wlcrc/internal/stats"
-	"wlcrc/internal/trace"
 	"wlcrc/internal/wear"
 )
 
@@ -208,7 +203,7 @@ func (m Metrics) CompressedFraction() float64 {
 	return float64(m.CompressedWrites) / float64(m.Writes)
 }
 
-// Options configures a Simulator or an Engine.
+// Options configures an Engine.
 type Options struct {
 	Energy  pcm.EnergyModel
 	Disturb pcm.DisturbModel
@@ -254,12 +249,12 @@ type Options struct {
 	// resolved count is returned by Engine.Workers and reported in every
 	// Progress callback. The worker count only changes wall-clock time,
 	// never results: Engine metrics are bit-identical across worker
-	// counts. Ignored by Simulator.
+	// counts.
 	Workers int
 	// Geometry is the memory organization whose bank and sub-shard
 	// functions shard the address space inside an Engine (the zero value
 	// means the paper's Table II geometry: 64 banks, 4 sub-shards per
-	// bank, 256 routing units). Ignored by Simulator.
+	// bank, 256 routing units).
 	Geometry memsys.Config
 	// IngestRouters controls the Engine's parallel ingest stage (see
 	// ingest.go): the front-end that reads the source in fixed-size
@@ -271,17 +266,8 @@ type Options struct {
 	// setting only changes wall-clock time, never results: replay output
 	// is bit-identical with ingest on or off, for any router count, and
 	// for Source, BatchSource or MappedSource inputs alike. The resolved
-	// count is reported by Engine.IngestRouters. Ignored by Simulator.
+	// count is reported by Engine.IngestRouters.
 	IngestRouters int
-
-	// ScalarStorage forces every scheme onto the reference scalar store
-	// (a map of []pcm.State lines, and for counter-keyed schemes a map
-	// of write counters) instead of the plane-native arena. Results are
-	// bit-identical either way — the scalar path exists as the
-	// equivalence reference and as the baseline the benchguard arena
-	// gate measures the plane path against. Leave it off outside
-	// benchmarks and differential tests.
-	ScalarStorage bool
 
 	// TrackWear enables dense per-cell wear accounting: every programmed
 	// cell of every touched line gets a uint32 program counter, and the
@@ -297,8 +283,7 @@ type Options struct {
 	// goroutine roughly every ProgressInterval with live throughput and
 	// queue-depth numbers, plus once when the run finishes. The callback
 	// must return quickly (it stalls dispatch) and must not retain the
-	// QueueDepth slice, which is reused between calls. Ignored by
-	// Simulator.
+	// QueueDepth slice, which is reused between calls.
 	Progress func(Progress)
 	// ProgressInterval is the minimum time between Progress calls
 	// (0 = 500ms).
@@ -356,153 +341,4 @@ func DefaultOptions() Options {
 		Disturb: pcm.DefaultDisturb(),
 		Verify:  true,
 	}
-}
-
-// Simulator replays write requests through a set of schemes, one request
-// at a time on the calling goroutine. It is the single-threaded
-// reference implementation; Engine is the concurrent counterpart and is
-// checked against it. When disturbance is sampled, every scheme draws
-// from one shared PRNG stream in scheme order (the historical behavior).
-type Simulator struct {
-	opts Options
-	// shards holds one full-address-space shard per scheme.
-	shards []*shard
-	// seq numbers requests across Write/Run calls — the serial
-	// counterpart of the engine's global trace sequence, feeding the
-	// fault model's writes-to-first-retirement accounting.
-	seq uint64
-}
-
-// New builds a simulator for the given schemes.
-func New(opts Options, schemes ...core.Scheme) *Simulator {
-	if opts.MaxVnRIterations == 0 {
-		opts.MaxVnRIterations = 16
-	}
-	sampled := opts.SampleDisturb || opts.InjectFaults
-	var rnd *prng.Xoshiro256
-	if sampled || opts.Faults.Enabled {
-		rnd = prng.New(opts.Seed)
-	}
-	var ecc *fault.ECC
-	var fcfg fault.Config
-	if opts.Faults.Enabled {
-		fcfg = opts.Faults.WithDefaults()
-		ecc = fault.NewECC(fcfg.ECCBits)
-	}
-	s := &Simulator{opts: opts}
-	s.shards = make([]*shard, len(schemes))
-	for i, sch := range schemes {
-		var fm *fault.Map
-		if opts.Faults.Enabled {
-			// Seed each scheme's map from the shared stream (drawn in
-			// fixed scheme order at construction, before any replay).
-			fm = fault.NewMap(fcfg, rnd.Uint64(), sch.TotalCells(), ecc)
-			for _, sc := range fcfg.Static {
-				fm.SeedStatic(sc)
-			}
-		}
-		shardRnd := rnd
-		if !sampled {
-			shardRnd = nil
-		}
-		s.shards[i] = newShard(&s.opts, sch, shardRnd, fm)
-	}
-	return s
-}
-
-// Write replays one request through every scheme.
-func (s *Simulator) Write(req trace.Request) error {
-	seq := s.seq
-	s.seq++
-	for _, u := range s.shards {
-		if err := u.apply(&req, seq); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run drains a source through the simulator, stopping after max requests
-// when max > 0.
-func (s *Simulator) Run(src trace.Source, max int) error {
-	return s.RunContext(context.Background(), src, max)
-}
-
-// RunContext is Run with cooperative cancellation: the loop checks ctx
-// between requests and returns ctx.Err() with the metrics of the prefix
-// replayed so far.
-func (s *Simulator) RunContext(ctx context.Context, src trace.Source, max int) error {
-	if c, ok := src.(interface{ Count() uint64 }); ok {
-		hint := c.Count()
-		if max > 0 && uint64(max) < hint {
-			hint = uint64(max)
-		}
-		if hint > 1<<16 {
-			hint = 1 << 16
-		}
-		for _, u := range s.shards {
-			u.reserve(int(hint))
-		}
-	}
-	done := ctx.Done()
-	n := 0
-	for {
-		if canceled(done) {
-			return ctx.Err()
-		}
-		if max > 0 && n >= max {
-			break
-		}
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := s.Write(req); err != nil {
-			return err
-		}
-		n++
-	}
-	return degradedError(s.Metrics(), s.opts.Faults)
-}
-
-// Metrics returns the accumulated per-scheme metrics, index-aligned with
-// the schemes passed to New.
-func (s *Simulator) Metrics() []Metrics {
-	out := make([]Metrics, len(s.shards))
-	for i, u := range s.shards {
-		out[i] = u.metricsView()
-	}
-	return out
-}
-
-// Snapshot returns the same per-scheme metrics as Metrics. It exists
-// for Replayer-interface parity with Engine.Snapshot; the Simulator is
-// single-threaded, so there is no concurrent-read story to solve.
-func (s *Simulator) Snapshot() []Metrics { return s.Metrics() }
-
-// MetricsFor returns the metrics of the named scheme.
-func (s *Simulator) MetricsFor(name string) (Metrics, bool) {
-	for _, u := range s.shards {
-		if u.m.Scheme == name {
-			return u.metricsView(), true
-		}
-	}
-	return Metrics{}, false
-}
-
-// ResetMetrics clears the accumulated metrics but keeps every scheme's
-// memory state — used after a warm-up phase so reported numbers reflect
-// steady-state behavior rather than cold first writes.
-func (s *Simulator) ResetMetrics() {
-	for _, u := range s.shards {
-		u.resetMetrics()
-	}
-}
-
-// Reset clears metrics and memory state (schemes are kept).
-func (s *Simulator) Reset() {
-	for _, u := range s.shards {
-		u.reset()
-	}
-	s.seq = 0
 }

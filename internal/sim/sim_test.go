@@ -7,6 +7,7 @@ import (
 
 	"wlcrc/internal/core"
 	"wlcrc/internal/memline"
+	"wlcrc/internal/memsys"
 	"wlcrc/internal/pcm"
 	"wlcrc/internal/trace"
 	"wlcrc/internal/workload"
@@ -26,9 +27,34 @@ func schemesForTest(t *testing.T, names ...string) []core.Scheme {
 	return out
 }
 
+// serialGeometry is a single routing unit (one bank, one sub-shard): an
+// Engine over it keeps exactly one shard per scheme, covering every
+// address, so per-shard resources such as the fault model's spare pool
+// are shared by the whole footprint.
+func serialGeometry() memsys.Config {
+	return memsys.Config{Channels: 1, DIMMsPerChan: 1, BanksPerDIMM: 1, SubShards: 1,
+		WriteQueueCap: 8, DrainThreshold: 0.8}
+}
+
+// newSerialEngine builds the engine's serial mode (Workers: 1) over
+// serialGeometry — the configuration the single-frontend tests replay
+// through.
+func newSerialEngine(opts Options, schemes ...core.Scheme) *Engine {
+	opts.Workers = 1
+	opts.Geometry = serialGeometry()
+	return NewEngine(opts, schemes...)
+}
+
+// lineShard returns scheme i's shard that owns addr.
+func (e *Engine) lineShard(i int, addr uint64) *shard {
+	return e.shards[i*e.units+e.routeOf(addr)]
+}
+
+// TestSimulatorBasicRun replays a short gcc stream on the serial engine
+// and checks every scheme's basic accounting.
 func TestSimulatorBasicRun(t *testing.T) {
 	schemes := schemesForTest(t, "Baseline", "WLCRC-16")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	p, _ := workload.ProfileByName("gcc")
 	src := &workload.Limited{Src: workload.NewGenerator(p, 256, 1), N: 500}
 	if err := s.Run(src, 0); err != nil {
@@ -50,9 +76,11 @@ func TestSimulatorBasicRun(t *testing.T) {
 	}
 }
 
+// TestSimulatorRunMaxLimit pins the max-request contract of the serial
+// engine on an infinite generator.
 func TestSimulatorRunMaxLimit(t *testing.T) {
 	schemes := schemesForTest(t, "Baseline")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	p, _ := workload.ProfileByName("mcf")
 	if err := s.Run(workload.NewGenerator(p, 128, 2), 100); err != nil {
 		t.Fatal(err)
@@ -66,7 +94,7 @@ func TestWLCRCBeatsBaselineOnBenchmarks(t *testing.T) {
 	// The headline claim at small scale: WLCRC-16 must use substantially
 	// less write energy than the baseline on biased workloads.
 	schemes := schemesForTest(t, "Baseline", "WLCRC-16")
-	s := New(DefaultOptions(), schemes...)
+	s := newSerialEngine(DefaultOptions(), schemes...)
 	for _, name := range []string{"gcc", "mcf", "lesl"} {
 		p, _ := workload.ProfileByName(name)
 		if err := s.Run(&workload.Limited{Src: workload.NewGenerator(p, 256, 3), N: 800}, 0); err != nil {
@@ -86,10 +114,10 @@ func TestWLCRCBeatsBaselineOnBenchmarks(t *testing.T) {
 
 func TestVerifyCatchesCorruption(t *testing.T) {
 	// A scheme that decodes wrongly must surface as an error.
-	s := New(DefaultOptions(), brokenScheme{})
+	s := newSerialEngine(DefaultOptions(), brokenScheme{})
 	var req trace.Request
 	req.New.SetWord(0, 42)
-	err := s.Write(req)
+	err := s.Run(&trace.SliceSource{Reqs: []trace.Request{req}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "decode mismatch") {
 		t.Fatalf("err = %v, want decode mismatch", err)
 	}
@@ -110,8 +138,8 @@ func (b brokenScheme) DecodeInto(cells []pcm.State, dst *memline.Line) {
 	dst[0] ^= 0xff
 }
 
-// DecodePlanesInto mirrors the scalar corruption so the breakage
-// surfaces on whichever storage path the shard resolves.
+// DecodePlanesInto mirrors the cell-decode corruption so the breakage
+// surfaces on the plane path the shard stores lines through.
 func (b brokenScheme) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	b.Baseline.DecodePlanesInto(planes, dst)
 	dst[0] ^= 0xff
@@ -122,14 +150,14 @@ func TestDisturbSampledVsExpected(t *testing.T) {
 	// in aggregate.
 	p, _ := workload.ProfileByName("zeus")
 
-	exp := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	exp := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	if err := exp.Run(&workload.Limited{Src: workload.NewGenerator(p, 256, 4), N: 1500}, 0); err != nil {
 		t.Fatal(err)
 	}
 	optsS := DefaultOptions()
 	optsS.SampleDisturb = true
 	optsS.Seed = 12345
-	smp := New(optsS, schemesForTest(t, "Baseline")...)
+	smp := newSerialEngine(optsS, schemesForTest(t, "Baseline")...)
 	if err := smp.Run(&workload.Limited{Src: workload.NewGenerator(p, 256, 4), N: 1500}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +172,7 @@ func TestDisturbSampledVsExpected(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	s := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	p, _ := workload.ProfileByName("libq")
 	s.Run(&workload.Limited{Src: workload.NewGenerator(p, 64, 5), N: 50}, 0)
 	s.Reset()
@@ -154,7 +182,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestMetricsForUnknown(t *testing.T) {
-	s := New(DefaultOptions(), schemesForTest(t, "Baseline")...)
+	s := newSerialEngine(DefaultOptions(), schemesForTest(t, "Baseline")...)
 	if _, ok := s.MetricsFor("nope"); ok {
 		t.Error("MetricsFor(nope) succeeded")
 	}

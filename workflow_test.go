@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -116,5 +118,110 @@ func TestWorkflowsHaveNoDuplicateKeys(t *testing.T) {
 		for _, d := range duplicateKeys(string(doc)) {
 			t.Errorf("%s: duplicate key at %s", f, d)
 		}
+	}
+}
+
+// benchCommand is one `go test -bench P ... PKG` invocation found in a
+// workflow: the -bench pattern and the package directory it runs in.
+type benchCommand struct {
+	line    int
+	pattern string
+	pkg     string
+}
+
+// benchCmd matches one single-line `go test ... -bench P ... PKG`
+// invocation, capturing the -bench pattern and the first package
+// argument after it ("." or "./...").
+var benchCmd = regexp.MustCompile(`go test .*?-bench[ =]'?([^' ]+)'?.*? (\.|\./\S*)(?:\s|$)`)
+
+// benchCommands extracts every `go test` command with a -bench flag
+// from a workflow document, one command per line.
+func benchCommands(doc string) []benchCommand {
+	var out []benchCommand
+	for n, line := range strings.Split(doc, "\n") {
+		if m := benchCmd.FindStringSubmatch(line); m != nil {
+			out = append(out, benchCommand{line: n + 1, pattern: m[1], pkg: m[2]})
+		}
+	}
+	return out
+}
+
+// benchFuncs returns the names of the top-level benchmark functions
+// declared in the _test.go files of dir.
+func benchFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`(?m)^func (Benchmark\w*)\(b \*testing\.B\)`)
+	var names []string
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
+}
+
+// TestWorkflowBenchPatternsMatch guards the benchmark steps of every
+// workflow: `go test -bench P` exits 0 when P matches nothing, so a
+// step left pointing at a package a benchmark has moved out of would
+// silently measure nothing — and a gate reading its output would fail
+// only for lack of input, or not at all. Every -bench pattern must
+// match at least one Benchmark function of the package its command
+// runs in (the pattern's first '/'-separated element is what Go
+// matches against top-level benchmark names).
+func TestWorkflowBenchPatternsMatch(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join(".github", "workflows", "*.y*ml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bc := range benchCommands(string(doc)) {
+			top, _, _ := strings.Cut(bc.pattern, "/")
+			re, err := regexp.Compile(top)
+			if err != nil {
+				t.Errorf("%s:%d: bad -bench pattern %q: %v", f, bc.line, bc.pattern, err)
+				continue
+			}
+			names := benchFuncs(t, bc.pkg)
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("%s:%d: -bench %q matches no benchmark in %s", f, bc.line, bc.pattern, bc.pkg)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no -bench commands found in the workflows")
+	}
+}
+
+func TestBenchCommandsParse(t *testing.T) {
+	doc := `      - name: Bench smoke
+        run: |
+          go test -run xxx -bench 'BenchmarkReplay' -benchtime 1x .
+          go test -run xxx -bench 'BenchmarkSWAR|BenchmarkScalar' -benchtime 1x ./internal/coset/
+          go test -run xxx -bench 'BenchmarkEngineRun' -benchtime 2x -count 3 ./internal/sim/ | tee out.txt
+      - run: cd perfbench && go test .
+      - run: go test -run 'Fuzz' ./internal/sim/
+`
+	got := benchCommands(doc)
+	want := []benchCommand{
+		{line: 3, pattern: "BenchmarkReplay", pkg: "."},
+		{line: 4, pattern: "BenchmarkSWAR|BenchmarkScalar", pkg: "./internal/coset/"},
+		{line: 5, pattern: "BenchmarkEngineRun", pkg: "./internal/sim/"},
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("benchCommands = %+v, want %+v", got, want)
 	}
 }
