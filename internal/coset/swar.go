@@ -87,13 +87,20 @@ func (p *WordPlanes) SetOld(old []pcm.State) {
 // PackStates packs the first 32 states of cells into compacted planes:
 // bit c of lo/hi is the low/high bit of cells[c].
 func PackStates(cells []pcm.State) (lo, hi uint64) {
+	return memline.LoHiPlanes(InterleaveStates(cells))
+}
+
+// InterleaveStates packs the first 32 states of cells into one word in
+// the interleaved layout of a data word: cell c's state sits at bits 2c
+// (low bit) and 2c+1 (high bit). PackStates is its plane form.
+func InterleaveStates(cells []pcm.State) uint64 {
 	c := (*[memline.WordCells]pcm.State)(cells[:memline.WordCells])
 	var z uint64
 	for b := 0; b < 8; b++ {
 		i := 4 * b
 		z |= uint64(c[i]&3|c[i+1]&3<<2|c[i+2]&3<<4|c[i+3]&3<<6) << uint(8*b)
 	}
-	return memline.LoHiPlanes(z)
+	return z
 }
 
 // stateLUT expands a (lo nibble, hi nibble) plane pair back into four

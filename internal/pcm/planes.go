@@ -16,10 +16,14 @@ import "math/bits"
 // popcounts and prices the counts once through the same formula as the
 // scalar DiffWrite (EnergyModel.price), so the two agree bit for bit
 // under any model, and both equal the per-cell sum under the repo's
-// integer-valued models. Disturbance stays a per-cell walk in ascending
-// cell order: with a sampler each exposed cell draws from the PRNG, so
-// the draw sequence is the cell order, and the expected-value sum adds
-// non-integer DERs, where regrouping would change the rounding.
+// integer-valued models. Disturbance is masked word-parallel and then
+// summed per cell: the cells in a zero-DER state (S2 under Table II)
+// are cleared from the exposure mask up front, and the rest are walked
+// region by region in ascending cell order. The walk stays ordered for
+// the same reasons as CountDisturb's: with a sampler each exposed cell
+// draws from the PRNG, so the draw sequence is the cell order, and the
+// expected-value sum adds non-integer DERs, where regrouping would
+// change the rounding.
 
 // planeWordCells is the number of cells per plane word pair.
 const planeWordCells = 32
@@ -60,13 +64,35 @@ func (m *EnergyModel) DiffWriteMasks(oldP, newP, masks []uint64, dataCells int) 
 	return m.price(&c)
 }
 
+// zeroDERMask returns the minterm mask of the cells of one plane word
+// pair whose state has a zero DER, from selectors zero[s] that are
+// all-ones when DER[s] == 0.
+func zeroDERMask(zero *[NumStates]uint64, lo, hi uint64) uint64 {
+	return ^(lo|hi)&zero[S1] | lo&^hi&zero[S2] | hi&^lo&zero[S3] | lo&hi&zero[S4]
+}
+
 // CountDisturbMasks is CountDisturb over a plane-resident post-write
 // line and its changed-cell masks. Exposure is the same immediate-
 // neighbor model: an idle cell next to at least one programmed cell is
 // disturbed with probability DER[state]. totalCells bounds the valid
 // cells of the final word — tail bits read as S1, whose DER is
 // nonzero, so they must be masked out rather than trusted to skip.
+//
+// Cells whose state has a zero DER are cleared from each word's
+// exposure mask through one minterm mask per model, so no cell is
+// tested for p == 0. The mask is then split once into its data and aux
+// cells, and each region is walked in ascending cell order; data cells
+// precede aux cells, so the whole line is still visited in cell order.
+// Each accumulator adds the same DERs in the same order as
+// CountDisturb, and a sampler draws for exactly the same cells in the
+// same order.
 func (dm *DisturbModel) CountDisturbMasks(newP, masks []uint64, totalCells, dataCells int, rnd Sampler) DisturbStats {
+	var zero [NumStates]uint64
+	for s, p := range dm.DER {
+		if p == 0 {
+			zero[s] = ^uint64(0)
+		}
+	}
 	var st DisturbStats
 	nw := len(masks)
 	const wordMask = 1<<planeWordCells - 1
@@ -87,28 +113,52 @@ func (dm *DisturbModel) CountDisturbMasks(newP, masks []uint64, totalCells, data
 			}
 			exp &= 1<<uint(rem) - 1
 		}
+		lo, hi := newP[2*w], newP[2*w+1]
+		exp &^= zeroDERMask(&zero, lo, hi)
 		if exp == 0 {
 			continue
 		}
-		lo, hi := newP[2*w], newP[2*w+1]
-		for ; exp != 0; exp &= exp - 1 {
-			b := bits.TrailingZeros64(exp)
-			p := dm.DER[lo>>uint(b)&1|(hi>>uint(b)&1)<<1]
-			if p == 0 {
-				continue
-			}
-			var hit float64
-			if rnd == nil {
-				hit = p
-			} else if rnd.Bool(p) {
-				hit = 1
-			}
-			if base+b < dataCells {
-				st.ErrorsData += hit
-			} else {
-				st.ErrorsAux += hit
-			}
+		var data uint64
+		switch d := dataCells - base; {
+		case d >= planeWordCells:
+			data = exp
+		case d > 0:
+			data = exp & (1<<uint(d) - 1)
+		}
+		aux := exp &^ data
+		if rnd == nil {
+			st.ErrorsData = dm.sumDER(st.ErrorsData, data, lo, hi)
+			st.ErrorsAux = dm.sumDER(st.ErrorsAux, aux, lo, hi)
+		} else {
+			st.ErrorsData = dm.sampleDER(st.ErrorsData, data, lo, hi, rnd)
+			st.ErrorsAux = dm.sampleDER(st.ErrorsAux, aux, lo, hi, rnd)
 		}
 	}
 	return st
+}
+
+// derAt returns the DER of cell b of a plane word pair.
+func (dm *DisturbModel) derAt(lo, hi uint64, b int) float64 {
+	return dm.DER[lo>>uint(b)&1|hi>>uint(b)<<1&2]
+}
+
+// sumDER adds the DER of every cell of exp to acc, in ascending cell
+// order: the expected-value accounting of one region of one word.
+func (dm *DisturbModel) sumDER(acc float64, exp, lo, hi uint64) float64 {
+	for ; exp != 0; exp &= exp - 1 {
+		acc += dm.derAt(lo, hi, bits.TrailingZeros64(exp))
+	}
+	return acc
+}
+
+// sampleDER draws once per cell of exp, in ascending cell order, with
+// the cell's DER, and adds 1 to acc per hit — the sampled accounting of
+// one region of one word.
+func (dm *DisturbModel) sampleDER(acc float64, exp, lo, hi uint64, rnd Sampler) float64 {
+	for ; exp != 0; exp &= exp - 1 {
+		if rnd.Bool(dm.derAt(lo, hi, bits.TrailingZeros64(exp))) {
+			acc++
+		}
+	}
+	return acc
 }

@@ -115,7 +115,8 @@ func packedModel(v uint64) EnergyModel {
 const tableIIPacked = 36 | 20<<22 | 307<<34 | 547<<46
 
 // maskEquivCase cross-checks the plane-mask accounting against the
-// scalar reference for one (old, new) pair under energy model em:
+// scalar reference for one (old, new) pair under energy model em and
+// disturbance model dm:
 // DiffWriteMasks must produce the exact WriteStats of DiffWrite and
 // DiffWriteMask (all three count by target state and price through the
 // same formula, so they agree bit for bit under any model), plus the
@@ -124,9 +125,8 @@ const tableIIPacked = 36 | 20<<22 | 307<<34 | 547<<46
 // produce the exact DisturbStats of CountDisturb under both
 // expected-value and sampled accounting, with identical PRNG draw
 // sequences.
-func maskEquivCase(t *testing.T, em EnergyModel, old, new []State, dataCells int, seed uint64) {
+func maskEquivCase(t *testing.T, em EnergyModel, dm DisturbModel, old, new []State, dataCells int, seed uint64) {
 	t.Helper()
-	dm := DefaultDisturb()
 	n := len(old)
 
 	wantW := em.DiffWrite(old, new, dataCells)
@@ -164,7 +164,7 @@ func maskEquivCase(t *testing.T, em EnergyModel, old, new []State, dataCells int
 	wantD := dm.CountDisturb(new, wantCh, dataCells, nil)
 	gotD := dm.CountDisturbMasks(newP, masks, n, dataCells, nil)
 	if wantD != gotD {
-		t.Fatalf("CountDisturbMasks = %+v, CountDisturb = %+v", gotD, wantD)
+		t.Fatalf("DER %v: CountDisturbMasks = %+v, CountDisturb = %+v", dm.DER, gotD, wantD)
 	}
 
 	// Sampled disturbance: identical stats from identical seeds, and the
@@ -173,10 +173,10 @@ func maskEquivCase(t *testing.T, em EnergyModel, old, new []State, dataCells int
 	wantS := dm.CountDisturb(new, wantCh, dataCells, r1)
 	gotS := dm.CountDisturbMasks(newP, masks, n, dataCells, r2)
 	if wantS != gotS {
-		t.Fatalf("sampled CountDisturbMasks = %+v, CountDisturb = %+v", gotS, wantS)
+		t.Fatalf("DER %v: sampled CountDisturbMasks = %+v, CountDisturb = %+v", dm.DER, gotS, wantS)
 	}
 	if a, b := r1.Uint64(), r2.Uint64(); a != b {
-		t.Fatalf("sampled paths consumed different draw counts (next draws %#x vs %#x)", a, b)
+		t.Fatalf("DER %v: sampled paths consumed different draw counts (next draws %#x vs %#x)", dm.DER, a, b)
 	}
 }
 
@@ -199,7 +199,7 @@ func TestPlaneMaskAccountingMatchesScalar(t *testing.T) {
 					new[sz.n/2] = (new[sz.n/2] + 1) % NumStates
 				}
 			}
-			maskEquivCase(t, DefaultEnergy(), old, new, sz.data, uint64(trial)+1)
+			maskEquivCase(t, DefaultEnergy(), DefaultDisturb(), old, new, sz.data, uint64(trial)+1)
 		}
 	}
 }
@@ -228,7 +228,7 @@ func FuzzPlaneMaskAccounting(f *testing.F) {
 			new[i] = State(b[i%len(b)] % 4)
 		}
 		dataCells := int(dataSel) % (n + 1)
-		maskEquivCase(t, packedModel(model), old, new, dataCells, uint64(dataSel)+7)
+		maskEquivCase(t, packedModel(model), DefaultDisturb(), old, new, dataCells, uint64(dataSel)+7)
 	})
 }
 
@@ -245,7 +245,7 @@ func TestGroupedPricingMatchesOrderedOracle(t *testing.T) {
 	for _, em := range models {
 		for _, sz := range []struct{ n, data int }{{258, 256}, {268, 256}, {257, 256}, {33, 32}} {
 			for trial := 0; trial < 20; trial++ {
-				maskEquivCase(t, em, randStates(r, sz.n), randStates(r, sz.n), sz.data, uint64(trial)+1)
+				maskEquivCase(t, em, DefaultDisturb(), randStates(r, sz.n), randStates(r, sz.n), sz.data, uint64(trial)+1)
 			}
 		}
 	}
@@ -266,7 +266,31 @@ func TestPlaneScalarAgreeNonInteger(t *testing.T) {
 			t.Fatalf("randModel drew an integer model %+v", em)
 		}
 		for trial := 0; trial < 20; trial++ {
-			maskEquivCase(t, em, randStates(r, 268), randStates(r, 268), 256, uint64(trial)+1)
+			maskEquivCase(t, em, DefaultDisturb(), randStates(r, 268), randStates(r, 268), 256, uint64(trial)+1)
+		}
+	}
+}
+
+// TestZeroDERPatterns sweeps every zero/nonzero pattern of the four
+// per-state DERs, with seeded non-integer nonzero rates, so the
+// zero-DER minterm mask of CountDisturbMasks is exercised for each
+// state and every combination of states, not only Table II's immune
+// S2. Expected-value sums must match CountDisturb bit for bit and the
+// sampled path must draw for exactly the same cells, over the scheme
+// geometries (257, 258, 268 cells) and a one-cell tail word (33).
+func TestZeroDERPatterns(t *testing.T) {
+	r := prng.New(1711)
+	for pattern := 0; pattern < 1<<NumStates; pattern++ {
+		var dm DisturbModel
+		for s := range dm.DER {
+			if pattern>>uint(s)&1 != 0 {
+				dm.DER[s] = 0.05 + 0.9*r.Float64()
+			}
+		}
+		for _, sz := range []struct{ n, data int }{{257, 256}, {258, 256}, {268, 256}, {33, 32}} {
+			for trial := 0; trial < 12; trial++ {
+				maskEquivCase(t, DefaultEnergy(), dm, randStates(r, sz.n), randStates(r, sz.n), sz.data, uint64(trial)+1)
+			}
 		}
 	}
 }

@@ -35,8 +35,9 @@ func fuzzOld(oldBits []byte, n int) []pcm.State {
 
 // FuzzVCCRoundTrip asserts, for arbitrary plaintext, old states, keys,
 // addresses and counters: the full-line encode decodes bit-exactly back
-// to the plaintext, and every word's SWAR candidate choice and output
-// states match the scalar CostTable reference.
+// to the plaintext, and every word's candidate choice and output states
+// in the cell and the plane encoder match the scalar CostTable
+// reference.
 func FuzzVCCRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), byte(2))
 	f.Add([]byte{0xFF, 0x00, 0xAA}, uint64(1), uint64(1), uint64(7), byte(0))
@@ -53,31 +54,13 @@ func FuzzVCCRoundTrip(f *testing.F) {
 		old := fuzzOld(raw, s.TotalCells())
 		dst := make([]pcm.State, s.TotalCells())
 		s.EncodeCtrInto(dst, old, addr, ctr, &data)
-
 		var got memline.Line
 		s.DecodeCtrInto(dst, addr, ctr, &got)
 		if !got.Equal(&data) {
 			t.Fatalf("VCC-%d: round trip failed (addr %#x ctr %d key %#x)", n, addr, ctr, key)
 		}
 
-		var pad [memline.LineWords]uint64
-		var vecs [MaxCandidates][memline.LineWords]uint64
-		s.cipher.Candidates(addr, ctr, n, &pad, &vecs)
-		var idx [memline.LineWords]uint8
-		s.unpackIndices(dst[memline.LineCells:s.TotalCells()], &idx)
-		var refOut [memline.WordCells]pcm.State
-		for w := 0; w < memline.LineWords; w++ {
-			refIdx := s.encodeWordScalar(data.Word(w)^pad[w], &vecs, w, old[w*memline.WordCells:], refOut[:])
-			if refIdx != idx[w] {
-				t.Fatalf("word %d: SWAR index %d != scalar %d", w, idx[w], refIdx)
-			}
-			for c := 0; c < memline.WordCells; c++ {
-				if dst[w*memline.WordCells+c] != refOut[c] {
-					t.Fatalf("word %d cell %d: SWAR %v != scalar %v", w, c,
-						dst[w*memline.WordCells+c], refOut[c])
-				}
-			}
-		}
+		checkAgainstScalar(t, s, old, addr, ctr, &data)
 	})
 }
 

@@ -2,6 +2,7 @@ package vcc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
@@ -23,7 +24,16 @@ import (
 //
 // Scheme implements core.CounterScheme (cells) and
 // core.CounterPlaneScheme (bit planes, the form replay frontends store
-// lines through); both share one candidate sweep and agree bit for bit.
+// lines through); both run the one candidate sweep, bestCandidate, and
+// agree bit for bit. The sweep prices in the interleaved "spread"
+// domain of a data word, where cell c sits at bits 2c and 2c+1: the
+// old states are spread once per word, each candidate is priced
+// straight from the XORed ciphertext word, and only the winner is
+// compacted into state planes. Counts become energy through a product
+// table (prod[s][k] = k·WriteEnergy(s)), summed over s in ascending
+// order exactly as coset.SWARTable.CostOf sums, so no multiply runs per
+// candidate.
+//
 // The counter-blind EncodeInto/DecodeInto forms use (addr=0, ctr=0) — a
 // degenerate static-whitening mode kept for the generic Scheme
 // contract; replay frontends always drive the counter-aware path. There
@@ -38,35 +48,44 @@ type Scheme struct {
 	idxBits int // bits per stored index: log2(n)
 	cipher  Cipher
 	em      pcm.EnergyModel
-	// swar prices and applies the fixed C1 mapping word-parallel; tab is
-	// the scalar CostTable the reference encoder and tests price with.
+	// swar applies the fixed C1 mapping (and its inverse) word-parallel.
 	swar coset.SWARTable
-	tab  coset.CostTable
+	// symPol[s] is the spread polarity word of the data symbol C1 maps
+	// to state s (see fieldIs); prod[s][k] is k·WriteEnergy(s). A word
+	// has 32 cells, which bounds every per-state count.
+	symPol [pcm.NumStates]uint64
+	prod   [pcm.NumStates][memline.WordCells + 1]float64
 }
 
 // New builds a VCC scheme with n candidate vectors per word (2, 4 or 8)
 // under the given energy model. key 0 means DefaultKey.
 func New(em pcm.EnergyModel, n int, key uint64) (*Scheme, error) {
-	bits := 0
+	idxBits := 0
 	switch n {
 	case 2:
-		bits = 1
+		idxBits = 1
 	case 4:
-		bits = 2
+		idxBits = 2
 	case 8:
-		bits = 3
+		idxBits = 3
 	default:
 		return nil, fmt.Errorf("vcc: candidate count %d not in {2,4,8}", n)
 	}
-	return &Scheme{
+	s := &Scheme{
 		name:    fmt.Sprintf("VCC-%d", n),
 		n:       n,
-		idxBits: bits,
+		idxBits: idxBits,
 		cipher:  Cipher{Key: key},
 		em:      em,
 		swar:    coset.C1.SWAR(&em),
-		tab:     coset.C1.CostTable(&em),
-	}, nil
+	}
+	for st := range s.prod {
+		s.symPol[st] = fieldPol(s.swar.Inv[st])
+		for k := range s.prod[st] {
+			s.prod[st][k] = float64(k) * s.swar.Energy[st]
+		}
+	}
+	return s, nil
 }
 
 // Name implements core.Scheme.
@@ -125,10 +144,9 @@ func (s *Scheme) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *mem
 	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
 
 	var idx [memline.LineWords]uint8
-	var p coset.WordPlanes
 	for w := 0; w < memline.LineWords; w++ {
-		p.Init(data.Word(w)^pad[w], old[w*memline.WordCells:(w+1)*memline.WordCells])
-		best, nlo, nhi := s.bestCandidate(&p, &vecs, w)
+		cells := old[w*memline.WordCells : (w+1)*memline.WordCells]
+		best, nlo, nhi := s.bestCandidate(data.Word(w)^pad[w], coset.InterleaveStates(cells), &vecs, w)
 		idx[w] = uint8(best)
 		coset.UnpackStates(nlo, nhi, dst[w*memline.WordCells:(w+1)*memline.WordCells])
 	}
@@ -136,46 +154,72 @@ func (s *Scheme) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *mem
 }
 
 // EncodeCtrPlanesInto implements core.CounterPlaneScheme: the same
-// candidate sweep as EncodeCtrInto, pricing against the stored planes
-// through SetOldPlanes and writing each winner's planes directly; the
-// indices go straight into the tail word pair.
+// candidate sweep as EncodeCtrInto, spreading the stored planes of each
+// word and writing each winner's planes directly; the indices go
+// straight into the tail word pair.
 func (s *Scheme) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
 	var pad [memline.LineWords]uint64
 	var vecs [MaxCandidates][memline.LineWords]uint64
 	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
 
 	var idx uint64
-	var p coset.WordPlanes
 	for w := 0; w < memline.LineWords; w++ {
-		p.SetData(data.Word(w) ^ pad[w])
-		p.SetOldPlanes(old[2*w], old[2*w+1])
-		best, nlo, nhi := s.bestCandidate(&p, &vecs, w)
+		spread := memline.InterleavePlanes(old[2*w], old[2*w+1])
+		best, nlo, nhi := s.bestCandidate(data.Word(w)^pad[w], spread, &vecs, w)
 		idx |= uint64(best) << uint(w*s.idxBits)
 		dst[2*w], dst[2*w+1] = nlo, nhi
 	}
 	dst[tailWord], dst[tailWord+1] = auxPlanes(idx, memline.LineWords*s.idxBits)
 }
 
+// spreadLo selects bit 2c of every cell c of a spread word.
+const spreadLo = 0x5555555555555555
+
+// fieldPol returns the polarity word of the 2-bit value v: XORing a
+// spread word with it turns exactly the cells holding v into 0b11.
+func fieldPol(v uint8) uint64 {
+	return ^(uint64(v&3) * spreadLo)
+}
+
+// fieldIs returns, at bit 2c, whether cell c of the spread word x holds
+// the value whose polarity word is pol.
+func fieldIs(x, pol uint64) uint64 {
+	t := x ^ pol
+	return t & (t >> 1) & spreadLo
+}
+
 // bestCandidate returns the index of word w's cheapest candidate and
-// the state planes it stores: the ciphertext XORed with the candidate,
-// mapped through C1. p holds the ciphertext word's data planes and the
-// stored states. Candidate 0 is the zero vector, so the ciphertext is
-// priced directly; ties keep the lower index.
-func (s *Scheme) bestCandidate(p *coset.WordPlanes, vecs *[MaxCandidates][memline.LineWords]uint64, w int) (best int, lo, hi uint64) {
-	bestCost, _ := s.swar.CostCount(p, coset.AllCells)
-	blo, bhi := p.Lo, p.Hi
+// the state planes it stores: the ciphertext word cw XORed with the
+// candidate, mapped through C1. old is the word's stored states in the
+// spread layout (cell c at bits 2c and 2c+1). Candidate c programs the
+// cells whose symbol in cw^vecs[c][w] maps to state s wherever the
+// stored state is not already s, so each candidate costs one XOR and
+// four masked popcounts, priced through prod; candidate 0 is the zero
+// vector, so the ciphertext is priced directly. Ties keep the lower
+// index. Only the winner is compacted into planes.
+func (s *Scheme) bestCandidate(cw, old uint64, vecs *[MaxCandidates][memline.LineWords]uint64, w int) (best int, lo, hi uint64) {
+	// k<st>: cells not already in state st, at their even bits; p<st>:
+	// the polarity word of the symbol C1 maps to st.
+	k0 := spreadLo &^ fieldIs(old, fieldPol(0))
+	k1 := spreadLo &^ fieldIs(old, fieldPol(1))
+	k2 := spreadLo &^ fieldIs(old, fieldPol(2))
+	k3 := spreadLo &^ fieldIs(old, fieldPol(3))
+	p0, p1, p2, p3 := s.symPol[0], s.symPol[1], s.symPol[2], s.symPol[3]
+	prod := &s.prod
+	price := func(x uint64) float64 {
+		n0 := bits.OnesCount64(fieldIs(x, p0) & k0)
+		n1 := bits.OnesCount64(fieldIs(x, p1) & k1)
+		n2 := bits.OnesCount64(fieldIs(x, p2) & k2)
+		n3 := bits.OnesCount64(fieldIs(x, p3) & k3)
+		return prod[0][n0] + prod[1][n1] + prod[2][n2] + prod[3][n3]
+	}
+	bestCost := price(cw)
 	for c := 1; c < s.n; c++ {
-		// LoHiPlanes is linear over XOR, so the candidate's planes are
-		// two XORs — the word is never re-extracted.
-		vlo, vhi := memline.LoHiPlanes(vecs[c][w])
-		vlo, vhi = p.Lo^vlo, p.Hi^vhi
-		var cnt [4]int
-		s.swar.CountsPlanes(vlo, vhi, p, coset.AllCells, &cnt)
-		if cost, _ := s.swar.CostOf(&cnt); cost < bestCost {
-			best, bestCost, blo, bhi = c, cost, vlo, vhi
+		if cost := price(cw ^ vecs[c][w]); cost < bestCost {
+			best, bestCost = c, cost
 		}
 	}
-	lo, hi = s.swar.ApplyPlanes(blo, bhi)
+	lo, hi = s.swar.ApplyPlanes(memline.LoHiPlanes(cw ^ vecs[best][w]))
 	return best, lo, hi
 }
 
@@ -260,24 +304,4 @@ func (s *Scheme) unpackIndices(aux []pcm.State, idx *[memline.LineWords]uint8) {
 			k++
 		}
 	}
-}
-
-// encodeWordScalar is the per-cell reference of the SWAR word path: it
-// prices every candidate with the scalar CostTable, applies the winner
-// symbol by symbol, and returns the chosen index. Equivalence tests and
-// fuzz targets assert SWAR == scalar bit for bit.
-func (s *Scheme) encodeWordScalar(cipherWord uint64, vecs *[MaxCandidates][memline.LineWords]uint64, w int, old, out []pcm.State) uint8 {
-	best, bestCost := 0, 0.0
-	for c := 0; c < s.n; c++ {
-		var syms [memline.WordCells]uint8
-		memline.WordSymbols(cipherWord^vecs[c][w], &syms)
-		cost := s.tab.BlockCost(syms[:], old[:memline.WordCells])
-		if c == 0 || cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	var syms [memline.WordCells]uint8
-	memline.WordSymbols(cipherWord^vecs[best][w], &syms)
-	s.tab.Encode(syms[:], out[:memline.WordCells])
-	return uint8(best)
 }

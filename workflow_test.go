@@ -225,3 +225,127 @@ func TestBenchCommandsParse(t *testing.T) {
 		t.Errorf("benchCommands = %+v, want %+v", got, want)
 	}
 }
+
+// fuzzPackages returns, as "./dir" paths, every package directory under
+// the repository root whose _test.go files declare a Fuzz target.
+func fuzzPackages(t *testing.T) []string {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func Fuzz\w*\(f \*testing\.F\)`)
+	var pkgs []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if pkg := "./" + filepath.ToSlash(filepath.Dir(path)); decl.Match(src) && !slices.Contains(pkgs, pkg) {
+			pkgs = append(pkgs, pkg)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkgs
+}
+
+// stepRun returns the run text of the workflow step whose name starts
+// with prefix: the "run:" line or block scalar that follows its
+// "- name:" line, up to the next step.
+func stepRun(doc, prefix string) (string, bool) {
+	lines := strings.Split(doc, "\n")
+	for i, line := range lines {
+		text := strings.TrimSpace(line)
+		if !strings.HasPrefix(text, "- name: "+prefix) {
+			continue
+		}
+		var run []string
+		for _, l := range lines[i+1:] {
+			if strings.HasPrefix(strings.TrimSpace(l), "- ") {
+				break
+			}
+			run = append(run, l)
+		}
+		return strings.Join(run, "\n"), true
+	}
+	return "", false
+}
+
+// packageArgs returns the "./dir" package arguments of a run text,
+// trailing slashes stripped.
+func packageArgs(run string) []string {
+	var out []string
+	for _, f := range strings.Fields(run) {
+		f = strings.Trim(f, `"';`)
+		if strings.HasPrefix(f, "./") {
+			out = append(out, strings.TrimSuffix(f, "/"))
+		}
+	}
+	return out
+}
+
+// TestWorkflowFuzzesEveryTarget guards the two fuzz steps of ci.yml:
+// both list their packages by hand, so a package that gains its first
+// Fuzz target would otherwise be skipped by the corpus replay and the
+// live fuzz smoke alike. Every package declaring a Fuzz target must be
+// listed in both steps.
+func TestWorkflowFuzzesEveryTarget(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := fuzzPackages(t)
+	if len(pkgs) == 0 {
+		t.Fatal("no Fuzz targets found")
+	}
+	for _, step := range []string{"Fuzz corpus replay", "Fuzz smoke"} {
+		run, ok := stepRun(string(doc), step)
+		if !ok {
+			t.Errorf("ci.yml has no %q step", step)
+			continue
+		}
+		listed := packageArgs(run)
+		for _, pkg := range pkgs {
+			if !slices.Contains(listed, pkg) {
+				t.Errorf("ci.yml step %q does not fuzz %s", step, pkg)
+			}
+		}
+	}
+}
+
+func TestStepRunParse(t *testing.T) {
+	doc := `    steps:
+      - name: Fuzz corpus replay (short)
+        run: |
+          go test -run 'Fuzz' ./internal/coset/ ./internal/vcc/
+      - name: Fuzz smoke (live)
+        run: |
+          for pkg in ./internal/coset ./internal/pcm; do
+            go test -fuzz . "$pkg"
+          done
+      - name: Next
+        run: go test ./internal/other/
+`
+	run, ok := stepRun(doc, "Fuzz corpus replay")
+	if got := packageArgs(run); !ok || !slices.Equal(got, []string{"./internal/coset", "./internal/vcc"}) {
+		t.Errorf("corpus replay packages = %q (found %v)", got, ok)
+	}
+	run, ok = stepRun(doc, "Fuzz smoke")
+	if got := packageArgs(run); !ok || !slices.Equal(got, []string{"./internal/coset", "./internal/pcm"}) {
+		t.Errorf("fuzz smoke packages = %q (found %v)", got, ok)
+	}
+	if _, ok := stepRun(doc, "Missing"); ok {
+		t.Error("stepRun found a step that does not exist")
+	}
+}
