@@ -253,14 +253,11 @@ func benchReplay(b *testing.B, workers int) {
 
 func BenchmarkReplaySerial(b *testing.B) { benchReplay(b, 1) }
 
-func BenchmarkReplayParallel(b *testing.B) { benchReplay(b, runtime.GOMAXPROCS(0)) }
-
 // BenchmarkReplayParallelScaling replays the fixture at fixed worker
-// counts — the scaling curve the benchguard replay_parallel_pr6 series
-// gates. Fixed counts (not GOMAXPROCS) keep the series comparable
-// across machines: benchguard reads the workers=1 time as the serial
-// baseline and gates the parallel/serial wall-clock ratio, never
-// absolute times.
+// counts — the scaling curve the benchguard replay gate reads. Fixed
+// counts (not GOMAXPROCS) keep the series comparable across machines:
+// benchguard reads the workers=1 time as the serial baseline and gates
+// the parallel/serial wall-clock ratio, never absolute times.
 func BenchmarkReplayParallelScaling(b *testing.B) {
 	schemes, src := engineFixture(b)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -111,8 +111,7 @@ type Spec struct {
 	// Series, when set, records the finished job's per-scheme average
 	// write energy (pJ/write) under this series name in the store —
 	// keyed by scheme name for single-workload jobs and
-	// "workload/scheme" otherwise — so runs are comparable across days
-	// and benchguard -from-store can gate them.
+	// "workload/scheme" otherwise — so runs are comparable across days.
 	Series string `json:"series,omitempty"`
 }
 

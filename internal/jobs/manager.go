@@ -374,8 +374,7 @@ func (m *Manager) persist(st Status) error {
 
 // persistSeries records the finished job's per-scheme average write
 // energy under its Series name: scheme-name keys for single-workload
-// jobs (the BENCH_encode.json key shape) and "workload/scheme" keys
-// for sweeps.
+// jobs and "workload/scheme" keys for sweeps.
 func (m *Manager) persistSeries(st Status) {
 	if m.cfg.Store == nil || st.Spec.Series == "" || st.State != StateDone {
 		return

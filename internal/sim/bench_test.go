@@ -140,7 +140,7 @@ func BenchmarkEngineRun(b *testing.B) {
 
 // BenchmarkEngineRunFaults measures the fault model's replay cost at
 // the engine layer on the BenchmarkEngineRun fixture: "off" is the
-// fault-free configuration the benchguard fault_free_pr8 gate holds
+// fault-free configuration the benchguard faultfree gate holds
 // within 5% of the pre-fault-model engine (the stuck-map check must
 // compile out to one nil test per request), "on" pays for live stuck
 // maps, wear thresholds and repair classification.
@@ -184,7 +184,7 @@ func BenchmarkEngineRunFaults(b *testing.B) {
 // with Workers: 1 on its plane arena, storage=scalar the cell-vector
 // reference store of the tests (scalarOracle). Results are
 // bit-identical (TestScalarStorageBitIdentical); only wall-clock
-// changes. benchguard -arena gates the scalar/planes wall-clock ratio —
+// changes. The benchguard arena gate reads the scalar/planes wall-clock ratio —
 // a same-box number that is meaningful on any machine, unlike absolute
 // times — so a regression that erases the arena's advantage, such as
 // cell-level settle work creeping back into the hot loop, fails CI.

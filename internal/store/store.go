@@ -2,7 +2,7 @@
 // daemon: it records finished (and interrupted) simulation jobs — the
 // spec that launched them plus the per-scheme Metrics, fault stats and
 // wear digests they produced — and named bench series compatible with
-// the BENCH_encode.json regression baselines, so runs survive a server
+// the BENCH_encode.json regression gates, so runs survive a server
 // restart and stay queryable and comparable across days.
 //
 // The only implementation today is JSONL (Open): append-only JSON-lines
@@ -65,9 +65,9 @@ type JobRecord struct {
 
 // SeriesPoint is one observation of a named bench series: a flat
 // key→value map in the same shape cmd/benchguard parses out of `go test
-// -bench` output (scheme → ns/op, "workers=N" → ns/run, ...), so
-// server-recorded series feed the same regression gates as
-// BENCH_encode.json. Jobs with a Series label record their per-scheme
+// -bench` output (full benchmark name → ns/op, such as
+// "BenchmarkIngest/mapped"), so a series named after a BENCH_encode.json
+// gate row feeds that row's regression gate. Jobs with a Series label record their per-scheme
 // pJ/write here; CI pushes measured bench maps over POST /v1/series.
 type SeriesPoint struct {
 	Name   string             `json:"name"`

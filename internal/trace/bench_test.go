@@ -11,7 +11,7 @@ import (
 // benchRecords is the per-pass record count for BenchmarkIngest. Every
 // sub-benchmark decodes exactly this many records per iteration, so the
 // ns/op of the three paths are directly comparable and their ratio is
-// the per-record decode-cost ratio cmd/benchguard -ingest gates.
+// the per-record decode-cost ratio the cmd/benchguard ingest gate reads.
 const benchRecords = 4096
 
 // BenchmarkIngest measures pure trace-decode throughput through the

@@ -1,6 +1,7 @@
 package wlcrc_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,14 +169,30 @@ func benchFuncs(t *testing.T, dir string) []string {
 	return names
 }
 
+// checkBenchPattern reports an error unless the -bench pattern matches
+// at least one Benchmark function of the package in dir (the pattern's
+// first '/'-separated element is what Go matches against top-level
+// benchmark names).
+func checkBenchPattern(t *testing.T, where, pattern, dir string) {
+	t.Helper()
+	top, _, _ := strings.Cut(pattern, "/")
+	re, err := regexp.Compile(top)
+	if err != nil {
+		t.Errorf("%s: bad -bench pattern %q: %v", where, pattern, err)
+		return
+	}
+	if !slices.ContainsFunc(benchFuncs(t, dir), re.MatchString) {
+		t.Errorf("%s: -bench %q matches no benchmark in %s", where, pattern, dir)
+	}
+}
+
 // TestWorkflowBenchPatternsMatch guards the benchmark steps of every
 // workflow: `go test -bench P` exits 0 when P matches nothing, so a
 // step left pointing at a package a benchmark has moved out of would
 // silently measure nothing — and a gate reading its output would fail
 // only for lack of input, or not at all. Every -bench pattern must
 // match at least one Benchmark function of the package its command
-// runs in (the pattern's first '/'-separated element is what Go
-// matches against top-level benchmark names).
+// runs in.
 func TestWorkflowBenchPatternsMatch(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join(".github", "workflows", "*.y*ml"))
 	if err != nil {
@@ -188,21 +205,93 @@ func TestWorkflowBenchPatternsMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, bc := range benchCommands(string(doc)) {
-			top, _, _ := strings.Cut(bc.pattern, "/")
-			re, err := regexp.Compile(top)
-			if err != nil {
-				t.Errorf("%s:%d: bad -bench pattern %q: %v", f, bc.line, bc.pattern, err)
-				continue
-			}
-			names := benchFuncs(t, bc.pkg)
-			if !slices.ContainsFunc(names, re.MatchString) {
-				t.Errorf("%s:%d: -bench %q matches no benchmark in %s", f, bc.line, bc.pattern, bc.pkg)
-			}
+			checkBenchPattern(t, fmt.Sprintf("%s:%d", f, bc.line), bc.pattern, bc.pkg)
 			checked++
 		}
 	}
 	if checked == 0 {
 		t.Fatal("no -bench commands found in the workflows")
+	}
+}
+
+// gateRow is the command half of one row of the BENCH_encode.json gate
+// table, which the bench-guard CI job runs for every row.
+type gateRow struct {
+	Name      string `json:"name"`
+	Pkg       string `json:"pkg"`
+	Bench     string `json:"bench"`
+	Benchtime string `json:"benchtime"`
+	Count     int    `json:"count"`
+}
+
+// TestGateRowsBenchPatternsMatch applies the workflow check to the
+// commands the bench-guard job takes from the gate table: every row's
+// -bench pattern must match a Benchmark function in its package, and
+// every field the job splits `benchguard -list` lines into must be one
+// non-empty word.
+func TestGateRowsBenchPatternsMatch(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_encode.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table struct {
+		Gates []gateRow `json:"gates"`
+	}
+	if err := json.Unmarshal(raw, &table); err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Gates) == 0 {
+		t.Fatal("BENCH_encode.json has no gate rows")
+	}
+	for _, r := range table.Gates {
+		fields := []string{r.Name, r.Pkg, r.Bench, r.Benchtime}
+		if slices.ContainsFunc(fields, func(f string) bool { return f == "" || strings.ContainsAny(f, " \t\n") }) || r.Count <= 0 {
+			t.Errorf("BENCH_encode.json gate %+v: name, pkg, bench and benchtime must be single words, count positive", r)
+			continue
+		}
+		checkBenchPattern(t, "BENCH_encode.json gate "+r.Name, r.Bench, r.Pkg)
+	}
+}
+
+// jobText returns the body of the named job of a workflow document: the
+// lines after its "  name:" header up to the next job.
+func jobText(doc, job string) (string, bool) {
+	_, rest, ok := strings.Cut(doc, "\n  "+job+":\n")
+	if !ok {
+		return "", false
+	}
+	var body []string
+	for _, line := range strings.Split(rest, "\n") {
+		if len(line) > 2 && line[:2] == "  " && line[2] != ' ' {
+			break
+		}
+		body = append(body, line)
+	}
+	return strings.Join(body, "\n"), true
+}
+
+// TestBenchGuardJobUsesGateTable checks that the bench-guard job takes
+// its commands and gates from the BENCH_encode.json table — benchguard
+// -list and -gate — rather than from benchguard's retired per-mode flags.
+func TestBenchGuardJobUsesGateTable(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, ok := jobText(string(doc), "bench-guard")
+	if !ok {
+		t.Fatal("ci.yml has no bench-guard job")
+	}
+	for _, use := range []string{"benchguard -list", "benchguard -gate"} {
+		if !strings.Contains(job, use) {
+			t.Errorf("bench-guard job does not call %s", use)
+		}
+	}
+	retired := regexp.MustCompile(`benchguard\b.*\s-(replay|replay-tolerance|ingest|faultfree|arena|tolerance|series)\b`)
+	for _, line := range strings.Split(job, "\n") {
+		if m := retired.FindStringSubmatch(line); m != nil {
+			t.Errorf("bench-guard job uses the removed benchguard flag -%s: %s", m[1], strings.TrimSpace(line))
+		}
 	}
 }
 
