@@ -18,7 +18,6 @@ import (
 	"wlcrc/internal/coset"
 	"wlcrc/internal/exp"
 	"wlcrc/internal/hw"
-	"wlcrc/internal/pcm"
 	"wlcrc/internal/sim"
 	"wlcrc/internal/trace"
 	"wlcrc/internal/workload"
@@ -331,35 +330,6 @@ func encodePool(b *testing.B) (warm, data []wlcrc.Line) {
 	return warm, data
 }
 
-// BenchmarkEncodeInto measures the bare codec hot path — EncodeInto
-// over a rotating set of steady-state (old, data) pairs, no memory map
-// or metrics in the loop. This is the headline series BENCH_encode.json
-// tracks; allocs/op must be 0 for every scheme.
-func BenchmarkEncodeInto(b *testing.B) {
-	for _, name := range wlcrc.SchemeNames() {
-		b.Run(name, func(b *testing.B) {
-			sch := wlcrc.MustScheme(name)
-			warm, data := encodePool(b)
-			// Pre-encode the warm lines so the measured loop rewrites
-			// warmed cell states, like steady-state replay.
-			olds := make([][]pcm.State, len(warm))
-			fresh := core.InitialCells(sch.TotalCells())
-			for i := range olds {
-				olds[i] = make([]pcm.State, sch.TotalCells())
-				sch.EncodeInto(olds[i], fresh, &warm[i])
-			}
-			dst := make([]pcm.State, sch.TotalCells())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % len(olds)
-				sch.EncodeInto(dst, olds[k], &data[k])
-			}
-			b.SetBytes(64)
-		})
-	}
-}
-
 // planePool encodes the encodePool fixture with the keyed plane codec
 // replay stores a scheme's lines through: the warm lines' planes and,
 // for each, the planes of its rewrite. Pool line k lives at address k;
@@ -381,8 +351,11 @@ func planePool(b *testing.B, name string) (ps core.CounterPlaneScheme, olds, new
 	return ps, olds, news, data
 }
 
-// BenchmarkEncodePlanesInto is BenchmarkEncodeInto for the keyed plane
-// codec, which replay runs for every scheme; allocs/op must be 0.
+// BenchmarkEncodePlanesInto measures the bare codec hot path — the
+// keyed plane encode replay runs for every scheme — over a rotating set
+// of steady-state (old, data) pairs, no memory map or metrics in the
+// loop. This is the headline series the encode row of BENCH_encode.json
+// gates; allocs/op must be 0 for every scheme.
 func BenchmarkEncodePlanesInto(b *testing.B) {
 	for _, name := range wlcrc.SchemeNames() {
 		b.Run(name, func(b *testing.B) {
@@ -411,34 +384,6 @@ func BenchmarkDecodePlanesInto(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				k := i % len(news)
 				ps.DecodeCtrPlanesInto(news[k], uint64(k), 2, &out)
-			}
-			b.SetBytes(64)
-		})
-	}
-}
-
-// BenchmarkDecodeInto is the decode-side counterpart.
-func BenchmarkDecodeInto(b *testing.B) {
-	for _, name := range wlcrc.SchemeNames() {
-		b.Run(name, func(b *testing.B) {
-			sch := wlcrc.MustScheme(name)
-			w, err := wlcrc.NewWorkload("gcc", 64, 9)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const pool = 64
-			cells := make([][]pcm.State, pool)
-			fresh := core.InitialCells(sch.TotalCells())
-			for i := range cells {
-				data := w.Next().New
-				cells[i] = make([]pcm.State, sch.TotalCells())
-				sch.EncodeInto(cells[i], fresh, &data)
-			}
-			var out wlcrc.Line
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sch.DecodeInto(cells[i%pool], &out)
 			}
 			b.SetBytes(64)
 		})

@@ -299,7 +299,7 @@ func measured(dir, name string) (map[string]float64, error) {
 // per benchmark name (averaging -count repeats). Each result is recorded
 // twice: under its name as printed, and with the trailing "-N" stripped.
 // Whether that suffix is Go's -GOMAXPROCS decoration or part of the
-// benchmark's own name (BenchmarkEncodeInto/WLCRC-16 on a GOMAXPROCS=1
+// benchmark's own name (BenchmarkEncodePlanesInto/WLCRC-16 on a GOMAXPROCS=1
 // box has no decoration) cannot be told apart locally, so both candidate
 // keys are recorded — the wrong variant never matches a committed key,
 // while picking one interpretation silently dropped real schemes from

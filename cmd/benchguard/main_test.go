@@ -64,7 +64,7 @@ func TestMeasuredParsesInput(t *testing.T) {
 		"BenchmarkIngest/reader-2 100 300000 ns/op",
 		"BenchmarkIngest/reader-2 100 310000 ns/op",
 		"BenchmarkIngest/mapped-2 100 40000 ns/op 0 B/op",
-		"BenchmarkEncodeInto/WLCRC-16 100 1500 ns/op",
+		"BenchmarkEncodePlanesInto/WLCRC-16 100 1500 ns/op",
 		"PASS",
 	}, "\n"))
 	got, err := parseBench(in)
@@ -74,7 +74,7 @@ func TestMeasuredParsesInput(t *testing.T) {
 	want := map[string]float64{
 		"BenchmarkIngest/reader": 305000, "BenchmarkIngest/reader-2": 305000,
 		"BenchmarkIngest/mapped": 40000, "BenchmarkIngest/mapped-2": 40000,
-		"BenchmarkEncodeInto/WLCRC-16": 1500, "BenchmarkEncodeInto/WLCRC": 1500,
+		"BenchmarkEncodePlanesInto/WLCRC-16": 1500, "BenchmarkEncodePlanesInto/WLCRC": 1500,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseBench = %v, want %v", got, want)
@@ -180,8 +180,26 @@ func TestCommittedGatesTrip(t *testing.T) {
 		"encode/pr3": 0.10, "encode/vcc_pr5": 0.10,
 		"replay": 1.313, "ingest": 0.5, "faultfree": 1.05, "arena": 1.15,
 	}
+	// The encode row gates the plane codec replay runs: every baseline
+	// key is one of its sub-benchmarks, 12 plane schemes and 4 keyed.
+	families := map[string]int{"pr3": 12, "vcc_pr5": 4}
 	seen := map[string]bool{}
 	for _, r := range tab.Gates {
+		if r.Name == "encode" {
+			if r.Bench != "BenchmarkEncodePlanesInto" {
+				t.Errorf("gate encode runs %s, want BenchmarkEncodePlanesInto", r.Bench)
+			}
+			for _, c := range r.Checks {
+				if len(c.NSPerOp) != families[c.Family] {
+					t.Errorf("encode/%s: %d baselines, want %d", c.Family, len(c.NSPerOp), families[c.Family])
+				}
+				for k := range c.NSPerOp {
+					if !strings.HasPrefix(k, r.Bench+"/") {
+						t.Errorf("encode/%s: baseline %s is not a %s sub-benchmark", c.Family, k, r.Bench)
+					}
+				}
+			}
+		}
 		run, ok := runs[r.Name]
 		if !ok {
 			t.Errorf("gate %s: no committed record to build a run from", r.Name)

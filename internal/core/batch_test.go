@@ -4,8 +4,8 @@ import (
 	"slices"
 	"testing"
 
+	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
-	"wlcrc/internal/pcm"
 	"wlcrc/internal/prng"
 )
 
@@ -26,31 +26,29 @@ func batchSchemes(t *testing.T) []Scheme {
 
 // TestEncodeBatchMatchesPerLine is the batch entry point's contract: for
 // every scheme, one EncodePlaneBatch call over a run of address-distinct
-// jobs must produce, job for job, exactly the packed cell vector the
-// per-line counter-aware cell encode produces — and every encoded line
-// must still decode back to its data.
+// jobs must produce, job for job, exactly the planes the per-line keyed
+// plane encode produces — and every encoded line must still decode back
+// to its data.
 func TestEncodeBatchMatchesPerLine(t *testing.T) {
 	rnd := prng.New(99)
 	for _, s := range batchSchemes(t) {
 		t.Run(s.Name(), func(t *testing.T) {
-			n := s.TotalCells()
-			enc := EncodeCtrFunc(s)
+			width := coset.PlaneWords(s.TotalCells())
 			cs := CtrPlaneCodec(s)
 			for round := 0; round < 8; round++ {
 				const runLen = 7
 				jobs := make([]PlaneEncodeJob, runLen)
 				data := make([]memline.Line, runLen)
-				olds := make([][]pcm.State, runLen)
 				for k := 0; k < runLen; k++ {
 					data[k] = randomBiasedLine(rnd)
-					olds[k] = InitialCells(n)
+					old := make([]uint64, width)
 					if round > 0 { // rewrite path: start from a previous encode
-						enc(olds[k], InitialCells(n), uint64(k), 1, &data[k])
+						cs.EncodeCtrPlanesInto(old, make([]uint64, width), uint64(k), 1, &data[k])
 						data[k] = randomBiasedLine(rnd)
 					}
 					jobs[k] = PlaneEncodeJob{
-						Dst:  packedPlanes(make([]pcm.State, n)),
-						Old:  packedPlanes(olds[k]),
+						Dst:  make([]uint64, width),
+						Old:  old,
 						Addr: uint64(round*runLen + k),
 						Ctr:  uint64(round + 1),
 						Data: &data[k],
@@ -59,10 +57,10 @@ func TestEncodeBatchMatchesPerLine(t *testing.T) {
 				EncodePlaneBatch(cs, jobs)
 				for k := range jobs {
 					j := &jobs[k]
-					want := make([]pcm.State, n)
-					enc(want, olds[k], j.Addr, j.Ctr, &data[k])
-					if !slices.Equal(j.Dst, packedPlanes(want)) {
-						t.Fatalf("round %d job %d: batch encode differs from the packed per-line cell encode",
+					want := make([]uint64, width)
+					cs.EncodeCtrPlanesInto(want, j.Old, j.Addr, j.Ctr, &data[k])
+					if !slices.Equal(j.Dst, want) {
+						t.Fatalf("round %d job %d: batch encode differs from the per-line plane encode",
 							round, k)
 					}
 					var back memline.Line

@@ -26,8 +26,7 @@ import (
 // 16-bit mode gets the lowest-energy state.
 type COC4 struct {
 	em   pcm.EnergyModel
-	tabs []coset.CostTable // Table I candidate pricing
-	swar []coset.SWARTable // word-parallel pricing/apply of the same candidates
+	swar []coset.SWARTable // word-parallel pricing/apply of the Table I candidates
 }
 
 const (
@@ -47,7 +46,6 @@ const (
 func NewCOC4(cfg Config) *COC4 {
 	return &COC4{
 		em:   cfg.Energy,
-		tabs: coset.CostTables(&cfg.Energy, coset.Table1[:]),
 		swar: coset.SWARTables(&cfg.Energy, coset.Table1[:]),
 	}
 }
@@ -65,98 +63,4 @@ func (*COC4) DataCells() int { return memline.LineCells }
 // modes (the paper: COC compresses more than 90% of lines).
 func (s *COC4) Compressible(data *memline.Line) bool {
 	return compress.COCSize(data) <= coc32PayloadBits
-}
-
-// CompressedWrite implements CompressionGate: both the 16- and the
-// 32-bit mode count as encoded; only the raw fallback does not.
-func (s *COC4) CompressedWrite(cells []pcm.State) bool {
-	flag := cells[memline.LineCells]
-	return flag == cocFlag16 || flag == cocFlag32
-}
-
-// Encode implements Scheme.
-func (s *COC4) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme.
-func (s *COC4) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	copy(dst, old)
-	var backing [(compress.COCMaxBits + 7) / 8]byte
-	w := compress.WrapBitWriter(backing[:])
-	bits := compress.COCCompressTo(data, &w)
-	switch {
-	case bits <= coc16PayloadBits:
-		s.encodeMode(dst, old, w.Bytes(), coc16PayloadCells, 8, coc16Blocks)
-		dst[memline.LineCells] = cocFlag16
-	case bits <= coc32PayloadBits:
-		s.encodeMode(dst, old, w.Bytes(), coc32PayloadCells, 16, coc32Blocks)
-		dst[memline.LineCells] = cocFlag32
-	default:
-		rawEncode(data, dst)
-		dst[memline.LineCells] = cocFlagRaw
-	}
-}
-
-// encodeMode coset-encodes the compressed payload. blockCells is the
-// block granularity in cells (8 = 16 bits, 16 = 32 bits).
-func (s *COC4) encodeMode(out, old []pcm.State, buf []byte, payloadCells, blockCells, nblocks int) {
-	// View the (zero-padded) compressed stream as a line prefix.
-	var payload memline.Line
-	copy(payload[:], buf)
-	var lp linePlanes
-	lp.initWords(&payload, old, (payloadCells+memline.WordCells-1)/memline.WordCells)
-	var ns newStates
-	var auxBits [2 * coc16Blocks]uint8
-	for b := 0; b < nblocks; b++ {
-		lo := b * blockCells
-		hi := lo + blockCells
-		idx, _ := lp.bestBlock(s.swar, lo, hi)
-		ns.applyBlock(&s.swar[idx], &lp, lo, hi)
-		auxBits[2*b] = uint8(idx) & 1
-		auxBits[2*b+1] = uint8(idx) >> 1
-	}
-	// Only the payload cells are unpacked; the aux region and anything
-	// beyond keep their old states until PackBitsToStates below.
-	ns.unpack(out, payloadCells)
-	coset.PackBitsToStates(auxBits[:2*nblocks], out[payloadCells:payloadCells+nblocks])
-}
-
-// Decode implements Scheme.
-func (s *COC4) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	s.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (s *COC4) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	switch cells[memline.LineCells] {
-	case cocFlag16:
-		*dst = s.decodeMode(cells, coc16PayloadCells, 8, coc16Blocks)
-	case cocFlag32:
-		*dst = s.decodeMode(cells, coc32PayloadCells, 16, coc32Blocks)
-	default:
-		rawDecodeInto(cells, dst)
-	}
-}
-
-func (s *COC4) decodeMode(cells []pcm.State, payloadCells, blockCells, nblocks int) memline.Line {
-	var auxBits [2 * coc16Blocks]uint8
-	coset.UnpackBits(cells[payloadCells:payloadCells+nblocks], auxBits[:2*nblocks])
-	var sp lineStatePlanes
-	sp.initWords(cells, (payloadCells+memline.WordCells-1)/memline.WordCells)
-	var dw dataWords
-	for b := 0; b < nblocks; b++ {
-		lo := b * blockCells
-		idx := int(auxBits[2*b]) | int(auxBits[2*b+1])<<1
-		dw.decodeBlock(&s.swar[idx], &sp, lo, lo+blockCells)
-	}
-	var payload memline.Line
-	for w := 0; w*memline.WordCells < payloadCells; w++ {
-		payload.SetWord(w, dw.word(w))
-	}
-	return compress.COCDecompress(payload[:])
 }

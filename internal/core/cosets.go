@@ -21,7 +21,6 @@ import (
 type LineCosets struct {
 	name       string
 	cands      []coset.Mapping
-	tabs       []coset.CostTable
 	swar       []coset.SWARTable
 	blockBits  int
 	blockCells int
@@ -45,7 +44,6 @@ func NewLineCosets(cfg Config, name string, cands []coset.Mapping, blockBits int
 	s := &LineCosets{
 		name:       name,
 		cands:      cands,
-		tabs:       coset.CostTables(&cfg.Energy, cands),
 		swar:       coset.SWARTables(&cfg.Energy, cands),
 		blockBits:  blockBits,
 		blockCells: blockBits / 2,
@@ -75,82 +73,6 @@ func (s *LineCosets) TotalCells() int {
 // DataCells implements Scheme.
 func (s *LineCosets) DataCells() int { return memline.LineCells }
 
-// Encode implements Scheme.
-func (s *LineCosets) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme. Each block independently picks the
-// candidate with minimum differential-write energy by word-parallel
-// masked pricing on the line's bit-planes; its index goes to the block's
-// auxiliary cells.
-func (s *LineCosets) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	// Every data cell is unpacked and every block writes its aux cells,
-	// so dst needs no copy-from-old.
-	var lp linePlanes
-	lp.init(data, old)
-	var ns newStates
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		hi := lo + s.blockCells
-		idx, _ := lp.bestBlock(s.swar, lo, hi)
-		ns.applyBlock(&s.swar[idx], &lp, lo, hi)
-		s.writeAux(dst, b, idx)
-	}
-	ns.unpack(dst, memline.LineCells)
-}
-
-func (s *LineCosets) writeAux(out []pcm.State, block, idx int) {
-	base := memline.LineCells + block*s.auxPerBlk
-	if s.auxPerBlk == 1 {
-		// §IX.A: candidate Ci is stored directly as state Si, so the
-		// frequent C1/C2 keep the aux cell in a low-energy state.
-		out[base] = pcm.State(idx)
-		return
-	}
-	pair := s.pairs[idx]
-	out[base] = pair[0]
-	out[base+1] = pair[1]
-}
-
-func (s *LineCosets) readAux(cells []pcm.State, block int) int {
-	base := memline.LineCells + block*s.auxPerBlk
-	if s.auxPerBlk == 1 {
-		idx := int(cells[base])
-		if idx >= len(s.cands) {
-			idx = 0
-		}
-		return idx
-	}
-	if idx, ok := s.pairIdx[[2]pcm.State{cells[base], cells[base+1]}]; ok {
-		return idx
-	}
-	return 0
-}
-
-// Decode implements Scheme.
-func (s *LineCosets) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	s.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (s *LineCosets) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	var sp lineStatePlanes
-	sp.init(cells)
-	var dw dataWords
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		dw.decodeBlock(&s.swar[s.readAux(cells, b)], &sp, lo, lo+s.blockCells)
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dw.word(w))
-	}
-}
-
 // RestrictedLineCosets is the line-level restricted coset encoding of §V
 // (called 3-r-cosets in Figure 5): every block of the line is encoded
 // with one of two candidates from a per-line group — either {C1,C2} or
@@ -163,10 +85,8 @@ type RestrictedLineCosets struct {
 	blockCells int
 	nblocks    int
 	em         pcm.EnergyModel
-	tab1       coset.CostTable    // C1
-	tabAlt     [2]coset.CostTable // C2, C3 — the two group alternates
-	swar1      coset.SWARTable
-	swarAlt    [2]coset.SWARTable
+	swar1      coset.SWARTable    // C1
+	swarAlt    [2]coset.SWARTable // C2, C3 — the two group alternates
 }
 
 // NewRestrictedLineCosets builds the 3-r-cosets scheme at the given block
@@ -181,8 +101,6 @@ func NewRestrictedLineCosets(cfg Config, blockBits int) *RestrictedLineCosets {
 		blockCells: blockBits / 2,
 		nblocks:    memline.LineBits / blockBits,
 		em:         cfg.Energy,
-		tab1:       coset.C1.CostTable(&cfg.Energy),
-		tabAlt:     [2]coset.CostTable{coset.C2.CostTable(&cfg.Energy), coset.C3.CostTable(&cfg.Energy)},
 		swar1:      coset.C1.SWAR(&cfg.Energy),
 		swarAlt:    [2]coset.SWARTable{coset.C2.SWAR(&cfg.Energy), coset.C3.SWAR(&cfg.Energy)},
 	}
@@ -207,85 +125,3 @@ func (s *RestrictedLineCosets) DataCells() int { return memline.LineCells }
 // rlcMaxBlocks bounds the per-line block count (2-bit blocks) for the
 // fixed plan scratch.
 const rlcMaxBlocks = memline.LineBits / 2
-
-// Encode implements Scheme.
-func (s *RestrictedLineCosets) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme: §V's three steps — encode every block
-// with {C1,C2}, encode every block with {C1,C3}, keep the better line.
-func (s *RestrictedLineCosets) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	var lp linePlanes
-	lp.init(data, old)
-	var costs [2]float64
-	var choices [2][rlcMaxBlocks]uint8 // per block: 0 = C1, 1 = group alternate
-	for g := 0; g < 2; g++ {
-		alt := &s.swarAlt[g]
-		var total float64
-		for b := 0; b < s.nblocks; b++ {
-			lo := b * s.blockCells
-			hi := lo + s.blockCells
-			c1, _ := lp.blockCost(&s.swar1, lo, hi)
-			ca, _ := lp.blockCost(alt, lo, hi)
-			if ca < c1 {
-				choices[g][b] = 1
-				total += ca
-			} else {
-				total += c1
-			}
-		}
-		costs[g] = total
-	}
-	group := 0
-	if costs[1] < costs[0] {
-		group = 1
-	}
-	alt := &s.swarAlt[group]
-	choice := &choices[group]
-
-	var ns newStates
-	var bits [1 + rlcMaxBlocks]uint8
-	bits[0] = uint8(group)
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		tab := &s.swar1
-		if choice[b] == 1 {
-			tab = alt
-		}
-		ns.applyBlock(tab, &lp, lo, lo+s.blockCells)
-		bits[1+b] = choice[b]
-	}
-	ns.unpack(dst, memline.LineCells)
-	coset.PackBitsToStates(bits[:1+s.nblocks], dst[memline.LineCells:])
-}
-
-// Decode implements Scheme.
-func (s *RestrictedLineCosets) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	s.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (s *RestrictedLineCosets) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	var bits [1 + rlcMaxBlocks]uint8
-	coset.UnpackBits(cells[memline.LineCells:], bits[:1+s.nblocks])
-	alt := &s.swarAlt[bits[0]&1]
-	var sp lineStatePlanes
-	sp.init(cells)
-	var dw dataWords
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		tab := &s.swar1
-		if bits[1+b] == 1 {
-			tab = alt
-		}
-		dw.decodeBlock(tab, &sp, lo, lo+s.blockCells)
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dw.word(w))
-	}
-}

@@ -24,10 +24,10 @@ import (
 //	[0,   492)  3-to-4 expansion of the FPC+BDI stream zero-padded to 369 bits
 //	[492, 512)  BCH parity
 //
-// The cell and plane codecs share one word-parallel transform: FPC+BDI
-// is sized before only a fitting winner is written, 3-to-4 tables work a
-// stored word at a time, and a decode whose parity matches (every write
-// without injected faults) skips the BCH decoder.
+// The transform is word-parallel: FPC+BDI is sized before only a
+// fitting winner is written, 3-to-4 tables work a stored word at a time,
+// and a decode whose parity matches (every write without injected
+// faults) skips the BCH decoder.
 type DIN struct {
 	em    pcm.EnergyModel
 	codec *bch.Code
@@ -89,58 +89,25 @@ func (d *DIN) Compressible(data *memline.Line) bool {
 	return compress.FPCBDISize(data) <= dinMaxCompressed
 }
 
-// CompressedWrite implements CompressionGate.
-func (d *DIN) CompressedWrite(cells []pcm.State) bool {
-	return cells[memline.LineCells] == flagCompressed
-}
-
-// Encode implements Scheme.
-func (d *DIN) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, d.TotalCells())
-	d.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme.
-func (d *DIN) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	var stored memline.Line
-	l, flag := d.storedLine(data, &stored)
-	rawEncode(l, dst)
-	dst[memline.LineCells] = flag
-}
-
-// Decode implements Scheme.
-func (d *DIN) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	d.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (d *DIN) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	rawDecodeInto(cells, dst)
-	if cells[memline.LineCells] == flagCompressed {
-		*dst = d.decodeStored(dst)
-	}
-}
-
-// CorrectLine runs the BCH verification step of DIN on a stored cell
-// vector with up to two flipped payload bits, returning the number of
-// corrected bits. It is the VnR hook the paper describes.
-func (d *DIN) CorrectLine(cells []pcm.State) int {
-	if cells[memline.LineCells] != flagCompressed {
+// CorrectLine runs the BCH verification step of DIN on a stored
+// plane-resident line with up to two flipped payload bits, correcting
+// it in place and returning the number of corrected bits. It is the VnR
+// hook the paper describes.
+func (d *DIN) CorrectLine(planes []uint64) int {
+	if tailFlag(planes) != flagCompressed {
 		return 0
 	}
-	stored := rawDecode(cells)
+	var stored memline.Line
+	rawDecodePlanes(planes, &stored)
 	n, ok := d.correct(&stored)
 	if !ok {
 		return 0
 	}
-	rawEncode(&stored, cells)
+	rawEncodePlanes(&stored, planes)
 	return n
 }
 
-// storedLine is the front half of both encoders. When the FPC+BDI
+// storedLine is the front half of the encoder. When the FPC+BDI
 // stream fits the gate, it fills stored with the stream's 3-to-4
 // expansion and BCH parity and returns it with the compressed flag;
 // otherwise it returns data itself, to be stored raw.
@@ -163,7 +130,7 @@ func (d *DIN) storedLine(data, stored *memline.Line) (*memline.Line, pcm.State) 
 	return stored, flagCompressed
 }
 
-// decodeStored is the back half of both decoders: it corrects a stored
+// decodeStored is the back half of the decoder: it corrects a stored
 // compressed line in place and returns the data it encodes.
 func (d *DIN) decodeStored(stored *memline.Line) memline.Line {
 	d.correct(stored)

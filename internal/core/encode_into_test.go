@@ -23,65 +23,61 @@ func randomOld(r *prng.Xoshiro256, n int) []pcm.State {
 	return old
 }
 
-// TestEncodeIntoMatchesEncode is the new-vs-old path equivalence
-// property: for every scheme, EncodeInto into garbage-prefilled caller
-// storage must produce exactly the states the allocating Encode wrapper
-// returns, and both must decode back to the written data (through both
-// Decode and DecodeInto), over randomized old-state/data corpora
+// TestEncodeIntoMatchesEncode is the caller-storage contract of the
+// keyed plane codec every frontend stores lines through
+// (CtrPlaneCodec): for every scheme, counter-keyed ones included,
+// EncodeCtrPlanesInto into garbage-prefilled storage must produce
+// exactly the planes it produces into zeroed storage, and
+// DecodeCtrPlanesInto must fully overwrite a garbage destination with
+// the written data, over randomized (addr, ctr, old, data) corpora
 // covering compressible and incompressible content.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	r := prng.New(20260727)
-	for _, s := range allSchemes(t) {
-		n := s.TotalCells()
+	for _, s := range batchSchemes(t) {
+		cs := CtrPlaneCodec(s)
 		for trial := 0; trial < 60; trial++ {
 			data := randomBiasedLine(r)
-			old := randomOld(r, n)
-			want := s.Encode(old, &data)
+			old := packedPlanes(randomOld(r, s.TotalCells()))
+			addr, ctr := r.Uint64()%1024, uint64(trial+1)
+			want := make([]uint64, len(old))
+			cs.EncodeCtrPlanesInto(want, old, addr, ctr, &data)
 
-			// Garbage-prefill dst: EncodeInto must overwrite every cell.
-			dst := make([]pcm.State, n)
+			// Garbage-prefill dst: the encode must overwrite every word.
+			dst := make([]uint64, len(old))
 			for i := range dst {
-				dst[i] = pcm.State(r.Intn(pcm.NumStates))
+				dst[i] = r.Uint64()
 			}
-			s.EncodeInto(dst, old, &data)
+			cs.EncodeCtrPlanesInto(dst, old, addr, ctr, &data)
 			if !reflect.DeepEqual(want, dst) {
-				t.Fatalf("%s: EncodeInto differs from Encode at trial %d", s.Name(), trial)
+				t.Fatalf("%s: encode into garbage differs from encode into zeroes at trial %d", s.Name(), trial)
 			}
-
-			got := s.Decode(dst)
-			if !got.Equal(&data) {
-				t.Fatalf("%s: Decode round trip failed at trial %d", s.Name(), trial)
-			}
-			// DecodeInto must fully overwrite garbage too.
 			var into memline.Line
 			r.Fill(into[:])
-			s.DecodeInto(dst, &into)
+			cs.DecodeCtrPlanesInto(dst, addr, ctr, &into)
 			if !into.Equal(&data) {
-				t.Fatalf("%s: DecodeInto round trip failed at trial %d", s.Name(), trial)
+				t.Fatalf("%s: decode round trip failed at trial %d", s.Name(), trial)
 			}
 		}
 	}
 }
 
-// TestEncodeIntoStableUnderRewrites chains EncodeInto over its own
-// output (the replay steady state, with the buffer-swap discipline the
-// simulator uses) and cross-checks every step against the allocating
-// path.
+// TestEncodeIntoStableUnderRewrites chains the keyed plane codec over
+// its own output (the replay steady state, with the buffer-swap
+// discipline the simulator uses and the write counter advancing per
+// write) and decodes every step.
 func TestEncodeIntoStableUnderRewrites(t *testing.T) {
 	r := prng.New(4242)
-	for _, s := range allSchemes(t) {
-		n := s.TotalCells()
-		stored := InitialCells(n)
-		scratch := make([]pcm.State, n)
+	for _, s := range batchSchemes(t) {
+		cs := CtrPlaneCodec(s)
+		stored := packedPlanes(InitialCells(s.TotalCells()))
+		scratch := make([]uint64, len(stored))
 		for step := 0; step < 25; step++ {
 			data := randomBiasedLine(r)
-			want := s.Encode(stored, &data)
-			s.EncodeInto(scratch, stored, &data)
-			if !reflect.DeepEqual(want, scratch) {
-				t.Fatalf("%s: step %d: EncodeInto diverges from Encode", s.Name(), step)
-			}
+			ctr := uint64(step + 1)
+			cs.EncodeCtrPlanesInto(scratch, stored, 9, ctr, &data)
 			stored, scratch = scratch, stored
-			got := s.Decode(stored)
+			var got memline.Line
+			cs.DecodeCtrPlanesInto(stored, 9, ctr, &got)
 			if !got.Equal(&data) {
 				t.Fatalf("%s: step %d: decode mismatch", s.Name(), step)
 			}
@@ -89,43 +85,48 @@ func TestEncodeIntoStableUnderRewrites(t *testing.T) {
 	}
 }
 
-// TestEncodeIntoDoesNotMutateOld guards the EncodeInto contract the way
-// TestEncodeDoesNotMutateOld guards Encode's.
+// TestEncodeIntoDoesNotMutateOld guards the keyed plane codec's
+// contract that old is read, never written.
 func TestEncodeIntoDoesNotMutateOld(t *testing.T) {
 	r := prng.New(6)
-	for _, s := range allSchemes(t) {
+	for _, s := range batchSchemes(t) {
 		data := randomBiasedLine(r)
-		old := randomOld(r, s.TotalCells())
-		snapshot := append([]pcm.State(nil), old...)
-		dst := make([]pcm.State, s.TotalCells())
-		s.EncodeInto(dst, old, &data)
+		old := packedPlanes(randomOld(r, s.TotalCells()))
+		snapshot := append([]uint64(nil), old...)
+		dst := make([]uint64, len(old))
+		CtrPlaneCodec(s).EncodeCtrPlanesInto(dst, old, 3, 1, &data)
 		if !reflect.DeepEqual(old, snapshot) {
-			t.Errorf("%s: EncodeInto mutated old", s.Name())
+			t.Errorf("%s: EncodeCtrPlanesInto mutated old", s.Name())
 		}
 	}
 }
 
 // TestCompressionGateMatchesFlag pins the hoisted flag-cell convention:
-// the CompressionGate classification must agree with the scheme's
-// Compressible predicate on every write.
+// the PlaneCompressionGate classification must agree with the scheme's
+// Compressible predicate on every write, and the cell-vector form
+// CompressedWriteFunc must agree with it.
 func TestCompressionGateMatchesFlag(t *testing.T) {
-	type compressible interface{ Compressible(*memline.Line) bool }
 	r := prng.New(99)
 	for _, s := range allSchemes(t) {
-		gate, gated := s.(CompressionGate)
+		gate, gated := s.(PlaneCompressionGate)
 		comp, hasComp := s.(compressible)
 		if gated != hasComp {
-			t.Errorf("%s: CompressionGate %v but Compressible %v", s.Name(), gated, hasComp)
+			t.Errorf("%s: PlaneCompressionGate %v but Compressible %v", s.Name(), gated, hasComp)
 			continue
 		}
 		if !gated {
 			continue
 		}
+		cellGate := CompressedWriteFunc(s)
 		for trial := 0; trial < 40; trial++ {
 			data := randomBiasedLine(r)
-			cells := s.Encode(InitialCells(s.TotalCells()), &data)
-			if got, want := gate.CompressedWrite(cells), comp.Compressible(&data); got != want {
-				t.Fatalf("%s: CompressedWrite = %v, Compressible = %v", s.Name(), got, want)
+			cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
+			got, want := gate.CompressedWritePlanes(packedPlanes(cells)), comp.Compressible(&data)
+			if got != want {
+				t.Fatalf("%s: CompressedWritePlanes = %v, Compressible = %v", s.Name(), got, want)
+			}
+			if cellGate(cells) != got {
+				t.Fatalf("%s: CompressedWriteFunc disagrees with CompressedWritePlanes", s.Name())
 			}
 		}
 	}

@@ -58,59 +58,3 @@ func (*FlipMin) TotalCells() int { return memline.LineCells + 2 }
 
 // DataCells implements Scheme.
 func (*FlipMin) DataCells() int { return memline.LineCells }
-
-// Encode implements Scheme.
-func (f *FlipMin) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, f.TotalCells())
-	f.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme: XOR the line's bit-planes with each
-// candidate's plane pair, price the result word-parallel through the C1
-// weights, then materialize only the winner.
-func (f *FlipMin) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	var lp linePlanes
-	lp.init(data, old)
-	bestIdx, bestCost := 0, -1.0
-	for i := range f.maskPlanes {
-		var cnt [4]int
-		for w := 0; w < memline.LineWords; w++ {
-			p := &lp[w]
-			m := &f.maskPlanes[i][w]
-			f.swar.CountsPlanes(p.Lo^m[0], p.Hi^m[1], p, coset.AllCells, &cnt)
-		}
-		cost, _ := f.swar.CostOf(&cnt)
-		if bestCost < 0 || cost < bestCost {
-			bestIdx, bestCost = i, cost
-		}
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		m := &f.maskPlanes[bestIdx][w]
-		nlo, nhi := f.swar.ApplyPlanes(lp[w].Lo^m[0], lp[w].Hi^m[1])
-		coset.UnpackStates(nlo, nhi, dst[w*memline.WordCells:(w+1)*memline.WordCells])
-	}
-	bits := [4]uint8{
-		uint8(bestIdx) & 1, uint8(bestIdx) >> 1 & 1,
-		uint8(bestIdx) >> 2 & 1, uint8(bestIdx) >> 3 & 1,
-	}
-	coset.PackBitsToStates(bits[:], dst[memline.LineCells:])
-}
-
-// Decode implements Scheme.
-func (f *FlipMin) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	f.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (f *FlipMin) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	var bits [4]uint8
-	coset.UnpackBits(cells[memline.LineCells:], bits[:])
-	idx := int(bits[0]) | int(bits[1])<<1 | int(bits[2])<<2 | int(bits[3])<<3
-	rawDecodeInto(cells, dst)
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dst.Word(w)^f.maskWords[idx][w])
-	}
-}

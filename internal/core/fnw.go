@@ -49,61 +49,3 @@ func (*FNW) TotalCells() int { return memline.LineCells + 2 }
 
 // DataCells implements Scheme.
 func (*FNW) DataCells() int { return memline.LineCells }
-
-// Encode implements Scheme.
-func (f *FNW) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, f.TotalCells())
-	f.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme. Complementing a bit pair complements the
-// symbol, so the flipped alternative is just a second mapping priced on
-// the same bit-planes.
-func (f *FNW) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	var lp linePlanes
-	lp.init(data, old)
-	var ns newStates
-	var bits [fnwBlocks]uint8
-	for b := 0; b < fnwBlocks; b++ {
-		lo := b * fnwBlockCells
-		hi := lo + fnwBlockCells
-		costKeep, _ := lp.blockCost(&f.swarKeep, lo, hi)
-		costFlip, _ := lp.blockCost(&f.swarFlip, lo, hi)
-		tab := &f.swarKeep
-		if costFlip < costKeep {
-			bits[b] = 1
-			tab = &f.swarFlip
-		}
-		ns.applyBlock(tab, &lp, lo, hi)
-	}
-	ns.unpack(dst, memline.LineCells)
-	coset.PackBitsToStates(bits[:], dst[memline.LineCells:])
-}
-
-// Decode implements Scheme.
-func (f *FNW) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	f.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (f *FNW) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	var bits [fnwBlocks]uint8
-	coset.UnpackBits(cells[memline.LineCells:], bits[:])
-	var sp lineStatePlanes
-	sp.init(cells)
-	var dw dataWords
-	for b := 0; b < fnwBlocks; b++ {
-		lo := b * fnwBlockCells
-		tab := &f.swarKeep
-		if bits[b] == 1 {
-			tab = &f.swarFlip
-		}
-		dw.decodeBlock(tab, &sp, lo, lo+fnwBlockCells)
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dw.word(w))
-	}
-}

@@ -10,13 +10,13 @@ import (
 //
 // The replay engine stores lines in the bit-plane layout of
 // coset.PlaneWords: (lo, hi) uint64 pairs per 32 cells, tail bits zero.
-// Schemes implementing PlaneScheme (or, keyed by address and write
-// counter, CounterPlaneScheme) encode and decode that layout directly —
-// reading old states and writing new states as planes — so the
-// per-write PackStates/UnpackStates round trips of the scalar API
-// disappear from the hot path. The scalar EncodeInto/DecodeInto
-// implementations remain untouched as the reference the equivalence and
-// fuzz tests hold the plane paths to.
+// Every scheme encodes and decodes that layout directly through
+// PlaneScheme (or, keyed by address and write counter,
+// CounterPlaneScheme) — reading old states and writing new states as
+// planes — so no per-write PackStates/UnpackStates round trip runs on
+// the hot path. These are the only production encoders; the per-cell
+// CostTable references they are tested against live in the tests
+// (swar_equiv_test.go).
 
 // PlaneScheme is the plane-resident codec API. dst and old have
 // coset.PlaneWords(TotalCells()) words and must not alias; every word of
@@ -38,8 +38,14 @@ type CounterPlaneScheme interface {
 	DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line)
 }
 
-// PlaneCompressionGate is CompressionGate for plane-resident lines.
+// PlaneCompressionGate is implemented by compression-gated schemes whose
+// flag cell distinguishes the encoded (compressed) path from the raw
+// fallback. Resolving the gate once at construction time lets the
+// frontends classify writes without per-request name switches; schemes
+// that do not implement it take their encoded path on every write.
 type PlaneCompressionGate interface {
+	// CompressedWritePlanes reports whether the stored line took the
+	// scheme's encoded (compressed) path.
 	CompressedWritePlanes(planes []uint64) bool
 }
 
@@ -53,11 +59,10 @@ func PlaneCodec(s Scheme) (PlaneScheme, bool) {
 }
 
 // CtrPlaneCodec resolves the keyed plane codec the replay frontends
-// store every line through, once at construction, as EncodeCtrFunc does
-// for cells: counter schemes get their own keyed plane pair, every other
-// scheme its PlaneScheme pair with (addr, ctr) ignored. Every scheme
-// NewScheme builds has one of the two; a scheme with neither is a bug,
-// and CtrPlaneCodec panics on it.
+// store every line through, once at construction: counter schemes get
+// their own keyed plane pair, every other scheme its PlaneScheme pair
+// with (addr, ctr) ignored. Every scheme NewScheme builds has one of the
+// two; a scheme with neither is a bug, and CtrPlaneCodec panics on it.
 func CtrPlaneCodec(s Scheme) CounterPlaneScheme {
 	switch c := s.(type) {
 	case CounterPlaneScheme:
@@ -112,8 +117,10 @@ func EncodePlaneBatch(cs CounterPlaneScheme, jobs []PlaneEncodeJob) {
 	}
 }
 
-// rawEncodePlanes is rawEncode straight into plane storage: the fixed C1
-// mapping applied word-parallel, with no state unpacking.
+// rawEncodePlanes fills the 16 data plane words with the default-mapping
+// (C1) states of the line's symbols — the uncompressed fallback path
+// shared by every compression-gated scheme, and the whole of the
+// baseline scheme — applied word-parallel, with no state unpacking.
 func rawEncodePlanes(data *memline.Line, dst []uint64) {
 	for w := 0; w < memline.LineWords; w++ {
 		dst[2*w], dst[2*w+1] = coset.C1SWAR.ApplyPlanes(memline.LoHiPlanes(data.Word(w)))
@@ -156,46 +163,6 @@ func setTailBits4(dst []uint64, b uint8) {
 func tailBits4(planes []uint64) uint8 {
 	lo, hi := planes[tailWord], planes[tailWord+1]
 	return uint8(lo&1) | uint8(hi&1)<<1 | uint8(lo>>1&1)<<2 | uint8(hi>>1&1)<<3
-}
-
-// Plane variants of the line-level SWAR plumbing in swarline.go --------
-
-// initPlanes fills the planes from the line's words and a plane-resident
-// old line — SetOldPlanes instead of PackStates per word.
-func (lp *linePlanes) initPlanes(data *memline.Line, oldP []uint64) {
-	lp.initWordsPlanes(data, oldP, memline.LineWords)
-}
-
-// initWordsPlanes fills only the first n words' planes.
-func (lp *linePlanes) initWordsPlanes(data *memline.Line, oldP []uint64, n int) {
-	for w := 0; w < n; w++ {
-		lp[w].SetData(data.Word(w))
-		lp[w].SetOldPlanes(oldP[2*w], oldP[2*w+1])
-	}
-}
-
-// writePlanes stores the first n accumulated cells into a plane-resident
-// line. Full words overwrite; a final partial word merges, keeping dst's
-// cells at and beyond n (COC4's 32-bit payload ends mid-word and the
-// cells above it keep their old states).
-func (ns *newStates) writePlanes(dst []uint64, n int) {
-	full := n / memline.WordCells
-	for w := 0; w < full; w++ {
-		dst[2*w], dst[2*w+1] = ns.lo[w], ns.hi[w]
-	}
-	if rem := n - full*memline.WordCells; rem > 0 {
-		mask := coset.CellMask(0, rem)
-		dst[2*full] = dst[2*full]&^mask | ns.lo[full]&mask
-		dst[2*full+1] = dst[2*full+1]&^mask | ns.hi[full]&mask
-	}
-}
-
-// fromPlanes loads the first n words' state planes from a plane-resident
-// line — the zero-conversion form of lineStatePlanes.init.
-func (sp *lineStatePlanes) fromPlanes(planes []uint64, n int) {
-	for w := 0; w < n; w++ {
-		sp[w][0], sp[w][1] = planes[2*w], planes[2*w+1]
-	}
 }
 
 // Baseline --------------------------------------------------------------

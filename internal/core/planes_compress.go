@@ -7,9 +7,8 @@ import (
 )
 
 // Plane-native codecs of the compression-gated schemes COC+4cosets and
-// WLC+Ncosets. The compression front-ends are unchanged (they work on
-// the data line, not on cell states); only the coset-state plumbing
-// moves to planes.
+// WLC+Ncosets. The compression front-ends work on the data line; the
+// coset-state plumbing works on planes.
 
 // COC+4cosets -----------------------------------------------------------
 
@@ -39,7 +38,9 @@ func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	}
 }
 
-// encodeModePlanes is encodeMode on plane storage. The aux region —
+// encodeModePlanes coset-encodes the compressed payload, viewed as a
+// zero-padded line prefix, at blockCells-cell granularity (8 = 16 bits,
+// 16 = 32 bits), cheapest Table I candidate per block. The aux region —
 // cells [payloadCells, payloadCells+nblocks), always inside word 7 —
 // is two candidate-index bit vectors merged in with one masked RMW per
 // plane; the cells above it keep the old states the initial copy
@@ -119,12 +120,12 @@ func (s *WLCCosets) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	setTailFlag(dst, flagCompressed)
 }
 
-// encodeWordPlanes is encodeWord with the old states read from planes
-// and the result — data cells plus the reclaimed-field candidate
-// indices — assembled as one plane pair. Aux cell j stores block j's
-// index directly (low bit to the low plane), matching the identity
-// AuxPack layout of the scalar path; reclaimed cells beyond the block
-// count come out S1 exactly like the scalar zero bits.
+// encodeWordPlanes picks each block's cheapest candidate over the
+// word's plane-resident old states and assembles the result — data
+// cells plus the reclaimed-field candidate indices — as one plane pair.
+// Aux cell j stores block j's index directly (low bit to the low
+// plane), the identity AuxPack layout; reclaimed cells beyond the block
+// count come out S1.
 func (s *WLCCosets) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 	var p coset.WordPlanes
 	p.SetData(word)

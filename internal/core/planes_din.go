@@ -2,8 +2,8 @@ package core
 
 import "wlcrc/internal/memline"
 
-// Plane-native DIN codec: the cell codec's front and back halves with
-// the plane forms of rawEncode/rawDecode and the flag in the tail word.
+// Plane-native DIN codec: storedLine and decodeStored around the fixed
+// C1 mapping of the data planes, with the flag in the tail word.
 
 // CompressedWritePlanes implements PlaneCompressionGate.
 func (d *DIN) CompressedWritePlanes(planes []uint64) bool {

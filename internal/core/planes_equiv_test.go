@@ -10,40 +10,6 @@ import (
 	"wlcrc/internal/prng"
 )
 
-// planeSchemes returns every registered scheme that takes the
-// plane-native path (all eight evaluation schemes plus the extra WLCRC
-// granularities; the counter-keyed families are excluded by design).
-func planeSchemes(t testing.TB) []struct {
-	Scheme
-	planes PlaneScheme
-} {
-	cfg := DefaultConfig()
-	names := []string{
-		"Baseline", "FlipMin", "FNW", "DIN", "6cosets", "COC+4cosets",
-		"WLC+4cosets", "WLC+3cosets",
-		"WLCRC-8", "WLCRC-16", "WLCRC-32", "WLCRC-64",
-	}
-	var out []struct {
-		Scheme
-		planes PlaneScheme
-	}
-	for _, n := range names {
-		s, err := NewScheme(n, cfg)
-		if err != nil {
-			t.Fatalf("NewScheme(%q): %v", n, err)
-		}
-		ps, ok := PlaneCodec(s)
-		if !ok {
-			t.Fatalf("%s: expected a plane codec", n)
-		}
-		out = append(out, struct {
-			Scheme
-			planes PlaneScheme
-		}{s, ps})
-	}
-	return out
-}
-
 // packedPlanes packs a cell vector into a fresh plane buffer.
 func packedPlanes(cells []pcm.State) []uint64 {
 	p := make([]uint64, coset.PlaneWords(len(cells)))
@@ -51,39 +17,49 @@ func packedPlanes(cells []pcm.State) []uint64 {
 	return p
 }
 
-// checkPlaneEquivalence runs one (old, data) pair through both codec
-// paths of one scheme and cross-checks everything the replay engine
-// relies on: the encoded planes must be bit-identical to the packed
-// scalar encode, the old planes must survive unmutated, the tail-zero
-// invariant must hold, the plane decode must round-trip to the written
-// data, and the plane compression gate must agree with the scalar gate.
-func checkPlaneEquivalence(t testing.TB, s Scheme, ps PlaneScheme, r *prng.Xoshiro256,
-	old []pcm.State, data *memline.Line) {
-	n := s.TotalCells()
-	want := make([]pcm.State, n)
-	s.EncodeInto(want, old, data)
+// compressible is the compressibility predicate of the gated schemes,
+// which their plane compression gate must agree with.
+type compressible interface{ Compressible(*memline.Line) bool }
+
+// checkPlaneEquivalence runs one (old, data) pair through a scheme's
+// plane codec and cross-checks everything the replay engine relies on:
+// the encoded planes must be bit-identical to the packed scalar
+// reference encode, the old planes must survive unmutated, the
+// tail-zero invariant must hold, the plane decode must round-trip to the
+// written data, and the plane compression gate must agree with the
+// scheme's compressibility predicate.
+func checkPlaneEquivalence(t testing.TB, s Scheme, r *prng.Xoshiro256, old []pcm.State, data *memline.Line) {
+	t.Helper()
+	ps, ok := PlaneCodec(s)
+	if !ok {
+		t.Fatalf("%s: expected a plane codec", s.Name())
+	}
+	want := make([]pcm.State, s.TotalCells())
+	encodeRef(t, s, want, old, data)
 	wantP := packedPlanes(want)
 
 	oldP := packedPlanes(old)
 	oldSnap := append([]uint64(nil), oldP...)
 	// Garbage-prefill dst: EncodePlanesInto must overwrite every word,
-	// including the zero tail bits above cell n.
+	// including the zero tail bits above the last cell.
 	dst := make([]uint64, len(oldP))
 	for i := range dst {
 		dst[i] = r.Uint64()
 	}
 	ps.EncodePlanesInto(dst, oldP, data)
 	if !reflect.DeepEqual(wantP, dst) {
-		t.Fatalf("%s: EncodePlanesInto differs from packed EncodeInto\nold  %v\nwant %x\ngot  %x",
-			s.Name(), old[:8], wantP, dst)
+		got := make([]pcm.State, len(want))
+		coset.UnpackLine(dst, got)
+		for c := range want {
+			if want[c] != got[c] {
+				t.Fatalf("%s: EncodePlanesInto differs from the scalar reference: first mismatch at cell %d: reference %v, planes %v",
+					s.Name(), c, want[c], got[c])
+			}
+		}
+		t.Fatalf("%s: EncodePlanesInto tail bits differ\nwant %x\ngot  %x", s.Name(), wantP, dst)
 	}
 	if !reflect.DeepEqual(oldSnap, oldP) {
 		t.Fatalf("%s: EncodePlanesInto mutated old planes", s.Name())
-	}
-	for c := n; c < 32*len(dst)/2; c++ {
-		if coset.PlaneGet(dst, c) != 0 {
-			t.Fatalf("%s: tail cell %d nonzero after encode", s.Name(), c)
-		}
 	}
 
 	var got memline.Line
@@ -93,38 +69,41 @@ func checkPlaneEquivalence(t testing.TB, s Scheme, ps PlaneScheme, r *prng.Xoshi
 		t.Fatalf("%s: DecodePlanesInto round trip failed", s.Name())
 	}
 
-	if gate, ok := s.(CompressionGate); ok {
-		pg, ok := s.(PlaneCompressionGate)
-		if !ok {
-			t.Fatalf("%s: CompressionGate without PlaneCompressionGate", s.Name())
-		}
-		if sc, pl := gate.CompressedWrite(want), pg.CompressedWritePlanes(dst); sc != pl {
-			t.Fatalf("%s: CompressedWritePlanes = %v, scalar CompressedWrite = %v", s.Name(), pl, sc)
+	pg, gated := s.(PlaneCompressionGate)
+	comp, hasComp := s.(compressible)
+	if gated != hasComp {
+		t.Fatalf("%s: PlaneCompressionGate %v but Compressible %v", s.Name(), gated, hasComp)
+	}
+	if gated {
+		if got, want := pg.CompressedWritePlanes(dst), comp.Compressible(data); got != want {
+			t.Fatalf("%s: CompressedWritePlanes = %v, Compressible = %v", s.Name(), got, want)
 		}
 	}
 }
 
-// TestEncodePlanesMatchesScalar is the plane-native storage PR's core
-// equivalence property, over the randomized corpus the scalar
-// EncodeInto tests use: compressible and incompressible data against
-// fresh and steady-state old vectors.
+// TestEncodePlanesMatchesScalar holds every plane encoder — the
+// registered schemes and the extra granularities of equivSchemes — to
+// its per-cell scalar reference over a randomized corpus: compressible
+// and incompressible data against fresh and steady-state old vectors.
 func TestEncodePlanesMatchesScalar(t *testing.T) {
-	r := prng.New(20260807)
-	for _, s := range planeSchemes(t) {
-		for trial := 0; trial < 60; trial++ {
+	r := prng.New(0x5AA5)
+	for _, s := range equivSchemes(t) {
+		for trial := 0; trial < 80; trial++ {
 			data := randomBiasedLine(r)
 			old := randomOld(r, s.TotalCells())
-			checkPlaneEquivalence(t, s.Scheme, s.planes, r, old, &data)
+			checkPlaneEquivalence(t, s, r, old, &data)
 		}
 	}
 }
 
-// TestEncodePlanesStableUnderRewrites chains both codec paths over
-// their own output in lockstep — the replay steady state — and demands
-// the stored representations stay bit-identical at every step.
+// TestEncodePlanesStableUnderRewrites chains the plane codec and the
+// scalar reference over their own output in lockstep — the replay
+// steady state — and demands the stored representations stay
+// bit-identical at every step.
 func TestEncodePlanesStableUnderRewrites(t *testing.T) {
 	r := prng.New(777)
-	for _, s := range planeSchemes(t) {
+	for _, s := range equivSchemes(t) {
+		ps, _ := PlaneCodec(s)
 		n := s.TotalCells()
 		stored := InitialCells(n)
 		scratch := make([]pcm.State, n)
@@ -132,15 +111,15 @@ func TestEncodePlanesStableUnderRewrites(t *testing.T) {
 		scratchP := make([]uint64, len(storedP))
 		for step := 0; step < 25; step++ {
 			data := randomBiasedLine(r)
-			s.EncodeInto(scratch, stored, &data)
-			s.planes.EncodePlanesInto(scratchP, storedP, &data)
+			encodeRef(t, s, scratch, stored, &data)
+			ps.EncodePlanesInto(scratchP, storedP, &data)
 			stored, scratch = scratch, stored
 			storedP, scratchP = scratchP, storedP
 			if want := packedPlanes(stored); !reflect.DeepEqual(want, storedP) {
-				t.Fatalf("%s: step %d: plane store diverged from scalar store", s.Name(), step)
+				t.Fatalf("%s: step %d: plane store diverged from the scalar reference", s.Name(), step)
 			}
 			var got memline.Line
-			s.planes.DecodePlanesInto(storedP, &got)
+			ps.DecodePlanesInto(storedP, &got)
 			if !got.Equal(&data) {
 				t.Fatalf("%s: step %d: plane decode mismatch", s.Name(), step)
 			}
@@ -148,10 +127,10 @@ func TestEncodePlanesStableUnderRewrites(t *testing.T) {
 	}
 }
 
-// FuzzEncodePlanesEquiv fuzzes the plane/scalar equivalence: the input
-// selects a scheme, an old-state regime and the line content, and both
-// codec paths must agree on the encoded planes, the decode round trip
-// and the compression classification.
+// FuzzEncodePlanesEquiv fuzzes the plane/reference equivalence: the
+// input selects a scheme of equivSchemes, an old-state regime and the
+// line content, and the plane codec must agree with the scalar
+// reference on the encoded planes, and round-trip and classify the line.
 func FuzzEncodePlanesEquiv(f *testing.F) {
 	f.Add(uint8(0), uint8(0), []byte{})
 	f.Add(uint8(3), uint8(1), []byte{0x42, 0xff, 0x00, 0x7f})
@@ -159,7 +138,7 @@ func FuzzEncodePlanesEquiv(f *testing.F) {
 	f.Add(uint8(7), uint8(0), []byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef})
 	f.Add(uint8(11), uint8(3), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Fuzz(func(t *testing.T, schemeSel, oldSel uint8, body []byte) {
-		schemes := planeSchemes(t)
+		schemes := equivSchemes(t)
 		s := schemes[int(schemeSel)%len(schemes)]
 		n := s.TotalCells()
 
@@ -172,8 +151,8 @@ func FuzzEncodePlanesEquiv(f *testing.F) {
 			}
 		}
 
-		// Old regime: fresh, random, or re-encode of the fuzzed data
-		// itself (the rewrite-same-data steady state).
+		// Old regime: fresh, random, or the reference encode of the
+		// fuzzed data itself (the rewrite-same-data steady state).
 		r := prng.New(uint64(oldSel)<<32 | uint64(len(body)+1))
 		old := make([]pcm.State, n)
 		switch oldSel % 3 {
@@ -183,9 +162,9 @@ func FuzzEncodePlanesEquiv(f *testing.F) {
 				old[i] = pcm.State(r.Intn(pcm.NumStates))
 			}
 		case 2:
-			s.EncodeInto(old, InitialCells(n), &data)
+			encodeRef(t, s, old, InitialCells(n), &data)
 		}
-		checkPlaneEquivalence(t, s.Scheme, s.planes, r, old, &data)
+		checkPlaneEquivalence(t, s, r, old, &data)
 	})
 }
 
@@ -201,7 +180,7 @@ func FuzzDecodePlanesNeverPanics(f *testing.F) {
 		if len(states) == 0 {
 			t.Skip("no states")
 		}
-		schemes := planeSchemes(t)
+		schemes := allSchemes(t)
 		s := schemes[int(schemeSel)%len(schemes)]
 		n := s.TotalCells()
 		cells := make([]pcm.State, n)
@@ -210,7 +189,8 @@ func FuzzDecodePlanesNeverPanics(f *testing.F) {
 		}
 		planes := packedPlanes(cells)
 		var l memline.Line
-		s.planes.DecodePlanesInto(planes, &l) // must not panic
+		ps, _ := PlaneCodec(s)
+		ps.DecodePlanesInto(planes, &l) // must not panic
 	})
 }
 

@@ -7,10 +7,10 @@ import (
 )
 
 // Plane-native codecs of the whole-line schemes: FlipMin, FNW, and the
-// (restricted) line-coset family. Each mirrors its scalar EncodeInto /
-// DecodeInto exactly — same candidate sweeps, same tie-breaks — but
-// reads old state via SetOldPlanes and emits new state as planes, so
-// neither PackStates nor UnpackStates runs on the hot path.
+// (restricted) line-coset family. Each reads old state via SetOldPlanes
+// and emits new state as planes, so neither PackStates nor UnpackStates
+// runs on the hot path; the tests hold each to a per-cell scalar
+// reference with the same candidate sweeps and tie-breaks.
 
 // planeOrSet stores state s into cell c of a plane-resident line whose
 // target bits are known to be zero (an OR-only PlaneSet for freshly
@@ -53,9 +53,9 @@ func tailBitsPlanes(planes []uint64, bits []uint8) {
 
 // FlipMin ---------------------------------------------------------------
 
-// EncodePlanesInto implements PlaneScheme: the same 16-candidate
-// XOR-plane sweep as EncodeInto, with the winner's planes stored
-// directly.
+// EncodePlanesInto implements PlaneScheme: XOR the line's bit-planes
+// with each candidate's plane pair, price the result word-parallel
+// through the C1 weights, then store only the winner's planes.
 func (f *FlipMin) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	var lp linePlanes
 	lp.initPlanes(data, old)

@@ -7,12 +7,11 @@ import (
 )
 
 // Plane-native WLCRC codec. The per-word pipeline — block evals, the
-// two group plans, the multi-objective tie-breaks — is identical to
-// encodeWord; only the word's old states arrive as a plane pair and the
-// committed states leave as one. The handful of cells the planner reads
-// individually (the mixed cell and the pure-aux tail) are extracted
-// from the old planes into a stack array so planFromEvals runs
-// unchanged against both layouts.
+// two group plans, the multi-objective tie-breaks — reads the word's old
+// states as a plane pair and emits the committed states as one. The
+// handful of cells the planner reads individually (the mixed cell and
+// the pure-aux tail) are extracted from the old planes into a stack
+// array of states, which planFromEvals reads.
 
 // wordState reads cell c's state out of one word's (lo, hi) plane pair.
 func wordState(lo, hi uint64, c int) pcm.State {
@@ -26,18 +25,13 @@ func (s *WLCRC) CompressedWritePlanes(planes []uint64) bool {
 
 // EncodePlanesInto implements PlaneScheme.
 func (s *WLCRC) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	if s.wdLambda > 0 {
-		// The §XI disturbance-aware pricing is per-cell by nature; funnel
-		// it through the scalar reference: unpack, encode, repack.
-		var oldC, newC [memline.LineCells + 1]pcm.State
-		coset.UnpackLine(old, oldC[:])
-		s.EncodeInto(newC[:], oldC[:], data)
-		coset.PackLine(newC[:], dst)
-		return
-	}
 	if !s.wlc.LineCompressible(data) {
 		rawEncodePlanes(data, dst)
 		setTailFlag(dst, flagUncompressed)
+		return
+	}
+	if s.wdLambda > 0 {
+		s.encodeLineScalar(dst, old, data)
 		return
 	}
 	for w := 0; w < memline.LineWords; w++ {
@@ -46,8 +40,25 @@ func (s *WLCRC) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	setTailFlag(dst, flagCompressed)
 }
 
-// encodeWordPlanes is encodeWord over plane-resident old state,
-// returning the committed state planes.
+// encodeLineScalar encodes a compressible line on the per-cell path:
+// the §XI disturbance-aware pricing reads neighbor exposure cell by
+// cell, so the line is unpacked once, each word planned by
+// encodeWordScalar, and the result repacked.
+func (s *WLCRC) encodeLineScalar(dst, old []uint64, data *memline.Line) {
+	var oldC, newC [memline.LineCells + 1]pcm.State
+	coset.UnpackLine(old, oldC[:])
+	for w := 0; w < memline.LineWords; w++ {
+		lo, hi := w*memline.WordCells, (w+1)*memline.WordCells
+		s.encodeWordScalar(data.Word(w), oldC[lo:hi], newC[lo:hi])
+	}
+	newC[memline.LineCells] = flagCompressed
+	coset.PackLine(newC[:], dst)
+}
+
+// encodeWordPlanes encodes one word over plane-resident old state,
+// returning the committed state planes. Both groups share C1, so every
+// block's three candidate tables are priced once and the two group
+// plans read the cached evals.
 func (s *WLCRC) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 	var p coset.WordPlanes
 	p.SetData(word)
@@ -171,8 +182,9 @@ func (s *WLCRC) decodeWordPlanes(slo, shi uint64) uint64 {
 	return s.wlc.DecompressWord(word)
 }
 
-// readAuxPlanes is readAux with the aux-cell states read from the
-// word's plane pair.
+// readAuxPlanes recovers the candidate bits, group bit, and (for mixed
+// layouts) the mixed cell's data bit from the C1-mapped auxiliary cells
+// of the word's plane pair.
 func (s *WLCRC) readAuxPlanes(slo, shi uint64, cands *[wlcrcMaxBlocks]uint8) (group, mixedData uint8) {
 	inv := &coset.C1Inv
 	switch s.gran {

@@ -7,10 +7,12 @@
 // in §VIII.
 //
 // Every scheme turns (current cell states, new 512-bit data) into the new
-// cell states to program; the simulator in internal/sim charges the
-// differential write, endurance and disturbance models from package pcm
-// on the (old, new) state pair. Every scheme also implements Decode so
-// tests can prove the stored states always recover the written data.
+// cell states to program, both held as bit planes (planes.go); the
+// simulator in internal/sim charges the differential write, endurance
+// and disturbance models from package pcm on the (old, new) pair. Every
+// scheme also decodes, so tests can prove the stored states always
+// recover the written data, and the tests hold every plane encoder to a
+// per-cell scalar reference (swar_equiv_test.go).
 package core
 
 import (
@@ -23,15 +25,14 @@ import (
 	"wlcrc/internal/vcc"
 )
 
-// Scheme is one write-encoding scheme for 512-bit MLC PCM lines.
-//
-// EncodeInto/DecodeInto are the hot-path codec API: they write into
-// caller storage and, together with the table-driven cost model built at
-// scheme construction, run without heap allocation. Encode/Decode are
-// thin allocating wrappers kept for convenience and compatibility.
-// Scheme implementations are immutable after construction and safe for
-// concurrent use — all per-call scratch lives on the caller's stack — so
-// the parallel engine shares one instance across its shards.
+// Scheme is one write-encoding scheme for 512-bit MLC PCM lines: its
+// name and cell geometry. The codec itself is the plane-resident pair
+// of planes.go — PlaneScheme, or CounterPlaneScheme for schemes keyed
+// by address and write counter — which CtrPlaneCodec resolves once for
+// every frontend. Scheme implementations are immutable after
+// construction and safe for concurrent use — all per-call scratch lives
+// on the caller's stack — so the parallel engine shares one instance
+// across its shards.
 type Scheme interface {
 	// Name identifies the scheme in reports (e.g. "WLCRC-16").
 	Name() string
@@ -41,53 +42,24 @@ type Scheme interface {
 	// DataCells is the boundary index between the data region and the
 	// auxiliary region for the blk/aux split in the paper's figures.
 	DataCells() int
-	// Encode returns the TotalCells() states to program when writing
-	// data over a line whose cells currently hold old. Implementations
-	// must not retain or modify old.
-	Encode(old []pcm.State, data *memline.Line) []pcm.State
-	// EncodeInto computes the same states as Encode into dst, which must
-	// have length TotalCells() and must not alias old. Every cell of dst
-	// is written (auxiliary cells the scheme leaves alone are copied from
-	// old), so dst may hold garbage on entry. Implementations must not
-	// retain dst, and must not retain or modify old.
-	EncodeInto(dst, old []pcm.State, data *memline.Line)
-	// Decode recovers the stored data from the cell states.
-	Decode(cells []pcm.State) memline.Line
-	// DecodeInto recovers the stored data into dst, overwriting it
-	// completely — the allocation-free form of Decode.
-	DecodeInto(cells []pcm.State, dst *memline.Line)
 }
 
-// CompressionGate is implemented by compression-gated schemes whose flag
-// cell distinguishes the encoded (compressed) path from the raw
-// fallback. Resolving the gate once at construction time lets the
-// simulator classify writes without per-request name switches; schemes
-// that do not implement it take their encoded path on every write.
-type CompressionGate interface {
-	// CompressedWrite reports whether the stored cell vector took the
-	// scheme's encoded (compressed) path.
-	CompressedWrite(cells []pcm.State) bool
-}
-
-// CounterScheme is the optional extension for schemes whose encoding
-// depends on the line address and its per-line write counter — the
-// virtual-coset and encrypted schemes of internal/vcc, whose keystreams
-// and candidate vectors derive from (key, addr, counter). The counter
-// models the counter store a counter-mode encryption engine already
-// maintains: the replay frontends (sim shards, the public Memory) own
-// it, incrementing it on every write to an address and presenting the
-// same value back at decode. Requests to one address replay in trace
-// order on a single shard, so the counters — and therefore all results —
-// stay bit-identical across worker counts.
-//
-// CounterSchemes still implement the plain EncodeInto/DecodeInto, which
-// must be the degenerate (addr=0, ctr=0) form of the counter-aware
-// pair, so every generic Scheme property (round trip, idempotence of
-// decode, full dst overwrite) keeps holding.
+// CounterScheme is the cell-vector form of CounterPlaneScheme, kept
+// for the per-layer codec probes of perfbench: the virtual-coset and
+// encrypted schemes of internal/vcc, whose keystreams and candidate
+// vectors derive from (key, addr, counter). The counter models the
+// counter store a counter-mode encryption engine already maintains: the
+// replay frontends (sim shards, the public Memory) own it, incrementing
+// it on every write to an address and presenting the same value back
+// at decode. Requests to one address replay in trace order on a single
+// shard, so the counters — and therefore all results — stay
+// bit-identical across worker counts.
 type CounterScheme interface {
-	// EncodeCtrInto is EncodeInto keyed by (addr, ctr).
+	// EncodeCtrInto writes the TotalCells() states to program when
+	// writing data over a line whose cells hold old, keyed by (addr,
+	// ctr). Every cell of dst is written; old is not modified.
 	EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *memline.Line)
-	// DecodeCtrInto is DecodeInto keyed by (addr, ctr); ctr must be the
+	// DecodeCtrInto recovers the stored data into dst; ctr must be the
 	// value used by the write that stored cells.
 	DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline.Line)
 }
@@ -95,42 +67,23 @@ type CounterScheme interface {
 // UsesCounters reports whether s needs the per-line write counter —
 // frontends use it to decide whether to maintain a counter map at all.
 func UsesCounters(s Scheme) bool {
-	_, ok := s.(CounterScheme)
+	_, ok := s.(CounterPlaneScheme)
 	return ok
 }
 
-// EncodeCtrFunc resolves a scheme's encode entry point once: counter
-// schemes get their keyed path, everything else ignores (addr, ctr).
-// Replay frontends resolve at construction instead of type-switching
-// per request.
-func EncodeCtrFunc(s Scheme) func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
-	if cs, ok := s.(CounterScheme); ok {
-		return cs.EncodeCtrInto
-	}
-	return func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
-		s.EncodeInto(dst, old, data)
-	}
-}
-
-// DecodeCtrFunc is the decode-side counterpart of EncodeCtrFunc.
-func DecodeCtrFunc(s Scheme) func(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
-	if cs, ok := s.(CounterScheme); ok {
-		return cs.DecodeCtrInto
-	}
-	return func(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
-		s.DecodeInto(cells, dst)
-	}
-}
-
-// CompressedWriteFunc resolves a scheme's write classifier once:
-// gated schemes answer through their flag cell, everything else counts
-// every write as encoded. Both replay frontends and the public Memory
-// share this policy.
+// CompressedWriteFunc is the cell-vector form of
+// CompressedWritePlanesFunc, for callers holding cells: it packs the
+// cells and asks the plane gate.
 func CompressedWriteFunc(s Scheme) func([]pcm.State) bool {
-	if gate, ok := s.(CompressionGate); ok {
-		return gate.CompressedWrite
+	g, ok := s.(PlaneCompressionGate)
+	if !ok {
+		return func([]pcm.State) bool { return true }
 	}
-	return func([]pcm.State) bool { return true }
+	return func(cells []pcm.State) bool {
+		planes := make([]uint64, coset.PlaneWords(len(cells)))
+		coset.PackLine(cells, planes)
+		return g.CompressedWritePlanes(planes)
+	}
 }
 
 // InitialCells returns the state vector of a freshly-initialized line:
@@ -148,33 +101,6 @@ const (
 	flagUncompressed = pcm.S2
 )
 
-// rawEncode fills dst[0:256] with the default-mapping (C1) states of the
-// line's symbols — the uncompressed fallback path shared by every
-// compression-gated scheme, and the whole of the baseline scheme. The
-// fixed mapping is applied word-parallel on the line's bit-planes.
-func rawEncode(data *memline.Line, dst []pcm.State) {
-	for w := 0; w < memline.LineWords; w++ {
-		nlo, nhi := coset.C1SWAR.ApplyPlanes(memline.LoHiPlanes(data.Word(w)))
-		coset.UnpackStates(nlo, nhi, dst[w*memline.WordCells:(w+1)*memline.WordCells])
-	}
-}
-
-// rawDecode inverts rawEncode.
-func rawDecode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	rawDecodeInto(cells, &l)
-	return l
-}
-
-// rawDecodeInto inverts rawEncode into caller storage, word-parallel
-// through the C1 inverse plane selectors.
-func rawDecodeInto(cells []pcm.State, l *memline.Line) {
-	for w := 0; w < memline.LineWords; w++ {
-		slo, shi := coset.PackStates(cells[w*memline.WordCells:])
-		l.SetWord(w, memline.InterleavePlanes(coset.C1SWAR.ApplyInvPlanes(slo, shi)))
-	}
-}
-
 // Baseline is standard differential write with the default symbol-to-
 // state mapping and no auxiliary information (paper §VIII "Baseline").
 type Baseline struct{}
@@ -190,26 +116,6 @@ func (Baseline) TotalCells() int { return memline.LineCells }
 
 // DataCells implements Scheme.
 func (Baseline) DataCells() int { return memline.LineCells }
-
-// Encode implements Scheme.
-func (b Baseline) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, memline.LineCells)
-	b.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme.
-func (Baseline) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	rawEncode(data, dst)
-}
-
-// Decode implements Scheme.
-func (Baseline) Decode(cells []pcm.State) memline.Line { return rawDecode(cells) }
-
-// DecodeInto implements Scheme.
-func (Baseline) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	rawDecodeInto(cells, dst)
-}
 
 // Registry construction -----------------------------------------------
 

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
 	"wlcrc/internal/prng"
 )
 
-// allSchemes returns one instance of every registered scheme.
-func allSchemes(t *testing.T) []Scheme {
+// allSchemes returns one instance of every registered plane scheme.
+func allSchemes(t testing.TB) []Scheme {
 	t.Helper()
 	cfg := DefaultConfig()
 	names := []string{
@@ -27,6 +29,25 @@ func allSchemes(t *testing.T) []Scheme {
 		out = append(out, s)
 	}
 	return out
+}
+
+// encodeCells runs s's plane codec, keyed (addr 0, ctr 0), on a cell
+// vector: old is packed, encoded, and the result unpacked into a fresh
+// vector.
+func encodeCells(s Scheme, old []pcm.State, data *memline.Line) []pcm.State {
+	oldP := packedPlanes(old)
+	dst := make([]uint64, len(oldP))
+	CtrPlaneCodec(s).EncodeCtrPlanesInto(dst, oldP, 0, 0, data)
+	cells := make([]pcm.State, s.TotalCells())
+	coset.UnpackLine(dst, cells)
+	return cells
+}
+
+// decodeCells is the decode side of encodeCells.
+func decodeCells(s Scheme, cells []pcm.State) memline.Line {
+	var l memline.Line
+	CtrPlaneCodec(s).DecodeCtrPlanesInto(packedPlanes(cells), 0, 0, &l)
+	return l
 }
 
 // randomBiasedLine mixes compressible and incompressible content so the
@@ -97,11 +118,11 @@ func TestRoundTripAllSchemes(t *testing.T) {
 		cells := InitialCells(s.TotalCells())
 		for step := 0; step < 40; step++ {
 			data := randomBiasedLine(r)
-			cells = s.Encode(cells, &data)
+			cells = encodeCells(s, cells, &data)
 			if len(cells) != s.TotalCells() {
 				t.Fatalf("%s: Encode returned %d cells", s.Name(), len(cells))
 			}
-			got := s.Decode(cells)
+			got := decodeCells(s, cells)
 			if !got.Equal(&data) {
 				t.Fatalf("%s: decode mismatch at step %d\nwant %s\ngot  %s",
 					s.Name(), step, data.String(), got.String())
@@ -119,8 +140,8 @@ func TestRewriteSameDataIsFree(t *testing.T) {
 	for _, s := range allSchemes(t) {
 		for trial := 0; trial < 10; trial++ {
 			data := randomBiasedLine(r)
-			cells := s.Encode(InitialCells(s.TotalCells()), &data)
-			again := s.Encode(cells, &data)
+			cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
+			again := encodeCells(s, cells, &data)
 			st := em.DiffWrite(cells, again, s.DataCells())
 			if st.Updated() != 0 {
 				t.Errorf("%s: rewriting identical data programs %d cells",
@@ -141,7 +162,7 @@ func TestEncodeDoesNotMutateOld(t *testing.T) {
 			old[i] = pcm.State(r.Intn(pcm.NumStates))
 		}
 		snapshot := append([]pcm.State(nil), old...)
-		s.Encode(old, &data)
+		encodeCells(s, old, &data)
 		for i := range old {
 			if old[i] != snapshot[i] {
 				t.Errorf("%s: Encode mutated old[%d]", s.Name(), i)
@@ -171,9 +192,9 @@ func TestWLCRCBeatsBaselineOnBiasedFreshWrites(t *testing.T) {
 		for w := 0; w < memline.LineWords; w++ {
 			data.SetWord(w, memline.SignExtend(r.Uint64()&0x3ffffff, 26))
 		}
-		bCells := base.Encode(InitialCells(base.TotalCells()), &data)
+		bCells := encodeCells(base, InitialCells(base.TotalCells()), &data)
 		bst := em.DiffWrite(InitialCells(base.TotalCells()), bCells, base.DataCells())
-		wCells := wl.Encode(InitialCells(wl.TotalCells()), &data)
+		wCells := encodeCells(wl, InitialCells(wl.TotalCells()), &data)
 		wst := em.DiffWrite(InitialCells(wl.TotalCells()), wCells, wl.DataCells())
 		baseTotal += bst.Energy()
 		wlTotal += wst.Energy()
@@ -195,8 +216,8 @@ func TestQuickRoundTripWLCRC16(t *testing.T) {
 		for i := range old {
 			old[i] = pcm.State(r.Intn(pcm.NumStates))
 		}
-		cells := s.Encode(old, &data)
-		got := s.Decode(cells)
+		cells := encodeCells(s, old, &data)
+		got := decodeCells(s, cells)
 		return got.Equal(&data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -221,11 +242,11 @@ func TestQuickRoundTripCompressibleWLCRC(t *testing.T) {
 			if !s.Compressible(&data) {
 				return false // construction bug, fail loudly
 			}
-			cells := s.Encode(InitialCells(s.TotalCells()), &data)
+			cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
 			if cells[memline.LineCells] != flagCompressed {
 				return false
 			}
-			got := s.Decode(cells)
+			got := decodeCells(s, cells)
 			return got.Equal(&data)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -244,11 +265,11 @@ func TestWLCRCUncompressibleFallsBackToRaw(t *testing.T) {
 	if s.Compressible(&data) {
 		t.Fatal("line should be incompressible")
 	}
-	cells := s.Encode(InitialCells(s.TotalCells()), &data)
+	cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
 	if cells[memline.LineCells] != flagUncompressed {
 		t.Error("flag cell must mark uncompressed")
 	}
-	got := s.Decode(cells)
+	got := decodeCells(s, cells)
 	if !got.Equal(&data) {
 		t.Error("raw fallback decode mismatch")
 	}
@@ -284,8 +305,8 @@ func TestWLCCosetsGranularities(t *testing.T) {
 				if !s.Compressible(&data) {
 					t.Fatalf("%s: constructed line not compressible", s.Name())
 				}
-				cells = s.Encode(cells, &data)
-				got := s.Decode(cells)
+				cells = encodeCells(s, cells, &data)
+				got := decodeCells(s, cells)
 				if !got.Equal(&data) {
 					t.Fatalf("%s: round trip failed", s.Name())
 				}
@@ -321,8 +342,8 @@ func TestMultiObjectiveNameAndBehavior(t *testing.T) {
 	cells := InitialCells(s.TotalCells())
 	for step := 0; step < 30; step++ {
 		data := randomBiasedLine(r)
-		cells = s.Encode(cells, &data)
-		got := s.Decode(cells)
+		cells = encodeCells(s, cells, &data)
+		got := decodeCells(s, cells)
 		if !got.Equal(&data) {
 			t.Fatalf("multi-objective round trip failed at step %d", step)
 		}
@@ -348,12 +369,12 @@ func TestMultiObjectiveReducesUpdates(t *testing.T) {
 		for w := 0; w < memline.LineWords; w++ {
 			data.SetWord(w, memline.SignExtend(r.Uint64()&0xffffffff, 32))
 		}
-		nP := plain.Encode(cellsP, &data)
+		nP := encodeCells(plain, cellsP, &data)
 		st := em.DiffWrite(cellsP, nP, plain.DataCells())
 		eP += st.Energy()
 		uP += st.Updated()
 		cellsP = nP
-		nM := multi.Encode(cellsM, &data)
+		nM := encodeCells(multi, cellsM, &data)
 		st = em.DiffWrite(cellsM, nM, multi.DataCells())
 		eM += st.Energy()
 		uM += st.Updated()
@@ -406,43 +427,110 @@ func TestEncryptedSchemeRegistry(t *testing.T) {
 	}
 }
 
-// TestCtrFuncFallbacks pins the resolved entry points: non-counter
-// schemes ignore (addr, ctr); counter schemes' plain forms equal their
-// (0, 0) keyed forms — which is what keeps every generic Scheme
-// property valid for them.
+// TestCtrFuncFallbacks pins the resolved keyed entry points:
+// CtrPlaneCodec of a non-counter scheme ignores (addr, ctr), and the
+// cell-vector CounterScheme form of a counter scheme equals its keyed
+// plane form at every key.
 func TestCtrFuncFallbacks(t *testing.T) {
 	r := prng.New(91)
-	for _, name := range []string{"WLCRC-16", "VCC-8", "Enc(WLCRC-16)"} {
+	for _, name := range []string{"WLCRC-16", "6cosets", "VCC-8", "Enc(WLCRC-16)"} {
 		s, err := NewScheme(name, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := EncodeCtrFunc(s)
-		dec := DecodeCtrFunc(s)
+		cs := CtrPlaneCodec(s)
 		data := randomBiasedLine(r)
-		old := InitialCells(s.TotalCells())
-		a := make([]pcm.State, s.TotalCells())
-		b := make([]pcm.State, s.TotalCells())
-		s.EncodeInto(a, old, &data)
-		enc(b, old, 0, 0, &data)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: EncodeCtrFunc(0,0) differs from EncodeInto", name)
+		old := randomOld(r, s.TotalCells())
+		oldP := packedPlanes(old)
+		a := make([]uint64, len(oldP))
+		b := make([]uint64, len(oldP))
+		cs.EncodeCtrPlanesInto(a, oldP, 123, 456, &data)
+		if !UsesCounters(s) {
+			cs.EncodeCtrPlanesInto(b, oldP, 0, 0, &data)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s: non-counter scheme depends on (addr, ctr)", name)
 			}
+			continue
+		}
+		cells := make([]pcm.State, s.TotalCells())
+		s.(CounterScheme).EncodeCtrInto(cells, old, 123, 456, &data)
+		if !slices.Equal(a, packedPlanes(cells)) {
+			t.Fatalf("%s: EncodeCtrInto differs from the packed EncodeCtrPlanesInto", name)
 		}
 		var got memline.Line
-		dec(b, 0, 0, &got)
+		s.(CounterScheme).DecodeCtrInto(cells, 123, 456, &got)
 		if !got.Equal(&data) {
-			t.Fatalf("%s: DecodeCtrFunc(0,0) round trip failed", name)
+			t.Fatalf("%s: DecodeCtrInto round trip failed", name)
 		}
-		if !UsesCounters(s) {
-			// Non-counter schemes must ignore arbitrary (addr, ctr).
-			enc(b, old, 123, 456, &data)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%s: non-counter scheme depends on (addr, ctr)", name)
-				}
+	}
+}
+
+// TestEverySchemeHasPlaneCodec guards what the three-method Scheme no
+// longer enforces at compile time: CtrPlaneCodec must resolve, without
+// panicking, to a codec that round-trips a line for every registered
+// name, every encrypted-study name, Enc(X) for every non-counter X, and
+// the LineCosets, RestrictedLineCosets, WLCCosets and disturbance-aware
+// WLCRC instances the experiments build.
+func TestEverySchemeHasPlaneCodec(t *testing.T) {
+	cfg := DefaultConfig()
+	var names []string
+	names = append(names, EncryptedSchemes()...)
+	for _, s := range allSchemes(t) {
+		names = append(names, s.Name(), "Enc("+s.Name()+")")
+	}
+	names = append(names, "VCC-2", "VCC-4", "VCC-8")
+	var schemes []Scheme
+	for _, n := range names {
+		s, err := NewScheme(n, cfg)
+		if err != nil {
+			t.Fatalf("NewScheme(%q): %v", n, err)
+		}
+		schemes = append(schemes, s)
+	}
+	for _, bb := range []int{8, 16, 32, 64, 128, 256, 512} {
+		schemes = append(schemes,
+			NewLineCosets(cfg, "3cosets", coset.Table1[:3], bb),
+			NewLineCosets(cfg, "4cosets", coset.Table1[:], bb),
+			NewLineCosets(cfg, "6cosets", coset.SixCosets(), bb),
+			NewRestrictedLineCosets(cfg, bb))
+	}
+	wd := DefaultConfig()
+	wd.DisturbAwareLambda = 1
+	for _, g := range []int{8, 16, 32, 64} {
+		for _, n := range []int{3, 4} {
+			s, err := NewWLCCosets(cfg, n, g)
+			if err != nil {
+				t.Fatal(err)
 			}
+			schemes = append(schemes, s)
 		}
+		s, err := NewWLCRC(wd, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, s)
+	}
+	r := prng.New(0xC0DEC)
+	for _, s := range schemes {
+		t.Run(s.Name(), func(t *testing.T) {
+			var cs CounterPlaneScheme
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("CtrPlaneCodec panicked: %v", p)
+					}
+				}()
+				cs = CtrPlaneCodec(s)
+			}()
+			data := randomBiasedLine(r)
+			old := packedPlanes(randomOld(r, s.TotalCells()))
+			dst := make([]uint64, len(old))
+			cs.EncodeCtrPlanesInto(dst, old, 5, 1, &data)
+			var got memline.Line
+			cs.DecodeCtrPlanesInto(dst, 5, 1, &got)
+			if !got.Equal(&data) {
+				t.Fatal("plane codec round trip failed")
+			}
+		})
 	}
 }

@@ -46,8 +46,8 @@ func TestLineCosetsRoundTripAllGranularities(t *testing.T) {
 			cells := InitialCells(s.TotalCells())
 			for step := 0; step < 5; step++ {
 				data := randomBiasedLine(r)
-				cells = s.Encode(cells, &data)
-				got := s.Decode(cells)
+				cells = encodeCells(s, cells, &data)
+				got := decodeCells(s, cells)
 				if !got.Equal(&data) {
 					t.Fatalf("%s-%d: round trip failed", tc.name, g)
 				}
@@ -67,7 +67,7 @@ func TestLineCosetsPicksCheaperThanC1(t *testing.T) {
 		data[i] = 0xff
 	}
 	old := InitialCells(s.TotalCells())
-	cells := s.Encode(old, &data)
+	cells := encodeCells(s, old, &data)
 	st := em.DiffWrite(old, cells, s.DataCells())
 	// All-ones symbols (11) map to S1 under C2: zero writes on fresh
 	// (all-S1) cells for the data region.
@@ -88,8 +88,8 @@ func TestRestrictedLineCosetsRoundTrip(t *testing.T) {
 		cells := InitialCells(s.TotalCells())
 		for step := 0; step < 8; step++ {
 			data := randomBiasedLine(r)
-			cells = s.Encode(cells, &data)
-			got := s.Decode(cells)
+			cells = encodeCells(s, cells, &data)
+			got := decodeCells(s, cells)
 			if !got.Equal(&data) {
 				t.Fatalf("3-r-cosets-%d: round trip failed", g)
 			}
@@ -126,12 +126,12 @@ func TestFNWFlipsBeneficialBlock(t *testing.T) {
 		data[i] = 0xff
 	}
 	old := InitialCells(s.TotalCells())
-	cells := s.Encode(old, &data)
+	cells := encodeCells(s, old, &data)
 	st := em.DiffWrite(old, cells, s.DataCells())
 	if st.EnergyData != 0 {
 		t.Errorf("FNW data energy = %v, want 0 after flipping", st.EnergyData)
 	}
-	got := s.Decode(cells)
+	got := decodeCells(s, cells)
 	if !got.Equal(&data) {
 		t.Error("FNW decode mismatch")
 	}
@@ -148,8 +148,8 @@ func TestFNWCostNeverWorseThanBaselinePerWrite(t *testing.T) {
 		data := randomBiasedLine(r)
 		oldF := InitialCells(fnw.TotalCells())
 		oldB := InitialCells(base.TotalCells())
-		fc := fnw.Encode(oldF, &data)
-		bc := base.Encode(oldB, &data)
+		fc := encodeCells(fnw, oldF, &data)
+		bc := encodeCells(base, oldB, &data)
 		fe := em.DiffWrite(oldF, fc, fnw.DataCells()).EnergyData
 		be := em.DiffWrite(oldB, bc, base.DataCells()).EnergyData
 		if fe > be {
@@ -182,10 +182,10 @@ func TestFlipMinNeverWorseThanBaselineFreshWrite(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		data := randomBiasedLine(r)
 		oldF := InitialCells(fm.TotalCells())
-		fc := fm.Encode(oldF, &data)
+		fc := encodeCells(fm, oldF, &data)
 		fe := em.DiffWrite(oldF, fc, fm.DataCells()).EnergyData
 		oldB := InitialCells(base.TotalCells())
-		bc := base.Encode(oldB, &data)
+		bc := encodeCells(base, oldB, &data)
 		be := em.DiffWrite(oldB, bc, base.DataCells()).EnergyData
 		if fe > be {
 			t.Fatalf("FlipMin data energy %.0f > baseline %.0f (mask 0 is identity)", fe, be)
@@ -201,11 +201,11 @@ func TestDINCompressiblePath(t *testing.T) {
 	if !s.Compressible(&data) {
 		t.Fatal("zero line must pass the FPC+BDI gate")
 	}
-	cells := s.Encode(InitialCells(s.TotalCells()), &data)
+	cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
 	if cells[memline.LineCells] != flagCompressed {
 		t.Error("flag must mark compressed")
 	}
-	got := s.Decode(cells)
+	got := decodeCells(s, cells)
 	if !got.Equal(&data) {
 		t.Error("DIN decode mismatch on zero line")
 	}
@@ -226,7 +226,7 @@ func TestDINAvoidsHighestEnergyState(t *testing.T) {
 		if !s.Compressible(&data) {
 			continue
 		}
-		cells := s.Encode(InitialCells(s.TotalCells()), &data)
+		cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
 		if cells[memline.LineCells] != flagCompressed {
 			continue
 		}
@@ -239,7 +239,7 @@ func TestDINAvoidsHighestEnergyState(t *testing.T) {
 				t.Fatalf("trial %d: payload cell %d in S4", trial, c)
 			}
 		}
-		got := s.Decode(cells)
+		got := decodeCells(s, cells)
 		if !got.Equal(&data) {
 			t.Fatalf("trial %d: decode mismatch", trial)
 		}
@@ -257,11 +257,11 @@ func TestDINUncompressibleFallsBack(t *testing.T) {
 	if s.Compressible(&data) {
 		t.Skip("random line unexpectedly compressible")
 	}
-	cells := s.Encode(InitialCells(s.TotalCells()), &data)
+	cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
 	if cells[memline.LineCells] != flagUncompressed {
 		t.Error("flag must mark uncompressed")
 	}
-	if got := s.Decode(cells); !got.Equal(&data) {
+	if got := decodeCells(s, cells); !got.Equal(&data) {
 		t.Error("raw fallback decode mismatch")
 	}
 }
@@ -275,7 +275,7 @@ func TestDINCorrectsInjectedDisturbance(t *testing.T) {
 	for w := 0; w < memline.LineWords; w++ {
 		data.SetWord(w, uint64(w)*0x1111)
 	}
-	clean := s.Encode(InitialCells(s.TotalCells()), &data)
+	clean := encodeCells(s, InitialCells(s.TotalCells()), &data)
 	if clean[memline.LineCells] != flagCompressed {
 		t.Fatal("test line must be compressible")
 	}
@@ -291,11 +291,13 @@ func TestDINCorrectsInjectedDisturbance(t *testing.T) {
 			sym ^= 1 << uint(bit%2)
 			cells[cellIdx] = coset.C1[sym]
 		}
-		fixed := s.CorrectLine(cells)
+		planes := packedPlanes(cells)
+		fixed := s.CorrectLine(planes)
 		if fixed != len(positions) {
 			t.Errorf("positions %v: corrected %d", positions, fixed)
 		}
-		got := s.Decode(cells)
+		var got memline.Line
+		s.DecodePlanesInto(planes, &got)
 		if !got.Equal(&data) {
 			t.Errorf("positions %v: decode mismatch after correction", positions)
 		}
@@ -307,7 +309,7 @@ func TestDINCorrectsInjectedDisturbance(t *testing.T) {
 func TestCOC4ModeSelection(t *testing.T) {
 	s := NewCOC4(DefaultConfig())
 	var zero memline.Line
-	cells := s.Encode(InitialCells(s.TotalCells()), &zero)
+	cells := encodeCells(s, InitialCells(s.TotalCells()), &zero)
 	if cells[memline.LineCells] != cocFlag16 {
 		t.Errorf("zero line flag = %v, want 16-bit mode", cells[memline.LineCells])
 	}
@@ -318,7 +320,7 @@ func TestCOC4ModeSelection(t *testing.T) {
 	if compress.COCSize(&rnd) <= coc32PayloadBits {
 		t.Skip("random line unexpectedly compressible")
 	}
-	cells = s.Encode(InitialCells(s.TotalCells()), &rnd)
+	cells = encodeCells(s, InitialCells(s.TotalCells()), &rnd)
 	if cells[memline.LineCells] != cocFlagRaw {
 		t.Errorf("random line flag = %v, want raw", cells[memline.LineCells])
 	}
@@ -342,11 +344,11 @@ func TestCOC4MidModeRoundTrip(t *testing.T) {
 		size := compress.COCSize(&l)
 		if size > coc16PayloadBits && size <= coc32PayloadBits {
 			found = true
-			cells := s.Encode(InitialCells(s.TotalCells()), &l)
+			cells := encodeCells(s, InitialCells(s.TotalCells()), &l)
 			if cells[memline.LineCells] != cocFlag32 {
 				t.Fatalf("flag = %v, want 32-bit mode", cells[memline.LineCells])
 			}
-			if got := s.Decode(cells); !got.Equal(&l) {
+			if got := decodeCells(s, cells); !got.Equal(&l) {
 				t.Fatal("32-bit mode round trip failed")
 			}
 		}

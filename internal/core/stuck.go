@@ -13,35 +13,38 @@ import (
 // whose mapped output matches the stuck cells is a valid encoding — so
 // a stuck line costs a second candidate search instead of ECC budget.
 //
-// EncodeStuckInto reports false when no candidate assignment satisfies
-// the stuck cells; dst is then unspecified and the caller falls back to
-// its next recourse (re-encoding canonically first).
+// EncodeStuckPlanesInto follows the PlaneScheme contract and reports
+// false when no candidate assignment satisfies the stuck cells; dst is
+// then unspecified and the caller falls back to its next recourse
+// (re-encoding canonically first).
 type StuckAwareEncoder interface {
-	EncodeStuckInto(dst, old []pcm.State, data *memline.Line, stuck *fault.LineStuck) bool
+	EncodeStuckPlanesInto(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool
 }
 
 // EncodeStuckFunc resolves a scheme's stuck-aware re-encode entry
 // point, or nil when the scheme cannot trade candidate freedom against
 // stuck cells (the pipeline then goes straight to ECC). Resolved once
 // at shard construction like the other optional extensions.
-func EncodeStuckFunc(s Scheme) func(dst, old []pcm.State, data *memline.Line, stuck *fault.LineStuck) bool {
+func EncodeStuckFunc(s Scheme) func(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool {
 	if sa, ok := s.(StuckAwareEncoder); ok {
-		return sa.EncodeStuckInto
+		return sa.EncodeStuckPlanesInto
 	}
 	return nil
 }
 
-// EncodeStuckInto implements StuckAwareEncoder for the unrestricted
-// coset family: per block, the candidates are re-priced with the stuck
-// cells as a hard constraint — a candidate survives only if its mapped
-// output agrees with every stuck data cell of the block (word-parallel
-// via SWARTable.StuckMismatch) and its auxiliary encoding agrees with
-// every stuck aux cell — and the cheapest survivor wins. A block with
-// no survivor fails the whole line.
-func (s *LineCosets) EncodeStuckInto(dst, old []pcm.State, data *memline.Line, stuck *fault.LineStuck) bool {
+// EncodeStuckPlanesInto implements StuckAwareEncoder for the
+// unrestricted coset family: per block, the candidates are re-priced
+// with the stuck cells as a hard constraint — a candidate survives only
+// if its mapped output agrees with every stuck data cell of the block
+// (word-parallel via SWARTable.StuckMismatch) and its auxiliary
+// encoding agrees with every stuck aux cell — and the cheapest survivor
+// wins, the lowest index on ties. A block with no survivor fails the
+// whole line. With no stuck cells the result is EncodePlanesInto's.
+func (s *LineCosets) EncodeStuckPlanesInto(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool {
 	var lp linePlanes
-	lp.init(data, old)
+	lp.initPlanes(data, old)
 	var ns newStates
+	zeroTail(dst)
 	for b := 0; b < s.nblocks; b++ {
 		lo := b * s.blockCells
 		hi := lo + s.blockCells
@@ -59,9 +62,9 @@ func (s *LineCosets) EncodeStuckInto(dst, old []pcm.State, data *memline.Line, s
 			return false
 		}
 		ns.applyBlock(&s.swar[best], &lp, lo, hi)
-		s.writeAux(dst, b, best)
+		s.writeAuxPlanes(dst, b, best)
 	}
-	ns.unpack(dst, memline.LineCells)
+	ns.writePlanes(dst, memline.LineCells)
 	return true
 }
 

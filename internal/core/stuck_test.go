@@ -39,44 +39,97 @@ func randomStuck(r *prng.Xoshiro256, n, maxStuck int) *fault.LineStuck {
 	return ls
 }
 
-// TestEncodeStuckInto is the stuck-aware re-encode contract: whenever a
-// candidate assignment satisfying the stuck cells exists, the returned
-// encoding agrees with every stuck cell (zero write-verify mismatches)
-// and still decodes back to the written data; when none exists the
-// method reports false. Over a random corpus both outcomes must occur,
-// and with no stuck cells the method must reproduce the canonical
-// cheapest encode exactly.
+// refEncodeStuck is the per-cell reference of EncodeStuckPlanesInto:
+// per block, every candidate is priced through the CostTable API and
+// survives only if the states it would program agree with every stuck
+// data cell of the block and its aux encoding agrees with every stuck
+// aux cell; the cheapest survivor wins, the lowest index on ties.
+func refEncodeStuck(s *LineCosets, dst, old []pcm.State, data *memline.Line, ls *fault.LineStuck) bool {
+	tabs := coset.CostTables(&s.em, s.cands)
+	var syms [memline.LineCells]uint8
+	data.SymbolsInto(&syms)
+	aux := make([]pcm.State, s.TotalCells())
+	for b := 0; b < s.nblocks; b++ {
+		lo, hi := b*s.blockCells, (b+1)*s.blockCells
+		auxLo := memline.LineCells + b*s.auxPerBlk
+		best, bestCost := -1, 0.0
+		for i := range tabs {
+			refLineCosetsAux(s, aux, b, i)
+			ok := true
+			for c := lo; c < hi && ok; c++ {
+				st, stuck := ls.StateOf(c)
+				ok = !stuck || st == tabs[i].States[syms[c]]
+			}
+			for c := auxLo; c < auxLo+s.auxPerBlk && ok; c++ {
+				st, stuck := ls.StateOf(c)
+				ok = !stuck || st == aux[c]
+			}
+			if !ok {
+				continue
+			}
+			if c := tabs[i].BlockCost(syms[lo:hi], old[lo:hi]); best < 0 || c < bestCost {
+				best, bestCost = i, c
+			}
+		}
+		if best < 0 {
+			return false
+		}
+		tabs[best].Encode(syms[lo:hi], dst[lo:hi])
+		refLineCosetsAux(s, dst, b, best)
+	}
+	return true
+}
+
+// TestEncodeStuckInto is the stuck-aware re-encode contract: over a
+// random stuck corpus, EncodeStuckPlanesInto must succeed exactly when
+// the per-cell reference does and then store bit for bit the
+// reference's cheapest survivor — which agrees with every stuck cell
+// (zero write-verify mismatches) and decodes back to the written data.
+// Both outcomes must occur, and with no stuck cells the result must be
+// the canonical EncodePlanesInto encode exactly.
 func TestEncodeStuckInto(t *testing.T) {
 	r := prng.New(0xfa117)
 	for _, s := range stuckSchemes(t) {
 		n := s.TotalCells()
-		dst := make([]pcm.State, n)
 		want := make([]pcm.State, n)
 		okCount, failCount := 0, 0
 		for trial := 0; trial < 300; trial++ {
 			data := randomBiasedLine(r)
 			old := randomOld(r, n)
+			oldP := packedPlanes(old)
+			dst := make([]uint64, len(oldP))
+			canon := make([]uint64, len(oldP))
 
 			empty := &fault.LineStuck{States: make([]uint8, n)}
-			s.EncodeInto(want, old, &data)
-			if !s.EncodeStuckInto(dst, old, &data, empty) {
+			s.EncodePlanesInto(canon, oldP, &data)
+			if !s.EncodeStuckPlanesInto(dst, oldP, &data, empty) {
 				t.Fatalf("%s: unconstrained stuck encode failed", s.Name())
 			}
-			if !reflect.DeepEqual(want, dst) {
-				t.Fatalf("%s: unconstrained stuck encode differs from EncodeInto", s.Name())
+			if !reflect.DeepEqual(canon, dst) {
+				t.Fatalf("%s: unconstrained stuck encode differs from EncodePlanesInto", s.Name())
 			}
 
 			ls := randomStuck(r, n, 6)
-			if !s.EncodeStuckInto(dst, old, &data, ls) {
+			for i := range dst {
+				dst[i] = r.Uint64() // the encode must overwrite every word
+			}
+			ok := s.EncodeStuckPlanesInto(dst, oldP, &data, ls)
+			if refOK := refEncodeStuck(s, want, old, &data, ls); ok != refOK {
+				t.Fatalf("%s: trial %d: stuck encode reports %v, reference %v", s.Name(), trial, ok, refOK)
+			}
+			if !ok {
 				failCount++
 				continue
 			}
 			okCount++
-			if m := ls.MismatchCount(dst); m != 0 {
+			if !reflect.DeepEqual(packedPlanes(want), dst) {
+				t.Fatalf("%s: trial %d: stuck encode differs from the cheapest-survivor reference", s.Name(), trial)
+			}
+			if m := ls.MismatchCountPlanes(dst); m != 0 {
 				t.Fatalf("%s: satisfying encode leaves %d stuck mismatches", s.Name(), m)
 			}
 			var got memline.Line
-			s.DecodeInto(dst, &got)
+			s.DecodePlanesInto(dst, &got)
 			if !got.Equal(&data) {
 				t.Fatalf("%s: stuck-aware encode does not decode back", s.Name())
 			}
@@ -97,8 +150,8 @@ func TestEncodeStuckIntoImpossible(t *testing.T) {
 	n := s.TotalCells()
 	r := prng.New(3)
 	data := randomBiasedLine(r)
-	old := make([]pcm.State, n)
-	dst := make([]pcm.State, n)
+	old := make([]uint64, coset.PlaneWords(n))
+	dst := make([]uint64, len(old))
 
 	// Freeze one data cell at each of two different states the identity
 	// candidate disagrees on... simpler and airtight: freeze the same
@@ -111,16 +164,16 @@ func TestEncodeStuckIntoImpossible(t *testing.T) {
 	// with 4 candidates and 4 states one may not exist, so freeze two
 	// cells: 16 combinations against 4 candidates always leaves an
 	// unsatisfiable pair.
-	base := make([]pcm.State, n)
+	base := make([]uint64, len(old))
 	outputs := make([][2]pcm.State, 0, 4)
 	for idx := 0; idx < 4; idx++ {
 		ls := &fault.LineStuck{States: make([]uint8, n)}
 		ls.States[memline.LineCells] = uint8(pcm.State(idx)) + 1 // pin the aux cell = force candidate idx
 		ls.N = 1
-		if !s.EncodeStuckInto(base, old, &data, ls) {
+		if !s.EncodeStuckPlanesInto(base, old, &data, ls) {
 			t.Fatalf("pinning candidate %d failed", idx)
 		}
-		outputs = append(outputs, [2]pcm.State{base[0], base[1]})
+		outputs = append(outputs, [2]pcm.State{coset.PlaneGet(base, 0), coset.PlaneGet(base, 1)})
 	}
 	var st0, st1 pcm.State
 found:
@@ -143,7 +196,7 @@ found:
 	ls.States[0] = uint8(st0) + 1
 	ls.States[1] = uint8(st1) + 1
 	ls.N = 2
-	if s.EncodeStuckInto(dst, old, &data, ls) {
+	if s.EncodeStuckPlanesInto(dst, old, &data, ls) {
 		t.Fatalf("encode satisfied cells frozen at (%v,%v), which no candidate stores", st0, st1)
 	}
 }

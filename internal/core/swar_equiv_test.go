@@ -1,21 +1,21 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
+	"wlcrc/internal/compress"
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
-	"wlcrc/internal/prng"
 )
 
-// SWAR-vs-scalar equivalence: every scheme's word-parallel EncodeInto
-// must produce exactly the cell vector of the PR 2 table-driven scalar
-// path — same winner indices, costs, update counts and tie-breaks —
-// because the encoded line is a pure function of those decisions. The
-// reference encoders below are the pre-SWAR implementations, kept
-// verbatim on the CostTable API.
+// Per-cell scalar references: every plane encoder must produce exactly
+// the cell vector of its table-driven scalar reference below — same
+// winner indices, costs, update counts and tie-breaks — because the
+// encoded line is a pure function of those decisions. The references
+// price through the CostTable API, one cell at a time, with tables they
+// build themselves; checkPlaneEquivalence (planes_equiv_test.go) holds
+// the plane codecs to them.
 
 func refRawEncode(data *memline.Line, dst []pcm.State) {
 	var syms [memline.LineCells]uint8
@@ -25,31 +25,46 @@ func refRawEncode(data *memline.Line, dst []pcm.State) {
 	}
 }
 
+// refLineCosetsAux stores block's candidate index in its aux cells:
+// directly as state Si for one aux cell per block (§IX.A), as the
+// candidate's two-cell state pair otherwise.
+func refLineCosetsAux(s *LineCosets, out []pcm.State, block, idx int) {
+	base := memline.LineCells + block*s.auxPerBlk
+	if s.auxPerBlk == 1 {
+		out[base] = pcm.State(idx)
+		return
+	}
+	out[base], out[base+1] = s.pairs[idx][0], s.pairs[idx][1]
+}
+
 func refLineCosets(s *LineCosets, dst, old []pcm.State, data *memline.Line) {
+	tabs := coset.CostTables(&s.em, s.cands)
 	copy(dst, old)
 	var syms [memline.LineCells]uint8
 	data.SymbolsInto(&syms)
 	for b := 0; b < s.nblocks; b++ {
 		lo := b * s.blockCells
 		hi := lo + s.blockCells
-		idx, _ := coset.BestTable(s.tabs, syms[lo:hi], old[lo:hi])
-		s.tabs[idx].Encode(syms[lo:hi], dst[lo:hi])
-		s.writeAux(dst, b, idx)
+		idx, _ := coset.BestTable(tabs, syms[lo:hi], old[lo:hi])
+		tabs[idx].Encode(syms[lo:hi], dst[lo:hi])
+		refLineCosetsAux(s, dst, b, idx)
 	}
 }
 
 func refRestricted(s *RestrictedLineCosets, dst, old []pcm.State, data *memline.Line) {
+	tab1 := coset.C1.CostTable(&s.em)
+	tabAlt := [2]coset.CostTable{coset.C2.CostTable(&s.em), coset.C3.CostTable(&s.em)}
 	var syms [memline.LineCells]uint8
 	data.SymbolsInto(&syms)
 	var costs [2]float64
 	var choices [2][rlcMaxBlocks]uint8
 	for g := 0; g < 2; g++ {
-		alt := &s.tabAlt[g]
+		alt := &tabAlt[g]
 		var total float64
 		for b := 0; b < s.nblocks; b++ {
 			lo := b * s.blockCells
 			hi := lo + s.blockCells
-			c1 := s.tab1.BlockCost(syms[lo:hi], old[lo:hi])
+			c1 := tab1.BlockCost(syms[lo:hi], old[lo:hi])
 			ca := alt.BlockCost(syms[lo:hi], old[lo:hi])
 			if ca < c1 {
 				choices[g][b] = 1
@@ -64,7 +79,7 @@ func refRestricted(s *RestrictedLineCosets, dst, old []pcm.State, data *memline.
 	if costs[1] < costs[0] {
 		group = 1
 	}
-	alt := &s.tabAlt[group]
+	alt := &tabAlt[group]
 	choice := &choices[group]
 	copy(dst, old)
 	var bits [1 + rlcMaxBlocks]uint8
@@ -72,7 +87,7 @@ func refRestricted(s *RestrictedLineCosets, dst, old []pcm.State, data *memline.
 	for b := 0; b < s.nblocks; b++ {
 		lo := b * s.blockCells
 		hi := lo + s.blockCells
-		tab := &s.tab1
+		tab := &tab1
 		if choice[b] == 1 {
 			tab = alt
 		}
@@ -145,6 +160,7 @@ func refFlipMin(f *FlipMin, dst, old []pcm.State, data *memline.Line) {
 }
 
 func refWLCCosets(s *WLCCosets, dst, old []pcm.State, data *memline.Line) {
+	tabs := coset.CostTables(&s.em, s.cands)
 	copy(dst, old)
 	if !s.wlc.LineCompressible(data) {
 		refRawEncode(data, dst)
@@ -160,8 +176,8 @@ func refWLCCosets(s *WLCCosets, dst, old []pcm.State, data *memline.Line) {
 		var auxBits [2 * memline.WordCells]uint8
 		nAux := 2 * (memline.WordCells - s.dataCells)
 		for b, rng := range s.blocks {
-			idx, _ := coset.BestTable(s.tabs, syms[rng[0]:rng[1]], oldW[rng[0]:rng[1]])
-			s.tabs[idx].Encode(syms[rng[0]:rng[1]], outW[rng[0]:rng[1]])
+			idx, _ := coset.BestTable(tabs, syms[rng[0]:rng[1]], oldW[rng[0]:rng[1]])
+			tabs[idx].Encode(syms[rng[0]:rng[1]], outW[rng[0]:rng[1]])
 			auxBits[2*b] = uint8(idx) & 1
 			auxBits[2*b+1] = uint8(idx) >> 1
 		}
@@ -170,8 +186,8 @@ func refWLCCosets(s *WLCCosets, dst, old []pcm.State, data *memline.Line) {
 	dst[memline.LineCells] = flagCompressed
 }
 
-// refWLCRC rides on encodeWordScalar, the per-cell CostTable path kept
-// in wlcrc.go for the §XI extension.
+// refWLCRC rides on encodeWordScalar, the per-cell CostTable path
+// wlcrc.go keeps for the §XI extension.
 func refWLCRC(s *WLCRC, dst, old []pcm.State, data *memline.Line) {
 	copy(dst, old)
 	if !s.wlc.LineCompressible(data) {
@@ -186,42 +202,85 @@ func refWLCRC(s *WLCRC, dst, old []pcm.State, data *memline.Line) {
 	dst[memline.LineCells] = flagCompressed
 }
 
-// encodeRef dispatches to the scalar reference of a scheme, returning
-// false for schemes whose encode is already pinned by other references
-// (DIN and COC4 reuse rawEncode and the LineCosets-style block loop on
-// their compressed payloads; their gates and layouts are unchanged by
-// this PR and covered by the round-trip and stability tests).
-func encodeRef(s Scheme, dst, old []pcm.State, data *memline.Line) bool {
+// refCOC4 compresses the line with the COC menu and coset-encodes the
+// payload block by block through coset.BestTable, its candidate indices
+// packed two bits per cell behind the payload; cells past the aux region
+// keep their old states, and the flag cell records the mode.
+func refCOC4(s *COC4, dst, old []pcm.State, data *memline.Line) {
+	copy(dst, old)
+	var backing [(compress.COCMaxBits + 7) / 8]byte
+	w := compress.WrapBitWriter(backing[:])
+	bits := compress.COCCompressTo(data, &w)
+	payloadCells, blockCells, flag := coc16PayloadCells, 8, cocFlag16
+	switch {
+	case bits <= coc16PayloadBits:
+	case bits <= coc32PayloadBits:
+		payloadCells, blockCells, flag = coc32PayloadCells, 16, cocFlag32
+	default:
+		refRawEncode(data, dst)
+		dst[memline.LineCells] = cocFlagRaw
+		return
+	}
+	var payload memline.Line
+	copy(payload[:], w.Bytes())
+	var syms [memline.LineCells]uint8
+	payload.SymbolsInto(&syms)
+	tabs := coset.CostTables(&s.em, coset.Table1[:])
+	nblocks := payloadCells / blockCells
+	var auxBits [2 * coc16Blocks]uint8
+	for b := 0; b < nblocks; b++ {
+		lo, hi := b*blockCells, (b+1)*blockCells
+		idx, _ := coset.BestTable(tabs, syms[lo:hi], old[lo:hi])
+		tabs[idx].Encode(syms[lo:hi], dst[lo:hi])
+		auxBits[2*b], auxBits[2*b+1] = uint8(idx)&1, uint8(idx)>>1
+	}
+	coset.PackBitsToStates(auxBits[:2*nblocks], dst[payloadCells:payloadCells+nblocks])
+	dst[memline.LineCells] = flag
+}
+
+// refDIN stores DIN's transformed line (or the raw data, when the
+// FPC+BDI gate fails) through the fixed mapping, flag cell last.
+func refDIN(d *DIN, dst []pcm.State, data *memline.Line) {
+	var stored memline.Line
+	l, flag := d.storedLine(data, &stored)
+	refRawEncode(l, dst)
+	dst[memline.LineCells] = flag
+}
+
+// encodeRef dispatches to the scalar reference of a plane scheme; every
+// plane scheme has one.
+func encodeRef(t testing.TB, s Scheme, dst, old []pcm.State, data *memline.Line) {
+	t.Helper()
 	switch v := s.(type) {
 	case Baseline:
 		refRawEncode(data, dst)
-		return true
 	case *LineCosets:
 		refLineCosets(v, dst, old, data)
-		return true
 	case *RestrictedLineCosets:
 		refRestricted(v, dst, old, data)
-		return true
 	case *FNW:
 		refFNW(v, dst, old, data)
-		return true
 	case *FlipMin:
 		refFlipMin(v, dst, old, data)
-		return true
 	case *WLCCosets:
 		refWLCCosets(v, dst, old, data)
-		return true
 	case *WLCRC:
 		refWLCRC(v, dst, old, data)
-		return true
+	case *COC4:
+		refCOC4(v, dst, old, data)
+	case *DIN:
+		refDIN(v, dst, data)
+	default:
+		t.Fatalf("%s: no scalar reference", s.Name())
 	}
-	return false
 }
 
-// equivSchemes returns the twelve evaluation schemes plus extra
-// granularity instances that stress sub-word, word and multi-word
-// masked pricing, and the §VIII.D multi-objective tie-break.
-func equivSchemes(t *testing.T) []Scheme {
+// equivSchemes returns the twelve registered plane schemes plus extra
+// granularity instances — the ones the granularity figures and the
+// multi-objective experiment replay — that stress sub-word, word and
+// multi-word masked pricing, the §VIII.D multi-objective tie-break, and
+// the §XI disturbance-aware WLCRC of the ablation study.
+func equivSchemes(t testing.TB) []Scheme {
 	t.Helper()
 	out := allSchemes(t)
 	cfg := DefaultConfig()
@@ -232,52 +291,27 @@ func equivSchemes(t *testing.T) []Scheme {
 	for _, bb := range []int{8, 16, 32, 512} {
 		out = append(out, NewRestrictedLineCosets(cfg, bb))
 	}
+	for _, g := range []int{8, 16, 64} {
+		for _, n := range []int{3, 4} {
+			s, err := NewWLCCosets(cfg, n, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
+		}
+	}
 	mcfg := DefaultConfig()
 	mcfg.MultiObjectiveT = 0.01
-	for _, g := range []int{8, 16, 32, 64} {
-		s, err := NewWLCRC(mcfg, g)
-		if err != nil {
-			t.Fatal(err)
+	wdcfg := DefaultConfig()
+	wdcfg.DisturbAwareLambda = 1
+	for _, c := range []Config{mcfg, wdcfg} {
+		for _, g := range []int{8, 16, 32, 64} {
+			s, err := NewWLCRC(c, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
 		}
-		out = append(out, s)
 	}
 	return out
-}
-
-func TestSWAREncodeMatchesScalarReference(t *testing.T) {
-	r := prng.New(0x5AA5)
-	covered := 0
-	for _, s := range equivSchemes(t) {
-		n := s.TotalCells()
-		want := make([]pcm.State, n)
-		got := make([]pcm.State, n)
-		hasRef := false
-		for trial := 0; trial < 80; trial++ {
-			data := randomBiasedLine(r)
-			old := randomOld(r, n)
-			for i := range got {
-				got[i] = pcm.State(r.Intn(pcm.NumStates))
-				want[i] = got[i]
-			}
-			if !encodeRef(s, want, old, &data) {
-				break
-			}
-			hasRef = true
-			s.EncodeInto(got, old, &data)
-			if !reflect.DeepEqual(want, got) {
-				for c := range want {
-					if want[c] != got[c] {
-						t.Fatalf("%s: trial %d: first mismatch at cell %d: scalar %v, SWAR %v",
-							s.Name(), trial, c, want[c], got[c])
-					}
-				}
-			}
-		}
-		if hasRef {
-			covered++
-		}
-	}
-	if covered < 15 {
-		t.Fatalf("only %d schemes had scalar references", covered)
-	}
 }

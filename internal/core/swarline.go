@@ -3,7 +3,6 @@ package core
 import (
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
-	"wlcrc/internal/pcm"
 )
 
 // Line-level SWAR plumbing shared by the block-granular coset encoders:
@@ -15,16 +14,18 @@ import (
 // linePlanes caches the WordPlanes of all eight words of a line.
 type linePlanes [memline.LineWords]coset.WordPlanes
 
-// init fills the planes from the line's words and the old cell states.
-func (lp *linePlanes) init(data *memline.Line, old []pcm.State) {
-	lp.initWords(data, old, memline.LineWords)
+// initPlanes fills the planes from the line's words and a
+// plane-resident old line.
+func (lp *linePlanes) initPlanes(data *memline.Line, oldP []uint64) {
+	lp.initWordsPlanes(data, oldP, memline.LineWords)
 }
 
-// initWords fills only the first n words' planes — for encoders whose
-// coset region stops short of the full line (COC4 payload modes).
-func (lp *linePlanes) initWords(data *memline.Line, old []pcm.State, n int) {
+// initWordsPlanes fills only the first n words' planes — for encoders
+// whose coset region stops short of the full line (COC4 payload modes).
+func (lp *linePlanes) initWordsPlanes(data *memline.Line, oldP []uint64, n int) {
 	for w := 0; w < n; w++ {
-		lp[w].Init(data.Word(w), old[w*memline.WordCells:(w+1)*memline.WordCells])
+		lp[w].SetData(data.Word(w))
+		lp[w].SetOldPlanes(oldP[2*w], oldP[2*w+1])
 	}
 }
 
@@ -73,7 +74,7 @@ func (lp *linePlanes) bestBlock(tabs []coset.SWARTable, lo, hi int) (idx int, co
 }
 
 // newStates accumulates the chosen mappings' output planes per word;
-// unpack writes them back as cell states.
+// writePlanes stores them into a plane-resident line.
 type newStates struct {
 	lo, hi [memline.LineWords]uint64
 }
@@ -88,14 +89,19 @@ func (ns *newStates) applyBlock(t *coset.SWARTable, lp *linePlanes, lo, hi int) 
 	}
 }
 
-// unpack writes the first n accumulated cells into dst.
-func (ns *newStates) unpack(dst []pcm.State, n int) {
-	for w := 0; w*memline.WordCells < n; w++ {
-		end := (w + 1) * memline.WordCells
-		if end > n {
-			end = n
-		}
-		coset.UnpackStates(ns.lo[w], ns.hi[w], dst[w*memline.WordCells:end])
+// writePlanes stores the first n accumulated cells into a plane-resident
+// line. Full words overwrite; a final partial word merges, keeping dst's
+// cells at and beyond n (COC4's 32-bit payload ends mid-word and the
+// cells above it keep their old states).
+func (ns *newStates) writePlanes(dst []uint64, n int) {
+	full := n / memline.WordCells
+	for w := 0; w < full; w++ {
+		dst[2*w], dst[2*w+1] = ns.lo[w], ns.hi[w]
+	}
+	if rem := n - full*memline.WordCells; rem > 0 {
+		mask := coset.CellMask(0, rem)
+		dst[2*full] = dst[2*full]&^mask | ns.lo[full]&mask
+		dst[2*full+1] = dst[2*full+1]&^mask | ns.hi[full]&mask
 	}
 }
 
@@ -103,14 +109,11 @@ func (ns *newStates) unpack(dst []pcm.State, n int) {
 // first 256 cells for block-granular decode.
 type lineStatePlanes [memline.LineWords][2]uint64
 
-func (sp *lineStatePlanes) init(cells []pcm.State) {
-	sp.initWords(cells, memline.LineWords)
-}
-
-// initWords packs only the first n words' states.
-func (sp *lineStatePlanes) initWords(cells []pcm.State, n int) {
+// fromPlanes loads the first n words' state planes from a plane-resident
+// line.
+func (sp *lineStatePlanes) fromPlanes(planes []uint64, n int) {
 	for w := 0; w < n; w++ {
-		sp[w][0], sp[w][1] = coset.PackStates(cells[w*memline.WordCells:])
+		sp[w][0], sp[w][1] = planes[2*w], planes[2*w+1]
 	}
 }
 

@@ -34,8 +34,8 @@ func TestWDAwareRoundTrip(t *testing.T) {
 	cells := InitialCells(s.TotalCells())
 	for step := 0; step < 40; step++ {
 		data := randomBiasedLine(r)
-		cells = s.Encode(cells, &data)
-		if got := s.Decode(cells); !got.Equal(&data) {
+		cells = encodeCells(s, cells, &data)
+		if got := decodeCells(s, cells); !got.Equal(&data) {
 			t.Fatalf("round trip failed at step %d", step)
 		}
 	}
@@ -55,7 +55,7 @@ func TestWDAwareReducesDisturbance(t *testing.T) {
 			for w := 0; w < memline.LineWords; w++ {
 				data.SetWord(w, memline.SignExtend(r.Uint64()&0x3fffffff, 30))
 			}
-			next := s.Encode(cells, &data)
+			next := encodeCells(s, cells, &data)
 			energy += em.DiffWrite(cells, next, s.DataCells()).Energy()
 			changed := pcm.ChangedMask(cells, next)
 			disturb += dm.CountDisturb(next, changed, s.DataCells(), nil).Errors()

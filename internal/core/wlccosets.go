@@ -25,7 +25,6 @@ type WLCCosets struct {
 	displayName string
 	em          pcm.EnergyModel
 	cands       []coset.Mapping
-	tabs        []coset.CostTable
 	swar        []coset.SWARTable
 	gran        int
 	wlc         compress.WLC
@@ -52,7 +51,6 @@ func NewWLCCosets(cfg Config, ncands, gran int) (*WLCCosets, error) {
 		displayName: fmt.Sprintf("WLC+%dcosets-%d", ncands, gran),
 		em:          cfg.Energy,
 		cands:       coset.Table1[:ncands],
-		tabs:        coset.CostTables(&cfg.Energy, coset.Table1[:ncands]),
 		swar:        coset.SWARTables(&cfg.Energy, coset.Table1[:ncands]),
 		gran:        gran,
 		wlc:         compress.WLC{K: r + 1},
@@ -87,11 +85,6 @@ func (s *WLCCosets) Compressible(data *memline.Line) bool {
 	return s.wlc.LineCompressible(data)
 }
 
-// CompressedWrite implements CompressionGate.
-func (s *WLCCosets) CompressedWrite(cells []pcm.State) bool {
-	return cells[memline.LineCells] == flagCompressed
-}
-
 // TotalCells implements Scheme: the aux candidate bits live inside the
 // words; only the compression flag cell is extra.
 func (s *WLCCosets) TotalCells() int { return memline.LineCells + 1 }
@@ -104,82 +97,3 @@ func (s *WLCCosets) DataCells() int { return memline.LineCells }
 // AuxCellsPerWord returns how many trailing cells of each word hold
 // auxiliary candidate bits when the line is compressed.
 func (s *WLCCosets) AuxCellsPerWord() int { return memline.WordCells - s.dataCells }
-
-// Encode implements Scheme.
-func (s *WLCCosets) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme.
-func (s *WLCCosets) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	// Both paths overwrite every cell (data, in-word aux, flag), so no
-	// copy-from-old is needed.
-	if !s.wlc.LineCompressible(data) {
-		rawEncode(data, dst)
-		dst[memline.LineCells] = flagUncompressed
-		return
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		s.encodeWord(data.Word(w), old[w*memline.WordCells:(w+1)*memline.WordCells], dst[w*memline.WordCells:(w+1)*memline.WordCells])
-	}
-	dst[memline.LineCells] = flagCompressed
-}
-
-func (s *WLCCosets) encodeWord(word uint64, old, out []pcm.State) {
-	var p coset.WordPlanes
-	p.Init(word, old)
-	var auxBits [2 * memline.WordCells]uint8
-	nAux := 2 * (memline.WordCells - s.dataCells)
-	var nlo, nhi uint64
-	for b, rng := range s.blocks {
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		idx, _ := coset.BestSWAR(s.swar, &p, mask)
-		lo, hi := s.swar[idx].Apply(&p)
-		nlo |= lo & mask
-		nhi |= hi & mask
-		auxBits[2*b] = uint8(idx) & 1
-		auxBits[2*b+1] = uint8(idx) >> 1
-	}
-	// The aux cells the unpack scribbles on are overwritten just below.
-	coset.UnpackStates(nlo, nhi, out[:memline.WordCells])
-	coset.PackBitsToStates(auxBits[:nAux], out[s.dataCells:])
-}
-
-// Decode implements Scheme.
-func (s *WLCCosets) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	s.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (s *WLCCosets) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	if cells[memline.LineCells] != flagCompressed {
-		rawDecodeInto(cells, dst)
-		return
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, s.decodeWord(cells[w*memline.WordCells:(w+1)*memline.WordCells]))
-	}
-}
-
-func (s *WLCCosets) decodeWord(cells []pcm.State) uint64 {
-	auxCells := memline.WordCells - s.dataCells
-	var auxBits [2 * memline.WordCells]uint8
-	coset.UnpackBits(cells[s.dataCells:], auxBits[:2*auxCells])
-	slo, shi := coset.PackStates(cells)
-	var dlo, dhi uint64
-	for b, rng := range s.blocks {
-		idx := int(auxBits[2*b]) | int(auxBits[2*b+1])<<1
-		if idx >= len(s.cands) {
-			idx = 0
-		}
-		lo, hi := s.swar[idx].ApplyInvPlanes(slo, shi)
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		dlo |= lo & mask
-		dhi |= hi & mask
-	}
-	return s.wlc.DecompressWord(memline.InterleavePlanes(dlo, dhi))
-}

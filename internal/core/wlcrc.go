@@ -47,8 +47,8 @@ type WLCRC struct {
 	// C3. tab64 holds the three unrestricted candidates of the
 	// granularity-64 degenerate case. The swar* fields are their
 	// word-parallel bit-plane counterparts; the scalar tables remain the
-	// single-cell path (mixed cell, aux cells) and the §XI
-	// disturbance-aware fallback.
+	// single-cell path (mixed cell, aux cells) and the per-cell §XI
+	// disturbance-aware path.
 	tab1   coset.CostTable
 	tabAlt [2]coset.CostTable
 	tab64  []coset.CostTable
@@ -150,11 +150,6 @@ func (s *WLCRC) Compressible(data *memline.Line) bool {
 	return s.wlc.LineCompressible(data)
 }
 
-// CompressedWrite implements CompressionGate.
-func (s *WLCRC) CompressedWrite(cells []pcm.State) bool {
-	return cells[memline.LineCells] == flagCompressed
-}
-
 // TotalCells implements Scheme: auxiliary bits live inside the words;
 // only the compression flag cell is extra (<0.4% overhead, §VI.A).
 func (s *WLCRC) TotalCells() int { return memline.LineCells + 1 }
@@ -173,78 +168,12 @@ func (s *WLCRC) AuxCellsPerWord() int {
 	return n
 }
 
-// Encode implements Scheme.
-func (s *WLCRC) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements Scheme.
-func (s *WLCRC) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	// Both paths overwrite every cell (data, in-word aux, flag), so no
-	// copy-from-old is needed.
-	if !s.wlc.LineCompressible(data) {
-		rawEncode(data, dst)
-		dst[memline.LineCells] = flagUncompressed
-		return
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		s.encodeWord(data.Word(w), old[w*memline.WordCells:(w+1)*memline.WordCells], dst[w*memline.WordCells:(w+1)*memline.WordCells])
-	}
-	dst[memline.LineCells] = flagCompressed
-}
-
 // wordPlan is a fully-evaluated encoding of one word under one group.
 type wordPlan struct {
 	cost    float64
 	updates int
 	cands   [wlcrcMaxBlocks]uint8 // candidate bit per block
 	group   uint8
-}
-
-func (s *WLCRC) encodeWord(word uint64, old, out []pcm.State) {
-	if s.wdLambda > 0 {
-		// The §XI disturbance-aware extension prices per-cell neighbor
-		// exposure; it stays on the scalar path.
-		s.encodeWordScalar(word, old, out)
-		return
-	}
-	var p coset.WordPlanes
-	p.Init(word, old)
-	if s.gran == 64 {
-		s.encodeWord64(&p, out)
-		return
-	}
-	// Both groups share C1, so price every block's three candidate
-	// tables once and let the two group plans read the cached evals.
-	g := &s.geom
-	var ev [wlcrcMaxBlocks]blockEval
-	for b, rng := range g.blocks {
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		e := &ev[b]
-		e.cost[0], e.upd[0] = s.swar1.CostCount(&p, mask)
-		e.cost[1], e.upd[1] = s.swarAlt[0].CostCount(&p, mask)
-		e.cost[2], e.upd[2] = s.swarAlt[1].CostCount(&p, mask)
-		if g.mixed && b == len(g.blocks)-1 {
-			// The mixed cell's C1-mapped symbol carries the block's
-			// candidate bit (hi) and its last data bit (lo).
-			cell := g.dataCells
-			st := old[cell]
-			dataBit := uint8(word >> uint(2*cell) & 1)
-			e.cost[0] += s.tab1.Cost[st][dataBit]
-			e.upd[0] += int(s.tab1.Update[st][dataBit])
-			caCost := s.tab1.Cost[st][2|dataBit]
-			caUpd := int(s.tab1.Update[st][2|dataBit])
-			e.cost[1] += caCost
-			e.upd[1] += caUpd
-			e.cost[2] += caCost
-			e.upd[2] += caUpd
-		}
-	}
-	p12 := s.planFromEvals(0, &ev, old)
-	p13 := s.planFromEvals(1, &ev, old)
-	s.commitSWAR(s.pickPlan(&p12, &p13), &p, word, out)
 }
 
 // blockEval caches one block's cost/updates under C1, C2 and C3 (the
@@ -299,9 +228,9 @@ func (s *WLCRC) planFromEvals(group uint8, ev *[wlcrcMaxBlocks]blockEval, old []
 	return plan
 }
 
-// encodeWordScalar is the per-cell reference path, kept for the §XI
-// disturbance-aware pricing (and as the behavioral reference the SWAR
-// path is tested against).
+// encodeWordScalar is the per-cell path the §XI disturbance-aware
+// pricing runs on (and the behavioral reference the plane path is
+// tested against).
 func (s *WLCRC) encodeWordScalar(word uint64, old, out []pcm.State) {
 	var syms [memline.WordCells]uint8
 	memline.WordSymbols(word, &syms)
@@ -392,37 +321,6 @@ func (s *WLCRC) planGroup(group uint8, syms []uint8, old []pcm.State) wordPlan {
 		plan.updates += int(s.tab1.Update[st][aux[i]])
 	}
 	return plan
-}
-
-// commitSWAR writes the chosen plan's states word-parallel: each block's
-// mapping is applied as masked plane selection, then the mixed and aux
-// cells are overwritten scalar.
-func (s *WLCRC) commitSWAR(plan *wordPlan, p *coset.WordPlanes, word uint64, out []pcm.State) {
-	g := &s.geom
-	alt := &s.swarAlt[plan.group]
-	var nlo, nhi uint64
-	for b, rng := range g.blocks {
-		t := &s.swar1
-		if plan.cands[b] == 1 {
-			t = alt
-		}
-		lo, hi := t.Apply(p)
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		nlo |= lo & mask
-		nhi |= hi & mask
-	}
-	coset.UnpackStates(nlo, nhi, out[:memline.WordCells])
-	if g.mixed {
-		cell := g.dataCells
-		cand := plan.cands[len(g.blocks)-1]
-		out[cell] = coset.C1[cand<<1|uint8(word>>uint(2*cell))&1]
-	}
-	var aux [wlcrcMaxAux]uint8
-	nAux := s.auxSymbols(&plan.cands, plan.group, &aux)
-	first := s.firstAuxCell()
-	for i := 0; i < nAux; i++ {
-		out[first+i] = coset.C1[aux[i]]
-	}
 }
 
 // blockCost prices one block under the candidate table t whose candidate
@@ -537,102 +435,12 @@ func (s *WLCRC) commit(plan *wordPlan, syms []uint8, out []pcm.State) {
 	}
 }
 
-// encodeWord64 is the degenerate granularity-64 case: one block per word,
-// unrestricted choice among C1, C2, C3, two-bit index in cell 31.
-func (s *WLCRC) encodeWord64(p *coset.WordPlanes, out []pcm.State) {
-	rng := s.geom.blocks[0]
-	mask := coset.CellMask(rng[0], rng[1]-rng[0])
-	idx, _ := coset.BestSWAR(s.swar64, p, mask)
-	lo, hi := s.swar64[idx].Apply(p)
-	coset.UnpackStates(lo&mask, hi&mask, out[:memline.WordCells])
-	out[31] = coset.C1[uint8(idx)]
-}
-
-// encodeWord64Scalar is the per-cell reference of encodeWord64.
+// encodeWord64Scalar is the degenerate granularity-64 case on the
+// per-cell path: one block per word, unrestricted choice among C1, C2,
+// C3, two-bit index in cell 31.
 func (s *WLCRC) encodeWord64Scalar(syms []uint8, old, out []pcm.State) {
 	rng := s.geom.blocks[0]
 	idx, _ := coset.BestTable(s.tab64, syms[rng[0]:rng[1]], old[rng[0]:rng[1]])
 	s.tab64[idx].Encode(syms[rng[0]:rng[1]], out[rng[0]:rng[1]])
 	out[31] = coset.C1[uint8(idx)]
-}
-
-// Decode implements Scheme.
-func (s *WLCRC) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	s.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements Scheme.
-func (s *WLCRC) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	if cells[memline.LineCells] != flagCompressed {
-		rawDecodeInto(cells, dst)
-		return
-	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, s.decodeWord(cells[w*memline.WordCells:(w+1)*memline.WordCells]))
-	}
-}
-
-func (s *WLCRC) decodeWord(cells []pcm.State) uint64 {
-	g := &s.geom
-	slo, shi := coset.PackStates(cells)
-
-	if s.gran == 64 {
-		idx := int(coset.C1Inv[cells[31]])
-		if idx > 2 {
-			idx = 0
-		}
-		lo, hi := s.swar64[idx].ApplyInvPlanes(slo, shi)
-		mask := coset.CellMask(0, g.dataCells)
-		return s.wlc.DecompressWord(memline.InterleavePlanes(lo&mask, hi&mask))
-	}
-
-	var cands [wlcrcMaxBlocks]uint8
-	group, mixedData := s.readAux(cells, &cands)
-	alt := &s.swarAlt[group]
-	var dlo, dhi uint64
-	for b, rng := range g.blocks {
-		t := &s.swar1
-		if cands[b] == 1 {
-			t = alt
-		}
-		lo, hi := t.ApplyInvPlanes(slo, shi)
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		dlo |= lo & mask
-		dhi |= hi & mask
-	}
-	word := memline.InterleavePlanes(dlo, dhi)
-	if g.mixed {
-		word |= uint64(mixedData) << (uint(g.dataCells) * 2)
-	}
-	return s.wlc.DecompressWord(word)
-}
-
-// readAux recovers the candidate bits, group bit, and (for mixed
-// layouts) the mixed cell's data bit from the C1-mapped auxiliary cells.
-func (s *WLCRC) readAux(cells []pcm.State, cands *[wlcrcMaxBlocks]uint8) (group, mixedData uint8) {
-	inv := &coset.C1Inv
-	switch s.gran {
-	case 8:
-		a := [4]uint8{inv[cells[28]], inv[cells[29]], inv[cells[30]], inv[cells[31]]}
-		cands[0], cands[1] = a[0]&1, a[0]>>1
-		cands[2], cands[3] = a[1]&1, a[1]>>1
-		cands[4], cands[5] = a[2]&1, a[2]>>1
-		cands[6], group = a[3]&1, a[3]>>1
-	case 16:
-		mixedSym := inv[cells[29]]
-		mixedData = mixedSym & 1
-		cands[3] = mixedSym >> 1
-		a30, a31 := inv[cells[30]], inv[cells[31]]
-		cands[2], cands[1] = a30&1, a30>>1
-		cands[0], group = a31&1, a31>>1
-	case 32:
-		mixedSym := inv[cells[30]]
-		mixedData = mixedSym & 1
-		cands[1] = mixedSym >> 1
-		a31 := inv[cells[31]]
-		cands[0], group = a31&1, a31>>1
-	}
-	return group, mixedData
 }

@@ -78,9 +78,10 @@ func testPlanSearchNearOptimal(t *testing.T, gran, payloadBits int, seed uint64)
 		for i := range old {
 			old[i] = pcm.State(r.Intn(pcm.NumStates))
 		}
+		oldLo, oldHi := coset.PackStates(old)
+		nlo, nhi := s.encodeWordPlanes(word, oldLo, oldHi)
 		out := make([]pcm.State, memline.WordCells)
-		copy(out, old)
-		s.encodeWord(word, old, out)
+		coset.UnpackStates(nlo, nhi, out)
 		var got float64
 		for c := range out {
 			if out[c] != old[c] {
@@ -128,7 +129,7 @@ func TestWLCRC16AuxLayoutGolden(t *testing.T) {
 	}
 	// Make the line compressible but keep block contents all-ones: the
 	// top 6 bits of each word are already all 1 = compressible.
-	cells := s.Encode(InitialCells(s.TotalCells()), &data)
+	cells := encodeCells(s, InitialCells(s.TotalCells()), &data)
 	if cells[memline.LineCells] != flagCompressed {
 		t.Fatal("line must compress")
 	}

@@ -10,11 +10,12 @@ import (
 // shards store lines as (lo, hi) bit-plane pairs (see internal/sim's
 // arena), and the write-path checks that run on every request to a
 // stuck line — mismatch detection, the stored-state overlay, and the
-// wear-onset scan — operate on that layout directly. The scalar
-// []pcm.State methods in fault.go remain the reference implementations;
-// the repair recourses themselves (retry, ECC, retirement) still run on
-// materialized cells because they are rare and re-enter the scheme
-// codecs.
+// wear-onset scan — operate on that layout directly, as do the repair
+// recourses' re-encodes (the stuck-aware retry and the canonical and
+// retirement re-encodes run the scheme's plane codec). The scalar
+// []pcm.State methods in fault.go remain the reference implementations,
+// and the ECC (ecc.go) works on cells: the shards unpack a line only at
+// that boundary.
 //
 // Plane layout convention (shared with internal/coset): planes[2w] and
 // planes[2w+1] hold the low and high state bits of cells [32w, 32w+32),

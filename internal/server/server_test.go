@@ -457,7 +457,7 @@ func TestAPIErrors(t *testing.T) {
 func TestSeriesEndpoints(t *testing.T) {
 	ts, _ := newTestServer(t, jobs.Config{Pool: 1}, t.TempDir())
 
-	point := store.SeriesPoint{Name: "encode", Unix: 99, Values: map[string]float64{"BenchmarkEncodeInto/WLCRC-16": 1466.5, "BenchmarkEncodeInto/Baseline": 2200}}
+	point := store.SeriesPoint{Name: "encode", Unix: 99, Values: map[string]float64{"BenchmarkEncodePlanesInto/WLCRC-16": 1466.5, "BenchmarkEncodePlanesInto/Baseline": 2200}}
 	body, _ := json.Marshal(point)
 	resp, err := http.Post(ts.URL+"/v1/series", "application/json", bytes.NewReader(body))
 	if err != nil {

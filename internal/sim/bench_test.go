@@ -4,7 +4,7 @@ package sim
 // root package's replay benchmarks sit on:
 //
 //	word:   internal/coset BenchmarkSWARBestWord / BenchmarkSWARApplyWord
-//	line:   root BenchmarkEncodeInto (codec hot path, no simulation state)
+//	line:   root BenchmarkEncodePlanesInto (codec hot path, no simulation state)
 //	shard:  BenchmarkShardApply / BenchmarkShardApplyRun (this file)
 //	engine: BenchmarkEngineRun (this file), root BenchmarkReplaySerial /
 //	        BenchmarkReplayParallelScaling (full dispatch pipeline)

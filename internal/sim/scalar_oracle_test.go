@@ -4,6 +4,8 @@ import (
 	"fmt"
 
 	"wlcrc/internal/core"
+	"wlcrc/internal/coset"
+	"wlcrc/internal/fault"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
 	"wlcrc/internal/trace"
@@ -13,17 +15,20 @@ import (
 // arena must match bit for bit. It replays a trace one request at a
 // time, in trace order per shard, keeping every line as a []pcm.State in
 // an addr-keyed map and every write counter in an addr-keyed map,
-// encoding with the cell codecs and charging energy and disturbance
-// through the cell-level pcm.DiffWriteMask and CountDisturb.
+// encoding through the shard's plane codec on packed cells (the codecs
+// themselves are held to per-cell references in internal/core), and
+// charging energy and disturbance through the cell-level
+// pcm.DiffWriteMask and CountDisturb.
 //
 // Everything else is borrowed from an Engine built with the same
 // options, so PRNG substreams, fault maps, wear recorders and metric
 // accumulators are identical by construction: request i goes to the
 // shard e.shards[scheme*units+routeOf(addr)], the oracle charges that
-// shard's metrics, and the shard's cell-level repairFaults and runVnR
-// do the fault repair and Verify-and-Restore. The shard's arena is never
-// touched, and the wear recorder is driven through its addr-keyed API.
-// e.Metrics() and e.RetiredLines() then report the oracle's run.
+// shard's metrics, the oracle's own cell-level repairFaults does the
+// fault repair, and the shard's runVnR does Verify-and-Restore. The
+// shard's arena is never touched, and the wear recorder is driven
+// through its addr-keyed API. e.Metrics() and e.RetiredLines() then
+// report the oracle's run.
 type scalarOracle struct {
 	e *Engine
 	// mem[i] and ctrs[i] are scheme i's line store and counter store.
@@ -36,17 +41,48 @@ type scalarOracle struct {
 	changed []bool
 	// compressed[i] is scheme i's cell-vector write classifier.
 	compressed []func([]pcm.State) bool
+	// oldP/newP are the plane scratch the cell codec packs through,
+	// sized for the widest scheme.
+	oldP, newP []uint64
 }
 
 func newScalarOracle(opts Options, schemes ...core.Scheme) *scalarOracle {
 	o := &scalarOracle{e: NewEngine(opts, schemes...)}
+	width := 0
 	for _, sch := range schemes {
 		o.mem = append(o.mem, map[uint64][]pcm.State{})
 		o.ctrs = append(o.ctrs, map[uint64]uint64{})
 		o.spare = append(o.spare, nil)
 		o.compressed = append(o.compressed, core.CompressedWriteFunc(sch))
+		width = max(width, coset.PlaneWords(sch.TotalCells()))
 	}
+	o.oldP, o.newP = make([]uint64, width), make([]uint64, width)
 	return o
+}
+
+// encode is the oracle's cell codec: u's keyed plane encode on the
+// packed old cells, unpacked into dst.
+func (o *scalarOracle) encode(u *shard, dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
+	n := coset.PlaneWords(len(old))
+	coset.PackLine(old, o.oldP[:n])
+	u.planeEnc.EncodeCtrPlanesInto(o.newP[:n], o.oldP[:n], addr, ctr, data)
+	coset.UnpackLine(o.newP[:n], dst)
+}
+
+// encodeStuck is encode through u's stuck-aware plane encode.
+func (o *scalarOracle) encodeStuck(u *shard, dst, old []pcm.State, data *memline.Line, ls *fault.LineStuck) bool {
+	n := coset.PlaneWords(len(old))
+	coset.PackLine(old, o.oldP[:n])
+	ok := u.encodeStuck(o.newP[:n], o.oldP[:n], data, ls)
+	coset.UnpackLine(o.newP[:n], dst)
+	return ok
+}
+
+// decode is the decode side of encode.
+func (o *scalarOracle) decode(u *shard, cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
+	n := coset.PlaneWords(len(cells))
+	coset.PackLine(cells, o.newP[:n])
+	u.planeEnc.DecodeCtrPlanesInto(o.newP[:n], addr, ctr, dst)
 }
 
 // Run replays src the way the Engine's serial dispatch does — in
@@ -109,7 +145,7 @@ func (o *scalarOracle) write(i int, u *shard, req *trace.Request, seq uint64) er
 	if newCells == nil {
 		newCells = make([]pcm.State, n)
 	}
-	u.encodeCtr(newCells, old, addr, ctr, &req.New)
+	o.encode(u, newCells, old, addr, ctr, &req.New)
 	err := o.settle(i, u, newCells, old, addr, ctr, seq, &req.New)
 	o.mem[i][addr] = newCells
 	o.spare[i] = old
@@ -126,7 +162,7 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 	m.Writes++
 	var faultErr error
 	if u.fm != nil {
-		faultErr = u.repairFaults(newCells, old, u.wear.LineCounts(addr), addr, ctr, seq, data)
+		faultErr = o.repairFaults(u, newCells, old, u.wear.LineCounts(addr), addr, ctr, seq, data)
 	}
 	st, changed := u.opts.Energy.DiffWriteMask(old, newCells, sch.DataCells(), o.changed)
 	o.changed = changed
@@ -154,7 +190,7 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 	var verifyErr error
 	if u.opts.Verify {
 		got := &u.decodeBuf
-		u.decodeCtr(newCells, addr, ctr, got)
+		o.decode(u, newCells, addr, ctr, got)
 		if !got.Equal(data) {
 			m.DecodeErrors++
 			verifyErr = fmt.Errorf("sim: %s: decode mismatch at addr %#x", sch.Name(), addr)
@@ -171,4 +207,45 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 		return verifyErr
 	}
 	return faultErr
+}
+
+// repairFaults is the cell-vector reference of the shard's
+// repairFaultsPlanes: the same recourses in the same order (stuck-aware
+// retry, ECC, retirement, uncorrectable), with the retry and the
+// re-encodes run through the oracle's cell codec and retirement
+// resetting old to the all-S1 vector. counts is the line's live
+// per-cell wear.
+func (o *scalarOracle) repairFaults(u *shard, newCells, old []pcm.State, counts []uint32, addr, ctr, seq uint64, data *memline.Line) error {
+	ls := u.fm.Stuck(addr)
+	if ls == nil || ls.MismatchCount(newCells) == 0 {
+		return nil
+	}
+	st := &u.fm.Stats
+	st.Detected++
+	if u.encodeStuck != nil {
+		st.Retries++
+		if o.encodeStuck(u, newCells, old, data, ls) {
+			st.RetriedOK++
+			return nil
+		}
+		o.encode(u, newCells, old, addr, ctr, data)
+	}
+	if bits, ok := u.fm.Correct(newCells, ls, &u.eccSc); ok {
+		st.CorrectedBits += uint64(bits)
+		st.CorrectedWrites++
+		return nil
+	}
+	if u.fm.Retire(addr, counts, seq) {
+		for i := range old {
+			old[i] = pcm.S1
+		}
+		o.encode(u, newCells, old, addr, ctr, data)
+		return nil
+	}
+	st.Uncorrectable++
+	if u.opts.FailFast {
+		return fmt.Errorf("sim: %s: uncorrectable stuck-at fault at addr %#x (%d stuck cells exceed the %d-bit ECC budget, spare pool empty)",
+			u.scheme.Name(), addr, ls.N, u.fm.ECC().BudgetBits())
+	}
+	return nil
 }

@@ -36,18 +36,13 @@ const shardRunCap = 4
 type shard struct {
 	opts   *Options
 	scheme core.Scheme
-	// encodeCtr / decodeCtr are the cell codec entry points resolved
-	// once from the scheme's optional CounterScheme extension:
-	// counter-keyed schemes (VCC, Enc) get the per-line write counter,
-	// everything else ignores it. They serve only the rare cell-level
-	// steps: fault repair and faulty-line reads.
-	encodeCtr func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line)
-	decodeCtr func(cells []pcm.State, addr, ctr uint64, dst *memline.Line)
 	// Line store: lines live in the arena as bit-plane words — 128
 	// contiguous data bytes per line instead of 256 scattered cell
 	// bytes — addressed by the arena's open slot index, and every
 	// encode, diff, wear, disturb and fault step below runs on planes.
-	// planeEnc is the keyed plane codec resolved by core.CtrPlaneCodec.
+	// planeEnc is the keyed plane codec resolved by core.CtrPlaneCodec:
+	// counter-keyed schemes (VCC, Enc) get the per-line write counter,
+	// everything else ignores it.
 	planeEnc  core.CounterPlaneScheme
 	planeGate func([]uint64) bool
 	arena     *arena.Lines
@@ -71,10 +66,10 @@ type shard struct {
 	// masks is the reusable changed-cell mask (one word per 32 cells).
 	masks []uint64
 	// cellsOld/cellsNew are the cell materialization scratch, touched
-	// only off the fast path: fault repair, VnR injection and recovery
-	// reads unpack into them. changed is the bool form of masks the VnR
-	// loop consumes. All three are allocated only when the fault model
-	// or fault injection is on.
+	// only off the fast path: the ECC steps of fault repair, VnR
+	// injection and recovery reads unpack into them. changed is the
+	// bool form of masks the VnR loop consumes. All three are allocated
+	// only when the fault model or fault injection is on.
 	cellsOld, cellsNew []pcm.State
 	changed            []bool
 	// decodeBuf is the Verify path's reusable decode target (a stack
@@ -102,7 +97,7 @@ type shard struct {
 	// optional stuck-aware re-encode, the repair pipeline's first
 	// recourse; eccSc is the reusable ECC scratch of the second.
 	fm          *fault.Map
-	encodeStuck func(dst, old []pcm.State, data *memline.Line, stuck *fault.LineStuck) bool
+	encodeStuck func(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool
 	eccSc       fault.ECCScratch
 
 	// pub is the last published copy of this shard's metrics, the
@@ -141,8 +136,6 @@ func newShard(opts *Options, sch core.Scheme, rnd *prng.Xoshiro256, fm *fault.Ma
 	if opts.TrackWear || fm != nil {
 		u.wear = wear.NewDense(n)
 	}
-	u.encodeCtr = core.EncodeCtrFunc(sch)
-	u.decodeCtr = core.DecodeCtrFunc(sch)
 	if fm != nil {
 		u.encodeStuck = core.EncodeStuckFunc(sch)
 	}
@@ -219,68 +212,6 @@ type planeJob struct {
 	seq  uint64
 	dst  []uint64
 	data *memline.Line
-}
-
-// repairFaults is the per-write detection and repair pipeline of the
-// fault model, run before the write's accounting so the models charge
-// what the controller actually programs. Write-verify against the stuck
-// map detects intended states that disagree with frozen cells; the
-// recourses, in order:
-//
-//  1. stuck-aware re-encode — coset schemes search for a candidate
-//     assignment matching every stuck cell (free if one exists);
-//  2. ECC classification — the interleaved BCH budget covers the
-//     mismatches, so reads will correct the stored line back to the
-//     intended content;
-//  3. line retirement — the address remaps to a healthy spare line and
-//     the write re-encodes against a fresh initial vector;
-//  4. uncorrectable — counted, and fatal only under Options.FailFast.
-//
-// Every step is a pure function of the shard's own trace-ordered
-// history, so the outcome is bit-identical for every worker count.
-//
-// newCells and old are cell vectors: repairFaultsPlanes materializes
-// them from planes for the rare write that needs a repair. counts is the
-// line's live per-cell wear; retirement re-draws the spare line's
-// endurance thresholds above it.
-func (u *shard) repairFaults(newCells, old []pcm.State, counts []uint32, addr, ctr, seq uint64, data *memline.Line) error {
-	ls := u.fm.Stuck(addr)
-	if ls == nil || ls.MismatchCount(newCells) == 0 {
-		return nil
-	}
-	st := &u.fm.Stats
-	st.Detected++
-	if u.encodeStuck != nil {
-		st.Retries++
-		if u.encodeStuck(newCells, old, data, ls) {
-			st.RetriedOK++
-			return nil
-		}
-		// The failed retry may have partially filled newCells; restore
-		// the canonical encode before pricing it against the ECC.
-		u.encodeCtr(newCells, old, addr, ctr, data)
-	}
-	if bits, ok := u.fm.Correct(newCells, ls, &u.eccSc); ok {
-		st.CorrectedBits += uint64(bits)
-		st.CorrectedWrites++
-		return nil
-	}
-	if u.fm.Retire(addr, counts, seq) {
-		// The spare line is pristine: restart from the initial RESET
-		// vector and re-encode against it. The address keeps its write
-		// counter — counters are address metadata and survive the remap.
-		for i := range old {
-			old[i] = pcm.S1
-		}
-		u.encodeCtr(newCells, old, addr, ctr, data)
-		return nil
-	}
-	st.Uncorrectable++
-	if u.opts.FailFast {
-		return fmt.Errorf("sim: %s: uncorrectable stuck-at fault at addr %#x (%d stuck cells exceed the %d-bit ECC budget, spare pool empty)",
-			u.scheme.Name(), addr, ls.N, u.fm.ECC().BudgetBits())
-	}
-	return nil
 }
 
 // settlePlanes charges the accounting models for one encoded write and
@@ -372,28 +303,69 @@ func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, dat
 	return faultErr
 }
 
-// repairFaultsPlanes runs the write-verify fault check against plane
-// storage. The no-mismatch fast path — every write on a healthy line,
-// and most writes on stuck ones — costs one stuck-map lookup and a
-// plane scan; an actual repair is rare, so it materializes both cell
-// vectors, reuses the cell-level repair pipeline (retry, ECC,
-// retirement), and packs the outcome back — including the pristine
-// all-S1 old vector a retirement resets the slot to. ctr is the write's
-// counter: the retry-failure and retirement re-encodes must run under
-// the same keystream as the write itself.
+// repairFaultsPlanes is the per-write detection and repair pipeline of
+// the fault model, run before the write's accounting so the models
+// charge what the controller actually programs. Write-verify against
+// the stuck map detects intended states that disagree with frozen
+// cells; the recourses, in order:
+//
+//  1. stuck-aware re-encode — coset schemes search for a candidate
+//     assignment matching every stuck cell (free if one exists);
+//  2. ECC classification — the interleaved BCH budget covers the
+//     mismatches, so reads will correct the stored line back to the
+//     intended content;
+//  3. line retirement — the address remaps to a healthy spare line and
+//     the write re-encodes against a fresh initial line;
+//  4. uncorrectable — counted, and fatal only under Options.FailFast.
+//
+// Every step is a pure function of the shard's own trace-ordered
+// history, so the outcome is bit-identical for every worker count.
+//
+// The no-mismatch fast path — every write on a healthy line, and most
+// writes on stuck ones — costs one stuck-map lookup and a plane scan.
+// The whole pipeline runs on planes; only the ECC classification, at
+// the fault.ECC boundary, unpacks the intended line to cells. ctr is
+// the write's counter: the retry-failure and retirement re-encodes run
+// under the same keystream as the write itself. Retirement zeroes oldP,
+// the slot's stored planes, to the all-S1 line of a pristine spare,
+// and re-draws its endurance thresholds above the slot's live wear.
 func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, ctr, seq uint64, data *memline.Line) error {
 	ls := u.fm.Stuck(addr)
 	if ls == nil || ls.MismatchCountPlanes(newP) == 0 {
 		return nil
 	}
-	n := u.scheme.TotalCells()
-	newC, oldC := u.cellsNew[:n], u.cellsOld[:n]
-	coset.UnpackLine(newP, newC)
-	coset.UnpackLine(oldP, oldC)
-	err := u.repairFaults(newC, oldC, u.wear.SlotCounts(slot), addr, ctr, seq, data)
-	coset.PackLine(newC, newP)
-	coset.PackLine(oldC, oldP)
-	return err
+	st := &u.fm.Stats
+	st.Detected++
+	if u.encodeStuck != nil {
+		st.Retries++
+		if u.encodeStuck(newP, oldP, data, ls) {
+			st.RetriedOK++
+			return nil
+		}
+		// The failed retry may have partially filled newP; restore the
+		// canonical encode before pricing it against the ECC.
+		u.planeEnc.EncodeCtrPlanesInto(newP, oldP, addr, ctr, data)
+	}
+	cells := u.cellsNew[:u.scheme.TotalCells()]
+	coset.UnpackLine(newP, cells)
+	if bits, ok := u.fm.Correct(cells, ls, &u.eccSc); ok {
+		st.CorrectedBits += uint64(bits)
+		st.CorrectedWrites++
+		return nil
+	}
+	if u.fm.Retire(addr, u.wear.SlotCounts(slot), seq) {
+		// The address keeps its write counter — counters are address
+		// metadata and survive the remap.
+		clear(oldP)
+		u.planeEnc.EncodeCtrPlanesInto(newP, oldP, addr, ctr, data)
+		return nil
+	}
+	st.Uncorrectable++
+	if u.opts.FailFast {
+		return fmt.Errorf("sim: %s: uncorrectable stuck-at fault at addr %#x (%d stuck cells exceed the %d-bit ECC budget, spare pool empty)",
+			u.scheme.Name(), addr, ls.N, u.fm.ECC().BudgetBits())
+	}
+	return nil
 }
 
 // expandMasks spreads plane-diff change masks into the bool mask the
@@ -419,7 +391,8 @@ func expandMasks(masks []uint64, dst []bool) {
 // the scheme. ok=false means the address was never written; an error
 // means the line is uncorrectably corrupted (deterministically so).
 // A healthy-line read decodes the arena slot directly; the fault path
-// materializes cells for the ECC recovery.
+// materializes cells for the ECC recovery and packs the recovered line
+// into a spare plane buffer to decode.
 func (u *shard) readLine(addr uint64, dst *memline.Line) (ok bool, err error) {
 	slot, ok := u.arena.Lookup(addr)
 	if !ok {
@@ -441,7 +414,10 @@ func (u *shard) readLine(addr uint64, dst *memline.Line) (ok bool, err error) {
 	if !recOK {
 		return true, fmt.Errorf("sim: %s: uncorrectable read at addr %#x", u.scheme.Name(), addr)
 	}
-	u.decodeCtr(cells, addr, ctr, dst)
+	rec := u.takeSpare()
+	coset.PackLine(cells, rec)
+	u.planeEnc.DecodeCtrPlanesInto(rec, addr, ctr, dst)
+	u.putSpare(rec)
 	return true, nil
 }
 

@@ -8,7 +8,6 @@ import (
 	"wlcrc/internal/core"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/memsys"
-	"wlcrc/internal/pcm"
 	"wlcrc/internal/trace"
 	"wlcrc/internal/workload"
 )
@@ -127,19 +126,8 @@ type brokenScheme struct{ core.Baseline }
 
 func (brokenScheme) Name() string { return "broken" }
 
-func (b brokenScheme) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	b.DecodeInto(cells, &l)
-	return l
-}
-
-func (b brokenScheme) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	b.Baseline.DecodeInto(cells, dst)
-	dst[0] ^= 0xff
-}
-
-// DecodePlanesInto mirrors the cell-decode corruption so the breakage
-// surfaces on the plane path the shard stores lines through.
+// DecodePlanesInto corrupts every decode, so the breakage surfaces on
+// the plane path the shard stores lines through.
 func (b brokenScheme) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	b.Baseline.DecodePlanesInto(planes, dst)
 	dst[0] ^= 0xff

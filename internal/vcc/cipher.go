@@ -23,10 +23,9 @@
 //     counter) pads and candidate vectors (cipher.go).
 //   - Scheme (VCC-2/4/8) and Encrypted (a wrapper that runs any inner
 //     scheme on ciphertext): core.Scheme implementations registered in
-//     internal/core (vcc.go, encrypted.go). Both implement the
-//     core.CounterScheme extension and its plane form,
-//     core.CounterPlaneScheme; their address/counter-blind
-//     EncodeInto/DecodeInto forms fall back to (addr=0, ctr=0).
+//     internal/core (vcc.go, encrypted.go). Both implement the keyed
+//     plane codec core.CounterPlaneScheme and its cell-vector form,
+//     core.CounterScheme; neither has an address/counter-blind form.
 //   - StreamEncryptor / EncryptSource: whiten a whole write-request
 //     stream the way an encrypted DIMM would see it, for workloads and
 //     traces (source.go).

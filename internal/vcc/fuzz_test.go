@@ -102,9 +102,9 @@ func FuzzVCCCandidates(f *testing.F) {
 
 // FuzzCounterPlanes asserts, for arbitrary plaintext, old states, keys,
 // addresses and counters, that the keyed plane codecs of VCC-2/4/8 and
-// of the Encrypted wrapper agree with their cell codecs: the plane
-// encode is the packed cell encode, old planes stay untouched, and the
-// plane decode round-trips to the plaintext under the same key.
+// of the Encrypted wrapper agree with their cell-vector forms: the
+// plane encode is the packed cell encode, old planes stay untouched, and
+// the plane decode round-trips to the plaintext under the same key.
 func FuzzCounterPlanes(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), byte(0))
 	f.Add([]byte{0x5A, 0xA5, 0xFF}, uint64(3), uint64(1), uint64(9), byte(1))
@@ -119,7 +119,7 @@ func FuzzCounterPlanes(f *testing.F) {
 		}
 		var s codec
 		if sel%4 == 3 {
-			s = NewEncrypted(newVCCInnerStub(), key)
+			s = NewEncrypted(vccInnerStub{}, key)
 		} else {
 			v, err := New(pcm.DefaultEnergy(), fuzzN(sel), key)
 			if err != nil {

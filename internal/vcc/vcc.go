@@ -22,10 +22,10 @@ import (
 // on every write, incompressible or not, which is the whole point on
 // encrypted traffic.
 //
-// Scheme implements core.CounterScheme (cells) and
-// core.CounterPlaneScheme (bit planes, the form replay frontends store
-// lines through); both run the one candidate sweep, bestCandidate, and
-// agree bit for bit. The sweep prices in the interleaved "spread"
+// Scheme implements core.CounterPlaneScheme (bit planes, the form
+// replay frontends store lines through) and core.CounterScheme (cells,
+// for perfbench's codec probes); both run the one candidate sweep,
+// bestCandidate, and agree bit for bit. The sweep prices in the interleaved "spread"
 // domain of a data word, where cell c sits at bits 2c and 2c+1: the
 // old states are spread once per word, each candidate is priced
 // straight from the XORed ciphertext word, and only the winner is
@@ -34,10 +34,7 @@ import (
 // order exactly as coset.SWARTable.CostOf sums, so no multiply runs per
 // candidate.
 //
-// The counter-blind EncodeInto/DecodeInto forms use (addr=0, ctr=0) — a
-// degenerate static-whitening mode kept for the generic Scheme
-// contract; replay frontends always drive the counter-aware path. There
-// is deliberately no counter-blind plane form, so core.PlaneCodec
+// There is deliberately no counter-blind form, so core.PlaneCodec
 // answers false for Scheme.
 //
 // Scheme is immutable after construction and safe for concurrent use;
@@ -107,32 +104,6 @@ func (s *Scheme) TotalCells() int { return memline.LineCells + s.auxCells() }
 
 // DataCells implements core.Scheme.
 func (s *Scheme) DataCells() int { return memline.LineCells }
-
-// Encode implements core.Scheme (allocating wrapper, addr=0, ctr=0).
-func (s *Scheme) Encode(old []pcm.State, data *memline.Line) []pcm.State {
-	out := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(out, old, data)
-	return out
-}
-
-// EncodeInto implements core.Scheme with the degenerate (addr=0, ctr=0)
-// stream.
-func (s *Scheme) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	s.EncodeCtrInto(dst, old, 0, 0, data)
-}
-
-// Decode implements core.Scheme (allocating wrapper, addr=0, ctr=0).
-func (s *Scheme) Decode(cells []pcm.State) memline.Line {
-	var l memline.Line
-	s.DecodeInto(cells, &l)
-	return l
-}
-
-// DecodeInto implements core.Scheme with the degenerate (addr=0, ctr=0)
-// stream.
-func (s *Scheme) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	s.DecodeCtrInto(cells, 0, 0, dst)
-}
 
 // EncodeCtrInto implements core.CounterScheme: encrypt data under
 // (addr, ctr), pick each word's cheapest candidate vector word-parallel,

@@ -102,31 +102,10 @@ func TestRoundTripChained(t *testing.T) {
 	}
 }
 
-// TestCounterBlindFormsAreCtrZero pins the Scheme-interface fallback:
-// EncodeInto/DecodeInto must be exactly the (addr=0, ctr=0) keyed pair.
-func TestCounterBlindFormsAreCtrZero(t *testing.T) {
-	r := prng.New(3)
-	s := newVCC(t, 4)
-	data := randomLine(r)
-	old := randomOld(r, s.TotalCells())
-	a := make([]pcm.State, s.TotalCells())
-	b := make([]pcm.State, s.TotalCells())
-	s.EncodeInto(a, old, &data)
-	s.EncodeCtrInto(b, old, 0, 0, &data)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("EncodeInto differs from EncodeCtrInto(0,0) at cell %d", i)
-		}
-	}
-	var got memline.Line
-	s.DecodeInto(a, &got)
-	if !got.Equal(&data) {
-		t.Fatal("counter-blind round trip failed")
-	}
-}
-
-// TestEncodeIntoContract mirrors core's generic scheme contract:
-// Encode == EncodeInto over garbage dst, and old is never mutated.
+// TestEncodeIntoContract mirrors core's caller-storage contract for both
+// keyed codecs: EncodeCtrInto and EncodeCtrPlanesInto overwrite a
+// garbage destination completely, agree bit for bit, and never mutate
+// old.
 func TestEncodeIntoContract(t *testing.T) {
 	r := prng.New(4)
 	for _, n := range []int{2, 4, 8} {
@@ -138,16 +117,24 @@ func TestEncodeIntoContract(t *testing.T) {
 		for i := range dst {
 			dst[i] = pcm.State(3)
 		}
-		s.EncodeInto(dst, old, &data)
-		ref := s.Encode(old, &data)
-		for i := range dst {
-			if dst[i] != ref[i] {
-				t.Fatalf("VCC-%d: EncodeInto differs from Encode at cell %d", n, i)
+		s.EncodeCtrInto(dst, old, 5, 9, &data)
+		oldP := make([]uint64, coset.PlaneWords(s.TotalCells()))
+		coset.PackLine(old, oldP)
+		dstP := make([]uint64, len(oldP))
+		for i := range dstP {
+			dstP[i] = r.Uint64()
+		}
+		s.EncodeCtrPlanesInto(dstP, oldP, 5, 9, &data)
+		ref := make([]uint64, len(oldP))
+		coset.PackLine(dst, ref)
+		for i := range ref {
+			if dstP[i] != ref[i] {
+				t.Fatalf("VCC-%d: EncodeCtrPlanesInto differs from the packed EncodeCtrInto at word %d", n, i)
 			}
 		}
 		for i := range old {
 			if old[i] != snapshot[i] {
-				t.Fatalf("VCC-%d: EncodeInto mutated old", n)
+				t.Fatalf("VCC-%d: EncodeCtrInto mutated old", n)
 			}
 		}
 	}
@@ -274,9 +261,12 @@ func TestDeterministicAndKeyed(t *testing.T) {
 	s3, _ := New(pcm.DefaultEnergy(), 8, 12345)
 	data := randomLine(r)
 	old := randomOld(r, s1.TotalCells())
-	a := s1.Encode(old, &data)
-	b := s2.Encode(old, &data)
-	c := s3.Encode(old, &data)
+	encode := func(s *Scheme) []pcm.State {
+		out := make([]pcm.State, s.TotalCells())
+		s.EncodeCtrInto(out, old, 0, 0, &data)
+		return out
+	}
+	a, b, c := encode(s1), encode(s2), encode(s3)
 	same := func(x, y []pcm.State) bool {
 		for i := range x {
 			if x[i] != y[i] {
@@ -355,11 +345,11 @@ func TestReducesEnergyOnCiphertext(t *testing.T) {
 }
 
 // TestEncryptedWrapperRoundTrip: Enc(inner) must round-trip plaintext
-// through encrypt -> inner encode -> inner decode -> decrypt for keyed
-// and counter-blind forms.
+// through encrypt -> inner encode -> inner decode -> decrypt, through
+// the keyed plane codec and its packed cell form alike.
 func TestEncryptedWrapperRoundTrip(t *testing.T) {
 	r := prng.New(8)
-	inner := newVCCInnerStub()
+	inner := vccInnerStub{}
 	e := NewEncrypted(inner, 0)
 	if e.Name() != "Enc(stub)" {
 		t.Errorf("Name = %q", e.Name())
@@ -367,71 +357,52 @@ func TestEncryptedWrapperRoundTrip(t *testing.T) {
 	if e.TotalCells() != inner.TotalCells() || e.DataCells() != inner.DataCells() {
 		t.Error("wrapper geometry must delegate")
 	}
+	width := coset.PlaneWords(e.TotalCells())
 	for trial := 0; trial < 100; trial++ {
 		data := randomLine(r)
 		old := randomOld(r, e.TotalCells())
 		addr, ctr := r.Uint64()%512, r.Uint64()%64
-		dst := make([]pcm.State, e.TotalCells())
-		e.EncodeCtrInto(dst, old, addr, ctr, &data)
+		oldP := make([]uint64, width)
+		coset.PackLine(old, oldP)
+		dst := make([]uint64, width)
+		e.EncodeCtrPlanesInto(dst, oldP, addr, ctr, &data)
 		var got memline.Line
-		e.DecodeCtrInto(dst, addr, ctr, &got)
+		e.DecodeCtrPlanesInto(dst, addr, ctr, &got)
 		if !got.Equal(&data) {
 			t.Fatalf("wrapper round trip failed at trial %d", trial)
 		}
 		// The inner scheme must have seen ciphertext, not the plaintext.
 		var innerView memline.Line
-		inner.DecodeInto(dst, &innerView)
+		inner.DecodePlanesInto(dst, &innerView)
 		if innerView.Equal(&data) {
 			t.Fatal("inner scheme stored plaintext — no encryption happened")
 		}
-	}
-	var got memline.Line
-	data := randomLine(r)
-	cells := e.Encode(make([]pcm.State, e.TotalCells()), &data)
-	e.DecodeInto(cells, &got)
-	if !got.Equal(&data) {
-		t.Fatal("counter-blind wrapper round trip failed")
+		cells := make([]pcm.State, e.TotalCells())
+		e.EncodeCtrInto(cells, old, addr, ctr, &data)
+		e.DecodeCtrInto(cells, addr, ctr, &got)
+		if !got.Equal(&data) {
+			t.Fatalf("packed cell round trip failed at trial %d", trial)
+		}
 	}
 }
 
 // vccInnerStub is a trivial raw C1 inner scheme for wrapper tests.
-type vccInnerStub struct {
-	tab coset.CostTable
-}
+type vccInnerStub struct{}
 
-func newVCCInnerStub() *vccInnerStub {
-	em := pcm.DefaultEnergy()
-	return &vccInnerStub{tab: coset.C1.CostTable(&em)}
-}
+func (vccInnerStub) Name() string    { return "stub" }
+func (vccInnerStub) TotalCells() int { return memline.LineCells }
+func (vccInnerStub) DataCells() int  { return memline.LineCells }
 
-func (s *vccInnerStub) Name() string    { return "stub" }
-func (s *vccInnerStub) TotalCells() int { return memline.LineCells }
-func (s *vccInnerStub) DataCells() int  { return memline.LineCells }
-
-func (s *vccInnerStub) EncodeInto(dst, old []pcm.State, data *memline.Line) {
-	var syms [memline.LineCells]uint8
-	data.SymbolsInto(&syms)
-	s.tab.Encode(syms[:], dst[:memline.LineCells])
-}
-
-func (s *vccInnerStub) DecodeInto(cells []pcm.State, dst *memline.Line) {
-	var syms [memline.LineCells]uint8
-	for i := 0; i < memline.LineCells; i++ {
-		syms[i] = s.tab.Inv[cells[i]]
+func (vccInnerStub) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
+	for w := 0; w < memline.LineWords; w++ {
+		dst[2*w], dst[2*w+1] = coset.C1SWAR.ApplyPlanes(memline.LoHiPlanes(data.Word(w)))
 	}
-	dst.SetSymbolsFrom(&syms)
 }
 
-func (s *vccInnerStub) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	cells := make([]pcm.State, memline.LineCells)
-	s.EncodeInto(cells, nil, data)
-	coset.PackLine(cells, dst)
-}
-
-func (s *vccInnerStub) DecodePlanesInto(planes []uint64, dst *memline.Line) {
-	cells := make([]pcm.State, memline.LineCells)
-	coset.UnpackLine(planes, cells)
-	s.DecodeInto(cells, dst)
+func (vccInnerStub) DecodePlanesInto(planes []uint64, dst *memline.Line) {
+	for w := 0; w < memline.LineWords; w++ {
+		dst.SetWord(w, memline.InterleavePlanes(coset.C1SWAR.ApplyInvPlanes(planes[2*w], planes[2*w+1])))
+	}
 }
 
 // TestStreamEncryptorRoundTrip: whitening a recorded stream twice with

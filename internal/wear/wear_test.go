@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wlcrc/internal/core"
+	"wlcrc/internal/coset"
 	"wlcrc/internal/pcm"
 	"wlcrc/internal/workload"
 )
@@ -180,18 +181,24 @@ func TestSchemesLifetimeOrdering(t *testing.T) {
 	wl, _ := core.NewScheme("WLCRC-16", cfg)
 
 	run := func(s core.Scheme) Summary {
-		d := NewDense(s.TotalCells())
-		mem := map[uint64][]pcm.State{}
+		n := s.TotalCells()
+		codec := core.CtrPlaneCodec(s)
+		d := NewDense(n)
+		mem := map[uint64][]uint64{}
+		oldC, nextC := make([]pcm.State, n), make([]pcm.State, n)
 		p, _ := workload.ProfileByName("gcc")
 		gen := workload.NewGenerator(p, 128, 5)
 		for i := 0; i < 3000; i++ {
 			req, _ := gen.Next()
 			old, ok := mem[req.Addr]
 			if !ok {
-				old = core.InitialCells(s.TotalCells())
+				old = make([]uint64, coset.PlaneWords(n))
 			}
-			next := s.Encode(old, &req.New)
-			d.Record(req.Addr, old, next)
+			next := make([]uint64, len(old))
+			codec.EncodeCtrPlanesInto(next, old, req.Addr, 0, &req.New)
+			coset.UnpackLine(old, oldC)
+			coset.UnpackLine(next, nextC)
+			d.Record(req.Addr, oldC, nextC)
 			mem[req.Addr] = next
 		}
 		return d.Summary()

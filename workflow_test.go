@@ -214,6 +214,63 @@ func TestWorkflowBenchPatternsMatch(t *testing.T) {
 	}
 }
 
+// repoBenchFuncs returns the names of every top-level benchmark
+// function declared in a _test.go file anywhere in the repository.
+func repoBenchFuncs(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if d.IsDir() && path != "." {
+			names = append(names, benchFuncs(t, path)...)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(names, benchFuncs(t, ".")...)
+}
+
+// TestWorkflowBenchmarkNamesExist extends the -bench pattern check to
+// every Benchmark identifier written anywhere in a workflow — sed
+// expressions, comments and step names included — so renaming or
+// deleting a benchmark cannot leave a step silently rewriting or
+// filtering rows that no longer exist. Each identifier must name a
+// benchmark function of the repository: be its name, or a prefix of it
+// as an unanchored -bench pattern matches.
+func TestWorkflowBenchmarkNamesExist(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join(".github", "workflows", "*.y*ml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := repoBenchFuncs(t)
+	ident := regexp.MustCompile(`Benchmark\w+`)
+	checked := 0
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, line := range strings.Split(string(doc), "\n") {
+			for _, id := range ident.FindAllString(line, -1) {
+				checked++
+				if !slices.ContainsFunc(funcs, func(fn string) bool { return strings.HasPrefix(fn, id) }) {
+					t.Errorf("%s:%d: %s names no benchmark function", f, n+1, id)
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no Benchmark identifiers found in the workflows")
+	}
+}
+
 // gateRow is the command half of one row of the BENCH_encode.json gate
 // table, which the bench-guard CI job runs for every row.
 type gateRow struct {
