@@ -81,13 +81,29 @@ func checkPlaneEquivalence(t testing.TB, s Scheme, r *prng.Xoshiro256, old []pcm
 	}
 }
 
-// TestEncodePlanesMatchesScalar holds every plane encoder — the
-// registered schemes and the extra granularities of equivSchemes — to
-// its per-cell scalar reference over a randomized corpus: compressible
-// and incompressible data against fresh and steady-state old vectors.
+// TestEncodePlanesMatchesScalar holds the plane encoder of every
+// registered scheme to its per-cell scalar reference over a randomized
+// corpus: compressible and incompressible data against fresh and
+// steady-state old vectors. TestSWAREncodeMatchesScalarReference does
+// the same for the extra granularity instances.
 func TestEncodePlanesMatchesScalar(t *testing.T) {
+	r := prng.New(20260807)
+	for _, s := range allSchemes(t) {
+		for trial := 0; trial < 80; trial++ {
+			data := randomBiasedLine(r)
+			old := randomOld(r, s.TotalCells())
+			checkPlaneEquivalence(t, s, r, old, &data)
+		}
+	}
+}
+
+// TestSWAREncodeMatchesScalarReference holds the word-parallel plane
+// encoders of the unregistered granularity instances (extraSchemes) to
+// their per-cell scalar references, over the same kind of corpus as
+// TestEncodePlanesMatchesScalar.
+func TestSWAREncodeMatchesScalarReference(t *testing.T) {
 	r := prng.New(0x5AA5)
-	for _, s := range equivSchemes(t) {
+	for _, s := range extraSchemes(t) {
 		for trial := 0; trial < 80; trial++ {
 			data := randomBiasedLine(r)
 			old := randomOld(r, s.TotalCells())

@@ -275,14 +275,21 @@ func encodeRef(t testing.TB, s Scheme, dst, old []pcm.State, data *memline.Line)
 	}
 }
 
-// equivSchemes returns the twelve registered plane schemes plus extra
-// granularity instances — the ones the granularity figures and the
-// multi-objective experiment replay — that stress sub-word, word and
-// multi-word masked pricing, the §VIII.D multi-objective tie-break, and
-// the §XI disturbance-aware WLCRC of the ablation study.
+// equivSchemes returns the twelve registered plane schemes plus the
+// extra instances of extraSchemes.
 func equivSchemes(t testing.TB) []Scheme {
 	t.Helper()
-	out := allSchemes(t)
+	return append(allSchemes(t), extraSchemes(t)...)
+}
+
+// extraSchemes returns the unregistered granularity instances — the ones
+// the granularity figures and the multi-objective experiment replay —
+// that stress sub-word, word and multi-word masked pricing, the §VIII.D
+// multi-objective tie-break, and the §XI disturbance-aware WLCRC of the
+// ablation study.
+func extraSchemes(t testing.TB) []Scheme {
+	t.Helper()
+	var out []Scheme
 	cfg := DefaultConfig()
 	for _, bb := range []int{8, 16, 64, 128, 256} {
 		out = append(out, NewLineCosets(cfg, "4cosets", coset.Table1[:], bb))
