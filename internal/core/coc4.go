@@ -42,6 +42,13 @@ const (
 	cocFlagRaw = pcm.S3
 )
 
+// coc16Geom and coc32Geom are the payload block geometries of the two
+// encoded modes.
+var (
+	coc16Geom = coset.UniformBlocks(coc16PayloadCells, coc16PayloadCells/coc16Blocks)
+	coc32Geom = coset.UniformBlocks(coc32PayloadCells, coc32PayloadCells/coc32Blocks)
+)
+
 // NewCOC4 returns the COC+4cosets scheme.
 func NewCOC4(cfg Config) *COC4 {
 	return &COC4{

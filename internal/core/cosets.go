@@ -22,13 +22,16 @@ type LineCosets struct {
 	name       string
 	cands      []coset.Mapping
 	swar       []coset.SWARTable
+	geom       *coset.Blocks
 	blockBits  int
 	blockCells int
 	nblocks    int
 	auxPerBlk  int // aux cells per block: 1 for <=4 candidates, 2 for 6
 	em         pcm.EnergyModel
 	pairs      [][2]pcm.State
-	pairIdx    map[[2]pcm.State]int
+	// pairIdx[a][b] is the candidate whose aux pair is (a, b), or -1
+	// when no candidate owns that pair.
+	pairIdx [pcm.NumStates][pcm.NumStates]int8
 }
 
 // NewLineCosets builds an unrestricted coset scheme. blockBits must
@@ -45,6 +48,7 @@ func NewLineCosets(cfg Config, name string, cands []coset.Mapping, blockBits int
 		name:       name,
 		cands:      cands,
 		swar:       coset.SWARTables(&cfg.Energy, cands),
+		geom:       coset.UniformBlocks(memline.LineCells, blockBits/2),
 		blockBits:  blockBits,
 		blockCells: blockBits / 2,
 		nblocks:    memline.LineBits / blockBits,
@@ -54,7 +58,14 @@ func NewLineCosets(cfg Config, name string, cands []coset.Mapping, blockBits int
 	if len(cands) > 4 {
 		s.auxPerBlk = 2
 		s.pairs = coset.AuxPairs(&cfg.Energy)[:len(cands)]
-		s.pairIdx = auxPairIndex(s.pairs)
+		for a := range s.pairIdx {
+			for b := range s.pairIdx[a] {
+				s.pairIdx[a][b] = -1
+			}
+		}
+		for i, pair := range s.pairs {
+			s.pairIdx[pair[0]][pair[1]] = int8(i)
+		}
 	}
 	return s
 }
@@ -85,8 +96,10 @@ type RestrictedLineCosets struct {
 	blockCells int
 	nblocks    int
 	em         pcm.EnergyModel
-	swar1      coset.SWARTable    // C1
-	swarAlt    [2]coset.SWARTable // C2, C3 — the two group alternates
+	geom       *coset.Blocks
+	// swar prices and applies C1, C2, C3: a block's candidate index is
+	// 0 for C1 and 1+group for its group's alternate.
+	swar []coset.SWARTable
 }
 
 // NewRestrictedLineCosets builds the 3-r-cosets scheme at the given block
@@ -101,8 +114,8 @@ func NewRestrictedLineCosets(cfg Config, blockBits int) *RestrictedLineCosets {
 		blockCells: blockBits / 2,
 		nblocks:    memline.LineBits / blockBits,
 		em:         cfg.Energy,
-		swar1:      coset.C1.SWAR(&cfg.Energy),
-		swarAlt:    [2]coset.SWARTable{coset.C2.SWAR(&cfg.Energy), coset.C3.SWAR(&cfg.Energy)},
+		geom:       coset.UniformBlocks(memline.LineCells, blockBits/2),
+		swar:       coset.SWARTables(&cfg.Energy, coset.Table1[:3]),
 	}
 }
 

@@ -20,12 +20,12 @@ type FlipMin struct {
 	// maskWords caches every mask's word view so the winner's data can
 	// be rebuilt by whole-word XOR at decode.
 	maskWords [16][memline.LineWords]uint64
-	// maskPlanes caches every mask word's bit-plane pair. LoHiPlanes is
-	// linear over XOR, so the planes of (word ^ mask) are two XORs —
-	// the 16-candidate sweep never re-extracts the data.
-	maskPlanes [16][memline.LineWords][2]uint64
+	// maskRegs caches every mask's pair-register planes. LoHiPlanes is
+	// linear over XOR, so the planes of (line ^ mask) are two XORs per
+	// register — the 16-candidate sweep never re-extracts the data.
+	maskRegs [16][coset.MaxRegs][2]uint64
 	// swar prices symbol-over-state through the default C1 mapping; the
-	// 16-candidate sweep is four popcounts per word per candidate.
+	// 16-candidate sweep is four popcounts per register per candidate.
 	swar coset.SWARTable
 }
 
@@ -42,8 +42,10 @@ func NewFlipMin(cfg Config) *FlipMin {
 	}
 	for i := range f.masks {
 		f.maskWords[i] = f.masks[i].Words()
-		for w, word := range f.maskWords[i] {
-			f.maskPlanes[i][w][0], f.maskPlanes[i][w][1] = memline.LoHiPlanes(word)
+		for r := range f.maskRegs[i] {
+			lo0, hi0 := memline.LoHiPlanes(f.maskWords[i][2*r])
+			lo1, hi1 := memline.LoHiPlanes(f.maskWords[i][2*r+1])
+			f.maskRegs[i][r] = [2]uint64{coset.Pair(lo0, lo1), coset.Pair(hi0, hi1)}
 		}
 	}
 	f.swar = coset.C1.SWAR(&cfg.Energy)

@@ -14,12 +14,10 @@ import (
 // (§VIII).
 type FNW struct {
 	em pcm.EnergyModel
-	// swarKeep prices a symbol stored as-is through C1; swarFlip prices
-	// its complement (complementing a bit pair complements the symbol),
-	// so the keep-vs-flip compare is two masked popcount sweeps per
-	// block.
-	swarKeep coset.SWARTable
-	swarFlip coset.SWARTable
+	// swar[0] prices a symbol stored as-is through C1 and swar[1] its
+	// complement (complementing a bit pair complements the symbol); a
+	// block's flip bit is its candidate index.
+	swar [2]coset.SWARTable
 }
 
 // fnwBlocks is the number of independently-flippable blocks per line.
@@ -28,6 +26,9 @@ const fnwBlocks = 4
 // fnwBlockCells is the number of cells per 128-bit block.
 const fnwBlockCells = memline.LineCells / fnwBlocks
 
+// fnwGeom is the block geometry: one pair register per block.
+var fnwGeom = coset.UniformBlocks(memline.LineCells, fnwBlockCells)
+
 // NewFNW returns the FNW scheme.
 func NewFNW(cfg Config) *FNW {
 	var flipped coset.Mapping
@@ -35,9 +36,8 @@ func NewFNW(cfg Config) *FNW {
 		flipped[v] = coset.C1[^v&3]
 	}
 	return &FNW{
-		em:       cfg.Energy,
-		swarKeep: coset.C1.SWAR(&cfg.Energy),
-		swarFlip: flipped.SWAR(&cfg.Energy),
+		em:   cfg.Energy,
+		swar: [2]coset.SWARTable{coset.C1.SWAR(&cfg.Energy), flipped.SWAR(&cfg.Energy)},
 	}
 }
 

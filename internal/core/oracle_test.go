@@ -1,0 +1,307 @@
+package core
+
+import (
+	"testing"
+
+	"wlcrc/internal/compress"
+	"wlcrc/internal/coset"
+	"wlcrc/internal/memline"
+	"wlcrc/internal/pcm"
+	"wlcrc/internal/prng"
+)
+
+// Optimality oracle for the coset families whose choice is separable
+// per block: FlipMin (16 line-wide candidates), FNW (2 per 128-bit
+// block), the line-coset family (6cosets: 6 line-wide; 4cosets and
+// 6cosets at finer granularities), COC+4cosets (4 per payload block,
+// both payload modes) and WLC+Ncosets (N per block of every word). The
+// oracle unpacks old and data to cells, builds every candidate encoding
+// of each block's data cells, and prices each with
+// pcm.EnergyModel.DiffWrite — never through a CostTable or SWARTable.
+// The plane encoder must have stored the encoding its aux cells name,
+// at the minimum cost, and no lower-index candidate may cost the same.
+// WLCRC is out of scope: its blocks share aux cells, so Algorithm 1 is
+// greedy (wlcrc_exhaustive_test.go bounds that gap).
+
+// oracleBlock is one block of a stored line: data cells [lo, hi), the
+// candidate its aux cells name, and every candidate's encoding of the
+// block's data.
+type oracleBlock struct {
+	lo, hi int
+	chosen int
+	cands  [][]pcm.State
+}
+
+// mapCells encodes the data symbols syms[lo:hi] through m.
+func mapCells(m coset.Mapping, syms []uint8, lo, hi int) []pcm.State {
+	out := make([]pcm.State, hi-lo)
+	for c := lo; c < hi; c++ {
+		out[c-lo] = m[syms[c]]
+	}
+	return out
+}
+
+// mappingBlocks builds the blocks of a code whose candidates are the
+// mappings cands over uniform or per-word ranges of the data symbols.
+func mappingBlocks(cands []coset.Mapping, syms []uint8, ranges [][2]int, chosen func(b int) int) []oracleBlock {
+	var out []oracleBlock
+	for b, rng := range ranges {
+		blk := oracleBlock{lo: rng[0], hi: rng[1], chosen: chosen(b)}
+		for _, m := range cands {
+			blk.cands = append(blk.cands, mapCells(m, syms, rng[0], rng[1]))
+		}
+		out = append(out, blk)
+	}
+	return out
+}
+
+// uniformRanges tiles cells [0, n) with blocks of bc cells.
+func uniformRanges(n, bc int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n; lo += bc {
+		out = append(out, [2]int{lo, lo + bc})
+	}
+	return out
+}
+
+// oracleBlocks decomposes the line s stored as planes (written over
+// data) into its blocks. ok is false for schemes outside the oracle's
+// scope; a raw-fallback line has no blocks.
+func oracleBlocks(s Scheme, planes []uint64, data *memline.Line) (blocks []oracleBlock, ok bool) {
+	var syms [memline.LineCells]uint8
+	data.SymbolsInto(&syms)
+	switch v := s.(type) {
+	case *FlipMin:
+		idx := int(tailBits4(planes))
+		blk := oracleBlock{lo: 0, hi: memline.LineCells, chosen: idx}
+		for i := range v.maskWords {
+			x := memline.FromWords(v.maskWords[i])
+			var ms [memline.LineCells]uint8
+			x.SymbolsInto(&ms)
+			enc := make([]pcm.State, memline.LineCells)
+			for c := range enc {
+				enc[c] = coset.C1[syms[c]^ms[c]]
+			}
+			blk.cands = append(blk.cands, enc)
+		}
+		return []oracleBlock{blk}, true
+	case *FNW:
+		var flipped coset.Mapping
+		for sym := uint8(0); sym < 4; sym++ {
+			flipped[sym] = coset.C1[^sym&3]
+		}
+		bits := tailBits4(planes)
+		return mappingBlocks([]coset.Mapping{coset.C1, flipped}, syms[:],
+			uniformRanges(memline.LineCells, fnwBlockCells),
+			func(b int) int { return int(bits >> uint(b) & 1) }), true
+	case *LineCosets:
+		return mappingBlocks(v.cands, syms[:], uniformRanges(memline.LineCells, v.blockCells),
+			func(b int) int { return int(v.readAuxPlanes(planes, b)) }), true
+	case *COC4:
+		flag := tailFlag(planes)
+		if flag != cocFlag16 && flag != cocFlag32 {
+			return nil, true
+		}
+		var backing [(compress.COCMaxBits + 7) / 8]byte
+		w := compress.WrapBitWriter(backing[:])
+		compress.COCCompressTo(data, &w)
+		var payload memline.Line
+		copy(payload[:], w.Bytes())
+		var psyms [memline.LineCells]uint8
+		payload.SymbolsInto(&psyms)
+		cells, bc := coc16PayloadCells, 8
+		if flag == cocFlag32 {
+			cells, bc = coc32PayloadCells, 16
+		}
+		wa, shift := cells/memline.WordCells, uint(cells%memline.WordCells)
+		auxLo, auxHi := planes[2*wa]>>shift, planes[2*wa+1]>>shift
+		return mappingBlocks(coset.Table1[:], psyms[:], uniformRanges(cells, bc),
+			func(b int) int { return int(auxLo>>uint(b)&1 | auxHi>>uint(b)&1<<1) }), true
+	case *WLCCosets:
+		if tailFlag(planes) != flagCompressed {
+			return nil, true
+		}
+		var ranges [][2]int
+		for w := 0; w < memline.LineWords; w++ {
+			for _, rng := range v.blocks {
+				ranges = append(ranges, [2]int{w*memline.WordCells + rng[0], w*memline.WordCells + rng[1]})
+			}
+		}
+		nb := len(v.blocks)
+		return mappingBlocks(v.cands, syms[:], ranges, func(b int) int {
+			w, j := b/nb, uint(b%nb)
+			lo, hi := planes[2*w]>>uint(v.dataCells), planes[2*w+1]>>uint(v.dataCells)
+			return int(lo>>j&1 | hi>>j&1<<1)
+		}), true
+	}
+	return nil, false
+}
+
+// checkOptimal encodes data over old with s's plane codec and holds
+// every block's choice to the oracle. It returns the number of blocks
+// checked and of blocks whose minimum was shared by two candidates.
+func checkOptimal(t testing.TB, s Scheme, em *pcm.EnergyModel, old []pcm.State, data *memline.Line) (checked, ties int) {
+	t.Helper()
+	ps, _ := PlaneCodec(s)
+	dst := make([]uint64, coset.PlaneWords(s.TotalCells()))
+	ps.EncodePlanesInto(dst, packedPlanes(old), data)
+	stored := make([]pcm.State, s.TotalCells())
+	coset.UnpackLine(dst, stored)
+	blocks, ok := oracleBlocks(s, dst, data)
+	if !ok {
+		t.Fatalf("%s: no oracle", s.Name())
+	}
+	for _, blk := range blocks {
+		if blk.chosen >= len(blk.cands) {
+			t.Fatalf("%s: block [%d,%d) names candidate %d of %d", s.Name(), blk.lo, blk.hi, blk.chosen, len(blk.cands))
+		}
+		minCost, first, n := 0.0, -1, 0
+		for i, enc := range blk.cands {
+			c := em.DiffWrite(old[blk.lo:blk.hi], enc, len(enc)).EnergyData
+			switch {
+			case first < 0 || c < minCost:
+				minCost, first, n = c, i, 1
+			case c == minCost:
+				n++
+			}
+		}
+		got := blk.cands[blk.chosen]
+		for c := range got {
+			if stored[blk.lo+c] != got[c] {
+				t.Fatalf("%s: block [%d,%d) stores cell %d as %v, but its aux names candidate %d, which encodes %v",
+					s.Name(), blk.lo, blk.hi, blk.lo+c, stored[blk.lo+c], blk.chosen, got[c])
+			}
+		}
+		if blk.chosen != first {
+			gotCost := em.DiffWrite(old[blk.lo:blk.hi], got, len(got)).EnergyData
+			t.Fatalf("%s: block [%d,%d) chose candidate %d at %v pJ; the cheapest, lowest index first, is %d at %v pJ",
+				s.Name(), blk.lo, blk.hi, blk.chosen, gotCost, first, minCost)
+		}
+		checked++
+		if n > 1 {
+			ties++
+		}
+	}
+	return checked, ties
+}
+
+// oracleModels are the energy models the oracle runs under: Table II,
+// and a flat model where every programmed cell costs the same, so
+// candidates tie whenever they program equally many cells and the
+// lowest-index rule decides.
+var oracleModels = []pcm.EnergyModel{
+	pcm.DefaultEnergy(),
+	{Reset: 1, Set: [pcm.NumStates]float64{1, 1, 1, 1}},
+}
+
+// oracleSchemes builds every scheme the oracle covers under em.
+func oracleSchemes(t testing.TB, em pcm.EnergyModel) []Scheme {
+	t.Helper()
+	cfg := Config{Energy: em}
+	out := []Scheme{
+		NewFlipMin(cfg),
+		NewFNW(cfg),
+		NewLineCosets(cfg, "6cosets", coset.SixCosets(), memline.LineBits),
+		NewCOC4(cfg),
+	}
+	for _, bb := range []int{8, 16, 64, 256} {
+		out = append(out, NewLineCosets(cfg, "4cosets", coset.Table1[:], bb))
+		out = append(out, NewLineCosets(cfg, "6cosets", coset.SixCosets(), bb))
+	}
+	for _, g := range []int{8, 16, 32, 64} {
+		for _, n := range []int{3, 4} {
+			s, err := NewWLCCosets(cfg, n, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// coc32Line returns a line whose COC stream takes the 32-bit payload
+// mode (449..480 bits): compressible small words, a few of them widened
+// until the stream no longer fits the 16-bit mode.
+func coc32Line(r *prng.Xoshiro256) (memline.Line, bool) {
+	var l memline.Line
+	for w := 0; w < memline.LineWords; w++ {
+		l.SetWord(w, memline.SignExtend(r.Uint64()&0xff, 8))
+	}
+	for tries := 0; tries < 64; tries++ {
+		switch n := compress.COCSize(&l); {
+		case n > coc32PayloadBits:
+			return l, false
+		case n > coc16PayloadBits:
+			return l, true
+		}
+		w := r.Intn(memline.LineWords)
+		l.SetWord(w, l.Word(w)^r.Uint64()>>uint(r.Intn(64)))
+	}
+	return l, false
+}
+
+// oracleCase draws one (old, data) pair for s: biased data over fresh
+// or random old cells, and every third case a COC 32-bit-mode line.
+func oracleCase(r *prng.Xoshiro256, s Scheme) ([]pcm.State, memline.Line) {
+	data := randomBiasedLine(r)
+	if r.Intn(3) == 0 {
+		if l, ok := coc32Line(r); ok {
+			data = l
+		}
+	}
+	return randomOld(r, s.TotalCells()), data
+}
+
+// TestCosetChoiceOptimal runs the oracle over a seeded corpus under
+// both models. It also proves the corpus exercises what it claims: both
+// COC payload modes and, under the flat model, ties.
+func TestCosetChoiceOptimal(t *testing.T) {
+	r := prng.New(0x0AC1E)
+	for mi, em := range oracleModels {
+		var checked, ties int
+		modes := map[pcm.State]int{}
+		for _, s := range oracleSchemes(t, em) {
+			for trial := 0; trial < 40; trial++ {
+				old, data := oracleCase(r, s)
+				c, n := checkOptimal(t, s, &em, old, &data)
+				checked += c
+				ties += n
+				if coc, ok := s.(*COC4); ok {
+					ps, _ := PlaneCodec(coc)
+					dst := make([]uint64, coset.PlaneWords(coc.TotalCells()))
+					ps.EncodePlanesInto(dst, packedPlanes(old), &data)
+					modes[tailFlag(dst)]++
+				}
+			}
+		}
+		if modes[cocFlag16] == 0 || modes[cocFlag32] == 0 {
+			t.Errorf("model %d: COC+4cosets modes seen %v, want both payload modes", mi, modes)
+		}
+		if mi == 1 && ties == 0 {
+			t.Errorf("flat model: no tied block in %d, the tie-break went unchecked", checked)
+		}
+		t.Logf("model %d: %d blocks checked, %d with tied minima", mi, checked, ties)
+	}
+}
+
+// FuzzCosetChoiceOptimal runs the oracle on fuzzed (old, data) pairs:
+// seed drives the generator of oracleCase and kind picks the model.
+func FuzzCosetChoiceOptimal(f *testing.F) {
+	f.Add(uint64(1), uint8(0))
+	f.Add(uint64(2), uint8(1))
+	f.Add(uint64(0xC0C32), uint8(0))
+	f.Add(uint64(0xF1A7), uint8(1))
+	schemes := make([][]Scheme, len(oracleModels))
+	for i, em := range oracleModels {
+		schemes[i] = oracleSchemes(f, em)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, kind uint8) {
+		mi := int(kind) % len(oracleModels)
+		r := prng.New(seed)
+		for _, s := range schemes[mi] {
+			old, data := oracleCase(r, s)
+			checkOptimal(t, s, &oracleModels[mi], old, &data)
+		}
+	})
+}

@@ -8,7 +8,8 @@ import (
 
 // Plane-native codecs of the compression-gated schemes COC+4cosets and
 // WLC+Ncosets. The compression front-ends work on the data line; the
-// coset-state plumbing works on planes.
+// coset encoding prices, applies and decodes through the block kernel
+// over pair registers.
 
 // COC+4cosets -----------------------------------------------------------
 
@@ -27,10 +28,10 @@ func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	bits := compress.COCCompressTo(data, &w)
 	switch {
 	case bits <= coc16PayloadBits:
-		s.encodeModePlanes(dst, old, w.Bytes(), coc16PayloadCells, 8, coc16Blocks)
+		s.encodeModePlanes(dst, old, w.Bytes(), coc16PayloadCells, coc16Geom)
 		setTailFlag(dst, cocFlag16)
 	case bits <= coc32PayloadBits:
-		s.encodeModePlanes(dst, old, w.Bytes(), coc32PayloadCells, 16, coc32Blocks)
+		s.encodeModePlanes(dst, old, w.Bytes(), coc32PayloadCells, coc32Geom)
 		setTailFlag(dst, cocFlag32)
 	default:
 		rawEncodePlanes(data, dst)
@@ -39,28 +40,28 @@ func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 }
 
 // encodeModePlanes coset-encodes the compressed payload, viewed as a
-// zero-padded line prefix, at blockCells-cell granularity (8 = 16 bits,
-// 16 = 32 bits), cheapest Table I candidate per block. The aux region —
-// cells [payloadCells, payloadCells+nblocks), always inside word 7 —
-// is two candidate-index bit vectors merged in with one masked RMW per
-// plane; the cells above it keep the old states the initial copy
-// brought in.
-func (s *COC4) encodeModePlanes(dst, old []uint64, buf []byte, payloadCells, blockCells, nblocks int) {
+// zero-padded line prefix, over the mode's block geometry (8-cell
+// blocks = 16 bits, 16-cell = 32 bits), cheapest Table I candidate per
+// block. The aux region — cells [payloadCells, payloadCells+nblocks),
+// always inside word 7 — is two candidate-index bit vectors merged in
+// with one masked RMW per plane; the cells above it keep the old states
+// the initial copy brought in.
+func (s *COC4) encodeModePlanes(dst, old []uint64, buf []byte, payloadCells int, g *coset.Blocks) {
 	var payload memline.Line
 	copy(payload[:], buf)
-	var lp linePlanes
-	lp.initWordsPlanes(&payload, old, (payloadCells+memline.WordCells-1)/memline.WordCells)
-	var ns newStates
+	var p coset.Regs
+	p.Load(&payload, old)
+	var idx [coc16Blocks]uint8
+	nblocks := g.Len()
+	coset.BestBlocks(s.swar, &p, g, idx[:nblocks])
+	var lo, hi [coset.MaxRegs]uint64
+	coset.ApplyBlocks(s.swar, &p, g, idx[:nblocks], &lo, &hi)
+	coset.StoreRegs(dst, &lo, &hi, payloadCells)
 	var auxLo, auxHi uint64
-	for b := 0; b < nblocks; b++ {
-		lo := b * blockCells
-		hi := lo + blockCells
-		idx, _ := lp.bestBlock(s.swar, lo, hi)
-		ns.applyBlock(&s.swar[idx], &lp, lo, hi)
-		auxLo |= uint64(idx&1) << uint(b)
-		auxHi |= uint64(idx>>1) << uint(b)
+	for b, i := range idx[:nblocks] {
+		auxLo |= uint64(i&1) << uint(b)
+		auxHi |= uint64(i>>1) << uint(b)
 	}
-	ns.writePlanes(dst, payloadCells)
 	wa := payloadCells / memline.WordCells
 	shift := uint(payloadCells & (memline.WordCells - 1))
 	mask := coset.CellMask(int(shift), nblocks)
@@ -72,31 +73,24 @@ func (s *COC4) encodeModePlanes(dst, old []uint64, buf []byte, payloadCells, blo
 func (s *COC4) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	switch tailFlag(planes) {
 	case cocFlag16:
-		*dst = s.decodeModePlanes(planes, coc16PayloadCells, 8, coc16Blocks)
+		*dst = s.decodeModePlanes(planes, coc16PayloadCells, coc16Geom)
 	case cocFlag32:
-		*dst = s.decodeModePlanes(planes, coc32PayloadCells, 16, coc32Blocks)
+		*dst = s.decodeModePlanes(planes, coc32PayloadCells, coc32Geom)
 	default:
 		rawDecodePlanes(planes, dst)
 	}
 }
 
-func (s *COC4) decodeModePlanes(planes []uint64, payloadCells, blockCells, nblocks int) memline.Line {
+func (s *COC4) decodeModePlanes(planes []uint64, payloadCells int, g *coset.Blocks) memline.Line {
 	wa := payloadCells / memline.WordCells
 	shift := uint(payloadCells & (memline.WordCells - 1))
 	auxLo := planes[2*wa] >> shift
 	auxHi := planes[2*wa+1] >> shift
-	var sp lineStatePlanes
-	sp.fromPlanes(planes, (payloadCells+memline.WordCells-1)/memline.WordCells)
-	var dw dataWords
-	for b := 0; b < nblocks; b++ {
-		lo := b * blockCells
-		idx := int(auxLo>>uint(b)&1) | int(auxHi>>uint(b)&1)<<1
-		dw.decodeBlock(&s.swar[idx], &sp, lo, lo+blockCells)
+	var idx [coc16Blocks]uint8
+	for b := 0; b < g.Len(); b++ {
+		idx[b] = uint8(auxLo>>uint(b)&1) | uint8(auxHi>>uint(b)&1)<<1
 	}
-	var payload memline.Line
-	for w := 0; w*memline.WordCells < payloadCells; w++ {
-		payload.SetWord(w, dw.word(w))
-	}
+	payload := memline.FromWords(decodeRegs(planes, s.swar, g, idx[:g.Len()]))
 	return compress.COCDecompress(payload[:])
 }
 
@@ -114,34 +108,28 @@ func (s *WLCCosets) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 		setTailFlag(dst, flagUncompressed)
 		return
 	}
+	var p coset.Regs
+	p.Load(data, old)
+	var idx [wlcMaxLineBlocks]uint8
+	n := s.geom.Len()
+	coset.BestBlocks(s.swar, &p, s.geom, idx[:n])
+	var lo, hi [coset.MaxRegs]uint64
+	coset.ApplyBlocks(s.swar, &p, s.geom, idx[:n], &lo, &hi)
+	coset.StoreRegs(dst, &lo, &hi, memline.LineCells)
+	// Aux cell j of a word stores its block j's index directly (low bit
+	// to the low plane), the identity AuxPack layout; reclaimed cells
+	// beyond the block count come out S1.
+	nb := len(s.blocks)
 	for w := 0; w < memline.LineWords; w++ {
-		dst[2*w], dst[2*w+1] = s.encodeWordPlanes(data.Word(w), old[2*w], old[2*w+1])
+		var auxLo, auxHi uint64
+		for b, i := range idx[w*nb : (w+1)*nb] {
+			auxLo |= uint64(i&1) << uint(b)
+			auxHi |= uint64(i>>1) << uint(b)
+		}
+		dst[2*w] |= auxLo << uint(s.dataCells)
+		dst[2*w+1] |= auxHi << uint(s.dataCells)
 	}
 	setTailFlag(dst, flagCompressed)
-}
-
-// encodeWordPlanes picks each block's cheapest candidate over the
-// word's plane-resident old states and assembles the result — data
-// cells plus the reclaimed-field candidate indices — as one plane pair.
-// Aux cell j stores block j's index directly (low bit to the low
-// plane), the identity AuxPack layout; reclaimed cells beyond the block
-// count come out S1.
-func (s *WLCCosets) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
-	var p coset.WordPlanes
-	p.SetData(word)
-	p.SetOldPlanes(oldLo, oldHi)
-	var nlo, nhi, auxLo, auxHi uint64
-	for b, rng := range s.blocks {
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		idx, _ := coset.BestSWAR(s.swar, &p, mask)
-		lo, hi := s.swar[idx].Apply(&p)
-		nlo |= lo & mask
-		nhi |= hi & mask
-		auxLo |= uint64(idx&1) << uint(b)
-		auxHi |= uint64(idx>>1) << uint(b)
-	}
-	shift := uint(s.dataCells)
-	return nlo | auxLo<<shift, nhi | auxHi<<shift
 }
 
 // DecodePlanesInto implements PlaneScheme.
@@ -150,24 +138,21 @@ func (s *WLCCosets) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 		rawDecodePlanes(planes, dst)
 		return
 	}
+	var idx [wlcMaxLineBlocks]uint8
+	nb := len(s.blocks)
 	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, s.decodeWordPlanes(planes[2*w], planes[2*w+1]))
-	}
-}
-
-func (s *WLCCosets) decodeWordPlanes(slo, shi uint64) uint64 {
-	auxLo := slo >> uint(s.dataCells)
-	auxHi := shi >> uint(s.dataCells)
-	var dlo, dhi uint64
-	for b, rng := range s.blocks {
-		idx := int(auxLo>>uint(b)&1) | int(auxHi>>uint(b)&1)<<1
-		if idx >= len(s.cands) {
-			idx = 0
+		auxLo := planes[2*w] >> uint(s.dataCells)
+		auxHi := planes[2*w+1] >> uint(s.dataCells)
+		for b := 0; b < nb; b++ {
+			i := uint8(auxLo>>uint(b)&1) | uint8(auxHi>>uint(b)&1)<<1
+			if int(i) >= len(s.cands) {
+				i = 0
+			}
+			idx[w*nb+b] = i
 		}
-		lo, hi := s.swar[idx].ApplyInvPlanes(slo, shi)
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		dlo |= lo & mask
-		dhi |= hi & mask
 	}
-	return s.wlc.DecompressWord(memline.InterleavePlanes(dlo, dhi))
+	words := decodeRegs(planes, s.swar, s.geom, idx[:s.geom.Len()])
+	for w, word := range words {
+		dst.SetWord(w, s.wlc.DecompressWord(word))
+	}
 }

@@ -7,10 +7,13 @@ import (
 )
 
 // Plane-native codecs of the whole-line schemes: FlipMin, FNW, and the
-// (restricted) line-coset family. Each reads old state via SetOldPlanes
-// and emits new state as planes, so neither PackStates nor UnpackStates
-// runs on the hot path; the tests hold each to a per-cell scalar
-// reference with the same candidate sweeps and tie-breaks.
+// (restricted) line-coset family. Each loads the data and the old
+// planes into pair registers (coset.Regs), prices and applies its
+// candidates through the block kernel, and stores new state as planes,
+// so neither PackStates nor UnpackStates runs on the hot path; the
+// tests hold each to a per-cell scalar reference with the same
+// candidate sweeps and tie-breaks, and the separable ones to the
+// optimality oracle (oracle_test.go).
 
 // planeOrSet stores state s into cell c of a plane-resident line whose
 // target bits are known to be zero (an OR-only PlaneSet for freshly
@@ -53,29 +56,30 @@ func tailBitsPlanes(planes []uint64, bits []uint8) {
 
 // FlipMin ---------------------------------------------------------------
 
-// EncodePlanesInto implements PlaneScheme: XOR the line's bit-planes
-// with each candidate's plane pair, price the result word-parallel
-// through the C1 weights, then store only the winner's planes.
+// EncodePlanesInto implements PlaneScheme: XOR the line's pair
+// registers with each candidate's register planes, price the result 64
+// cells per popcount through the C1 weights, then store only the
+// winner's planes.
 func (f *FlipMin) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	var lp linePlanes
-	lp.initPlanes(data, old)
-	bestIdx, bestCost := 0, -1.0
-	for i := range f.maskPlanes {
+	var p coset.Regs
+	p.Load(data, old)
+	bestIdx, bestCost := 0, 0.0
+	for i := range f.maskRegs {
 		var cnt [4]int
-		for w := 0; w < memline.LineWords; w++ {
-			p := &lp[w]
-			m := &f.maskPlanes[i][w]
-			f.swar.CountsPlanes(p.Lo^m[0], p.Hi^m[1], p, coset.AllCells, &cnt)
+		for r := 0; r < coset.MaxRegs; r++ {
+			m := &f.maskRegs[i][r]
+			f.swar.CountReg(p.Lo[r]^m[0], p.Hi[r]^m[1], &p.OldIs[r], &cnt)
 		}
-		cost, _ := f.swar.CostOf(&cnt)
-		if bestCost < 0 || cost < bestCost {
+		if cost, _ := f.swar.Price(&cnt); i == 0 || cost < bestCost {
 			bestIdx, bestCost = i, cost
 		}
 	}
-	for w := 0; w < memline.LineWords; w++ {
-		m := &f.maskPlanes[bestIdx][w]
-		dst[2*w], dst[2*w+1] = f.swar.ApplyPlanes(lp[w].Lo^m[0], lp[w].Hi^m[1])
+	var lo, hi [coset.MaxRegs]uint64
+	for r := range lo {
+		m := &f.maskRegs[bestIdx][r]
+		lo[r], hi[r] = f.swar.ApplyReg(p.Lo[r]^m[0], p.Hi[r]^m[1])
 	}
+	coset.StoreRegs(dst, &lo, &hi, memline.LineCells)
 	setTailBits4(dst, uint8(bestIdx))
 }
 
@@ -88,47 +92,41 @@ func (f *FlipMin) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	}
 }
 
+// decodeRegs decodes the stored states of a line's data registers
+// through the per-block candidates idx and returns the data words.
+func decodeRegs(planes []uint64, tabs []coset.SWARTable, g *coset.Blocks, idx []uint8) (words [memline.LineWords]uint64) {
+	var lo, hi [coset.MaxRegs]uint64
+	coset.LoadRegs(planes, &lo, &hi)
+	coset.DecodeBlocks(tabs, g, idx, &lo, &hi)
+	for r := range lo {
+		words[2*r], words[2*r+1] = coset.RegWords(lo[r], hi[r])
+	}
+	return words
+}
+
 // FNW -------------------------------------------------------------------
 
-// EncodePlanesInto implements PlaneScheme.
+// EncodePlanesInto implements PlaneScheme. Each 128-bit block is one
+// pair register, so keep-vs-flip is four popcounts per candidate.
 func (f *FNW) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	var lp linePlanes
-	lp.initPlanes(data, old)
-	var ns newStates
-	var bits uint8
-	for b := 0; b < fnwBlocks; b++ {
-		lo := b * fnwBlockCells
-		hi := lo + fnwBlockCells
-		costKeep, _ := lp.blockCost(&f.swarKeep, lo, hi)
-		costFlip, _ := lp.blockCost(&f.swarFlip, lo, hi)
-		tab := &f.swarKeep
-		if costFlip < costKeep {
-			bits |= 1 << uint(b)
-			tab = &f.swarFlip
-		}
-		ns.applyBlock(tab, &lp, lo, hi)
-	}
-	ns.writePlanes(dst, memline.LineCells)
-	setTailBits4(dst, bits)
+	var p coset.Regs
+	p.Load(data, old)
+	var idx [fnwBlocks]uint8
+	coset.BestBlocks(f.swar[:], &p, fnwGeom, idx[:])
+	var lo, hi [coset.MaxRegs]uint64
+	coset.ApplyBlocks(f.swar[:], &p, fnwGeom, idx[:], &lo, &hi)
+	coset.StoreRegs(dst, &lo, &hi, memline.LineCells)
+	setTailBits4(dst, idx[0]|idx[1]<<1|idx[2]<<2|idx[3]<<3)
 }
 
 // DecodePlanesInto implements PlaneScheme.
 func (f *FNW) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	bits := tailBits4(planes)
-	var sp lineStatePlanes
-	sp.fromPlanes(planes, memline.LineWords)
-	var dw dataWords
-	for b := 0; b < fnwBlocks; b++ {
-		lo := b * fnwBlockCells
-		tab := &f.swarKeep
-		if bits>>uint(b)&1 == 1 {
-			tab = &f.swarFlip
-		}
-		dw.decodeBlock(tab, &sp, lo, lo+fnwBlockCells)
+	var idx [fnwBlocks]uint8
+	for b := range idx {
+		idx[b] = bits >> uint(b) & 1
 	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dw.word(w))
-	}
+	*dst = memline.FromWords(decodeRegs(planes, f.swar[:], fnwGeom, idx[:]))
 }
 
 // LineCosets ------------------------------------------------------------
@@ -144,70 +142,70 @@ func (s *LineCosets) writeAuxPlanes(dst []uint64, block, idx int) {
 	planeOrSet(dst, base+1, pair[1])
 }
 
-func (s *LineCosets) readAuxPlanes(planes []uint64, block int) int {
+// readAuxPlanes returns block's candidate index; an aux encoding no
+// candidate owns decodes as candidate 0.
+func (s *LineCosets) readAuxPlanes(planes []uint64, block int) uint8 {
 	base := memline.LineCells + block*s.auxPerBlk
 	if s.auxPerBlk == 1 {
-		idx := int(coset.PlaneGet(planes, base))
-		if idx >= len(s.cands) {
+		idx := coset.PlaneGet(planes, base)
+		if int(idx) >= len(s.cands) {
 			idx = 0
 		}
-		return idx
+		return uint8(idx)
 	}
-	key := [2]pcm.State{coset.PlaneGet(planes, base), coset.PlaneGet(planes, base+1)}
-	if idx, ok := s.pairIdx[key]; ok {
-		return idx
+	if idx := s.pairIdx[coset.PlaneGet(planes, base)][coset.PlaneGet(planes, base+1)]; idx >= 0 {
+		return uint8(idx)
 	}
 	return 0
 }
 
 // EncodePlanesInto implements PlaneScheme.
 func (s *LineCosets) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	var lp linePlanes
-	lp.initPlanes(data, old)
-	var ns newStates
+	var p coset.Regs
+	p.Load(data, old)
+	var idx [memline.LineCells]uint8
+	coset.BestBlocks(s.swar, &p, s.geom, idx[:s.nblocks])
+	s.storeBlocks(dst, &p, idx[:s.nblocks])
+}
+
+// storeBlocks writes the data cells of the chosen per-block candidates
+// and their aux encodings.
+func (s *LineCosets) storeBlocks(dst []uint64, p *coset.Regs, idx []uint8) {
+	var lo, hi [coset.MaxRegs]uint64
+	coset.ApplyBlocks(s.swar, p, s.geom, idx, &lo, &hi)
+	coset.StoreRegs(dst, &lo, &hi, memline.LineCells)
 	zeroTail(dst)
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		hi := lo + s.blockCells
-		idx, _ := lp.bestBlock(s.swar, lo, hi)
-		ns.applyBlock(&s.swar[idx], &lp, lo, hi)
-		s.writeAuxPlanes(dst, b, idx)
+	for b, i := range idx {
+		s.writeAuxPlanes(dst, b, int(i))
 	}
-	ns.writePlanes(dst, memline.LineCells)
 }
 
 // DecodePlanesInto implements PlaneScheme.
 func (s *LineCosets) DecodePlanesInto(planes []uint64, dst *memline.Line) {
-	var sp lineStatePlanes
-	sp.fromPlanes(planes, memline.LineWords)
-	var dw dataWords
+	var idx [memline.LineCells]uint8
 	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		dw.decodeBlock(&s.swar[s.readAuxPlanes(planes, b)], &sp, lo, lo+s.blockCells)
+		idx[b] = s.readAuxPlanes(planes, b)
 	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dw.word(w))
-	}
+	*dst = memline.FromWords(decodeRegs(planes, s.swar, s.geom, idx[:s.nblocks]))
 }
 
 // RestrictedLineCosets --------------------------------------------------
 
 // EncodePlanesInto implements PlaneScheme.
 func (s *RestrictedLineCosets) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
-	var lp linePlanes
-	lp.initPlanes(data, old)
+	var p coset.Regs
+	p.Load(data, old)
+	n := s.nblocks
+	var cost [3 * rlcMaxBlocks]float64
+	coset.EvalBlocks(s.swar, &p, s.geom, cost[:3*n])
 	var costs [2]float64
-	var choices [2][rlcMaxBlocks]uint8
+	var choices [2][rlcMaxBlocks]bool
 	for g := 0; g < 2; g++ {
-		alt := &s.swarAlt[g]
 		var total float64
-		for b := 0; b < s.nblocks; b++ {
-			lo := b * s.blockCells
-			hi := lo + s.blockCells
-			c1, _ := lp.blockCost(&s.swar1, lo, hi)
-			ca, _ := lp.blockCost(alt, lo, hi)
+		for b := 0; b < n; b++ {
+			c1, ca := cost[3*b], cost[3*b+1+g]
 			if ca < c1 {
-				choices[g][b] = 1
+				choices[g][b] = true
 				total += ca
 			} else {
 				total += c1
@@ -219,43 +217,29 @@ func (s *RestrictedLineCosets) EncodePlanesInto(dst, old []uint64, data *memline
 	if costs[1] < costs[0] {
 		group = 1
 	}
-	alt := &s.swarAlt[group]
-	choice := &choices[group]
-
-	var ns newStates
+	var idx [rlcMaxBlocks]uint8
 	var bits [1 + rlcMaxBlocks]uint8
 	bits[0] = uint8(group)
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		tab := &s.swar1
-		if choice[b] == 1 {
-			tab = alt
+	for b, alt := range choices[group][:n] {
+		if alt {
+			idx[b] = uint8(1 + group)
+			bits[1+b] = 1
 		}
-		ns.applyBlock(tab, &lp, lo, lo+s.blockCells)
-		bits[1+b] = choice[b]
 	}
-	ns.writePlanes(dst, memline.LineCells)
+	var lo, hi [coset.MaxRegs]uint64
+	coset.ApplyBlocks(s.swar, &p, s.geom, idx[:n], &lo, &hi)
+	coset.StoreRegs(dst, &lo, &hi, memline.LineCells)
 	zeroTail(dst)
-	setTailBitsPlanes(dst, bits[:1+s.nblocks])
+	setTailBitsPlanes(dst, bits[:1+n])
 }
 
 // DecodePlanesInto implements PlaneScheme.
 func (s *RestrictedLineCosets) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	var bits [1 + rlcMaxBlocks]uint8
 	tailBitsPlanes(planes, bits[:1+s.nblocks])
-	alt := &s.swarAlt[bits[0]&1]
-	var sp lineStatePlanes
-	sp.fromPlanes(planes, memline.LineWords)
-	var dw dataWords
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		tab := &s.swar1
-		if bits[1+b] == 1 {
-			tab = alt
-		}
-		dw.decodeBlock(tab, &sp, lo, lo+s.blockCells)
+	var idx [rlcMaxBlocks]uint8
+	for b, bit := range bits[1 : 1+s.nblocks] {
+		idx[b] = bit * (1 + bits[0])
 	}
-	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dw.word(w))
-	}
+	*dst = memline.FromWords(decodeRegs(planes, s.swar, s.geom, idx[:s.nblocks]))
 }

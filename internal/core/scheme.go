@@ -216,13 +216,3 @@ func EvaluationSchemes() []string {
 		"6cosets", "COC+4cosets", "WLC+4cosets", "WLCRC-16",
 	}
 }
-
-// auxPairIndex builds the candidate-index lookup for two-cell auxiliary
-// encodings (6cosets).
-func auxPairIndex(pairs [][2]pcm.State) map[[2]pcm.State]int {
-	idx := make(map[[2]pcm.State]int, len(pairs))
-	for i, p := range pairs {
-		idx[p] = i
-	}
-	return idx
-}

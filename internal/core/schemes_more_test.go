@@ -376,3 +376,57 @@ func TestSixCosetsAuxPairsAreCheapest(t *testing.T) {
 		}
 	}
 }
+
+// TestSixCosetsInvalidAuxPairDecodesAsCandidate0 pins the decode
+// fallback of the two-cell aux encoding: each of the six identifier
+// pairs reads back as its candidate, and each of the ten pairs no
+// candidate owns reads as candidate 0, so a block whose aux cells were
+// corrupted decodes through candidate 0's mapping instead of failing.
+func TestSixCosetsInvalidAuxPairDecodesAsCandidate0(t *testing.T) {
+	r := prng.New(0x6A1)
+	for _, bb := range []int{64, 512} {
+		s := NewLineCosets(DefaultConfig(), "6cosets", coset.SixCosets(), bb)
+		data := randomBiasedLine(r)
+		planes := make([]uint64, coset.PlaneWords(s.TotalCells()))
+		s.EncodePlanesInto(planes, make([]uint64, len(planes)), &data)
+		var want memline.Line
+		s.DecodePlanesInto(withAuxPair(s, planes, s.pairs[0]), &want)
+		owned := map[[2]pcm.State]int{}
+		for i, p := range s.pairs {
+			owned[p] = i
+		}
+		invalid := 0
+		for a := pcm.State(0); a < pcm.NumStates; a++ {
+			for b := pcm.State(0); b < pcm.NumStates; b++ {
+				stored := withAuxPair(s, planes, [2]pcm.State{a, b})
+				got := s.readAuxPlanes(stored, 0)
+				idx, ok := owned[[2]pcm.State{a, b}]
+				if !ok {
+					invalid++
+				}
+				if int(got) != idx {
+					t.Fatalf("6cosets-%d: aux pair (%v,%v) reads as candidate %d, want %d", bb, a, b, got, idx)
+				}
+				if !ok {
+					var l memline.Line
+					s.DecodePlanesInto(stored, &l)
+					if !l.Equal(&want) {
+						t.Fatalf("6cosets-%d: invalid aux pair (%v,%v) does not decode as candidate 0", bb, a, b)
+					}
+				}
+			}
+		}
+		if invalid != 10 {
+			t.Fatalf("6cosets-%d: %d invalid pairs, want 10", bb, invalid)
+		}
+	}
+}
+
+// withAuxPair returns a copy of planes with block 0's two aux cells set
+// to pair.
+func withAuxPair(s *LineCosets, planes []uint64, pair [2]pcm.State) []uint64 {
+	out := append([]uint64(nil), planes...)
+	coset.PlaneSet(out, memline.LineCells, pair[0])
+	coset.PlaneSet(out, memline.LineCells+1, pair[1])
+	return out
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"wlcrc/internal/coset"
 	"wlcrc/internal/fault"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
@@ -36,48 +37,48 @@ func EncodeStuckFunc(s Scheme) func(dst, old []uint64, data *memline.Line, stuck
 // unrestricted coset family: per block, the candidates are re-priced
 // with the stuck cells as a hard constraint — a candidate survives only
 // if its mapped output agrees with every stuck data cell of the block
-// (word-parallel via SWARTable.StuckMismatch) and its auxiliary
+// (64 cells at a time via SWARTable.StuckMismatch) and its auxiliary
 // encoding agrees with every stuck aux cell — and the cheapest survivor
 // wins, the lowest index on ties. A block with no survivor fails the
 // whole line. With no stuck cells the result is EncodePlanesInto's.
 func (s *LineCosets) EncodeStuckPlanesInto(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool {
-	var lp linePlanes
-	lp.initPlanes(data, old)
-	var ns newStates
-	zeroTail(dst)
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		hi := lo + s.blockCells
-		best, bestCost := -1, 0.0
-		for i := range s.swar {
-			if !s.stuckOK(&lp, i, b, lo, hi, stuck) {
-				continue
-			}
-			c, _ := lp.blockCost(&s.swar[i], lo, hi)
-			if best < 0 || c < bestCost {
-				best, bestCost = i, c
+	var p coset.Regs
+	p.Load(data, old)
+	var sm, sl, sh [coset.MaxRegs]uint64
+	for r := range sm {
+		m0, l0, h0 := stuck.WordPlanes(2 * r)
+		m1, l1, h1 := stuck.WordPlanes(2*r + 1)
+		sm[r], sl[r], sh[r] = coset.Pair(m0, m1), coset.Pair(l0, l1), coset.Pair(h0, h1)
+	}
+	n := s.nblocks
+	var idx [memline.LineCells]uint8
+	var found [memline.LineCells]bool
+	var cost, bestCost [memline.LineCells]float64
+	for i := range s.swar {
+		t := &s.swar[i]
+		coset.EvalBlocks(s.swar[i:i+1], &p, s.geom, cost[:n])
+		for b := 0; b < n; b++ {
+			if (!found[b] || cost[b] < bestCost[b]) && s.stuckOK(t, &p, i, b, &sm, &sl, &sh, stuck) {
+				idx[b], found[b], bestCost[b] = uint8(i), true, cost[b]
 			}
 		}
-		if best < 0 {
+	}
+	for b := 0; b < n; b++ {
+		if !found[b] {
 			return false
 		}
-		ns.applyBlock(&s.swar[best], &lp, lo, hi)
-		s.writeAuxPlanes(dst, b, best)
 	}
-	ns.writePlanes(dst, memline.LineCells)
+	s.storeBlocks(dst, &p, idx[:n])
 	return true
 }
 
-// stuckOK reports whether candidate idx of block b (data cells
-// [lo, hi)) satisfies every stuck cell it would program.
-func (s *LineCosets) stuckOK(lp *linePlanes, idx, b, lo, hi int, stuck *fault.LineStuck) bool {
-	t := &s.swar[idx]
-	for w := lo / memline.WordCells; w*memline.WordCells < hi; w++ {
-		sm, sl, sh := stuck.WordPlanes(w)
-		if sm == 0 {
-			continue
-		}
-		if t.StuckMismatch(&lp[w], wordMask(w, lo, hi), sm, sl, sh) != 0 {
+// stuckOK reports whether candidate idx (table t) of block b satisfies
+// every stuck cell it would program: the block's data cells, checked
+// word-parallel per register, and its aux cells.
+func (s *LineCosets) stuckOK(t *coset.SWARTable, p *coset.Regs, idx, b int, sm, sl, sh *[coset.MaxRegs]uint64, stuck *fault.LineStuck) bool {
+	r0, r1, mask := s.geom.Span(b)
+	for r := r0; r < r1; r++ {
+		if sm[r]&mask != 0 && t.StuckMismatch(&p.Sym[r], mask, sm[r], sl[r], sh[r]) != 0 {
 			return false
 		}
 	}

@@ -30,7 +30,12 @@ type WLCCosets struct {
 	wlc         compress.WLC
 	dataCells   int      // fully-data cells per word
 	blocks      [][2]int // [lo,hi) cell ranges of each block within a word
+	geom        *coset.Blocks
 }
+
+// wlcMaxLineBlocks bounds the per-line block count: a word's blocks
+// need two aux bits each out of at most 16 reclaimed.
+const wlcMaxLineBlocks = memline.LineWords * 8
 
 // wlcReclaim maps block granularity to the reclaimed bits per word.
 var wlcReclaim = map[int]int{8: 16, 16: 8, 32: 4, 64: 2}
@@ -70,6 +75,7 @@ func NewWLCCosets(cfg Config, ncands, gran int) (*WLCCosets, error) {
 	if 2*len(s.blocks) > r {
 		return nil, fmt.Errorf("core: %d blocks need %d aux bits but only %d reclaimed", len(s.blocks), 2*len(s.blocks), r)
 	}
+	s.geom = wordBlocks(s.blocks)
 	return s, nil
 }
 

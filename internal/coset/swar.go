@@ -4,25 +4,38 @@
 // application and its differential-write pricing are expressible as
 // boolean algebra on the two bit-planes of a word (memline.LoHiPlanes)
 // plus bits.OnesCount64 — the same word-level trick FNW/FlipMin hardware
-// uses. Pricing a candidate over a 32-cell word costs a handful of ALU
-// ops instead of 32 table lookups:
+// uses. Pricing a candidate over a block of cells costs a handful of
+// ALU ops instead of one table lookup per cell:
 //
 //	count[s] = popcount(sym[Inv[s]] &^ oldIs[s] & mask)   for each state s
 //	cost     = Σ count[s]·WriteEnergy(s),  updates = Σ count[s]
 //
 // where sym[v] masks the cells whose data symbol is v and oldIs[s] the
-// cells currently in state s. This is the write-energy contract of
-// package pcm (EnergyModel.DiffWrite and DiffWriteMasks): energy
-// grouped by target state, exact for integer models. It groups the
-// per-cell energy additions of the CostTable path by target state, and
-// with integer-valued energy models (Table II and every model in this
-// repo) every partial sum is an exactly-representable integer, so the
-// SWAR cost, the scalar reference (CostCountRef), the CostTable
-// accumulation and the settle-time energy pcm charges agree bit for
-// bit, including tie-breaks.
+// cells currently in state s. The production codecs price through the
+// block kernel of blocks.go: a pair register holds two adjacent 32-cell
+// plane words in one uint64, so every boolean op and every popcount of
+// a line-level sweep covers 64 cells, and for each (candidate,
+// register) pair the four programmed-cell masks sym[Inv[s]] &^ oldIs[s]
+// are built once and every block of the register is priced from them
+// through its precomputed mask. WordPlanes, CostCount and BestSWAR are
+// the single-word form of the same sum.
+//
+// Exactness. Every path — the kernel, CostCount, the scalar reference
+// CostCountRef — sums the same integer per-state counts and prices them
+// once, in ascending state order (SWARTable.price), so they agree bit
+// for bit, winner indices and tie-breaks included, under any energy
+// model. (BestBlocks compares the same sums in integers when every
+// write energy is an integer; they are exact, so the winners are the
+// same.) This is also the write-energy contract of package pcm
+// (EnergyModel.DiffWrite and DiffWriteMasks). Only the per-cell
+// CostTable path adds energies cell by cell in another order; it agrees
+// with the grouped sums because every energy model in this repository
+// (Table II and the Fig. 14 levels) is integer-valued, so every partial
+// sum is an exactly representable integer.
 package coset
 
 import (
+	"math"
 	"math/bits"
 
 	"wlcrc/internal/memline"
@@ -66,16 +79,8 @@ func (p *WordPlanes) Init(word uint64, old []pcm.State) {
 
 // SetData replaces the data planes, keeping the old-state planes.
 func (p *WordPlanes) SetData(word uint64) {
-	p.SetDataPlanes(memline.LoHiPlanes(word))
-}
-
-// SetDataPlanes replaces the data planes from an already-decomposed
-// pair. Because LoHiPlanes is linear over XOR, callers that price many
-// XOR-candidates of one word (FlipMin) feed precomputed plane pairs here
-// instead of re-extracting.
-func (p *WordPlanes) SetDataPlanes(lo, hi uint64) {
-	p.Lo, p.Hi = lo, hi
-	p.Sym = minterms(lo, hi)
+	p.Lo, p.Hi = memline.LoHiPlanes(word)
+	p.Sym = minterms(p.Lo, p.Hi)
 }
 
 // SetOld replaces the old-state planes from the word's 32 current cell
@@ -144,33 +149,54 @@ type SWARTable struct {
 	// (WriteEnergy, i.e. Reset + Set[s]); zero when the table was built
 	// apply-only with a nil energy model.
 	Energy [4]float64
-	// loSet[v]/hiSet[v] are all-ones when States[v] has its low/high bit
-	// set; invLo[s]/invHi[s] likewise for Inv[s]. ORing value-masked
-	// minterms through them applies the (inverse) mapping to a word.
-	loSet, hiSet [4]uint64
-	invLo, invHi [4]uint64
+	// intE[s] is Energy[s] as an integer when every Energy[s] is an
+	// integer below 2^20 in magnitude (intExact), so a line's Σ
+	// count[s]·intE[s] fits even a 32-bit int; BestBlocks compares
+	// in-register blocks by these integer costs.
+	intE     [4]int
+	intExact bool
+	// A bijection sends exactly two symbols to states with the low bit
+	// set and two to states with the high bit set: loSyms and hiSyms
+	// name them, and invLo/invHi name the two states whose Inv has the
+	// low/high bit set. ORing the two named minterms applies the
+	// (inverse) mapping to one plane.
+	loSyms, hiSyms [2]uint8
+	invLo, invHi   [2]uint8
 }
 
 // SWAR builds the word-parallel table of m under em. A nil em yields an
 // apply/decode-only table whose costs are all zero — enough for the
 // fixed-mapping paths (raw fallback, aux cells) that never price.
 func (m Mapping) SWAR(em *pcm.EnergyModel) SWARTable {
-	t := SWARTable{States: m, Inv: m.Inverse()}
+	if !m.Valid() {
+		panic("coset: SWAR of a mapping that is not a bijection")
+	}
+	t := SWARTable{States: m, Inv: m.Inverse(), intExact: true}
+	var nlo, nhi, ilo, ihi int
 	for v := 0; v < 4; v++ {
 		if em != nil {
 			t.Energy[v] = em.WriteEnergy(pcm.State(v))
 		}
+		if e := t.Energy[v]; e == math.Trunc(e) && math.Abs(e) < 1<<20 {
+			t.intE[v] = int(e)
+		} else {
+			t.intExact = false
+		}
 		if m[v]&1 != 0 {
-			t.loSet[v] = ^uint64(0)
+			t.loSyms[nlo] = uint8(v)
+			nlo++
 		}
 		if m[v]&2 != 0 {
-			t.hiSet[v] = ^uint64(0)
+			t.hiSyms[nhi] = uint8(v)
+			nhi++
 		}
 		if t.Inv[v]&1 != 0 {
-			t.invLo[v] = ^uint64(0)
+			t.invLo[ilo] = uint8(v)
+			ilo++
 		}
 		if t.Inv[v]&2 != 0 {
-			t.invHi[v] = ^uint64(0)
+			t.invHi[ihi] = uint8(v)
+			ihi++
 		}
 	}
 	return t
@@ -199,40 +225,7 @@ func (t *SWARTable) CostCount(p *WordPlanes, mask uint64) (cost float64, updates
 	n1 := bits.OnesCount64(p.Sym[t.Inv[1]] &^ p.OldIs[1] & mask)
 	n2 := bits.OnesCount64(p.Sym[t.Inv[2]] &^ p.OldIs[2] & mask)
 	n3 := bits.OnesCount64(p.Sym[t.Inv[3]] &^ p.OldIs[3] & mask)
-	// Left-to-right accumulation, the same order as the s-loop form.
-	cost = float64(n0)*t.Energy[0] + float64(n1)*t.Energy[1] +
-		float64(n2)*t.Energy[2] + float64(n3)*t.Energy[3]
-	return cost, n0 + n1 + n2 + n3
-}
-
-// Counts accumulates the per-target-state programmed-cell counts of the
-// masked cells into cnt. Multi-word blocks gather integer counts across
-// words and convert to energy once (CostOf) — regrouping exact integer
-// sums, so the total still matches the per-word and per-cell paths bit
-// for bit.
-func (t *SWARTable) Counts(p *WordPlanes, mask uint64, cnt *[4]int) {
-	for s := 0; s < 4; s++ {
-		cnt[s] += bits.OnesCount64(p.Sym[t.Inv[s]] &^ p.OldIs[s] & mask)
-	}
-}
-
-// CountsPlanes is Counts over alternative data planes (e.g. the word
-// XORed with a FlipMin candidate) against p's old states, without
-// disturbing p.
-func (t *SWARTable) CountsPlanes(lo, hi uint64, p *WordPlanes, mask uint64, cnt *[4]int) {
-	sym := minterms(lo, hi)
-	for s := 0; s < 4; s++ {
-		cnt[s] += bits.OnesCount64(sym[t.Inv[s]] &^ p.OldIs[s] & mask)
-	}
-}
-
-// CostOf prices accumulated per-state counts.
-func (t *SWARTable) CostOf(cnt *[4]int) (cost float64, updates int) {
-	for s := 0; s < 4; s++ {
-		cost += float64(cnt[s]) * t.Energy[s]
-		updates += cnt[s]
-	}
-	return cost, updates
+	return t.price(n0, n1, n2, n3), n0 + n1 + n2 + n3
 }
 
 // Apply maps the word's data symbols through t, returning the new-state
@@ -243,8 +236,8 @@ func (t *SWARTable) Apply(p *WordPlanes) (lo, hi uint64) {
 
 // ApplySyms is Apply from precomputed symbol-occupancy masks.
 func (t *SWARTable) ApplySyms(sym *[4]uint64) (lo, hi uint64) {
-	lo = sym[0]&t.loSet[0] | sym[1]&t.loSet[1] | sym[2]&t.loSet[2] | sym[3]&t.loSet[3]
-	hi = sym[0]&t.hiSet[0] | sym[1]&t.hiSet[1] | sym[2]&t.hiSet[2] | sym[3]&t.hiSet[3]
+	lo = sym[t.loSyms[0]&3] | sym[t.loSyms[1]&3]
+	hi = sym[t.hiSyms[0]&3] | sym[t.hiSyms[1]&3]
 	return lo, hi
 }
 
@@ -258,9 +251,7 @@ func (t *SWARTable) ApplyPlanes(lo, hi uint64) (nlo, nhi uint64) {
 // word-parallel form of indexing Inv per cell.
 func (t *SWARTable) ApplyInvPlanes(lo, hi uint64) (dlo, dhi uint64) {
 	is := minterms(lo, hi)
-	dlo = is[0]&t.invLo[0] | is[1]&t.invLo[1] | is[2]&t.invLo[2] | is[3]&t.invLo[3]
-	dhi = is[0]&t.invHi[0] | is[1]&t.invHi[1] | is[2]&t.invHi[2] | is[3]&t.invHi[3]
-	return dlo, dhi
+	return t.applyInvSyms(&is)
 }
 
 // BestSWAR evaluates every candidate over the masked cells and returns
@@ -275,18 +266,6 @@ func BestSWAR(tabs []SWARTable, p *WordPlanes, mask uint64) (idx int, cost float
 		}
 	}
 	return idx, cost
-}
-
-// StuckMismatch prices a candidate against a word's stuck-at faults:
-// it applies the candidate's mapping to the data symbols and returns
-// the cells (within mask) where a stuck cell's frozen state planes
-// (stuckLo/stuckHi on the positions of stuckMask) disagree with the
-// state the candidate would program. A zero return means this candidate
-// happens to want exactly what every stuck cell is frozen at — the
-// re-encode-retry recourse of the fault repair pipeline.
-func (t *SWARTable) StuckMismatch(p *WordPlanes, mask, stuckMask, stuckLo, stuckHi uint64) uint64 {
-	lo, hi := t.ApplySyms(&p.Sym)
-	return ((lo ^ stuckLo) | (hi ^ stuckHi)) & stuckMask & mask
 }
 
 // CostCountRef is the scalar reference for CostCount: it walks the

@@ -8,9 +8,9 @@ import (
 	"wlcrc/internal/prng"
 )
 
-// Word-level candidate-pricing benchmarks: the SWAR path against the PR
-// 2 table-driven scalar path, six candidates over one 32-cell word (the
-// 6cosets inner loop).
+// Candidate-pricing benchmarks: the SWAR word path against the
+// table-driven scalar path, six candidates over one 32-cell word, and
+// the block kernel over a whole line of pair registers.
 
 func benchFixture() (words []uint64, olds [][]pcm.State) {
 	r := prng.New(77)
@@ -41,6 +41,34 @@ func BenchmarkSWARBestWord(b *testing.B) {
 		sink += cost
 	}
 	_ = sink
+}
+
+// BenchmarkSWARBestBlocks prices the four Table I candidates over a
+// whole line at 16-bit granularity (32 blocks of 8 cells, four pair
+// registers) through the block kernel: one BestBlocks call per op.
+func BenchmarkSWARBestBlocks(b *testing.B) {
+	em := pcm.DefaultEnergy()
+	tabs := SWARTables(&em, Table1[:])
+	g := UniformBlocks(memline.LineCells, 8)
+	words, olds := benchFixture()
+	lines := make([]memline.Line, len(words)/memline.LineWords)
+	oldPlanes := make([][]uint64, len(lines))
+	for i := range lines {
+		oldPlanes[i] = make([]uint64, 2*memline.LineWords)
+		for w := 0; w < memline.LineWords; w++ {
+			k := i*memline.LineWords + w
+			lines[i].SetWord(w, words[k])
+			oldPlanes[i][2*w], oldPlanes[i][2*w+1] = PackStates(olds[k])
+		}
+	}
+	var p Regs
+	var idx [32]uint8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := i % len(lines)
+		p.Load(&lines[k], oldPlanes[k])
+		BestBlocks(tabs, &p, g, idx[:])
+	}
 }
 
 func BenchmarkScalarBestWord(b *testing.B) {

@@ -125,3 +125,167 @@ func FuzzSWARApply(f *testing.F) {
 		}
 	})
 }
+
+// blockGeoms are the geometries FuzzSWARBlocks draws from, as [lo, hi)
+// cell ranges over two registers (cells 0-127): uniform 4-, 8-, 16- and
+// 32-cell blocks over one word and over a pair, whole 64-cell
+// registers, the uneven per-word blocks of WLC+Ncosets and WLCRC
+// (repeated over both words of a register), and 128-cell blocks that
+// span both registers.
+var blockGeoms = func() [][][2]int {
+	uniform := func(cells, n int) [][2]int {
+		var out [][2]int
+		for lo := 0; lo < cells; lo += n {
+			out = append(out, [2]int{lo, lo + n})
+		}
+		return out
+	}
+	perWord := func(words int, rngs ...[2]int) [][2]int {
+		var out [][2]int
+		for w := 0; w < words; w++ {
+			for _, r := range rngs {
+				out = append(out, [2]int{32*w + r[0], 32*w + r[1]})
+			}
+		}
+		return out
+	}
+	var geoms [][][2]int
+	for _, n := range []int{4, 8, 16, 32} {
+		geoms = append(geoms, uniform(memline.WordCells, n), uniform(RegCells, n))
+	}
+	return append(geoms,
+		uniform(2*RegCells, RegCells),
+		perWord(4, [2]int{0, 16}, [2]int{16, 30}),                               // WLC+Ncosets-32
+		perWord(4, [2]int{0, 8}, [2]int{8, 16}, [2]int{16, 24}, [2]int{24, 28}), // WLC+Ncosets-16
+		perWord(4, [2]int{0, 31}),                                               // WLC+Ncosets-64, WLCRC-64
+		perWord(4, [2]int{0, 8}, [2]int{8, 16}, [2]int{16, 24}, [2]int{24, 29}), // WLCRC-16
+		perWord(4, [2]int{0, 16}, [2]int{16, 30}, [2]int{30, 31}),               // WLCRC-32 plus a 1-cell tail
+		uniform(7*4, 4),                 // WLCRC-8 word prefix
+		uniform(2*RegCells, 2*RegCells), // one block over both registers
+	)
+}()
+
+// fuzzEnergies are the models FuzzSWARBlocks prices under: Table II and
+// a non-integer one, where the kernel must still match the reference
+// bit for bit because both sum the same integer counts in the same
+// order.
+var fuzzEnergies = []pcm.EnergyModel{
+	pcm.DefaultEnergy(),
+	{Reset: 1.37, Set: [pcm.NumStates]float64{0.1, 3.3, 7.77, 12.9}},
+}
+
+// refBlockCost is the scalar reference of one block's price: it walks
+// the block's cells, classifies each programmed cell by target state,
+// and prices the counts in ascending state order. Blocks inside one
+// word must also match CostCountRef exactly.
+func refBlockCost(t *SWARTable, words, olds []uint64, lo, hi int) (cost float64, updates int) {
+	var cnt [4]int
+	for c := lo; c < hi; c++ {
+		w, i := c/memline.WordCells, uint(c%memline.WordCells)
+		st := t.States[words[w]>>(2*i)&3]
+		if st != pcm.State(olds[w]>>(2*i)&3) {
+			cnt[st]++
+		}
+	}
+	return t.Price(&cnt)
+}
+
+// checkBlocksKernel holds BestBlocks, EvalBlocks, ApplyBlocks and
+// DecodeBlocks on one geometry to the per-cell references, over four
+// data words and four old-state words (cells 0-127).
+func checkBlocksKernel(t *testing.T, words, olds []uint64, ranges [][2]int) {
+	t.Helper()
+	g := NewBlocks(ranges)
+	var p Regs
+	var line memline.Line
+	var oldP [2 * memline.LineWords]uint64
+	for w := 0; w < 4; w++ {
+		line.SetWord(w, words[w])
+		var cells [memline.WordCells]pcm.State
+		for c := range cells {
+			cells[c] = pcm.State(olds[w] >> uint(2*c) & 3)
+		}
+		oldP[2*w], oldP[2*w+1] = PackStates(cells[:])
+	}
+	p.Load(&line, oldP[:])
+	n := len(ranges)
+	idx := make([]uint8, n)
+	for _, em := range fuzzEnergies {
+		for _, cands := range [][]Mapping{Table1[:], Table1[:3], SixCosets()} {
+			tabs := SWARTables(&em, cands)
+			BestBlocks(tabs, &p, g, idx)
+			eval := make([]float64, n*len(tabs))
+			EvalBlocks(tabs, &p, g, eval)
+			for b, rng := range ranges {
+				want := -1
+				var wantCost float64
+				for i := range tabs {
+					rc, ru := refBlockCost(&tabs[i], words, olds, rng[0], rng[1])
+					if w := rng[0] / memline.WordCells; (rng[1]-1)/memline.WordCells == w {
+						mask := CellMask(rng[0]%memline.WordCells, rng[1]-rng[0])
+						var oc [memline.WordCells]pcm.State
+						for c := range oc {
+							oc[c] = pcm.State(olds[w] >> uint(2*c) & 3)
+						}
+						if c, u := tabs[i].CostCountRef(words[w], oc[:], mask); c != rc || u != ru {
+							t.Fatalf("block %v cand %d: reference (%v,%d) != CostCountRef (%v,%d)", rng, i, rc, ru, c, u)
+						}
+					}
+					if got := eval[b*len(tabs)+i]; got != rc {
+						t.Fatalf("block %v cand %d: EvalBlocks %v != reference %v", rng, i, got, rc)
+					}
+					if want < 0 || rc < wantCost {
+						want, wantCost = i, rc
+					}
+				}
+				if got := eval[b*len(tabs)+int(idx[b])]; int(idx[b]) != want || got != wantCost {
+					t.Fatalf("block %v of %d cands: BestBlocks picks %d at %v, reference %d at %v", rng, len(tabs), idx[b], got, want, wantCost)
+				}
+			}
+			// Apply the choices, check each block's states per cell, and
+			// decode them back.
+			var lo, hi [MaxRegs]uint64
+			ApplyBlocks(tabs, &p, g, idx, &lo, &hi)
+			covered := make([]bool, 2*RegCells)
+			for b, rng := range ranges {
+				for c := rng[0]; c < rng[1]; c++ {
+					covered[c] = true
+					r, i := c/RegCells, uint(c%RegCells)
+					got := pcm.State(lo[r]>>i&1 | hi[r]>>i&1<<1)
+					w, j := c/memline.WordCells, uint(c%memline.WordCells)
+					if want := tabs[idx[b]].States[words[w]>>(2*j)&3]; got != want {
+						t.Fatalf("ApplyBlocks cell %d: %v, want %v", c, got, want)
+					}
+				}
+			}
+			DecodeBlocks(tabs, g, idx, &lo, &hi)
+			for c := 0; c < 2*RegCells; c++ {
+				r, i := c/RegCells, uint(c%RegCells)
+				got := uint64(lo[r]>>i&1 | hi[r]>>i&1<<1)
+				w, j := c/memline.WordCells, uint(c%memline.WordCells)
+				want := uint64(0)
+				if covered[c] {
+					want = words[w] >> (2 * j) & 3
+				}
+				if got != want {
+					t.Fatalf("DecodeBlocks cell %d: %d, want %d", c, got, want)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSWARBlocks holds the block kernel to the per-cell references on
+// every geometry of blockGeoms: each block's winner (lowest index on
+// ties) and cost, every candidate's cost and update count, and the
+// apply/decode round trip.
+func FuzzSWARBlocks(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(0), uint64(0), uint8(0))
+	f.Add(^uint64(0), uint64(0x5555555555555555), uint64(0), ^uint64(0), uint8(3))
+	f.Add(uint64(0x0123456789ABCDEF), uint64(0xFEDCBA9876543210), uint64(0xAAAAAAAAAAAAAAAA), uint64(0x0F0F0F0F0F0F0F0F), uint8(9))
+	f.Fuzz(func(t *testing.T, w0, w1, o0, o1 uint64, kind uint8) {
+		words := []uint64{w0, w1, w0 ^ o1, w1 ^ o0}
+		olds := []uint64{o0, o1, o1 ^ w1, o0 ^ w0}
+		checkBlocksKernel(t, words, olds, blockGeoms[int(kind)%len(blockGeoms)])
+	})
+}

@@ -31,7 +31,7 @@ import (
 // straight from the XORed ciphertext word, and only the winner is
 // compacted into state planes. Counts become energy through a product
 // table (prod[s][k] = k·WriteEnergy(s)), summed over s in ascending
-// order exactly as coset.SWARTable.CostOf sums, so no multiply runs per
+// order exactly as coset.SWARTable.Price sums, so no multiply runs per
 // candidate.
 //
 // There is deliberately no counter-blind form, so core.PlaneCodec
