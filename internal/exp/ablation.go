@@ -48,12 +48,31 @@ func AblationDisturbAware(cfg Config, lambdas []float64) *stats.Table {
 	return t
 }
 
+// EmbeddingRow is one variant of the embedding ablation.
+type EmbeddingRow struct {
+	Variant   string
+	Energy    float64 // pJ per write
+	EnergyAux float64 // pJ per write, aux region
+	Updated   float64 // cells per write
+	AuxCells  int
+}
+
 // AblationEmbedding compares WLCRC-16 against the same restricted coset
 // coding with auxiliary symbols stored in *extra* cells (3-r-cosets-16,
 // §V) and against unrestricted 3cosets-16: isolating (a) the value of
 // the coset restriction and (b) the value of embedding the aux bits into
 // WLC-reclaimed space.
 func AblationEmbedding(cfg Config) *stats.Table {
+	t := stats.NewTable("variant", "pJ/write", "aux pJ", "cells/write", "aux cells")
+	for _, r := range embeddingRows(cfg) {
+		t.Row(r.Variant, r.Energy, r.EnergyAux, r.Updated, r.AuxCells)
+	}
+	return t
+}
+
+// embeddingRows runs the embedding ablation's variants over all
+// benchmarks.
+func embeddingRows(cfg Config) []EmbeddingRow {
 	ccfg := core.Config{Energy: cfg.Energy}
 	wlcrc16, err := core.NewWLCRC(ccfg, 16)
 	if err != nil {
@@ -65,15 +84,17 @@ func AblationEmbedding(cfg Config) *stats.Table {
 		wlcrc16,
 	}
 	results := runMatrix(cfg, workload.Profiles(), schemes)
-	t := stats.NewTable("variant", "pJ/write", "aux pJ", "cells/write", "aux cells")
+	var rows []EmbeddingRow
 	for _, s := range schemes {
-		t.Row(s.Name(),
-			averages(results, s.Name(), "", sim.Metrics.AvgEnergy),
-			averages(results, s.Name(), "", sim.Metrics.AvgEnergyAux),
-			averages(results, s.Name(), "", sim.Metrics.AvgUpdated),
-			s.TotalCells()-256)
+		rows = append(rows, EmbeddingRow{
+			Variant:   s.Name(),
+			Energy:    averages(results, s.Name(), "", sim.Metrics.AvgEnergy),
+			EnergyAux: averages(results, s.Name(), "", sim.Metrics.AvgEnergyAux),
+			Updated:   averages(results, s.Name(), "", sim.Metrics.AvgUpdated),
+			AuxCells:  s.TotalCells() - 256,
+		})
 	}
-	return t
+	return rows
 }
 
 // runWLCRCVariant runs a WLCRC-16 built from cc over all benchmarks and
