@@ -43,10 +43,14 @@ const (
 )
 
 // coc16Geom and coc32Geom are the payload block geometries of the two
-// encoded modes.
+// encoded modes, and coc16Aux and coc32Aux their blocks' aux bits: one
+// cell per block, right after the payload.
 var (
 	coc16Geom = coset.UniformBlocks(coc16PayloadCells, coc16PayloadCells/coc16Blocks)
 	coc32Geom = coset.UniformBlocks(coc32PayloadCells, coc32PayloadCells/coc32Blocks)
+	coc16Aux  = uniformAux(2*coc16PayloadCells, 2, coc16Blocks)
+	coc32Aux  = uniformAux(2*coc32PayloadCells, 2, coc32Blocks)
+	cocField  = identityGroup(2, len(coset.Table1))
 )
 
 // NewCOC4 returns the COC+4cosets scheme.
@@ -70,4 +74,74 @@ func (*COC4) DataCells() int { return memline.LineCells }
 // modes (the paper: COC compresses more than 90% of lines).
 func (s *COC4) Compressible(data *memline.Line) bool {
 	return compress.COCSize(data) <= coc32PayloadBits
+}
+
+// CompressedWritePlanes implements PlaneCompressionGate.
+func (s *COC4) CompressedWritePlanes(planes []uint64) bool {
+	flag := tailFlag(planes)
+	return flag == cocFlag16 || flag == cocFlag32
+}
+
+// EncodePlanesInto implements PlaneScheme. The copy-from-old becomes an
+// 18-word plane copy instead of a 257-byte state copy.
+func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
+	copy(dst, old)
+	var backing [(compress.COCMaxBits + 7) / 8]byte
+	w := compress.WrapBitWriter(backing[:])
+	bits := compress.COCCompressTo(data, &w)
+	switch {
+	case bits <= coc16PayloadBits:
+		s.encodeModePlanes(dst, old, w.Bytes(), coc16PayloadCells, coc16Geom, coc16Aux)
+		setTailFlag(dst, cocFlag16)
+	case bits <= coc32PayloadBits:
+		s.encodeModePlanes(dst, old, w.Bytes(), coc32PayloadCells, coc32Geom, coc32Aux)
+		setTailFlag(dst, cocFlag32)
+	default:
+		rawEncodePlanes(data, dst)
+		setTailFlag(dst, cocFlagRaw)
+	}
+}
+
+// encodeModePlanes coset-encodes the compressed payload, viewed as a
+// zero-padded line prefix, over the mode's block geometry (8-cell
+// blocks = 16 bits, 16-cell = 32 bits), cheapest Table I candidate per
+// block. The aux region — cells [payloadCells, payloadCells+nblocks),
+// always inside word 7 — holds each block's candidate index as the
+// state of one cell, written through the shared aux-bit writer; the
+// cells above it keep the old states the initial copy brought in.
+func (s *COC4) encodeModePlanes(dst, old []uint64, buf []byte, payloadCells int, g *coset.Blocks, aux []int) {
+	var payload memline.Line
+	copy(payload[:], buf)
+	var p coset.Regs
+	p.Load(&payload, old)
+	var idx [coc16Blocks]uint8
+	nblocks := g.Len()
+	coset.BestBlocks(s.swar, &p, g, idx[:nblocks])
+	var lo, hi [coset.MaxRegs]uint64
+	coset.ApplyBlocks(s.swar, &p, g, idx[:nblocks], &lo, &hi)
+	coset.StoreRegs(dst, &lo, &hi, payloadCells)
+	wa := payloadCells / memline.WordCells
+	mask := coset.CellMask(payloadCells%memline.WordCells, nblocks)
+	dst[2*wa] &^= mask
+	dst[2*wa+1] &^= mask
+	writeAux(dst, aux, idx[:nblocks], &cocField)
+}
+
+// DecodePlanesInto implements PlaneScheme.
+func (s *COC4) DecodePlanesInto(planes []uint64, dst *memline.Line) {
+	switch tailFlag(planes) {
+	case cocFlag16:
+		*dst = s.decodeModePlanes(planes, coc16Geom, coc16Aux)
+	case cocFlag32:
+		*dst = s.decodeModePlanes(planes, coc32Geom, coc32Aux)
+	default:
+		rawDecodePlanes(planes, dst)
+	}
+}
+
+func (s *COC4) decodeModePlanes(planes []uint64, g *coset.Blocks, aux []int) memline.Line {
+	var idx [coc16Blocks]uint8
+	readAux(planes, aux, &cocField, idx[:len(aux)])
+	payload := memline.FromWords(decodeRegs(planes, s.swar, g, idx[:len(aux)]))
+	return compress.COCDecompress(payload[:])
 }

@@ -5,7 +5,6 @@ import (
 
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
-	"wlcrc/internal/pcm"
 )
 
 // LineCosets is the family of unrestricted coset encoders operating on a
@@ -18,123 +17,70 @@ import (
 //     stored directly as state Si (§IX.A).
 //
 // The block granularity ranges from 8 bits up to the full 512-bit line.
-type LineCosets struct {
-	name       string
-	cands      []coset.Mapping
-	swar       []coset.SWARTable
-	geom       *coset.Blocks
-	blockBits  int
-	blockCells int
-	nblocks    int
-	auxPerBlk  int // aux cells per block: 1 for <=4 candidates, 2 for 6
-	em         pcm.EnergyModel
-	pairs      [][2]pcm.State
-	// pairIdx[a][b] is the candidate whose aux pair is (a, b), or -1
-	// when no candidate owns that pair.
-	pairIdx [pcm.NumStates][pcm.NumStates]int8
-}
+// It is a blockCode row; the family alone re-encodes around stuck cells
+// (stuck.go).
+type LineCosets struct{ blockCode }
 
 // NewLineCosets builds an unrestricted coset scheme. blockBits must
-// divide 512 and be even. With more than four candidates two auxiliary
-// cells per block are used, otherwise one.
+// divide 512 and be at least 8. With more than four candidates two
+// auxiliary cells per block are used, otherwise one.
 func NewLineCosets(cfg Config, name string, cands []coset.Mapping, blockBits int) *LineCosets {
-	if blockBits < 2 || blockBits%2 != 0 || memline.LineBits%blockBits != 0 {
-		panic(fmt.Sprintf("core: invalid coset block size %d", blockBits))
-	}
+	checkBlockBits(blockBits)
 	if len(cands) < 2 || len(cands) > 16 {
 		panic("core: candidate count out of range")
 	}
-	s := &LineCosets{
-		name:       name,
-		cands:      cands,
-		swar:       coset.SWARTables(&cfg.Energy, cands),
-		geom:       coset.UniformBlocks(memline.LineCells, blockBits/2),
-		blockBits:  blockBits,
-		blockCells: blockBits / 2,
-		nblocks:    memline.LineBits / blockBits,
-		auxPerBlk:  1,
-		em:         cfg.Energy,
+	nblocks := memline.LineBits / blockBits
+	row := blockCode{
+		name:     name,
+		geom:     coset.UniformBlocks(memline.LineCells, blockBits/2),
+		auxWidth: 2,
+		groups:   []auxGroup{identityGroup(2, len(cands))},
 	}
 	if len(cands) > 4 {
-		s.auxPerBlk = 2
-		s.pairs = coset.AuxPairs(&cfg.Energy)[:len(cands)]
-		for a := range s.pairIdx {
-			for b := range s.pairIdx[a] {
-				s.pairIdx[a][b] = -1
-			}
+		// Two aux cells per block hold the candidate's state pair.
+		row.auxWidth = 4
+		pairs := coset.AuxPairs(&cfg.Energy)[:len(cands)]
+		codes := make([]uint8, len(cands))
+		for i, pair := range pairs {
+			codes[i] = uint8(pair[0]) | uint8(pair[1])<<2
 		}
-		for i, pair := range s.pairs {
-			s.pairIdx[pair[0]][pair[1]] = int8(i)
-		}
+		row.groups[0] = newAuxGroup(4, row.groups[0].members, codes)
 	}
-	return s
+	row.auxBit = uniformAux(2*memline.LineCells, row.auxWidth, nblocks)
+	return &LineCosets{*newBlockCode(row, &cfg.Energy, cands)}
 }
 
-// Name implements Scheme.
-func (s *LineCosets) Name() string { return s.name }
-
-// BlockBits returns the encoding granularity in bits.
-func (s *LineCosets) BlockBits() int { return s.blockBits }
-
-// TotalCells implements Scheme.
-func (s *LineCosets) TotalCells() int {
-	return memline.LineCells + s.nblocks*s.auxPerBlk
+// checkBlockBits panics unless blockBits is at least 8 and divides the
+// line.
+func checkBlockBits(blockBits int) {
+	if blockBits < 8 || memline.LineBits%blockBits != 0 {
+		panic(fmt.Sprintf("core: invalid coset block size %d", blockBits))
+	}
 }
-
-// DataCells implements Scheme.
-func (s *LineCosets) DataCells() int { return memline.LineCells }
 
 // RestrictedLineCosets is the line-level restricted coset encoding of §V
 // (called 3-r-cosets in Figure 5): every block of the line is encoded
 // with one of two candidates from a per-line group — either {C1,C2} or
 // {C1,C3} — so each block costs one auxiliary bit plus one global bit for
-// the whole line. The auxiliary bits are packed two per cell through the
-// fixed C1 mapping.
-type RestrictedLineCosets struct {
-	name       string
-	blockBits  int
-	blockCells int
-	nblocks    int
-	em         pcm.EnergyModel
-	geom       *coset.Blocks
-	// swar prices and applies C1, C2, C3: a block's candidate index is
-	// 0 for C1 and 1+group for its group's alternate.
-	swar []coset.SWARTable
-}
+// the whole line. The auxiliary bits are packed two per cell from cell
+// 256 (the identity AuxPack layout): the group bit first, then one bit
+// per block naming the group's alternate.
+type RestrictedLineCosets struct{ blockCode }
 
 // NewRestrictedLineCosets builds the 3-r-cosets scheme at the given block
-// granularity. blockBits must divide 512 and be even.
+// granularity. blockBits must divide 512 and be at least 8.
 func NewRestrictedLineCosets(cfg Config, blockBits int) *RestrictedLineCosets {
-	if blockBits < 2 || blockBits%2 != 0 || memline.LineBits%blockBits != 0 {
-		panic(fmt.Sprintf("core: invalid coset block size %d", blockBits))
+	checkBlockBits(blockBits)
+	row := blockCode{
+		name:     fmt.Sprintf("3-r-cosets-%d", blockBits),
+		geom:     coset.UniformBlocks(memline.LineCells, blockBits/2),
+		auxWidth: 1,
+		groups: []auxGroup{
+			newAuxGroup(1, []uint8{0, 1}, []uint8{0, 1}), // {C1, C2}
+			newAuxGroup(1, []uint8{0, 2}, []uint8{0, 1}), // {C1, C3}
+		},
+		groupBit: 2 * memline.LineCells,
 	}
-	return &RestrictedLineCosets{
-		name:       fmt.Sprintf("3-r-cosets-%d", blockBits),
-		blockBits:  blockBits,
-		blockCells: blockBits / 2,
-		nblocks:    memline.LineBits / blockBits,
-		em:         cfg.Energy,
-		geom:       coset.UniformBlocks(memline.LineCells, blockBits/2),
-		swar:       coset.SWARTables(&cfg.Energy, coset.Table1[:3]),
-	}
+	row.auxBit = uniformAux(row.groupBit+1, 1, memline.LineBits/blockBits)
+	return &RestrictedLineCosets{*newBlockCode(row, &cfg.Energy, coset.Table1[:3])}
 }
-
-// Name implements Scheme.
-func (s *RestrictedLineCosets) Name() string { return s.name }
-
-// BlockBits returns the encoding granularity in bits.
-func (s *RestrictedLineCosets) BlockBits() int { return s.blockBits }
-
-// auxCells returns the number of auxiliary cells: 1 global bit plus one
-// bit per block, two bits per cell.
-func (s *RestrictedLineCosets) auxCells() int { return (1 + s.nblocks + 1) / 2 }
-
-// TotalCells implements Scheme.
-func (s *RestrictedLineCosets) TotalCells() int { return memline.LineCells + s.auxCells() }
-
-// DataCells implements Scheme.
-func (s *RestrictedLineCosets) DataCells() int { return memline.LineCells }
-
-// rlcMaxBlocks bounds the per-line block count (2-bit blocks) for the
-// fixed plan scratch.
-const rlcMaxBlocks = memline.LineBits / 2

@@ -15,10 +15,9 @@ import (
 // original data is always a member). The candidate index occupies four
 // bits = two auxiliary cells.
 type FlipMin struct {
-	em    pcm.EnergyModel
-	masks [16]memline.Line
-	// maskWords caches every mask's word view so the winner's data can
-	// be rebuilt by whole-word XOR at decode.
+	em pcm.EnergyModel
+	// maskWords holds every candidate mask as words, so the winner's
+	// data can be rebuilt by whole-word XOR at decode.
 	maskWords [16][memline.LineWords]uint64
 	// maskRegs caches every mask's pair-register planes. LoHiPlanes is
 	// linear over XOR, so the planes of (line ^ mask) are two XORs per
@@ -37,11 +36,12 @@ const flipMinSeed = 0xF11BA5ED
 func NewFlipMin(cfg Config) *FlipMin {
 	f := &FlipMin{em: cfg.Energy}
 	r := prng.New(flipMinSeed)
-	for i := 1; i < len(f.masks); i++ {
-		r.Fill(f.masks[i][:])
-	}
-	for i := range f.masks {
-		f.maskWords[i] = f.masks[i].Words()
+	for i := range f.maskWords {
+		var mask memline.Line
+		if i > 0 {
+			r.Fill(mask[:])
+		}
+		f.maskWords[i] = mask.Words()
 		for r := range f.maskRegs[i] {
 			lo0, hi0 := memline.LoHiPlanes(f.maskWords[i][2*r])
 			lo1, hi1 := memline.LoHiPlanes(f.maskWords[i][2*r+1])
@@ -60,3 +60,39 @@ func (*FlipMin) TotalCells() int { return memline.LineCells + 2 }
 
 // DataCells implements Scheme.
 func (*FlipMin) DataCells() int { return memline.LineCells }
+
+// EncodePlanesInto implements PlaneScheme: XOR the line's pair
+// registers with each candidate's register planes, price the result 64
+// cells per popcount through the C1 weights, then store only the
+// winner's planes.
+func (f *FlipMin) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
+	var p coset.Regs
+	p.Load(data, old)
+	bestIdx, bestCost := 0, 0.0
+	for i := range f.maskRegs {
+		var cnt [4]int
+		for r := 0; r < coset.MaxRegs; r++ {
+			m := &f.maskRegs[i][r]
+			f.swar.CountReg(p.Lo[r]^m[0], p.Hi[r]^m[1], &p.OldIs[r], &cnt)
+		}
+		if cost, _ := f.swar.Price(&cnt); i == 0 || cost < bestCost {
+			bestIdx, bestCost = i, cost
+		}
+	}
+	var lo, hi [coset.MaxRegs]uint64
+	for r := range lo {
+		m := &f.maskRegs[bestIdx][r]
+		lo[r], hi[r] = f.swar.ApplyReg(p.Lo[r]^m[0], p.Hi[r]^m[1])
+	}
+	coset.StoreRegs(dst, &lo, &hi, memline.LineCells)
+	setTailBits4(dst, uint8(bestIdx))
+}
+
+// DecodePlanesInto implements PlaneScheme.
+func (f *FlipMin) DecodePlanesInto(planes []uint64, dst *memline.Line) {
+	idx := int(tailBits4(planes))
+	rawDecodePlanes(planes, dst)
+	for w := 0; w < memline.LineWords; w++ {
+		dst.SetWord(w, dst.Word(w)^f.maskWords[idx][w])
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
-	"wlcrc/internal/pcm"
 )
 
 // FNW is Flip-N-Write (Cho & Lee [7]) adapted to MLC PCM as the paper's
@@ -11,23 +10,13 @@ import (
 // each block is stored either as-is or bitwise complemented, whichever
 // needs less differential-write energy. One flip bit per block — four
 // bits, two auxiliary cells per line — matches FlipMin's space overhead
-// (§VIII).
-type FNW struct {
-	em pcm.EnergyModel
-	// swar[0] prices a symbol stored as-is through C1 and swar[1] its
-	// complement (complementing a bit pair complements the symbol); a
-	// block's flip bit is its candidate index.
-	swar [2]coset.SWARTable
-}
+// (§VIII). It is a blockCode row of two candidates: C1, and C1 of the
+// complemented symbol (complementing a bit pair complements the
+// symbol).
+type FNW struct{ blockCode }
 
 // fnwBlocks is the number of independently-flippable blocks per line.
 const fnwBlocks = 4
-
-// fnwBlockCells is the number of cells per 128-bit block.
-const fnwBlockCells = memline.LineCells / fnwBlocks
-
-// fnwGeom is the block geometry: one pair register per block.
-var fnwGeom = coset.UniformBlocks(memline.LineCells, fnwBlockCells)
 
 // NewFNW returns the FNW scheme.
 func NewFNW(cfg Config) *FNW {
@@ -35,17 +24,12 @@ func NewFNW(cfg Config) *FNW {
 	for v := uint8(0); v < 4; v++ {
 		flipped[v] = coset.C1[^v&3]
 	}
-	return &FNW{
-		em:   cfg.Energy,
-		swar: [2]coset.SWARTable{coset.C1.SWAR(&cfg.Energy), flipped.SWAR(&cfg.Energy)},
+	row := blockCode{
+		name:     "FNW",
+		geom:     coset.UniformBlocks(memline.LineCells, memline.LineCells/fnwBlocks),
+		auxWidth: 1,
+		auxBit:   uniformAux(2*memline.LineCells, 1, fnwBlocks),
+		groups:   []auxGroup{identityGroup(1, 2)},
 	}
+	return &FNW{*newBlockCode(row, &cfg.Energy, []coset.Mapping{coset.C1, flipped})}
 }
-
-// Name implements Scheme.
-func (*FNW) Name() string { return "FNW" }
-
-// TotalCells implements Scheme.
-func (*FNW) TotalCells() int { return memline.LineCells + 2 }
-
-// DataCells implements Scheme.
-func (*FNW) DataCells() int { return memline.LineCells }

@@ -117,19 +117,6 @@ func EncodePlaneBatch(cs CounterPlaneScheme, jobs []PlaneEncodeJob) {
 	}
 }
 
-// wordBlocks is the line geometry of per-word block cell ranges
-// repeated over all eight words of a line.
-func wordBlocks(blocks [][2]int) *coset.Blocks {
-	var ranges [][2]int
-	for w := 0; w < memline.LineWords; w++ {
-		base := w * memline.WordCells
-		for _, rng := range blocks {
-			ranges = append(ranges, [2]int{base + rng[0], base + rng[1]})
-		}
-	}
-	return coset.NewBlocks(ranges)
-}
-
 // rawEncodePlanes fills the 16 data plane words with the default-mapping
 // (C1) states of the line's symbols — the uncompressed fallback path
 // shared by every compression-gated scheme, and the whole of the

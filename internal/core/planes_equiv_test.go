@@ -153,8 +153,8 @@ func FuzzEncodePlanesEquiv(f *testing.F) {
 	f.Add(uint8(5), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add(uint8(7), uint8(0), []byte{0xde, 0xad, 0xbe, 0xef, 0xde, 0xad, 0xbe, 0xef})
 	f.Add(uint8(11), uint8(3), []byte{0x80, 0, 0, 0, 0, 0, 0, 0, 1})
+	schemes := equivSchemes(f)
 	f.Fuzz(func(t *testing.T, schemeSel, oldSel uint8, body []byte) {
-		schemes := equivSchemes(t)
 		s := schemes[int(schemeSel)%len(schemes)]
 		n := s.TotalCells()
 
@@ -192,11 +192,11 @@ func FuzzDecodePlanesNeverPanics(f *testing.F) {
 	f.Add(uint8(0), []byte{0})
 	f.Add(uint8(4), []byte{3, 3, 3, 3, 3, 3, 3, 3})
 	f.Add(uint8(9), []byte{0, 1, 2, 3, 0, 1, 2, 3, 2, 1})
+	schemes := allSchemes(f)
 	f.Fuzz(func(t *testing.T, schemeSel uint8, states []byte) {
 		if len(states) == 0 {
 			t.Skip("no states")
 		}
-		schemes := allSchemes(t)
 		s := schemes[int(schemeSel)%len(schemes)]
 		n := s.TotalCells()
 		cells := make([]pcm.State, n)

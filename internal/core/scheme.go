@@ -13,6 +13,13 @@
 // scheme also decodes, so tests can prove the stored states always
 // recover the written data, and the tests hold every plane encoder to a
 // per-cell scalar reference (swar_equiv_test.go).
+//
+// The block coset families — 3/4/6cosets at 8–512 bits, 3-r-cosets,
+// FNW and WLC+Ncosets — are rows of one descriptor-driven codec
+// (blockcode.go): a row gives the block geometry, the candidates, the
+// aux layout and code tables, and optionally restricted groups or the
+// WLC gate. FlipMin, DIN, COC+4cosets, WLCRC, Baseline and the VCC
+// schemes keep their own codecs.
 package core
 
 import (

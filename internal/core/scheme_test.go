@@ -22,11 +22,7 @@ func allSchemes(t testing.TB) []Scheme {
 	}
 	var out []Scheme
 	for _, n := range names {
-		s, err := NewScheme(n, cfg)
-		if err != nil {
-			t.Fatalf("NewScheme(%q): %v", n, err)
-		}
-		out = append(out, s)
+		out = append(out, newTestScheme(t, n, cfg))
 	}
 	return out
 }

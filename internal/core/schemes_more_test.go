@@ -163,13 +163,10 @@ func TestFNWCostNeverWorseThanBaselinePerWrite(t *testing.T) {
 func TestFlipMinDeterministicMasks(t *testing.T) {
 	a := NewFlipMin(DefaultConfig())
 	b := NewFlipMin(DefaultConfig())
-	for i := range a.masks {
-		if a.masks[i] != b.masks[i] {
-			t.Fatal("FlipMin masks are not deterministic")
-		}
+	if a.maskWords != b.maskWords {
+		t.Fatal("FlipMin masks are not deterministic")
 	}
-	var zero memline.Line
-	if a.masks[0] != zero {
+	if a.maskWords[0] != [memline.LineWords]uint64{} {
 		t.Error("mask 0 must be the all-zero vector")
 	}
 }
@@ -365,12 +362,13 @@ func TestSixCosetsAuxPairsAreCheapest(t *testing.T) {
 	s := NewLineCosets(cfg, "6cosets", coset.SixCosets(), 512)
 	pairs := coset.AuxPairs(&cfg.Energy)
 	for i := 0; i < 6; i++ {
-		if s.pairs[i] != pairs[i] {
-			t.Fatalf("aux pair %d = %v, want %v", i, s.pairs[i], pairs[i])
+		code := s.groups[0].code[i]
+		if got := [2]pcm.State{pcm.State(code & 3), pcm.State(code >> 2)}; got != pairs[i] {
+			t.Fatalf("aux pair %d = %v, want %v", i, got, pairs[i])
 		}
 	}
 	// None of the six identifiers should use S4 (547pJ).
-	for i, p := range s.pairs {
+	for i, p := range pairs[:6] {
 		if p[0] == pcm.S4 || p[1] == pcm.S4 {
 			t.Errorf("aux pair %d uses S4: %v", i, p)
 		}
@@ -384,22 +382,26 @@ func TestSixCosetsAuxPairsAreCheapest(t *testing.T) {
 // corrupted decodes through candidate 0's mapping instead of failing.
 func TestSixCosetsInvalidAuxPairDecodesAsCandidate0(t *testing.T) {
 	r := prng.New(0x6A1)
+	em := pcm.DefaultEnergy()
+	pairs := coset.AuxPairs(&em)[:6]
 	for _, bb := range []int{64, 512} {
 		s := NewLineCosets(DefaultConfig(), "6cosets", coset.SixCosets(), bb)
 		data := randomBiasedLine(r)
 		planes := make([]uint64, coset.PlaneWords(s.TotalCells()))
 		s.EncodePlanesInto(planes, make([]uint64, len(planes)), &data)
 		var want memline.Line
-		s.DecodePlanesInto(withAuxPair(s, planes, s.pairs[0]), &want)
+		s.DecodePlanesInto(withAuxPair(planes, pairs[0]), &want)
 		owned := map[[2]pcm.State]int{}
-		for i, p := range s.pairs {
+		for i, p := range pairs {
 			owned[p] = i
 		}
 		invalid := 0
 		for a := pcm.State(0); a < pcm.NumStates; a++ {
 			for b := pcm.State(0); b < pcm.NumStates; b++ {
-				stored := withAuxPair(s, planes, [2]pcm.State{a, b})
-				got := s.readAuxPlanes(stored, 0)
+				stored := withAuxPair(planes, [2]pcm.State{a, b})
+				var code [1]uint8
+				readAux(stored, s.auxBit[:1], &s.groups[0], code[:])
+				got := code[0]
 				idx, ok := owned[[2]pcm.State{a, b}]
 				if !ok {
 					invalid++
@@ -424,7 +426,7 @@ func TestSixCosetsInvalidAuxPairDecodesAsCandidate0(t *testing.T) {
 
 // withAuxPair returns a copy of planes with block 0's two aux cells set
 // to pair.
-func withAuxPair(s *LineCosets, planes []uint64, pair [2]pcm.State) []uint64 {
+func withAuxPair(planes []uint64, pair [2]pcm.State) []uint64 {
 	out := append([]uint64(nil), planes...)
 	coset.PlaneSet(out, memline.LineCells, pair[0])
 	coset.PlaneSet(out, memline.LineCells+1, pair[1])

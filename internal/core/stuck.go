@@ -4,7 +4,6 @@ import (
 	"wlcrc/internal/coset"
 	"wlcrc/internal/fault"
 	"wlcrc/internal/memline"
-	"wlcrc/internal/pcm"
 )
 
 // StuckAwareEncoder is the optional Scheme extension behind the fault
@@ -37,10 +36,10 @@ func EncodeStuckFunc(s Scheme) func(dst, old []uint64, data *memline.Line, stuck
 // unrestricted coset family: per block, the candidates are re-priced
 // with the stuck cells as a hard constraint — a candidate survives only
 // if its mapped output agrees with every stuck data cell of the block
-// (64 cells at a time via SWARTable.StuckMismatch) and its auxiliary
-// encoding agrees with every stuck aux cell — and the cheapest survivor
-// wins, the lowest index on ties. A block with no survivor fails the
-// whole line. With no stuck cells the result is EncodePlanesInto's.
+// (64 cells at a time via SWARTable.StuckMismatch) and its aux code
+// agrees with every stuck aux cell — and the cheapest survivor wins,
+// the lowest index on ties. A block with no survivor fails the whole
+// line. With no stuck cells the result is EncodePlanesInto's.
 func (s *LineCosets) EncodeStuckPlanesInto(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool {
 	var p coset.Regs
 	p.Load(data, old)
@@ -50,15 +49,14 @@ func (s *LineCosets) EncodeStuckPlanesInto(dst, old []uint64, data *memline.Line
 		m1, l1, h1 := stuck.WordPlanes(2*r + 1)
 		sm[r], sl[r], sh[r] = coset.Pair(m0, m1), coset.Pair(l0, l1), coset.Pair(h0, h1)
 	}
-	n := s.nblocks
-	var idx [memline.LineCells]uint8
-	var found [memline.LineCells]bool
-	var cost, bestCost [memline.LineCells]float64
-	for i := range s.swar {
-		t := &s.swar[i]
-		coset.EvalBlocks(s.swar[i:i+1], &p, s.geom, cost[:n])
+	n := s.geom.Len()
+	var idx [maxBlocks]uint8
+	var found [maxBlocks]bool
+	var cost, bestCost [maxBlocks]float64
+	for i := range s.tabs {
+		coset.EvalBlocks(s.tabs[i:i+1], &p, s.geom, cost[:n])
 		for b := 0; b < n; b++ {
-			if (!found[b] || cost[b] < bestCost[b]) && s.stuckOK(t, &p, i, b, &sm, &sl, &sh, stuck) {
+			if (!found[b] || cost[b] < bestCost[b]) && s.stuckOK(&p, i, b, &sm, &sl, &sh, stuck) {
 				idx[b], found[b], bestCost[b] = uint8(i), true, cost[b]
 			}
 		}
@@ -68,33 +66,27 @@ func (s *LineCosets) EncodeStuckPlanesInto(dst, old []uint64, data *memline.Line
 			return false
 		}
 	}
-	s.storeBlocks(dst, &p, idx[:n])
+	s.store(dst, &p, 0, idx[:n])
 	return true
 }
 
-// stuckOK reports whether candidate idx (table t) of block b satisfies
-// every stuck cell it would program: the block's data cells, checked
-// word-parallel per register, and its aux cells.
-func (s *LineCosets) stuckOK(t *coset.SWARTable, p *coset.Regs, idx, b int, sm, sl, sh *[coset.MaxRegs]uint64, stuck *fault.LineStuck) bool {
+// stuckOK reports whether candidate i of block b satisfies every stuck
+// cell it would program: the block's data cells, checked word-parallel
+// per register, and the cells holding its aux code.
+func (s *LineCosets) stuckOK(p *coset.Regs, i, b int, sm, sl, sh *[coset.MaxRegs]uint64, stuck *fault.LineStuck) bool {
+	t := &s.tabs[i]
 	r0, r1, mask := s.geom.Span(b)
 	for r := r0; r < r1; r++ {
 		if sm[r]&mask != 0 && t.StuckMismatch(&p.Sym[r], mask, sm[r], sl[r], sh[r]) != 0 {
 			return false
 		}
 	}
-	base := memline.LineCells + b*s.auxPerBlk
-	if s.auxPerBlk == 1 {
-		if st, ok := stuck.StateOf(base); ok && st != pcm.State(idx) {
+	code := s.groups[0].code[i]
+	for j := 0; j < s.auxWidth; j++ {
+		k := s.auxBit[b] + j
+		if st, ok := stuck.StateOf(k >> 1); ok && uint8(st)>>(k&1)&1 != code>>j&1 {
 			return false
 		}
-		return true
-	}
-	pair := s.pairs[idx]
-	if st, ok := stuck.StateOf(base); ok && st != pair[0] {
-		return false
-	}
-	if st, ok := stuck.StateOf(base + 1); ok && st != pair[1] {
-		return false
 	}
 	return true
 }

@@ -18,10 +18,10 @@ func stuckSchemes(t *testing.T) []*LineCosets {
 	t.Helper()
 	cfg := DefaultConfig()
 	return []*LineCosets{
-		NewLineCosets(cfg, "4cosets", coset.Table1[:], memline.LineBits),
-		NewLineCosets(cfg, "6cosets", coset.SixCosets(), memline.LineBits),
-		NewLineCosets(cfg, "4cosets-16", coset.Table1[:], 16),
-		NewLineCosets(cfg, "6cosets-64", coset.SixCosets(), 64),
+		testLineCosets(cfg, "4cosets", coset.Table1[:], memline.LineBits),
+		testLineCosets(cfg, "6cosets", coset.SixCosets(), memline.LineBits),
+		testLineCosets(cfg, "4cosets-16", coset.Table1[:], 16),
+		testLineCosets(cfg, "6cosets-64", coset.SixCosets(), 64),
 	}
 }
 
@@ -44,23 +44,28 @@ func randomStuck(r *prng.Xoshiro256, n, maxStuck int) *fault.LineStuck {
 // survives only if the states it would program agree with every stuck
 // data cell of the block and its aux encoding agrees with every stuck
 // aux cell; the cheapest survivor wins, the lowest index on ties.
-func refEncodeStuck(s *LineCosets, dst, old []pcm.State, data *memline.Line, ls *fault.LineStuck) bool {
-	tabs := coset.CostTables(&s.em, s.cands)
+func refEncodeStuck(r refRow, dst, old []pcm.State, data *memline.Line, ls *fault.LineStuck) bool {
+	tabs := coset.CostTables(&r.em, r.cands)
 	var syms [memline.LineCells]uint8
 	data.SymbolsInto(&syms)
-	aux := make([]pcm.State, s.TotalCells())
-	for b := 0; b < s.nblocks; b++ {
-		lo, hi := b*s.blockCells, (b+1)*s.blockCells
-		auxLo := memline.LineCells + b*s.auxPerBlk
+	bc := r.blockBits / 2
+	auxPerBlk := 1
+	if len(r.cands) > 4 {
+		auxPerBlk = 2
+	}
+	aux := make([]pcm.State, memline.LineCells+memline.LineCells/bc*auxPerBlk)
+	for b := 0; b < memline.LineCells/bc; b++ {
+		lo, hi := b*bc, (b+1)*bc
+		auxLo := memline.LineCells + b*auxPerBlk
 		best, bestCost := -1, 0.0
 		for i := range tabs {
-			refLineCosetsAux(s, aux, b, i)
+			refLineCosetsAux(r, aux, b, i)
 			ok := true
 			for c := lo; c < hi && ok; c++ {
 				st, stuck := ls.StateOf(c)
 				ok = !stuck || st == tabs[i].States[syms[c]]
 			}
-			for c := auxLo; c < auxLo+s.auxPerBlk && ok; c++ {
+			for c := auxLo; c < auxLo+auxPerBlk && ok; c++ {
 				st, stuck := ls.StateOf(c)
 				ok = !stuck || st == aux[c]
 			}
@@ -75,7 +80,7 @@ func refEncodeStuck(s *LineCosets, dst, old []pcm.State, data *memline.Line, ls 
 			return false
 		}
 		tabs[best].Encode(syms[lo:hi], dst[lo:hi])
-		refLineCosetsAux(s, dst, b, best)
+		refLineCosetsAux(r, dst, b, best)
 	}
 	return true
 }
@@ -90,6 +95,7 @@ func refEncodeStuck(s *LineCosets, dst, old []pcm.State, data *memline.Line, ls 
 func TestEncodeStuckInto(t *testing.T) {
 	r := prng.New(0xfa117)
 	for _, s := range stuckSchemes(t) {
+		row, _ := rowOf(s)
 		n := s.TotalCells()
 		want := make([]pcm.State, n)
 		okCount, failCount := 0, 0
@@ -114,7 +120,7 @@ func TestEncodeStuckInto(t *testing.T) {
 				dst[i] = r.Uint64() // the encode must overwrite every word
 			}
 			ok := s.EncodeStuckPlanesInto(dst, oldP, &data, ls)
-			if refOK := refEncodeStuck(s, want, old, &data, ls); ok != refOK {
+			if refOK := refEncodeStuck(row, want, old, &data, ls); ok != refOK {
 				t.Fatalf("%s: trial %d: stuck encode reports %v, reference %v", s.Name(), trial, ok, refOK)
 			}
 			if !ok {

@@ -27,43 +27,45 @@ func refRawEncode(data *memline.Line, dst []pcm.State) {
 
 // refLineCosetsAux stores block's candidate index in its aux cells:
 // directly as state Si for one aux cell per block (§IX.A), as the
-// candidate's two-cell state pair otherwise.
-func refLineCosetsAux(s *LineCosets, out []pcm.State, block, idx int) {
-	base := memline.LineCells + block*s.auxPerBlk
-	if s.auxPerBlk == 1 {
-		out[base] = pcm.State(idx)
+// candidate's two-cell state pair otherwise — the i-th cheapest pair
+// under the row's energy model.
+func refLineCosetsAux(r refRow, out []pcm.State, block, idx int) {
+	if len(r.cands) <= 4 {
+		out[memline.LineCells+block] = pcm.State(idx)
 		return
 	}
-	out[base], out[base+1] = s.pairs[idx][0], s.pairs[idx][1]
+	pair := coset.AuxPairs(&r.em)[idx]
+	out[memline.LineCells+2*block], out[memline.LineCells+2*block+1] = pair[0], pair[1]
 }
 
-func refLineCosets(s *LineCosets, dst, old []pcm.State, data *memline.Line) {
-	tabs := coset.CostTables(&s.em, s.cands)
+func refLineCosets(r refRow, dst, old []pcm.State, data *memline.Line) {
+	tabs := coset.CostTables(&r.em, r.cands)
 	copy(dst, old)
 	var syms [memline.LineCells]uint8
 	data.SymbolsInto(&syms)
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		hi := lo + s.blockCells
+	bc := r.blockBits / 2
+	for b := 0; b < memline.LineCells/bc; b++ {
+		lo, hi := b*bc, (b+1)*bc
 		idx, _ := coset.BestTable(tabs, syms[lo:hi], old[lo:hi])
 		tabs[idx].Encode(syms[lo:hi], dst[lo:hi])
-		refLineCosetsAux(s, dst, b, idx)
+		refLineCosetsAux(r, dst, b, idx)
 	}
 }
 
-func refRestricted(s *RestrictedLineCosets, dst, old []pcm.State, data *memline.Line) {
-	tab1 := coset.C1.CostTable(&s.em)
-	tabAlt := [2]coset.CostTable{coset.C2.CostTable(&s.em), coset.C3.CostTable(&s.em)}
+func refRestricted(r refRow, dst, old []pcm.State, data *memline.Line) {
+	tab1 := coset.C1.CostTable(&r.em)
+	tabAlt := [2]coset.CostTable{coset.C2.CostTable(&r.em), coset.C3.CostTable(&r.em)}
 	var syms [memline.LineCells]uint8
 	data.SymbolsInto(&syms)
+	bc := r.blockBits / 2
+	nblocks := memline.LineCells / bc
 	var costs [2]float64
-	var choices [2][rlcMaxBlocks]uint8
+	var choices [2][memline.LineCells]uint8
 	for g := 0; g < 2; g++ {
 		alt := &tabAlt[g]
 		var total float64
-		for b := 0; b < s.nblocks; b++ {
-			lo := b * s.blockCells
-			hi := lo + s.blockCells
+		for b := 0; b < nblocks; b++ {
+			lo, hi := b*bc, (b+1)*bc
 			c1 := tab1.BlockCost(syms[lo:hi], old[lo:hi])
 			ca := alt.BlockCost(syms[lo:hi], old[lo:hi])
 			if ca < c1 {
@@ -82,11 +84,10 @@ func refRestricted(s *RestrictedLineCosets, dst, old []pcm.State, data *memline.
 	alt := &tabAlt[group]
 	choice := &choices[group]
 	copy(dst, old)
-	var bits [1 + rlcMaxBlocks]uint8
+	var bits [1 + memline.LineCells]uint8
 	bits[0] = uint8(group)
-	for b := 0; b < s.nblocks; b++ {
-		lo := b * s.blockCells
-		hi := lo + s.blockCells
+	for b := 0; b < nblocks; b++ {
+		lo, hi := b*bc, (b+1)*bc
 		tab := &tab1
 		if choice[b] == 1 {
 			tab = alt
@@ -94,22 +95,24 @@ func refRestricted(s *RestrictedLineCosets, dst, old []pcm.State, data *memline.
 		tab.Encode(syms[lo:hi], dst[lo:hi])
 		bits[1+b] = choice[b]
 	}
-	coset.PackBitsToStates(bits[:1+s.nblocks], dst[memline.LineCells:])
+	coset.PackBitsToStates(bits[:1+nblocks], dst[memline.LineCells:])
 }
 
-func refFNW(f *FNW, dst, old []pcm.State, data *memline.Line) {
-	tabKeep := coset.C1.CostTable(&f.em)
+// refFNW keeps or complements each 128-bit block, its flip bits packed
+// into cells 256 and 257.
+func refFNW(r refRow, dst, old []pcm.State, data *memline.Line) {
+	tabKeep := coset.C1.CostTable(&r.em)
 	var flipped coset.Mapping
 	for v := uint8(0); v < 4; v++ {
 		flipped[v] = coset.C1[^v&3]
 	}
-	tabFlip := flipped.CostTable(&f.em)
+	tabFlip := flipped.CostTable(&r.em)
 	var syms [memline.LineCells]uint8
 	data.SymbolsInto(&syms)
-	var bits [fnwBlocks]uint8
-	for b := 0; b < fnwBlocks; b++ {
-		lo := b * fnwBlockCells
-		hi := lo + fnwBlockCells
+	const blockCells = 64
+	var bits [memline.LineCells / blockCells]uint8
+	for b := range bits {
+		lo, hi := b*blockCells, (b+1)*blockCells
 		var costKeep, costFlip float64
 		for c := lo; c < hi; c++ {
 			costKeep += tabKeep.Cost[old[c]][syms[c]]
@@ -125,6 +128,18 @@ func refFNW(f *FNW, dst, old []pcm.State, data *memline.Line) {
 		}
 	}
 	coset.PackBitsToStates(bits[:], dst[memline.LineCells:])
+}
+
+// wlcRowGeometry is a WLC+Ncosets row's word layout at granularity
+// gran: the WLC gate, the fully-data cells per word, and the blocks
+// tiling them.
+func wlcRowGeometry(gran int) (wlc compress.WLC, dataCells int, blocks [][2]int) {
+	reclaimed := map[int]int{8: 16, 16: 8, 32: 4, 64: 2}[gran]
+	dataCells = (64 - reclaimed) / 2
+	for lo := 0; lo < dataCells; lo += gran / 2 {
+		blocks = append(blocks, [2]int{lo, min(lo+gran/2, dataCells)})
+	}
+	return compress.WLC{K: reclaimed + 1}, dataCells, blocks
 }
 
 func refFlipMin(f *FlipMin, dst, old []pcm.State, data *memline.Line) {
@@ -159,10 +174,11 @@ func refFlipMin(f *FlipMin, dst, old []pcm.State, data *memline.Line) {
 	coset.PackBitsToStates(bits[:], dst[memline.LineCells:])
 }
 
-func refWLCCosets(s *WLCCosets, dst, old []pcm.State, data *memline.Line) {
-	tabs := coset.CostTables(&s.em, s.cands)
+func refWLCCosets(r refRow, dst, old []pcm.State, data *memline.Line) {
+	wlc, dataCells, blocks := wlcRowGeometry(r.blockBits)
+	tabs := coset.CostTables(&r.em, r.cands)
 	copy(dst, old)
-	if !s.wlc.LineCompressible(data) {
+	if !wlc.LineCompressible(data) {
 		refRawEncode(data, dst)
 		dst[memline.LineCells] = flagUncompressed
 		return
@@ -174,16 +190,34 @@ func refWLCCosets(s *WLCCosets, dst, old []pcm.State, data *memline.Line) {
 		var syms [memline.WordCells]uint8
 		memline.WordSymbols(word, &syms)
 		var auxBits [2 * memline.WordCells]uint8
-		nAux := 2 * (memline.WordCells - s.dataCells)
-		for b, rng := range s.blocks {
+		nAux := 2 * (memline.WordCells - dataCells)
+		for b, rng := range blocks {
 			idx, _ := coset.BestTable(tabs, syms[rng[0]:rng[1]], oldW[rng[0]:rng[1]])
 			tabs[idx].Encode(syms[rng[0]:rng[1]], outW[rng[0]:rng[1]])
 			auxBits[2*b] = uint8(idx) & 1
 			auxBits[2*b+1] = uint8(idx) >> 1
 		}
-		coset.PackBitsToStates(auxBits[:nAux], outW[s.dataCells:])
+		coset.PackBitsToStates(auxBits[:nAux], outW[dataCells:])
 	}
 	dst[memline.LineCells] = flagCompressed
+}
+
+// encodeRef runs the row's per-cell reference, reporting false for a
+// family with none.
+func (r refRow) encodeRef(dst, old []pcm.State, data *memline.Line) bool {
+	switch r.family {
+	case lineRow:
+		refLineCosets(r, dst, old, data)
+	case restrictedRow:
+		refRestricted(r, dst, old, data)
+	case fnwRow:
+		refFNW(r, dst, old, data)
+	case wlcRow:
+		refWLCCosets(r, dst, old, data)
+	default:
+		return false
+	}
+	return true
 }
 
 // refWLCRC rides on encodeWordScalar, the per-cell CostTable path
@@ -247,23 +281,22 @@ func refDIN(d *DIN, dst []pcm.State, data *memline.Line) {
 	dst[memline.LineCells] = flag
 }
 
-// encodeRef dispatches to the scalar reference of a plane scheme; every
+// encodeRef dispatches to the scalar reference of a plane scheme: a
+// row's by its test record, every other scheme's by its type. Every
 // plane scheme has one.
 func encodeRef(t testing.TB, s Scheme, dst, old []pcm.State, data *memline.Line) {
 	t.Helper()
+	if r, ok := rowOf(s); ok {
+		if !r.encodeRef(dst, old, data) {
+			t.Fatalf("%s: no scalar reference for its row family", s.Name())
+		}
+		return
+	}
 	switch v := s.(type) {
 	case Baseline:
 		refRawEncode(data, dst)
-	case *LineCosets:
-		refLineCosets(v, dst, old, data)
-	case *RestrictedLineCosets:
-		refRestricted(v, dst, old, data)
-	case *FNW:
-		refFNW(v, dst, old, data)
 	case *FlipMin:
 		refFlipMin(v, dst, old, data)
-	case *WLCCosets:
-		refWLCCosets(v, dst, old, data)
 	case *WLCRC:
 		refWLCRC(v, dst, old, data)
 	case *COC4:
@@ -292,19 +325,15 @@ func extraSchemes(t testing.TB) []Scheme {
 	var out []Scheme
 	cfg := DefaultConfig()
 	for _, bb := range []int{8, 16, 64, 128, 256} {
-		out = append(out, NewLineCosets(cfg, "4cosets", coset.Table1[:], bb))
-		out = append(out, NewLineCosets(cfg, "6cosets", coset.SixCosets(), bb))
+		out = append(out, testLineCosets(cfg, "4cosets", coset.Table1[:], bb))
+		out = append(out, testLineCosets(cfg, "6cosets", coset.SixCosets(), bb))
 	}
 	for _, bb := range []int{8, 16, 32, 512} {
-		out = append(out, NewRestrictedLineCosets(cfg, bb))
+		out = append(out, testRestricted(cfg, bb))
 	}
 	for _, g := range []int{8, 16, 64} {
 		for _, n := range []int{3, 4} {
-			s, err := NewWLCCosets(cfg, n, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, s)
+			out = append(out, testWLCCosets(t, cfg, n, g))
 		}
 	}
 	mcfg := DefaultConfig()

@@ -141,9 +141,6 @@ func NewWLCRC(cfg Config, gran int) (*WLCRC, error) {
 // Name implements Scheme.
 func (s *WLCRC) Name() string { return s.displayName }
 
-// Granularity returns the block size in bits.
-func (s *WLCRC) Granularity() int { return s.gran }
-
 // Compressible reports whether WLC can reclaim this granularity's
 // auxiliary field in every word of the line.
 func (s *WLCRC) Compressible(data *memline.Line) bool {
