@@ -18,17 +18,53 @@ import (
 //     (3-r-cosets with external aux cells): how much of the win is the
 //     in-word embedding vs the restriction itself.
 
+// VariantRow is one WLCRC-16 variant of the §VIII.D threshold and §XI
+// lambda ablations: its parameter (0 for plain WLCRC-16) and its
+// per-write figures pooled over all benchmarks.
+type VariantRow struct {
+	Param   float64
+	Energy  float64 // pJ per write
+	Updated float64 // cells per write
+	Disturb float64 // expected disturbance errors per write
+}
+
+// variantRows runs plain WLCRC-16 and one variant per parameter, set
+// into its core.Config by set.
+func variantRows(cfg Config, params []float64, set func(*core.Config, float64)) []VariantRow {
+	rows := make([]VariantRow, 0, 1+len(params))
+	for i := -1; i < len(params); i++ {
+		cc := core.Config{Energy: cfg.Energy}
+		var p float64
+		if i >= 0 {
+			p = params[i]
+			set(&cc, p)
+		}
+		m := runWLCRCVariant(cfg, cc)
+		rows = append(rows, VariantRow{p, m.AvgEnergy(), m.AvgUpdated(), m.AvgDisturb()})
+	}
+	return rows
+}
+
+// multiObjectiveRows runs the §VIII.D threshold sweep.
+func multiObjectiveRows(cfg Config, thresholds []float64) []VariantRow {
+	return variantRows(cfg, thresholds, func(cc *core.Config, T float64) { cc.MultiObjectiveT = T })
+}
+
+// disturbAwareRows runs the §XI lambda sweep.
+func disturbAwareRows(cfg Config, lambdas []float64) []VariantRow {
+	return variantRows(cfg, lambdas, func(cc *core.Config, l float64) { cc.DisturbAwareLambda = l })
+}
+
 // AblationMultiObjective sweeps the §VIII.D threshold T.
 func AblationMultiObjective(cfg Config, thresholds []float64) *stats.Table {
 	t := stats.NewTable("T", "pJ/write", "cells/write", "vs T=0 energy", "vs T=0 cells")
-	base := runWLCRCVariant(cfg, core.Config{Energy: cfg.Energy})
-	t.Row("0 (plain)", base.AvgEnergy(), base.AvgUpdated(), "-", "-")
-	for _, T := range thresholds {
-		cc := core.Config{Energy: cfg.Energy, MultiObjectiveT: T}
-		m := runWLCRCVariant(cfg, cc)
-		t.Row(stats.Percent(T), m.AvgEnergy(), m.AvgUpdated(),
-			stats.Percent(stats.Improvement(m.AvgEnergy(), base.AvgEnergy())),
-			stats.Percent(stats.Improvement(m.AvgUpdated(), base.AvgUpdated())))
+	rows := multiObjectiveRows(cfg, thresholds)
+	base := rows[0]
+	t.Row("0 (plain)", base.Energy, base.Updated, "-", "-")
+	for _, r := range rows[1:] {
+		t.Row(stats.Percent(r.Param), r.Energy, r.Updated,
+			stats.Percent(stats.Improvement(r.Energy, base.Energy)),
+			stats.Percent(stats.Improvement(r.Updated, base.Updated)))
 	}
 	return t
 }
@@ -36,14 +72,13 @@ func AblationMultiObjective(cfg Config, thresholds []float64) *stats.Table {
 // AblationDisturbAware sweeps the §XI lambda (pJ per expected error).
 func AblationDisturbAware(cfg Config, lambdas []float64) *stats.Table {
 	t := stats.NewTable("lambda pJ/err", "pJ/write", "disturb/write", "vs l=0 energy", "vs l=0 disturb")
-	base := runWLCRCVariant(cfg, core.Config{Energy: cfg.Energy})
-	t.Row("0 (plain)", base.AvgEnergy(), base.AvgDisturb(), "-", "-")
-	for _, l := range lambdas {
-		cc := core.Config{Energy: cfg.Energy, DisturbAwareLambda: l}
-		m := runWLCRCVariant(cfg, cc)
-		t.Row(l, m.AvgEnergy(), m.AvgDisturb(),
-			stats.Percent(stats.Improvement(m.AvgEnergy(), base.AvgEnergy())),
-			stats.Percent(stats.Improvement(m.AvgDisturb(), base.AvgDisturb())))
+	rows := disturbAwareRows(cfg, lambdas)
+	base := rows[0]
+	t.Row("0 (plain)", base.Energy, base.Disturb, "-", "-")
+	for _, r := range rows[1:] {
+		t.Row(r.Param, r.Energy, r.Disturb,
+			stats.Percent(stats.Improvement(r.Energy, base.Energy)),
+			stats.Percent(stats.Improvement(r.Disturb, base.Disturb)))
 	}
 	return t
 }

@@ -123,3 +123,19 @@ func TestGoldenEnduranceAndEmbedding(t *testing.T) {
 	checkGolden(t, "endurance", end)
 	checkGolden(t, "ablation-embedding", embeddingRows(smallConfig()))
 }
+
+// TestGoldenWLCRCVariants pins the runs of WLCRC's §VIII.D tie rule and
+// §XI disturbance pricing: the threshold and lambda ablations, the
+// §VIII.D study, and the encrypted study, whose Enc(WLCRC-16) runs the
+// same planner on ciphertext.
+func TestGoldenWLCRCVariants(t *testing.T) {
+	cfg := smallConfig()
+	multi, _ := MultiObjective(cfg)
+	checkGolden(t, "wlcrc-variants", map[string]any{
+		"ablation-multiobj": multiObjectiveRows(cfg, []float64{0.01, 0.05, 0.2}),
+		"ablation-disturb":  disturbAwareRows(cfg, []float64{500, 1000, 2000}),
+		"multiobj":          multi,
+	})
+	rows, _ := EncryptedStudy(cfg)
+	checkGolden(t, "encrypted", rows)
+}
