@@ -25,7 +25,6 @@ import (
 // disambiguates the three modes; per the paper the overwhelmingly common
 // 16-bit mode gets the lowest-energy state.
 type COC4 struct {
-	em   pcm.EnergyModel
 	swar []coset.SWARTable // word-parallel pricing/apply of the Table I candidates
 }
 
@@ -56,7 +55,6 @@ var (
 // NewCOC4 returns the COC+4cosets scheme.
 func NewCOC4(cfg Config) *COC4 {
 	return &COC4{
-		em:   cfg.Energy,
 		swar: coset.SWARTables(&cfg.Energy, coset.Table1[:]),
 	}
 }

@@ -29,7 +29,6 @@ import (
 // and a decode whose parity matches (every write without injected
 // faults) skips the BCH decoder.
 type DIN struct {
-	em    pcm.EnergyModel
 	codec *bch.Code
 }
 
@@ -72,7 +71,7 @@ func dinTables() (expand [1 << 12]uint16, contract [1 << 8]uint8) {
 
 // NewDIN returns the DIN scheme.
 func NewDIN(cfg Config) *DIN {
-	return &DIN{em: cfg.Energy, codec: bch.New()}
+	return &DIN{codec: bch.New()}
 }
 
 // Name implements Scheme.

@@ -3,7 +3,6 @@ package core
 import (
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
-	"wlcrc/internal/pcm"
 	"wlcrc/internal/prng"
 )
 
@@ -15,7 +14,6 @@ import (
 // original data is always a member). The candidate index occupies four
 // bits = two auxiliary cells.
 type FlipMin struct {
-	em pcm.EnergyModel
 	// maskWords holds every candidate mask as words, so the winner's
 	// data can be rebuilt by whole-word XOR at decode.
 	maskWords [16][memline.LineWords]uint64
@@ -34,7 +32,7 @@ const flipMinSeed = 0xF11BA5ED
 
 // NewFlipMin returns the FlipMin scheme.
 func NewFlipMin(cfg Config) *FlipMin {
-	f := &FlipMin{em: cfg.Energy}
+	f := &FlipMin{}
 	r := prng.New(flipMinSeed)
 	for i := range f.maskWords {
 		var mask memline.Line

@@ -6,12 +6,12 @@ import (
 	"wlcrc/internal/pcm"
 )
 
-// Plane-native WLCRC codec. The per-word pipeline — block evals, the
-// two group plans, the multi-objective tie-breaks — reads the word's old
-// states as a plane pair and emits the committed states as one. The
-// handful of cells the planner reads individually (the mixed cell and
-// the pure-aux tail) are extracted from the old planes into a stack
-// array of states, which planFromEvals reads.
+// Plane-native WLCRC codec, the scheme's only encoder. The per-word
+// pipeline — block evals, the §XI risk, the two group plans, the
+// multi-objective tie-breaks — reads the word's old states as a plane
+// pair and emits the committed states as one. The handful of cells the
+// planner reads individually (the mixed cell and the pure-aux tail) are
+// extracted from the old planes into a stack array of states.
 
 // wordState reads cell c's state out of one word's (lo, hi) plane pair.
 func wordState(lo, hi uint64, c int) pcm.State {
@@ -30,29 +30,10 @@ func (s *WLCRC) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 		setTailFlag(dst, flagUncompressed)
 		return
 	}
-	if s.wdLambda > 0 {
-		s.encodeLineScalar(dst, old, data)
-		return
-	}
 	for w := 0; w < memline.LineWords; w++ {
 		dst[2*w], dst[2*w+1] = s.encodeWordPlanes(data.Word(w), old[2*w], old[2*w+1])
 	}
 	setTailFlag(dst, flagCompressed)
-}
-
-// encodeLineScalar encodes a compressible line on the per-cell path:
-// the §XI disturbance-aware pricing reads neighbor exposure cell by
-// cell, so the line is unpacked once, each word planned by
-// encodeWordScalar, and the result repacked.
-func (s *WLCRC) encodeLineScalar(dst, old []uint64, data *memline.Line) {
-	var oldC, newC [memline.LineCells + 1]pcm.State
-	coset.UnpackLine(old, oldC[:])
-	for w := 0; w < memline.LineWords; w++ {
-		lo, hi := w*memline.WordCells, (w+1)*memline.WordCells
-		s.encodeWordScalar(data.Word(w), oldC[lo:hi], newC[lo:hi])
-	}
-	newC[memline.LineCells] = flagCompressed
-	coset.PackLine(newC[:], dst)
 }
 
 // encodeWordPlanes encodes one word over plane-resident old state,
@@ -81,6 +62,7 @@ func (s *WLCRC) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 		oldC[c] = wordState(oldLo, oldHi, c)
 	}
 
+	last := len(g.blocks) - 1
 	var ev [wlcrcMaxBlocks]blockEval
 	for b, rng := range g.blocks {
 		mask := coset.CellMask(rng[0], rng[1]-rng[0])
@@ -88,7 +70,9 @@ func (s *WLCRC) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 		e.cost[0], e.upd[0] = s.swar1.CostCount(&p, mask)
 		e.cost[1], e.upd[1] = s.swarAlt[0].CostCount(&p, mask)
 		e.cost[2], e.upd[2] = s.swarAlt[1].CostCount(&p, mask)
-		if g.mixed && b == len(g.blocks)-1 {
+		if b == last && g.auxCell > g.dataCells {
+			// The mixed cell: the block's last data bit under its
+			// candidate bit, through C1.
 			cell := g.dataCells
 			st := oldC[cell]
 			dataBit := uint8(word >> uint(2*cell) & 1)
@@ -101,18 +85,24 @@ func (s *WLCRC) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 			e.cost[2] += caCost
 			e.upd[2] += caUpd
 		}
+		if s.wdLambda > 0 {
+			for i, t := range [3]*coset.SWARTable{&s.swar1, &s.swarAlt[0], &s.swarAlt[1]} {
+				lo, hi := t.Apply(&p)
+				e.cost[i] += s.wdLambda * s.disturbRisk(lo, hi, oldLo, oldHi, mask)
+			}
+		}
 	}
-	p12 := s.planFromEvals(0, &ev, oldC[:])
-	p13 := s.planFromEvals(1, &ev, oldC[:])
-	plan := s.pickPlan(&p12, &p13)
+	plan := s.planFromEvals(0, &ev, &oldC)
+	if p13 := s.planFromEvals(1, &ev, &oldC); beats(plan.cost, plan.updates, p13.cost, p13.updates, s.multiT) {
+		plan = p13
+	}
 
-	// Commit: masked plane selection per block, then the mixed and aux
-	// cells OR their C1-mapped symbols into the (still zero) tail bits.
-	alt := &s.swarAlt[plan.group]
+	// Commit: masked plane selection per block.
+	alt := &s.swarAlt[plan.aux>>wlcrcGroupBit]
 	var nlo, nhi uint64
 	for b, rng := range g.blocks {
 		t := &s.swar1
-		if plan.cands[b] == 1 {
+		if plan.aux>>g.candBit[b]&1 == 1 {
 			t = alt
 		}
 		lo, hi := t.Apply(&p)
@@ -120,22 +110,30 @@ func (s *WLCRC) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 		nlo |= lo & mask
 		nhi |= hi & mask
 	}
-	if g.mixed {
-		cell := g.dataCells
-		st := coset.C1[plan.cands[len(g.blocks)-1]<<1|uint8(word>>uint(2*cell))&1]
-		nlo |= uint64(st&1) << uint(cell)
-		nhi |= uint64(st>>1) << uint(cell)
-	}
-	var aux [wlcrcMaxAux]uint8
-	nAux := s.auxSymbols(&plan.cands, plan.group, &aux)
-	first := s.firstAuxCell()
-	for i := 0; i < nAux; i++ {
-		st := coset.C1[aux[i]]
-		nlo |= uint64(st&1) << uint(first+i)
-		nhi |= uint64(st>>1) << uint(first+i)
-	}
-	return nlo, nhi
+	// The tail, every cell from dataCells on, stores through C1 the
+	// word's payload bits there (the mixed cell's data bit) under the
+	// plan's aux bits.
+	aw := word&(^uint64(0)>>uint(g.reclaim)) | plan.aux
+	top := uint64(c1Top[aw>>56])
+	tail := coset.AllCells &^ coset.CellMask(0, g.dataCells)
+	return nlo | top&0xF<<28&tail, nhi | top>>4<<28&tail
 }
+
+// c1Top and c1InvTop map the word's top four cells (28-31), which hold
+// every granularity's tail, through C1 and back: c1Top from their
+// symbols, word bits 56-63, to their states as a lo-plane nibble under
+// a hi-plane nibble; c1InvTop the reverse.
+var c1Top, c1InvTop = func() (fwd, inv [256]uint8) {
+	for v := 0; v < 256; v++ {
+		var planes uint8
+		for c := 0; c < 4; c++ {
+			st := uint8(coset.C1[v>>(2*c)&3])
+			planes |= st&1<<c | st>>1<<(4+c)
+		}
+		fwd[v], inv[planes] = planes, uint8(v)
+	}
+	return fwd, inv
+}()
 
 // DecodePlanesInto implements PlaneScheme.
 func (s *WLCRC) DecodePlanesInto(planes []uint64, dst *memline.Line) {
@@ -148,11 +146,14 @@ func (s *WLCRC) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	}
 }
 
+// decodeWordPlanes inverts encodeWordPlanes: the cells from dataCells on
+// decode through C1 to the word's bits there (aux bits included), which
+// name each block's mapping.
 func (s *WLCRC) decodeWordPlanes(slo, shi uint64) uint64 {
 	g := &s.geom
-
+	top := uint64(c1InvTop[slo>>28&0xF|shi>>28&0xF<<4]) << 56 // word bits 56-63
 	if s.gran == 64 {
-		idx := int(coset.C1Inv[wordState(slo, shi, 31)])
+		idx := top >> 62
 		if idx > 2 {
 			idx = 0
 		}
@@ -160,14 +161,12 @@ func (s *WLCRC) decodeWordPlanes(slo, shi uint64) uint64 {
 		mask := coset.CellMask(0, g.dataCells)
 		return s.wlc.DecompressWord(memline.InterleavePlanes(lo&mask, hi&mask))
 	}
-
-	var cands [wlcrcMaxBlocks]uint8
-	group, mixedData := s.readAuxPlanes(slo, shi, &cands)
-	alt := &s.swarAlt[group]
+	aw := top & (^uint64(0) << uint(2*g.dataCells))
+	alt := &s.swarAlt[aw>>wlcrcGroupBit]
 	var dlo, dhi uint64
 	for b, rng := range g.blocks {
 		t := &s.swar1
-		if cands[b] == 1 {
+		if aw>>g.candBit[b]&1 == 1 {
 			t = alt
 		}
 		lo, hi := t.ApplyInvPlanes(slo, shi)
@@ -175,41 +174,5 @@ func (s *WLCRC) decodeWordPlanes(slo, shi uint64) uint64 {
 		dlo |= lo & mask
 		dhi |= hi & mask
 	}
-	word := memline.InterleavePlanes(dlo, dhi)
-	if g.mixed {
-		word |= uint64(mixedData) << (uint(g.dataCells) * 2)
-	}
-	return s.wlc.DecompressWord(word)
-}
-
-// readAuxPlanes recovers the candidate bits, group bit, and (for mixed
-// layouts) the mixed cell's data bit from the C1-mapped auxiliary cells
-// of the word's plane pair.
-func (s *WLCRC) readAuxPlanes(slo, shi uint64, cands *[wlcrcMaxBlocks]uint8) (group, mixedData uint8) {
-	inv := &coset.C1Inv
-	switch s.gran {
-	case 8:
-		a := [4]uint8{
-			inv[wordState(slo, shi, 28)], inv[wordState(slo, shi, 29)],
-			inv[wordState(slo, shi, 30)], inv[wordState(slo, shi, 31)],
-		}
-		cands[0], cands[1] = a[0]&1, a[0]>>1
-		cands[2], cands[3] = a[1]&1, a[1]>>1
-		cands[4], cands[5] = a[2]&1, a[2]>>1
-		cands[6], group = a[3]&1, a[3]>>1
-	case 16:
-		mixedSym := inv[wordState(slo, shi, 29)]
-		mixedData = mixedSym & 1
-		cands[3] = mixedSym >> 1
-		a30, a31 := inv[wordState(slo, shi, 30)], inv[wordState(slo, shi, 31)]
-		cands[2], cands[1] = a30&1, a30>>1
-		cands[0], group = a31&1, a31>>1
-	case 32:
-		mixedSym := inv[wordState(slo, shi, 30)]
-		mixedData = mixedSym & 1
-		cands[1] = mixedSym >> 1
-		a31 := inv[wordState(slo, shi, 31)]
-		cands[0], group = a31&1, a31>>1
-	}
-	return group, mixedData
+	return s.wlc.DecompressWord(memline.InterleavePlanes(dlo, dhi) | aw)
 }

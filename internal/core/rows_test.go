@@ -90,17 +90,44 @@ var registeredRows = map[string]refRow{
 	"WLC+3cosets": {family: wlcRow, cands: coset.Table1[:3], blockBits: 32},
 }
 
-// newTestScheme is NewScheme with the built row recorded.
+// testConfigs maps every scheme newTestScheme or testWLCRC built to
+// the Config it was built with. The per-cell references of the schemes
+// that are not rows price through it, never through a scheme's own
+// tables.
+var testConfigs sync.Map
+
+// configOf returns the Config s was built with, if a test recorded it.
+func configOf(s Scheme) (Config, bool) {
+	c, ok := testConfigs.Load(s)
+	if !ok {
+		return Config{}, false
+	}
+	return c.(Config), true
+}
+
+// newTestScheme is NewScheme with the built row and Config recorded.
 func newTestScheme(t testing.TB, name string, cfg Config) Scheme {
 	t.Helper()
 	s, err := NewScheme(name, cfg)
 	if err != nil {
 		t.Fatalf("NewScheme(%q): %v", name, err)
 	}
+	testConfigs.Store(s, cfg)
 	if r, ok := registeredRows[name]; ok {
 		r.em = cfg.Energy
 		recordRow(s, r)
 	}
+	return s
+}
+
+// testWLCRC is NewWLCRC with its Config recorded.
+func testWLCRC(t testing.TB, cfg Config, gran int) *WLCRC {
+	t.Helper()
+	s, err := NewWLCRC(cfg, gran)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testConfigs.Store(Scheme(s), cfg)
 	return s
 }
 

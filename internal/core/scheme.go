@@ -135,9 +135,12 @@ type Config struct {
 	// Zero disables the multi-objective mode.
 	MultiObjectiveT float64
 	// DisturbAwareLambda enables the write-disturbance-aware WLCRC the
-	// paper proposes as future work (§XI): candidate costs gain a
-	// penalty of lambda pJ per expected disturbance error the block's
-	// write pattern would induce. Zero disables the extension.
+	// paper proposes as future work (§XI): each block's C1, C2 and C3
+	// costs gain lambda pJ per unit of the write's disturbance risk —
+	// half the DER of each programmed cell's new state plus the DER of
+	// each idle cell next to a programmed one in the block — priced on
+	// the bit planes by the same encoder as plain WLCRC. WLCRC-64
+	// ignores it. Zero disables the extension.
 	DisturbAwareLambda float64
 	// Disturb is the disturbance model the WD-aware extension prices
 	// against; the zero value means Table II defaults.

@@ -278,8 +278,8 @@ func TestWLCRCAuxOverhead(t *testing.T) {
 	if over >= 0.004 {
 		t.Errorf("space overhead %.4f, want < 0.004", over)
 	}
-	if s.AuxCellsPerWord() != 2 {
-		t.Errorf("WLCRC-16 pure-aux cells per word = %d, want 2", s.AuxCellsPerWord())
+	if n := memline.WordCells - s.geom.auxCell; n != 2 {
+		t.Errorf("WLCRC-16 pure-aux cells per word = %d, want 2", n)
 	}
 }
 

@@ -142,8 +142,8 @@ func wlcRowGeometry(gran int) (wlc compress.WLC, dataCells int, blocks [][2]int)
 	return compress.WLC{K: reclaimed + 1}, dataCells, blocks
 }
 
-func refFlipMin(f *FlipMin, dst, old []pcm.State, data *memline.Line) {
-	tab := coset.C1.CostTable(&f.em)
+func refFlipMin(f *FlipMin, em pcm.EnergyModel, dst, old []pcm.State, data *memline.Line) {
+	tab := coset.C1.CostTable(&em)
 	words := data.Words()
 	bestIdx, bestCost := 0, -1.0
 	var syms [memline.WordCells]uint8
@@ -220,27 +220,202 @@ func (r refRow) encodeRef(dst, old []pcm.State, data *memline.Line) bool {
 	return true
 }
 
-// refWLCRC rides on encodeWordScalar, the per-cell CostTable path
-// wlcrc.go keeps for the §XI extension.
-func refWLCRC(s *WLCRC, dst, old []pcm.State, data *memline.Line) {
+// refWLCRCLayout is one WLCRC granularity's word layout, written out
+// from the WLCRC type comment: the blocks of pure-data cells, then, for
+// each cell after them up to cell 31, the sources of its C1 symbol's
+// (hi, lo) bits.
+type refWLCRCLayout struct {
+	reclaim int
+	blocks  [][2]int
+	aux     [][2]int // >= 0: that block's candidate bit; refGroupBit, refDataBit
+}
+
+const (
+	refGroupBit = -1 // the group bit
+	refDataBit  = -2 // the word's own bit: the cell is mixed
+)
+
+var refWLCRCLayouts = map[int]refWLCRCLayout{
+	// blocks: 7 x 4 cells; b56..b62 = cand0..6, b63 = group.
+	8: {8, [][2]int{{0, 4}, {4, 8}, {8, 12}, {12, 16}, {16, 20}, {20, 24}, {24, 28}},
+		[][2]int{{1, 0}, {3, 2}, {5, 4}, {refGroupBit, 6}}},
+	// blocks: cells 0-7, 8-15, 16-23, 24-28; cell29 = (cand3, b58),
+	// cell30 = (cand1, cand2), cell31 = (group, cand0).
+	16: {5, [][2]int{{0, 8}, {8, 16}, {16, 24}, {24, 29}},
+		[][2]int{{3, refDataBit}, {1, 2}, {refGroupBit, 0}}},
+	// blocks: cells 0-15, 16-29; cell30 = (cand1, b60), cell31 =
+	// (group, cand0).
+	32: {3, [][2]int{{0, 16}, {16, 30}},
+		[][2]int{{1, refDataBit}, {refGroupBit, 0}}},
+	// one block, cells 0-30; cell 31 holds the candidate index.
+	64: {2, [][2]int{{0, 31}}, nil},
+}
+
+// refWLCRCPlan is one group's plan in refWLCRC.
+type refWLCRCPlan struct {
+	cost    float64
+	updates int
+	cands   []uint8
+}
+
+// refNearTieBeats is the §VIII.D rule for the reference: b beats a when
+// cheaper, unless the two are within T of the larger cost, where fewer
+// programmed cells win and then the cheaper one; a keeps exact ties.
+func refNearTieBeats(aCost float64, aUpd int, bCost float64, bUpd int, T float64) bool {
+	if T > 0 {
+		hi, diff := aCost, aCost-bCost
+		if bCost > hi {
+			hi = bCost
+		}
+		if diff < 0 {
+			diff = -diff
+		}
+		if hi > 0 && diff <= T*hi {
+			return bUpd < aUpd || (bUpd == aUpd && bCost < aCost)
+		}
+	}
+	return bCost < aCost
+}
+
+// refWLCRC is WLCRC per cell: Algorithm 1 through CostTables, the §XI
+// risk cell by cell, the §VIII.D tie rule and the layout of
+// refWLCRCLayouts, all from the Config the scheme was built with.
+func refWLCRC(cfg Config, gran int, dst, old []pcm.State, data *memline.Line) {
+	lay := refWLCRCLayouts[gran]
 	copy(dst, old)
-	if !s.wlc.LineCompressible(data) {
+	if !(compress.WLC{K: lay.reclaim + 1}).LineCompressible(data) {
 		refRawEncode(data, dst)
 		dst[memline.LineCells] = flagUncompressed
 		return
 	}
 	for w := 0; w < memline.LineWords; w++ {
-		s.encodeWordScalar(data.Word(w), old[w*memline.WordCells:(w+1)*memline.WordCells],
-			dst[w*memline.WordCells:(w+1)*memline.WordCells])
+		base := w * memline.WordCells
+		refWLCRCWord(cfg, lay, data.Word(w), old[base:base+memline.WordCells], dst[base:base+memline.WordCells])
 	}
 	dst[memline.LineCells] = flagCompressed
+}
+
+func refWLCRCWord(cfg Config, lay refWLCRCLayout, word uint64, old, out []pcm.State) {
+	var syms [memline.WordCells]uint8
+	memline.WordSymbols(word, &syms)
+	dataEnd := lay.blocks[len(lay.blocks)-1][1]
+	if len(lay.aux) == 0 {
+		tabs := coset.CostTables(&cfg.Energy, coset.Table1[:3])
+		idx, _ := coset.BestTable(tabs, syms[:dataEnd], old[:dataEnd])
+		tabs[idx].Encode(syms[:dataEnd], out[:dataEnd])
+		out[31] = coset.C1[idx]
+		return
+	}
+	dm := cfg.Disturb
+	if dm.DER == ([pcm.NumStates]float64{}) {
+		dm = pcm.DefaultDisturb()
+	}
+	tab1 := coset.C1.CostTable(&cfg.Energy)
+	tabs := [3]coset.CostTable{tab1, coset.C2.CostTable(&cfg.Energy), coset.C3.CostTable(&cfg.Energy)}
+	// price is a block's cost and programmed cells under tabs[i]: its
+	// data cells, the mixed cell it owns (if any) under candidate bit
+	// cand, and the §XI risk.
+	price := func(b, i int, cand uint8) (float64, int) {
+		t := &tabs[i]
+		lo, hi := lay.blocks[b][0], lay.blocks[b][1]
+		var cost float64
+		upd := 0
+		for c := lo; c < hi; c++ {
+			cost += t.Cost[old[c]][syms[c]]
+			upd += int(t.Update[old[c]][syms[c]])
+		}
+		for k, src := range lay.aux {
+			if c := dataEnd + k; src[0] == b && src[1] == refDataBit {
+				sym := cand<<1 | syms[c]&1
+				cost += tab1.Cost[old[c]][sym]
+				upd += int(tab1.Update[old[c]][sym])
+			}
+		}
+		if cfg.DisturbAwareLambda > 0 {
+			changed := func(c int) bool { return c >= lo && c < hi && t.States[syms[c]] != old[c] }
+			var risk float64
+			for c := lo; c < hi; c++ {
+				switch {
+				case changed(c):
+					risk += 0.5 * dm.DER[t.States[syms[c]]]
+				case changed(c-1) || changed(c+1):
+					risk += dm.DER[old[c]]
+				}
+			}
+			cost += cfg.DisturbAwareLambda * risk
+		}
+		return cost, upd
+	}
+	var plans [2]refWLCRCPlan
+	for g := range plans {
+		p := &plans[g]
+		p.cands = make([]uint8, len(lay.blocks))
+		for b := range lay.blocks {
+			c1Cost, c1Upd := price(b, 0, 0)
+			caCost, caUpd := price(b, g+1, 1)
+			if refNearTieBeats(c1Cost, c1Upd, caCost, caUpd, cfg.MultiObjectiveT) {
+				p.cands[b] = 1
+				p.cost += caCost
+				p.updates += caUpd
+			} else {
+				p.cost += c1Cost
+				p.updates += c1Upd
+			}
+		}
+		for k, src := range lay.aux {
+			if src[1] == refDataBit {
+				continue // priced with its block
+			}
+			c, sym := dataEnd+k, refWLCRCAuxSym(lay, k, &syms, uint8(g), p.cands)
+			p.cost += tab1.Cost[old[c]][sym]
+			p.updates += int(tab1.Update[old[c]][sym])
+		}
+	}
+	group := 0
+	if refNearTieBeats(plans[0].cost, plans[0].updates, plans[1].cost, plans[1].updates, cfg.MultiObjectiveT) {
+		group = 1
+	}
+	refWLCRCCommit(lay, &syms, uint8(group), plans[group].cands, out)
+}
+
+// refWLCRCCommit writes a word's plan: every block through C1 or, where
+// its candidate bit is set, the group's alternate (C2 for group 0, C3
+// for group 1), then the cells after the blocks through C1.
+func refWLCRCCommit(lay refWLCRCLayout, syms *[memline.WordCells]uint8, group uint8, cands []uint8, out []pcm.State) {
+	for b, rng := range lay.blocks {
+		m := coset.C1
+		if cands[b] == 1 {
+			m = coset.Table1[group+1]
+		}
+		coset.Encode(m, syms[rng[0]:rng[1]], out[rng[0]:rng[1]])
+	}
+	dataEnd := lay.blocks[len(lay.blocks)-1][1]
+	for k := range lay.aux {
+		out[dataEnd+k] = coset.C1[refWLCRCAuxSym(lay, k, syms, group, cands)]
+	}
+}
+
+// refWLCRCAuxSym is the symbol of the k-th cell after the blocks.
+func refWLCRCAuxSym(lay refWLCRCLayout, k int, syms *[memline.WordCells]uint8, group uint8, cands []uint8) uint8 {
+	var sym uint8
+	for j, src := range lay.aux[k] {
+		bit := group
+		switch {
+		case src == refDataBit:
+			bit = syms[lay.blocks[len(lay.blocks)-1][1]+k] & 1
+		case src >= 0:
+			bit = cands[src]
+		}
+		sym |= bit << (1 - j)
+	}
+	return sym
 }
 
 // refCOC4 compresses the line with the COC menu and coset-encodes the
 // payload block by block through coset.BestTable, its candidate indices
 // packed two bits per cell behind the payload; cells past the aux region
 // keep their old states, and the flag cell records the mode.
-func refCOC4(s *COC4, dst, old []pcm.State, data *memline.Line) {
+func refCOC4(em pcm.EnergyModel, dst, old []pcm.State, data *memline.Line) {
 	copy(dst, old)
 	var backing [(compress.COCMaxBits + 7) / 8]byte
 	w := compress.WrapBitWriter(backing[:])
@@ -259,7 +434,7 @@ func refCOC4(s *COC4, dst, old []pcm.State, data *memline.Line) {
 	copy(payload[:], w.Bytes())
 	var syms [memline.LineCells]uint8
 	payload.SymbolsInto(&syms)
-	tabs := coset.CostTables(&s.em, coset.Table1[:])
+	tabs := coset.CostTables(&em, coset.Table1[:])
 	nblocks := payloadCells / blockCells
 	var auxBits [2 * coc16Blocks]uint8
 	for b := 0; b < nblocks; b++ {
@@ -292,15 +467,19 @@ func encodeRef(t testing.TB, s Scheme, dst, old []pcm.State, data *memline.Line)
 		}
 		return
 	}
+	cfg, ok := configOf(s)
+	if !ok {
+		t.Fatalf("%s: built without a recorded Config, so it has no reference", s.Name())
+	}
 	switch v := s.(type) {
 	case Baseline:
 		refRawEncode(data, dst)
 	case *FlipMin:
-		refFlipMin(v, dst, old, data)
+		refFlipMin(v, cfg.Energy, dst, old, data)
 	case *WLCRC:
-		refWLCRC(v, dst, old, data)
+		refWLCRC(cfg, v.gran, dst, old, data)
 	case *COC4:
-		refCOC4(v, dst, old, data)
+		refCOC4(cfg.Energy, dst, old, data)
 	case *DIN:
 		refDIN(v, dst, data)
 	default:
@@ -336,17 +515,17 @@ func extraSchemes(t testing.TB) []Scheme {
 			out = append(out, testWLCCosets(t, cfg, n, g))
 		}
 	}
-	mcfg := DefaultConfig()
-	mcfg.MultiObjectiveT = 0.01
-	wdcfg := DefaultConfig()
-	wdcfg.DisturbAwareLambda = 1
-	for _, c := range []Config{mcfg, wdcfg} {
+	// WLCRC under the §VIII.D threshold, the §XI lambda (at a weight
+	// that only breaks ties and at one that outweighs energy), and both.
+	var wlcrcCfgs []Config
+	for _, v := range [][2]float64{{0.01, 0}, {0, 1}, {0, 500}, {0.01, 1}} {
+		c := DefaultConfig()
+		c.MultiObjectiveT, c.DisturbAwareLambda = v[0], v[1]
+		wlcrcCfgs = append(wlcrcCfgs, c)
+	}
+	for _, c := range wlcrcCfgs {
 		for _, g := range []int{8, 16, 32, 64} {
-			s, err := NewWLCRC(c, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, s)
+			out = append(out, testWLCRC(t, c, g))
 		}
 	}
 	return out

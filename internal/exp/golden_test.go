@@ -126,8 +126,8 @@ func TestGoldenEnduranceAndEmbedding(t *testing.T) {
 
 // TestGoldenWLCRCVariants pins the runs of WLCRC's §VIII.D tie rule and
 // §XI disturbance pricing: the threshold and lambda ablations, the
-// §VIII.D study, and the encrypted study, whose Enc(WLCRC-16) runs the
-// same planner on ciphertext.
+// §VIII.D study, and the encrypted study, whose WLCRC-16 and
+// Enc(WLCRC-16) rows run WLCRC's codec on plaintext and ciphertext.
 func TestGoldenWLCRCVariants(t *testing.T) {
 	cfg := smallConfig()
 	multi, _ := MultiObjective(cfg)
