@@ -23,6 +23,21 @@ func randomOld(r *prng.Xoshiro256, n int) []pcm.State {
 	return old
 }
 
+// keyedSchemes is allSchemes plus the counter-keyed families, whose
+// codecs must thread the write's (addr, ctr) key through.
+func keyedSchemes(t *testing.T) []Scheme {
+	t.Helper()
+	out := allSchemes(t)
+	for _, n := range []string{"VCC-2", "VCC-4", "VCC-8", "Enc(WLCRC-16)"} {
+		s, err := NewScheme(n, DefaultConfig())
+		if err != nil {
+			t.Fatalf("NewScheme(%q): %v", n, err)
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // TestEncodeIntoMatchesEncode is the caller-storage contract of the
 // keyed plane codec every frontend stores lines through
 // (CtrPlaneCodec): for every scheme, counter-keyed ones included,
@@ -33,7 +48,7 @@ func randomOld(r *prng.Xoshiro256, n int) []pcm.State {
 // covering compressible and incompressible content.
 func TestEncodeIntoMatchesEncode(t *testing.T) {
 	r := prng.New(20260727)
-	for _, s := range batchSchemes(t) {
+	for _, s := range keyedSchemes(t) {
 		cs := CtrPlaneCodec(s)
 		for trial := 0; trial < 60; trial++ {
 			data := randomBiasedLine(r)
@@ -67,7 +82,7 @@ func TestEncodeIntoMatchesEncode(t *testing.T) {
 // write) and decodes every step.
 func TestEncodeIntoStableUnderRewrites(t *testing.T) {
 	r := prng.New(4242)
-	for _, s := range batchSchemes(t) {
+	for _, s := range keyedSchemes(t) {
 		cs := CtrPlaneCodec(s)
 		stored := packedPlanes(InitialCells(s.TotalCells()))
 		scratch := make([]uint64, len(stored))
@@ -86,17 +101,22 @@ func TestEncodeIntoStableUnderRewrites(t *testing.T) {
 }
 
 // TestEncodeIntoDoesNotMutateOld guards the keyed plane codec's
-// contract that old is read, never written.
+// contract that old and data are read, never written: the shard diffs
+// the stored planes against the encode after it.
 func TestEncodeIntoDoesNotMutateOld(t *testing.T) {
 	r := prng.New(6)
-	for _, s := range batchSchemes(t) {
+	for _, s := range keyedSchemes(t) {
 		data := randomBiasedLine(r)
+		dataSnap := data
 		old := packedPlanes(randomOld(r, s.TotalCells()))
 		snapshot := append([]uint64(nil), old...)
 		dst := make([]uint64, len(old))
 		CtrPlaneCodec(s).EncodeCtrPlanesInto(dst, old, 3, 1, &data)
 		if !reflect.DeepEqual(old, snapshot) {
 			t.Errorf("%s: EncodeCtrPlanesInto mutated old", s.Name())
+		}
+		if !data.Equal(&dataSnap) {
+			t.Errorf("%s: EncodeCtrPlanesInto mutated data", s.Name())
 		}
 	}
 }

@@ -94,29 +94,6 @@ func CompressedWritePlanesFunc(s Scheme) func([]uint64) bool {
 	return func([]uint64) bool { return true }
 }
 
-// PlaneEncodeJob is one line write of a plane-resident batch encode
-// run, with the line's routing/counter context.
-type PlaneEncodeJob struct {
-	Dst, Old []uint64
-	Addr     uint64
-	Ctr      uint64
-	Data     *memline.Line
-}
-
-// EncodePlaneBatch encodes a run of plane-resident writes for the
-// shard's applyRun path, hoisting the interface dispatch out of the
-// per-job loop. Dst and Old must not alias, and no two jobs of one run
-// may share an address: the caller breaks runs on address repeats,
-// since the second write's Old would be the first write's Dst. Each
-// job's result equals a per-line EncodeCtrPlanesInto call; the point is
-// that one scheme's tables stay hot across the run.
-func EncodePlaneBatch(cs CounterPlaneScheme, jobs []PlaneEncodeJob) {
-	for i := range jobs {
-		j := &jobs[i]
-		cs.EncodeCtrPlanesInto(j.Dst, j.Old, j.Addr, j.Ctr, j.Data)
-	}
-}
-
 // rawEncodePlanes fills the 16 data plane words with the default-mapping
 // (C1) states of the line's symbols — the uncompressed fallback path
 // shared by every compression-gated scheme, and the whole of the

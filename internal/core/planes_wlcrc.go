@@ -13,11 +13,6 @@ import (
 // planner reads individually (the mixed cell and the pure-aux tail) are
 // extracted from the old planes into a stack array of states.
 
-// wordState reads cell c's state out of one word's (lo, hi) plane pair.
-func wordState(lo, hi uint64, c int) pcm.State {
-	return pcm.State((lo>>uint(c))&1 | ((hi>>uint(c))&1)<<1)
-}
-
 // CompressedWritePlanes implements PlaneCompressionGate.
 func (s *WLCRC) CompressedWritePlanes(planes []uint64) bool {
 	return tailFlag(planes) == flagCompressed
@@ -59,7 +54,7 @@ func (s *WLCRC) encodeWordPlanes(word, oldLo, oldHi uint64) (uint64, uint64) {
 	// the pure-aux tail — all at or beyond dataCells.
 	var oldC [memline.WordCells]pcm.State
 	for c := g.dataCells; c < memline.WordCells; c++ {
-		oldC[c] = wordState(oldLo, oldHi, c)
+		oldC[c] = pcm.PlaneState(oldLo, oldHi, c)
 	}
 
 	last := len(g.blocks) - 1

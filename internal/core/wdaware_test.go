@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"wlcrc/internal/memline"
@@ -23,7 +24,7 @@ func wdScheme(t *testing.T, lambda float64) *WLCRC {
 }
 
 func TestWDAwareName(t *testing.T) {
-	if got := wdScheme(t, 500).Name(); got != "WLCRC-16(WD)" {
+	if got := wdScheme(t, 500).Name(); got != "WLCRC-16(WD=500)" {
 		t.Errorf("Name = %q", got)
 	}
 }
@@ -76,4 +77,65 @@ func TestWDAwareReducesDisturbance(t *testing.T) {
 	}
 	t.Logf("disturbance %.1f -> %.1f (-%.1f%%), energy %.0f -> %.0f (+%.1f%%)",
 		dP, dW, 100*(1-dW/dP), eP, eW, 100*(eW/eP-1))
+}
+
+// TestWLCRCNamesDistinguishEncodings is a table over the WLCRC
+// configurations: every (granularity, T, λ) names its scheme as the
+// table says, no two configurations that encode differently share a
+// name, and configurations that do share one (WLCRC-64 ignores T and λ)
+// encode a seeded write sequence identically.
+func TestWLCRCNamesDistinguishEncodings(t *testing.T) {
+	cases := []struct {
+		gran      int
+		T, lambda float64
+		want      string
+	}{
+		{16, 0, 0, "WLCRC-16"},
+		{16, 0.01, 0, "WLCRC-16(T=1%)"},
+		{16, 0.02, 0, "WLCRC-16(T=2%)"},
+		{16, 0, 100, "WLCRC-16(WD=100)"},
+		{16, 0, 500, "WLCRC-16(WD=500)"},
+		{16, 0.01, 500, "WLCRC-16(T=1%,WD=500)"},
+		{8, 0.01, 100, "WLCRC-8(T=1%,WD=100)"},
+		{32, 0, 100, "WLCRC-32(WD=100)"},
+		{64, 0, 0, "WLCRC-64"},
+		{64, 0.01, 0, "WLCRC-64"},
+		{64, 0, 500, "WLCRC-64"},
+		{64, 0.01, 500, "WLCRC-64"},
+	}
+	// encodings[name] is the plane sequence the first configuration of
+	// that name wrote; every later one of the same name must match it.
+	encodings := map[string][][]uint64{}
+	for _, c := range cases {
+		cfg := DefaultConfig()
+		cfg.MultiObjectiveT, cfg.DisturbAwareLambda = c.T, c.lambda
+		s, err := NewWLCRC(cfg, c.gran)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name() != c.want {
+			t.Errorf("gran %d T %g λ %g: Name = %q, want %q", c.gran, c.T, c.lambda, s.Name(), c.want)
+		}
+		r := prng.New(17)
+		old := packedPlanes(InitialCells(s.TotalCells()))
+		var seq [][]uint64
+		for step := 0; step < 40; step++ {
+			data := randomBiasedLine(r)
+			dst := make([]uint64, len(old))
+			s.EncodePlanesInto(dst, old, &data)
+			seq = append(seq, dst)
+			old = dst
+		}
+		prev, seen := encodings[s.Name()]
+		if !seen {
+			encodings[s.Name()] = seq
+			continue
+		}
+		for step := range seq {
+			if !slices.Equal(seq[step], prev[step]) {
+				t.Fatalf("gran %d T %g λ %g: shares the name %q with a configuration that encodes step %d differently",
+					c.gran, c.T, c.lambda, s.Name(), step)
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 
 	"wlcrc/internal/compress"
 	"wlcrc/internal/coset"
@@ -118,18 +119,27 @@ var wlcrcGeoms = map[int]wlcrcGeom{
 // bits. The default evaluation configuration is 16 (WLCRC-16). A
 // nonzero cfg.MultiObjectiveT enables the §VIII.D multi-objective
 // tie-break and a nonzero cfg.DisturbAwareLambda the §XI disturbance
-// pricing; either is reflected in the scheme name.
+// pricing. Both are reflected in the scheme name, e.g.
+// WLCRC-16(T=1%,WD=500), so two configurations that encode differently
+// never share a name; WLCRC-64 ignores both (its one block has no
+// restricted choice to tie-break or price) and is always WLCRC-64.
 func NewWLCRC(cfg Config, gran int) (*WLCRC, error) {
 	geom, ok := wlcrcGeoms[gran]
 	if !ok {
 		return nil, fmt.Errorf("core: WLCRC granularity %d not in {8,16,32,64}", gran)
 	}
-	name := fmt.Sprintf("WLCRC-%d", gran)
-	if cfg.MultiObjectiveT > 0 {
-		name = fmt.Sprintf("WLCRC-%d(T=%g%%)", gran, cfg.MultiObjectiveT*100)
+	var opts []string
+	if gran != 64 {
+		if cfg.MultiObjectiveT > 0 {
+			opts = append(opts, fmt.Sprintf("T=%g%%", cfg.MultiObjectiveT*100))
+		}
+		if cfg.DisturbAwareLambda > 0 {
+			opts = append(opts, fmt.Sprintf("WD=%g", cfg.DisturbAwareLambda))
+		}
 	}
-	if cfg.DisturbAwareLambda > 0 {
-		name = fmt.Sprintf("WLCRC-%d(WD)", gran)
+	name := fmt.Sprintf("WLCRC-%d", gran)
+	if len(opts) > 0 {
+		name += "(" + strings.Join(opts, ",") + ")"
 	}
 	dm := cfg.Disturb
 	if dm.DER == ([pcm.NumStates]float64{}) {

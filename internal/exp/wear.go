@@ -18,22 +18,14 @@ type WearRow struct {
 	LifetimeX float64
 }
 
-// WearReport replays the evaluation benchmark matrix with dense
-// per-cell wear tracking and digests each scheme's wear distribution:
-// the Figure 9 mean, the worst cell, distribution quantiles, the
-// imbalance factor, and the first-cell-failure lifetime projection
-// relative to Baseline — the endurance story the paper tells through
-// average updated cells, extended to the distribution level.
-func WearReport(cfg Config) ([]WearRow, *stats.Table) {
-	cfg.TrackWear = true
-	return WearReportFrom(RunEvaluation(cfg))
-}
-
-// WearReportFrom digests an already-computed evaluation, so a caller
-// that has run the fig 8/9/10 matrix with Config.TrackWear enabled
-// (cmd/experiments' shared evaluation, for instance) does not replay it
-// a second time. An evaluation run without wear tracking yields empty
-// summaries.
+// WearReportFrom digests each scheme's wear distribution over an
+// evaluation of the benchmark matrix run with Config.TrackWear enabled
+// (cmd/experiments' shared fig 8/9/10 evaluation, for instance): the
+// Figure 9 mean, the worst cell, distribution quantiles, the imbalance
+// factor, and the first-cell-failure lifetime projection relative to
+// Baseline — the endurance story the paper tells through average
+// updated cells, extended to the distribution level. An evaluation run
+// without wear tracking yields empty summaries.
 func WearReportFrom(e *Evaluation) ([]WearRow, *stats.Table) {
 	names := e.Schemes
 

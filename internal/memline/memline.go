@@ -75,16 +75,6 @@ func (l *Line) SymbolsInto(dst *[LineCells]uint8) {
 	}
 }
 
-// SetSymbolsFrom packs all 256 symbols into the line, four per byte —
-// the inverse of SymbolsInto, for decoders that materialize a full
-// symbol vector.
-func (l *Line) SetSymbolsFrom(syms *[LineCells]uint8) {
-	for b := 0; b < LineBytes; b++ {
-		c := 4 * b
-		l[b] = syms[c]&3 | syms[c+1]&3<<2 | syms[c+2]&3<<4 | syms[c+3]<<6
-	}
-}
-
 // WordSymbols extracts the 32 cell symbols of one 64-bit word into dst:
 // symbol c is bits (2c, 2c+1) of the word. Like SymbolsInto it works a
 // byte at a time, four symbols per shift, instead of 32 variable-shift

@@ -71,12 +71,51 @@ func zeroDERMask(zero *[NumStates]uint64, lo, hi uint64) uint64 {
 	return ^(lo|hi)&zero[S1] | lo&^hi&zero[S2] | hi&^lo&zero[S3] | lo&hi&zero[S4]
 }
 
+// zeroDERSelectors returns the selectors zeroDERMask takes: zero[s] is
+// all-ones when DER[s] == 0.
+func (dm *DisturbModel) zeroDERSelectors() (zero [NumStates]uint64) {
+	for s, p := range dm.DER {
+		if p == 0 {
+			zero[s] = ^uint64(0)
+		}
+	}
+	return zero
+}
+
+// exposedWords returns how many words of masks hold cells of a
+// totalCells-cell line: the words an exposure walk visits.
+func exposedWords(masks []uint64, totalCells int) int {
+	return min(len(masks), (totalCells+planeWordCells-1)/planeWordCells)
+}
+
+// exposed returns the exposure mask of plane word w, which must hold at
+// least one valid cell: the idle cells next to a changed cell of masks
+// (across word boundaries too), clipped to the line's totalCells — tail
+// bits read as S1, whose DER is nonzero, so they must be masked out
+// rather than trusted to skip — with the cells whose state (lo, hi) has
+// a zero DER cleared.
+func exposed(masks []uint64, w, totalCells int, lo, hi uint64, zero *[NumStates]uint64) uint64 {
+	const wordMask = 1<<planeWordCells - 1
+	ch := masks[w]
+	exp := (ch<<1 | ch>>1) & wordMask
+	if w > 0 {
+		exp |= masks[w-1] >> (planeWordCells - 1) & 1
+	}
+	if w+1 < len(masks) {
+		exp |= (masks[w+1] & 1) << (planeWordCells - 1)
+	}
+	exp &^= ch
+	if rem := totalCells - w*planeWordCells; rem < planeWordCells {
+		exp &= 1<<uint(rem) - 1
+	}
+	return exp &^ zeroDERMask(zero, lo, hi)
+}
+
 // CountDisturbMasks is CountDisturb over a plane-resident post-write
 // line and its changed-cell masks. Exposure is the same immediate-
 // neighbor model: an idle cell next to at least one programmed cell is
 // disturbed with probability DER[state]. totalCells bounds the valid
-// cells of the final word — tail bits read as S1, whose DER is
-// nonzero, so they must be masked out rather than trusted to skip.
+// cells of the final word.
 //
 // Cells whose state has a zero DER are cleared from each word's
 // exposure mask through one minterm mask per model, so no cell is
@@ -87,39 +126,16 @@ func zeroDERMask(zero *[NumStates]uint64, lo, hi uint64) uint64 {
 // CountDisturb, and a sampler draws for exactly the same cells in the
 // same order.
 func (dm *DisturbModel) CountDisturbMasks(newP, masks []uint64, totalCells, dataCells int, rnd Sampler) DisturbStats {
-	var zero [NumStates]uint64
-	for s, p := range dm.DER {
-		if p == 0 {
-			zero[s] = ^uint64(0)
-		}
-	}
+	zero := dm.zeroDERSelectors()
 	var st DisturbStats
-	nw := len(masks)
-	const wordMask = 1<<planeWordCells - 1
-	for w := 0; w < nw; w++ {
-		ch := masks[w]
-		exp := (ch<<1 | ch>>1) & wordMask
-		if w > 0 {
-			exp |= masks[w-1] >> (planeWordCells - 1) & 1
-		}
-		if w+1 < nw {
-			exp |= (masks[w+1] & 1) << (planeWordCells - 1)
-		}
-		exp &^= ch
-		base := w * planeWordCells
-		if rem := totalCells - base; rem < planeWordCells {
-			if rem <= 0 {
-				break
-			}
-			exp &= 1<<uint(rem) - 1
-		}
+	for w, nw := 0, exposedWords(masks, totalCells); w < nw; w++ {
 		lo, hi := newP[2*w], newP[2*w+1]
-		exp &^= zeroDERMask(&zero, lo, hi)
+		exp := exposed(masks, w, totalCells, lo, hi, &zero)
 		if exp == 0 {
 			continue
 		}
 		var data uint64
-		switch d := dataCells - base; {
+		switch d := dataCells - w*planeWordCells; {
 		case d >= planeWordCells:
 			data = exp
 		case d > 0:
@@ -137,16 +153,46 @@ func (dm *DisturbModel) CountDisturbMasks(newP, masks []uint64, totalCells, data
 	return st
 }
 
-// derAt returns the DER of cell b of a plane word pair.
-func (dm *DisturbModel) derAt(lo, hi uint64, b int) float64 {
-	return dm.DER[lo>>uint(b)&1|hi>>uint(b)<<1&2]
+// DisturbedMasksInto is DisturbedCellsInto over a plane-resident
+// post-write line: it samples which idle cells the write with
+// changed-cell masks disturbs, under CountDisturbMasks' exposure walk,
+// drawing once per exposed cell in ascending cell order — the cells and
+// the draw sequence of DisturbedCellsInto. dst (len(masks) words, and
+// not aliasing masks) receives the hit mask, one bit per disturbed
+// cell; the return value is the hit count. rnd must be non-nil.
+func (dm *DisturbModel) DisturbedMasksInto(dst, newP, masks []uint64, totalCells int, rnd Sampler) int {
+	if rnd == nil {
+		panic("pcm: DisturbedMasksInto requires a sampler")
+	}
+	zero := dm.zeroDERSelectors()
+	clear(dst)
+	n := 0
+	for w, nw := 0, exposedWords(masks, totalCells); w < nw; w++ {
+		lo, hi := newP[2*w], newP[2*w+1]
+		var hit uint64
+		for exp := exposed(masks, w, totalCells, lo, hi, &zero); exp != 0; exp &= exp - 1 {
+			b := bits.TrailingZeros64(exp)
+			if rnd.Bool(dm.DER[PlaneState(lo, hi, b)]) {
+				hit |= 1 << uint(b)
+			}
+		}
+		dst[w] = hit
+		n += bits.OnesCount64(hit)
+	}
+	return n
+}
+
+// PlaneState reads cell c's state out of one word's (lo, hi) plane
+// pair.
+func PlaneState(lo, hi uint64, c int) State {
+	return State(lo>>uint(c)&1 | hi>>uint(c)<<1&2)
 }
 
 // sumDER adds the DER of every cell of exp to acc, in ascending cell
 // order: the expected-value accounting of one region of one word.
 func (dm *DisturbModel) sumDER(acc float64, exp, lo, hi uint64) float64 {
 	for ; exp != 0; exp &= exp - 1 {
-		acc += dm.derAt(lo, hi, bits.TrailingZeros64(exp))
+		acc += dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(exp))]
 	}
 	return acc
 }
@@ -156,7 +202,7 @@ func (dm *DisturbModel) sumDER(acc float64, exp, lo, hi uint64) float64 {
 // one region of one word.
 func (dm *DisturbModel) sampleDER(acc float64, exp, lo, hi uint64, rnd Sampler) float64 {
 	for ; exp != 0; exp &= exp - 1 {
-		if rnd.Bool(dm.derAt(lo, hi, bits.TrailingZeros64(exp))) {
+		if rnd.Bool(dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(exp))]) {
 			acc++
 		}
 	}

@@ -2,6 +2,8 @@ package pcm
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"wlcrc/internal/prng"
@@ -124,7 +126,8 @@ const tableIIPacked = 36 | 20<<22 | 307<<34 | 547<<46
 // must also equal the per-cell ordered oracle. CountDisturbMasks must
 // produce the exact DisturbStats of CountDisturb under both
 // expected-value and sampled accounting, with identical PRNG draw
-// sequences.
+// sequences, and DisturbedMasksInto must hit exactly the cells
+// DisturbedCellsInto does, from the same draws.
 func maskEquivCase(t *testing.T, em EnergyModel, dm DisturbModel, old, new []State, dataCells int, seed uint64) {
 	t.Helper()
 	n := len(old)
@@ -177,6 +180,30 @@ func maskEquivCase(t *testing.T, em EnergyModel, dm DisturbModel, old, new []Sta
 	}
 	if a, b := r1.Uint64(), r2.Uint64(); a != b {
 		t.Fatalf("DER %v: sampled paths consumed different draw counts (next draws %#x vs %#x)", dm.DER, a, b)
+	}
+
+	// Hit sampling: the same cells as DisturbedCellsInto, from the same
+	// draws, leaving the PRNG in the same state.
+	r1, r2 = prng.New(seed), prng.New(seed)
+	wantHits := dm.DisturbedCellsInto(nil, new, wantCh, r1)
+	hits := make([]uint64, len(masks))
+	for i := range hits {
+		hits[i] = ^uint64(0) // stale content must be overwritten
+	}
+	if got := dm.DisturbedMasksInto(hits, newP, masks, n, r2); got != len(wantHits) {
+		t.Fatalf("DER %v: DisturbedMasksInto = %d hits, DisturbedCellsInto = %d", dm.DER, got, len(wantHits))
+	}
+	var gotHits []int
+	for w, m := range hits {
+		for ; m != 0; m &= m - 1 {
+			gotHits = append(gotHits, w*32+bits.TrailingZeros64(m))
+		}
+	}
+	if !slices.Equal(gotHits, wantHits) {
+		t.Fatalf("DER %v: DisturbedMasksInto hits %v, DisturbedCellsInto %v", dm.DER, gotHits, wantHits)
+	}
+	if a, b := r1.Uint64(), r2.Uint64(); a != b {
+		t.Fatalf("DER %v: hit samplers consumed different draw counts (next draws %#x vs %#x)", dm.DER, a, b)
 	}
 }
 

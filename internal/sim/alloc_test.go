@@ -5,6 +5,7 @@ import (
 
 	"wlcrc/internal/core"
 	"wlcrc/internal/fault"
+	"wlcrc/internal/prng"
 	"wlcrc/internal/trace"
 	"wlcrc/internal/workload"
 )
@@ -24,8 +25,9 @@ var allocSchemes = []string{
 
 // allocFixture builds a shard and a warmed routed request set: every
 // address has been written once, so the measured loop only exercises
-// the steady-state rewrite path.
-func allocFixture(t *testing.T, name string, opts Options) (*shard, []routedReq) {
+// the steady-state rewrite path. Like the Engine, it gives the shard a
+// PRNG substream when opts samples disturbance or injects faults.
+func allocFixture(t testing.TB, name string, opts Options) (*shard, []routedReq) {
 	t.Helper()
 	sch, err := core.NewScheme(name, core.DefaultConfig())
 	if err != nil {
@@ -34,7 +36,11 @@ func allocFixture(t *testing.T, name string, opts Options) (*shard, []routedReq)
 	if opts.MaxVnRIterations == 0 {
 		opts.MaxVnRIterations = 16
 	}
-	u := newShard(&opts, sch, nil, nil)
+	var rnd *prng.Xoshiro256
+	if opts.SampleDisturb || opts.InjectFaults {
+		rnd = prng.New(7)
+	}
+	u := newShard(&opts, sch, rnd, nil)
 	p, ok := workload.ProfileByName("gcc")
 	if !ok {
 		t.Fatal("gcc profile missing")
@@ -49,7 +55,7 @@ func allocFixture(t *testing.T, name string, opts Options) (*shard, []routedReq)
 }
 
 // routedBatch wraps requests as one routed unit-batch, sequence-numbered
-// in order, for tests that drive the engine's batch-encode entry point
+// in order, for tests that drive the engine's shard entry point
 // (shard.applyRun) directly.
 func routedBatch(reqs []trace.Request) []routedReq {
 	rs := make([]routedReq, len(reqs))
@@ -59,8 +65,7 @@ func routedBatch(reqs []trace.Request) []routedReq {
 	return rs
 }
 
-// applyOne replays request i (mod len(rs)) as a one-request run — the
-// per-request form of the batch entry point.
+// applyOne replays request i (mod len(rs)) as a one-request batch.
 func applyOne(u *shard, rs []routedReq, i int) error {
 	k := i % len(rs)
 	_, err := u.applyRun(rs[k : k+1])
@@ -118,12 +123,10 @@ func TestSteadyStateApplyZeroAllocsWear(t *testing.T) {
 	}
 }
 
-// TestSteadyStateApplyRunZeroAllocs pins the batch-encode path: after a
-// warm-up pass has grown the run buffers (the job slices, the spare
-// plane stack) to their steady-state capacity, replaying whole routed batches
-// through applyRun must allocate nothing — with Verify off and on, for
-// every scheme. This is the path every Engine worker runs, so it is the
-// pipeline's real zero-alloc guarantee.
+// TestSteadyStateApplyRunZeroAllocs pins whole routed batches: replaying
+// one through applyRun must allocate nothing — with Verify off and on,
+// for every scheme. This is the call every Engine worker makes, so it
+// is the pipeline's real zero-alloc guarantee.
 func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 	for _, verify := range []bool{false, true} {
 		name := "verify=off"
@@ -136,11 +139,6 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 					opts := DefaultOptions()
 					opts.Verify = verify
 					u, rs := allocFixture(t, scheme, opts)
-					// Warm the run buffers themselves (allocFixture warmed
-					// with one-request runs only).
-					if _, err := u.applyRun(rs); err != nil {
-						t.Fatal(err)
-					}
 					avg := testing.AllocsPerRun(20, func() {
 						if _, err := u.applyRun(rs); err != nil {
 							t.Fatal(err)
@@ -151,6 +149,34 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 							scheme, avg)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestSteadyStateApplyZeroAllocsInjectFaults extends the guarantee to
+// Verify-and-Restore: with fault injection on, every write samples its
+// disturbance hits and runs the restore rounds on plane masks, and none
+// of it may allocate.
+func TestSteadyStateApplyZeroAllocsInjectFaults(t *testing.T) {
+	for _, name := range allocSchemes {
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Verify = false
+			opts.InjectFaults = true
+			u, rs := allocFixture(t, name, opts)
+			i := 0
+			avg := testing.AllocsPerRun(200, func() {
+				if err := applyOne(u, rs, i); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			if avg != 0 {
+				t.Errorf("%s: fault-injecting apply allocates %.2f objects/op, want 0", name, avg)
+			}
+			if u.m.VnR.InjectedErrors == 0 {
+				t.Errorf("%s: no disturbance injected; the test is not exercising VnR", name)
 			}
 		})
 	}

@@ -5,7 +5,7 @@ package sim
 //
 //	word:   internal/coset BenchmarkSWARBestWord / BenchmarkSWARApplyWord
 //	line:   root BenchmarkEncodePlanesInto (codec hot path, no simulation state)
-//	shard:  BenchmarkShardApply / BenchmarkShardApplyRun (this file)
+//	shard:  BenchmarkShardApply (this file)
 //	engine: BenchmarkEngineRun (this file), root BenchmarkReplaySerial /
 //	        BenchmarkReplayParallelScaling (full dispatch pipeline)
 //
@@ -25,68 +25,28 @@ import (
 	"wlcrc/internal/workload"
 )
 
-// benchShard builds a warmed shard and routed request set for b,
-// mirroring the alloc tests' fixture: every address pre-written once so
-// the measured loop is the steady-state rewrite path.
-func benchShard(b *testing.B, scheme string, opts Options) (*shard, []routedReq) {
-	b.Helper()
-	sch, err := core.NewScheme(scheme, core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if opts.MaxVnRIterations == 0 {
-		opts.MaxVnRIterations = 16
-	}
-	u := newShard(&opts, sch, nil, nil)
-	p, ok := workload.ProfileByName("gcc")
-	if !ok {
-		b.Fatal("gcc profile missing")
-	}
-	rs := routedBatch(trace.Record(workload.NewGenerator(p, 64, 11), 256).Reqs)
-	for i := range rs {
-		if err := applyOne(u, rs, i); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return u, rs
-}
-
-// benchShardSchemes spans the cost spectrum: plain differential write,
-// the paper's headline scheme, and a counter-keyed encrypted scheme.
-var benchShardSchemes = []string{"Baseline", "WLCRC-16", "VCC-4"}
-
-// BenchmarkShardApply measures the shard layer one request at a time,
-// as one-request runs through the batch entry point.
+// BenchmarkShardApply measures the shard layer: one op replays a warmed
+// 256-request routed batch through applyRun, the call every Engine
+// worker makes, so each request is encoded and settled against its
+// line's stored planes. The schemes span the cost spectrum — plain
+// differential write, the paper's headline scheme, a counter-keyed
+// encrypted scheme — and the vnr case adds fault injection with
+// Verify-and-Restore to the headline scheme's settle.
 func BenchmarkShardApply(b *testing.B) {
-	for _, scheme := range benchShardSchemes {
-		b.Run(scheme, func(b *testing.B) {
+	for _, c := range []struct {
+		name, scheme string
+		inject       bool
+	}{
+		{"Baseline", "Baseline", false},
+		{"WLCRC-16", "WLCRC-16", false},
+		{"VCC-4", "VCC-4", false},
+		{"WLCRC-16/vnr", "WLCRC-16", true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
-			u, rs := benchShard(b, scheme, opts)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := applyOne(u, rs, i); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.SetBytes(64)
-		})
-	}
-}
-
-// BenchmarkShardApplyRun measures the same work through the batch-encode
-// path the Engine workers run — the delta against BenchmarkShardApply is
-// what batching the scheme calls buys at the shard layer.
-func BenchmarkShardApplyRun(b *testing.B) {
-	for _, scheme := range benchShardSchemes {
-		b.Run(scheme, func(b *testing.B) {
-			opts := DefaultOptions()
-			opts.Verify = false
-			u, rs := benchShard(b, scheme, opts)
-			if _, err := u.applyRun(rs); err != nil { // warm run buffers
-				b.Fatal(err)
-			}
+			opts.InjectFaults = c.inject
+			u, rs := allocFixture(b, c.scheme, opts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

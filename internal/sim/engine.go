@@ -20,9 +20,9 @@ import (
 // unitBatch is the per-routing-unit batch capacity: the number of
 // requests the dispatcher accumulates for one (bank, sub-shard) unit
 // before handing the batch to the unit's owner. Large enough to
-// amortize channel traffic and to give the shard batch-encode path
-// multi-line runs, small enough to bound how far a Snapshot can lag and
-// to keep workers busy on short traces.
+// amortize channel traffic and keep each scheme's tables hot across
+// many lines, small enough to bound how far a Snapshot can lag and to
+// keep workers busy on short traces.
 const unitBatch = 128
 
 // unitChanCap is each worker's batch-queue capacity. With per-unit
@@ -68,10 +68,11 @@ const progressStride = 1024
 // critical path.
 //
 // Workers drain their queue one unit-batch at a time and replay it
-// scheme-major through the shard batch-encode path (shard.applyRun):
-// all of one scheme's state — SWAR cost tables, coset selectors, the
-// shard's line map — stays hot across the whole batch instead of being
-// evicted by the next scheme's on every request.
+// scheme-major through each scheme's shard (shard.applyRun, which
+// encodes and settles one request at a time): all of one scheme's
+// state — SWAR cost tables, coset selectors, the shard's line store —
+// stays hot across the whole batch instead of being evicted by the
+// next scheme's on every request.
 //
 // Determinism: results never depend on Options.Workers. Unit ownership
 // is static and sub-shard assignment depends only on the address, so
@@ -532,8 +533,7 @@ func (e *Engine) handOff(ch chan batch, ready []*[]routedReq, u int, p *[]routed
 // by the receiving worker, and all schemes' shards of that unit share
 // the owner, so no other goroutine ever touches the shards referenced
 // here. Replaying the whole batch through one scheme before the next
-// keeps that scheme's tables and line map hot, and hands the shard
-// batch-encode path runs of multiple lines per scheme call.
+// keeps that scheme's tables and line store hot.
 func (e *Engine) applyUnitBatch(b batch, failed *atomic.Bool) {
 	rs := *b.reqs
 	unit := int(b.unit)

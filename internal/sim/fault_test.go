@@ -3,11 +3,13 @@ package sim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"wlcrc/internal/fault"
 	"wlcrc/internal/memline"
+	"wlcrc/internal/pcm"
 	"wlcrc/internal/prng"
 	"wlcrc/internal/trace"
 )
@@ -310,6 +312,64 @@ func TestVnRIterationCapFeedsFaultPipeline(t *testing.T) {
 	}
 	if m.Faults.InjectedStuck > m.VnR.Residual {
 		t.Errorf("injected %d stuck cells from %d residuals", m.Faults.InjectedStuck, m.VnR.Residual)
+	}
+}
+
+// TestVnRResidualsMatchScalarOracle holds the plane-mask VnR to its
+// cell-vector reference on the residual path the matrix modes do not
+// reach: with the restore cap at one iteration and the fault model on,
+// residual hits freeze as stuck cells, are classified through the ECC,
+// and then steer the later writes' repair — metrics, retired lines and
+// the run error must be DeepEqual to the scalar oracle's. Besides Table
+// II it runs a model under which S2 cells are disturbable too, so a hit
+// on a cell already in S2 needs no restore.
+func TestVnRResidualsMatchScalarOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dm   pcm.DisturbModel
+	}{
+		{"tableII", pcm.DefaultDisturb()},
+		{"S2-disturbable", pcm.DisturbModel{DER: [pcm.NumStates]float64{0.2, 0.15, 0.25, 0.1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.Disturb = tc.dm
+			opts.InjectFaults = true
+			opts.Seed = 11
+			opts.MaxVnRIterations = 1
+			opts.TrackWear = true
+			opts.Workers = 1
+			opts.Geometry = serialGeometry()
+			opts.Faults = fault.Config{Enabled: true, ECCBits: 4, SpareLines: 2, MaxRetiredFraction: 1}
+			names := []string{"Baseline", "WLCRC-16", "6cosets", "VCC-4"}
+			src, _ := faultTestTrace(t, "lesl", 128, 2000, 9)
+			e := NewEngine(opts, schemesForTest(t, names...)...)
+			planeErr := e.Run(src, 0)
+			src.Rewind()
+			o := newScalarOracle(opts, schemesForTest(t, names...)...)
+			oracleErr := o.Run(src)
+			for _, err := range []error{planeErr, oracleErr} {
+				if err != nil && !errors.As(err, new(*DegradedError)) {
+					t.Fatal(err)
+				}
+			}
+			planeMetrics, oracleMetrics := e.Metrics(), o.e.Metrics()
+			for i := range planeMetrics {
+				if planeMetrics[i].VnR.Residual == 0 || planeMetrics[i].Faults.InjectedStuck == 0 {
+					t.Errorf("%s: residual injection never fired: %+v %+v", names[i], planeMetrics[i].VnR, planeMetrics[i].Faults)
+				}
+				if !reflect.DeepEqual(planeMetrics[i], oracleMetrics[i]) {
+					t.Errorf("%s: plane Metrics differ from the scalar oracle:\nplanes: %+v\noracle: %+v",
+						names[i], planeMetrics[i], oracleMetrics[i])
+				}
+			}
+			if !reflect.DeepEqual(e.RetiredLines(), o.e.RetiredLines()) {
+				t.Errorf("retired-line sets differ:\nplanes: %v\noracle: %v", e.RetiredLines(), o.e.RetiredLines())
+			}
+			if !reflect.DeepEqual(planeErr, oracleErr) {
+				t.Errorf("run errors differ:\nplanes: %v\noracle: %v", planeErr, oracleErr)
+			}
+		})
 	}
 }
 

@@ -25,10 +25,10 @@ import (
 // accumulators are identical by construction: request i goes to the
 // shard e.shards[scheme*units+routeOf(addr)], the oracle charges that
 // shard's metrics, the oracle's own cell-level repairFaults does the
-// fault repair, and the shard's runVnR does Verify-and-Restore. The
-// shard's arena is never touched, and the wear recorder is driven
-// through its addr-keyed API. e.Metrics() and e.RetiredLines() then
-// report the oracle's run.
+// fault repair, and its own cell-level runVnR does Verify-and-Restore.
+// The shard's arena is never touched: the oracle hands the wear
+// recorder slots of its own, assigned per shard in first-touch order.
+// e.Metrics() and e.RetiredLines() then report the oracle's run.
 type scalarOracle struct {
 	e *Engine
 	// mem[i] and ctrs[i] are scheme i's line store and counter store.
@@ -37,8 +37,16 @@ type scalarOracle struct {
 	// spare[i] is scheme i's free encode target: each write stores its
 	// fresh buffer and recycles the line's previous one.
 	spare [][]pcm.State
-	// changed is the reusable differential-write mask.
+	// changed is the reusable differential-write mask, and masks its
+	// plane-mask form for the wear recorder.
 	changed []bool
+	masks   []uint64
+	// slots[u] is shard u's first-touch wear slot of each address.
+	slots map[*shard]map[uint64]int
+	// vnrStored, vnrRestore and vnrHits are runVnR's reusable buffers.
+	vnrStored  []pcm.State
+	vnrRestore []bool
+	vnrHits    []int
 	// compressed[i] is scheme i's cell-vector write classifier.
 	compressed []func([]pcm.State) bool
 	// oldP/newP are the plane scratch the cell codec packs through,
@@ -47,7 +55,7 @@ type scalarOracle struct {
 }
 
 func newScalarOracle(opts Options, schemes ...core.Scheme) *scalarOracle {
-	o := &scalarOracle{e: NewEngine(opts, schemes...)}
+	o := &scalarOracle{e: NewEngine(opts, schemes...), slots: map[*shard]map[uint64]int{}}
 	width := 0
 	for _, sch := range schemes {
 		o.mem = append(o.mem, map[uint64][]pcm.State{})
@@ -57,7 +65,24 @@ func newScalarOracle(opts Options, schemes ...core.Scheme) *scalarOracle {
 		width = max(width, coset.PlaneWords(sch.TotalCells()))
 	}
 	o.oldP, o.newP = make([]uint64, width), make([]uint64, width)
+	o.masks = make([]uint64, width/2)
 	return o
+}
+
+// slot returns u's wear slot of addr, assigning the next one on first
+// touch.
+func (o *scalarOracle) slot(u *shard, addr uint64) int {
+	sl, ok := o.slots[u]
+	if !ok {
+		sl = map[uint64]int{}
+		o.slots[u] = sl
+	}
+	s, ok := sl[addr]
+	if !ok {
+		s = len(sl)
+		sl[addr] = s
+	}
+	return s
 }
 
 // encode is the oracle's cell codec: u's keyed plane encode on the
@@ -161,8 +186,9 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 	m := &u.m
 	m.Writes++
 	var faultErr error
+	slot := o.slot(u, addr)
 	if u.fm != nil {
-		faultErr = o.repairFaults(u, newCells, old, u.wear.LineCounts(addr), addr, ctr, seq, data)
+		faultErr = o.repairFaults(u, newCells, old, u.wear.SlotCounts(slot), addr, ctr, seq, data)
 	}
 	st, changed := u.opts.Energy.DiffWriteMask(old, newCells, sch.DataCells(), o.changed)
 	o.changed = changed
@@ -170,7 +196,14 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 	m.EnergyHist.Observe(st.Energy())
 	m.UpdatedHist.Observe(float64(st.Updated()))
 	if u.wear != nil {
-		u.wear.RecordChanged(addr, changed)
+		masks := o.masks[:coset.PlaneWords(len(changed))/2]
+		clear(masks)
+		for c, ch := range changed {
+			if ch {
+				masks[c/32] |= 1 << uint(c%32)
+			}
+		}
+		u.wear.RecordSlotMasks(slot, masks)
 	}
 	var sampler pcm.Sampler
 	if u.rnd != nil {
@@ -185,7 +218,7 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 		m.CompressedWrites++
 	}
 	if u.opts.InjectFaults {
-		u.runVnR(newCells, changed, u.opts.MaxVnRIterations, addr)
+		o.runVnR(u, newCells, changed, addr)
 	}
 	var verifyErr error
 	if u.opts.Verify {
@@ -197,7 +230,7 @@ func (o *scalarOracle) settle(i int, u *shard, newCells, old []pcm.State, addr, 
 		}
 	}
 	if u.fm != nil {
-		u.fm.OnWrite(addr, changed, newCells, u.wear.LineCounts(addr))
+		u.fm.OnWrite(addr, changed, newCells, u.wear.SlotCounts(slot))
 		if ls := u.fm.Stuck(addr); ls != nil {
 			u.fm.StoreParity(addr, newCells, &u.eccSc)
 			ls.Overlay(newCells)
@@ -248,4 +281,75 @@ func (o *scalarOracle) repairFaults(u *shard, newCells, old []pcm.State, counts 
 			u.scheme.Name(), addr, ls.N, u.fm.ECC().BudgetBits())
 	}
 	return nil
+}
+
+// runVnR is the cell-vector reference of the shard's plane-mask runVnR:
+// it injects disturbance faults for a completed write and repairs them
+// on a stored copy, cell by cell. cells is the freshly-programmed state
+// vector (the intended content); changed marks the cells this write
+// programmed. Each round corrupts the hits to S2, restores every cell
+// that then disagrees with cells, and redraws the disturbance of the
+// restore writes, up to Options.MaxVnRIterations rounds; residual hits
+// at the cap are injected as stuck at S2 when the fault model is on.
+func (o *scalarOracle) runVnR(u *shard, cells []pcm.State, changed []bool, addr uint64) {
+	m := &u.m
+	if cap(o.vnrStored) < len(cells) {
+		o.vnrStored = make([]pcm.State, len(cells))
+		o.vnrRestore = make([]bool, len(cells))
+	}
+	stored := o.vnrStored[:len(cells)]
+	copy(stored, cells)
+	// Initial disturbance from the write itself.
+	hits := u.opts.Disturb.DisturbedCellsInto(o.vnrHits, stored, changed, u.rnd)
+	m.VnR.InjectedErrors += uint64(len(hits))
+	iter := 0
+	for len(hits) > 0 && iter < u.opts.MaxVnRIterations {
+		iter++
+		// Corrupt: disturbance drives cells to the SET state.
+		for _, i := range hits {
+			stored[i] = pcm.S2
+		}
+		// Verify (read-after-write) finds every mismatch vs the
+		// intended content; restore rewrites those cells.
+		restore := o.vnrRestore[:len(cells)]
+		nRestore := 0
+		for i := range stored {
+			restore[i] = false
+			if stored[i] != cells[i] {
+				restore[i] = true
+				stored[i] = cells[i]
+				nRestore++
+				m.VnR.RestoreEnergyPJ += u.opts.Energy.WriteEnergy(cells[i])
+			}
+		}
+		m.VnR.RestoreWrites += uint64(nRestore)
+		// The restore writes are RESET events of their own: they may
+		// disturb idle neighbors again.
+		hits = u.opts.Disturb.DisturbedCellsInto(hits, stored, restore, u.rnd)
+		m.VnR.InjectedErrors += uint64(len(hits))
+	}
+	o.vnrHits = hits[:0]
+	m.VnR.Iterations += uint64(iter)
+	if iter > m.VnR.MaxIterations {
+		m.VnR.MaxIterations = iter
+	}
+	if len(hits) == 0 {
+		return
+	}
+	m.VnR.Residual += uint64(len(hits))
+	if u.fm == nil {
+		return
+	}
+	injected := 0
+	for _, c := range hits {
+		if u.fm.InjectStuck(addr, c, pcm.S2) {
+			injected++
+		}
+	}
+	if injected == 0 {
+		return
+	}
+	if _, ok := u.fm.Correct(cells, u.fm.Stuck(addr), &u.eccSc); !ok {
+		u.fm.Stats.Uncorrectable++
+	}
 }

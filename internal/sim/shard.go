@@ -14,14 +14,6 @@ import (
 	"wlcrc/internal/wear"
 )
 
-// shardRunCap is the number of lines a shard's batch-encode path prices
-// per scheme call (see applyRun): large enough to amortize the scheme's
-// table loads across several lines, small enough that the run's encode
-// outputs are still L1-hot when the deferred settle pass re-reads them
-// for the energy/disturb models (measured: 4 beats both 2 and 16 on
-// every scheme family; 16 loses ~40% to settle-time cache misses).
-const shardRunCap = 4
-
 // shard is the unit of simulation state: one scheme's view of one slice
 // of the address space. The Engine keeps one shard per (scheme, bank,
 // sub-shard) triple so independent lines replay concurrently.
@@ -49,37 +41,28 @@ type shard struct {
 	stride    int // plane words per line
 	// lineCtrs is the per-line write-counter store (the
 	// shard-local slice of an encryption engine's counter cache),
-	// indexed by arena slot; nil unless the scheme is a CounterScheme.
+	// indexed by arena slot; nil unless core.UsesCounters(scheme).
 	// Requests to one address always replay in trace order on one
 	// shard, so counters are deterministic for every worker count.
 	lineCtrs []uint64
-	// spare is the free plane-buffer stack: encode targets a
-	// detached buffer, settle commits it into the arena slot with one
-	// copy, and the buffer recycles.
-	spare [][]uint64
-	// planeJobs is the open plane batch-encode run. Jobs carry arena
-	// slots, not plane slices: Ensure during routing may grow the slab,
-	// so old-plane pointers resolve at flush time, when no insert can
-	// intervene. pjobs is the resolved scratch handed to the batch call.
-	planeJobs []planeJob
-	pjobs     []core.PlaneEncodeJob
+	// scratch is the encode target: each write encodes into it, and
+	// settle commits it into the arena slot with one copy. Fault-path
+	// reads pack their recovered line into it too.
+	scratch []uint64
 	// masks is the reusable changed-cell mask (one word per 32 cells).
 	masks []uint64
-	// cellsOld/cellsNew are the cell materialization scratch, touched
-	// only off the fast path: the ECC steps of fault repair, VnR
-	// injection and recovery reads unpack into them. changed is the
-	// bool form of masks the VnR loop consumes. All three are allocated
-	// only when the fault model or fault injection is on.
+	// cellsOld/cellsNew are the cell materialization scratch of the
+	// fault.ECC boundary: the ECC classification of fault repair and of
+	// VnR residuals, parity stores and recovery reads unpack into them.
+	// Allocated only when the fault model is on.
 	cellsOld, cellsNew []pcm.State
-	changed            []bool
 	// decodeBuf is the Verify path's reusable decode target (a stack
 	// Line would escape through the Scheme interface call).
 	decodeBuf memline.Line
-	// vnrStored / vnrRestore / vnrHits are the fault-injection loop's
-	// reusable buffers (only touched when Options.InjectFaults is set).
-	vnrStored  []pcm.State
-	vnrRestore []bool
-	vnrHits    []int
+	// vnrHits / vnrRestore are the fault-injection loop's hit and
+	// restore masks, laid out like masks (allocated only when
+	// Options.InjectFaults is set).
+	vnrHits, vnrRestore []uint64
 	// rnd is nil under deterministic expected-value accounting;
 	// otherwise it is the shard's own PRNG substream, so sampled results
 	// do not depend on scheduling.
@@ -143,14 +126,15 @@ func newShard(opts *Options, sch core.Scheme, rnd *prng.Xoshiro256, fm *fault.Ma
 	u.planeGate = core.CompressedWritePlanesFunc(sch)
 	u.stride = coset.PlaneWords(n)
 	u.arena = arena.New(u.stride, 0)
-	u.spare = [][]uint64{make([]uint64, u.stride)}
-	u.planeJobs = make([]planeJob, 0, shardRunCap)
-	u.pjobs = make([]core.PlaneEncodeJob, 0, shardRunCap)
+	u.scratch = make([]uint64, u.stride)
 	u.masks = make([]uint64, u.stride/2)
-	if fm != nil || opts.InjectFaults {
+	if fm != nil {
 		u.cellsOld = make([]pcm.State, n)
 		u.cellsNew = make([]pcm.State, n)
-		u.changed = make([]bool, n)
+	}
+	if opts.InjectFaults {
+		u.vnrHits = make([]uint64, u.stride/2)
+		u.vnrRestore = make([]uint64, u.stride/2)
 	}
 	if core.UsesCounters(sch) {
 		u.lineCtrs = []uint64{}
@@ -186,43 +170,14 @@ func (u *shard) ctrOf(slot int) uint64 {
 	return u.lineCtrs[slot]
 }
 
-// takeSpare pops a free plane buffer, allocating only while the
-// in-flight count grows toward its steady-state ceiling of
-// shardRunCap+1.
-func (u *shard) takeSpare() []uint64 {
-	if n := len(u.spare); n > 0 {
-		s := u.spare[n-1]
-		u.spare = u.spare[:n-1]
-		return s
-	}
-	return make([]uint64, u.stride)
-}
-
-// putSpare releases a plane buffer for reuse.
-func (u *shard) putSpare(s []uint64) { u.spare = append(u.spare, s) }
-
-// planeJob is one pending write of a plane batch-encode run. It holds
-// the line's arena slot rather than its plane slice: a later Ensure of
-// the same run may grow the arena slab, so the old planes are resolved
-// at flush, when inserts can no longer move them.
-type planeJob struct {
-	slot int
-	addr uint64
-	ctr  uint64
-	seq  uint64
-	dst  []uint64
-	data *memline.Line
-}
-
 // settlePlanes charges the accounting models for one encoded write and
 // commits it, in a fixed order: fault repair, energy+endurance, wear,
 // disturbance, compression classification, fault injection, Verify,
 // stuck overlay, commit. Requests of one shard settle strictly in trace
-// order — the PRNG draws of the sampled models happen here, so batching
-// the encodes never perturbs them. The XOR diff of the stored and
-// encoded planes doubles as the changed-cell mask for wear, disturbance
-// exposure and the fault model, and the commit is a single 144-byte
-// copy into the arena slot.
+// order, and the PRNG draws of the sampled models happen here. The XOR
+// diff of the stored and encoded planes doubles as the changed-cell
+// mask for wear, disturbance exposure, fault injection and the fault
+// model, and the commit is a single 144-byte copy into the arena slot.
 //
 // Under the fault model, newP is the intended encode throughout the
 // accounting (the controller attempts to program it, so energy and wear
@@ -237,7 +192,7 @@ type planeJob struct {
 // on both (exact for integer models, see package pcm), and
 // CountDisturbMasks visits exposed cells in the same ascending order as
 // CountDisturb, because its draws and non-integer DER sums follow cell
-// order.
+// order; so does the VnR hit sampler (runVnR).
 func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, data *memline.Line) error {
 	sch := u.scheme
 	m := &u.m
@@ -267,12 +222,7 @@ func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, dat
 		m.CompressedWrites++
 	}
 	if u.opts.InjectFaults {
-		// The restore loop mutates a stored copy cell by cell; feed it
-		// the materialized write and the expanded change mask.
-		cells := u.cellsNew[:sch.TotalCells()]
-		coset.UnpackLine(newP, cells)
-		expandMasks(u.masks, u.changed)
-		u.runVnR(cells, u.changed, u.opts.MaxVnRIterations, addr)
+		u.runVnR(newP, addr)
 	}
 	var verifyErr error
 	if u.opts.Verify {
@@ -293,10 +243,8 @@ func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, dat
 		}
 	}
 	// Commit: the encoded planes overwrite the stored line in place —
-	// the arena slot stays put, so no pointer swap and no map store —
-	// and the detached buffer recycles.
+	// the arena slot stays put, so no pointer swap and no map store.
 	copy(oldP, newP)
-	u.putSpare(newP)
 	if verifyErr != nil {
 		return verifyErr
 	}
@@ -368,23 +316,6 @@ func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, ctr, seq
 	return nil
 }
 
-// expandMasks spreads plane-diff change masks into the bool mask the
-// cell-level VnR loop consumes: dst[32w+i] = bit i of masks[w].
-func expandMasks(masks []uint64, dst []bool) {
-	n := len(dst)
-	for w, m := range masks {
-		base := w * 32
-		end := base + 32
-		if end > n {
-			end = n
-		}
-		for c := base; c < end; c++ {
-			dst[c] = m&1 == 1
-			m >>= 1
-		}
-	}
-}
-
 // readLine decodes the current content of addr the way a controller
 // read would: fetch the physically stored states, run the ECC recovery
 // against the line's stored parity when it has stuck cells, then decode
@@ -392,7 +323,7 @@ func expandMasks(masks []uint64, dst []bool) {
 // means the line is uncorrectably corrupted (deterministically so).
 // A healthy-line read decodes the arena slot directly; the fault path
 // materializes cells for the ECC recovery and packs the recovered line
-// into a spare plane buffer to decode.
+// into the encode scratch to decode.
 func (u *shard) readLine(addr uint64, dst *memline.Line) (ok bool, err error) {
 	slot, ok := u.arena.Lookup(addr)
 	if !ok {
@@ -404,20 +335,15 @@ func (u *shard) readLine(addr uint64, dst *memline.Line) (ok bool, err error) {
 		u.planeEnc.DecodeCtrPlanesInto(planes, addr, ctr, dst)
 		return true, nil
 	}
-	phys := u.cellsOld[:u.scheme.TotalCells()]
+	n := u.scheme.TotalCells()
+	phys := u.cellsOld[:n]
 	coset.UnpackLine(planes, phys)
-	if cap(u.vnrStored) < len(phys) {
-		u.vnrStored = make([]pcm.State, len(phys))
-		u.vnrRestore = make([]bool, len(phys))
-	}
-	cells, recOK := u.fm.Recover(addr, phys, u.vnrStored[:len(phys)], &u.eccSc)
+	cells, recOK := u.fm.Recover(addr, phys, u.cellsNew[:n], &u.eccSc)
 	if !recOK {
 		return true, fmt.Errorf("sim: %s: uncorrectable read at addr %#x", u.scheme.Name(), addr)
 	}
-	rec := u.takeSpare()
-	coset.PackLine(cells, rec)
-	u.planeEnc.DecodeCtrPlanesInto(rec, addr, ctr, dst)
-	u.putSpare(rec)
+	coset.PackLine(cells, u.scratch)
+	u.planeEnc.DecodeCtrPlanesInto(u.scratch, addr, ctr, dst)
 	return true, nil
 }
 
@@ -430,88 +356,28 @@ func (u *shard) eachResident(fn func(addr uint64)) {
 	}
 }
 
-// applyRun replays a routed batch through this shard, pricing up to
-// shardRunCap address-distinct lines per batch-encode call so the
-// scheme's SWAR tables load once per run instead of once per line, then
-// settles each line in trace order. On a verification failure (or, under
-// FailFast, an uncorrectable stuck line) it stops and returns the
-// failing request's global sequence number with the error; the
-// remaining requests of the batch are not applied (the Engine freezes
-// the shard).
+// applyRun replays a routed batch through this shard one request at a
+// time, in trace order: each write is encoded against its line's stored
+// planes into the scratch buffer and settled before the next is
+// encoded, so a repeated address always encodes against its previous
+// write. On a verification failure (or, under FailFast, an
+// uncorrectable stuck line) it stops and returns the failing request's
+// global sequence number with the error; the remaining requests of the
+// batch are not applied (the Engine freezes the shard), so an erred
+// shard's metrics cover exactly its trace prefix up to and including
+// the failing request.
 func (u *shard) applyRun(rs []routedReq) (errSeq uint64, err error) {
 	for j := range rs {
 		rr := &rs[j]
-		if u.runHasAddr(rr.req.Addr) {
-			if seq, err := u.flushRun(); err != nil {
-				return seq, err
-			}
-		}
-		slot, fresh := u.arena.Ensure(rr.req.Addr)
-		u.planeJobs = append(u.planeJobs, planeJob{
-			slot: slot,
-			addr: rr.req.Addr,
-			ctr:  u.nextCtr(slot, fresh),
-			seq:  rr.seq,
-			dst:  u.takeSpare(),
-			data: &rr.req.New,
-		})
-		if len(u.planeJobs) == shardRunCap {
-			if seq, err := u.flushRun(); err != nil {
-				return seq, err
-			}
+		addr, data := rr.req.Addr, &rr.req.New
+		slot, fresh := u.arena.Ensure(addr)
+		ctr := u.nextCtr(slot, fresh)
+		u.planeEnc.EncodeCtrPlanesInto(u.scratch, u.arena.Planes(slot), addr, ctr, data)
+		if err := u.settlePlanes(u.scratch, slot, addr, ctr, rr.seq, data); err != nil {
+			return rr.seq, err
 		}
 	}
-	return u.flushRun()
-}
-
-// runHasAddr reports whether the open batch-encode run already contains
-// a job for addr — the read-after-write hazard that forces a flush,
-// since the repeated write's old planes must be the first write's
-// result.
-func (u *shard) runHasAddr(addr uint64) bool {
-	for k := range u.planeJobs {
-		if u.planeJobs[k].addr == addr {
-			return true
-		}
-	}
-	return false
-}
-
-// flushRun resolves the open run's old planes (safe now — no Ensure can
-// land between here and the settles), batch-encodes, and settles each
-// job in trace order. After a failed settle the remaining jobs are
-// discarded unaccounted — their buffers return to the spare stack and
-// their lines keep the pre-run planes — so an erred shard's metrics
-// cover exactly its trace prefix up to and including the failing
-// request.
-func (u *shard) flushRun() (errSeq uint64, err error) {
-	if len(u.planeJobs) == 0 {
-		return 0, nil
-	}
-	u.pjobs = u.pjobs[:0]
-	for k := range u.planeJobs {
-		j := &u.planeJobs[k]
-		u.pjobs = append(u.pjobs, core.PlaneEncodeJob{
-			Dst:  j.dst,
-			Old:  u.arena.Planes(j.slot),
-			Addr: j.addr,
-			Ctr:  j.ctr,
-			Data: j.data,
-		})
-	}
-	core.EncodePlaneBatch(u.planeEnc, u.pjobs)
-	for k := range u.planeJobs {
-		j := &u.planeJobs[k]
-		if err != nil {
-			u.putSpare(j.dst)
-			continue
-		}
-		if e := u.settlePlanes(j.dst, j.slot, j.addr, j.ctr, j.seq, j.data); e != nil {
-			err, errSeq = e, j.seq
-		}
-	}
-	u.planeJobs = u.planeJobs[:0]
-	return errSeq, err
+	return 0, nil
 }
 
 // metricsView returns the shard's current metrics with the wear digest

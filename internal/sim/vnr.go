@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"math/bits"
+
+	"wlcrc/internal/coset"
 	"wlcrc/internal/pcm"
 )
 
@@ -33,78 +36,75 @@ func (v *VnRStats) Merge(o VnRStats) {
 }
 
 // runVnR injects disturbance faults for a completed write and repairs
-// them. cells is the freshly-programmed state vector (the intended
-// content); changed marks the cells this write programmed. The array's
-// stored state is corrupted in place and then restored; the shard's VnR
-// stats describe the repair effort. maxIter caps the restore loop.
-// Residual errors at the cap — disturbance VnR never cleared — feed the
-// fault pipeline when it is enabled: the affected cells of addr are
-// injected as stuck at the disturbed SET state.
-func (u *shard) runVnR(cells []pcm.State, changed []bool, maxIter int, addr uint64) {
+// them, on plane masks. newP is the freshly-programmed line (the
+// intended content) and u.masks marks the cells this write programmed.
+// The stored copy equals newP at every draw: disturbance drives each
+// hit to the SET state S2, the read-after-write then finds exactly the
+// hits whose intended state is not S2, and restore rewrites those
+// cells, so a round's restored cells are hits &^ (lo &^ hi). The
+// restore writes are RESET events of their own and may disturb their
+// idle neighbors again, up to Options.MaxVnRIterations rounds. Hits are
+// drawn in ascending cell order and restore energy is added in
+// ascending cell order, so draws and sums match the cell-vector
+// reference kept in the tests (scalar_oracle_test.go). Residual errors
+// at the cap — disturbance VnR never cleared — feed the fault pipeline
+// when it is enabled: the affected cells of addr are injected as stuck
+// at S2.
+func (u *shard) runVnR(newP []uint64, addr uint64) {
 	m := &u.m
-	if cap(u.vnrStored) < len(cells) {
-		u.vnrStored = make([]pcm.State, len(cells))
-		u.vnrRestore = make([]bool, len(cells))
-	}
-	stored := u.vnrStored[:len(cells)]
-	copy(stored, cells)
-	// Initial disturbance from the write itself.
-	hits := u.opts.Disturb.DisturbedCellsInto(u.vnrHits, stored, changed, u.rnd)
-	m.VnR.InjectedErrors += uint64(len(hits))
+	dm, em := &u.opts.Disturb, &u.opts.Energy
+	n := u.scheme.TotalCells()
+	hits, restore := u.vnrHits, u.vnrRestore
+	nHits := dm.DisturbedMasksInto(hits, newP, u.masks, n, u.rnd)
+	m.VnR.InjectedErrors += uint64(nHits)
 	iter := 0
-	for len(hits) > 0 && iter < maxIter {
+	for nHits > 0 && iter < u.opts.MaxVnRIterations {
 		iter++
-		// Corrupt: disturbance drives cells to the SET state.
-		for _, i := range hits {
-			stored[i] = pcm.S2
-		}
-		// Verify (read-after-write) finds every mismatch vs the
-		// intended content; restore rewrites those cells.
-		restore := u.vnrRestore[:len(cells)]
-		nRestore := 0
-		for i := range stored {
-			restore[i] = false
-			if stored[i] != cells[i] {
-				restore[i] = true
-				stored[i] = cells[i]
-				nRestore++
-				m.VnR.RestoreEnergyPJ += u.opts.Energy.WriteEnergy(cells[i])
+		for w, h := range hits {
+			lo, hi := newP[2*w], newP[2*w+1]
+			r := h &^ (lo &^ hi)
+			restore[w] = r
+			m.VnR.RestoreWrites += uint64(bits.OnesCount64(r))
+			for ; r != 0; r &= r - 1 {
+				m.VnR.RestoreEnergyPJ += em.WriteEnergy(pcm.PlaneState(lo, hi, bits.TrailingZeros64(r)))
 			}
 		}
-		m.VnR.RestoreWrites += uint64(nRestore)
-		// The restore writes are RESET events of their own: they may
-		// disturb idle neighbors again.
-		hits = u.opts.Disturb.DisturbedCellsInto(hits, stored, restore, u.rnd)
-		m.VnR.InjectedErrors += uint64(len(hits))
+		nHits = dm.DisturbedMasksInto(hits, newP, restore, n, u.rnd)
+		m.VnR.InjectedErrors += uint64(nHits)
 	}
-	u.vnrHits = hits[:0]
 	m.VnR.Iterations += uint64(iter)
 	if iter > m.VnR.MaxIterations {
 		m.VnR.MaxIterations = iter
 	}
-	if len(hits) > 0 {
-		m.VnR.Residual += uint64(len(hits))
+	if nHits > 0 {
+		m.VnR.Residual += uint64(nHits)
 		if u.fm != nil {
-			u.injectResiduals(addr, cells, hits)
+			u.injectResiduals(addr, newP, hits)
 		}
 	}
 }
 
-// injectResiduals freezes VnR residual cells at the SET state the
-// disturbance drove them to and classifies the line's recoverability:
-// residuals beyond the ECC budget make reads of the line deterministic
-// garbage, counted as uncorrectable (no retry or retirement recourse —
-// the write itself succeeded; the corruption crept in afterwards).
-func (u *shard) injectResiduals(addr uint64, cells []pcm.State, hits []int) {
+// injectResiduals freezes the VnR residual cells of the hit mask at the
+// SET state the disturbance drove them to and classifies the line's
+// recoverability: residuals beyond the ECC budget make reads of the
+// line deterministic garbage, counted as uncorrectable (no retry or
+// retirement recourse — the write itself succeeded; the corruption
+// crept in afterwards). Only the ECC classification unpacks newP to
+// cells.
+func (u *shard) injectResiduals(addr uint64, newP, hits []uint64) {
 	injected := 0
-	for _, c := range hits {
-		if u.fm.InjectStuck(addr, c, pcm.S2) {
-			injected++
+	for w, h := range hits {
+		for ; h != 0; h &= h - 1 {
+			if u.fm.InjectStuck(addr, w*32+bits.TrailingZeros64(h), pcm.S2) {
+				injected++
+			}
 		}
 	}
 	if injected == 0 {
 		return
 	}
+	cells := u.cellsNew[:u.scheme.TotalCells()]
+	coset.UnpackLine(newP, cells)
 	if _, ok := u.fm.Correct(cells, u.fm.Stuck(addr), &u.eccSc); !ok {
 		u.fm.Stats.Uncorrectable++
 	}

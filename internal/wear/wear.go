@@ -19,8 +19,6 @@ package wear
 import (
 	"math"
 	"math/bits"
-
-	"wlcrc/internal/pcm"
 )
 
 // DefaultCellEndurance is a representative MLC PCM cell endurance
@@ -179,18 +177,18 @@ func (s Summary) RelativeLifetime(other Summary) float64 {
 }
 
 // Dense accumulates per-cell program counts for a set of lines in one
-// flat uint32 array. Lines get a slot on first touch; after that a
-// write is a map lookup plus direct array increments, allocation-free.
+// flat uint32 array, keyed by the caller's dense line slot — in the
+// replay engine, the shard arena's slot, assigned in first-touch order.
+// A write of a known slot is direct array increments, allocation-free.
 // Dense is single-writer by design — in the replay engine exactly one
 // shard (hence one goroutine) owns each Dense — and the mergeable
 // Summary is maintained incrementally so readers never need to scan the
 // count array.
 type Dense struct {
 	cellsPerLine int
-	slots        map[uint64]int // line addr -> slot index (addr-keyed API)
-	nSlots       int            // slots allocated through the slot-keyed API
-	counts       []uint32       // slot*cellsPerLine + cell
-	zero         []uint32       // reusable zero block for new lines
+	nSlots       int      // lines tracked
+	counts       []uint32 // slot*cellsPerLine + cell
+	zero         []uint32 // reusable zero block for new lines
 	s            Summary
 }
 
@@ -201,7 +199,6 @@ func NewDense(cellsPerLine int) *Dense {
 	}
 	return &Dense{
 		cellsPerLine: cellsPerLine,
-		slots:        make(map[uint64]int),
 		zero:         make([]uint32, cellsPerLine),
 	}
 }
@@ -209,27 +206,6 @@ func NewDense(cellsPerLine int) *Dense {
 // CellsPerLine returns the per-line cell count the recorder was built
 // with.
 func (d *Dense) CellsPerLine() int { return d.cellsPerLine }
-
-// Lines returns the number of distinct lines touched.
-func (d *Dense) Lines() int {
-	if d.nSlots > len(d.slots) {
-		return d.nSlots
-	}
-	return len(d.slots)
-}
-
-// slot returns the count-array base index of addr, allocating a zeroed
-// block on first touch.
-func (d *Dense) slot(addr uint64) int {
-	sl, ok := d.slots[addr]
-	if !ok {
-		sl = len(d.slots)
-		d.slots[addr] = sl
-		d.counts = append(d.counts, d.zero...)
-		d.s.Cells += uint64(d.cellsPerLine)
-	}
-	return sl * d.cellsPerLine
-}
 
 // bump programs cell at flat index i once, keeping the summary's
 // touched-cell count, wear-level buckets and max in sync.
@@ -248,64 +224,6 @@ func (d *Dense) bump(i int) {
 	}
 }
 
-// RecordChanged registers one line write from a differential-write
-// change mask: changed[i] reports whether cell i was programmed. The
-// mask must have the recorder's cells-per-line length. This is the
-// replay hot path — the simulator already computes the mask for energy
-// accounting and hands it over for free.
-func (d *Dense) RecordChanged(addr uint64, changed []bool) {
-	if len(changed) != d.cellsPerLine {
-		panic("wear: RecordChanged mask length mismatch")
-	}
-	base := d.slot(addr)
-	d.s.Writes++
-	for i, ch := range changed {
-		if ch {
-			d.bump(base + i)
-		}
-	}
-}
-
-// Record registers one write by diffing cell states: every cell whose
-// state changed between old and new is counted as programmed. The
-// slices must have equal, cells-per-line length.
-func (d *Dense) Record(addr uint64, old, new []pcm.State) {
-	if len(old) != len(new) || len(new) != d.cellsPerLine {
-		panic("wear: Record length mismatch")
-	}
-	base := d.slot(addr)
-	d.s.Writes++
-	for i := range new {
-		if old[i] != new[i] {
-			d.bump(base + i)
-		}
-	}
-}
-
-// CellWear returns the program count of one cell of a line (0 for
-// untracked lines).
-func (d *Dense) CellWear(addr uint64, cell int) uint32 {
-	sl, ok := d.slots[addr]
-	if !ok || cell < 0 || cell >= d.cellsPerLine {
-		return 0
-	}
-	return d.counts[sl*d.cellsPerLine+cell]
-}
-
-// LineCounts returns the live per-cell program counts of one line, or
-// nil for untracked lines. The slice aliases the recorder's storage —
-// valid only until the next Record/RecordChanged (which may grow the
-// array) and must not be modified. The fault model reads it to compare
-// a line's wear against its endurance thresholds without copying.
-func (d *Dense) LineCounts(addr uint64) []uint32 {
-	sl, ok := d.slots[addr]
-	if !ok {
-		return nil
-	}
-	base := sl * d.cellsPerLine
-	return d.counts[base : base+d.cellsPerLine]
-}
-
 // ensureSlot grows the count array to cover slot, zeroing any new
 // blocks. Slots are handed out by the sim arena in first-touch order, so
 // growth is almost always by exactly one line.
@@ -320,10 +238,8 @@ func (d *Dense) ensureSlot(slot int) {
 // RecordSlotMasks registers one line write from plane-diff change masks:
 // bit i of masks[w] reports whether cell 32*w+i was programmed (bits at
 // or beyond cells-per-line must be zero — the plane storage's tail-zero
-// invariant guarantees this for masks produced by DiffWritePlanes). slot
-// is the caller's dense line index — in the replay engine, the shard
-// arena's slot, assigned in first-touch order — and replaces the
-// addr-keyed map lookup of RecordChanged on the plane-resident path.
+// invariant guarantees this for masks produced by DiffWriteMasks). slot
+// is the caller's dense line index.
 func (d *Dense) RecordSlotMasks(slot int, masks []uint64) {
 	d.ensureSlot(slot)
 	base := slot * d.cellsPerLine
@@ -335,10 +251,12 @@ func (d *Dense) RecordSlotMasks(slot int, masks []uint64) {
 	}
 }
 
-// SlotCounts returns the live per-cell program counts of a slot-keyed
-// line, growing the store if the slot is new. Like LineCounts, the slice
-// aliases the recorder's storage and is valid only until the next
-// record call.
+// SlotCounts returns the live per-cell program counts of a line,
+// growing the store if the slot is new. The slice aliases the
+// recorder's storage — valid only until the next record call (which may
+// grow the array) and must not be modified. The fault model reads it to
+// compare a line's wear against its endurance thresholds without
+// copying.
 func (d *Dense) SlotCounts(slot int) []uint32 {
 	d.ensureSlot(slot)
 	base := slot * d.cellsPerLine
@@ -356,16 +274,15 @@ func (d *Dense) Reset() {
 	for i := range d.counts {
 		d.counts[i] = 0
 	}
-	d.s = Summary{Cells: uint64(d.Lines() * d.cellsPerLine)}
+	d.s = Summary{Cells: uint64(d.nSlots * d.cellsPerLine)}
 }
 
 // Clear drops the line footprint as well as the counts but keeps the
 // allocated capacity, so a full simulator reset reuses the count array
-// instead of reallocating it. Slot-keyed callers reassign slots from 0
-// after a Clear (the sim arena resets its index the same way).
+// instead of reallocating it. Callers reassign slots from 0 after a
+// Clear (the sim arena resets its index the same way).
 func (d *Dense) Clear() {
 	d.counts = d.counts[:0]
 	d.nSlots = 0
-	clear(d.slots)
 	d.s = Summary{}
 }

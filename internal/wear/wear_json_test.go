@@ -12,9 +12,9 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 	// recorder, so the bucket invariants hold.
 	d := NewDense(4)
 	for i := 0; i < 10; i++ {
-		d.RecordChanged(7, []bool{true, i%2 == 0, false, true})
+		d.RecordSlotMasks(0, []uint64{0b1001 | uint64(i+1)%2<<1})
 	}
-	d.RecordChanged(9, []bool{true, false, false, false})
+	d.RecordSlotMasks(1, []uint64{0b0001})
 	s := d.Summary()
 
 	data, err := json.Marshal(s)

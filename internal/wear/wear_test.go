@@ -2,6 +2,7 @@ package wear
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"wlcrc/internal/core"
@@ -10,11 +11,18 @@ import (
 	"wlcrc/internal/workload"
 )
 
+// cellMask returns the one-word change mask of the listed cells.
+func cellMask(cells ...int) []uint64 {
+	var m uint64
+	for _, c := range cells {
+		m |= 1 << uint(c)
+	}
+	return []uint64{m}
+}
+
 func TestRecordCountsOnlyChanges(t *testing.T) {
 	d := NewDense(4)
-	old := []pcm.State{pcm.S1, pcm.S1, pcm.S2, pcm.S3}
-	new := []pcm.State{pcm.S1, pcm.S2, pcm.S2, pcm.S4}
-	d.Record(0, old, new)
+	d.RecordSlotMasks(0, cellMask(1, 3))
 	s := d.Summary()
 	if s.Writes != 1 {
 		t.Errorf("writes = %d", s.Writes)
@@ -28,40 +36,40 @@ func TestRecordCountsOnlyChanges(t *testing.T) {
 	if s.Cells != 4 || s.CellsTouched != 2 {
 		t.Errorf("cells = %d touched = %d, want 4, 2", s.Cells, s.CellsTouched)
 	}
-	// Same write again: no changes.
-	d.Record(0, new, new)
+	// An idle write: no changes.
+	d.RecordSlotMasks(0, cellMask())
 	if got := d.Summary().AvgUpdatedCells(); got != 1 {
 		t.Errorf("avg updated after idle write = %v, want 1", got)
 	}
 }
 
-func TestRecordChangedMatchesRecord(t *testing.T) {
-	a, b := NewDense(3), NewDense(3)
-	old := []pcm.State{pcm.S1, pcm.S2, pcm.S3}
-	new := []pcm.State{pcm.S4, pcm.S2, pcm.S1}
-	a.Record(7, old, new)
-	b.RecordChanged(7, []bool{true, false, true})
-	if a.Summary() != b.Summary() {
-		t.Errorf("Record %+v != RecordChanged %+v", a.Summary(), b.Summary())
+// TestSlotCountsTrackMasks pins the per-cell counts behind the summary:
+// SlotCounts reads back exactly the recorded programs, a slot first
+// seen through SlotCounts reads zero and joins the footprint, and slots
+// past the last one grow the store with zeroed lines.
+func TestSlotCountsTrackMasks(t *testing.T) {
+	d := NewDense(3)
+	d.RecordSlotMasks(0, cellMask(0, 2))
+	d.RecordSlotMasks(0, cellMask(2))
+	if got := d.SlotCounts(0); !slices.Equal(got, []uint32{1, 0, 2}) {
+		t.Errorf("slot 0 counts = %v, want [1 0 2]", got)
 	}
-	if a.CellWear(7, 0) != 1 || a.CellWear(7, 1) != 0 || a.CellWear(7, 2) != 1 {
-		t.Error("per-cell counts wrong")
+	if got := d.SlotCounts(2); !slices.Equal(got, []uint32{0, 0, 0}) {
+		t.Errorf("fresh slot 2 counts = %v, want zeros", got)
 	}
-	if a.CellWear(99, 0) != 0 {
-		t.Error("untracked line should read 0")
+	if s := d.Summary(); s.Cells != 9 || s.Writes != 2 || s.Updates != 3 {
+		t.Errorf("summary = %+v, want 9 cells over 3 slots, 2 writes, 3 updates", s)
+	}
+	d.RecordSlotMasks(1, cellMask(1))
+	if got := d.SlotCounts(1); !slices.Equal(got, []uint32{0, 1, 0}) {
+		t.Errorf("slot 1 counts = %v, want [0 1 0]", got)
 	}
 }
 
 func TestMaxWearAndImbalance(t *testing.T) {
 	d := NewDense(2)
-	a := []pcm.State{pcm.S1, pcm.S1}
-	b := []pcm.State{pcm.S2, pcm.S1}
 	for i := 0; i < 10; i++ {
-		if i%2 == 0 {
-			d.Record(0, a, b)
-		} else {
-			d.Record(0, b, a)
-		}
+		d.RecordSlotMasks(0, cellMask(0))
 	}
 	s := d.Summary()
 	if s.MaxCellWear != 10 {
@@ -87,9 +95,7 @@ func TestMaxWearAndImbalance(t *testing.T) {
 
 func TestQuantile(t *testing.T) {
 	d := NewDense(4)
-	old := []pcm.State{pcm.S1, pcm.S1, pcm.S1, pcm.S1}
-	new := []pcm.State{pcm.S2, pcm.S1, pcm.S1, pcm.S1}
-	d.Record(0, old, new)
+	d.RecordSlotMasks(0, cellMask(0))
 	s := d.Summary()
 	if got := s.Quantile(1); got != 1 {
 		t.Errorf("p100 = %d, want 1", got)
@@ -104,21 +110,19 @@ func TestQuantile(t *testing.T) {
 
 func TestSummaryMergePartitions(t *testing.T) {
 	// Recording the same stream into one recorder, or partitioned by
-	// address across two recorders and merged, must give identical
-	// summaries — the property the sharded engine's metric merge needs.
+	// line across two recorders (each with its own dense slots) and
+	// merged, must give identical summaries — the property the sharded
+	// engine's metric merge needs.
 	whole := NewDense(2)
 	even, odd := NewDense(2), NewDense(2)
-	states := [][]pcm.State{
-		{pcm.S1, pcm.S1}, {pcm.S2, pcm.S3}, {pcm.S2, pcm.S1}, {pcm.S4, pcm.S1},
-	}
+	changes := [][]uint64{cellMask(0, 1), cellMask(1), cellMask()}
 	for i := 0; i < 40; i++ {
-		addr := uint64(i % 4)
-		old, new := states[i%4], states[(i+1)%4]
-		whole.Record(addr, old, new)
-		if addr%2 == 0 {
-			even.Record(addr, old, new)
+		line, m := i%4, changes[i%len(changes)]
+		whole.RecordSlotMasks(line, m)
+		if line%2 == 0 {
+			even.RecordSlotMasks(line/2, m)
 		} else {
-			odd.Record(addr, old, new)
+			odd.RecordSlotMasks(line/2, m)
 		}
 	}
 	merged := even.Summary()
@@ -131,18 +135,25 @@ func TestSummaryMergePartitions(t *testing.T) {
 
 func TestResetKeepsFootprint(t *testing.T) {
 	d := NewDense(2)
-	d.Record(1, []pcm.State{pcm.S1, pcm.S1}, []pcm.State{pcm.S2, pcm.S2})
+	d.RecordSlotMasks(0, cellMask(0, 1))
 	d.Reset()
 	s := d.Summary()
 	if s.Writes != 0 || s.Updates != 0 || s.MaxCellWear != 0 || s.CellsTouched != 0 {
 		t.Errorf("reset left counters: %+v", s)
 	}
-	if s.Cells != 2 || d.Lines() != 1 {
-		t.Errorf("reset dropped footprint: cells=%d lines=%d", s.Cells, d.Lines())
+	if s.Cells != 2 {
+		t.Errorf("reset dropped footprint: cells=%d", s.Cells)
 	}
-	d.Record(1, []pcm.State{pcm.S1, pcm.S1}, []pcm.State{pcm.S2, pcm.S1})
+	if got := d.SlotCounts(0); !slices.Equal(got, []uint32{0, 0}) {
+		t.Errorf("reset left counts %v", got)
+	}
+	d.RecordSlotMasks(0, cellMask(0))
 	if got := d.Summary().MaxCellWear; got != 1 {
 		t.Errorf("post-reset max wear = %d, want 1", got)
+	}
+	d.Clear()
+	if s := d.Summary(); s != (Summary{}) {
+		t.Errorf("clear left %+v", s)
 	}
 }
 
@@ -150,9 +161,7 @@ func TestLifetimeProjection(t *testing.T) {
 	d := NewDense(1)
 	// One cell programmed every write: lifetime = endurance writes.
 	for i := 0; i < 100; i++ {
-		st := []pcm.State{pcm.State(i % 2)}
-		nx := []pcm.State{pcm.State((i + 1) % 2)}
-		d.Record(0, st, nx)
+		d.RecordSlotMasks(0, cellMask(0))
 	}
 	if got := d.Summary().LifetimeWrites(1e6); math.Abs(got-1e6) > 1 {
 		t.Errorf("lifetime = %v, want 1e6", got)
@@ -183,9 +192,11 @@ func TestSchemesLifetimeOrdering(t *testing.T) {
 	run := func(s core.Scheme) Summary {
 		n := s.TotalCells()
 		codec := core.CtrPlaneCodec(s)
+		em := pcm.DefaultEnergy()
 		d := NewDense(n)
 		mem := map[uint64][]uint64{}
-		oldC, nextC := make([]pcm.State, n), make([]pcm.State, n)
+		slots := map[uint64]int{}
+		masks := make([]uint64, coset.PlaneWords(n)/2)
 		p, _ := workload.ProfileByName("gcc")
 		gen := workload.NewGenerator(p, 128, 5)
 		for i := 0; i < 3000; i++ {
@@ -193,12 +204,12 @@ func TestSchemesLifetimeOrdering(t *testing.T) {
 			old, ok := mem[req.Addr]
 			if !ok {
 				old = make([]uint64, coset.PlaneWords(n))
+				slots[req.Addr] = len(slots)
 			}
 			next := make([]uint64, len(old))
 			codec.EncodeCtrPlanesInto(next, old, req.Addr, 0, &req.New)
-			coset.UnpackLine(old, oldC)
-			coset.UnpackLine(next, nextC)
-			d.Record(req.Addr, oldC, nextC)
+			em.DiffWriteMasks(old, next, masks, s.DataCells())
+			d.RecordSlotMasks(slots[req.Addr], masks)
 			mem[req.Addr] = next
 		}
 		return d.Summary()
