@@ -10,6 +10,7 @@ package wlcrc_test
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -335,7 +336,11 @@ func encodePool(b *testing.B) (warm, data []wlcrc.Line) {
 // for each, the planes of its rewrite. Pool line k lives at address k;
 // the warm write is its first (ctr 1), the rewrite its second (ctr 2).
 func planePool(b *testing.B, name string) (ps core.CounterPlaneScheme, olds, news [][]uint64, data []wlcrc.Line) {
-	sch := wlcrc.MustScheme(name)
+	return schemePool(b, wlcrc.MustScheme(name))
+}
+
+// schemePool is planePool for a scheme built under any configuration.
+func schemePool(b *testing.B, sch core.Scheme) (ps core.CounterPlaneScheme, olds, news [][]uint64, data []wlcrc.Line) {
 	ps = core.CtrPlaneCodec(sch)
 	warm, data := encodePool(b)
 	n := coset.PlaneWords(sch.TotalCells())
@@ -388,4 +393,68 @@ func BenchmarkDecodePlanesInto(b *testing.B) {
 			b.SetBytes(64)
 		})
 	}
+}
+
+// BenchmarkLaneKernelPaired is the in-process paired rung of the lane
+// kernel (coset.BestBlocks' integer path and WLCRC's integer planner).
+// WLCRC-16 and COC+4cosets each run two arms: Table II, which the lane
+// kernel prices, and the same energies plus 0.5 pJ on Reset, whose
+// fractional write energies send both schemes to the float path. One
+// op is one round: every arm encodes the steady-state pool eight times,
+// in an order that rotates each round, so both arms of a scheme share
+// the machine's state of the moment. The rung reports, per scheme, the
+// median over the rounds of that round's lane/float time ratio.
+func BenchmarkLaneKernelPaired(b *testing.B) {
+	type arm struct {
+		ps         core.CounterPlaneScheme
+		olds, news [][]uint64
+		data       []wlcrc.Line
+	}
+	names := []string{"WLCRC-16", "COC+4cosets"}
+	var arms []arm // lane and float arm of names[i] at 2i and 2i+1
+	for _, name := range names {
+		for _, reset := range []float64{0, 0.5} {
+			cfg := core.DefaultConfig()
+			cfg.Energy.Reset += reset
+			sch, err := core.NewScheme(name, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var a arm
+			a.ps, a.olds, a.news, a.data = schemePool(b, sch)
+			arms = append(arms, a)
+		}
+	}
+	const passes = 8 // pool passes per arm per round
+	run := func(a *arm) time.Duration {
+		start := time.Now()
+		for p := 0; p < passes; p++ {
+			for k := range a.olds {
+				a.ps.EncodeCtrPlanesInto(a.news[k], a.olds[k], uint64(k), 2, &a.data[k])
+			}
+		}
+		return time.Since(start)
+	}
+	ratios := make([][]float64, len(names))
+	took := make([]time.Duration, len(arms))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range arms {
+			a := (i + j) % len(arms)
+			took[a] = run(&arms[a])
+		}
+		for s := range names {
+			ratios[s] = append(ratios[s], took[2*s].Seconds()/took[2*s+1].Seconds())
+		}
+	}
+	for s, name := range names {
+		b.ReportMetric(median(ratios[s]), name+"-lane/float")
+	}
+}
+
+// median returns the median of xs, reordering them.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	return (xs[(n-1)/2] + xs[n/2]) / 2
 }

@@ -19,6 +19,10 @@
 //     below max (or at or above min). Both sides run in one process on
 //     one box, so the ratio is machine-speed independent: it moves only
 //     when the numerator's path loses its edge over the denominator's.
+//     With a metric, the check bounds a value benchmark num reported
+//     with b.ReportMetric under that unit instead, and has no den: an
+//     in-process paired benchmark that times its arms round-robin
+//     reports their ratio itself.
 //
 // Keys are full benchmark names with Go's -GOMAXPROCS suffix stripped
 // (BenchmarkIngest/mapped). A key a check names but the run lacks fails
@@ -78,7 +82,7 @@ type row struct {
 
 // check is one gate on a row's output. A geomean check uses Family,
 // Tolerance and NSPerOp; a ratio check uses Num, Den and one of Max and
-// Min.
+// Min, or Num, Metric and one of Max and Min.
 type check struct {
 	Kind      string             `json:"kind"`
 	Family    string             `json:"family,omitempty"`
@@ -86,6 +90,7 @@ type check struct {
 	NSPerOp   map[string]float64 `json:"ns_per_op,omitempty"`
 	Num       string             `json:"num,omitempty"`
 	Den       string             `json:"den,omitempty"`
+	Metric    string             `json:"metric,omitempty"`
 	Max       float64            `json:"max,omitempty"`
 	Min       float64            `json:"min,omitempty"`
 }
@@ -206,26 +211,46 @@ func (c check) geomean(m map[string]float64) error {
 	return nil
 }
 
-// ratio bounds num/den by Max (at or below) or Min (at or above).
+// ratio bounds num/den, or num's reported metric, by Max (at or below)
+// or Min (at or above).
 func (c check) ratio(m map[string]float64) error {
 	if (c.Max > 0) == (c.Min > 0) {
-		return fmt.Errorf("ratio %s/%s needs exactly one of max and min", c.Num, c.Den)
+		return fmt.Errorf("ratio check on %s needs exactly one of max and min", c.Num)
 	}
-	if err := need(m, c.Num, c.Den); err != nil {
-		return err
+	var ratio float64
+	var what string
+	if c.Metric != "" {
+		if c.Den != "" {
+			return fmt.Errorf("ratio %s: a metric check takes no den", c.Num)
+		}
+		key := metricKey(c.Num, c.Metric)
+		if err := need(m, key); err != nil {
+			return err
+		}
+		ratio, what = m[key], key
+		fmt.Printf("%s = %.3f", what, ratio)
+	} else {
+		if err := need(m, c.Num, c.Den); err != nil {
+			return err
+		}
+		num, den := m[c.Num], m[c.Den]
+		ratio, what = num/den, c.Num+" / "+c.Den
+		fmt.Printf("%s = %.0f / %.0f ns = %.3f", what, num, den, ratio)
 	}
-	num, den := m[c.Num], m[c.Den]
-	ratio := num / den
 	bound, op, ok := c.Max, "<=", ratio <= c.Max
 	if c.Min > 0 {
 		bound, op, ok = c.Min, ">=", ratio >= c.Min
 	}
-	fmt.Printf("%s / %s = %.0f / %.0f ns = %.3f (gate %s %.3f)\n", c.Num, c.Den, num, den, ratio, op, bound)
+	fmt.Printf(" (gate %s %.3f)\n", op, bound)
 	if !ok {
-		return fmt.Errorf("%s / %s = %.3f, want %s %.3f", c.Num, c.Den, ratio, op, bound)
+		return fmt.Errorf("%s = %.3f, want %s %.3f", what, ratio, op, bound)
 	}
 	return nil
 }
+
+// metricKey is the key parseBench records benchmark name's value of a
+// reported metric under: the name and the unit, space-separated.
+func metricKey(name, unit string) string { return name + " " + unit }
 
 // need reports the first of keys that has no positive ns/op in m.
 func need(m map[string]float64, keys ...string) error {
@@ -296,8 +321,10 @@ func measured(dir, name string) (map[string]float64, error) {
 }
 
 // parseBench scans `go test -bench` output and returns the mean ns/op
-// per benchmark name (averaging -count repeats). Each result is recorded
-// twice: under its name as printed, and with the trailing "-N" stripped.
+// per benchmark name (averaging -count repeats), and the mean of every
+// other value on the line under metricKey(name, unit) — b.ReportMetric
+// values, MB/s, B/op. Each result is recorded twice: under its name as
+// printed, and with the trailing "-N" stripped.
 // Whether that suffix is Go's -GOMAXPROCS decoration or part of the
 // benchmark's own name (BenchmarkEncodePlanesInto/WLCRC-16 on a GOMAXPROCS=1
 // box has no decoration) cannot be told apart locally, so both candidate
@@ -310,21 +337,27 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
-		i := slices.Index(fields, "ns/op")
-		if i < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
+		if slices.Index(fields, "ns/op") < 3 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
 		}
-		ns, err := strconv.ParseFloat(fields[i-1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad ns/op in %q: %w", sc.Text(), err)
-		}
-		keys := []string{fields[0]}
+		names := []string{fields[0]}
 		if dash := strings.LastIndex(fields[0], "-"); dash > 0 {
-			keys = append(keys, fields[0][:dash])
+			names = append(names, fields[0][:dash])
 		}
-		for _, key := range keys {
-			sum[key] += ns
-			cnt[key]++
+		// Fields from the third on are value-unit pairs.
+		for i := 2; i+1 < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("bad %s in %q: %w", fields[i+1], sc.Text(), err)
+			}
+			for _, name := range names {
+				key := name
+				if fields[i+1] != "ns/op" {
+					key = metricKey(name, fields[i+1])
+				}
+				sum[key] += v
+				cnt[key]++
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {

@@ -58,6 +58,8 @@ func TestMeasuredFromStore(t *testing.T) {
 // repeats. Each line is recorded under both its verbatim and its
 // suffix-stripped name (the "-N" GOMAXPROCS decoration is locally
 // ambiguous); only the stripped names match committed gate keys.
+// Values in other units than ns/op, reported metrics included, are
+// recorded under the name and the unit.
 func TestMeasuredParsesInput(t *testing.T) {
 	in := strings.NewReader(strings.Join([]string{
 		"goos: linux",
@@ -65,6 +67,8 @@ func TestMeasuredParsesInput(t *testing.T) {
 		"BenchmarkIngest/reader-2 100 310000 ns/op",
 		"BenchmarkIngest/mapped-2 100 40000 ns/op 0 B/op",
 		"BenchmarkEncodePlanesInto/WLCRC-16 100 1500 ns/op",
+		"BenchmarkLaneKernelPaired-2 20 2501653 ns/op 0.5 COC+4cosets-lane/float 0.375 WLCRC-16-lane/float",
+		"BenchmarkLaneKernelPaired-2 20 2501653 ns/op 0.75 COC+4cosets-lane/float 0.5 WLCRC-16-lane/float",
 		"PASS",
 	}, "\n"))
 	got, err := parseBench(in)
@@ -74,7 +78,11 @@ func TestMeasuredParsesInput(t *testing.T) {
 	want := map[string]float64{
 		"BenchmarkIngest/reader": 305000, "BenchmarkIngest/reader-2": 305000,
 		"BenchmarkIngest/mapped": 40000, "BenchmarkIngest/mapped-2": 40000,
+		"BenchmarkIngest/mapped B/op": 0, "BenchmarkIngest/mapped-2 B/op": 0,
 		"BenchmarkEncodePlanesInto/WLCRC-16": 1500, "BenchmarkEncodePlanesInto/WLCRC": 1500,
+		"BenchmarkLaneKernelPaired": 2501653, "BenchmarkLaneKernelPaired-2": 2501653,
+		"BenchmarkLaneKernelPaired COC+4cosets-lane/float": 0.625, "BenchmarkLaneKernelPaired-2 COC+4cosets-lane/float": 0.625,
+		"BenchmarkLaneKernelPaired WLCRC-16-lane/float": 0.4375, "BenchmarkLaneKernelPaired-2 WLCRC-16-lane/float": 0.4375,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseBench = %v, want %v", got, want)
@@ -147,6 +155,9 @@ func committedRuns(t *testing.T, tab *table) map[string]map[string]float64 {
 			"plain": "BenchmarkEngineRun/workers=4/ingest=off", "off": "BenchmarkEngineRunFaults/off"}),
 		"arena": record("replay_arena_pr9", "ns_per_run_by_storage", map[string]string{
 			"planes": "BenchmarkReplayStorage/storage=planes", "scalar": "BenchmarkReplayStorage/storage=scalar"}),
+		"lanes": record("lane_kernel_paired", "lane_over_float_by_scheme", map[string]string{
+			"WLCRC-16":    metricKey("BenchmarkLaneKernelPaired", "WLCRC-16-lane/float"),
+			"COC+4cosets": metricKey("BenchmarkLaneKernelPaired", "COC+4cosets-lane/float")}),
 	}
 	for _, r := range tab.Gates {
 		for _, c := range r.Checks {
@@ -179,6 +190,7 @@ func TestCommittedGatesTrip(t *testing.T) {
 	bounds := map[string]float64{
 		"encode/pr3": 0.10, "encode/vcc_pr5": 0.10,
 		"replay": 1.313, "ingest": 0.5, "faultfree": 1.05, "arena": 1.15,
+		"lanes/WLCRC-16-lane/float": 0.6, "lanes/COC+4cosets-lane/float": 0.75,
 	}
 	// The encode row gates the plane codec replay runs: every baseline
 	// key is one of its sub-benchmarks, 12 plane schemes and 4 keyed.
@@ -210,15 +222,34 @@ func TestCommittedGatesTrip(t *testing.T) {
 		}
 		for _, c := range r.Checks {
 			id, bound := r.Name, c.Max+c.Min
-			if c.Kind == "geomean" {
+			switch {
+			case c.Kind == "geomean":
 				id, bound = r.Name+"/"+c.Family, c.Tolerance
+			case c.Metric != "":
+				id = r.Name + "/" + c.Metric
 			}
 			seen[id] = true
 			if want, ok := bounds[id]; !ok || bound != want {
 				t.Errorf("check %s: bound %v, want %v", id, bound, want)
 			}
-			switch c.Kind {
-			case "ratio":
+			switch {
+			case c.Metric != "":
+				// The metric is the gated value itself.
+				key := metricKey(c.Num, c.Metric)
+				at, past := clone(run), clone(run)
+				at[key] = bound
+				if c.Max > 0 {
+					past[key] = bound * 1.01
+				} else {
+					past[key] = bound / 1.01
+				}
+				if err := r.gate(at); err != nil {
+					t.Errorf("check %s fails exactly at its bound: %v", id, err)
+				}
+				if r.gate(past) == nil {
+					t.Errorf("check %s passes 1%% past its bound", id)
+				}
+			case c.Kind == "ratio":
 				// A power-of-two denominator makes num/den exact.
 				at, past := clone(run), clone(run)
 				at[c.Den], past[c.Den] = 1<<20, 1<<20
@@ -234,7 +265,7 @@ func TestCommittedGatesTrip(t *testing.T) {
 				if r.gate(past) == nil {
 					t.Errorf("check %s passes 1%% past its bound", id)
 				}
-			case "geomean":
+			case c.Kind == "geomean":
 				// Slowing one of n members by f moves its geomean-normalized
 				// position by f^((n-1)/n): the member drags the family mean
 				// along. f below puts the position at (1+tolerance)·s; "at"
@@ -273,6 +304,10 @@ func TestMissingKeyFailsGate(t *testing.T) {
 	for _, r := range tab.Gates {
 		var keys []string
 		for _, c := range r.Checks {
+			if c.Metric != "" {
+				keys = append(keys, metricKey(c.Num, c.Metric))
+				continue
+			}
 			keys = append(keys, c.Num, c.Den)
 			keys = append(keys, sortedKeys(c.NSPerOp)...)
 		}

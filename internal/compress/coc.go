@@ -40,55 +40,67 @@ const (
 // compressors of [20].
 const NumCOCCompressors = cocNumComps
 
-// cocBest returns the cheapest (tag, payload, payloadBits) for word v
-// given the previous original word prev (valid only when hasPrev).
-func cocBest(v, prev uint64, hasPrev bool) (tag int, payload uint64, bits int) {
-	tag, payload, bits = cocRawTag, v, 64
-	for i, w := range cocSEWidths {
-		if w < bits && memline.FitsSigned(v, w) {
-			tag, payload, bits = i, v&(1<<uint(w)-1), w
-			break // widths ascend; first hit is cheapest SE
+// cocSETag and cocDeltaTag map a value's signed width n (the fewest
+// bits that sign-extend to it, 65 - MSBRun) to the tag of the narrowest
+// sign-extended or delta compressor that holds it, or -1 when none
+// does.
+var cocSETag, cocDeltaTag = cocWidthTags(cocSEWidths, 0), cocWidthTags(cocDeltaWidths, cocDelta0)
+
+func cocWidthTags(widths []int, tag0 int) (t [65]int8) {
+	for n := range t {
+		t[n] = -1
+		for i := len(widths) - 1; i >= 0 && widths[i] >= n; i-- {
+			t[n] = int8(tag0 + i)
 		}
 	}
-	if 8 < bits && isRepeated(v, 8) {
-		tag, payload, bits = cocRepByte, v&0xff, 8
-	}
-	if 16 < bits && isRepeated(v, 16) {
-		tag, payload, bits = cocRep16, v&0xffff, 16
-	}
-	if 32 < bits && isRepeated(v, 32) {
-		tag, payload, bits = cocRep32, v&0xffffffff, 32
-	}
-	if hasPrev {
-		d := v - prev
-		for i, w := range cocDeltaWidths {
-			if w < bits && memline.FitsSigned(d, w) {
-				tag, payload, bits = cocDelta0+i, d&(1<<uint(w)-1), w
-				break
-			}
-		}
-	}
-	return tag, payload, bits
+	return t
 }
 
-func isRepeated(v uint64, unit int) bool {
-	shift := uint(unit)
-	mask := uint64(1)<<shift - 1
-	if unit == 64 {
-		return true
+// cocWidth is the payload width of each tag.
+var cocWidth = func() (w [cocNumComps]int) {
+	copy(w[:], cocSEWidths)
+	w[cocRepByte], w[cocRep16], w[cocRep32] = 8, 16, 32
+	copy(w[cocDelta0:], cocDeltaWidths)
+	w[cocRawTag] = 64
+	return w
+}()
+
+// cocBest returns the cheapest (tag, payload, payloadBits) for word v
+// given the previous original word prev (valid only when hasPrev): the
+// narrowest sign-extended width, then a repeated byte, halfword or word
+// if strictly narrower, then the narrowest delta if strictly narrower,
+// else raw. One MSBRun and a table lookup size each of the SE and delta
+// candidates.
+func cocBest(v, prev uint64, hasPrev bool) (tag int, payload uint64, bits int) {
+	tag = cocRawTag
+	if t := cocSETag[65-memline.MSBRun(v)]; t >= 0 {
+		tag = int(t)
 	}
-	first := v & mask
-	for s := shift; s < 64; s += shift {
-		if v>>s&mask != first {
-			return false
+	bits = cocWidth[tag]
+	switch {
+	case bits > 8 && v == v&0xFF*0x0101010101010101:
+		tag, bits = cocRepByte, 8
+	case bits > 16 && v == v&0xFFFF*0x0001000100010001:
+		tag, bits = cocRep16, 16
+	case bits > 32 && v>>32 == v&0xFFFFFFFF:
+		tag, bits = cocRep32, 32
+	}
+	payload = v
+	if hasPrev {
+		d := v - prev
+		if t := cocDeltaTag[65-memline.MSBRun(d)]; t >= 0 && cocWidth[t] < bits {
+			tag, bits, payload = int(t), cocWidth[t], d
 		}
 	}
-	return true
+	return tag, payload & (1<<uint(bits) - 1), bits
 }
 
 // COCMaxBits is the worst-case COC stream length (every word raw plus
 // its tag), sizing fixed scratch buffers for COCCompressTo.
 const COCMaxBits = memline.LineBits + memline.LineWords*cocTagBits
+
+// COCMaxWords is COCMaxBits in 64-bit words.
+const COCMaxWords = (COCMaxBits + 63) / 64
 
 // COCCompress encodes the line and returns the packed stream and its
 // length in bits.
@@ -113,9 +125,49 @@ func COCCompressTo(l *memline.Line, w *BitWriter) int {
 	return w.Len()
 }
 
+// COCPack is COCCompressTo into 64-bit words: stream bit i is bit i%64
+// of out[i/64], so out's little-endian bytes are the bytes
+// COCCompressTo writes, and every bit past the stream is zero. It
+// returns the stream length in bits.
+func COCPack(l *memline.Line, out *[COCMaxWords]uint64) int {
+	*out = [COCMaxWords]uint64{}
+	n := 0
+	var prev uint64
+	for i := 0; i < memline.LineWords; i++ {
+		v := l.Word(i)
+		tag, payload, bits := cocBest(v, prev, i > 0)
+		if cocTagBits+bits <= 64 {
+			// The tag and payload fit one field.
+			n = put(out, n, uint64(tag)|payload<<cocTagBits, cocTagBits+bits)
+		} else {
+			n = put(out, put(out, n, uint64(tag), cocTagBits), payload, bits)
+		}
+		prev = v
+	}
+	return n
+}
+
+// put ORs the n-bit field v (n at most 64, no bits above n) into out
+// at stream bit pos and returns the bit after it.
+func put(out *[COCMaxWords]uint64, pos int, v uint64, n int) int {
+	k, off := pos>>6, uint(pos&63)
+	out[k] |= v << off
+	if off+uint(n) > 64 {
+		out[k+1] |= v >> (64 - off)
+	}
+	return pos + n
+}
+
 // COCSize returns only the compressed size in bits.
 func COCSize(l *memline.Line) int {
-	_, n := COCCompress(l)
+	n := 0
+	var prev uint64
+	for i := 0; i < memline.LineWords; i++ {
+		v := l.Word(i)
+		_, _, bits := cocBest(v, prev, i > 0)
+		n += cocTagBits + bits
+		prev = v
+	}
 	return n
 }
 

@@ -84,15 +84,14 @@ func (s *COC4) CompressedWritePlanes(planes []uint64) bool {
 // 18-word plane copy instead of a 257-byte state copy.
 func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	copy(dst, old)
-	var backing [(compress.COCMaxBits + 7) / 8]byte
-	w := compress.WrapBitWriter(backing[:])
-	bits := compress.COCCompressTo(data, &w)
+	var stream [compress.COCMaxWords]uint64
+	bits := compress.COCPack(data, &stream)
 	switch {
 	case bits <= coc16PayloadBits:
-		s.encodeModePlanes(dst, old, w.Bytes(), coc16PayloadCells, coc16Geom, coc16Aux)
+		s.encodeModePlanes(dst, old, &stream, coc16PayloadCells, coc16Geom, coc16Aux)
 		setTailFlag(dst, cocFlag16)
 	case bits <= coc32PayloadBits:
-		s.encodeModePlanes(dst, old, w.Bytes(), coc32PayloadCells, coc32Geom, coc32Aux)
+		s.encodeModePlanes(dst, old, &stream, coc32PayloadCells, coc32Geom, coc32Aux)
 		setTailFlag(dst, cocFlag32)
 	default:
 		rawEncodePlanes(data, dst)
@@ -100,16 +99,15 @@ func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	}
 }
 
-// encodeModePlanes coset-encodes the compressed payload, viewed as a
-// zero-padded line prefix, over the mode's block geometry (8-cell
-// blocks = 16 bits, 16-cell = 32 bits), cheapest Table I candidate per
-// block. The aux region — cells [payloadCells, payloadCells+nblocks),
+// encodeModePlanes coset-encodes the compressed payload, the stream's
+// first line of words (zero past the stream), over the mode's block
+// geometry (8-cell blocks = 16 bits, 16-cell = 32 bits), cheapest
+// Table I candidate per block. The aux region — cells [payloadCells, payloadCells+nblocks),
 // always inside word 7 — holds each block's candidate index as the
 // state of one cell, written through the shared aux-bit writer; the
 // cells above it keep the old states the initial copy brought in.
-func (s *COC4) encodeModePlanes(dst, old []uint64, buf []byte, payloadCells int, g *coset.Blocks, aux []int) {
-	var payload memline.Line
-	copy(payload[:], buf)
+func (s *COC4) encodeModePlanes(dst, old []uint64, stream *[compress.COCMaxWords]uint64, payloadCells int, g *coset.Blocks, aux []int) {
+	payload := memline.FromWords([memline.LineWords]uint64(stream[:memline.LineWords]))
 	var p coset.Regs
 	p.Load(&payload, old)
 	var idx [coc16Blocks]uint8

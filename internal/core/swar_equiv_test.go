@@ -528,5 +528,25 @@ func extraSchemes(t testing.TB) []Scheme {
 			out = append(out, testWLCRC(t, c, g))
 		}
 	}
+	// Models the lane kernel does not take (overLaneBound), so WLCRC's
+	// float planner and BestBlocks' float path stay covered at Table II
+	// settings.
+	for _, em := range overLaneBound {
+		c := DefaultConfig()
+		c.Energy = em
+		for _, g := range []int{8, 16, 32} {
+			out = append(out, testWLCRC(t, c, g))
+		}
+		out = append(out, newTestScheme(t, "COC+4cosets", c), newTestScheme(t, "WLC+4cosets", c))
+	}
 	return out
+}
+
+// overLaneBound are energy models outside the lane kernel: Table II
+// with S4's energy raised until 4·max WriteEnergy reaches 2^15 (over
+// the bound of every lane width), and Table II plus 0.5 pJ on Reset
+// (fractional write energies).
+var overLaneBound = []pcm.EnergyModel{
+	{Reset: 36, Set: [pcm.NumStates]float64{0, 20, 307, 1<<13 - 36}},
+	{Reset: 36.5, Set: pcm.DefaultEnergy().Set},
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -135,6 +136,30 @@ func TestWLCRCNamesDistinguishEncodings(t *testing.T) {
 			if !slices.Equal(seq[step], prev[step]) {
 				t.Fatalf("gran %d T %g λ %g: shares the name %q with a configuration that encodes step %d differently",
 					c.gran, c.T, c.lambda, s.Name(), step)
+			}
+		}
+	}
+}
+
+// TestWLCRCLanePath pins which WLCRC configurations the lane planner
+// (encodeLanes) encodes: λ = T = 0 under an integer model whose lanes
+// fit, at granularities 8, 16 and 32. The rest take the float planner.
+func TestWLCRCLanePath(t *testing.T) {
+	thresh, wd := DefaultConfig(), DefaultConfig()
+	thresh.MultiObjectiveT = 0.01
+	wd.DisturbAwareLambda = 1
+	cfgs := map[string]Config{"Table II": DefaultConfig(), "T": thresh, "WD": wd}
+	for i, em := range overLaneBound {
+		c := DefaultConfig()
+		c.Energy = em
+		cfgs[fmt.Sprintf("overLaneBound[%d]", i)] = c
+	}
+	for name, cfg := range cfgs {
+		for _, g := range []int{8, 16, 32, 64} {
+			s := testWLCRC(t, cfg, g)
+			want := name == "Table II" && g != 64
+			if got := s.lanes != nil; got != want {
+				t.Errorf("WLCRC-%d under %s: lane planner %v, want %v", g, name, got, want)
 			}
 		}
 	}

@@ -51,15 +51,24 @@ type WLCRC struct {
 	wdLambda    float64
 	dm          pcm.DisturbModel
 	geom        wlcrcGeom
-	// swar1 prices and applies the fixed C1 mapping; swarAlt[0] and
-	// swarAlt[1] the group alternates C2 and C3; swar64 the three
+	// swar[0] prices and applies the fixed C1 mapping, swar[1] and
+	// swar[2] the group alternates C2 and C3; the three are also the
 	// unrestricted candidates of the granularity-64 degenerate case.
 	// tab1 prices C1 one cell at a time, for the mixed cell and the
 	// pure-aux cells.
-	tab1    coset.CostTable
-	swar1   coset.SWARTable
-	swarAlt [2]coset.SWARTable
-	swar64  []coset.SWARTable
+	tab1 coset.CostTable
+	swar []coset.SWARTable
+	// lanes is the line's block geometry, every word's blocks, when the
+	// lane kernel plans the words (encodeLanes): λ = T = 0 and an
+	// integer model that fits the lanes; nil otherwise. For that path,
+	// c1Int is tab1's cost in integers, and for a bitmap of a word's
+	// blocks that take the group's alternate (block j at bit j, which is
+	// also its lane), auxOf holds their candidate bits and maskOf their
+	// cells.
+	lanes  *coset.Blocks
+	c1Int  [pcm.NumStates][4]int
+	auxOf  [1 << wlcrcMaxBlocks]uint64
+	maskOf [1 << wlcrcMaxBlocks]uint64
 }
 
 // wlcrcMaxBlocks bounds the per-word block count (7 at granularity 8)
@@ -145,7 +154,7 @@ func NewWLCRC(cfg Config, gran int) (*WLCRC, error) {
 	if dm.DER == ([pcm.NumStates]float64{}) {
 		dm = pcm.DefaultDisturb()
 	}
-	return &WLCRC{
+	s := &WLCRC{
 		displayName: name,
 		gran:        gran,
 		wlc:         compress.WLC{K: geom.reclaim + 1},
@@ -154,10 +163,34 @@ func NewWLCRC(cfg Config, gran int) (*WLCRC, error) {
 		dm:          dm,
 		geom:        geom,
 		tab1:        coset.C1.CostTable(&cfg.Energy),
-		swar1:       coset.C1.SWAR(&cfg.Energy),
-		swarAlt:     [2]coset.SWARTable{coset.C2.SWAR(&cfg.Energy), coset.C3.SWAR(&cfg.Energy)},
-		swar64:      coset.SWARTables(&cfg.Energy, coset.Table1[:3]),
-	}, nil
+		swar:        coset.SWARTables(&cfg.Energy, coset.Table1[:3]),
+	}
+	if gran == 64 || cfg.MultiObjectiveT > 0 || cfg.DisturbAwareLambda > 0 {
+		return s, nil
+	}
+	var ranges [][2]int
+	for w := 0; w < memline.LineWords; w++ {
+		for _, rng := range geom.blocks {
+			ranges = append(ranges, [2]int{w*memline.WordCells + rng[0], w*memline.WordCells + rng[1]})
+		}
+	}
+	if g := coset.NewBlocks(ranges); g.LanesFit(s.swar) {
+		s.lanes = g
+		for st := range s.c1Int {
+			for v := range s.c1Int[st] {
+				s.c1Int[st][v] = int(s.tab1.Cost[st][v])
+			}
+		}
+		for set := 0; set < 1<<len(geom.blocks); set++ {
+			for j, rng := range geom.blocks {
+				if set>>j&1 == 1 {
+					s.auxOf[set] |= 1 << geom.candBit[j]
+					s.maskOf[set] |= coset.CellMask(rng[0], rng[1]-rng[0])
+				}
+			}
+		}
+	}
+	return s, nil
 }
 
 // Name implements Scheme.
@@ -248,7 +281,7 @@ func (s *WLCRC) disturbRisk(nlo, nhi, olo, ohi, m uint64) float64 {
 	for set := ch | ex; set != 0; set &= set - 1 {
 		c := uint(bits.TrailingZeros64(set))
 		if ch>>c&1 == 1 {
-			risk += 0.5 * s.dm.DER[nlo>>c&1|nhi>>c&1<<1]
+			risk += float64(0.5 * s.dm.DER[nlo>>c&1|nhi>>c&1<<1])
 		} else {
 			risk += s.dm.DER[olo>>c&1|ohi>>c&1<<1]
 		}

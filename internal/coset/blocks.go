@@ -14,11 +14,14 @@ import (
 // and every boolean op or popcount of a sweep covers 64 cells. The
 // kernel prices a block-granular coset code over such registers: for
 // each (candidate, register) pair it builds the four programmed-cell
-// masks Sym[Inv[s]] &^ OldIs[s] once, then prices every block of the
-// register through its precomputed block mask. Counts are summed per
-// state across a block's registers and priced once, in ascending state
-// order (SWARTable.price), so a block's cost is the one CostCount,
-// CostCountRef and the per-cell CostTable path compute for it.
+// masks Sym[Inv[s]] &^ OldIs[s] once. Under an integer model whose
+// blocks lie in lanes, the lane kernel (lanes.go) prices all of the
+// register's blocks from them in a few word ops. Otherwise the float
+// kernel prices every block through its precomputed block mask: counts
+// are summed per state across a block's registers and priced once, in
+// ascending state order (SWARTable.price), so a block's cost is the one
+// CostCount, CostCountRef and the per-cell CostTable path compute for
+// it.
 
 // RegCells is the number of cells in one pair register.
 const RegCells = 2 * memline.WordCells
@@ -96,6 +99,7 @@ type Blocks struct {
 	per   int              // registers per block when blocks span registers, else 0
 	first [MaxRegs + 1]int // in-register blocks first[r]..first[r+1]-1 lie in register r
 	mask  []uint64         // in-register cell mask per block
+	lanes                  // the lane kernel's layout; lane 0 when it does not apply
 }
 
 // NewBlocks builds the geometry of blocks given as [lo, hi) line cell
@@ -126,6 +130,7 @@ func NewBlocks(ranges [][2]int) *Blocks {
 		g.first[g.regs] = b + 1
 		g.mask = append(g.mask, CellMask(rng[0]-r*RegCells, rng[1]-rng[0]))
 	}
+	g.lanes = newLanes(ranges)
 	return g
 }
 
@@ -147,15 +152,11 @@ const maxCands = 16
 
 // price prices per-state programmed-cell counts: Σ cnt[s]·Energy[s],
 // summed in ascending state order.
+// Each product is rounded on its own (float64 conversion), so no
+// platform fuses a multiply into the sum.
 func (t *SWARTable) price(n0, n1, n2, n3 int) float64 {
-	return float64(n0)*t.Energy[0] + float64(n1)*t.Energy[1] +
-		float64(n2)*t.Energy[2] + float64(n3)*t.Energy[3]
-}
-
-// intCost is price in integers, for intExact tables: every product and
-// partial sum is an integer below 2^31, so it equals the float sum.
-func (t *SWARTable) intCost(n0, n1, n2, n3 int) int {
-	return n0*t.intE[0] + n1*t.intE[1] + n2*t.intE[2] + n3*t.intE[3]
+	return float64(float64(n0)*t.Energy[0]) + float64(float64(n1)*t.Energy[1]) +
+		float64(float64(n2)*t.Energy[2]) + float64(float64(n3)*t.Energy[3])
 }
 
 // programmed returns, per target state, the register's cells that
@@ -196,41 +197,21 @@ func (t *SWARTable) Price(cnt *[4]int) (cost float64, updates int) {
 
 // BestBlocks prices every candidate over every block of g and stores
 // each block's cheapest candidate in idx, the lowest index on ties.
-// len(tabs) is at most 16.
+// len(tabs) is at most 16. Blocks laid out in lanes under an integer
+// model that fits them (LanesFit) go through the lane kernel, which
+// prices all of a register's blocks per candidate in a few word ops and
+// takes their minimum without a branch; it never calls the POPCNT
+// instruction, so it also skips the CPU-feature branch GOAMD64=v1 puts
+// in front of every bits.OnesCount64. Register-spanning blocks,
+// non-integer models and models too large for the lanes are priced in
+// floats. Both give the same winners: the lane costs are the float sums
+// exactly.
 func BestBlocks(tabs []SWARTable, p *Regs, g *Blocks, idx []uint8) {
-	exact := g.per == 0
-	for i := range tabs {
-		exact = exact && tabs[i].intExact
-	}
-	if !exact {
-		priceBlocks(tabs, p, g, nil, idx)
+	if g.per == 0 && g.LanesFit(tabs) {
+		bestLanes(tabs, p, g, idx)
 		return
 	}
-	// In-register blocks under an integer model: integer costs give the
-	// same winners as the float sums, and the compiler selects their
-	// minimum without a branch the data-dependent winners would
-	// mispredict (FNW, COC+4cosets and WLC+Ncosets encode 16-33% faster
-	// than comparing the float sums; BENCH_encode.json history).
-	var q [maxCands][4]uint64
-	for r := 0; r < g.regs; r++ {
-		for i := range tabs {
-			q[i] = tabs[i].programmed(&p.Sym[r], &p.OldIs[r])
-		}
-		for b := g.first[r]; b < g.first[r+1]; b++ {
-			m := g.mask[b]
-			best := 0
-			bestCost := tabs[0].intCost(bits.OnesCount64(q[0][0]&m), bits.OnesCount64(q[0][1]&m),
-				bits.OnesCount64(q[0][2]&m), bits.OnesCount64(q[0][3]&m))
-			for i := 1; i < len(tabs); i++ {
-				c := tabs[i].intCost(bits.OnesCount64(q[i][0]&m), bits.OnesCount64(q[i][1]&m),
-					bits.OnesCount64(q[i][2]&m), bits.OnesCount64(q[i][3]&m))
-				if c < bestCost {
-					best, bestCost = i, c
-				}
-			}
-			idx[b] = uint8(best)
-		}
-	}
+	priceBlocks(tabs, p, g, nil, idx)
 }
 
 // EvalBlocks prices every candidate over every block of g, storing the

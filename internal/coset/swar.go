@@ -16,22 +16,27 @@
 // plane words in one uint64, so every boolean op and every popcount of
 // a line-level sweep covers 64 cells, and for each (candidate,
 // register) pair the four programmed-cell masks sym[Inv[s]] &^ oldIs[s]
-// are built once and every block of the register is priced from them
-// through its precomputed mask. WordPlanes, CostCount and BestSWAR are
-// the single-word form of the same sum.
+// are built once. The lane kernel (lanes.go) then prices every block of
+// the register at once, popcounting each mask into per-block lanes;
+// the float kernel prices each block through its precomputed mask.
+// WordPlanes, CostCount and BestSWAR are the single-word form of the
+// same sum.
 //
-// Exactness. Every path — the kernel, CostCount, the scalar reference
-// CostCountRef — sums the same integer per-state counts and prices them
-// once, in ascending state order (SWARTable.price), so they agree bit
-// for bit, winner indices and tie-breaks included, under any energy
-// model. (BestBlocks compares the same sums in integers when every
-// write energy is an integer; they are exact, so the winners are the
-// same.) This is also the write-energy contract of package pcm
-// (EnergyModel.DiffWrite and DiffWriteMasks). Only the per-cell
-// CostTable path adds energies cell by cell in another order; it agrees
-// with the grouped sums because every energy model in this repository
-// (Table II and the Fig. 14 levels) is integer-valued, so every partial
-// sum is an exactly representable integer.
+// Exactness. Every float path — the kernel's priceBlocks, CostCount,
+// the scalar reference CostCountRef — sums the same integer per-state
+// counts and prices them once, in ascending state order
+// (SWARTable.price), each product rounded on its own so no platform
+// fuses it into the sum, so they agree bit for bit, winner indices and
+// tie-breaks included, under any energy model. The lane kernel
+// (lanes.go), which BestBlocks and WLCRC's planner take when every
+// write energy is a non-negative integer small enough for its 16-bit
+// lanes, computes the same sums in integers; they are exact, so the
+// winners are the same. This is also the write-energy contract of
+// package pcm (EnergyModel.DiffWrite and DiffWriteMasks). Only the
+// per-cell CostTable path adds energies cell by cell in another order;
+// it agrees with the grouped sums because every energy model in this
+// repository (Table II and the Fig. 14 levels) is integer-valued, so
+// every partial sum is an exactly representable integer.
 package coset
 
 import (
@@ -149,12 +154,12 @@ type SWARTable struct {
 	// (WriteEnergy, i.e. Reset + Set[s]); zero when the table was built
 	// apply-only with a nil energy model.
 	Energy [4]float64
-	// intE[s] is Energy[s] as an integer when every Energy[s] is an
-	// integer below 2^20 in magnitude (intExact), so a line's Σ
-	// count[s]·intE[s] fits even a 32-bit int; BestBlocks compares
-	// in-register blocks by these integer costs.
-	intE     [4]int
-	intExact bool
+	// intE[s] is Energy[s] as an integer, and laneE the largest of them,
+	// when every Energy[s] is an integer in [0, 2^20); otherwise laneE
+	// is -1. The lane kernel (lanes.go) prices blocks by these integer
+	// costs, which equal the float sums exactly.
+	intE  [4]int
+	laneE int
 	// A bijection sends exactly two symbols to states with the low bit
 	// set and two to states with the high bit set: loSyms and hiSyms
 	// name them, and invLo/invHi name the two states whose Inv has the
@@ -171,16 +176,17 @@ func (m Mapping) SWAR(em *pcm.EnergyModel) SWARTable {
 	if !m.Valid() {
 		panic("coset: SWAR of a mapping that is not a bijection")
 	}
-	t := SWARTable{States: m, Inv: m.Inverse(), intExact: true}
+	t := SWARTable{States: m, Inv: m.Inverse()}
 	var nlo, nhi, ilo, ihi int
 	for v := 0; v < 4; v++ {
 		if em != nil {
 			t.Energy[v] = em.WriteEnergy(pcm.State(v))
 		}
-		if e := t.Energy[v]; e == math.Trunc(e) && math.Abs(e) < 1<<20 {
+		if e := t.Energy[v]; e == math.Trunc(e) && e >= 0 && e < 1<<20 && t.laneE >= 0 {
 			t.intE[v] = int(e)
+			t.laneE = max(t.laneE, t.intE[v])
 		} else {
-			t.intExact = false
+			t.laneE = -1
 		}
 		if m[v]&1 != 0 {
 			t.loSyms[nlo] = uint8(v)
@@ -284,7 +290,7 @@ func (t *SWARTable) CostCountRef(word uint64, old []pcm.State, mask uint64) (cos
 		}
 	}
 	for s := 0; s < 4; s++ {
-		cost += float64(count[s]) * t.Energy[s]
+		cost += float64(float64(count[s]) * t.Energy[s])
 		updates += count[s]
 	}
 	return cost, updates

@@ -1,10 +1,12 @@
 package coset
 
 import (
+	"slices"
 	"testing"
 
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
+	"wlcrc/internal/prng"
 )
 
 // Fuzz targets asserting SWAR == scalar over arbitrary words, old
@@ -149,9 +151,19 @@ var blockGeoms = func() [][][2]int {
 		}
 		return out
 	}
+	// partial is a block of n cells at the start of every width-cell
+	// lane over both registers: lanes the blocks cover only in part.
+	partial := func(width, n int) [][2]int {
+		var out [][2]int
+		for lo := 0; lo < 2*RegCells; lo += width {
+			out = append(out, [2]int{lo, lo + n})
+		}
+		return out
+	}
 	var geoms [][][2]int
 	for _, n := range []int{4, 8, 16, 32} {
-		geoms = append(geoms, uniform(memline.WordCells, n), uniform(RegCells, n))
+		geoms = append(geoms, uniform(memline.WordCells, n), uniform(RegCells, n),
+			partial(n, n-1), partial(n, 1))
 	}
 	return append(geoms,
 		uniform(2*RegCells, RegCells),
@@ -165,13 +177,31 @@ var blockGeoms = func() [][][2]int {
 	)
 }()
 
-// fuzzEnergies are the models FuzzSWARBlocks prices under: Table II and
-// a non-integer one, where the kernel must still match the reference
+// fuzzEnergies are the models FuzzSWARBlocks prices under: Table II; a
+// non-integer one, where the float path must still match the reference
 // bit for bit because both sum the same integer counts in the same
-// order.
-var fuzzEnergies = []pcm.EnergyModel{
-	pcm.DefaultEnergy(),
-	{Reset: 1.37, Set: [pcm.NumStates]float64{0.1, 3.3, 7.77, 12.9}},
+// order; and, for each lane width L of 4 to 32 cells, integer models
+// whose largest write energy puts L·max just under and just over the
+// lane kernel's 2^15 bound (laneBoundModel).
+var fuzzEnergies = func() []pcm.EnergyModel {
+	ems := []pcm.EnergyModel{
+		pcm.DefaultEnergy(),
+		{Reset: 1.37, Set: [pcm.NumStates]float64{0.1, 3.3, 7.77, 12.9}},
+	}
+	for _, width := range []int{4, 8, 16, 32} {
+		ems = append(ems, laneBoundModel(width, false), laneBoundModel(width, true))
+	}
+	return ems
+}()
+
+// laneBoundModel is an integer model whose largest write energy E is
+// the largest with width·E below 2^15, or one more when over.
+func laneBoundModel(width int, over bool) pcm.EnergyModel {
+	e := (1<<15 - 1) / width
+	if over {
+		e++
+	}
+	return pcm.EnergyModel{Reset: 1, Set: [pcm.NumStates]float64{0, 2, float64(e / 2), float64(e - 1)}}
 }
 
 // refBlockCost is the scalar reference of one block's price: it walks
@@ -288,4 +318,51 @@ func FuzzSWARBlocks(f *testing.F) {
 		olds := []uint64{o0, o1, o1 ^ w1, o0 ^ w0}
 		checkBlocksKernel(t, words, olds, blockGeoms[int(kind)%len(blockGeoms)])
 	})
+}
+
+// TestLanesFitBound pins the lane kernel's bound at every lane width:
+// under laneBoundModel just under it BestBlocks takes the lanes, just
+// over it the float path (64-cell lanes are plain integers and take
+// every integer model). Either way it must pick what the float kernel
+// picks, on random lines and on lines that program every cell into the
+// most expensive state, where block costs reach the bound and C1 and
+// C2 tie.
+func TestLanesFitBound(t *testing.T) {
+	r := prng.New(0x1A4E)
+	for _, width := range []int{4, 8, 16, 32, 64} {
+		g := UniformBlocks(memline.LineCells, width)
+		for _, over := range []bool{false, true} {
+			em := laneBoundModel(width, over)
+			tabs := SWARTables(&em, Table1[:])
+			if fit, want := g.LanesFit(tabs), !over || width == 64; fit != want {
+				t.Fatalf("width %d, over %v: LanesFit = %v", width, over, fit)
+			}
+			for trial := 0; trial < 40; trial++ {
+				var line memline.Line
+				old := make([]uint64, 2*memline.LineWords)
+				if trial%2 == 0 {
+					r.Fill(line[:])
+					for i := range old {
+						old[i] = r.Uint64() & AllCells
+					}
+				} else {
+					// C1 and C2 send symbol 1 to S4, the costliest state,
+					// and every cell is old S1: each block of either costs
+					// width·E.
+					for w := 0; w < memline.LineWords; w++ {
+						line.SetWord(w, 0x5555555555555555)
+					}
+				}
+				var p Regs
+				p.Load(&line, old)
+				got := make([]uint8, g.Len())
+				want := make([]uint8, g.Len())
+				BestBlocks(tabs, &p, g, got)
+				priceBlocks(tabs, &p, g, nil, want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("width %d, over %v, trial %d: BestBlocks %v, float kernel %v", width, over, trial, got, want)
+				}
+			}
+		}
+	}
 }

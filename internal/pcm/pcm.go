@@ -113,13 +113,14 @@ type writeCounts struct {
 // level), where every partial sum is an exactly representable integer,
 // so the result equals the per-cell sum in any order bit for bit. For
 // other models it is still the same on every path, because every path
-// counts and then prices here.
+// counts and then prices here. Each product is rounded on its own
+// (float64 conversion), so no platform fuses it into the sum.
 func (m *EnergyModel) price(c *writeCounts) WriteStats {
 	var st WriteStats
 	for s := 0; s < NumStates; s++ {
 		e := m.Reset + m.Set[s]
-		st.EnergyData += float64(c.data[s]) * e
-		st.EnergyAux += float64(c.aux[s]) * e
+		st.EnergyData += float64(float64(c.data[s]) * e)
+		st.EnergyAux += float64(float64(c.aux[s]) * e)
 		st.UpdatedData += c.data[s]
 		st.UpdatedAux += c.aux[s]
 	}
