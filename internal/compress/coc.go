@@ -96,39 +96,17 @@ func cocBest(v, prev uint64, hasPrev bool) (tag int, payload uint64, bits int) {
 }
 
 // COCMaxBits is the worst-case COC stream length (every word raw plus
-// its tag), sizing fixed scratch buffers for COCCompressTo.
+// its tag).
 const COCMaxBits = memline.LineBits + memline.LineWords*cocTagBits
 
 // COCMaxWords is COCMaxBits in 64-bit words.
 const COCMaxWords = (COCMaxBits + 63) / 64
 
-// COCCompress encodes the line and returns the packed stream and its
-// length in bits.
-func COCCompress(l *memline.Line) ([]byte, int) {
-	w := NewBitWriter(COCMaxBits)
-	bits := COCCompressTo(l, w)
-	return w.Bytes(), bits
-}
-
-// COCCompressTo encodes the line into w (which the caller may back with
-// stack storage of at least COCMaxBits via WrapBitWriter) and returns
-// the stream length in bits. The packed bytes are w.Bytes().
-func COCCompressTo(l *memline.Line, w *BitWriter) int {
-	var prev uint64
-	for i := 0; i < memline.LineWords; i++ {
-		v := l.Word(i)
-		tag, payload, bits := cocBest(v, prev, i > 0)
-		w.WriteBits(uint64(tag), cocTagBits)
-		w.WriteBits(payload, bits)
-		prev = v
-	}
-	return w.Len()
-}
-
-// COCPack is COCCompressTo into 64-bit words: stream bit i is bit i%64
-// of out[i/64], so out's little-endian bytes are the bytes
-// COCCompressTo writes, and every bit past the stream is zero. It
-// returns the stream length in bits.
+// COCPack encodes the line into 64-bit words: each word's 5-bit tag
+// then its payload, LSB first, stream bit i at bit i%64 of out[i/64],
+// so out's little-endian bytes are the stream COCDecompress reads.
+// Every bit past the stream is zero. It returns the stream length in
+// bits.
 func COCPack(l *memline.Line, out *[COCMaxWords]uint64) int {
 	*out = [COCMaxWords]uint64{}
 	n := 0

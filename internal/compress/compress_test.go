@@ -342,7 +342,7 @@ func TestCOCDeltaChain(t *testing.T) {
 	if s >= 512 {
 		t.Errorf("delta chain did not compress: %d bits", s)
 	}
-	buf, _ := COCCompress(&l)
+	buf, _ := cocCompressRef(&l)
 	got := COCDecompress(buf)
 	if !got.Equal(&l) {
 		t.Fatal("COC round trip failed")
@@ -364,7 +364,7 @@ func TestCOCRoundTripRandom(t *testing.T) {
 				l.SetWord(w, h*0x0001000100010001)
 			}
 		}
-		buf, _ := COCCompress(&l)
+		buf, _ := cocCompressRef(&l)
 		got := COCDecompress(buf)
 		if !got.Equal(&l) {
 			t.Fatalf("COC round trip failed for line %d", i)
@@ -389,7 +389,7 @@ func TestCOCCoversMoreThanFPCBDI(t *testing.T) {
 func TestQuickCOCRoundTrip(t *testing.T) {
 	f := func(ws [memline.LineWords]uint64) bool {
 		l := memline.FromWords(ws)
-		buf, _ := COCCompress(&l)
+		buf, _ := cocCompressRef(&l)
 		got := COCDecompress(buf)
 		return got.Equal(&l)
 	}

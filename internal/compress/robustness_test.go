@@ -39,7 +39,7 @@ func TestDecompressorsTolerateTruncation(t *testing.T) {
 	}{
 		{"FPC", func() []byte { b, _ := FPCCompress(&l); return b }, func(b []byte) { FPCDecompress(b) }},
 		{"BDI", func() []byte { b, _ := BDICompress(&l); return b }, func(b []byte) { BDIDecompress(b) }},
-		{"COC", func() []byte { b, _ := COCCompress(&l); return b }, func(b []byte) { COCDecompress(b) }},
+		{"COC", func() []byte { b, _ := cocCompressRef(&l); return b }, func(b []byte) { COCDecompress(b) }},
 	} {
 		buf := tc.comp()
 		for cut := 0; cut <= len(buf); cut += 7 {

@@ -49,27 +49,19 @@ type auxGroup struct {
 	members []uint8   // candidate indices, the tie-break order
 	code    [16]uint8 // code[i]: the aux code of member i
 	// The field from aux bit k covers cells c = k/2 and c+1 of one plane
-	// word. put[k%2][i] is member i's code as their plane-major bits
-	// (lo c, lo c+1, hi c, hi c+1); get[k%2][p] is the member plane-major
-	// bits p name, 0 for a code no member owns.
-	put, get [2][16]uint8
-	// identity is set when every member's code is its own index, so a
-	// run of fields is the members' bits laid end to end (writeAux).
-	identity bool
+	// word. get[k%2][p] is the member whose code has the plane-major bits
+	// p (lo c, lo c+1, hi c, hi c+1), 0 for a code no member owns.
+	get [2][16]uint8
 }
 
 // newAuxGroup builds the group whose member members[j] has the
 // width-bit aux code codes[j].
 func newAuxGroup(width int, members, codes []uint8) auxGroup {
-	g := auxGroup{members: members, identity: true}
+	g := auxGroup{members: members}
 	for j, m := range members {
 		g.code[m] = codes[j]
-		g.identity = g.identity && codes[j] == m
 	}
-	for odd := range g.put {
-		for j, m := range members {
-			g.put[odd][m] = swapMid(codes[j] << odd)
-		}
+	for odd := range g.get {
 		for p := range g.get[odd] {
 			n := swapMid(uint8(p)) >> odd & (1<<width - 1)
 			for j, m := range members {
@@ -262,33 +254,16 @@ func (c *blockCode) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 
 // writeAux ORs the code of member v[i] of g into the aux field from
 // bit ks[i], ascending, of a plane-resident line whose bits there are
-// zero, one plane word's run of fields at a time. An identity-coded
-// group's run is v's values at their aux bits in one interleaved word,
-// split into its planes once.
+// zero. A plane word's run of fields is its codes at their aux bits in
+// one interleaved word, split into the word's two planes once.
 func writeAux(dst []uint64, ks []int, v []uint8, g *auxGroup) {
-	if g.identity {
-		for i := 0; i < len(ks); {
-			w := ks[i] >> 6
-			var x uint64
-			for ; i < len(ks) && ks[i]>>6 == w; i++ {
-				x |= uint64(v[i]) << uint(ks[i]&63)
-			}
-			lo, hi := memline.LoHiPlanes(x)
-			dst[2*w] |= lo
-			dst[2*w+1] |= hi
-		}
-		return
-	}
 	for i := 0; i < len(ks); {
 		w := ks[i] >> 6
-		var lo, hi uint64
+		var x uint64
 		for ; i < len(ks) && ks[i]>>6 == w; i++ {
-			k := ks[i]
-			p := g.put[k&1][v[i]&15]
-			sh := uint(k >> 1 & 31)
-			lo |= uint64(p&3) << sh
-			hi |= uint64(p>>2) << sh
+			x |= uint64(g.code[v[i]&15]) << uint(ks[i]&63)
 		}
+		lo, hi := memline.LoHiPlanes(x)
 		dst[2*w] |= lo
 		dst[2*w+1] |= hi
 	}

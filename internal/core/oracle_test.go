@@ -99,11 +99,7 @@ func oracleBlocks(s Scheme, planes []uint64, data *memline.Line) (blocks []oracl
 		if flag != cocFlag16 && flag != cocFlag32 {
 			return nil, true
 		}
-		var backing [(compress.COCMaxBits + 7) / 8]byte
-		w := compress.WrapBitWriter(backing[:])
-		compress.COCCompressTo(data, &w)
-		var payload memline.Line
-		copy(payload[:], w.Bytes())
+		payload, _ := cocPayload(data)
 		var psyms [memline.LineCells]uint8
 		payload.SymbolsInto(&psyms)
 		cells, bc := coc16PayloadCells, 8

@@ -411,15 +411,22 @@ func refWLCRCAuxSym(lay refWLCRCLayout, k int, syms *[memline.WordCells]uint8, g
 	return sym
 }
 
+// cocPayload returns the first line of the data's COC stream, zero
+// past the stream, and the stream's length in bits. FuzzCOCPack holds
+// the packed words to the byte-at-a-time reference writer.
+func cocPayload(data *memline.Line) (memline.Line, int) {
+	var stream [compress.COCMaxWords]uint64
+	bits := compress.COCPack(data, &stream)
+	return memline.FromWords([memline.LineWords]uint64(stream[:memline.LineWords])), bits
+}
+
 // refCOC4 compresses the line with the COC menu and coset-encodes the
 // payload block by block through coset.BestTable, its candidate indices
 // packed two bits per cell behind the payload; cells past the aux region
 // keep their old states, and the flag cell records the mode.
 func refCOC4(em pcm.EnergyModel, dst, old []pcm.State, data *memline.Line) {
 	copy(dst, old)
-	var backing [(compress.COCMaxBits + 7) / 8]byte
-	w := compress.WrapBitWriter(backing[:])
-	bits := compress.COCCompressTo(data, &w)
+	payload, bits := cocPayload(data)
 	payloadCells, blockCells, flag := coc16PayloadCells, 8, cocFlag16
 	switch {
 	case bits <= coc16PayloadBits:
@@ -430,8 +437,6 @@ func refCOC4(em pcm.EnergyModel, dst, old []pcm.State, data *memline.Line) {
 		dst[memline.LineCells] = cocFlagRaw
 		return
 	}
-	var payload memline.Line
-	copy(payload[:], w.Bytes())
 	var syms [memline.LineCells]uint8
 	payload.SymbolsInto(&syms)
 	tabs := coset.CostTables(&em, coset.Table1[:])
