@@ -151,13 +151,14 @@ func committedRuns(t *testing.T, tab *table) map[string]map[string]float64 {
 			"1": "BenchmarkReplayParallelScaling/workers=1", "4": "BenchmarkReplayParallelScaling/workers=4"}),
 		"ingest": record("ingest_pr7", "ns_per_pass_by_path", map[string]string{
 			"reader": "BenchmarkIngest/reader", "mapped": "BenchmarkIngest/mapped"}),
-		"faultfree": record("fault_free_pr8", "ns_per_run_by_mode", map[string]string{
-			"plain": "BenchmarkEngineRun/workers=4/ingest=off", "off": "BenchmarkEngineRunFaults/off"}),
 		"arena": record("replay_arena_pr9", "ns_per_run_by_storage", map[string]string{
 			"planes": "BenchmarkReplayStorage/storage=planes", "scalar": "BenchmarkReplayStorage/storage=scalar"}),
 		"lanes": record("lane_kernel_paired", "lane_over_float_by_scheme", map[string]string{
 			"WLCRC-16":    metricKey("BenchmarkLaneKernelPaired", "WLCRC-16-lane/float"),
 			"COC+4cosets": metricKey("BenchmarkLaneKernelPaired", "COC+4cosets-lane/float")}),
+		"settle": record("disturb_paired", "chunk_over_word_by_pool", map[string]string{
+			"gcc":        metricKey("BenchmarkDisturbPaired", "gcc-chunk/word"),
+			"ciphertext": metricKey("BenchmarkDisturbPaired", "ciphertext-chunk/word")}),
 	}
 	for _, r := range tab.Gates {
 		for _, c := range r.Checks {
@@ -189,8 +190,9 @@ func TestCommittedGatesTrip(t *testing.T) {
 	runs := committedRuns(t, tab)
 	bounds := map[string]float64{
 		"encode/pr3": 0.10, "encode/vcc_pr5": 0.10,
-		"replay": 1.313, "ingest": 0.5, "faultfree": 1.05, "arena": 1.15,
+		"replay": 1.313, "ingest": 0.5, "arena": 1.15,
 		"lanes/WLCRC-16-lane/float": 0.6, "lanes/COC+4cosets-lane/float": 0.75,
+		"settle/gcc-chunk/word": 0.95, "settle/ciphertext-chunk/word": 0.95,
 	}
 	// The encode row gates the plane codec replay runs: every baseline
 	// key is one of its sub-benchmarks, 12 plane schemes and 4 keyed.

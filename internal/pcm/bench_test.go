@@ -1,7 +1,9 @@
 package pcm
 
 import (
+	"sort"
 	"testing"
+	"time"
 
 	"wlcrc/internal/prng"
 )
@@ -89,5 +91,59 @@ func BenchmarkCountDisturbMasks(b *testing.B) {
 				b.Fatal("no disturbance counted")
 			}
 		})
+	}
+}
+
+// BenchmarkDisturbPaired is the in-process paired rung of the settle
+// layer's disturbance count: the chunked exposure walk
+// (CountDisturbMasks) against the per-word walk it replaced
+// (countDisturbWords), expected-value accounting, on the gcc and
+// ciphertext pools of settleFixture. One op is one round: every arm
+// counts its pool eight times, in an order that rotates each round, so
+// the two arms of a pool share the machine's state of the moment. The
+// rung reports, per pool, the median over the rounds of that round's
+// chunk/word time ratio.
+func BenchmarkDisturbPaired(b *testing.B) {
+	dm := DefaultDisturb()
+	type arm struct {
+		pool  []settlePair
+		total int
+		walk  func(newP, masks []uint64, totalCells, dataCells int, rnd Sampler) DisturbStats
+	}
+	var arms []arm // chunk and word arm of settleCases[i] at 2i and 2i+1
+	for _, tc := range settleCases {
+		pool := settleFixture(tc.total, tc.pChange)
+		arms = append(arms, arm{pool, tc.total, dm.CountDisturbMasks}, arm{pool, tc.total, dm.countDisturbWords})
+	}
+	const passes = 8 // pool passes per arm per round
+	var sink DisturbStats
+	run := func(a *arm) time.Duration {
+		start := time.Now()
+		for p := 0; p < passes; p++ {
+			for k := range a.pool {
+				sink.Add(a.walk(a.pool[k].newP, a.pool[k].masks, a.total, 256, nil))
+			}
+		}
+		return time.Since(start)
+	}
+	ratios := make([][]float64, len(settleCases))
+	took := make([]time.Duration, len(arms))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range arms {
+			a := (i + j) % len(arms)
+			took[a] = run(&arms[a])
+		}
+		for c := range settleCases {
+			ratios[c] = append(ratios[c], took[2*c].Seconds()/took[2*c+1].Seconds())
+		}
+	}
+	if sink.Errors() == 0 {
+		b.Fatal("no disturbance counted")
+	}
+	for c, tc := range settleCases {
+		sort.Float64s(ratios[c])
+		n := len(ratios[c])
+		b.ReportMetric((ratios[c][(n-1)/2]+ratios[c][n/2])/2, tc.name+"-chunk/word")
 	}
 }

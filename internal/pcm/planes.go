@@ -16,14 +16,20 @@ import "math/bits"
 // popcounts and prices the counts once through the same formula as the
 // scalar DiffWrite (EnergyModel.price), so the two agree bit for bit
 // under any model, and both equal the per-cell sum under the repo's
-// integer-valued models. Disturbance is masked word-parallel and then
-// summed per cell: the cells in a zero-DER state (S2 under Table II)
-// are cleared from the exposure mask up front, and the rest are walked
-// region by region in ascending cell order. The walk stays ordered for
-// the same reasons as CountDisturb's: with a sampler each exposed cell
-// draws from the PRNG, so the draw sequence is the cell order, and the
-// expected-value sum adds non-integer DERs, where regrouping would
-// change the rounding.
+// integer-valued models.
+//
+// Disturbance is masked 64 cells at a time and then summed per cell.
+// The exposure walk joins two plane words into one chunk and computes
+// once per chunk what every exposed cell shares: the neighbour carry
+// across chunk boundaries, the tail clip, the zero-DER minterm mask
+// (cells in a zero-DER state, S2 under Table II, never reach the
+// per-cell loop) and the data/aux split. Its contract is the order of
+// the per-cell work: the expected-value sums add one DER per exposed
+// cell, and a sampler draws once per exposed cell, both in ascending
+// cell order, exactly as CountDisturb does. The order is fixed because
+// the draw sequence is the cell order, and because Table II's DERs
+// (0.123, 0.276, 0.152) are not dyadic, so grouping the additions by
+// state or reordering them would change the rounding of the sums.
 
 // planeWordCells is the number of cells per plane word pair.
 const planeWordCells = 32
@@ -64,51 +70,62 @@ func (m *EnergyModel) DiffWriteMasks(oldP, newP, masks []uint64, dataCells int) 
 	return m.price(&c)
 }
 
-// zeroDERMask returns the minterm mask of the cells of one plane word
-// pair whose state has a zero DER, from selectors zero[s] that are
-// all-ones when DER[s] == 0.
-func zeroDERMask(zero *[NumStates]uint64, lo, hi uint64) uint64 {
-	return ^(lo|hi)&zero[S1] | lo&^hi&zero[S2] | hi&^lo&zero[S3] | lo&hi&zero[S4]
-}
-
-// zeroDERSelectors returns the selectors zeroDERMask takes: zero[s] is
-// all-ones when DER[s] == 0.
-func (dm *DisturbModel) zeroDERSelectors() (zero [NumStates]uint64) {
-	for s, p := range dm.DER {
-		if p == 0 {
-			zero[s] = ^uint64(0)
-		}
+// zeroDER returns the minterm mask of the cells of one chunk (lo, hi)
+// whose state has a zero DER.
+func (dm *DisturbModel) zeroDER(lo, hi uint64) (z uint64) {
+	if dm.DER[S1] == 0 {
+		z |= ^(lo | hi)
 	}
-	return zero
+	if dm.DER[S2] == 0 {
+		z |= lo &^ hi
+	}
+	if dm.DER[S3] == 0 {
+		z |= hi &^ lo
+	}
+	if dm.DER[S4] == 0 {
+		z |= lo & hi
+	}
+	return z
 }
 
-// exposedWords returns how many words of masks hold cells of a
-// totalCells-cell line: the words an exposure walk visits.
-func exposedWords(masks []uint64, totalCells int) int {
-	return min(len(masks), (totalCells+planeWordCells-1)/planeWordCells)
-}
+// chunkCells is the step of the exposure walk: two plane words joined
+// into one 64-cell chunk, word 2k in bits 0–31 and word 2k+1 in bits
+// 32–63.
+const chunkCells = 2 * planeWordCells
 
-// exposed returns the exposure mask of plane word w, which must hold at
-// least one valid cell: the idle cells next to a changed cell of masks
-// (across word boundaries too), clipped to the line's totalCells — tail
+// exposedChunk returns chunk k of a line: its joined planes and its
+// exposure mask — the idle cells next to a changed cell of masks
+// (across chunk boundaries too), clipped to the line's totalCells (tail
 // bits read as S1, whose DER is nonzero, so they must be masked out
-// rather than trusted to skip — with the cells whose state (lo, hi) has
-// a zero DER cleared.
-func exposed(masks []uint64, w, totalCells int, lo, hi uint64, zero *[NumStates]uint64) uint64 {
-	const wordMask = 1<<planeWordCells - 1
+// rather than trusted to skip), with the cells in a zero-DER state
+// cleared. Word 2k must exist; a missing word 2k+1 reads as zero.
+func (dm *DisturbModel) exposedChunk(newP, masks []uint64, k, totalCells int) (lo, hi, exp uint64) {
+	w := 2 * k
+	lo, hi = newP[2*w], newP[2*w+1]
 	ch := masks[w]
-	exp := (ch<<1 | ch>>1) & wordMask
+	if w+1 < len(masks) {
+		lo |= newP[2*w+2] << planeWordCells
+		hi |= newP[2*w+3] << planeWordCells
+		ch |= masks[w+1] << planeWordCells
+	}
+	exp = ch<<1 | ch>>1
 	if w > 0 {
 		exp |= masks[w-1] >> (planeWordCells - 1) & 1
 	}
-	if w+1 < len(masks) {
-		exp |= (masks[w+1] & 1) << (planeWordCells - 1)
+	if w+2 < len(masks) {
+		exp |= masks[w+2] << (chunkCells - 1)
 	}
 	exp &^= ch
-	if rem := totalCells - w*planeWordCells; rem < planeWordCells {
+	if rem := totalCells - k*chunkCells; rem < chunkCells {
 		exp &= 1<<uint(rem) - 1
 	}
-	return exp &^ zeroDERMask(zero, lo, hi)
+	return lo, hi, exp &^ dm.zeroDER(lo, hi)
+}
+
+// chunkCount returns how many chunks of masks hold cells of a
+// totalCells-cell line: the chunks an exposure walk visits.
+func chunkCount(masks []uint64, totalCells int) int {
+	return min((len(masks)+1)/2, (totalCells+chunkCells-1)/chunkCells)
 }
 
 // CountDisturbMasks is CountDisturb over a plane-resident post-write
@@ -117,37 +134,46 @@ func exposed(masks []uint64, w, totalCells int, lo, hi uint64, zero *[NumStates]
 // disturbed with probability DER[state]. totalCells bounds the valid
 // cells of the final word.
 //
-// Cells whose state has a zero DER are cleared from each word's
-// exposure mask through one minterm mask per model, so no cell is
-// tested for p == 0. The mask is then split once into its data and aux
-// cells, and each region is walked in ascending cell order; data cells
-// precede aux cells, so the whole line is still visited in cell order.
-// Each accumulator adds the same DERs in the same order as
-// CountDisturb, and a sampler draws for exactly the same cells in the
-// same order.
+// The walk takes the line 64 cells at a time (exposedChunk): each
+// chunk's exposure mask, with its zero-DER cells already cleared, is
+// split once into its data and aux cells, and each region is walked in
+// ascending cell order; data cells precede aux cells, so the whole line
+// is still visited in cell order. Each accumulator adds the same DERs
+// in the same order as CountDisturb, and a sampler draws for exactly
+// the same cells in the same order.
 func (dm *DisturbModel) CountDisturbMasks(newP, masks []uint64, totalCells, dataCells int, rnd Sampler) DisturbStats {
-	zero := dm.zeroDERSelectors()
 	var st DisturbStats
-	for w, nw := 0, exposedWords(masks, totalCells); w < nw; w++ {
-		lo, hi := newP[2*w], newP[2*w+1]
-		exp := exposed(masks, w, totalCells, lo, hi, &zero)
+	for k, nc := 0, chunkCount(masks, totalCells); k < nc; k++ {
+		lo, hi, exp := dm.exposedChunk(newP, masks, k, totalCells)
 		if exp == 0 {
 			continue
 		}
 		var data uint64
-		switch d := dataCells - w*planeWordCells; {
-		case d >= planeWordCells:
+		switch d := dataCells - k*chunkCells; {
+		case d >= chunkCells:
 			data = exp
 		case d > 0:
 			data = exp & (1<<uint(d) - 1)
 		}
 		aux := exp &^ data
 		if rnd == nil {
-			st.ErrorsData = dm.sumDER(st.ErrorsData, data, lo, hi)
-			st.ErrorsAux = dm.sumDER(st.ErrorsAux, aux, lo, hi)
-		} else {
-			st.ErrorsData = dm.sampleDER(st.ErrorsData, data, lo, hi, rnd)
-			st.ErrorsAux = dm.sampleDER(st.ErrorsAux, aux, lo, hi, rnd)
+			for ; data != 0; data &= data - 1 {
+				st.ErrorsData += dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(data))]
+			}
+			for ; aux != 0; aux &= aux - 1 {
+				st.ErrorsAux += dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(aux))]
+			}
+			continue
+		}
+		for ; data != 0; data &= data - 1 {
+			if rnd.Bool(dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(data))]) {
+				st.ErrorsData++
+			}
+		}
+		for ; aux != 0; aux &= aux - 1 {
+			if rnd.Bool(dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(aux))]) {
+				st.ErrorsAux++
+			}
 		}
 	}
 	return st
@@ -164,19 +190,21 @@ func (dm *DisturbModel) DisturbedMasksInto(dst, newP, masks []uint64, totalCells
 	if rnd == nil {
 		panic("pcm: DisturbedMasksInto requires a sampler")
 	}
-	zero := dm.zeroDERSelectors()
 	clear(dst)
 	n := 0
-	for w, nw := 0, exposedWords(masks, totalCells); w < nw; w++ {
-		lo, hi := newP[2*w], newP[2*w+1]
+	for k, nc := 0, chunkCount(masks, totalCells); k < nc; k++ {
+		lo, hi, exp := dm.exposedChunk(newP, masks, k, totalCells)
 		var hit uint64
-		for exp := exposed(masks, w, totalCells, lo, hi, &zero); exp != 0; exp &= exp - 1 {
+		for ; exp != 0; exp &= exp - 1 {
 			b := bits.TrailingZeros64(exp)
 			if rnd.Bool(dm.DER[PlaneState(lo, hi, b)]) {
 				hit |= 1 << uint(b)
 			}
 		}
-		dst[w] = hit
+		dst[2*k] = hit & (1<<planeWordCells - 1)
+		if 2*k+1 < len(dst) {
+			dst[2*k+1] = hit >> planeWordCells
+		}
 		n += bits.OnesCount64(hit)
 	}
 	return n
@@ -186,25 +214,4 @@ func (dm *DisturbModel) DisturbedMasksInto(dst, newP, masks []uint64, totalCells
 // pair.
 func PlaneState(lo, hi uint64, c int) State {
 	return State(lo>>uint(c)&1 | hi>>uint(c)<<1&2)
-}
-
-// sumDER adds the DER of every cell of exp to acc, in ascending cell
-// order: the expected-value accounting of one region of one word.
-func (dm *DisturbModel) sumDER(acc float64, exp, lo, hi uint64) float64 {
-	for ; exp != 0; exp &= exp - 1 {
-		acc += dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(exp))]
-	}
-	return acc
-}
-
-// sampleDER draws once per cell of exp, in ascending cell order, with
-// the cell's DER, and adds 1 to acc per hit — the sampled accounting of
-// one region of one word.
-func (dm *DisturbModel) sampleDER(acc float64, exp, lo, hi uint64, rnd Sampler) float64 {
-	for ; exp != 0; exp &= exp - 1 {
-		if rnd.Bool(dm.DER[PlaneState(lo, hi, bits.TrailingZeros64(exp))]) {
-			acc++
-		}
-	}
-	return acc
 }

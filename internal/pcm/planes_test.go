@@ -163,11 +163,15 @@ func maskEquivCase(t *testing.T, em EnergyModel, dm DisturbModel, old, new []Sta
 		}
 	}
 
-	// Expected-value disturbance.
+	// Expected-value disturbance, against the scalar count and the
+	// per-word walk the chunked one replaced.
 	wantD := dm.CountDisturb(new, wantCh, dataCells, nil)
 	gotD := dm.CountDisturbMasks(newP, masks, n, dataCells, nil)
 	if wantD != gotD {
 		t.Fatalf("DER %v: CountDisturbMasks = %+v, CountDisturb = %+v", dm.DER, gotD, wantD)
+	}
+	if wordD := dm.countDisturbWords(newP, masks, n, dataCells, nil); wordD != gotD {
+		t.Fatalf("DER %v: CountDisturbMasks = %+v, per-word walk = %+v", dm.DER, gotD, wordD)
 	}
 
 	// Sampled disturbance: identical stats from identical seeds, and the
@@ -208,13 +212,17 @@ func maskEquivCase(t *testing.T, em EnergyModel, dm DisturbModel, old, new []Sta
 }
 
 // TestPlaneMaskAccountingMatchesScalar sweeps the plane-mask energy and
-// disturbance accounting over the line geometries the schemes use (257
-// and 258 total cells, 256 data cells) plus boundary sizes around the
-// 32-cell plane word.
+// disturbance accounting over the line geometries the schemes use (257,
+// 258 and 268 total cells, 256 data cells) plus boundary sizes around
+// the 32-cell plane word and the 64-cell exposure chunk: lines that end
+// just before, on and just after a chunk boundary, a final chunk of one
+// word, and data/aux splits inside a chunk.
 func TestPlaneMaskAccountingMatchesScalar(t *testing.T) {
 	r := prng.New(20260807)
 	sizes := []struct{ n, data int }{
 		{257, 256}, {258, 256}, {256, 256}, {64, 32}, {33, 32}, {32, 16}, {1, 1},
+		{63, 63}, {64, 64}, {65, 64}, {96, 64}, {128, 100}, {129, 128},
+		{192, 130}, {268, 256}, {288, 200},
 	}
 	for _, sz := range sizes {
 		for trial := 0; trial < 40; trial++ {
@@ -240,6 +248,33 @@ func FuzzPlaneMaskAccounting(f *testing.F) {
 	f.Add([]byte{1}, []byte{2}, uint16(1), uint64(tableIIPacked))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 3}, []byte{1, 1, 1, 1, 0, 0, 0, 0, 3}, uint16(8), uint64(tableIIPacked))
 	f.Add([]byte{3, 3, 2, 1, 0, 2}, []byte{0, 1, 2, 3, 3, 1}, uint16(4), ^uint64(0))
+	// A single changed cell on each side of the first two chunk
+	// boundaries (cells 63/64 and 127/128) over an all-S1 line, whose
+	// every neighbour is exposed, with data/aux splits on and next to
+	// the boundaries.
+	for _, c := range []struct {
+		cell int
+		data uint16
+	}{{63, 64}, {64, 64}, {63, 63}, {64, 65}, {127, 128}, {128, 128}, {127, 127}, {128, 129}, {128, 200}} {
+		old := make([]byte, 200)
+		new := make([]byte, 200)
+		new[c.cell] = 3
+		f.Add(old, new, c.data, uint64(tableIIPacked))
+	}
+	// Both cells of each boundary pair changed, and a line with every
+	// cell changed but those pairs, so only they stay idle.
+	for _, pair := range [][2]int{{63, 64}, {127, 128}} {
+		old := make([]byte, 200)
+		one := make([]byte, 200)
+		idle := make([]byte, 200)
+		one[pair[0]], one[pair[1]] = 2, 3
+		for i := range idle {
+			idle[i] = 3
+		}
+		idle[pair[0]], idle[pair[1]] = 0, 0
+		f.Add(old, one, uint16(pair[1]), uint64(tableIIPacked))
+		f.Add(old, idle, uint16(pair[0]), uint64(tableIIPacked))
+	}
 	f.Fuzz(func(t *testing.T, a, b []byte, dataSel uint16, model uint64) {
 		if len(a) == 0 || len(b) == 0 {
 			t.Skip("empty vectors")

@@ -60,7 +60,7 @@ func allocFixture(t testing.TB, name string, opts Options) (*shard, []routedReq)
 func routedBatch(reqs []trace.Request) []routedReq {
 	rs := make([]routedReq, len(reqs))
 	for i := range reqs {
-		rs[i] = routedReq{seq: uint64(i), req: reqs[i]}
+		rs[i] = routedReq{seq: uint64(i), addr: reqs[i].Addr, data: reqs[i].New}
 	}
 	return rs
 }

@@ -100,10 +100,10 @@ func BenchmarkEngineRun(b *testing.B) {
 
 // BenchmarkEngineRunFaults measures the fault model's replay cost at
 // the engine layer on the BenchmarkEngineRun fixture: "off" is the
-// fault-free configuration the benchguard faultfree gate holds
-// within 5% of the pre-fault-model engine (the stuck-map check must
-// compile out to one nil test per request), "on" pays for live stuck
-// maps, wear thresholds and repair classification.
+// fault-free configuration (TestFaultDisabledEngineCarriesNoFaultState
+// pins that it builds no fault state and settles without allocating),
+// "on" pays for live stuck maps, wear thresholds and repair
+// classification.
 func BenchmarkEngineRunFaults(b *testing.B) {
 	p, ok := workload.ProfileByName("gcc")
 	if !ok {

@@ -115,7 +115,7 @@ func TestShardCounterAdvances(t *testing.T) {
 	}
 	u := newShard(&opts, sch, nil, nil)
 	rs := routedBatch(encryptedTrace(t, 1).Reqs)
-	addr := rs[0].req.Addr
+	addr := rs[0].addr
 	ctr := func() uint64 {
 		slot, ok := u.arena.Lookup(addr)
 		if !ok {

@@ -12,6 +12,7 @@ import (
 
 	"wlcrc/internal/core"
 	"wlcrc/internal/fault"
+	"wlcrc/internal/memline"
 	"wlcrc/internal/memsys"
 	"wlcrc/internal/prng"
 	"wlcrc/internal/trace"
@@ -250,11 +251,14 @@ func (e *Engine) routeOf(addr uint64) int {
 	return int((addr%banks)*k + (addr/banks)%k)
 }
 
-// routedReq is one request annotated with its global trace sequence
-// number (for deterministic error ordering).
+// routedReq is what a shard replays of one request: its global trace
+// sequence number (for deterministic error ordering), its line address
+// and the content to store. The request's Old line is not carried:
+// shards diff against their own stored planes.
 type routedReq struct {
-	seq uint64
-	req trace.Request
+	seq  uint64
+	addr uint64
+	data memline.Line
 }
 
 // batch is one dispatched group of requests for a single routing unit.
@@ -461,7 +465,7 @@ func (e *Engine) dispatchSerial(src trace.Source, max int, chans []chan batch,
 			p = e.getBuf()
 			pending[u] = p
 		}
-		*p = append(*p, routedReq{seq: seq, req: req})
+		*p = append(*p, routedReq{seq: seq, addr: req.Addr, data: req.New})
 		seq++
 		n++
 		if len(*p) == unitBatch {

@@ -429,3 +429,53 @@ func TestRetiredLinesMergesInterleavedUnits(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultDisabledEngineCarriesNoFaultState pins the fault model's
+// zero cost when disabled, at the engine layer: an engine built with
+// Faults off gives no shard a fault map or any of its repair scratch,
+// builds a wear recorder only when TrackWear asks for one, and settles
+// a warmed routed batch through an engine-built shard at 0 allocs/op.
+// The leaks it names (fault state built unconditionally, wear tracking
+// created without TrackWear, an allocation on the fault-free settle
+// path) show here as a structural fact, independent of wall-clock
+// noise.
+func TestFaultDisabledEngineCarriesNoFaultState(t *testing.T) {
+	src := fixedTrace(t, "gcc", 256, 2000, 5)
+	for _, trackWear := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Verify = false
+		opts.Workers = 2
+		opts.TrackWear = trackWear
+		e := NewEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16", "VCC-4")...)
+		if err := e.Run(src, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range e.shards {
+			name := u.scheme.Name()
+			if u.fm != nil || u.encodeStuck != nil || u.cellsOld != nil || u.cellsNew != nil {
+				t.Errorf("TrackWear=%v %s: fault-disabled shard carries fault state", trackWear, name)
+			}
+			if got := u.wear != nil; got != trackWear {
+				t.Errorf("TrackWear=%v %s: wear recorder built = %v", trackWear, name, got)
+			}
+		}
+		for i := range e.schemes {
+			u := e.lineShard(i, src.Reqs[0].Addr)
+			var rs []routedReq
+			for k, req := range src.Reqs {
+				if e.lineShard(i, req.Addr) == u {
+					rs = append(rs, routedReq{seq: uint64(k), addr: req.Addr, data: req.New})
+				}
+			}
+			avg := testing.AllocsPerRun(10, func() {
+				if _, err := u.applyRun(rs); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Errorf("TrackWear=%v %s: fault-disabled settle allocates %.2f objects/batch, want 0",
+					trackWear, u.scheme.Name(), avg)
+			}
+		}
+	}
+}

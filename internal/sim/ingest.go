@@ -181,7 +181,7 @@ func (e *Engine) routeChunk(c *ingestChunk, counts []int32) {
 	perm := c.perm[:len(reqs)]
 	for i := range reqs {
 		u := c.units[i]
-		perm[counts[u]] = routedReq{seq: c.base + uint64(i), req: reqs[i]}
+		perm[counts[u]] = routedReq{seq: c.base + uint64(i), addr: reqs[i].Addr, data: reqs[i].New}
 		counts[u]++
 	}
 }

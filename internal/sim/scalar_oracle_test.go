@@ -130,17 +130,17 @@ func (o *scalarOracle) Run(src trace.Source) error {
 				more = false
 				break
 			}
-			chunk = append(chunk, routedReq{seq: seq, req: req})
+			chunk = append(chunk, routedReq{seq: seq, addr: req.Addr, data: req.New})
 			seq++
 		}
 		for i := range e.schemes {
 			for k := range chunk {
 				rr := &chunk[k]
-				u := e.shards[i*e.units+e.routeOf(rr.req.Addr)]
+				u := e.shards[i*e.units+e.routeOf(rr.addr)]
 				if u.err != nil {
 					continue // frozen after its first failure
 				}
-				if err := o.write(i, u, &rr.req, rr.seq); err != nil {
+				if err := o.write(i, u, rr); err != nil {
 					u.err, u.errSeq = err, rr.seq
 				}
 			}
@@ -154,9 +154,9 @@ func (o *scalarOracle) Run(src trace.Source) error {
 
 // write encodes one request for scheme i against the stored cells and
 // settles it on shard u.
-func (o *scalarOracle) write(i int, u *shard, req *trace.Request, seq uint64) error {
+func (o *scalarOracle) write(i int, u *shard, rr *routedReq) error {
 	n := u.scheme.TotalCells()
-	addr := req.Addr
+	addr := rr.addr
 	old, ok := o.mem[i][addr]
 	if !ok {
 		old = core.InitialCells(n)
@@ -170,8 +170,8 @@ func (o *scalarOracle) write(i int, u *shard, req *trace.Request, seq uint64) er
 	if newCells == nil {
 		newCells = make([]pcm.State, n)
 	}
-	o.encode(u, newCells, old, addr, ctr, &req.New)
-	err := o.settle(i, u, newCells, old, addr, ctr, seq, &req.New)
+	o.encode(u, newCells, old, addr, ctr, &rr.data)
+	err := o.settle(i, u, newCells, old, addr, ctr, rr.seq, &rr.data)
 	o.mem[i][addr] = newCells
 	o.spare[i] = old
 	return err

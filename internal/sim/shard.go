@@ -51,6 +51,8 @@ type shard struct {
 	scratch []uint64
 	// masks is the reusable changed-cell mask (one word per 32 cells).
 	masks []uint64
+	// touched keeps the sum of touch's loads, so they are not dead.
+	touched uint64
 	// cellsOld/cellsNew are the cell materialization scratch of the
 	// fault.ECC boundary: the ECC classification of fault repair and of
 	// VnR residuals, parity stores and recovery reads unpack into them.
@@ -189,10 +191,12 @@ func (u *shard) ctrOf(slot int) uint64 {
 //
 // Results are bit-identical to the cell-vector reference store kept in
 // the tests (scalar_oracle_test.go): energy is grouped by target state
-// on both (exact for integer models, see package pcm), and
-// CountDisturbMasks visits exposed cells in the same ascending order as
-// CountDisturb, because its draws and non-integer DER sums follow cell
-// order; so does the VnR hit sampler (runVnR).
+// on both (exact for integer models, see package pcm). The disturbance
+// count (CountDisturbMasks) and the VnR hit sampler (runVnR, through
+// DisturbedMasksInto) share one exposure walk, which masks 64 cells at
+// a time but still adds and draws once per exposed cell in the
+// ascending order of CountDisturb, because the draws and the
+// non-integer DER sums follow cell order.
 func (u *shard) settlePlanes(newP []uint64, slot int, addr, ctr, seq uint64, data *memline.Line) error {
 	sch := u.scheme
 	m := &u.m
@@ -326,10 +330,15 @@ func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, ctr, seq
 // batch are not applied (the Engine freezes the shard), so an erred
 // shard's metrics cover exactly its trace prefix up to and including
 // the failing request.
+//
+// Before the encode loop, touch reads the batch's lines without
+// changing anything, so their index and slab cache misses are in
+// flight together rather than each stalling its own settle.
 func (u *shard) applyRun(rs []routedReq) (errSeq uint64, err error) {
+	u.touch(rs)
 	for j := range rs {
 		rr := &rs[j]
-		addr, data := rr.req.Addr, &rr.req.New
+		addr, data := rr.addr, &rr.data
 		slot, fresh := u.arena.Ensure(addr)
 		ctr := u.nextCtr(slot, fresh)
 		u.planeEnc.EncodeCtrPlanesInto(u.scratch, u.arena.Planes(slot), addr, ctr, data)
@@ -338,6 +347,25 @@ func (u *shard) applyRun(rs []routedReq) (errSeq uint64, err error) {
 		}
 	}
 	return 0, nil
+}
+
+// touch is applyRun's read-only pass over a batch: it looks up every
+// address and, for each resident line, loads the first, middle and last
+// plane word of its slot (a 128- or 144-byte slot spans at most three
+// cache lines, one under each), folding them into u.touched so the
+// loads are kept. The lookups and loads of different requests do not
+// depend on each other, so the processor overlaps their misses; Go has
+// no prefetch intrinsic, so plain loads stand in for one. Fresh
+// addresses have no line to load yet and are skipped.
+func (u *shard) touch(rs []routedReq) {
+	var sum uint64
+	for j := range rs {
+		if slot, ok := u.arena.Lookup(rs[j].addr); ok {
+			p := u.arena.Planes(slot)
+			sum += p[0] + p[len(p)/2] + p[len(p)-1]
+		}
+	}
+	u.touched = sum
 }
 
 // metricsView returns the shard's current metrics with the wear digest
