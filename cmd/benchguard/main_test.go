@@ -159,6 +159,10 @@ func committedRuns(t *testing.T, tab *table) map[string]map[string]float64 {
 		"settle": record("disturb_paired", "chunk_over_word_by_pool", map[string]string{
 			"gcc":        metricKey("BenchmarkDisturbPaired", "gcc-chunk/word"),
 			"ciphertext": metricKey("BenchmarkDisturbPaired", "ciphertext-chunk/word")}),
+		"vcc": record("vcc_paired", "new_over_ref_by_scheme", map[string]string{
+			"VCC-2": metricKey("BenchmarkVCCPaired", "VCC-2-new/ref"),
+			"VCC-4": metricKey("BenchmarkVCCPaired", "VCC-4-new/ref"),
+			"VCC-8": metricKey("BenchmarkVCCPaired", "VCC-8-new/ref")}),
 	}
 	for _, r := range tab.Gates {
 		for _, c := range r.Checks {
@@ -193,6 +197,7 @@ func TestCommittedGatesTrip(t *testing.T) {
 		"replay": 1.313, "ingest": 0.5, "arena": 1.15,
 		"lanes/WLCRC-16-lane/float": 0.6, "lanes/COC+4cosets-lane/float": 0.75,
 		"settle/gcc-chunk/word": 0.95, "settle/ciphertext-chunk/word": 0.95,
+		"vcc/VCC-2-new/ref": 0.9, "vcc/VCC-4-new/ref": 0.9, "vcc/VCC-8-new/ref": 0.9,
 	}
 	// The encode row gates the plane codec replay runs: every baseline
 	// key is one of its sub-benchmarks, 12 plane schemes and 4 keyed.

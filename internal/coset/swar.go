@@ -208,6 +208,12 @@ func (m Mapping) SWAR(em *pcm.EnergyModel) SWARTable {
 	return t
 }
 
+// IntEnergy returns Energy as integers and true when every Energy[s] is
+// an integer in [0, 2^20), the rule the lane kernel prices by; integer
+// sums of such energies equal the float sums exactly. Otherwise ok is
+// false.
+func (t *SWARTable) IntEnergy() (e [4]int, ok bool) { return t.intE, t.laneE >= 0 }
+
 // SWARTables builds one word-parallel table per candidate.
 func SWARTables(em *pcm.EnergyModel, cands []Mapping) []SWARTable {
 	out := make([]SWARTable, len(cands))

@@ -41,9 +41,6 @@ import (
 // every experiment is reproducible; it is not a security parameter.
 const DefaultKey uint64 = 0x5EC2E7C0DE5EED01
 
-// MaxCandidates bounds the per-word candidate count (VCC-8).
-const MaxCandidates = 8
-
 // Cipher is the deterministic counter-mode encryption model: a keyed
 // keystream PRNG addressed by (line address, per-line write counter).
 // The zero value uses DefaultKey. Cipher is a value type with no
@@ -81,9 +78,10 @@ func (c Cipher) seed(addr, ctr uint64) uint64 {
 const splitMixGamma = 0x9e3779b97f4a7c15
 
 // Keystream is random access into the keystream of one (addr, ctr): the
-// stream Pad and Candidates read sequentially, any word of which costs
-// one mix64. Decode uses it to regenerate only the pad and the winning
-// candidate's word instead of every candidate.
+// stream Pad reads sequentially, any word of which costs one mix64.
+// Words 0..7 are the pad and word LineWords·v + w is word w of virtual
+// coset candidate v ≥ 1, so the encoder draws each candidate word where
+// it prices it and the decoder regenerates only the winner's.
 type Keystream struct{ seed uint64 }
 
 // Keystream returns the random-access keystream of (addr, ctr).
@@ -99,8 +97,10 @@ func (ks Keystream) word(i int) uint64 {
 // Pad returns word w of the line's pad (Pad's pad[w]).
 func (ks Keystream) Pad(w int) uint64 { return ks.word(w) }
 
-// Candidate returns word w of virtual coset candidate v (Candidates'
-// vecs[v][w]): zero for v == 0, else output LineWords·v + w.
+// Candidate returns word w of virtual coset candidate v: zero for
+// v == 0, else output LineWords·v + w. Candidate 0 is the zero vector,
+// so the raw ciphertext is a member of every candidate set and VCC can
+// never do worse than the raw encrypted write on the cells it prices.
 func (ks Keystream) Candidate(v, w int) uint64 {
 	if v == 0 {
 		return 0
@@ -126,31 +126,5 @@ func (c Cipher) WhitenLine(l *memline.Line, addr, ctr uint64) {
 	c.Pad(addr, ctr, &pad)
 	for w := 0; w < memline.LineWords; w++ {
 		l.SetWord(w, l.Word(w)^pad[w])
-	}
-}
-
-// Candidates fills pad with the line's keystream and vecs[0..n) with the
-// n virtual coset candidate vectors of (addr, ctr), one 8-word vector
-// per candidate. Candidate 0 is always the zero vector, so the raw
-// ciphertext is a member of every candidate set and VCC can never do
-// worse than the raw encrypted write on the cells it prices; candidates
-// 1..n-1 are fresh pseudo-random draws from the continuation of the pad
-// stream. n must be in [1, MaxCandidates].
-func (c Cipher) Candidates(addr, ctr uint64, n int,
-	pad *[memline.LineWords]uint64, vecs *[MaxCandidates][memline.LineWords]uint64) {
-	if n < 1 || n > MaxCandidates {
-		panic("vcc: candidate count out of range")
-	}
-	sm := prng.NewSplitMix64(c.seed(addr, ctr))
-	for w := range pad {
-		pad[w] = sm.Uint64()
-	}
-	for w := range vecs[0] {
-		vecs[0][w] = 0
-	}
-	for v := 1; v < n; v++ {
-		for w := range vecs[v] {
-			vecs[v][w] = sm.Uint64()
-		}
 	}
 }

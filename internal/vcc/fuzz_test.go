@@ -19,6 +19,14 @@ func fuzzN(sel byte) int {
 	return []int{2, 4, 8}[int(sel)%3]
 }
 
+// fuzzModel maps a selector onto an energy model of either cost type:
+// Table II, the fractional models, and the models at and past the
+// integer rule's bound (see TestSweepCostType).
+func fuzzModel(sel byte) pcm.EnergyModel {
+	models := []pcm.EnergyModel{pcm.DefaultEnergy(), fracReset, fracScaled, atIntBound, pastBound}
+	return models[int(sel)%len(models)]
+}
+
 // fuzzOld derives a full old-state vector from packed 2-bit state
 // words, repeating the 64-byte pattern across data and aux cells.
 func fuzzOld(oldBits []byte, n int) []pcm.State {
@@ -37,15 +45,20 @@ func fuzzOld(oldBits []byte, n int) []pcm.State {
 // addresses and counters: the full-line encode decodes bit-exactly back
 // to the plaintext, and every word's candidate choice and output states
 // in the cell and the plane encoder match the scalar CostTable
-// reference.
+// reference and the float reference sweep. nSel picks the candidate
+// count (nSel mod 3) and the energy model (nSel>>2, fuzzModel).
 func FuzzVCCRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), byte(2))
 	f.Add([]byte{0xFF, 0x00, 0xAA}, uint64(1), uint64(1), uint64(7), byte(0))
 	f.Add([]byte("counter mode whitening makes every line incompressible.."),
 		uint64(0xDEAD), uint64(42), uint64(0x5EC2E7C0DE5EED01), byte(1))
+	f.Add([]byte("Table II plus half a picojoule on every reset"), uint64(5), uint64(6), uint64(7), byte(1<<2|1))
+	f.Add([]byte{0x0F, 0xF0, 0x33, 0xCC}, uint64(1)<<40, uint64(9), uint64(0), byte(2<<2|2))
+	f.Add([]byte("integer energies just under 2^20"), uint64(77), ^uint64(0), uint64(3), byte(3<<2))
+	f.Add([]byte("one energy at 2^20 prices in floats"), uint64(12), uint64(34), uint64(56), byte(4<<2|2))
 	f.Fuzz(func(t *testing.T, raw []byte, addr, ctr, key uint64, nSel byte) {
 		n := fuzzN(nSel)
-		s, err := New(pcm.DefaultEnergy(), n, key)
+		s, err := New(fuzzModel(nSel>>2), n, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,12 +117,18 @@ func FuzzVCCCandidates(f *testing.F) {
 // addresses and counters, that the keyed plane codecs of VCC-2/4/8 and
 // of the Encrypted wrapper agree with their cell-vector forms: the
 // plane encode is the packed cell encode, old planes stay untouched, and
-// the plane decode round-trips to the plaintext under the same key.
+// the plane decode round-trips to the plaintext under the same key. sel
+// picks the Encrypted wrapper (sel mod 4 = 3) or a VCC candidate count,
+// and for VCC the energy model (sel>>2, fuzzModel).
 func FuzzCounterPlanes(f *testing.F) {
 	f.Add([]byte{}, uint64(0), uint64(0), uint64(0), byte(0))
 	f.Add([]byte{0x5A, 0xA5, 0xFF}, uint64(3), uint64(1), uint64(9), byte(1))
 	f.Add([]byte("slot counters key every plane write"), uint64(0xBEEF), uint64(1)<<33, uint64(0), byte(2))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, ^uint64(0), uint64(77), uint64(0xC0DE), byte(3))
+	f.Add([]byte("fractional reset"), uint64(8), uint64(2), uint64(1), byte(1<<2|1))
+	f.Add([]byte("fractional Fig. 14 level"), uint64(9), uint64(3), uint64(0), byte(2<<2|2))
+	f.Add([]byte("at the integer bound"), uint64(10), uint64(4), uint64(2), byte(3<<2))
+	f.Add([]byte("past the integer bound"), uint64(11), uint64(5), uint64(3), byte(4<<2|1))
 	f.Fuzz(func(t *testing.T, raw []byte, addr, ctr, key uint64, sel byte) {
 		type codec interface {
 			TotalCells() int
@@ -121,7 +140,7 @@ func FuzzCounterPlanes(f *testing.F) {
 		if sel%4 == 3 {
 			s = NewEncrypted(vccInnerStub{}, key)
 		} else {
-			v, err := New(pcm.DefaultEnergy(), fuzzN(sel), key)
+			v, err := New(fuzzModel(sel>>2), fuzzN(sel), key)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,16 +23,25 @@ import (
 // encrypted traffic.
 //
 // Scheme implements core.CounterPlaneScheme (bit planes, the form
-// replay frontends store lines through) and core.CounterScheme (cells,
-// for perfbench's codec probes); both run the one candidate sweep,
-// bestCandidate, and agree bit for bit. The sweep prices in the interleaved "spread"
-// domain of a data word, where cell c sits at bits 2c and 2c+1: the
-// old states are spread once per word, each candidate is priced
-// straight from the XORed ciphertext word, and only the winner is
-// compacted into state planes. Counts become energy through a product
-// table (prod[s][k] = k·WriteEnergy(s)), summed over s in ascending
-// order exactly as coset.SWARTable.Price sums, so no multiply runs per
-// candidate.
+// replay frontends store lines through) and core.CounterScheme, the
+// cell-vector form perfbench's codec probes call, as pack/unpack
+// wrappers over the plane codec.
+//
+// Pricing. The one candidate sweep, sweep, prices in the interleaved
+// "spread" layout of a data word, where cell c sits at bits 2c and
+// 2c+1. Per word it spreads the old states once and hoists, per target
+// state, the mask of cells not already in it; each candidate then
+// costs one XOR with the ciphertext word, one shift and four
+// AND/popcount terms, one per state in C1's symbol order, and only the
+// winner is compacted into state planes. Counts become energy through
+// a product table, prod[s][k] = k·WriteEnergy(s), summed in ascending
+// state order exactly as coset.SWARTable.Price sums, so no multiply
+// runs per candidate. The table is uint64 when every write energy is a
+// non-negative integer (coset.SWARTable.IntEnergy: Table II and every
+// integer Fig. 14 level), whose sums equal the float sums exactly, and
+// float64 otherwise; sweep is generic over the two, so both pick the
+// same winner, the lowest index on ties. The candidate words are read
+// straight off the random-access Keystream, one mix64 each.
 //
 // There is deliberately no counter-blind form, so core.PlaneCodec
 // answers false for Scheme.
@@ -47,11 +56,26 @@ type Scheme struct {
 	em      pcm.EnergyModel
 	// swar applies the fixed C1 mapping (and its inverse) word-parallel.
 	swar coset.SWARTable
-	// symPol[s] is the spread polarity word of the data symbol C1 maps
-	// to state s (see fieldIs); prod[s][k] is k·WriteEnergy(s). A word
-	// has 32 cells, which bounds every per-state count.
-	symPol [pcm.NumStates]uint64
-	prod   [pcm.NumStates][memline.WordCells + 1]float64
+	// Exactly one product table is set: iprod when the write energies
+	// are integers, else fprod.
+	iprod *costs[uint64]
+	fprod *costs[float64]
+}
+
+// costs is a product table in one cost type: costs[s][k] is
+// k·WriteEnergy(s). A word has 32 cells, which bounds every per-state
+// count.
+type costs[C uint64 | float64] [pcm.NumStates][memline.WordCells + 1]C
+
+// newCosts builds the product table of the per-state write energies e.
+func newCosts[C uint64 | float64](e [pcm.NumStates]C) *costs[C] {
+	p := new(costs[C])
+	for st := range p {
+		for k := range p[st] {
+			p[st][k] = C(k) * e[st]
+		}
+	}
+	return p
 }
 
 // New builds a VCC scheme with n candidate vectors per word (2, 4 or 8)
@@ -76,11 +100,10 @@ func New(em pcm.EnergyModel, n int, key uint64) (*Scheme, error) {
 		em:      em,
 		swar:    coset.C1.SWAR(&em),
 	}
-	for st := range s.prod {
-		s.symPol[st] = fieldPol(s.swar.Inv[st])
-		for k := range s.prod[st] {
-			s.prod[st][k] = float64(k) * s.swar.Energy[st]
-		}
+	if e, ok := s.swar.IntEnergy(); ok {
+		s.iprod = newCosts([pcm.NumStates]uint64{uint64(e[0]), uint64(e[1]), uint64(e[2]), uint64(e[3])})
+	} else {
+		s.fprod = newCosts(s.swar.Energy)
 	}
 	return s, nil
 }
@@ -105,116 +128,91 @@ func (s *Scheme) TotalCells() int { return memline.LineCells + s.auxCells() }
 // DataCells implements core.Scheme.
 func (s *Scheme) DataCells() int { return memline.LineCells }
 
-// EncodeCtrInto implements core.CounterScheme: encrypt data under
-// (addr, ctr), pick each word's cheapest candidate vector word-parallel,
-// store the winners through C1 and the indices in the aux cells. Every
-// cell of dst is written.
+// EncodeCtrInto implements core.CounterScheme: EncodeCtrPlanesInto on
+// the packed cell vectors. Every cell of dst[:TotalCells()] is written.
 func (s *Scheme) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
-	var pad [memline.LineWords]uint64
-	var vecs [MaxCandidates][memline.LineWords]uint64
-	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
-
-	var idx [memline.LineWords]uint8
-	for w := 0; w < memline.LineWords; w++ {
-		cells := old[w*memline.WordCells : (w+1)*memline.WordCells]
-		best, nlo, nhi := s.bestCandidate(data.Word(w)^pad[w], coset.InterleaveStates(cells), &vecs, w)
-		idx[w] = uint8(best)
-		coset.UnpackStates(nlo, nhi, dst[w*memline.WordCells:(w+1)*memline.WordCells])
-	}
-	s.packIndices(&idx, dst[memline.LineCells:s.TotalCells()])
+	var oldP, dstP [tailWord + 2]uint64
+	coset.PackLine(old[:s.TotalCells()], oldP[:])
+	s.EncodeCtrPlanesInto(dstP[:], oldP[:], addr, ctr, data)
+	coset.UnpackLine(dstP[:], dst[:s.TotalCells()])
 }
 
-// EncodeCtrPlanesInto implements core.CounterPlaneScheme: the same
-// candidate sweep as EncodeCtrInto, spreading the stored planes of each
-// word and writing each winner's planes directly; the indices go
-// straight into the tail word pair.
+// EncodeCtrPlanesInto implements core.CounterPlaneScheme: encrypt data
+// under (addr, ctr), pick each word's cheapest candidate vector, write
+// the winners' planes and the indices into the tail word pair.
 func (s *Scheme) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
-	var pad [memline.LineWords]uint64
-	var vecs [MaxCandidates][memline.LineWords]uint64
-	s.cipher.Candidates(addr, ctr, s.n, &pad, &vecs)
-
 	var idx uint64
-	for w := 0; w < memline.LineWords; w++ {
-		spread := memline.InterleavePlanes(old[2*w], old[2*w+1])
-		best, nlo, nhi := s.bestCandidate(data.Word(w)^pad[w], spread, &vecs, w)
-		idx |= uint64(best) << uint(w*s.idxBits)
-		dst[2*w], dst[2*w+1] = nlo, nhi
+	if s.iprod != nil {
+		idx = sweep(s, s.iprod, dst, old, addr, ctr, data)
+	} else {
+		idx = sweep(s, s.fprod, dst, old, addr, ctr, data)
 	}
-	dst[tailWord], dst[tailWord+1] = auxPlanes(idx, memline.LineWords*s.idxBits)
+	dst[tailWord], dst[tailWord+1] = memline.LoHiPlanes(idx)
 }
 
-// spreadLo selects bit 2c of every cell c of a spread word.
+// spreadLo selects bit 2c of every cell c of a spread word, a word
+// whose cell c holds its 2-bit value at bits 2c (low) and 2c+1 (high).
 const spreadLo = 0x5555555555555555
 
-// fieldPol returns the polarity word of the 2-bit value v: XORing a
-// spread word with it turns exactly the cells holding v into 0b11.
-func fieldPol(v uint8) uint64 {
-	return ^(uint64(v&3) * spreadLo)
-}
-
-// fieldIs returns, at bit 2c, whether cell c of the spread word x holds
-// the value whose polarity word is pol.
-func fieldIs(x, pol uint64) uint64 {
-	t := x ^ pol
-	return t & (t >> 1) & spreadLo
-}
-
-// bestCandidate returns the index of word w's cheapest candidate and
-// the state planes it stores: the ciphertext word cw XORed with the
-// candidate, mapped through C1. old is the word's stored states in the
-// spread layout (cell c at bits 2c and 2c+1). Candidate c programs the
-// cells whose symbol in cw^vecs[c][w] maps to state s wherever the
-// stored state is not already s, so each candidate costs one XOR and
-// four masked popcounts, priced through prod; candidate 0 is the zero
-// vector, so the ciphertext is priced directly. Ties keep the lower
-// index. Only the winner is compacted into planes.
-func (s *Scheme) bestCandidate(cw, old uint64, vecs *[MaxCandidates][memline.LineWords]uint64, w int) (best int, lo, hi uint64) {
-	// k<st>: cells not already in state st, at their even bits; p<st>:
-	// the polarity word of the symbol C1 maps to st.
-	k0 := spreadLo &^ fieldIs(old, fieldPol(0))
-	k1 := spreadLo &^ fieldIs(old, fieldPol(1))
-	k2 := spreadLo &^ fieldIs(old, fieldPol(2))
-	k3 := spreadLo &^ fieldIs(old, fieldPol(3))
-	p0, p1, p2, p3 := s.symPol[0], s.symPol[1], s.symPol[2], s.symPol[3]
-	prod := &s.prod
-	price := func(x uint64) float64 {
-		n0 := bits.OnesCount64(fieldIs(x, p0) & k0)
-		n1 := bits.OnesCount64(fieldIs(x, p1) & k1)
-		n2 := bits.OnesCount64(fieldIs(x, p2) & k2)
-		n3 := bits.OnesCount64(fieldIs(x, p3) & k3)
-		return prod[0][n0] + prod[1][n1] + prod[2][n2] + prod[3][n3]
-	}
-	bestCost := price(cw)
-	for c := 1; c < s.n; c++ {
-		if cost := price(cw ^ vecs[c][w]); cost < bestCost {
-			best, bestCost = c, cost
-		}
-	}
-	lo, hi = s.swar.ApplyPlanes(memline.LoHiPlanes(cw ^ vecs[best][w]))
-	return best, lo, hi
-}
-
-// DecodeCtrInto implements core.CounterScheme: read the indices,
-// regenerate each word's pad and winning candidate word of (addr, ctr)
-// through Keystream, and undo the winning XOR and the pad. dst is fully
-// overwritten.
-func (s *Scheme) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
+// sweep encodes the data words of one line: it encrypts word w with
+// the (addr, ctr) pad, prices the n candidates of the word, candidate 0
+// the zero vector and candidate c output LineWords·c + w of the
+// keystream, writes the cheapest's state planes (the ciphertext word
+// XORed with it, mapped through C1) into dst[2w], dst[2w+1], and returns
+// the winning indices, idxBits each, LSB-first. Candidate v programs the
+// cells whose symbol in cw^v maps to state s wherever the stored state
+// is not already s; ties keep the lower index.
+func sweep[C uint64 | float64](s *Scheme, prod *costs[C], dst, old []uint64, addr, ctr uint64, data *memline.Line) (idx uint64) {
 	ks := s.cipher.Keystream(addr, ctr)
-	var idx [memline.LineWords]uint8
-	s.unpackIndices(cells[memline.LineCells:s.TotalCells()], &idx)
 	for w := 0; w < memline.LineWords; w++ {
-		slo, shi := coset.PackStates(cells[w*memline.WordCells:])
-		dlo, dhi := s.swar.ApplyInvPlanes(slo, shi)
-		cw := memline.InterleavePlanes(dlo, dhi)
-		dst.SetWord(w, cw^ks.Candidate(int(idx[w]), w)^ks.Pad(w))
+		cw := data.Word(w) ^ ks.Pad(w)
+		spread := memline.InterleavePlanes(old[2*w], old[2*w+1])
+		// k<st>: cells not already in state st, at their even bits.
+		// In a spread word x, cell c's value has its low bit at bit 2c
+		// of x and its high bit at bit 2c of x>>1.
+		oh := spread >> 1
+		k0 := spreadLo & (spread | oh)
+		k1 := spreadLo &^ (spread &^ oh)
+		k2 := spreadLo &^ (oh &^ spread)
+		k3 := spreadLo &^ (spread & oh)
+		// y = cw^v is the candidate's symbol word and coset.C1 stores 00
+		// as S1, 10 as S2, 11 as S3 and 01 as S4, so the four terms
+		// count the programmed cells of each state in state order (the
+		// scalar-reference tests fail if C1 changes).
+		price := func(v uint64) C {
+			y := cw ^ v
+			h := y >> 1
+			return prod[0][bits.OnesCount64(^(y|h)&k0)] + prod[1][bits.OnesCount64(h&^y&k1)] +
+				prod[2][bits.OnesCount64(y&h&k2)] + prod[3][bits.OnesCount64(y&^h&k3)]
+		}
+		best, bestV, bestCost := 0, uint64(0), price(0)
+		for c := 1; c < s.n; c++ {
+			v := ks.word(memline.LineWords*c + w)
+			if cost := price(v); cost < bestCost {
+				best, bestV, bestCost = c, v, cost
+			}
+		}
+		dst[2*w], dst[2*w+1] = s.swar.ApplyPlanes(memline.LoHiPlanes(cw ^ bestV))
+		idx |= uint64(best) << uint(w*s.idxBits)
 	}
+	return idx
 }
 
-// DecodeCtrPlanesInto implements core.CounterPlaneScheme: DecodeCtrInto
-// reading the data words and the tail indices straight from the planes.
+// DecodeCtrInto implements core.CounterScheme: DecodeCtrPlanesInto on
+// the packed cell vector.
+func (s *Scheme) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
+	var planes [tailWord + 2]uint64
+	coset.PackLine(cells[:s.TotalCells()], planes[:])
+	s.DecodeCtrPlanesInto(planes[:], addr, ctr, dst)
+}
+
+// DecodeCtrPlanesInto implements core.CounterPlaneScheme: read the
+// tail indices, regenerate each word's pad and winning candidate word
+// of (addr, ctr) through Keystream, and undo the winning XOR and the
+// pad. dst is fully overwritten.
 func (s *Scheme) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
 	ks := s.cipher.Keystream(addr, ctr)
-	idx := auxBits(planes[tailWord], planes[tailWord+1], memline.LineWords*s.idxBits)
+	idx := memline.InterleavePlanes(planes[tailWord], planes[tailWord+1])
 	mask := uint64(s.n - 1)
 	for w := 0; w < memline.LineWords; w++ {
 		dlo, dhi := s.swar.ApplyInvPlanes(planes[2*w], planes[2*w+1])
@@ -224,55 +222,8 @@ func (s *Scheme) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *mem
 }
 
 // tailWord is the plane-pair index of the word holding cells 256+, where
-// the candidate indices live.
+// the candidate indices live: the indices, idxBits each LSB-first, are
+// one interleaved word under the identity AuxPack mapping, so bit 2k is
+// the low plane and bit 2k+1 the high plane of cell 256+k, and every
+// other bit of the pair is zero.
 const tailWord = 2 * (memline.LineCells / memline.WordCells)
-
-// auxPlanes lays nbits bits of v (the per-word indices, idxBits each,
-// LSB-first) into the aux cells 256+ of the tail word pair under the
-// identity AuxPack mapping — bit 2k is the low plane and bit 2k+1 the
-// high plane of cell 256+k — the plane form of packIndices. Every other
-// bit of the pair is zero.
-func auxPlanes(v uint64, nbits int) (lo, hi uint64) {
-	for j := 0; j < nbits; j += 2 {
-		lo |= (v >> uint(j) & 1) << uint(j/2)
-		hi |= (v >> uint(j+1) & 1) << uint(j/2)
-	}
-	return lo, hi
-}
-
-// auxBits inverts auxPlanes.
-func auxBits(lo, hi uint64, nbits int) (v uint64) {
-	for j := 0; j < nbits; j += 2 {
-		v |= (lo>>uint(j/2)&1)<<uint(j) | (hi>>uint(j/2)&1)<<uint(j+1)
-	}
-	return v
-}
-
-// packIndices stores the eight per-word candidate indices, idxBits bits
-// each LSB-first, into the auxiliary cells through the fixed AuxPack
-// mapping.
-func (s *Scheme) packIndices(idx *[memline.LineWords]uint8, aux []pcm.State) {
-	var bits [memline.LineWords * 3]uint8
-	k := 0
-	for w := 0; w < memline.LineWords; w++ {
-		for b := 0; b < s.idxBits; b++ {
-			bits[k] = idx[w] >> uint(b) & 1
-			k++
-		}
-	}
-	coset.PackBitsToStates(bits[:k], aux)
-}
-
-// unpackIndices inverts packIndices.
-func (s *Scheme) unpackIndices(aux []pcm.State, idx *[memline.LineWords]uint8) {
-	var bits [memline.LineWords * 3]uint8
-	coset.UnpackBits(aux, bits[:memline.LineWords*s.idxBits])
-	k := 0
-	for w := 0; w < memline.LineWords; w++ {
-		idx[w] = 0
-		for b := 0; b < s.idxBits; b++ {
-			idx[w] |= bits[k] & 1 << uint(b)
-			k++
-		}
-	}
-}

@@ -166,20 +166,30 @@ func encodeWordScalar(tab *coset.CostTable, n int, cipherWord uint64, vecs *[Max
 
 // checkAgainstScalar encodes one line through the cell and the plane
 // encoders of s and asserts, word by word, that both pick the scalar
-// reference's candidate index and store its states. It returns the
-// number of words whose winning cost was tied by a higher index.
+// reference's candidate index and store its states, and that the plane
+// encode equals the float reference sweep's word for word. It returns
+// the number of words whose winning cost was tied by a higher index.
 func checkAgainstScalar(t *testing.T, s *Scheme, old []pcm.State, addr, ctr uint64, data *memline.Line) (ties int) {
 	t.Helper()
+	width := coset.PlaneWords(s.TotalCells())
 	dst := make([]pcm.State, s.TotalCells())
 	s.EncodeCtrInto(dst, old, addr, ctr, data)
-	var idx [memline.LineWords]uint8
-	s.unpackIndices(dst[memline.LineCells:s.TotalCells()], &idx)
+	cellP := make([]uint64, width)
+	coset.PackLine(dst, cellP)
+	cellIdx := memline.InterleavePlanes(cellP[tailWord], cellP[tailWord+1])
 
-	oldP := make([]uint64, coset.PlaneWords(s.TotalCells()))
+	oldP := make([]uint64, width)
 	coset.PackLine(old, oldP)
-	gotP := make([]uint64, len(oldP))
+	gotP := make([]uint64, width)
 	s.EncodeCtrPlanesInto(gotP, oldP, addr, ctr, data)
-	planeIdx := auxBits(gotP[tailWord], gotP[tailWord+1], memline.LineWords*s.idxBits)
+	planeIdx := memline.InterleavePlanes(gotP[tailWord], gotP[tailWord+1])
+	refP := make([]uint64, width)
+	newRefSweep(s).EncodeCtrPlanesInto(refP, oldP, addr, ctr, data)
+	for i := range refP {
+		if gotP[i] != refP[i] {
+			t.Fatalf("%s model %+v: plane word %d is %#x, float reference sweep %#x", s.name, s.em, i, gotP[i], refP[i])
+		}
+	}
 
 	var pad [memline.LineWords]uint64
 	var vecs [MaxCandidates][memline.LineWords]uint64
@@ -191,8 +201,8 @@ func checkAgainstScalar(t *testing.T, s *Scheme, old []pcm.State, addr, ctr uint
 		if tie {
 			ties++
 		}
-		if idx[w] != refIdx {
-			t.Fatalf("%s model %+v word %d: cell encoder picked %d, scalar %d", s.name, s.em, w, idx[w], refIdx)
+		if got := uint8(cellIdx >> uint(w*s.idxBits) & uint64(s.n-1)); got != refIdx {
+			t.Fatalf("%s model %+v word %d: cell encoder picked %d, scalar %d", s.name, s.em, w, got, refIdx)
 		}
 		if got := uint8(planeIdx >> uint(w*s.idxBits) & uint64(s.n-1)); got != refIdx {
 			t.Fatalf("%s model %+v word %d: plane encoder picked %d, scalar %d", s.name, s.em, w, got, refIdx)
@@ -212,17 +222,63 @@ func checkAgainstScalar(t *testing.T, s *Scheme, old []pcm.State, addr, ctr uint
 	return ties
 }
 
+// Energy models of the two cost types. Integer models take the uint64
+// sweep, fractional ones the float64 sweep (TestSweepCostType). The
+// bound models sit at the integer rule's edge: every write energy below
+// 2^20 is integer-priced, one at 2^20 sends the model to floats.
+var (
+	fracReset  = pcm.EnergyModel{Reset: 36.5, Set: pcm.DefaultEnergy().Set}
+	fracScaled = pcm.ScaledEnergy(152.25, 273.5)
+	atIntBound = pcm.EnergyModel{Reset: 1<<20 - 600, Set: [pcm.NumStates]float64{0, 20, 307, 599}}
+	pastBound  = pcm.EnergyModel{Reset: 1<<20 - 600, Set: [pcm.NumStates]float64{0, 20, 307, 600}}
+)
+
+// TestSweepCostType pins which models VCC prices in uint64: Table II,
+// every Fig. 14 level and integer models up to the rule's bound do;
+// fractional, negative and out-of-bound energies fall back to float64.
+func TestSweepCostType(t *testing.T) {
+	cases := []struct {
+		name string
+		em   pcm.EnergyModel
+		ints bool
+	}{
+		{"Table II", pcm.DefaultEnergy(), true},
+		{"Fig. 14 152/273", pcm.ScaledEnergy(152, 273), true},
+		{"Fig. 14 75/135", pcm.ScaledEnergy(75, 135), true},
+		{"Fig. 14 50/80", pcm.ScaledEnergy(50, 80), true},
+		{"at the integer bound", atIntBound, true},
+		{"past the integer bound", pastBound, false},
+		{"Table II + 0.5 pJ Reset", fracReset, false},
+		{"fractional Fig. 14 level", fracScaled, false},
+		{"negative energy", pcm.EnergyModel{Reset: -1, Set: pcm.DefaultEnergy().Set}, false},
+	}
+	for _, tc := range cases {
+		for _, n := range []int{2, 4, 8} {
+			s, err := New(tc.em, n, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.iprod != nil; got != tc.ints || (s.fprod != nil) == tc.ints {
+				t.Errorf("VCC-%d under %s: uint64 sweep %v (float table %v), want uint64 %v",
+					n, tc.name, got, s.fprod != nil, tc.ints)
+			}
+		}
+	}
+}
+
 // TestSWARMatchesScalar asserts that the word-parallel sweep is
-// bit-identical to the scalar CostTable reference — same chosen
-// candidate index, same output states, for every word, through both
-// the cell and the plane encoder — under Table II, seeded
-// integer-valued models, and a model with equal per-state write
-// energies. Under the last, cost is proportional to the number of
-// programmed cells and ties are common, so it pins the lowest-index
-// tie-break; the test fails if no tie ever occurred.
+// bit-identical to the scalar CostTable reference and to the float
+// reference sweep — same chosen candidate index, same output states,
+// for every word, through both the cell and the plane encoder — under
+// Table II, seeded integer-valued models, the models at and past the
+// integer rule's bound, fractional models, and an integer and a
+// fractional model with equal per-state write energies. Under the last
+// two, cost is proportional to the number of programmed cells and ties
+// are common, so they pin the lowest-index tie-break in both cost
+// types; the test fails if either produced no tie.
 func TestSWARMatchesScalar(t *testing.T) {
 	r := prng.New(5)
-	models := []pcm.EnergyModel{pcm.DefaultEnergy()}
+	models := []pcm.EnergyModel{pcm.DefaultEnergy(), atIntBound, pastBound, fracReset, fracScaled}
 	for i := 0; i < 4; i++ {
 		em := pcm.EnergyModel{Reset: float64(r.Intn(64))}
 		for st := range em.Set {
@@ -231,7 +287,8 @@ func TestSWARMatchesScalar(t *testing.T) {
 		models = append(models, em)
 	}
 	flat := pcm.EnergyModel{Reset: 36, Set: [pcm.NumStates]float64{100, 100, 100, 100}}
-	models = append(models, flat)
+	flatFrac := pcm.EnergyModel{Reset: 36.5, Set: [pcm.NumStates]float64{100.25, 100.25, 100.25, 100.25}}
+	models = append(models, flat, flatFrac)
 	for _, em := range models {
 		ties := 0
 		for _, n := range []int{2, 4, 8} {
@@ -245,8 +302,27 @@ func TestSWARMatchesScalar(t *testing.T) {
 				ties += checkAgainstScalar(t, s, old, r.Uint64(), r.Uint64(), &data)
 			}
 		}
-		if em == flat && ties == 0 {
+		if (em == flat || em == flatFrac) && ties == 0 {
 			t.Fatalf("equal-energy model %+v produced no tied candidates; the tie-break is untested", em)
+		}
+	}
+}
+
+// TestCellCodecAllocs: the cell-vector codec packs and unpacks through
+// stack buffers, so neither direction allocates.
+func TestCellCodecAllocs(t *testing.T) {
+	r := prng.New(11)
+	for _, n := range []int{2, 4, 8} {
+		s := newVCC(t, n)
+		data := randomLine(r)
+		old := randomOld(r, s.TotalCells())
+		dst := make([]pcm.State, s.TotalCells())
+		var got memline.Line
+		if a := testing.AllocsPerRun(100, func() { s.EncodeCtrInto(dst, old, 3, 4, &data) }); a != 0 {
+			t.Errorf("VCC-%d EncodeCtrInto: %v allocs/op", n, a)
+		}
+		if a := testing.AllocsPerRun(100, func() { s.DecodeCtrInto(dst, 3, 4, &got) }); a != 0 {
+			t.Errorf("VCC-%d DecodeCtrInto: %v allocs/op", n, a)
 		}
 	}
 }
