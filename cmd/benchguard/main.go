@@ -34,15 +34,6 @@
 //	go test -run xxx -bench BenchmarkIngest -benchtime 0.5s -count 3 ./internal/trace/ | benchguard -gate ingest
 //	benchguard -gate ingest bench-ingest.txt
 //	benchguard -emit-baseline > old.txt # geomean baselines in benchstat format
-//
-// With -from-store <dir> the measured numbers come from a pcmserver
-// result store instead of bench output: the latest point of the series
-// named after the gate supplies the benchmark-name→ns/op map the parser
-// would otherwise produce. A CI box that pushes its bench runs to the
-// server over POST /v1/series can then gate any recorded run, or
-// re-gate yesterday's, without keeping the raw bench logs around:
-//
-//	benchguard -gate ingest -from-store /var/lib/pcmserver
 package main
 
 import (
@@ -59,8 +50,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"wlcrc/internal/store"
 )
 
 // table is the "gates" half of BENCH_encode.json. Its rows and checks
@@ -99,11 +88,10 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchguard: ")
 	var (
-		basePath  = flag.String("baseline", "BENCH_encode.json", "committed gate table")
-		gateName  = flag.String("gate", "", "gate bench output (the file argument, or stdin) with the named row")
-		list      = flag.Bool("list", false, `print one "name pkg bench benchtime count" line per row and exit`)
-		emit      = flag.Bool("emit-baseline", false, "print the geomean baselines as benchstat-compatible bench output and exit")
-		fromStore = flag.String("from-store", "", "pcmserver result-store directory: gate the latest point of the series named after the gate instead of parsing bench output")
+		basePath = flag.String("baseline", "BENCH_encode.json", "committed gate table")
+		gateName = flag.String("gate", "", "gate bench output (the file argument, or stdin) with the named row")
+		list     = flag.Bool("list", false, `print one "name pkg bench benchtime count" line per row and exit`)
+		emit     = flag.Bool("emit-baseline", false, "print the geomean baselines as benchstat-compatible bench output and exit")
 	)
 	flag.Parse()
 
@@ -130,7 +118,7 @@ func main() {
 			log.Fatalf("%s has no gate %q", *basePath, *gateName)
 		}
 		r := t.Gates[i]
-		m, err := measured(*fromStore, r.Name)
+		m, err := measured()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -280,44 +268,18 @@ func sortedKeys(m map[string]float64) []string {
 	return keys
 }
 
-// measured returns the benchmark-name→ns/op map to gate: parsed from
-// bench output (the first positional argument, or stdin) by default, or
-// — with -from-store — the latest point of the series called name in a
-// pcmserver result store. Store series carry exactly the map the parser
-// produces (the server's POST /v1/series contract), so a gate cannot
-// tell the two sources apart.
-func measured(dir, name string) (map[string]float64, error) {
-	if dir == "" {
-		if flag.NArg() == 0 {
-			return parseBench(os.Stdin)
-		}
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return parseBench(f)
+// measured returns the benchmark-name→ns/op map to gate, parsed from
+// bench output: the first positional argument, or stdin.
+func measured() (map[string]float64, error) {
+	if flag.NArg() == 0 {
+		return parseBench(os.Stdin)
 	}
-	st, err := store.Open(dir)
+	f, err := os.Open(flag.Arg(0))
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
-	pts := st.Series(name)
-	if len(pts) == 0 {
-		return nil, fmt.Errorf("store %s has no series %q (recorded series: %q)", dir, name, st.SeriesNames())
-	}
-	// Latest observation wins; points carry their submission timestamp,
-	// with append order breaking ties (and ordering unstamped points).
-	best := pts[0]
-	for _, p := range pts[1:] {
-		if p.Unix >= best.Unix {
-			best = p
-		}
-	}
-	fmt.Printf("benchguard: gating series %q from %s (%d point(s), latest of job %q)\n",
-		name, dir, len(pts), best.JobID)
-	return best.Values, nil
+	defer f.Close()
+	return parseBench(f)
 }
 
 // parseBench scans `go test -bench` output and returns the mean ns/op

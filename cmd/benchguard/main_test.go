@@ -7,54 +7,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"wlcrc/internal/store"
 )
 
-// TestMeasuredFromStore exercises the -from-store source: the latest
-// point of the series named after the gate — by timestamp, with append
-// order breaking ties — must come back verbatim as the measured map.
-func TestMeasuredFromStore(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const reader, mapped = "BenchmarkIngest/reader", "BenchmarkIngest/mapped"
-	pts := []store.SeriesPoint{
-		{Name: "ingest", JobID: "a", Unix: 100, Values: map[string]float64{reader: 300000, mapped: 200000}},
-		{Name: "ingest", JobID: "b", Unix: 300, Values: map[string]float64{reader: 309412, mapped: 40380, "BenchmarkIngest/batch": 64717}},
-		{Name: "ingest", JobID: "c", Unix: 200, Values: map[string]float64{reader: 1, mapped: 1}},
-		{Name: "other", JobID: "d", Unix: 900, Values: map[string]float64{"x": 1}},
-	}
-	for _, p := range pts {
-		if err := st.PutSeries(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := measured(dir, "ingest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := pts[1].Values; !reflect.DeepEqual(got, want) {
-		t.Fatalf("measured = %v, want the Unix=300 point %v", got, want)
-	}
-	for _, r := range committedTable(t).Gates {
-		if err := r.gate(got); r.Name == "ingest" && err != nil {
-			t.Fatalf("the committed ingest gate rejects the stored point: %v", err)
-		}
-	}
-	if _, err := measured(dir, "replay"); err == nil {
-		t.Fatal("a gate without a recorded series must be an error")
-	}
-}
-
-// TestMeasuredParsesInput covers the default (no -from-store) source:
-// bench text through the generic parser, averaged across -count
+// TestMeasuredParsesInput covers the measured source: bench text
+// through the generic parser, averaged across -count
 // repeats. Each line is recorded under both its verbatim and its
 // suffix-stripped name (the "-N" GOMAXPROCS decoration is locally
 // ambiguous); only the stripped names match committed gate keys.
@@ -90,8 +46,8 @@ func TestMeasuredParsesInput(t *testing.T) {
 }
 
 // TestGuardSeriesDetectsRegression checks the geomean check on plain
-// maps — the shape both bench text and store series reduce to. A
-// uniform 2x slowdown cancels out; a single-member 2x trips it.
+// maps — the shape bench text reduces to. A uniform 2x slowdown
+// cancels out; a single-member 2x trips it.
 func TestGuardSeriesDetectsRegression(t *testing.T) {
 	c := check{Kind: "geomean", Family: "test", Tolerance: 0.10,
 		NSPerOp: map[string]float64{"A": 100, "B": 200, "C": 400}}

@@ -43,7 +43,7 @@ func main() {
 		random    = flag.Int("random-writes", 4000, "write requests for random-workload figures")
 		seed      = flag.Uint64("seed", 1, "experiment seed")
 		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "replay worker goroutines, up to banks x sub-shards (1 = serial; results are identical for any value)")
-		ingest    = flag.Int("ingest", 0, "ingest router goroutines pre-routing each replay's stream (0 = auto, negative = off; results are identical for any value)")
+		ingest    = flag.Int("ingest", 0, "ingest router goroutines pre-routing each replay's stream (0 = auto, negative = one router; results are identical for any value)")
 		progress  = flag.Bool("progress", false, "print live replay throughput to stderr")
 		encrypted = flag.Bool("encrypted", false, "replay every workload in counter-mode encrypted (whitened) form")
 		key       = flag.Uint64("key", 0, "encryption key for -encrypted and the VCC/Enc schemes (0 = default key)")

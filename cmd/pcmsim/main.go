@@ -24,9 +24,9 @@
 // past the bank count (256 units under the Table II geometry). -workers
 // bounds the goroutines (default: all CPUs); results are bit-identical
 // for every worker count, so -workers 1 reproduces the serial numbers
-// exactly. -ingest adds a parallel ingest front-end that reads and
-// pre-routes the stream in chunks ahead of the dispatcher (0 = auto,
-// negative = off) — also bit-identical for any value. Trace files given
+// exactly. -ingest sets how many router goroutines read and pre-route
+// the stream in chunks ahead of the dispatcher (0 = auto, negative =
+// one router) — also bit-identical for any value. Trace files given
 // with -trace are memory-mapped and decoded zero-copy when the platform
 // allows it.
 //
@@ -96,7 +96,7 @@ func main() {
 		sample      = flag.Bool("sample-disturb", false, "sample disturbance instead of expected values")
 		useMemsys   = flag.Bool("memsys", false, "also run the Table II memory-system timing model")
 		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "replay worker goroutines, up to banks x sub-shards (1 = serial; results are identical for any value)")
-		ingest      = flag.Int("ingest", 0, "ingest router goroutines pre-routing the stream ahead of the dispatcher (0 = auto, negative = off; results are identical for any value)")
+		ingest      = flag.Int("ingest", 0, "ingest router goroutines pre-routing the stream ahead of the dispatcher (0 = auto, negative = one router; results are identical for any value)")
 		progress    = flag.Bool("progress", false, "stream live replay throughput and queue depths to stderr")
 		wearReport  = flag.Bool("wear", false, "track dense per-cell wear and report the wear distribution per scheme")
 		encrypted   = flag.Bool("encrypted", false, "replay the counter-mode encrypted (whitened) form of the write stream")

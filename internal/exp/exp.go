@@ -41,8 +41,8 @@ type Config struct {
 	// (0 = all CPUs, 1 = serial). Results are bit-identical for every
 	// value — see sim.Engine — so this is purely a speed knob.
 	Workers int
-	// IngestRouters controls the engine's parallel ingest front-end
-	// (0 = auto, negative = off, positive = that many routers). Purely a
+	// IngestRouters is the engine's ingest-router count (0 = auto,
+	// negative = one router, positive = that many routers). Purely a
 	// speed knob like Workers — see sim.Options.IngestRouters.
 	IngestRouters int
 	// Encrypted replays every workload in its counter-mode encrypted

@@ -66,20 +66,23 @@ func firstDiff(want, got []byte) string {
 	return "(equal lines, different length)"
 }
 
-// TestGoldenSweeps pins the granularity sweeps of Figures 1–3 and 5 and
-// the Figure 11–13 study: every line-coset, 3-r-cosets and WLC+Ncosets
-// granularity the experiments replay.
+// TestGoldenSweeps pins the granularity sweeps of Figures 1–3 and 5,
+// the Figure 11–13 study — every line-coset, 3-r-cosets and WLC+Ncosets
+// granularity the experiments replay — the Figure 4 compression
+// coverage and the Figure 14 energy-scaling sweep.
 func TestGoldenSweeps(t *testing.T) {
 	cfg := smallConfig()
 	fig1a, _ := Figure1(cfg, true)
 	fig1b, _ := Figure1(cfg, false)
 	fig2, _ := Figure2(cfg)
 	fig3, _ := Figure3(cfg)
+	fig4, _ := Figure4(cfg)
 	fig5, _ := Figure5(cfg)
+	fig14, _ := Figure14(cfg)
 	gran, _ := GranularityStudy(cfg)
 	checkGolden(t, "sweeps", map[string]any{
-		"fig1a": fig1a, "fig1b": fig1b, "fig2": fig2, "fig3": fig3, "fig5": fig5,
-		"granularity": gran,
+		"fig1a": fig1a, "fig1b": fig1b, "fig2": fig2, "fig3": fig3, "fig4": fig4,
+		"fig5": fig5, "fig14": fig14, "granularity": gran,
 	})
 }
 

@@ -86,8 +86,10 @@ type Spec struct {
 	// WLCRC-16).
 	Schemes []string `json:"schemes,omitempty"`
 
-	// Workers / IngestRouters are the engine speed knobs; results are
-	// bit-identical for every value (see sim.Options).
+	// Workers / IngestRouters are the engine speed knobs (worker and
+	// ingest-router goroutine counts; 0 = auto, and a negative router
+	// count means one router); results are bit-identical for every
+	// value (see sim.Options).
 	Workers       int `json:"workers,omitempty"`
 	IngestRouters int `json:"ingest_routers,omitempty"`
 

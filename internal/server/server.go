@@ -18,7 +18,6 @@
 //	GET    /v1/results?scheme=&workload=&label=&job=   stored rows
 //	GET    /v1/series           stored series names
 //	GET    /v1/series/{name}    stored series points
-//	POST   /v1/series           append a series observation
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text format
 package server
@@ -128,14 +127,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case path == "/v1/results":
 		s.handleResults(w, r)
 	case path == "/v1/series":
-		switch r.Method {
-		case http.MethodGet:
-			s.handleSeriesNames(w, r)
-		case http.MethodPost:
-			s.handleSeriesPost(w, r)
-		default:
-			s.methodNotAllowed(w, "GET, POST")
-		}
+		s.handleSeriesNames(w, r)
 	case strings.HasPrefix(path, "/v1/series/"):
 		name := strings.TrimPrefix(path, "/v1/series/")
 		if name == "" || strings.Contains(name, "/") {
@@ -305,6 +297,10 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 // handleSeriesNames lists stored series.
 func (s *Server) handleSeriesNames(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		s.methodNotAllowed(w, "GET")
+		return
+	}
 	names := []string{}
 	if s.store != nil {
 		names = s.store.SeriesNames()
@@ -323,34 +319,6 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request, name strin
 		pts = s.store.Series(name)
 	}
 	s.writeJSON(w, http.StatusOK, map[string]any{"name": name, "points": pts})
-}
-
-// handleSeriesPost appends one series observation — the push side of
-// benchguard -from-store (CI records a measured bench map, later runs
-// gate against it).
-func (s *Server) handleSeriesPost(w http.ResponseWriter, r *http.Request) {
-	var p store.SeriesPoint
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
-	if err := dec.Decode(&p); err != nil {
-		s.errorJSON(w, http.StatusBadRequest, "bad series point: %v", err)
-		return
-	}
-	if p.Name == "" || len(p.Values) == 0 {
-		s.errorJSON(w, http.StatusBadRequest, "series point needs a name and values")
-		return
-	}
-	if s.store == nil {
-		s.errorJSON(w, http.StatusServiceUnavailable, "no store configured")
-		return
-	}
-	if p.Unix == 0 {
-		p.Unix = time.Now().UnixNano()
-	}
-	if err := s.store.PutSeries(p); err != nil {
-		s.errorJSON(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	s.writeJSON(w, http.StatusCreated, p)
 }
 
 // handleHealth is the liveness probe.

@@ -437,7 +437,7 @@ func TestAPIErrors(t *testing.T) {
 		{"GET", "/v1/jobs/nope/events", "", http.StatusNotFound},
 		{"PUT", "/v1/jobs", "", http.StatusMethodNotAllowed},
 		{"GET", "/v1/nope", "", http.StatusNotFound},
-		{"POST", "/v1/series", `{"values":{}}`, http.StatusBadRequest},
+		{"POST", "/v1/series", `{"name":"x","values":{"a":1}}`, http.StatusMethodNotAllowed},
 	}
 	for _, c := range cases {
 		req, _ := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
@@ -452,21 +452,22 @@ func TestAPIErrors(t *testing.T) {
 	}
 }
 
-// TestSeriesEndpoints pushes a series point and reads it back — the
-// push side of benchguard -from-store.
+// TestSeriesEndpoints reads a stored series point back over the read
+// endpoints.
 func TestSeriesEndpoints(t *testing.T) {
-	ts, _ := newTestServer(t, jobs.Config{Pool: 1}, t.TempDir())
-
-	point := store.SeriesPoint{Name: "encode", Unix: 99, Values: map[string]float64{"BenchmarkEncodePlanesInto/WLCRC-16": 1466.5, "BenchmarkEncodePlanesInto/Baseline": 2200}}
-	body, _ := json.Marshal(point)
-	resp, err := http.Post(ts.URL+"/v1/series", "application/json", bytes.NewReader(body))
+	dir := t.TempDir()
+	point := store.SeriesPoint{Name: "encode", JobID: "j1", Unix: 99, Values: map[string]float64{"WLCRC-16": 1466.5, "Baseline": 2200}}
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST series: status %d", resp.StatusCode)
+	if err := st.PutSeries(point); err != nil {
+		t.Fatal(err)
 	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ts, _ := newTestServer(t, jobs.Config{Pool: 1}, dir)
 
 	resp2, err := http.Get(ts.URL + "/v1/series/encode")
 	if err != nil {

@@ -62,10 +62,9 @@ func BenchmarkShardApply(b *testing.B) {
 // BenchmarkEngineRun measures the full engine layer at fixed small
 // worker counts on a single-scheme load, isolating dispatch overhead
 // from the root package's multi-scheme replay benchmarks. Each worker
-// count runs with the ingest front-end off (the classic serial
-// dispatcher) and with 2 router goroutines pre-routing the stream; the
-// delta is what the parallel front-end buys (or costs, on a single-CPU
-// box) at the engine layer.
+// count runs with one and with two ingest router goroutines
+// pre-routing the stream; the delta is what a second router buys (or
+// costs, on a single-CPU box) at the engine layer.
 func BenchmarkEngineRun(b *testing.B) {
 	p, ok := workload.ProfileByName("gcc")
 	if !ok {
@@ -73,12 +72,8 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 	src := trace.Record(workload.NewGenerator(p, 1024, 17), 4000)
 	for _, workers := range []int{1, 4} {
-		for _, ingest := range []int{-1, 2} {
-			name := fmt.Sprintf("workers=%d/ingest=off", workers)
-			if ingest > 0 {
-				name = fmt.Sprintf("workers=%d/ingest=%d", workers, ingest)
-			}
-			b.Run(name, func(b *testing.B) {
+		for _, ingest := range []int{1, 2} {
+			b.Run(fmt.Sprintf("workers=%d/routers=%d", workers, ingest), func(b *testing.B) {
 				opts := DefaultOptions()
 				opts.Verify = false
 				opts.Workers = workers
@@ -115,7 +110,7 @@ func BenchmarkEngineRunFaults(b *testing.B) {
 			opts := DefaultOptions()
 			opts.Verify = false
 			opts.Workers = 4
-			opts.IngestRouters = -1
+			opts.IngestRouters = 1
 			if mode == "on" {
 				opts.Faults = fault.Config{
 					Enabled:         true,

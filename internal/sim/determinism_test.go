@@ -53,9 +53,9 @@ func TestScalarStorageBitIdentical(t *testing.T) {
 		mode.schemes = names
 		t.Run(mode.name, func(t *testing.T) {
 			src := mode.src(t)
-			e, planeErr := matrixRun(t, mode, src, 1, -1)
+			e, planeErr := matrixRun(t, mode, src, 1, 1)
 			src.Rewind()
-			o := newScalarOracle(matrixOptions(mode, 1, -1), schemesForTest(t, names...)...)
+			o := newScalarOracle(matrixOptions(mode, 1, 1), schemesForTest(t, names...)...)
 			oracleErr := o.Run(src)
 			if oracleErr != nil && !errors.As(oracleErr, new(*DegradedError)) {
 				t.Fatal(oracleErr)
@@ -173,10 +173,10 @@ func matrixRun(t *testing.T, mode matrixMode, src *trace.SliceSource, workers, i
 // TestEngineDeterminismMatrix is the layered determinism net: for
 // every accounting mode (deterministic, sampled disturbance, fault
 // injection + VnR, and counter-keyed encrypted replay), every worker
-// count in the matrix, and the ingest front-end both off and on, the
-// engine's Metrics, post-run Snapshot and wear summaries must be
-// bit-identical — reflect.DeepEqual, floats included — to the
-// Workers=1, ingest-off run of the same trace. The -race CI job runs
+// count in the matrix, and one or several ingest routers, the engine's
+// Metrics, post-run Snapshot and wear summaries must be bit-identical —
+// reflect.DeepEqual, floats included — to the Workers=1, one-router
+// run of the same trace. The -race CI job runs
 // this matrix too, so the guarantee is checked under the race detector.
 func TestEngineDeterminismMatrix(t *testing.T) {
 	banks := determinismGeometry().Banks()
@@ -187,7 +187,7 @@ func TestEngineDeterminismMatrix(t *testing.T) {
 				e, err := matrixRun(t, mode, src, workers, ingest)
 				return e.Metrics(), e.Snapshot(), e.RetiredLines(), err
 			}
-			wantMetrics, wantSnap, wantRetired, wantErr := run(1, -1)
+			wantMetrics, wantSnap, wantRetired, wantErr := run(1, 1)
 			if wantMetrics[0].Writes != 2500 {
 				t.Fatalf("serial run replayed %d writes, want 2500", wantMetrics[0].Writes)
 			}
@@ -198,28 +198,28 @@ func TestEngineDeterminismMatrix(t *testing.T) {
 				t.Fatal("serial Snapshot differs from Metrics after Run")
 			}
 			for _, workers := range determinismWorkerSet(banks) {
-				for _, ingest := range []int{-1, 2} {
-					if workers == 1 && ingest == -1 {
+				for _, ingest := range testRouters {
+					if workers == 1 && ingest == 1 {
 						continue // the baseline itself
 					}
 					gotMetrics, gotSnap, gotRetired, gotErr := run(workers, ingest)
 					if !reflect.DeepEqual(wantMetrics, gotMetrics) {
-						t.Errorf("workers=%d ingest=%d: Metrics differ from serial run", workers, ingest)
+						t.Errorf("workers=%d routers=%d: Metrics differ from serial run", workers, ingest)
 					}
 					if !reflect.DeepEqual(wantSnap, gotSnap) {
-						t.Errorf("workers=%d ingest=%d: Snapshot differs from serial run", workers, ingest)
+						t.Errorf("workers=%d routers=%d: Snapshot differs from serial run", workers, ingest)
 					}
 					if !reflect.DeepEqual(wantRetired, gotRetired) {
-						t.Errorf("workers=%d ingest=%d: retired-line sets differ from serial run:\nserial:   %v\nparallel: %v",
+						t.Errorf("workers=%d routers=%d: retired-line sets differ from serial run:\nserial:   %v\nparallel: %v",
 							workers, ingest, wantRetired, gotRetired)
 					}
 					if !reflect.DeepEqual(wantErr, gotErr) {
-						t.Errorf("workers=%d ingest=%d: run error differs from serial run:\nserial:   %v\nparallel: %v",
+						t.Errorf("workers=%d routers=%d: run error differs from serial run:\nserial:   %v\nparallel: %v",
 							workers, ingest, wantErr, gotErr)
 					}
 					for i := range wantMetrics {
 						if !reflect.DeepEqual(wantMetrics[i].Wear, gotMetrics[i].Wear) {
-							t.Errorf("workers=%d ingest=%d: %s wear summary differs from serial run",
+							t.Errorf("workers=%d routers=%d: %s wear summary differs from serial run",
 								workers, ingest, wantMetrics[i].Scheme)
 						}
 					}

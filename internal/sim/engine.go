@@ -31,11 +31,6 @@ const unitBatch = 128
 // queue holds more, smaller batches than the old per-worker batching.
 const unitChanCap = 16
 
-// progressStride is how many dispatched requests pass between clock
-// checks for the Progress callback — the dispatch loop never reads the
-// clock more than once per stride. Must be a power of two.
-const progressStride = 1024
-
 // Engine is the concurrent sharded replay pipeline. It maintains one
 // shard per (scheme, bank, sub-shard) triple — the bank comes from the
 // configured memsys geometry, exactly the interleaving the Table II
@@ -60,13 +55,12 @@ const progressStride = 1024
 // arbitrarily long streamed trace runs with zero steady-state
 // dispatcher allocations.
 //
-// When Options.IngestRouters resolves above zero, reading and routing
-// move off the Run goroutine entirely: the ingest stage (ingest.go)
-// pulls sequence-stamped chunks from the source, pre-routes them into
-// per-unit sub-batches on K router goroutines, and Run reassembles the
-// chunks in order into the same pending/ready buffers — identical
-// hand-off order, so identical results, with the front-end off the
-// critical path.
+// Reading and routing run off the Run goroutine: the ingest stage
+// (ingest.go) pulls sequence-stamped chunks from the source, pre-routes
+// them into per-unit sub-batches on Options.IngestRouters router
+// goroutines, and Run reassembles the chunks in order into the
+// pending/ready buffers — the same hand-off order, so the same results,
+// for every router count.
 //
 // Workers drain their queue one unit-batch at a time and replay it
 // scheme-major through each scheme's shard (shard.applyRun, which
@@ -78,7 +72,7 @@ const progressStride = 1024
 // Determinism: results never depend on Options.Workers. Unit ownership
 // is static and sub-shard assignment depends only on the address, so
 // every shard sees its lines' requests in trace order (the dispatcher
-// reads the source sequentially, batches of one unit traverse one
+// reassembles the source in sequence, batches of one unit traverse one
 // channel in fill order, and a worker drains its queue FIFO); each
 // shard's PRNG substream is seeded only from (Options.Seed, scheme,
 // unit); and Metrics folds the shards in fixed (scheme, bank,
@@ -116,12 +110,12 @@ type Engine struct {
 	// channel's capacity covers every buffer that can be in flight at
 	// once, so steady state is allocation-free unconditionally.
 	freeBufs chan *[]routedReq
-	// ingest is the resolved ingest-router count (0 = classic in-line
-	// dispatch). freeChunks recycles ingest chunks the way freeBufs
-	// recycles batch buffers, and doubles as the in-flight bound: a
-	// router blocks for a free chunk before reading, so at most
-	// cap(freeChunks) chunk sequences are ever outstanding — which is
-	// what lets the reassembly ring index by seq modulo that capacity.
+	// ingest is the resolved ingest-router count (at least 1).
+	// freeChunks recycles ingest chunks the way freeBufs recycles batch
+	// buffers, and doubles as the in-flight bound: a router blocks for
+	// a free chunk before reading, so at most cap(freeChunks) chunk
+	// sequences are ever outstanding — which is what lets the
+	// reassembly ring index by seq modulo that capacity.
 	ingest     int
 	freeChunks chan *ingestChunk
 }
@@ -162,14 +156,12 @@ func NewEngine(opts Options, schemes ...core.Scheme) *Engine {
 	// plus each worker's full queue and the batch it is draining.
 	e.freeBufs = make(chan *[]routedReq, 2*units+workers*(unitChanCap+1))
 	e.ingest = resolveIngestRouters(opts.IngestRouters, runtime.GOMAXPROCS(0))
-	if e.ingest > 0 {
-		// Enough chunks that every router holds one, the routed channel
-		// can buffer one per router, and the reassembly keeps a couple in
-		// hand — prefilled so steady state never allocates a chunk.
-		e.freeChunks = make(chan *ingestChunk, 2*e.ingest+2)
-		for i := 0; i < cap(e.freeChunks); i++ {
-			e.freeChunks <- newIngestChunk()
-		}
+	// Enough chunks that every router holds one, the routed channel can
+	// buffer one per router, and the reassembly keeps a couple in hand —
+	// prefilled so steady state never allocates a chunk.
+	e.freeChunks = make(chan *ingestChunk, 2*e.ingest+2)
+	for i := 0; i < cap(e.freeChunks); i++ {
+		e.freeChunks <- newIngestChunk()
 	}
 	e.shards = make([]*shard, len(schemes)*units)
 	sampled := opts.SampleDisturb || opts.InjectFaults
@@ -233,9 +225,8 @@ func (e *Engine) SubShards() int { return e.subShards }
 // upper bound on useful worker counts.
 func (e *Engine) Units() int { return e.units }
 
-// IngestRouters returns the resolved ingest-router count: 0 means Run
-// reads and routes the source in-line on its own goroutine (the classic
-// dispatcher), N > 0 means N parallel pre-routing goroutines feed it
+// IngestRouters returns the resolved ingest-router count, the number of
+// goroutines that read and pre-route the source during Run — at least 1
 // (Options.IngestRouters documents the resolution rule). Like Workers,
 // the value never affects results, only wall-clock time.
 func (e *Engine) IngestRouters() int { return e.ingest }
@@ -270,13 +261,12 @@ type batch struct {
 }
 
 // Run drains a source through the engine, stopping after max requests
-// when max > 0. With ingest disabled the source is read sequentially on
-// the calling goroutine; with ingest routers the source is read in
-// chunks (batched through trace.Batched when it is not already a
-// trace.BatchSource), pre-routed in parallel, and reassembled in
-// sequence here — either way each request is routed to the single
-// worker owning its (bank, sub-shard) unit, travels in pooled batch
-// buffers, and the results are bit-identical.
+// when max > 0. The source is read in chunks (batched through
+// trace.Batched when it is not already a trace.BatchSource), pre-routed
+// by the ingest routers, and reassembled in sequence; each request is
+// routed to the single worker owning its (bank, sub-shard) unit and
+// travels in pooled batch buffers, and the results are bit-identical
+// for every worker and router count.
 //
 // On a verification failure the engine stops reading the source,
 // flushes every pending batch (so all requests read before the stop are
@@ -294,13 +284,13 @@ func (e *Engine) Run(src trace.Source, max int) error {
 	return e.RunContext(context.Background(), src, max)
 }
 
-// RunContext is Run with cooperative cancellation. The dispatch loop
-// (serial or ingest) checks ctx between requests: on cancellation it
-// stops reading the source, the already-dispatched batches drain
-// through the workers normally (the queues are bounded, so the drain is
-// prompt), and RunContext returns ctx.Err() — the merged metrics then
-// cover exactly the requests read before the stop, applied to every
-// scheme alike. A background context costs one nil check per request.
+// RunContext is Run with cooperative cancellation. The ingest routers
+// check ctx between chunks: on cancellation they stop reading the
+// source, the already-read chunks drain through the workers normally
+// (the queues are bounded, so the drain is prompt), and RunContext
+// returns ctx.Err() — the merged metrics then cover exactly the
+// requests read before the stop, applied to every scheme alike. A
+// background context costs one nil check per chunk.
 func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) error {
 	e.reserveLines(src, max)
 	done := ctx.Done()
@@ -327,60 +317,13 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) erro
 		}(w)
 	}
 
-	var (
-		start = time.Now()
-		queue []int
-	)
-
-	// pending[u] is unit u's filling buffer; ready[u] is a filled batch
-	// parked when the owner's queue was momentarily full (the second
-	// half of the double buffer). Per unit, ready is always older than
-	// pending, and both drain before anything newer — FIFO per unit is
-	// what per-shard trace order rests on.
-	pending := make([]*[]routedReq, e.units)
-	ready := make([]*[]routedReq, e.units)
-	var seq uint64
-	if e.ingest > 0 {
-		seq = e.dispatchIngest(trace.Batched(src), max, chans, pending, ready, &failed, done, start)
-	} else {
-		seq = e.dispatchSerial(src, max, chans, pending, ready, &failed, done, start)
-	}
-	// Flush every parked and pending batch — even when stopping on a
-	// failure. Determinism of the reported error depends on it: the
-	// earliest failing request overall was read before the (later)
-	// failure whose detection triggered the stop, so it sits in an
-	// already-dispatched batch or in one of these buffers, and flushing
-	// guarantees it is applied and recorded.
-	for u := 0; u < e.units; u++ {
-		w := u % e.workers
-		if r := ready[u]; r != nil {
-			chans[w] <- batch{unit: int32(u), reqs: r}
-			ready[u] = nil
-		}
-		if p := pending[u]; p != nil && len(*p) > 0 {
-			chans[w] <- batch{unit: int32(u), reqs: p}
-			pending[u] = nil
-		}
-	}
+	tick := newProgressTicker(&e.opts, time.Now())
+	n := e.dispatch(trace.Batched(src), max, chans, &failed, done, tick)
 	for _, c := range chans {
 		close(c)
 	}
 	wg.Wait()
-	if e.opts.Progress != nil {
-		if queue == nil {
-			queue = make([]int, e.workers)
-		}
-		for i := range queue {
-			queue[i] = 0
-		}
-		e.opts.Progress(Progress{
-			Dispatched: seq,
-			Elapsed:    time.Since(start),
-			Workers:    e.workers,
-			QueueDepth: queue,
-			Done:       true,
-		})
-	}
+	tick.tick(n, chans, true)
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -431,66 +374,6 @@ func canceled(done <-chan struct{}) bool {
 	default:
 		return false
 	}
-}
-
-// dispatchSerial is the classic in-line dispatch loop: read one request
-// per Source.Next on this goroutine, route it, and hand off per-unit
-// batches as they fill. It returns the number of requests dispatched.
-// dispatchIngest (ingest.go) is the parallel front-end that replaces it
-// when ingest routers are configured; the two must fill the per-unit
-// pending buffers with identical content in identical order.
-func (e *Engine) dispatchSerial(src trace.Source, max int, chans []chan batch,
-	pending, ready []*[]routedReq, failed *atomic.Bool, done <-chan struct{}, start time.Time) uint64 {
-	var (
-		lastTick = start
-		interval = e.opts.ProgressInterval
-		queue    []int
-	)
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
-	var seq uint64
-	n := 0
-	for !failed.Load() && !canceled(done) {
-		if max > 0 && n >= max {
-			break
-		}
-		req, ok := src.Next()
-		if !ok {
-			break
-		}
-		u := e.routeOf(req.Addr)
-		p := pending[u]
-		if p == nil {
-			p = e.getBuf()
-			pending[u] = p
-		}
-		*p = append(*p, routedReq{seq: seq, addr: req.Addr, data: req.New})
-		seq++
-		n++
-		if len(*p) == unitBatch {
-			e.handOff(chans[u%e.workers], ready, u, p)
-			pending[u] = nil
-		}
-		if e.opts.Progress != nil && seq&(progressStride-1) == 0 {
-			if now := time.Now(); now.Sub(lastTick) >= interval {
-				lastTick = now
-				if queue == nil {
-					queue = make([]int, e.workers)
-				}
-				for i, c := range chans {
-					queue[i] = len(c)
-				}
-				e.opts.Progress(Progress{
-					Dispatched: seq,
-					Elapsed:    now.Sub(start),
-					Workers:    e.workers,
-					QueueDepth: queue,
-				})
-			}
-		}
-	}
-	return seq
 }
 
 // getBuf pops a recycled batch buffer, allocating only while the

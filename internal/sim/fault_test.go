@@ -244,30 +244,32 @@ func (c *cancelAfterSource) Next() (trace.Request, bool) {
 func TestEngineRunContextCancel(t *testing.T) {
 	const total = 20000
 	src := fixedTrace(t, "gcc", 256, total, 13)
-	for _, ingest := range []int{-1, 2} {
-		ctx, cancel := context.WithCancel(context.Background())
-		opts := DefaultOptions()
-		opts.Workers = 4
-		opts.IngestRouters = ingest
-		e := NewEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
-		cs := &cancelAfterSource{src: src, n: 500, cancel: cancel}
-		err := e.RunContext(ctx, cs, 0)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("ingest=%d: err = %v, want context.Canceled", ingest, err)
-		}
-		ms := e.Metrics()
-		for _, m := range ms {
-			if m.Writes == 0 || m.Writes >= total {
-				t.Errorf("ingest=%d: %s replayed %d writes after cancel, want a non-empty strict prefix",
-					ingest, m.Scheme, m.Writes)
+	for _, routers := range testRouters {
+		for _, workers := range testWorkers {
+			ctx, cancel := context.WithCancel(context.Background())
+			opts := DefaultOptions()
+			opts.Workers = workers
+			opts.IngestRouters = routers
+			e := NewEngine(opts, schemesForTest(t, "Baseline", "WLCRC-16")...)
+			cs := &cancelAfterSource{src: src, n: 500, cancel: cancel}
+			err := e.RunContext(ctx, cs, 0)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("routers=%d workers=%d: err = %v, want context.Canceled", routers, workers, err)
 			}
-			if m.Writes != ms[0].Writes {
-				t.Errorf("ingest=%d: schemes drained unevenly: %d vs %d writes",
-					ingest, m.Writes, ms[0].Writes)
+			ms := e.Metrics()
+			for _, m := range ms {
+				if m.Writes == 0 || m.Writes >= total {
+					t.Errorf("routers=%d workers=%d: %s replayed %d writes after cancel, want a non-empty strict prefix",
+						routers, workers, m.Scheme, m.Writes)
+				}
+				if m.Writes != ms[0].Writes {
+					t.Errorf("routers=%d workers=%d: schemes drained unevenly: %d vs %d writes",
+						routers, workers, m.Writes, ms[0].Writes)
+				}
 			}
+			src.Rewind()
 		}
-		src.Rewind()
 	}
 
 	// A context canceled up front never dispatches at all.

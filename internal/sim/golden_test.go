@@ -41,7 +41,7 @@ func goldenPath(mode string) string {
 func TestGoldenMetrics(t *testing.T) {
 	for _, mode := range matrixModes {
 		t.Run(mode.name, func(t *testing.T) {
-			e, err := matrixRun(t, mode, mode.src(t), 1, -1)
+			e, err := matrixRun(t, mode, mode.src(t), 1, 1)
 			got := golden{Metrics: e.Metrics(), Retired: e.RetiredLines()}
 			if err != nil {
 				got.Err = err.Error()

@@ -8,39 +8,34 @@ import (
 	"wlcrc/internal/trace"
 )
 
-// The parallel ingest stage sits in front of the dispatcher when
-// Options.IngestRouters resolves above zero. The classic Run loop reads
-// one record per Source.Next interface call and routes it on the same
-// goroutine — a serial front-end whose per-record decode + two 64-byte
-// line copies become the Amdahl ceiling once the back end (256 routing
-// units, pipelined dispatch) stops being the bottleneck. The ingest
-// stage replaces it with a three-step pipeline:
+// Every Run reads and routes its source through the ingest pipeline,
+// three steps that keep decoding and routing off the Run goroutine:
 //
 //	reader   one mutex-guarded BatchSource.NextBatch per chunk stamps
 //	         each fixed-size chunk with a chunk sequence number and the
 //	         global sequence of its first request. Sources that decode
 //	         in bulk (MappedSource, Reader.ReadBatch) amortize all
-//	         per-record I/O here; legacy Sources arrive via the
-//	         trace.Batched adapter and just lose the per-request
+//	         per-record I/O here; a plain Source arrives via the
+//	         trace.Batched adapter and just loses the per-request
 //	         interface call.
-//	route    K router goroutines each take a filled chunk and pre-route
-//	         it independently: a stable counting sort by routing unit
-//	         groups the chunk into per-unit sub-batches (within-unit
-//	         order preserved) and stamps every request's global
-//	         sequence number.
+//	route    K router goroutines (K >= 1) each take a filled chunk and
+//	         pre-route it independently: a stable counting sort by
+//	         routing unit groups the chunk into per-unit sub-batches
+//	         (within-unit order preserved) and stamps every request's
+//	         global sequence number.
 //	reassemble  the Run goroutine consumes routed chunks through a
 //	         fixed ring, strictly in chunk-sequence order, and appends
-//	         each unit's sub-batch into the same pending/ready
-//	         double-buffer the classic dispatcher fills — so per-unit
-//	         batch boundaries, hand-off order, and therefore per-shard
-//	         trace order are byte-identical to the classic path.
+//	         each unit's sub-batch into the unit's pending/ready double
+//	         buffer, handing a batch to the unit's owner every time it
+//	         reaches unitBatch.
 //
 // Determinism: only the reassembly step touches dispatcher state, and
 // it runs in chunk order on one goroutine; routing is pure computation
-// on private chunk buffers. Every guarantee of the classic path — the
-// PR 6 worker-count matrix, PRNG draw order, earliest-failure error
-// selection — carries over bit-exactly, which the ingest determinism
-// tests assert for Source, BatchSource and MappedSource inputs alike.
+// on private chunk buffers. Per-unit batch boundaries, hand-off order
+// and therefore per-shard trace order are the same for every router
+// and worker count, so results are bit-identical across both — which
+// the ingest determinism tests assert for Source, BatchSource and
+// MappedSource inputs alike.
 //
 // Allocation: chunks (request buffer, unit scratch, grouped output)
 // recycle through the engine's chunk free list exactly like batch
@@ -91,17 +86,15 @@ func newIngestChunk() *ingestChunk {
 }
 
 // resolveIngestRouters maps Options.IngestRouters to the effective
-// router count: negative forces the classic in-line dispatcher, zero
-// auto-sizes (off on a single-CPU machine, else up to ingestAutoMax),
-// positive is taken as-is.
+// router count: zero auto-sizes to min(ingestAutoMax, cpus), a
+// positive value is taken as-is, and a negative one means a single
+// router.
 func resolveIngestRouters(opt, cpus int) int {
 	switch {
 	case opt < 0:
-		return 0
+		return 1
 	case opt > 0:
 		return opt
-	case cpus <= 1:
-		return 0
 	default:
 		return min(ingestAutoMax, cpus)
 	}
@@ -109,8 +102,8 @@ func resolveIngestRouters(opt, cpus int) int {
 
 // ingestReader serializes chunk fills over the source: one lock, one
 // NextBatch, one stamp. It is the only place the source is touched, so
-// a plain Source behind the Batched adapter is read exactly as the
-// classic dispatcher would read it.
+// a plain Source behind the Batched adapter is read sequentially, one
+// Next per request, in trace order.
 type ingestReader struct {
 	mu   sync.Mutex
 	src  trace.BatchSource
@@ -186,11 +179,11 @@ func (e *Engine) routeChunk(c *ingestChunk, counts []int32) {
 	}
 }
 
-// assembleChunk folds one routed chunk into the dispatcher state,
-// reproducing exactly what the classic loop would have done for the
-// same requests: per unit, append into the pending buffer and hand off
-// every time it reaches unitBatch. Called in strict chunk-sequence
-// order on the Run goroutine only.
+// assembleChunk folds one routed chunk into the dispatcher state: per
+// unit, append into the pending buffer and hand off every time it
+// reaches unitBatch. Called in strict chunk-sequence order on the Run
+// goroutine only, so each unit's batches hold its requests in trace
+// order.
 func (e *Engine) assembleChunk(c *ingestChunk, chans []chan batch, pending, ready []*[]routedReq) {
 	for _, run := range c.runs {
 		u := int(run.unit)
@@ -215,16 +208,18 @@ func (e *Engine) assembleChunk(c *ingestChunk, chans []chan batch, pending, read
 	}
 }
 
-// dispatchIngest is the ingest-stage replacement for the classic
-// dispatch loop inside Run: it spawns the routers, then reassembles
-// routed chunks in order into the shared pending/ready state. It
-// returns the number of requests dispatched. On a failure the routers
-// stop pulling new chunks, but every chunk already read is still
-// routed, reassembled and dispatched — the flush in Run then guarantees
-// the globally-earliest failing request is applied, exactly like the
-// classic path.
-func (e *Engine) dispatchIngest(src trace.BatchSource, max int, chans []chan batch,
-	pending, ready []*[]routedReq, failed *atomic.Bool, done <-chan struct{}, start time.Time) uint64 {
+// dispatch streams src through the ingest pipeline into the workers'
+// queues and returns the number of requests dispatched: it spawns the
+// routers, reassembles routed chunks in order into per-unit batches,
+// and finally flushes every parked and pending batch. On a failure or
+// cancellation the routers stop pulling new chunks, but every chunk
+// already read is still routed, reassembled and flushed. Determinism of
+// the reported error depends on that: the earliest failing request
+// overall was read before the (later) failure whose detection
+// triggered the stop, so it sits in an already-dispatched batch or in
+// the flushed buffers, and is always applied and recorded.
+func (e *Engine) dispatch(src trace.BatchSource, max int, chans []chan batch,
+	failed *atomic.Bool, done <-chan struct{}, tick *progressTicker) uint64 {
 	inflight := cap(e.freeChunks)
 	routedCh := make(chan *ingestChunk, inflight)
 	rd := &ingestReader{src: src, max: max}
@@ -247,17 +242,18 @@ func (e *Engine) dispatchIngest(src trace.BatchSource, max int, chans []chan bat
 	}
 	go func() { rwg.Wait(); close(routedCh) }()
 
+	// pending[u] is unit u's filling buffer; ready[u] is a filled batch
+	// parked when the owner's queue was momentarily full (the second
+	// half of the double buffer). Per unit, ready is always older than
+	// pending, and both drain before anything newer — FIFO per unit is
+	// what per-shard trace order rests on.
+	pending := make([]*[]routedReq, e.units)
+	ready := make([]*[]routedReq, e.units)
 	var (
 		dispatched uint64
 		next       int
 		hold       = make([]*ingestChunk, inflight)
-		lastTick   = start
-		interval   = e.opts.ProgressInterval
-		queue      []int
 	)
-	if interval <= 0 {
-		interval = 500 * time.Millisecond
-	}
 	for c := range routedCh {
 		// The chunk pool bounds in-flight chunk sequences to a window
 		// smaller than the ring, so seq%inflight slots never collide.
@@ -273,24 +269,62 @@ func (e *Engine) dispatchIngest(src trace.BatchSource, max int, chans []chan bat
 			h.n = 0
 			e.freeChunks <- h
 			next++
-			if e.opts.Progress != nil {
-				if now := time.Now(); now.Sub(lastTick) >= interval {
-					lastTick = now
-					if queue == nil {
-						queue = make([]int, e.workers)
-					}
-					for i, ch := range chans {
-						queue[i] = len(ch)
-					}
-					e.opts.Progress(Progress{
-						Dispatched: dispatched,
-						Elapsed:    now.Sub(start),
-						Workers:    e.workers,
-						QueueDepth: queue,
-					})
-				}
-			}
+			tick.tick(dispatched, chans, false)
+		}
+	}
+	for u := 0; u < e.units; u++ {
+		w := u % e.workers
+		if r := ready[u]; r != nil {
+			chans[w] <- batch{unit: int32(u), reqs: r}
+		}
+		if p := pending[u]; p != nil {
+			chans[w] <- batch{unit: int32(u), reqs: p}
 		}
 	}
 	return dispatched
+}
+
+// progressTicker rate-limits Options.Progress reports on the Run
+// goroutine. With no callback configured tick returns at once, so the
+// dispatch loop never reads the clock.
+type progressTicker struct {
+	fn          func(Progress)
+	interval    time.Duration
+	start, last time.Time
+	queue       []int // reused between reports, as Progress documents
+}
+
+func newProgressTicker(opts *Options, start time.Time) *progressTicker {
+	t := &progressTicker{fn: opts.Progress, interval: opts.ProgressInterval, start: start, last: start}
+	if t.interval <= 0 {
+		t.interval = 500 * time.Millisecond
+	}
+	return t
+}
+
+// tick reports dispatched requests and the workers' queue depths once
+// the interval has passed since the last report; the final report of a
+// Run (final = true) is always delivered.
+func (t *progressTicker) tick(dispatched uint64, chans []chan batch, final bool) {
+	if t.fn == nil {
+		return
+	}
+	now := time.Now()
+	if !final && now.Sub(t.last) < t.interval {
+		return
+	}
+	t.last = now
+	if t.queue == nil {
+		t.queue = make([]int, len(chans))
+	}
+	for i, c := range chans {
+		t.queue[i] = len(c)
+	}
+	t.fn(Progress{
+		Dispatched: dispatched,
+		Elapsed:    now.Sub(t.start),
+		Workers:    len(chans),
+		QueueDepth: t.queue,
+		Done:       final,
+	})
 }

@@ -10,6 +10,15 @@ import (
 	"wlcrc/internal/trace"
 )
 
+// testRouters and testWorkers are the Options.IngestRouters and
+// Options.Workers values every dispatch test sweeps: a negative router
+// count (one router), one router and several, each with one worker and
+// with several.
+var (
+	testRouters = []int{-1, 1, 3}
+	testWorkers = []int{1, 4}
+)
+
 // nextOnlySource hides SliceSource's NextBatch so a test can force the
 // trace.Batched adapter path — the one a legacy Source takes through the
 // ingest stage.
@@ -55,8 +64,8 @@ func ingestTraceFile(t *testing.T, n int) (string, *trace.SliceSource) {
 // source types: the same trace replayed through a legacy Source (via the
 // Batched adapter), a batch-decoding ReaderSource, and a MappedSource
 // must produce bit-identical Metrics and Snapshot for every combination
-// of worker and ingest-router counts — all equal to the serial,
-// ingest-off reference run.
+// of worker and ingest-router counts — all equal to the one-worker,
+// one-router reference run of the in-memory trace.
 func TestIngestSourceKindsBitIdentical(t *testing.T) {
 	const n = 3000
 	path, slice := ingestTraceFile(t, n)
@@ -92,8 +101,8 @@ func TestIngestSourceKindsBitIdentical(t *testing.T) {
 		opts.IngestRouters = ingest
 		opts.TrackWear = true
 		e := NewEngine(opts, schemesForTest(t, engineSchemeNames...)...)
-		if e.IngestRouters() != max(ingest, 0) {
-			t.Fatalf("IngestRouters() = %d, want %d", e.IngestRouters(), max(ingest, 0))
+		if want := max(ingest, 1); e.IngestRouters() != want {
+			t.Fatalf("IngestRouters() = %d, want %d", e.IngestRouters(), want)
 		}
 		if err := e.Run(src, 0); err != nil {
 			t.Fatal(err)
@@ -101,21 +110,21 @@ func TestIngestSourceKindsBitIdentical(t *testing.T) {
 		return e.Metrics(), e.Snapshot()
 	}
 	slice.Rewind()
-	wantMetrics, wantSnap := run(t, slice, 1, -1)
+	wantMetrics, wantSnap := run(t, slice, 1, 1)
 	if wantMetrics[0].Writes != n {
 		t.Fatalf("reference run replayed %d writes, want %d", wantMetrics[0].Writes, n)
 	}
 	for name, open := range sources {
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{1, 4} {
-				for _, ingest := range []int{1, 3} {
+			for _, workers := range testWorkers {
+				for _, ingest := range testRouters {
 					gotMetrics, gotSnap := run(t, open(t), workers, ingest)
 					if !reflect.DeepEqual(wantMetrics, gotMetrics) {
-						t.Errorf("workers=%d ingest=%d: Metrics differ from serial reference",
+						t.Errorf("workers=%d routers=%d: Metrics differ from the reference",
 							workers, ingest)
 					}
 					if !reflect.DeepEqual(wantSnap, gotSnap) {
-						t.Errorf("workers=%d ingest=%d: Snapshot differs from serial reference",
+						t.Errorf("workers=%d routers=%d: Snapshot differs from the reference",
 							workers, ingest)
 					}
 				}
@@ -129,24 +138,30 @@ func TestIngestSourceKindsBitIdentical(t *testing.T) {
 // chunk boundary) — including a limit below one chunk and one that does
 // not divide the chunk size.
 func TestIngestRunMaxLimit(t *testing.T) {
+	src := fixedTrace(t, "mcf", 256, 2*ingestChunkCap, 2)
 	for _, limit := range []int{100, ingestChunkCap + 37} {
-		src := fixedTrace(t, "mcf", 256, 2*ingestChunkCap, 2)
-		opts := DefaultOptions()
-		opts.IngestRouters = 2
-		e := NewEngine(opts, schemesForTest(t, "Baseline")...)
-		if err := e.Run(src, limit); err != nil {
-			t.Fatal(err)
-		}
-		if m := e.Metrics()[0]; m.Writes != limit {
-			t.Errorf("max=%d: writes = %d", limit, m.Writes)
+		for _, workers := range testWorkers {
+			for _, routers := range testRouters {
+				src.Rewind()
+				opts := DefaultOptions()
+				opts.Workers = workers
+				opts.IngestRouters = routers
+				e := NewEngine(opts, schemesForTest(t, "Baseline")...)
+				if err := e.Run(src, limit); err != nil {
+					t.Fatal(err)
+				}
+				if m := e.Metrics()[0]; m.Writes != limit {
+					t.Errorf("max=%d workers=%d routers=%d: writes = %d", limit, workers, routers, m.Writes)
+				}
+			}
 		}
 	}
 }
 
-// TestIngestVerifyErrorDeterministic extends the earliest-failure
-// guarantee to the ingest path: with routers racing over chunks, the
-// reported error must still be the globally-first failing request, run
-// after run, for every router and worker count.
+// TestIngestVerifyErrorDeterministic is the earliest-failure
+// guarantee: with routers racing over chunks, the reported error must
+// still be the globally-first failing request, run after run, for every
+// router and worker count.
 func TestIngestVerifyErrorDeterministic(t *testing.T) {
 	run := func(workers, ingest int) string {
 		src := fixedTrace(t, "gcc", 128, 500, 3)
@@ -163,12 +178,12 @@ func TestIngestVerifyErrorDeterministic(t *testing.T) {
 		}
 		return err.Error()
 	}
-	serialErr := run(1, -1)
-	for _, workers := range []int{1, 2, 8} {
-		for _, ingest := range []int{1, 3} {
+	serialErr := run(1, 1)
+	for _, workers := range []int{1, 2, 4, 8} {
+		for _, ingest := range testRouters {
 			for round := 0; round < 3; round++ {
 				if gotErr := run(workers, ingest); gotErr != serialErr {
-					t.Errorf("workers=%d ingest=%d reported %q, serial reported %q",
+					t.Errorf("workers=%d routers=%d reported %q, serial reported %q",
 						workers, ingest, gotErr, serialErr)
 				}
 			}
@@ -176,42 +191,14 @@ func TestIngestVerifyErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestIngestSteadyStateAllocs is the ingest counterpart of
-// TestDispatcherSteadyStateAllocs: after a warm-up Run has filled the
-// shard memory, the batch-buffer pool and the chunk pool, a whole
-// second Run through the chunk routers amortizes to (near) zero
-// allocations per request — only the fixed per-Run setup (channels,
-// router and worker goroutines, per-router scratch) remains.
-func TestIngestSteadyStateAllocs(t *testing.T) {
-	const reqs = 8192
-	opts := DefaultOptions()
-	opts.Verify = false
-	opts.Workers = 2
-	opts.IngestRouters = 2
-	e := NewEngine(opts, schemesForTest(t, "Baseline")...)
-	src := fixedTrace(t, "gcc", 256, reqs, 13)
-	if err := e.Run(src, 0); err != nil { // warm up memory, pools, histograms
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1, func() {
-		src.Rewind()
-		if err := e.Run(src, 0); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perReq := allocs / reqs; perReq > 0.01 {
-		t.Errorf("ingest dispatcher allocates %.4f objects per request (%.0f per run), want ~0",
-			perReq, allocs)
-	}
-}
-
 // TestResolveIngestRouters pins the Options.IngestRouters resolution
-// rule: negative disables, zero auto-sizes by CPU count (off on one
-// CPU), positive is taken verbatim.
+// rule: negative means one router, zero auto-sizes by CPU count (one
+// router on one CPU), positive is taken verbatim.
 func TestResolveIngestRouters(t *testing.T) {
 	cases := []struct{ opt, cpus, want int }{
-		{-1, 8, 0},
-		{0, 1, 0},
+		{-1, 1, 1},
+		{-1, 8, 1},
+		{0, 1, 1},
 		{0, 2, 2},
 		{0, 16, ingestAutoMax},
 		{3, 1, 3},

@@ -256,17 +256,15 @@ type Options struct {
 	// means the paper's Table II geometry: 64 banks, 4 sub-shards per
 	// bank, 256 routing units).
 	Geometry memsys.Config
-	// IngestRouters controls the Engine's parallel ingest stage (see
-	// ingest.go): the front-end that reads the source in fixed-size
-	// chunks and pre-routes them on dedicated goroutines before the
-	// dispatcher reassembles them in order. 0 (the default) auto-sizes —
-	// disabled on a single-CPU machine, otherwise min(4, GOMAXPROCS);
-	// a negative value forces the classic in-line dispatcher; a positive
-	// value requests exactly that many routers. Like Workers, the
-	// setting only changes wall-clock time, never results: replay output
-	// is bit-identical with ingest on or off, for any router count, and
-	// for Source, BatchSource or MappedSource inputs alike. The resolved
-	// count is reported by Engine.IngestRouters.
+	// IngestRouters is the number of router goroutines of the Engine's
+	// ingest stage (see ingest.go), which reads the source in fixed-size
+	// chunks and pre-routes them before the dispatcher reassembles them
+	// in order. 0 (the default) auto-sizes to min(4, GOMAXPROCS); a
+	// negative value means one router; a positive value requests exactly
+	// that many. Like Workers, the setting only changes wall-clock time,
+	// never results: replay output is bit-identical for any router count
+	// and for Source, BatchSource or MappedSource inputs alike. The
+	// resolved count is reported by Engine.IngestRouters.
 	IngestRouters int
 
 	// TrackWear enables dense per-cell wear accounting: every programmed

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync/atomic"
@@ -115,29 +116,38 @@ func TestEngineSnapshotWhileIdle(t *testing.T) {
 }
 
 // TestDispatcherSteadyStateAllocs asserts the pooled routed dispatcher
-// runs allocation-free at steady state: after a warm-up Run has
-// populated the shard memory and the batch-buffer pool, a whole second
-// Run amortizes to (near) zero allocations per request — the fixed
-// per-Run setup (channels, worker goroutines) is all that remains.
+// runs allocation-free at steady state: after a warm-up Run has filled
+// the shard memory, the batch-buffer pool and the chunk pool, a whole
+// second Run amortizes to (near) zero allocations per request — only
+// the fixed per-Run setup (channels, router and worker goroutines,
+// per-router scratch) remains.
 func TestDispatcherSteadyStateAllocs(t *testing.T) {
 	const reqs = 8192
-	opts := DefaultOptions()
-	opts.Verify = false
-	opts.Workers = 2
-	e := NewEngine(opts, schemesForTest(t, "Baseline")...)
 	src := fixedTrace(t, "gcc", 256, reqs, 13)
-	if err := e.Run(src, 0); err != nil { // warm up memory, pool, histograms
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(1, func() {
-		src.Rewind()
-		if err := e.Run(src, 0); err != nil {
-			t.Fatal(err)
+	for _, routers := range testRouters {
+		for _, workers := range testWorkers {
+			t.Run(fmt.Sprintf("routers=%d/workers=%d", routers, workers), func(t *testing.T) {
+				opts := DefaultOptions()
+				opts.Verify = false
+				opts.Workers = workers
+				opts.IngestRouters = routers
+				e := NewEngine(opts, schemesForTest(t, "Baseline")...)
+				src.Rewind()
+				if err := e.Run(src, 0); err != nil { // warm up memory, pools, histograms
+					t.Fatal(err)
+				}
+				allocs := testing.AllocsPerRun(1, func() {
+					src.Rewind()
+					if err := e.Run(src, 0); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if perReq := allocs / reqs; perReq > 0.01 {
+					t.Errorf("dispatcher allocates %.4f objects per request (%.0f per run), want ~0",
+						perReq, allocs)
+				}
+			})
 		}
-	})
-	if perReq := allocs / reqs; perReq > 0.01 {
-		t.Errorf("dispatcher allocates %.4f objects per request (%.0f per run), want ~0",
-			perReq, allocs)
 	}
 }
 
@@ -183,14 +193,14 @@ func TestEngineProgressCallback(t *testing.T) {
 	if doneCalls != 1 {
 		t.Errorf("done reports = %d, want exactly 1", doneCalls)
 	}
-	if calls < 2 { // at least one mid-run tick (5000 > progressStride) + final
+	if calls < 2 { // at least one mid-run tick (5000 > ingestChunkCap) + final
 		t.Errorf("progress calls = %d, want >= 2", calls)
 	}
 }
 
 // TestEngineProgressNotCalledWhenUnset guards the hot path: without a
-// callback the dispatcher must not consult the clock per stride (proxy:
-// nothing blows up and results match a progress-enabled run).
+// callback the dispatcher must not consult the clock (proxy: nothing
+// blows up and results match a progress-enabled run).
 func TestEngineProgressNotCalledWhenUnset(t *testing.T) {
 	src := fixedTrace(t, "mcf", 128, 2500, 9)
 	run := func(withProgress bool) []Metrics {

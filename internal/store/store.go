@@ -63,12 +63,9 @@ type JobRecord struct {
 	Results []WorkloadResult `json:"results,omitempty"`
 }
 
-// SeriesPoint is one observation of a named bench series: a flat
-// key→value map in the same shape cmd/benchguard parses out of `go test
-// -bench` output (full benchmark name → ns/op, such as
-// "BenchmarkIngest/mapped"), so a series named after a BENCH_encode.json
-// gate row feeds that row's regression gate. Jobs with a Series label record their per-scheme
-// pJ/write here; CI pushes measured bench maps over POST /v1/series.
+// SeriesPoint is one observation of a named series: a flat key→value
+// map. Jobs with a Series label record their per-scheme pJ/write here,
+// and GET /v1/series/{name} serves the points back.
 type SeriesPoint struct {
 	Name   string             `json:"name"`
 	JobID  string             `json:"job_id,omitempty"`

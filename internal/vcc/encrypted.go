@@ -45,9 +45,17 @@ type Encrypted struct {
 	cipher Cipher
 	pgate  func([]uint64) bool // nil when the inner scheme has no gate
 	name   string
-	// bufs recycles the ciphertext staging line: a stack Line would
-	// escape through the inner-scheme interface call on every write.
+	// bufs recycles staging records: stack buffers would escape through
+	// the inner-scheme interface call on every write.
 	bufs sync.Pool
+}
+
+// staging is one call's scratch: the ciphertext line and, for the
+// packed cell codec, the old and new plane vectors. Every inner scheme
+// NewScheme can wrap has at most 258 cells, 18 plane words.
+type staging struct {
+	line     memline.Line
+	old, dst [tailWord + 2]uint64
 }
 
 // NewEncrypted wraps inner behind the counter-mode encryption model.
@@ -61,7 +69,7 @@ func NewEncrypted(inner Inner, key uint64) *Encrypted {
 	if g, ok := inner.(planeCompressionGate); ok {
 		e.pgate = g.CompressedWritePlanes
 	}
-	e.bufs.New = func() any { return new(memline.Line) }
+	e.bufs.New = func() any { return new(staging) }
 	return e
 }
 
@@ -91,29 +99,32 @@ func (e *Encrypted) CompressedWritePlanes(planes []uint64) bool {
 // EncodeCtrInto implements core.CounterScheme: EncodeCtrPlanesInto on
 // the packed cell vectors.
 func (e *Encrypted) EncodeCtrInto(dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
+	st := e.bufs.Get().(*staging)
 	n := coset.PlaneWords(len(old))
-	oldP, dstP := make([]uint64, n), make([]uint64, n)
-	coset.PackLine(old, oldP)
-	e.EncodeCtrPlanesInto(dstP, oldP, addr, ctr, data)
-	coset.UnpackLine(dstP, dst)
+	coset.PackLine(old, st.old[:n])
+	e.EncodeCtrPlanesInto(st.dst[:n], st.old[:n], addr, ctr, data)
+	coset.UnpackLine(st.dst[:n], dst)
+	e.bufs.Put(st)
 }
 
 // DecodeCtrInto implements core.CounterScheme: DecodeCtrPlanesInto on
 // the packed cell vector.
 func (e *Encrypted) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline.Line) {
-	planes := make([]uint64, coset.PlaneWords(len(cells)))
+	st := e.bufs.Get().(*staging)
+	planes := st.old[:coset.PlaneWords(len(cells))]
 	coset.PackLine(cells, planes)
 	e.DecodeCtrPlanesInto(planes, addr, ctr, dst)
+	e.bufs.Put(st)
 }
 
 // EncodeCtrPlanesInto implements core.CounterPlaneScheme: encrypt, then
 // let the inner scheme's plane codec encode the ciphertext.
 func (e *Encrypted) EncodeCtrPlanesInto(dst, old []uint64, addr, ctr uint64, data *memline.Line) {
-	buf := e.bufs.Get().(*memline.Line)
-	*buf = *data
-	e.cipher.WhitenLine(buf, addr, ctr)
-	e.inner.EncodePlanesInto(dst, old, buf)
-	e.bufs.Put(buf)
+	st := e.bufs.Get().(*staging)
+	st.line = *data
+	e.cipher.WhitenLine(&st.line, addr, ctr)
+	e.inner.EncodePlanesInto(dst, old, &st.line)
+	e.bufs.Put(st)
 }
 
 // DecodeCtrPlanesInto implements core.CounterPlaneScheme: inner decode

@@ -308,25 +308,6 @@ func TestSWARMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestCellCodecAllocs: the cell-vector codec packs and unpacks through
-// stack buffers, so neither direction allocates.
-func TestCellCodecAllocs(t *testing.T) {
-	r := prng.New(11)
-	for _, n := range []int{2, 4, 8} {
-		s := newVCC(t, n)
-		data := randomLine(r)
-		old := randomOld(r, s.TotalCells())
-		dst := make([]pcm.State, s.TotalCells())
-		var got memline.Line
-		if a := testing.AllocsPerRun(100, func() { s.EncodeCtrInto(dst, old, 3, 4, &data) }); a != 0 {
-			t.Errorf("VCC-%d EncodeCtrInto: %v allocs/op", n, a)
-		}
-		if a := testing.AllocsPerRun(100, func() { s.DecodeCtrInto(dst, 3, 4, &got) }); a != 0 {
-			t.Errorf("VCC-%d DecodeCtrInto: %v allocs/op", n, a)
-		}
-	}
-}
-
 // TestDeterministicAndKeyed: the same (key, addr, ctr, data, old)
 // encodes identically; a different key or counter encodes differently
 // (with overwhelming probability on random data).

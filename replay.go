@@ -53,11 +53,11 @@ type ReplayOptions struct {
 	// space by (bank, sub-shard) unit and merges deterministically — so
 	// this is purely a speed knob.
 	Workers int
-	// IngestRouters controls the parallel ingest front-end that reads
-	// and pre-routes the stream in chunks ahead of the dispatcher:
-	// 0 auto-sizes (off on a single-CPU machine), negative disables,
-	// positive requests that many router goroutines. Like Workers it is
-	// purely a speed knob — results are bit-identical either way.
+	// IngestRouters is the number of router goroutines that read and
+	// pre-route the stream in chunks ahead of the dispatcher: 0
+	// auto-sizes (one router on a single-CPU machine), negative means
+	// one router, positive requests that many. Like Workers it is
+	// purely a speed knob — results are bit-identical for every value.
 	IngestRouters int
 	// SampleDisturb switches disturbance accounting from expected values
 	// to Monte-Carlo sampling seeded with Seed.

@@ -192,8 +192,8 @@ func TestWorkloadNextBatchMatchesNext(t *testing.T) {
 }
 
 // TestReplayIngestMatchesSerial extends the public-API determinism
-// guarantee to the ingest front-end: Replay with ingest routers must be
-// bit-identical to the serial, ingest-off replay.
+// guarantee to the ingest front-end: Replay must be bit-identical to
+// the one-worker, one-router replay for every worker and router count.
 func TestReplayIngestMatchesSerial(t *testing.T) {
 	run := func(workers, ingest int) []wlcrc.Metrics {
 		w, err := wlcrc.NewWorkload("gcc", 512, 23)
@@ -207,8 +207,8 @@ func TestReplayIngestMatchesSerial(t *testing.T) {
 		}
 		return ms
 	}
-	want := run(1, -1)
-	for _, ingest := range []int{1, 3} {
+	want := run(1, 1)
+	for _, ingest := range []int{-1, 1, 3} {
 		for _, workers := range []int{1, 4} {
 			if got := run(workers, ingest); !reflect.DeepEqual(want, got) {
 				t.Errorf("workers=%d ingest=%d: metrics differ from serial replay", workers, ingest)
