@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 
 	"wlcrc/internal/fault"
+	"wlcrc/internal/hw"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
@@ -94,14 +96,23 @@ type goldenEval struct {
 }
 
 // TestGoldenEvaluation pins RunEvaluation's per-benchmark, per-scheme
-// Figure 8 energy, Figure 9 updated cells and Figure 10 disturbance.
+// Figure 8 energy, Figure 9 updated cells and Figure 10 disturbance,
+// and the headline numbers of both halves of the paper's results: the
+// §VII comparisons `experiments -run headline` prints from the same
+// evaluation, one line each, and the §VI.B hardware cost model of
+// `experiments -run hw`.
 func TestGoldenEvaluation(t *testing.T) {
+	ev := RunEvaluation(smallConfig())
 	var rows []goldenEval
-	for _, r := range RunEvaluation(smallConfig()).Results {
+	for _, r := range ev.Results {
 		rows = append(rows, goldenEval{r.Benchmark, r.Scheme,
 			r.M.AvgEnergy(), r.M.AvgUpdated(), r.M.AvgDisturb()})
 	}
 	checkGolden(t, "evaluation", rows)
+	checkGolden(t, "headline", map[string]any{
+		"headline": strings.Split(strings.TrimSuffix(ev.Headline(), "\n"), "\n"),
+		"hw":       hw.Estimate(hw.FreePDK45(), hw.WLCRCDesign()),
+	})
 }
 
 // goldenEndurance is an EnduranceRow with the lifetime ratio as text,

@@ -87,9 +87,10 @@ type Spec struct {
 	Schemes []string `json:"schemes,omitempty"`
 
 	// Workers / IngestRouters are the engine speed knobs (worker and
-	// ingest-router goroutine counts; 0 = auto, and a negative router
-	// count means one router); results are bit-identical for every
-	// value (see sim.Options).
+	// ingest-router goroutine counts; 0 = auto, a negative router
+	// count means one router, and both are capped at the engine's
+	// routing-unit count); results are bit-identical for every value
+	// (see sim.Options).
 	Workers       int `json:"workers,omitempty"`
 	IngestRouters int `json:"ingest_routers,omitempty"`
 

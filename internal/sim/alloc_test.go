@@ -54,7 +54,7 @@ func allocFixture(t testing.TB, name string, opts Options) (*shard, []routedReq)
 	return u, rs
 }
 
-// routedBatch wraps requests as one routed unit-batch, sequence-numbered
+// routedBatch wraps requests as one routed unit run, sequence-numbered
 // in order, for tests that drive the engine's shard entry point
 // (shard.applyRun) directly.
 func routedBatch(reqs []trace.Request) []routedReq {

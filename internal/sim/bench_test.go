@@ -26,8 +26,8 @@ import (
 )
 
 // BenchmarkShardApply measures the shard layer: one op replays a warmed
-// 256-request routed batch through applyRun, the call every Engine
-// worker makes, so each request is encoded and settled against its
+// 256-request routed run through touch and applyRun, the calls every
+// Engine worker makes, so each request is encoded and settled against its
 // line's stored planes. The schemes span the cost spectrum — plain
 // differential write, the paper's headline scheme, a counter-keyed
 // encrypted scheme — and the vnr case adds fault injection with
@@ -50,6 +50,7 @@ func BenchmarkShardApply(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				u.touch(rs)
 				if _, err := u.applyRun(rs); err != nil {
 					b.Fatal(err)
 				}

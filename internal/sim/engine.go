@@ -18,19 +18,6 @@ import (
 	"wlcrc/internal/trace"
 )
 
-// unitBatch is the per-routing-unit batch capacity: the number of
-// requests the dispatcher accumulates for one (bank, sub-shard) unit
-// before handing the batch to the unit's owner. Large enough to
-// amortize channel traffic and keep each scheme's tables hot across
-// many lines, small enough to bound how far a Snapshot can lag and to
-// keep workers busy on short traces.
-const unitBatch = 128
-
-// unitChanCap is each worker's batch-queue capacity. With per-unit
-// batches a worker multiplexes many units over one channel, so the
-// queue holds more, smaller batches than the old per-worker batching.
-const unitChanCap = 16
-
 // Engine is the concurrent sharded replay pipeline. It maintains one
 // shard per (scheme, bank, sub-shard) triple — the bank comes from the
 // configured memsys geometry, exactly the interleaving the Table II
@@ -39,51 +26,42 @@ const unitChanCap = 16
 // worker count is not capped at the bank count — and streams the trace
 // through per-worker queues.
 //
-// Dispatch is routed, not broadcast: every routing unit (bank,
-// sub-shard) is owned by exactly one worker (unit mod workers, all
-// schemes of the unit together), and the dispatcher appends each
-// request only to its unit's pending batch. A request therefore crosses
-// one channel once, so channel traffic is O(batches), and a worker only
-// ever sees requests it will actually apply. Hand-off is double-
-// buffered and pipelined: when a batch fills, the dispatcher first
-// tries a non-blocking send and otherwise parks the batch in the unit's
-// ready slot and keeps routing into a fresh buffer — it only blocks
-// when a unit has both a parked and a newly-filled batch waiting, so a
-// momentarily busy worker does not stall the routing of everyone
-// else's requests. Batch buffers recycle through a free list: workers
-// return drained buffers, the dispatcher reuses them, and an
-// arbitrarily long streamed trace runs with zero steady-state
-// dispatcher allocations.
+// Reading and routing run off the workers: the ingest stage (ingest.go)
+// pulls sequence-stamped chunks from the source and groups each chunk
+// by routing unit on Options.IngestRouters router goroutines. Every
+// routing unit (bank, sub-shard) is owned by exactly one worker (unit
+// mod workers, all schemes of the unit together). The Run goroutine
+// hands each routed chunk, in sequence order, to every worker's queue
+// as it is — one grouping, one queue, one pooled buffer — and each
+// worker applies only the runs of the units it owns. A chunk carries a
+// reference count, and the last worker to finish with it returns it to
+// the pool, so an arbitrarily long streamed trace runs with zero
+// steady-state dispatcher allocations.
 //
-// Reading and routing run off the Run goroutine: the ingest stage
-// (ingest.go) pulls sequence-stamped chunks from the source, pre-routes
-// them into per-unit sub-batches on Options.IngestRouters router
-// goroutines, and Run reassembles the chunks in order into the
-// pending/ready buffers — the same hand-off order, so the same results,
-// for every router count.
-//
-// Workers drain their queue one unit-batch at a time and replay it
-// scheme-major through each scheme's shard (shard.applyRun, which
-// encodes and settles one request at a time): all of one scheme's
-// state — SWAR cost tables, coset selectors, the shard's line store —
-// stays hot across the whole batch instead of being evicted by the
+// A worker replays its share of a chunk scheme-major through each
+// scheme's shards: it first touches the lines of every run it owns
+// (shard.touch, so their cache misses overlap across the chunk), then
+// applies the runs one request at a time (shard.applyRun). All of one
+// scheme's state — SWAR cost tables, coset selectors, the shard's line
+// store — stays hot across the chunk instead of being evicted by the
 // next scheme's on every request.
 //
-// Determinism: results never depend on Options.Workers. Unit ownership
-// is static and sub-shard assignment depends only on the address, so
-// every shard sees its lines' requests in trace order (the dispatcher
-// reassembles the source in sequence, batches of one unit traverse one
-// channel in fill order, and a worker drains its queue FIFO); each
-// shard's PRNG substream is seeded only from (Options.Seed, scheme,
-// unit); and Metrics folds the shards in fixed (scheme, bank,
-// sub-shard) order. Workers = 1 is therefore the serial mode of the
-// same engine, and a parallel run is bit-identical to it — floats
-// included.
+// Determinism: results never depend on Options.Workers or
+// Options.IngestRouters. Unit ownership is static and sub-shard
+// assignment depends only on the address, so every shard sees its
+// lines' requests in trace order (chunks are handed off in sequence,
+// every worker drains its queue FIFO, and a unit's run within a chunk
+// keeps trace order); each shard's PRNG substream is seeded only from
+// (Options.Seed, scheme, unit); and Metrics folds the shards in fixed
+// (scheme, bank, sub-shard) order. Workers = 1 is therefore the serial
+// mode of the same engine, and a parallel run is bit-identical to it —
+// floats included.
 //
 // Observability: Snapshot may be called from any goroutine while Run is
-// executing — workers publish a copy of each shard's metrics after every
-// batch, so a snapshot lags a shard by at most one in-flight batch — and
-// Options.Progress delivers live dispatcher throughput. Run, Metrics and
+// executing — each worker publishes a copy of its shards' metrics
+// whenever its queue runs dry and at least every publishEvery chunks,
+// so a snapshot lags a shard by at most that many chunks plus the one
+// in flight — and Options.Progress delivers live dispatcher throughput. Run, Metrics and
 // the Reset methods themselves must still not be called concurrently
 // with each other.
 type Engine struct {
@@ -103,19 +81,16 @@ type Engine struct {
 	// engaged-worker reporting (and the regression test that uncapped
 	// worker counts actually spread work past the bank count).
 	workerReqs []uint64
-	// freeBufs recycles batch buffers across batches and across Run
-	// calls (warm-up then measure reuses the same buffers). A buffered
+	// ingest is the resolved ingest-router count (at least 1).
+	// freeChunks recycles ingest chunks across chunks and across Run
+	// calls (warm-up then measure reuses the same chunks). A buffered
 	// channel instead of a sync.Pool: the pool sheds items under GC
 	// pressure (and randomly under the race detector), while the
-	// channel's capacity covers every buffer that can be in flight at
-	// once, so steady state is allocation-free unconditionally.
-	freeBufs chan *[]routedReq
-	// ingest is the resolved ingest-router count (at least 1).
-	// freeChunks recycles ingest chunks the way freeBufs recycles batch
-	// buffers, and doubles as the in-flight bound: a router blocks for
-	// a free chunk before reading, so at most cap(freeChunks) chunk
-	// sequences are ever outstanding — which is what lets the
-	// reassembly ring index by seq modulo that capacity.
+	// channel holds every chunk there is, so steady state is
+	// allocation-free unconditionally. It doubles as the in-flight
+	// bound: a router blocks for a free chunk before reading, so at most
+	// cap(freeChunks) chunk sequences are ever outstanding — which is
+	// what lets the hand-off ring index by seq modulo that capacity.
 	ingest     int
 	freeChunks chan *ingestChunk
 }
@@ -152,14 +127,12 @@ func NewEngine(opts Options, schemes ...core.Scheme) *Engine {
 		workers:    workers,
 		workerReqs: make([]uint64, workers),
 	}
-	// Worst-case buffers in flight: one pending + one parked per unit,
-	// plus each worker's full queue and the batch it is draining.
-	e.freeBufs = make(chan *[]routedReq, 2*units+workers*(unitChanCap+1))
-	e.ingest = resolveIngestRouters(opts.IngestRouters, runtime.GOMAXPROCS(0))
+	e.ingest = resolveIngestRouters(opts.IngestRouters, runtime.GOMAXPROCS(0), units)
 	// Enough chunks that every router holds one, the routed channel can
-	// buffer one per router, and the reassembly keeps a couple in hand —
-	// prefilled so steady state never allocates a chunk.
-	e.freeChunks = make(chan *ingestChunk, 2*e.ingest+2)
+	// buffer one per router, and the slowest worker's queue fills while
+	// it applies one more — prefilled so steady state never allocates a
+	// chunk.
+	e.freeChunks = make(chan *ingestChunk, 2*e.ingest+chunkQueueCap+1)
 	for i := 0; i < cap(e.freeChunks); i++ {
 		e.freeChunks <- newIngestChunk()
 	}
@@ -226,8 +199,8 @@ func (e *Engine) SubShards() int { return e.subShards }
 func (e *Engine) Units() int { return e.units }
 
 // IngestRouters returns the resolved ingest-router count, the number of
-// goroutines that read and pre-route the source during Run — at least 1
-// (Options.IngestRouters documents the resolution rule). Like Workers,
+// goroutines that read and route the source during Run — between 1 and
+// Units() (Options.IngestRouters documents the resolution rule). Like Workers,
 // the value never affects results, only wall-clock time.
 func (e *Engine) IngestRouters() int { return e.ingest }
 
@@ -252,25 +225,17 @@ type routedReq struct {
 	data memline.Line
 }
 
-// batch is one dispatched group of requests for a single routing unit.
-// The buffer is owned by the receiving worker until it returns it to
-// the engine's pool.
-type batch struct {
-	unit int32
-	reqs *[]routedReq
-}
-
 // Run drains a source through the engine, stopping after max requests
 // when max > 0. The source is read in chunks (batched through
-// trace.Batched when it is not already a trace.BatchSource), pre-routed
-// by the ingest routers, and reassembled in sequence; each request is
-// routed to the single worker owning its (bank, sub-shard) unit and
-// travels in pooled batch buffers, and the results are bit-identical
+// trace.Batched when it is not already a trace.BatchSource), grouped by
+// routing unit on the ingest routers, and handed to the workers chunk
+// by chunk in sequence; each request is applied by the single worker
+// owning its (bank, sub-shard) unit, and the results are bit-identical
 // for every worker and router count.
 //
-// On a verification failure the engine stops reading the source,
-// flushes every pending batch (so all requests read before the stop are
-// applied), lets workers drain, and returns the error of the earliest
+// On a verification failure the engine stops reading the source, hands
+// off every chunk already read (so all requests read before the stop
+// are applied), lets workers drain, and returns the error of the earliest
 // failing request in trace order — deterministic even though the
 // failure is detected concurrently: the globally-first failing request
 // was necessarily read before any failure that could trigger a stop,
@@ -294,9 +259,9 @@ func (e *Engine) Run(src trace.Source, max int) error {
 func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) error {
 	e.reserveLines(src, max)
 	done := ctx.Done()
-	chans := make([]chan batch, e.workers)
+	chans := make([]chan *ingestChunk, e.workers)
 	for i := range chans {
-		chans[i] = make(chan batch, unitChanCap)
+		chans[i] = make(chan *ingestChunk, chunkQueueCap)
 	}
 	for w := range e.workerReqs {
 		e.workerReqs[w] = 0
@@ -307,12 +272,27 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) erro
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for b := range chans[w] {
-				e.workerReqs[w] += uint64(len(*b.reqs))
-				e.applyUnitBatch(b, &failed)
-				*b.reqs = (*b.reqs)[:0]
-				e.putBuf(b.reqs)
-				e.publishUnit(int(b.unit))
+			mine := make([]unitRun, 0, e.units)
+			unpublished := 0
+			for c := range chans[w] {
+				mine = mine[:0]
+				for _, run := range c.runs {
+					if int(run.unit)%e.workers == w {
+						mine = append(mine, run)
+						e.workerReqs[w] += uint64(run.end - run.start)
+					}
+				}
+				e.applyRuns(c.perm, mine, &failed)
+				if c.refs.Add(-1) == 0 {
+					e.freeChunks <- c
+				}
+				// Publish whenever the queue runs dry, so a caught-up
+				// worker (and a finished Run) shows every write, and
+				// at least every publishEvery chunks while it is busy.
+				if unpublished++; unpublished == publishEvery || len(chans[w]) == 0 {
+					e.publishOwned(w)
+					unpublished = 0
+				}
 			}
 		}(w)
 	}
@@ -376,74 +356,42 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// getBuf pops a recycled batch buffer, allocating only while the
-// free-list is still filling (cold start).
-func (e *Engine) getBuf() *[]routedReq {
-	select {
-	case p := <-e.freeBufs:
-		return p
-	default:
-		s := make([]routedReq, 0, unitBatch)
-		return &s
-	}
-}
-
-// putBuf returns a drained buffer to the free-list. The capacity covers
-// every buffer that can exist at once, but a non-blocking send keeps the
-// invariant local: worst case the buffer is dropped to the GC.
-func (e *Engine) putBuf(p *[]routedReq) {
-	select {
-	case e.freeBufs <- p:
-	default:
-	}
-}
-
-// handOff pipelines a filled batch to unit u's owner: the unit's parked
-// batch (older) goes first — blocking only if the owner is still
-// backlogged — then the fresh batch is sent without blocking, or parked
-// in the ready slot so the dispatcher can keep routing while the owner
-// drains.
-func (e *Engine) handOff(ch chan batch, ready []*[]routedReq, u int, p *[]routedReq) {
-	if r := ready[u]; r != nil {
-		ch <- batch{unit: int32(u), reqs: r}
-		ready[u] = nil
-	}
-	select {
-	case ch <- batch{unit: int32(u), reqs: p}:
-	default:
-		ready[u] = p
-	}
-}
-
-// applyUnitBatch replays one routed unit-batch scheme-major: every
-// request in the batch maps to the single (bank, sub-shard) unit owned
-// by the receiving worker, and all schemes' shards of that unit share
-// the owner, so no other goroutine ever touches the shards referenced
-// here. Replaying the whole batch through one scheme before the next
-// keeps that scheme's tables and line store hot.
-func (e *Engine) applyUnitBatch(b batch, failed *atomic.Bool) {
-	rs := *b.reqs
-	unit := int(b.unit)
+// applyRuns replays one worker's share of a routed chunk: runs are the
+// chunk's runs of units the worker owns, and all schemes' shards of
+// those units share the owner, so no other goroutine ever touches the
+// shards referenced here. Each scheme goes through every run before the
+// next scheme starts, which keeps its tables and line store hot, and
+// its touch pass covers all the runs before the first apply, so the
+// line misses of the whole share overlap.
+func (e *Engine) applyRuns(perm []routedReq, runs []unitRun, failed *atomic.Bool) {
 	for i := range e.schemes {
-		u := e.shards[i*e.units+unit]
-		if u.err != nil {
-			continue // frozen after its first failure
+		shards := e.shards[i*e.units : (i+1)*e.units]
+		for _, run := range runs {
+			if u := shards[run.unit]; u.err == nil {
+				u.touch(perm[run.start:run.end])
+			}
 		}
-		if seq, err := u.applyRun(rs); err != nil {
-			u.err = err
-			u.errSeq = seq
-			failed.Store(true)
+		for _, run := range runs {
+			u := shards[run.unit]
+			if u.err != nil {
+				continue // frozen after its first failure
+			}
+			if seq, err := u.applyRun(perm[run.start:run.end]); err != nil {
+				u.err = err
+				u.errSeq = seq
+				failed.Store(true)
+			}
 		}
 	}
 }
 
-// publishUnit refreshes the snapshot copies of every scheme's shard of
-// one routing unit (cheap for shards without new writes). Each batch
-// touches exactly one unit, so publishing per batch covers every
-// mutation.
-func (e *Engine) publishUnit(unit int) {
-	for i := range e.schemes {
-		e.shards[i*e.units+unit].publishIfDirty()
+// publishOwned refreshes the snapshot copies of every shard worker w
+// owns (cheap for shards without new writes).
+func (e *Engine) publishOwned(w int) {
+	for unit := w; unit < e.units; unit += e.workers {
+		for i := range e.schemes {
+			e.shards[i*e.units+unit].publishIfDirty()
+		}
 	}
 }
 
@@ -478,8 +426,9 @@ func (e *Engine) Metrics() []Metrics {
 
 // Snapshot merges the per-shard published metric copies, in the same
 // fixed order as Metrics, and is safe to call from any goroutine
-// while Run is executing. Workers publish after every batch, so a
-// snapshot lags each shard by at most one in-flight batch; once Run has
+// while Run is executing. Workers publish whenever their queue runs
+// dry and at least every publishEvery chunks, so a snapshot lags each
+// shard by at most that many chunks plus the one in flight; once Run has
 // returned, Snapshot and Metrics agree exactly. Counters within one
 // scheme are mutually consistent per shard (each publish is an atomic
 // copy under the shard's lock), and Writes per scheme is monotonically

@@ -9,94 +9,106 @@ import (
 )
 
 // Every Run reads and routes its source through the ingest pipeline,
-// three steps that keep decoding and routing off the Run goroutine:
+// three steps that keep decoding and routing off the workers:
 //
-//	reader   one mutex-guarded BatchSource.NextBatch per chunk stamps
-//	         each fixed-size chunk with a chunk sequence number and the
-//	         global sequence of its first request. Sources that decode
-//	         in bulk (MappedSource, Reader.ReadBatch) amortize all
-//	         per-record I/O here; a plain Source arrives via the
-//	         trace.Batched adapter and just loses the per-request
-//	         interface call.
-//	route    K router goroutines (K >= 1) each take a filled chunk and
-//	         pre-route it independently: a stable counting sort by
-//	         routing unit groups the chunk into per-unit sub-batches
-//	         (within-unit order preserved) and stamps every request's
-//	         global sequence number.
-//	reassemble  the Run goroutine consumes routed chunks through a
-//	         fixed ring, strictly in chunk-sequence order, and appends
-//	         each unit's sub-batch into the unit's pending/ready double
-//	         buffer, handing a batch to the unit's owner every time it
-//	         reaches unitBatch.
+//	reader   one mutex-guarded BatchSource.NextBatch per chunk fills the
+//	         calling router's decode buffer, stamps the chunk with a
+//	         chunk sequence number and returns the global sequence of
+//	         its first request. Sources that decode in bulk (MappedSource,
+//	         Reader.ReadBatch) amortize all per-record I/O here; a plain
+//	         Source arrives via the trace.Batched adapter and just loses
+//	         the per-request interface call.
+//	route    K router goroutines (K >= 1) each route the requests they
+//	         read: a stable counting sort by routing unit writes them
+//	         into the chunk grouped by unit (within-unit order preserved,
+//	         every request stamped with its global sequence number) and
+//	         indexes the groups. The decoded requests stay in the
+//	         router's scratch; a chunk carries only what shards replay.
+//	hand-off the Run goroutine takes routed chunks through a fixed ring,
+//	         strictly in chunk-sequence order, and sends each chunk to
+//	         every worker's queue. A worker applies the runs of the units
+//	         it owns (unit mod workers) and the last worker to finish
+//	         with a chunk returns it to the pool.
 //
-// Determinism: only the reassembly step touches dispatcher state, and
-// it runs in chunk order on one goroutine; routing is pure computation
-// on private chunk buffers. Per-unit batch boundaries, hand-off order
-// and therefore per-shard trace order are the same for every router
-// and worker count, so results are bit-identical across both — which
-// the ingest determinism tests assert for Source, BatchSource and
+// Determinism: routing is pure computation on router-private scratch
+// and the chunk it fills; the hand-off runs in chunk order on one
+// goroutine. Every worker receives the chunks in that order over one
+// FIFO channel, and a unit's run inside a chunk keeps trace order, so
+// each shard sees its requests in trace order for every router and
+// worker count and results are bit-identical across both — which the
+// ingest determinism tests assert for Source, BatchSource and
 // MappedSource inputs alike.
 //
-// Allocation: chunks (request buffer, unit scratch, grouped output)
-// recycle through the engine's chunk free list exactly like batch
-// buffers recycle through freeBufs, so steady-state ingest performs no
+// Allocation: chunks recycle through the engine's chunk free list, the
+// engine's only request buffer, so steady-state ingest performs no
 // per-chunk allocations; the only per-Run cost is the fixed setup
-// (channels, router goroutines, one counting-sort scratch per router).
+// (channels, goroutines, each router's decode and counting-sort scratch
+// and each worker's owned-run list).
 
-// ingestChunkCap is the fixed chunk size in requests. At 136 bytes per
-// record a chunk spans ~70 KB — big enough that the reader mutex and
-// chunk hand-off amortize to noise, small enough that a chunk's decode
-// output is still cache-warm when the reassembly step copies it into
-// per-unit batches, and several chunks fit in flight without bloat.
-const ingestChunkCap = 512
+// ingestChunkCap is the fixed chunk size in requests (~330 KB of
+// 80-byte routed requests). A unit run averages ingestChunkCap/units
+// requests (16 under Table II), and the chunk is sized by that: the
+// longer a worker stays on one shard, the more its line store and
+// metrics stay in cache, and the touch pass, which covers a worker's
+// whole share of a chunk per scheme, needs enough lines in flight to
+// overlap their misses while that share still fits in L2. It is small
+// enough that a short trace reaches its workers after the first chunk.
+const ingestChunkCap = 4096
+
+// chunkQueueCap is each worker's chunk-queue capacity. Every chunk goes
+// to every worker, so this is how many chunks a fast worker can run
+// ahead of the slowest one.
+const chunkQueueCap = 4
+
+// publishEvery bounds how many chunks a busy worker applies between two
+// Snapshot publishes of its shards. Publishing copies a shard's whole
+// Metrics, so doing it after every chunk, with only a few requests per
+// shard in between, would cost a large share of a cheap scheme's replay.
+const publishEvery = 4
 
 // ingestAutoMax caps the auto-resolved router count: decode + routing
 // saturates well before the worker pool does, so a handful of routers
 // keeps even a fast mapped source ahead of 200+ workers.
 const ingestAutoMax = 4
 
-// unitRun is one routing unit's contiguous sub-batch inside a routed
-// chunk's grouped request array.
+// unitRun is one routing unit's contiguous run of requests inside a
+// routed chunk.
 type unitRun struct {
 	unit       int32
 	start, end int32
 }
 
 // ingestChunk is one fixed-size unit of ingest work, recycled through
-// Engine.freeChunks. reqs holds the raw decoded requests in trace
-// order; after routing, perm[:n] holds the same requests grouped by
+// Engine.freeChunks: perm[:n] holds a chunk of the trace grouped by
 // routing unit (stable, sequence-stamped) and runs indexes the groups.
 type ingestChunk struct {
-	seq  int    // chunk sequence number, for in-order reassembly
-	base uint64 // global sequence of reqs[0]
-	n    int    // requests in this chunk
-
-	reqs  []trace.Request // len ingestChunkCap
-	units []int32         // scratch: routing unit per request
-	perm  []routedReq     // grouped-by-unit output
-	runs  []unitRun       // one entry per unit present, ascending unit
+	seq  int         // chunk sequence number, for in-order hand-off
+	n    int         // requests in this chunk
+	perm []routedReq // len ingestChunkCap
+	runs []unitRun   // one entry per unit present, ascending unit
+	// refs counts the workers that have not yet finished the chunk;
+	// the last one returns it to the pool.
+	refs atomic.Int32
 }
 
 func newIngestChunk() *ingestChunk {
-	return &ingestChunk{
-		reqs:  make([]trace.Request, ingestChunkCap),
-		units: make([]int32, ingestChunkCap),
-		perm:  make([]routedReq, ingestChunkCap),
-	}
+	return &ingestChunk{perm: make([]routedReq, ingestChunkCap)}
 }
 
 // resolveIngestRouters maps Options.IngestRouters to the effective
-// router count: zero auto-sizes to min(ingestAutoMax, cpus), a
-// positive value is taken as-is, and a negative one means a single
-// router.
-func resolveIngestRouters(opt, cpus int) int {
+// router count: zero auto-sizes to min(ingestAutoMax, cpus), a negative
+// value means a single router, and a positive one is taken as-is up to
+// units, the routing-unit count. The cap keeps a client-supplied count
+// from sizing the chunk pool: more routers than units could never all
+// hold work for distinct workers anyway.
+func resolveIngestRouters(opt, cpus, units int) int {
 	switch {
 	case opt < 0:
 		return 1
 	case opt > 0:
-		return opt
+		return min(opt, units)
 	default:
-		return min(ingestAutoMax, cpus)
+		return min(ingestAutoMax, cpus, units)
 	}
 }
 
@@ -113,51 +125,45 @@ type ingestReader struct {
 	done bool
 }
 
-// fill loads the next chunk under the reader lock, stamping its chunk
-// and base sequence numbers. It returns false at end of stream (or once
-// the max-request budget is spent).
-func (r *ingestReader) fill(c *ingestChunk) bool {
+// fill reads the next chunk's requests into reqs under the reader lock
+// and stamps c with its chunk sequence number. It returns the global
+// sequence of the first request and the count read; n is 0 at end of
+// stream (or once the max-request budget is spent).
+func (r *ingestReader) fill(c *ingestChunk, reqs []trace.Request) (base uint64, n int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.done {
-		return false
+		return 0, 0
 	}
-	want := len(c.reqs)
+	want := len(reqs)
 	if r.max > 0 {
-		if left := r.max - int(r.read); left < want {
-			want = left
-		}
+		want = min(want, r.max-int(r.read))
 	}
-	if want <= 0 {
-		r.done = true
-		return false
+	if want > 0 {
+		n = r.src.NextBatch(reqs[:want])
 	}
-	n := r.src.NextBatch(c.reqs[:want])
 	if n == 0 {
 		r.done = true
-		return false
+		return 0, 0
 	}
-	c.n = n
 	c.seq = r.seq
-	c.base = r.read
+	base = r.read
 	r.seq++
 	r.read += uint64(n)
-	return true
+	return base, n
 }
 
-// routeChunk pre-routes one chunk: a stable counting sort by routing
-// unit over the chunk's requests, writing the grouped, sequence-stamped
-// form into c.perm and the group index into c.runs. counts is the
-// router's reusable per-unit scratch (len == e.units). Pure computation
-// on chunk-private buffers — safe to run on many routers at once.
-func (e *Engine) routeChunk(c *ingestChunk, counts []int32) {
-	reqs := c.reqs[:c.n]
-	for i := range counts {
-		counts[i] = 0
-	}
+// routeChunk routes one chunk's decoded requests: a stable counting
+// sort by routing unit writes them, sequence-stamped from base, into
+// c.perm and the group index into c.runs. units (len >= len(reqs)) and
+// counts (len == e.units) are the router's reusable scratch. Pure
+// computation on router-private buffers — safe to run on many routers
+// at once.
+func (e *Engine) routeChunk(c *ingestChunk, reqs []trace.Request, base uint64, units, counts []int32) {
+	clear(counts)
 	for i := range reqs {
 		u := int32(e.routeOf(reqs[i].Addr))
-		c.units[i] = u
+		units[i] = u
 		counts[u]++
 	}
 	c.runs = c.runs[:0]
@@ -171,54 +177,24 @@ func (e *Engine) routeChunk(c *ingestChunk, counts []int32) {
 		c.runs = append(c.runs, unitRun{unit: int32(u), start: start, end: off})
 		counts[u] = start // becomes the placement cursor below
 	}
-	perm := c.perm[:len(reqs)]
 	for i := range reqs {
-		u := c.units[i]
-		perm[counts[u]] = routedReq{seq: c.base + uint64(i), addr: reqs[i].Addr, data: reqs[i].New}
+		u := units[i]
+		c.perm[counts[u]] = routedReq{seq: base + uint64(i), addr: reqs[i].Addr, data: reqs[i].New}
 		counts[u]++
 	}
-}
-
-// assembleChunk folds one routed chunk into the dispatcher state: per
-// unit, append into the pending buffer and hand off every time it
-// reaches unitBatch. Called in strict chunk-sequence order on the Run
-// goroutine only, so each unit's batches hold its requests in trace
-// order.
-func (e *Engine) assembleChunk(c *ingestChunk, chans []chan batch, pending, ready []*[]routedReq) {
-	for _, run := range c.runs {
-		u := int(run.unit)
-		sub := c.perm[run.start:run.end]
-		for len(sub) > 0 {
-			p := pending[u]
-			if p == nil {
-				p = e.getBuf()
-				pending[u] = p
-			}
-			take := unitBatch - len(*p)
-			if take > len(sub) {
-				take = len(sub)
-			}
-			*p = append(*p, sub[:take]...)
-			sub = sub[take:]
-			if len(*p) == unitBatch {
-				e.handOff(chans[u%e.workers], ready, u, p)
-				pending[u] = nil
-			}
-		}
-	}
+	c.n = len(reqs)
 }
 
 // dispatch streams src through the ingest pipeline into the workers'
 // queues and returns the number of requests dispatched: it spawns the
-// routers, reassembles routed chunks in order into per-unit batches,
-// and finally flushes every parked and pending batch. On a failure or
-// cancellation the routers stop pulling new chunks, but every chunk
-// already read is still routed, reassembled and flushed. Determinism of
-// the reported error depends on that: the earliest failing request
-// overall was read before the (later) failure whose detection
-// triggered the stop, so it sits in an already-dispatched batch or in
-// the flushed buffers, and is always applied and recorded.
-func (e *Engine) dispatch(src trace.BatchSource, max int, chans []chan batch,
+// routers and hands the routed chunks, in sequence order, to every
+// worker. On a failure or cancellation the routers stop pulling new
+// chunks, but every chunk already read is still routed and handed off.
+// Determinism of the reported error depends on that: the earliest
+// failing request overall was read before the (later) failure whose
+// detection triggered the stop, so it is always handed off, applied and
+// recorded.
+func (e *Engine) dispatch(src trace.BatchSource, max int, chans []chan *ingestChunk,
 	failed *atomic.Bool, done <-chan struct{}, tick *progressTicker) uint64 {
 	inflight := cap(e.freeChunks)
 	routedCh := make(chan *ingestChunk, inflight)
@@ -228,27 +204,23 @@ func (e *Engine) dispatch(src trace.BatchSource, max int, chans []chan batch,
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
+			reqs := make([]trace.Request, ingestChunkCap)
+			units := make([]int32, ingestChunkCap)
 			counts := make([]int32, e.units)
 			for !failed.Load() && !canceled(done) {
 				c := <-e.freeChunks
-				if !rd.fill(c) {
+				base, n := rd.fill(c, reqs)
+				if n == 0 {
 					e.freeChunks <- c
 					return
 				}
-				e.routeChunk(c, counts)
+				e.routeChunk(c, reqs[:n], base, units, counts)
 				routedCh <- c
 			}
 		}()
 	}
 	go func() { rwg.Wait(); close(routedCh) }()
 
-	// pending[u] is unit u's filling buffer; ready[u] is a filled batch
-	// parked when the owner's queue was momentarily full (the second
-	// half of the double buffer). Per unit, ready is always older than
-	// pending, and both drain before anything newer — FIFO per unit is
-	// what per-shard trace order rests on.
-	pending := make([]*[]routedReq, e.units)
-	ready := make([]*[]routedReq, e.units)
 	var (
 		dispatched uint64
 		next       int
@@ -256,7 +228,7 @@ func (e *Engine) dispatch(src trace.BatchSource, max int, chans []chan batch,
 	)
 	for c := range routedCh {
 		// The chunk pool bounds in-flight chunk sequences to a window
-		// smaller than the ring, so seq%inflight slots never collide.
+		// no larger than the ring, so seq%inflight slots never collide.
 		hold[c.seq%inflight] = c
 		for {
 			h := hold[next%inflight]
@@ -264,21 +236,15 @@ func (e *Engine) dispatch(src trace.BatchSource, max int, chans []chan batch,
 				break
 			}
 			hold[next%inflight] = nil
-			e.assembleChunk(h, chans, pending, ready)
-			dispatched += uint64(h.n)
-			h.n = 0
-			e.freeChunks <- h
 			next++
+			// Read h.n before the hand-off: the last worker to finish
+			// recycles the chunk.
+			dispatched += uint64(h.n)
+			h.refs.Store(int32(len(chans)))
+			for _, ch := range chans {
+				ch <- h
+			}
 			tick.tick(dispatched, chans, false)
-		}
-	}
-	for u := 0; u < e.units; u++ {
-		w := u % e.workers
-		if r := ready[u]; r != nil {
-			chans[w] <- batch{unit: int32(u), reqs: r}
-		}
-		if p := pending[u]; p != nil {
-			chans[w] <- batch{unit: int32(u), reqs: p}
 		}
 	}
 	return dispatched
@@ -305,7 +271,7 @@ func newProgressTicker(opts *Options, start time.Time) *progressTicker {
 // tick reports dispatched requests and the workers' queue depths once
 // the interval has passed since the last report; the final report of a
 // Run (final = true) is always delivered.
-func (t *progressTicker) tick(dispatched uint64, chans []chan batch, final bool) {
+func (t *progressTicker) tick(dispatched uint64, chans []chan *ingestChunk, final bool) {
 	if t.fn == nil {
 		return
 	}

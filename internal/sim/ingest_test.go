@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"wlcrc/internal/memsys"
 	"wlcrc/internal/trace"
 )
 
@@ -193,20 +194,55 @@ func TestIngestVerifyErrorDeterministic(t *testing.T) {
 
 // TestResolveIngestRouters pins the Options.IngestRouters resolution
 // rule: negative means one router, zero auto-sizes by CPU count (one
-// router on one CPU), positive is taken verbatim.
+// router on one CPU), positive is taken verbatim — and every resolved
+// count is capped at the routing-unit count, so a client-supplied count
+// cannot size the chunk pool past it.
 func TestResolveIngestRouters(t *testing.T) {
-	cases := []struct{ opt, cpus, want int }{
-		{-1, 1, 1},
-		{-1, 8, 1},
-		{0, 1, 1},
-		{0, 2, 2},
-		{0, 16, ingestAutoMax},
-		{3, 1, 3},
-		{7, 16, 7},
+	cases := []struct{ opt, cpus, units, want int }{
+		{-1, 1, 256, 1},
+		{-1, 8, 256, 1},
+		{0, 1, 256, 1},
+		{0, 2, 256, 2},
+		{0, 16, 256, ingestAutoMax},
+		{3, 1, 256, 3},
+		{7, 16, 256, 7},
+		{1 << 30, 2, 256, 256},
+		{1 << 30, 2, 4, 4},
+		{5, 2, 4, 4},
+		{0, 16, 2, 2},
+		{-1, 16, 1, 1},
 	}
 	for _, c := range cases {
-		if got := resolveIngestRouters(c.opt, c.cpus); got != c.want {
-			t.Errorf("resolveIngestRouters(%d, %d) = %d, want %d", c.opt, c.cpus, got, c.want)
+		if got := resolveIngestRouters(c.opt, c.cpus, c.units); got != c.want {
+			t.Errorf("resolveIngestRouters(%d, %d, %d) = %d, want %d", c.opt, c.cpus, c.units, got, c.want)
 		}
+	}
+}
+
+// TestEngineIngestRoutersCappedAtUnits checks the cap end to end on a
+// 4-unit geometry (4 banks, 1 sub-shard): a request for more routers
+// than units resolves to the unit count, and the engine still replays.
+// The requested count is kept small, so a broken cap cannot allocate a
+// large chunk pool.
+func TestEngineIngestRoutersCappedAtUnits(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Geometry = memsys.Config{Channels: 1, DIMMsPerChan: 1, BanksPerDIMM: 4,
+		SubShards: 1, WriteQueueCap: 16, DrainThreshold: 0.8}
+	opts.IngestRouters = 64
+	e := NewEngine(opts, schemesForTest(t, "Baseline")...)
+	if e.Units() != 4 {
+		t.Fatalf("units = %d, want 4", e.Units())
+	}
+	if got := e.IngestRouters(); got != 4 {
+		t.Errorf("IngestRouters() = %d, want 4 (capped at the unit count)", got)
+	}
+	if got := cap(e.freeChunks); got != 2*4+chunkQueueCap+1 {
+		t.Errorf("chunk pool = %d, want %d", got, 2*4+chunkQueueCap+1)
+	}
+	if err := e.Run(fixedTrace(t, "gcc", 256, 3000, 5), 0); err != nil {
+		t.Fatal(err)
+	}
+	if m := e.Metrics()[0]; m.Writes != 3000 {
+		t.Errorf("writes = %d, want 3000", m.Writes)
 	}
 }

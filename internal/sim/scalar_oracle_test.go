@@ -110,8 +110,8 @@ func (o *scalarOracle) decode(u *shard, cells []pcm.State, addr, ctr uint64, dst
 	u.planeEnc.DecodeCtrPlanesInto(o.newP[:n], addr, ctr, dst)
 }
 
-// Run replays src the way the Engine's serial dispatch does — in
-// chunks of unitBatch requests, each chunk scheme-major so one scheme's
+// Run replays src the way a one-worker Engine does — in chunks of
+// ingestChunkCap requests, each chunk scheme-major so one scheme's
 // tables and line map stay hot across it — and returns the error with
 // the lowest sequence number, or the run's *DegradedError, as
 // Engine.Run would. A shard whose write errs freezes, as in the Engine,
@@ -121,10 +121,10 @@ func (o *scalarOracle) decode(u *shard, cells []pcm.State, addr, ctr uint64, dst
 // metrics are comparable after an error.
 func (o *scalarOracle) Run(src trace.Source) error {
 	e := o.e
-	chunk := make([]routedReq, 0, unitBatch)
+	chunk := make([]routedReq, 0, ingestChunkCap)
 	for seq, more := uint64(0), true; more; {
 		chunk = chunk[:0]
-		for len(chunk) < unitBatch {
+		for len(chunk) < ingestChunkCap {
 			req, ok := src.Next()
 			if !ok {
 				more = false

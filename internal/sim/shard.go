@@ -320,22 +320,17 @@ func (u *shard) repairFaultsPlanes(newP, oldP []uint64, slot int, addr, ctr, seq
 	return nil
 }
 
-// applyRun replays a routed batch through this shard one request at a
-// time, in trace order: each write is encoded against its line's stored
-// planes into the scratch buffer and settled before the next is
-// encoded, so a repeated address always encodes against its previous
-// write. On a verification failure (or, under FailFast, an
-// uncorrectable stuck line) it stops and returns the failing request's
-// global sequence number with the error; the remaining requests of the
-// batch are not applied (the Engine freezes the shard), so an erred
-// shard's metrics cover exactly its trace prefix up to and including
-// the failing request.
-//
-// Before the encode loop, touch reads the batch's lines without
-// changing anything, so their index and slab cache misses are in
-// flight together rather than each stalling its own settle.
+// applyRun replays one routing unit's run of requests through this
+// shard one request at a time, in trace order: each write is encoded
+// against its line's stored planes into the scratch buffer and settled
+// before the next is encoded, so a repeated address always encodes
+// against its previous write. On a verification failure (or, under
+// FailFast, an uncorrectable stuck line) it stops and returns the
+// failing request's global sequence number with the error; the
+// remaining requests of the run are not applied (the Engine freezes the
+// shard), so an erred shard's metrics cover exactly its trace prefix up
+// to and including the failing request.
 func (u *shard) applyRun(rs []routedReq) (errSeq uint64, err error) {
-	u.touch(rs)
 	for j := range rs {
 		rr := &rs[j]
 		addr, data := rr.addr, &rr.data
@@ -349,7 +344,8 @@ func (u *shard) applyRun(rs []routedReq) (errSeq uint64, err error) {
 	return 0, nil
 }
 
-// touch is applyRun's read-only pass over a batch: it looks up every
+// touch is the read-only pass the Engine runs over every run a worker
+// owns in a chunk before applying any of them: it looks up every
 // address and, for each resident line, loads the first, middle and last
 // plane word of its slot (a 128- or 144-byte slot spans at most three
 // cache lines, one under each), folding them into u.touched so the
@@ -365,7 +361,7 @@ func (u *shard) touch(rs []routedReq) {
 			sum += p[0] + p[len(p)/2] + p[len(p)-1]
 		}
 	}
-	u.touched = sum
+	u.touched += sum
 }
 
 // metricsView returns the shard's current metrics with the wear digest
@@ -383,8 +379,8 @@ func (u *shard) metricsView() Metrics {
 }
 
 // publish copies the live metrics into the snapshot buffer. Called by
-// the owning worker after each batch (and at drain), so Snapshot
-// readers lag a shard by at most one in-flight batch.
+// the owning worker between chunks (see Engine.publishOwned), so
+// Snapshot readers lag a shard by a bounded number of chunks.
 func (u *shard) publish() {
 	m := u.metricsView()
 	u.pubMu.Lock()
@@ -393,7 +389,7 @@ func (u *shard) publish() {
 }
 
 // publishIfDirty publishes only when writes landed since the last
-// publish, keeping the per-batch publish sweep cheap for untouched
+// publish, keeping the publish sweep cheap for untouched
 // shards. Owner-only, like publish.
 func (u *shard) publishIfDirty() {
 	if u.m.Writes == u.pubWrites {

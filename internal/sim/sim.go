@@ -258,10 +258,11 @@ type Options struct {
 	Geometry memsys.Config
 	// IngestRouters is the number of router goroutines of the Engine's
 	// ingest stage (see ingest.go), which reads the source in fixed-size
-	// chunks and pre-routes them before the dispatcher reassembles them
-	// in order. 0 (the default) auto-sizes to min(4, GOMAXPROCS); a
-	// negative value means one router; a positive value requests exactly
-	// that many. Like Workers, the setting only changes wall-clock time,
+	// chunks and groups each by routing unit before the Run goroutine
+	// hands them to the workers in order. 0 (the default) auto-sizes to
+	// min(4, GOMAXPROCS); a negative value means one router; a positive
+	// value requests that many, capped at the routing-unit count like
+	// Workers. Like Workers, the setting only changes wall-clock time,
 	// never results: replay output is bit-identical for any router count
 	// and for Source, BatchSource or MappedSource inputs alike. The
 	// resolved count is reported by Engine.IngestRouters.
@@ -279,8 +280,10 @@ type Options struct {
 
 	// Progress, when non-nil, is called by Engine.Run on the dispatcher
 	// goroutine roughly every ProgressInterval with live throughput and
-	// queue-depth numbers, plus once when the run finishes. The callback
-	// must return quickly (it stalls dispatch) and must not retain the
+	// the number of routed chunks queued per worker, plus once when the
+	// run finishes. Reports are taken after a chunk hand-off, so
+	// Dispatched moves a whole chunk at a time. The callback must
+	// return quickly (it stalls dispatch) and must not retain the
 	// QueueDepth slice, which is reused between calls.
 	Progress func(Progress)
 	// ProgressInterval is the minimum time between Progress calls
@@ -298,10 +301,12 @@ type Progress struct {
 	// after clamping to [1, units] (surfacing what a requested count
 	// actually resolved to, since silent capping hid it before).
 	Workers int
-	// QueueDepth holds the number of batches queued per worker, a
-	// saturation signal: depths pinned at the channel capacity mean the
-	// workers, not the trace source, bound throughput. The slice is
-	// reused between callbacks — copy it to keep it.
+	// QueueDepth holds the number of routed chunks queued per worker,
+	// a saturation signal: depths pinned at the queue capacity mean the
+	// workers, not the trace source, bound throughput. Every chunk goes
+	// to every worker, so a depth counts whole chunks, not the requests
+	// the worker owns in them. The slice is reused between callbacks —
+	// copy it to keep it.
 	QueueDepth []int
 	// Done marks the final report of a Run.
 	Done bool

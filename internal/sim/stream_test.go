@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"wlcrc/internal/memsys"
+	"wlcrc/internal/trace"
 )
 
 // TestEngineRoutedDeterminismWithWear extends the bit-identity guarantee
@@ -117,10 +118,10 @@ func TestEngineSnapshotWhileIdle(t *testing.T) {
 
 // TestDispatcherSteadyStateAllocs asserts the pooled routed dispatcher
 // runs allocation-free at steady state: after a warm-up Run has filled
-// the shard memory, the batch-buffer pool and the chunk pool, a whole
-// second Run amortizes to (near) zero allocations per request — only
-// the fixed per-Run setup (channels, router and worker goroutines,
-// per-router scratch) remains.
+// the shard memory, a whole second Run on the prefilled chunk pool
+// amortizes to (near) zero allocations per request — only the fixed
+// per-Run setup (channels, router and worker goroutines, per-router
+// and per-worker scratch) remains.
 func TestDispatcherSteadyStateAllocs(t *testing.T) {
 	const reqs = 8192
 	src := fixedTrace(t, "gcc", 256, reqs, 13)
@@ -148,6 +149,57 @@ func TestDispatcherSteadyStateAllocs(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// gatedSource serves a recorded trace through the plain Source
+// interface and runs wait just before handing out its last request.
+type gatedSource struct {
+	src  *trace.SliceSource
+	left int
+	wait func()
+}
+
+func (g *gatedSource) Next() (trace.Request, bool) {
+	if g.left == 1 {
+		g.wait()
+	}
+	g.left--
+	return g.src.Next()
+}
+
+// TestWorkerStartsBeforeSourceDrains checks that the workers apply
+// requests while the source is still being read, on a fig8-gcc-shaped
+// stream: one worker, one router and ~47 requests per routing unit
+// (12 000 requests over a 4096-line footprint and 256 units). The
+// source holds back its last request until a Snapshot reports writes.
+// If none appear within a few seconds it gives up and releases the
+// source, and the test fails instead of hanging.
+func TestWorkerStartsBeforeSourceDrains(t *testing.T) {
+	const total = 12000
+	opts := DefaultOptions()
+	opts.Workers = 1
+	opts.IngestRouters = 1
+	e := NewEngine(opts, schemesForTest(t, "Baseline")...)
+	started := false
+	src := &gatedSource{src: fixedTrace(t, "gcc", 4096, total, 1), left: total}
+	src.wait = func() {
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			if e.Snapshot()[0].Writes > 0 {
+				started = true
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	if err := e.Run(src, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !started {
+		t.Error("no write was applied before the source's last request was read: the worker waited for the whole stream")
+	}
+	if got := e.Metrics()[0].Writes; got != total {
+		t.Errorf("writes = %d, want %d", got, total)
 	}
 }
 
