@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index). Each
+// evaluation (cmd/experiments lists the experiment ids). Each
 // BenchmarkFigN replays a scaled-down version of the corresponding
 // experiment and reports the figure's headline quantities as custom
 // metrics (pJ/write, cells/write, errors/write, coverage %), so

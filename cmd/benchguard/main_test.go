@@ -119,6 +119,10 @@ func committedRuns(t *testing.T, tab *table) map[string]map[string]float64 {
 			"VCC-2": metricKey("BenchmarkVCCPaired", "VCC-2-new/ref"),
 			"VCC-4": metricKey("BenchmarkVCCPaired", "VCC-4-new/ref"),
 			"VCC-8": metricKey("BenchmarkVCCPaired", "VCC-8-new/ref")}),
+		"decode": record("decode_paired", "new_over_ref_by_scheme", map[string]string{
+			"WLCRC-16":    metricKey("BenchmarkDecodePaired", "WLCRC-16-new/ref"),
+			"COC+4cosets": metricKey("BenchmarkDecodePaired", "COC+4cosets-new/ref"),
+			"DIN":         metricKey("BenchmarkDecodePaired", "DIN-new/ref")}),
 	}
 	for _, r := range tab.Gates {
 		for _, c := range r.Checks {
@@ -154,6 +158,7 @@ func TestCommittedGatesTrip(t *testing.T) {
 		"lanes/WLCRC-16-lane/float": 0.6, "lanes/COC+4cosets-lane/float": 0.75,
 		"settle/gcc-chunk/word": 0.95, "settle/ciphertext-chunk/word": 0.95,
 		"vcc/VCC-2-new/ref": 0.9, "vcc/VCC-4-new/ref": 0.9, "vcc/VCC-8-new/ref": 0.9,
+		"decode/WLCRC-16-new/ref": 0.6, "decode/COC+4cosets-new/ref": 0.7, "decode/DIN-new/ref": 0.9,
 	}
 	// The encode row gates the plane codec replay runs: every baseline
 	// key is one of its sub-benchmarks, 12 plane schemes and 4 keyed.

@@ -9,11 +9,12 @@
 // polynomial is g(x) = m1(x) * m3(x), the product of the minimal
 // polynomials of alpha and alpha^3, of degree 20.
 //
-// Parity (msg(x)*x^20 mod g(x)) is computed a byte at a time from one
-// 256-entry table built once per process; syndromes evaluate that
-// remainder at alpha and alpha^3. Packed forms take little-endian uint64
-// words; the []uint8 forms pack onto the same path. The tests keep the
-// bit-serial LFSR as the reference oracle.
+// Parity (msg(x)*x^20 mod g(x)) is computed a 64-bit word at a time
+// from eight 256-entry tables, one per byte of the word, built once per
+// process (the slicing-by-8 form of a table-driven CRC); syndromes
+// evaluate that remainder at alpha and alpha^3. Packed forms take
+// little-endian uint64 words; the []uint8 forms pack onto the same
+// path. The tests keep the bit-serial LFSR as the reference oracle.
 package bch
 
 import (
@@ -38,8 +39,10 @@ const msgWords = (MaxMessageBits + 63) / 64
 // use after construction.
 type Code struct {
 	field *gf2.Field
-	gen   []uint8     // generator polynomial coefficients, ascending, degree 20
-	rem   [256]uint32 // v(x)*x^20 mod g(x) per byte v, bit j = coefficient of x^j
+	gen   []uint8 // generator polynomial coefficients, ascending, degree 20
+	// rem[k][v] is v(x)*x^(20+8k) mod g(x) for byte v, bit j the
+	// coefficient of x^j: the remainder of byte k of a 64-bit word.
+	rem [8][256]uint32
 }
 
 // shared is the one Code of the process: the code is fixed.
@@ -61,12 +64,17 @@ func newCode() *Code {
 	for j, b := range gen[:ParityBits] {
 		g |= uint32(b) << j
 	}
-	for v := range c.rem { // v(x)*x^12, times x eight times mod g(x)
+	for v := range c.rem[0] { // v(x)*x^12, times x eight times mod g(x)
 		r := uint32(v) << (ParityBits - 8)
 		for i := 0; i < 8; i++ {
 			r = r<<1&parityMask ^ g*(r>>(ParityBits-1))
 		}
-		c.rem[v] = r
+		c.rem[0][v] = r
+	}
+	for k := 1; k < len(c.rem); k++ { // times x^8 mod g(x) once more
+		for v, r := range c.rem[k-1] {
+			c.rem[k][v] = r<<8&parityMask ^ c.rem[0][r>>(ParityBits-8)]
+		}
 	}
 	return c
 }
@@ -118,18 +126,22 @@ func (c *Code) EncodeTo(msg, parity []uint8) {
 // ParityWords returns the parity of the nbits-bit message packed
 // LSB-first into msg (bit i is bit i%64 of msg[i/64]); bit j of the
 // result is parity bit j. Bits at or above nbits are ignored, so the
-// last word may hold other data, such as the parity itself.
+// last word may hold other data, such as the parity itself. It runs
+// Horner's rule in x^64: each word, top word first, folds the
+// remainder so far into its top 20 bits and reduces through rem.
 func (c *Code) ParityWords(msg []uint64, nbits int) uint32 {
 	if nbits > MaxMessageBits {
 		panic("bch: message too long for shortened code")
 	}
 	var r uint32
-	for k := (nbits+7)/8 - 1; k >= 0; k-- { // Horner's rule in x^8
-		b := byte(msg[k/8] >> (8 * (k % 8)))
-		if n := nbits - 8*k; n < 8 {
-			b &= 1<<n - 1
+	for w := (nbits+63)/64 - 1; w >= 0; w-- {
+		v := msg[w]
+		if n := nbits - 64*w; n < 64 {
+			v &= 1<<uint(n) - 1
 		}
-		r = r<<8&parityMask ^ c.rem[byte(r>>(ParityBits-8))^b]
+		v ^= uint64(r) << (64 - ParityBits)
+		r = c.rem[0][byte(v)] ^ c.rem[1][byte(v>>8)] ^ c.rem[2][byte(v>>16)] ^ c.rem[3][byte(v>>24)] ^
+			c.rem[4][byte(v>>32)] ^ c.rem[5][byte(v>>40)] ^ c.rem[6][byte(v>>48)] ^ c.rem[7][byte(v>>56)]
 	}
 	return r
 }

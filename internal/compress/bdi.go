@@ -183,14 +183,15 @@ func BDISize(l *memline.Line) int {
 	return n
 }
 
-// BDIDecompress reconstructs a line from a BDI stream.
-func BDIDecompress(buf []byte) memline.Line {
-	r := WrapBitReader(buf)
+// BDIDecompress reconstructs a line from a BDI stream held in words, as
+// FPCDecompress reads FPC.
+func BDIDecompress(stream []uint64) memline.Line {
+	r := wordReader{buf: stream}
 	return bdiDecode(&r)
 }
 
 // bdiDecode reads one BDI stream from r.
-func bdiDecode(r *BitReader) memline.Line {
+func bdiDecode(r *wordReader) memline.Line {
 	tag := int(r.ReadBits(4))
 	var l memline.Line
 	switch tag {
@@ -307,9 +308,10 @@ func FPCBDICompressLimit(l *memline.Line, w *BitWriter, maxBits int) int {
 	return w.Len()
 }
 
-// FPCBDIDecompress inverts FPCBDICompress.
-func FPCBDIDecompress(buf []byte) memline.Line {
-	r := WrapBitReader(buf)
+// FPCBDIDecompress inverts FPCBDICompress, reading the stream from
+// words as FPCDecompress does.
+func FPCBDIDecompress(stream []uint64) memline.Line {
+	r := wordReader{buf: stream}
 	if r.ReadBits(1) == 1 {
 		return bdiDecode(&r)
 	}

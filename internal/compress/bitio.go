@@ -5,11 +5,12 @@
 // DIN [16], and a Coverage-Oriented Compression (COC [20]) menu of 28
 // variable-length word compressors.
 //
-// FPC, BDI and COC produce variable-length bit streams; BitWriter and
-// BitReader provide the LSB-first bit packing they share. WLC is special:
-// it does not repack bits — it frees a fixed field at the top of every
-// 64-bit word, preserving bit positions, which is the property that makes
-// differential writes effective (paper §VIII.A).
+// FPC, BDI and COC produce variable-length bit streams in one LSB-first
+// bit order: BitWriter packs them into bytes, COCPack into 64-bit
+// words, and every decompressor reads them back from words. WLC is
+// special: it does not repack bits — it frees a fixed field at the top
+// of every 64-bit word, preserving bit positions, which is the property
+// that makes differential writes effective (paper §VIII.A).
 package compress
 
 // BitWriter accumulates a bit stream, least-significant bit first within
@@ -88,52 +89,36 @@ func (w *BitWriter) Len() int { return w.bits }
 // Bytes returns the packed stream. The final byte is zero-padded.
 func (w *BitWriter) Bytes() []byte { return w.buf }
 
-// BitReader consumes a bit stream produced by BitWriter.
-type BitReader struct {
-	buf []byte
+// wordReader consumes an LSB-first bit stream held in 64-bit words:
+// stream bit i is bit i%64 of buf[i/64], the layout COCPack writes and
+// the little-endian word view of a BitWriter stream. Reading past the
+// end yields zero bits, mirroring the zero padding a fixed-size memory
+// line provides.
+type wordReader struct {
+	buf []uint64
 	pos int
 }
 
-// NewBitReader returns a reader over buf.
-func NewBitReader(buf []byte) *BitReader { return &BitReader{buf: buf} }
-
-// WrapBitReader returns a value reader over buf, the allocation-free
-// counterpart of NewBitReader for hot paths.
-func WrapBitReader(buf []byte) BitReader { return BitReader{buf: buf} }
-
-// Reset repoints the reader at buf for reuse.
-func (r *BitReader) Reset(buf []byte) {
-	r.buf = buf
-	r.pos = 0
+// peek returns the next 64 stream bits without consuming them.
+func (r *wordReader) peek() uint64 {
+	k, off := r.pos>>6, uint(r.pos&63)
+	var v uint64
+	if k < len(r.buf) {
+		v = r.buf[k] >> off
+	}
+	if k+1 < len(r.buf) {
+		v |= r.buf[k+1] << (64 - off) // a shift by 64 is 0 when off is 0
+	}
+	return v
 }
 
-// ReadBits consumes the next n bits and returns them LSB first.
-// Reading past the end yields zero bits, mirroring the zero padding a
-// fixed-size memory line provides. Like WriteBits, it moves a byte at a
-// time rather than bit-by-bit.
-func (r *BitReader) ReadBits(n int) uint64 {
-	if n <= 0 {
-		return 0
-	}
-	idx := r.pos >> 3
-	off := uint(r.pos) & 7
+// ReadBits consumes the next n bits, n in [0, 64], and returns them LSB
+// first.
+func (r *wordReader) ReadBits(n int) uint64 {
+	v := r.peek()
 	r.pos += n
-	var v uint64
-	if idx < len(r.buf) {
-		v = uint64(r.buf[idx] >> off)
-	}
-	got := 8 - int(off)
-	for idx++; got < n; idx++ {
-		if idx < len(r.buf) {
-			v |= uint64(r.buf[idx]) << uint(got)
-		}
-		got += 8
-	}
 	if n < 64 {
 		v &= 1<<uint(n) - 1
 	}
 	return v
 }
-
-// Pos returns the number of bits consumed so far.
-func (r *BitReader) Pos() int { return r.pos }

@@ -56,12 +56,16 @@ func cocWidthTags(widths []int, tag0 int) (t [65]int8) {
 	return t
 }
 
-// cocWidth is the payload width of each tag.
-var cocWidth = func() (w [cocNumComps]int) {
+// cocWidth is the payload width of each tag. The 5-bit tag field also
+// holds the values 28-31, which name no compressor; the decoder reads
+// them, like tag 27, as a raw 64-bit word.
+var cocWidth = func() (w [1 << cocTagBits]int) {
 	copy(w[:], cocSEWidths)
 	w[cocRepByte], w[cocRep16], w[cocRep32] = 8, 16, 32
 	copy(w[cocDelta0:], cocDeltaWidths)
-	w[cocRawTag] = 64
+	for t := cocRawTag; t < len(w); t++ {
+		w[t] = 64
+	}
 	return w
 }()
 
@@ -149,35 +153,57 @@ func COCSize(l *memline.Line) int {
 	return n
 }
 
-// COCDecompress reconstructs a line from a COC stream.
-func COCDecompress(buf []byte) memline.Line {
-	r := NewBitReader(buf)
+// cocRead is how the decoder turns one tag's payload p into the word
+// v, with no branch on the tag: the payload is the mask bits after the
+// tag and takes width bits of the stream, and
+//
+//	v = SignExtend(p, 64-shift)·mul + prev&prevMask
+//
+// sign-extends the SE and delta payloads (shift 64-width), repeats the
+// byte, halfword and word payloads (mul 0x0101..., 0x0001..., 1<<32+1)
+// and adds the previous word to the deltas. Tags 28-31 name no
+// compressor and read, like tag 27, as a raw 64-bit word.
+type cocRead struct {
+	width, shift uint
+	mask, mul    uint64
+	prevMask     uint64
+}
+
+var cocReads = func() (t [1 << cocTagBits]cocRead) {
+	for tag := range t {
+		w := cocWidth[tag]
+		c := cocRead{width: uint(w), mask: ^uint64(0) >> uint(64-w), mul: 1}
+		switch {
+		case tag < cocRepByte:
+			c.shift = uint(64 - w)
+		case tag == cocRepByte:
+			c.mul = 0x0101010101010101
+		case tag == cocRep16:
+			c.mul = 0x0001000100010001
+		case tag == cocRep32:
+			c.mul = 1<<32 + 1
+		case tag < cocRawTag:
+			c.shift, c.prevMask = uint(64-w), ^uint64(0)
+		}
+		t[tag] = c
+	}
+	return t
+}()
+
+// COCDecompress reconstructs a line from a COC stream held as COCPack
+// writes it: stream bit i at bit i%64 of stream[i/64]. Bits past the
+// end of stream read as zero.
+func COCDecompress(stream []uint64) memline.Line {
+	r := wordReader{buf: stream}
 	var l memline.Line
 	var prev uint64
 	for i := 0; i < memline.LineWords; i++ {
-		tag := int(r.ReadBits(cocTagBits))
-		var v uint64
-		switch {
-		case tag < len(cocSEWidths):
-			w := cocSEWidths[tag]
-			v = memline.SignExtend(r.ReadBits(w), w)
-		case tag == cocRepByte:
-			b := r.ReadBits(8)
-			v = b * 0x0101010101010101
-		case tag == cocRep16:
-			h := r.ReadBits(16)
-			v = h * 0x0001000100010001
-		case tag == cocRep32:
-			x := r.ReadBits(32)
-			v = x | x<<32
-		case tag >= cocDelta0 && tag < cocDelta0+len(cocDeltaWidths):
-			w := cocDeltaWidths[tag-cocDelta0]
-			v = prev + memline.SignExtend(r.ReadBits(w), w)
-		default: // cocRawTag
-			v = r.ReadBits(64)
-		}
-		l.SetWord(i, v)
-		prev = v
+		c := &cocReads[r.peek()&(1<<cocTagBits-1)]
+		r.pos += cocTagBits
+		p := r.peek() & c.mask
+		r.pos += int(c.width)
+		prev = uint64(int64(p<<c.shift)>>c.shift)*c.mul + prev&c.prevMask
+		l.SetWord(i, prev)
 	}
 	return l
 }

@@ -135,7 +135,7 @@ func FuzzCOCPack(f *testing.F) {
 		if bits%8 != 0 && got[len(want)-1]>>(bits%8) != 0 || !bytes.Equal(got[len(want):], make([]byte, len(got)-len(want))) {
 			t.Fatalf("COCPack leaves bits past the %d-bit stream: %x", bits, got)
 		}
-		if back := COCDecompress(got[:]); back != l {
+		if back := COCDecompress(words[:]); back != l {
 			t.Fatal("COCDecompress does not round-trip the packed stream")
 		}
 	})

@@ -194,7 +194,7 @@ func TestFPCRoundTripPatterns(t *testing.T) {
 	}
 	for i, ln := range lines {
 		buf, _ := FPCCompress(&ln)
-		got := FPCDecompress(buf)
+		got := FPCDecompress(streamWords(buf))
 		if !got.Equal(&ln) {
 			t.Fatalf("line %d: FPC round trip failed\n in: %v\nout: %v", i, ln.String(), got.String())
 		}
@@ -235,7 +235,7 @@ func TestBDIBaseDelta(t *testing.T) {
 	if bits != 140 {
 		t.Errorf("pointer line size = %d, want 140", bits)
 	}
-	got := BDIDecompress(buf)
+	got := BDIDecompress(streamWords(buf))
 	if !got.Equal(&l) {
 		t.Fatal("BDI round trip failed")
 	}
@@ -252,7 +252,7 @@ func TestBDIMixedZeroBase(t *testing.T) {
 		}
 	}
 	buf, _ := BDICompress(&l)
-	got := BDIDecompress(buf)
+	got := BDIDecompress(streamWords(buf))
 	if !got.Equal(&l) {
 		t.Fatal("BDI immediate round trip failed")
 	}
@@ -263,7 +263,7 @@ func TestBDIRoundTripRandom(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		l := randomLine(r)
 		buf, bits := BDICompress(&l)
-		got := BDIDecompress(buf)
+		got := BDIDecompress(streamWords(buf))
 		if !got.Equal(&l) {
 			t.Fatalf("BDI round trip failed for random line %d", i)
 		}
@@ -305,7 +305,7 @@ func TestFPCBDIRoundTrip(t *testing.T) {
 			}
 		}
 		buf, _ := FPCBDICompress(&l)
-		got := FPCBDIDecompress(buf)
+		got := FPCBDIDecompress(streamWords(buf))
 		if !got.Equal(&l) {
 			t.Fatalf("FPC+BDI round trip failed for line %d", i)
 		}
@@ -343,7 +343,7 @@ func TestCOCDeltaChain(t *testing.T) {
 		t.Errorf("delta chain did not compress: %d bits", s)
 	}
 	buf, _ := cocCompressRef(&l)
-	got := COCDecompress(buf)
+	got := COCDecompress(streamWords(buf))
 	if !got.Equal(&l) {
 		t.Fatal("COC round trip failed")
 	}
@@ -365,7 +365,7 @@ func TestCOCRoundTripRandom(t *testing.T) {
 			}
 		}
 		buf, _ := cocCompressRef(&l)
-		got := COCDecompress(buf)
+		got := COCDecompress(streamWords(buf))
 		if !got.Equal(&l) {
 			t.Fatalf("COC round trip failed for line %d", i)
 		}
@@ -390,7 +390,7 @@ func TestQuickCOCRoundTrip(t *testing.T) {
 	f := func(ws [memline.LineWords]uint64) bool {
 		l := memline.FromWords(ws)
 		buf, _ := cocCompressRef(&l)
-		got := COCDecompress(buf)
+		got := COCDecompress(streamWords(buf))
 		return got.Equal(&l)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -402,7 +402,7 @@ func TestQuickFPCRoundTrip(t *testing.T) {
 	f := func(ws [memline.LineWords]uint64) bool {
 		l := memline.FromWords(ws)
 		buf, _ := FPCCompress(&l)
-		got := FPCDecompress(buf)
+		got := FPCDecompress(streamWords(buf))
 		return got.Equal(&l)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -414,7 +414,7 @@ func TestQuickBDIRoundTrip(t *testing.T) {
 	f := func(ws [memline.LineWords]uint64) bool {
 		l := memline.FromWords(ws)
 		buf, _ := BDICompress(&l)
-		got := BDIDecompress(buf)
+		got := BDIDecompress(streamWords(buf))
 		return got.Equal(&l)
 	}
 	if err := quick.Check(f, nil); err != nil {

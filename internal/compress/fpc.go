@@ -123,14 +123,16 @@ func fpcSize(l *memline.Line, limit int) int {
 	return bits
 }
 
-// FPCDecompress reconstructs a line from an FPC stream.
-func FPCDecompress(buf []byte) memline.Line {
-	r := WrapBitReader(buf)
+// FPCDecompress reconstructs a line from an FPC stream held in words
+// (stream bit i at bit i%64 of stream[i/64]); bits past its end read as
+// zero.
+func FPCDecompress(stream []uint64) memline.Line {
+	r := wordReader{buf: stream}
 	return fpcDecode(&r)
 }
 
 // fpcDecode reads one FPC stream from r.
-func fpcDecode(r *BitReader) memline.Line {
+func fpcDecode(r *wordReader) memline.Line {
 	var words [fpcWords]uint32
 	for i := 0; i < fpcWords; {
 		prefix := int(r.ReadBits(3))

@@ -20,10 +20,10 @@ func TestDecompressorsNeverPanicOnGarbage(t *testing.T) {
 					t.Fatalf("trial %d (len %d): panic: %v", trial, n, p)
 				}
 			}()
-			_ = FPCDecompress(buf)
-			_ = BDIDecompress(buf)
-			_ = COCDecompress(buf)
-			_ = FPCBDIDecompress(buf)
+			_ = FPCDecompress(streamWords(buf))
+			_ = BDIDecompress(streamWords(buf))
+			_ = COCDecompress(streamWords(buf))
+			_ = FPCBDIDecompress(streamWords(buf))
 		}()
 	}
 }
@@ -37,9 +37,9 @@ func TestDecompressorsTolerateTruncation(t *testing.T) {
 		comp func() []byte
 		dec  func([]byte)
 	}{
-		{"FPC", func() []byte { b, _ := FPCCompress(&l); return b }, func(b []byte) { FPCDecompress(b) }},
-		{"BDI", func() []byte { b, _ := BDICompress(&l); return b }, func(b []byte) { BDIDecompress(b) }},
-		{"COC", func() []byte { b, _ := cocCompressRef(&l); return b }, func(b []byte) { COCDecompress(b) }},
+		{"FPC", func() []byte { b, _ := FPCCompress(&l); return b }, func(b []byte) { FPCDecompress(streamWords(b)) }},
+		{"BDI", func() []byte { b, _ := BDICompress(&l); return b }, func(b []byte) { BDIDecompress(streamWords(b)) }},
+		{"COC", func() []byte { b, _ := cocCompressRef(&l); return b }, func(b []byte) { COCDecompress(streamWords(b)) }},
 	} {
 		buf := tc.comp()
 		for cut := 0; cut <= len(buf); cut += 7 {

@@ -48,15 +48,11 @@ func (w WLC) CompressWord(v uint64) uint64 {
 // DecompressWord reconstructs the original word from a compressed word
 // (whose reclaimed field may hold arbitrary auxiliary bits) by extending
 // the representative bit b(64-K) into the reclaimed field, "similar to
-// sign extension" (§IV).
+// sign extension" (§IV) — which it is: the word sign-extended from
+// that bit.
 func (w WLC) DecompressWord(v uint64) uint64 {
-	r := w.Reclaimed()
-	rep := v >> uint(63-r) & 1
-	fill := uint64(0)
-	if rep == 1 {
-		fill = 1<<uint(r) - 1
-	}
-	return memline.SetBitField(v, 64-r, r, fill)
+	r := uint(w.Reclaimed())
+	return uint64(int64(v<<r) >> r)
 }
 
 // CompressLine applies CompressWord to every word. The line must be

@@ -242,13 +242,16 @@ func (c *blockCode) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	var idx [maxBlocks]uint8
 	n := c.geom.Len()
 	readAux(planes, c.auxBit, grp, idx[:n])
-	words := decodeRegs(planes, c.tabs, c.geom, idx[:n])
-	if c.wlc == nil {
-		*dst = memline.FromWords(words)
-		return
-	}
-	for w, word := range words {
-		dst.SetWord(w, c.wlc.DecompressWord(word))
+	var lo, hi [coset.MaxRegs]uint64
+	coset.LoadRegs(planes, &lo, &hi)
+	coset.DecodeBlocks(c.tabs, c.geom, idx[:n], &lo, &hi)
+	for r := range lo {
+		w0, w1 := coset.RegWords(lo[r], hi[r])
+		if c.wlc != nil {
+			w0, w1 = c.wlc.DecompressWord(w0), c.wlc.DecompressWord(w1)
+		}
+		dst.SetWord(2*r, w0)
+		dst.SetWord(2*r+1, w1)
 	}
 }
 
@@ -286,16 +289,4 @@ func zeroTail(dst []uint64) {
 	for i := tailWord; i < len(dst); i++ {
 		dst[i] = 0
 	}
-}
-
-// decodeRegs decodes the stored states of a line's data registers
-// through the per-block candidates idx and returns the data words.
-func decodeRegs(planes []uint64, tabs []coset.SWARTable, g *coset.Blocks, idx []uint8) (words [memline.LineWords]uint64) {
-	var lo, hi [coset.MaxRegs]uint64
-	coset.LoadRegs(planes, &lo, &hi)
-	coset.DecodeBlocks(tabs, g, idx, &lo, &hi)
-	for r := range lo {
-		words[2*r], words[2*r+1] = coset.RegWords(lo[r], hi[r])
-	}
-	return words
 }

@@ -41,15 +41,42 @@ const (
 	cocFlagRaw = pcm.S3
 )
 
-// coc16Geom and coc32Geom are the payload block geometries of the two
-// encoded modes, and coc16Aux and coc32Aux their blocks' aux bits: one
-// cell per block, right after the payload.
+// cocMode is the layout of one encoded mode: its payload cells, and the
+// payload's blocks, one aux cell each right after the payload, holding
+// the block's Table I candidate index as its state. A pair register
+// holds regBlocks blocks, and spread[v] is the cells of those whose
+// bits v sets (block j of the register at bit j).
+type cocMode struct {
+	payloadCells int
+	geom         *coset.Blocks
+	aux          []int
+	regBlocks    uint
+	spread       []uint64
+}
+
+func newCOCMode(payloadCells, blocks int) *cocMode {
+	blockCells := payloadCells / blocks
+	m := &cocMode{
+		payloadCells: payloadCells,
+		geom:         coset.UniformBlocks(payloadCells, blockCells),
+		aux:          uniformAux(2*payloadCells, 2, blocks),
+		regBlocks:    uint(coset.RegCells / blockCells),
+	}
+	m.spread = make([]uint64, 1<<m.regBlocks)
+	for v := range m.spread {
+		for j := 0; j < int(m.regBlocks); j++ {
+			if v>>j&1 == 1 {
+				m.spread[v] |= coset.CellMask(j*blockCells, blockCells)
+			}
+		}
+	}
+	return m
+}
+
 var (
-	coc16Geom = coset.UniformBlocks(coc16PayloadCells, coc16PayloadCells/coc16Blocks)
-	coc32Geom = coset.UniformBlocks(coc32PayloadCells, coc32PayloadCells/coc32Blocks)
-	coc16Aux  = uniformAux(2*coc16PayloadCells, 2, coc16Blocks)
-	coc32Aux  = uniformAux(2*coc32PayloadCells, 2, coc32Blocks)
-	cocField  = identityGroup(2, len(coset.Table1))
+	coc16    = newCOCMode(coc16PayloadCells, coc16Blocks)
+	coc32    = newCOCMode(coc32PayloadCells, coc32Blocks)
+	cocField = identityGroup(2, len(coset.Table1))
 )
 
 // NewCOC4 returns the COC+4cosets scheme.
@@ -88,10 +115,10 @@ func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 	bits := compress.COCPack(data, &stream)
 	switch {
 	case bits <= coc16PayloadBits:
-		s.encodeModePlanes(dst, old, &stream, coc16PayloadCells, coc16Geom, coc16Aux)
+		s.encodeModePlanes(dst, old, &stream, coc16)
 		setTailFlag(dst, cocFlag16)
 	case bits <= coc32PayloadBits:
-		s.encodeModePlanes(dst, old, &stream, coc32PayloadCells, coc32Geom, coc32Aux)
+		s.encodeModePlanes(dst, old, &stream, coc32)
 		setTailFlag(dst, cocFlag32)
 	default:
 		rawEncodePlanes(data, dst)
@@ -106,7 +133,8 @@ func (s *COC4) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 // always inside word 7 — holds each block's candidate index as the
 // state of one cell, written through the shared aux-bit writer; the
 // cells above it keep the old states the initial copy brought in.
-func (s *COC4) encodeModePlanes(dst, old []uint64, stream *[compress.COCMaxWords]uint64, payloadCells int, g *coset.Blocks, aux []int) {
+func (s *COC4) encodeModePlanes(dst, old []uint64, stream *[compress.COCMaxWords]uint64, m *cocMode) {
+	payloadCells, g := m.payloadCells, m.geom
 	payload := memline.FromWords([memline.LineWords]uint64(stream[:memline.LineWords]))
 	var p coset.Regs
 	p.Load(&payload, old)
@@ -120,24 +148,46 @@ func (s *COC4) encodeModePlanes(dst, old []uint64, stream *[compress.COCMaxWords
 	mask := coset.CellMask(payloadCells%memline.WordCells, nblocks)
 	dst[2*wa] &^= mask
 	dst[2*wa+1] &^= mask
-	writeAux(dst, aux, idx[:nblocks], &cocField)
+	writeAux(dst, m.aux, idx[:nblocks], &cocField)
 }
 
 // DecodePlanesInto implements PlaneScheme.
 func (s *COC4) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	switch tailFlag(planes) {
 	case cocFlag16:
-		*dst = s.decodeModePlanes(planes, coc16Geom, coc16Aux)
+		*dst = s.decodeModePlanes(planes, coc16)
 	case cocFlag32:
-		*dst = s.decodeModePlanes(planes, coc32Geom, coc32Aux)
+		*dst = s.decodeModePlanes(planes, coc32)
 	default:
 		rawDecodePlanes(planes, dst)
 	}
 }
 
-func (s *COC4) decodeModePlanes(planes []uint64, g *coset.Blocks, aux []int) memline.Line {
-	var idx [coc16Blocks]uint8
-	readAux(planes, aux, &cocField, idx[:len(aux)])
-	payload := memline.FromWords(decodeRegs(planes, s.swar, g, idx[:len(aux)]))
+// decodeModePlanes decodes the payload registers, each block through
+// the candidate its aux cell's state names, and decompresses the
+// payload words as the COC stream they hold. The aux cells' four state
+// minterms, spread over the blocks' cells, are the candidates' cell
+// masks.
+func (s *COC4) decodeModePlanes(planes []uint64, m *cocMode) memline.Line {
+	w, sh := m.payloadCells/memline.WordCells, uint(m.payloadCells%memline.WordCells)
+	alo, ahi := planes[2*w]>>sh, planes[2*w+1]>>sh
+	in := coset.CellMask(0, m.geom.Len())
+	held := [4]uint64{^(alo | ahi) & in, alo &^ ahi & in, ahi &^ alo & in, alo & ahi & in}
+	var payload [memline.LineWords]uint64 // zero past the payload's words
+	for r := 0; 2*r*memline.WordCells < m.payloadCells; r++ {
+		lo := coset.Pair(planes[4*r], planes[4*r+2])
+		hi := coset.Pair(planes[4*r+1], planes[4*r+3])
+		var dlo, dhi uint64
+		for c := range held {
+			sel := m.spread[held[c]>>(m.regBlocks*uint(r))&(1<<m.regBlocks-1)]
+			l, h := s.swar[c].ApplyInvReg(lo, hi)
+			dlo |= l & sel
+			dhi |= h & sel
+		}
+		payload[2*r] = memline.InterleavePlanes(dlo, dhi)
+		if (2*r+1)*memline.WordCells < m.payloadCells {
+			payload[2*r+1] = memline.InterleavePlanes(dlo>>32, dhi>>32)
+		}
+	}
 	return compress.COCDecompress(payload[:])
 }

@@ -96,14 +96,23 @@ func (d *DIN) CorrectLine(planes []uint64) int {
 	if tailFlag(planes) != flagCompressed {
 		return 0
 	}
-	var stored memline.Line
-	rawDecodePlanes(planes, &stored)
-	n, ok := d.correct(&stored)
+	words := storedWords(planes)
+	n, ok := d.correct(&words)
 	if !ok {
 		return 0
 	}
+	stored := memline.FromWords(words)
 	rawEncodePlanes(&stored, planes)
 	return n
+}
+
+// storedWords decodes the 16 data plane words through C1 into the
+// stored 512-bit region.
+func storedWords(planes []uint64) (words [memline.LineWords]uint64) {
+	for w := range words {
+		words[w] = rawDecodeWord(planes[2*w], planes[2*w+1])
+	}
+	return words
 }
 
 // storedLine is the front half of the encoder. When the FPC+BDI
@@ -130,31 +139,36 @@ func (d *DIN) storedLine(data, stored *memline.Line) (*memline.Line, pcm.State) 
 }
 
 // decodeStored is the back half of the decoder: it corrects a stored
-// compressed line in place and returns the data it encodes.
-func (d *DIN) decodeStored(stored *memline.Line) memline.Line {
-	d.correct(stored)
-	words := stored.Words()
+// compressed line in place and returns the data it encodes. The 3-to-4
+// contraction packs stored word j's 48 stream bits straight into the
+// stream words FPC+BDI reads.
+func (d *DIN) decodeStored(words *[memline.LineWords]uint64) memline.Line {
+	d.correct(words)
 	words[7] &= 1<<dinParityShift - 1 // so the stream past bit 369 reads zero
-	var stream memline.Line
+	var stream [(memline.LineWords*48 + 63) / 64]uint64
 	for j, x := range words {
 		var v uint64
 		for k := 0; k < 8; k++ {
 			v |= uint64(dinContract[byte(x>>(8*k))]) << (6 * k)
 		}
-		binary.LittleEndian.PutUint64(stream[6*j:], v)
+		k, off := 48*j>>6, uint(48*j&63)
+		stream[k] |= v << off
+		if off > 16 {
+			stream[k+1] |= v >> (64 - off)
+		}
 	}
-	return compress.FPCBDIDecompress(stream[:(dinMaxCompressed+7)/8])
+	return compress.FPCBDIDecompress(stream[:])
 }
 
 // correct repairs up to two flipped bits of a stored compressed line in
 // place and reports how many; ok=false (line unchanged) means more
 // errors than the code corrects. Only a parity mismatch builds the
 // bit-vector codeword, parity first, that the BCH decoder takes.
-func (d *DIN) correct(stored *memline.Line) (n int, ok bool) {
-	words := stored.Words()
+func (d *DIN) correct(words *[memline.LineWords]uint64) (n int, ok bool) {
 	if d.codec.ParityWords(words[:], dinPayloadBits) == uint32(words[7]>>dinParityShift) {
 		return 0, true
 	}
+	stored := memline.FromWords(*words)
 	var cw [bch.ParityBits + dinPayloadBits]uint8 // bit k is line bit k-20 mod 512
 	for k := range cw {
 		cw[k] = uint8(stored.Bit((k + dinPayloadBits) % memline.LineBits))
@@ -163,5 +177,6 @@ func (d *DIN) correct(stored *memline.Line) (n int, ok bool) {
 	for k, b := range cw {
 		stored.SetBit((k+dinPayloadBits)%memline.LineBits, int(b))
 	}
+	*words = stored.Words()
 	return n, ok
 }

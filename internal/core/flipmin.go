@@ -88,9 +88,8 @@ func (f *FlipMin) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 
 // DecodePlanesInto implements PlaneScheme.
 func (f *FlipMin) DecodePlanesInto(planes []uint64, dst *memline.Line) {
-	idx := int(tailBits4(planes))
-	rawDecodePlanes(planes, dst)
+	mask := &f.maskWords[tailBits4(planes)]
 	for w := 0; w < memline.LineWords; w++ {
-		dst.SetWord(w, dst.Word(w)^f.maskWords[idx][w])
+		dst.SetWord(w, rawDecodeWord(planes[2*w], planes[2*w+1])^mask[w])
 	}
 }

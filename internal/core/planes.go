@@ -1,7 +1,6 @@
 package core
 
 import (
-	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
 )
@@ -97,18 +96,27 @@ func CompressedWritePlanesFunc(s Scheme) func([]uint64) bool {
 // rawEncodePlanes fills the 16 data plane words with the default-mapping
 // (C1) states of the line's symbols — the uncompressed fallback path
 // shared by every compression-gated scheme, and the whole of the
-// baseline scheme — applied word-parallel, with no state unpacking.
+// baseline scheme. C1 in closed form over a symbol's bits (b0, b1) is
+// the state planes lo = b0 ^ b1, hi = b0 (TestC1ClosedForm pins it
+// against coset.C1).
 func rawEncodePlanes(data *memline.Line, dst []uint64) {
 	for w := 0; w < memline.LineWords; w++ {
-		dst[2*w], dst[2*w+1] = coset.C1SWAR.ApplyPlanes(memline.LoHiPlanes(data.Word(w)))
+		b0, b1 := memline.LoHiPlanes(data.Word(w))
+		dst[2*w], dst[2*w+1] = b0^b1, b0
 	}
 }
 
-// rawDecodePlanes inverts rawEncodePlanes.
+// rawDecodePlanes inverts rawEncodePlanes: C1's inverse in closed form
+// is b0 = hi, b1 = lo ^ hi.
 func rawDecodePlanes(planes []uint64, l *memline.Line) {
 	for w := 0; w < memline.LineWords; w++ {
-		l.SetWord(w, memline.InterleavePlanes(coset.C1SWAR.ApplyInvPlanes(planes[2*w], planes[2*w+1])))
+		l.SetWord(w, rawDecodeWord(planes[2*w], planes[2*w+1]))
 	}
+}
+
+// rawDecodeWord decodes one word's state planes through C1's inverse.
+func rawDecodeWord(lo, hi uint64) uint64 {
+	return memline.InterleavePlanes(hi, lo^hi)
 }
 
 // tailWord is the plane-pair index of the word holding cells 256+ — the

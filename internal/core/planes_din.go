@@ -20,8 +20,10 @@ func (d *DIN) EncodePlanesInto(dst, old []uint64, data *memline.Line) {
 
 // DecodePlanesInto implements PlaneScheme.
 func (d *DIN) DecodePlanesInto(planes []uint64, dst *memline.Line) {
-	rawDecodePlanes(planes, dst)
-	if tailFlag(planes) == flagCompressed {
-		*dst = d.decodeStored(dst)
+	if tailFlag(planes) != flagCompressed {
+		rawDecodePlanes(planes, dst)
+		return
 	}
+	words := storedWords(planes)
+	*dst = d.decodeStored(&words)
 }

@@ -233,31 +233,26 @@ func (s *WLCRC) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 
 // decodeWordPlanes inverts encodeWordPlanes: the cells from dataCells on
 // decode through C1 to the word's bits there (aux bits included), which
-// name each block's mapping.
+// name each block's mapping. Every cell is inverted through C1 (closed
+// form) and through the word's group alternate once; the candidate bits
+// then select, through altCells, which cells take the alternate.
 func (s *WLCRC) decodeWordPlanes(slo, shi uint64) uint64 {
 	g := &s.geom
 	top := uint64(c1InvTop[slo>>28&0xF|shi>>28&0xF<<4]) << 56 // word bits 56-63
+	mask := coset.CellMask(0, g.dataCells)
+	var aw, m uint64
+	alt := 1
 	if s.gran == 64 {
-		idx := top >> 62
-		if idx > 2 {
-			idx = 0
+		if idx := int(top >> 62); idx == 1 || idx == 2 {
+			alt, m = idx, mask
 		}
-		lo, hi := s.swar[idx].ApplyInvPlanes(slo, shi)
-		mask := coset.CellMask(0, g.dataCells)
-		return s.wlc.DecompressWord(memline.InterleavePlanes(lo&mask, hi&mask))
+	} else {
+		aw = top & (^uint64(0) << uint(2*g.dataCells))
+		alt += int(aw >> wlcrcGroupBit)
+		m = s.altCells[aw>>56&0x7F]
 	}
-	aw := top & (^uint64(0) << uint(2*g.dataCells))
-	alt := &s.swar[1+aw>>wlcrcGroupBit]
-	var dlo, dhi uint64
-	for b, rng := range g.blocks {
-		t := &s.swar[0]
-		if aw>>g.candBit[b]&1 == 1 {
-			t = alt
-		}
-		lo, hi := t.ApplyInvPlanes(slo, shi)
-		mask := coset.CellMask(rng[0], rng[1]-rng[0])
-		dlo |= lo & mask
-		dhi |= hi & mask
-	}
+	alo, ahi := s.swar[alt].ApplyInvPlanes(slo, shi)
+	dlo := (shi&^m | alo&m) & mask
+	dhi := ((slo^shi)&^m | ahi&m) & mask
 	return s.wlc.DecompressWord(memline.InterleavePlanes(dlo, dhi) | aw)
 }

@@ -21,10 +21,10 @@ import (
 // (fewer than 9% of writes on the paper's workloads) are written raw; a
 // global flag cell tells the two cases apart.
 //
-// Per-word layout by granularity (DESIGN.md §3; wlcrcGeoms holds it as
-// data). Cells that carry auxiliary bits are always stored through the
-// fixed C1 mapping so the decoder can read them before it knows any
-// block's mapping:
+// Per-word layout by granularity (wlcrcGeoms holds it as data). Cells
+// that carry auxiliary bits are always stored through the fixed C1
+// mapping so the decoder can read them before it knows any block's
+// mapping:
 //
 //	WLCRC-16 (reclaim r=5, WLC k=6):
 //	    blocks: cells 0-7, 8-15, 16-23, 24-28 (+ data bit b58 in cell 29)
@@ -69,6 +69,10 @@ type WLCRC struct {
 	c1Int  [pcm.NumStates][4]int
 	auxOf  [1 << wlcrcMaxBlocks]uint64
 	maskOf [1 << wlcrcMaxBlocks]uint64
+	// altCells maps a stored word's bits 56-62 — every restricted
+	// granularity's candidate bits — to the cells of the blocks whose
+	// bit names the group's alternate, for the decoder.
+	altCells [1 << wlcrcMaxBlocks]uint64
 }
 
 // wlcrcMaxBlocks bounds the per-word block count (7 at granularity 8)
@@ -164,6 +168,14 @@ func NewWLCRC(cfg Config, gran int) (*WLCRC, error) {
 		geom:        geom,
 		tab1:        coset.C1.CostTable(&cfg.Energy),
 		swar:        coset.SWARTables(&cfg.Energy, coset.Table1[:3]),
+	}
+	for v := range s.altCells {
+		for j, bit := range geom.candBit {
+			if uint64(v)<<56>>bit&1 == 1 {
+				rng := geom.blocks[j]
+				s.altCells[v] |= coset.CellMask(rng[0], rng[1]-rng[0])
+			}
+		}
 	}
 	if gran == 64 || cfg.MultiObjectiveT > 0 || cfg.DisturbAwareLambda > 0 {
 		return s, nil

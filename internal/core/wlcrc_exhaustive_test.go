@@ -176,8 +176,8 @@ func TestWLCRC64CandidateOptimal(t *testing.T) {
 	}
 }
 
-// TestWLCRC16AuxLayoutGolden pins the physical aux-bit layout of
-// DESIGN.md §3 so a refactor cannot silently change the stored format:
+// TestWLCRC16AuxLayoutGolden pins the physical aux-bit layout of the
+// WLCRC doc comment (wlcrc.go) so a refactor cannot silently change the stored format:
 // b59=cand3, b60=cand2, b61=cand1, b62=cand0, b63=group, all aux cells
 // through C1.
 func TestWLCRC16AuxLayoutGolden(t *testing.T) {

@@ -297,18 +297,16 @@ func ApplyBlocks(tabs []SWARTable, p *Regs, g *Blocks, idx []uint8, lo, hi *[Max
 
 // DecodeBlocks inverts ApplyBlocks in place: it maps each block's
 // stored states in lo/hi back through tabs[idx[b]]'s inverse to data
-// symbol planes, from one minterm decomposition per register. Cells
-// outside every block come out zero.
+// symbol planes. Cells outside every block come out zero.
 func DecodeBlocks(tabs []SWARTable, g *Blocks, idx []uint8, lo, hi *[MaxRegs]uint64) {
 	for r := 0; r < g.regs; r++ {
-		is := minterms64(lo[r], hi[r])
 		if g.per > 0 {
-			lo[r], hi[r] = tabs[idx[r/g.per]].applyInvSyms(&is)
+			lo[r], hi[r] = tabs[idx[r/g.per]].ApplyInvReg(lo[r], hi[r])
 			continue
 		}
 		var dlo, dhi uint64
 		for b := g.first[r]; b < g.first[r+1]; b++ {
-			l, h := tabs[idx[b]].applyInvSyms(&is)
+			l, h := tabs[idx[b]].ApplyInvReg(lo[r], hi[r])
 			dlo |= l & g.mask[b]
 			dhi |= h & g.mask[b]
 		}
@@ -322,10 +320,11 @@ func (t *SWARTable) ApplyReg(lo, hi uint64) (nlo, nhi uint64) {
 	return t.ApplySyms(&sym)
 }
 
-// applyInvSyms decodes state-occupancy masks (is[s]: cells in state s)
-// back to data-symbol planes — the inverse of ApplySyms.
-func (t *SWARTable) applyInvSyms(is *[4]uint64) (dlo, dhi uint64) {
-	return is[t.invLo[0]&3] | is[t.invLo[1]&3], is[t.invHi[0]&3] | is[t.invHi[1]&3]
+// ApplyInvReg decodes a register's state planes back to data-symbol
+// planes through t's inverse, in its affine form — the inverse of
+// ApplyReg.
+func (t *SWARTable) ApplyInvReg(lo, hi uint64) (dlo, dhi uint64) {
+	return lo&t.inv[0][0] ^ hi&t.inv[0][1] ^ t.inv[0][2], lo&t.inv[1][0] ^ hi&t.inv[1][1] ^ t.inv[1][2]
 }
 
 // StuckMismatch prices a candidate against a register's stuck-at

@@ -307,7 +307,7 @@ func AuxPairs(em *pcm.EnergyModel) [][2]pcm.State {
 var AuxPack = Mapping{pcm.S1, pcm.S2, pcm.S3, pcm.S4}
 
 // PackBitsToStates packs a bit string (LSB first) into cells two bits at
-// a time through the fixed AuxPack mapping (DESIGN.md §3). Bits beyond
+// a time through the fixed AuxPack mapping. Bits beyond
 // len(bits) are treated as zero to fill the final cell.
 func PackBitsToStates(bits []uint8, dst []pcm.State) {
 	PackBitsToStatesWith(AuxPack, bits, dst)

@@ -162,11 +162,13 @@ type SWARTable struct {
 	laneE int
 	// A bijection sends exactly two symbols to states with the low bit
 	// set and two to states with the high bit set: loSyms and hiSyms
-	// name them, and invLo/invHi name the two states whose Inv has the
-	// low/high bit set. ORing the two named minterms applies the
-	// (inverse) mapping to one plane.
+	// name them, and ORing the two named minterms applies the mapping
+	// to one plane. Likewise two states decode to each data bit, so
+	// each data plane of the inverse is a balanced, hence affine,
+	// function of the state planes: inv[p] holds the masks (a, b, c)
+	// with data plane p = lo&a ^ hi&b ^ c.
 	loSyms, hiSyms [2]uint8
-	invLo, invHi   [2]uint8
+	inv            [2][3]uint64
 }
 
 // SWAR builds the word-parallel table of m under em. A nil em yields an
@@ -177,7 +179,11 @@ func (m Mapping) SWAR(em *pcm.EnergyModel) SWARTable {
 		panic("coset: SWAR of a mapping that is not a bijection")
 	}
 	t := SWARTable{States: m, Inv: m.Inverse()}
-	var nlo, nhi, ilo, ihi int
+	var nlo, nhi int
+	for p := range t.inv {
+		f := func(s int) uint64 { return -uint64(t.Inv[s] >> p & 1) } // all ones when state s decodes to data bit p
+		t.inv[p] = [3]uint64{f(0) ^ f(1), f(0) ^ f(2), f(0)}
+	}
 	for v := 0; v < 4; v++ {
 		if em != nil {
 			t.Energy[v] = em.WriteEnergy(pcm.State(v))
@@ -195,14 +201,6 @@ func (m Mapping) SWAR(em *pcm.EnergyModel) SWARTable {
 		if m[v]&2 != 0 {
 			t.hiSyms[nhi] = uint8(v)
 			nhi++
-		}
-		if t.Inv[v]&1 != 0 {
-			t.invLo[ilo] = uint8(v)
-			ilo++
-		}
-		if t.Inv[v]&2 != 0 {
-			t.invHi[ihi] = uint8(v)
-			ihi++
 		}
 	}
 	return t
@@ -262,8 +260,8 @@ func (t *SWARTable) ApplyPlanes(lo, hi uint64) (nlo, nhi uint64) {
 // ApplyInvPlanes decodes state planes back to data-symbol planes — the
 // word-parallel form of indexing Inv per cell.
 func (t *SWARTable) ApplyInvPlanes(lo, hi uint64) (dlo, dhi uint64) {
-	is := minterms(lo, hi)
-	return t.applyInvSyms(&is)
+	dlo, dhi = t.ApplyInvReg(lo, hi)
+	return dlo & AllCells, dhi & AllCells
 }
 
 // BestSWAR evaluates every candidate over the masked cells and returns

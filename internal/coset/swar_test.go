@@ -203,6 +203,10 @@ func TestApplyMatchesEncode(t *testing.T) {
 			if back := memline.InterleavePlanes(dlo, dhi); back != word {
 				t.Fatalf("%v: ApplyInvPlanes round trip %#x -> %#x", m, word, back)
 			}
+			// Register-wide: both halves of a pair register invert.
+			if rlo, rhi := swar.ApplyInvReg(Pair(slo, slo), Pair(shi, shi)); rlo != Pair(dlo, dlo) || rhi != Pair(dhi, dhi) {
+				t.Fatalf("%v: ApplyInvReg on %#x disagrees with ApplyInvPlanes", m, word)
+			}
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"wlcrc/internal/workload"
 )
 
-// Ablations quantify the design choices DESIGN.md calls out beyond what
-// the paper's own figures cover:
+// Ablations quantify design choices beyond what the paper's own figures
+// cover:
 //
 //  1. multi-objective threshold sweep (§VIII.D generalized),
 //  2. the write-disturbance-aware extension's lambda sweep (§XI future

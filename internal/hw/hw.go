@@ -5,7 +5,7 @@
 // Figure 7 is decomposed into adders, comparators and muxes, gate counts
 // are derived from textbook implementations, and per-gate area / delay /
 // energy constants are calibrated to 45nm standard-cell characteristics.
-// DESIGN.md §2 documents the substitution; the model reproduces the
+// FreePDK45 holds the calibrated constants; the model reproduces the
 // paper's totals to the right order of magnitude and, more importantly,
 // the relative costs (WLC is a tiny fraction of the design; decode is
 // much faster than encode).

@@ -2,7 +2,7 @@
 // encoders, and the bit / symbol / word accessors the paper's schemes are
 // built from.
 //
-// Conventions (see DESIGN.md §3):
+// Conventions:
 //   - A line is 64 bytes. Bit i of the line is bit (i&7) of byte (i>>3),
 //     i.e. LSB-first within each byte.
 //   - Cell c (c in [0,256)) stores the bit pair (2c, 2c+1). Its symbol

@@ -87,7 +87,7 @@ type shard struct {
 
 	// pub is the last published copy of this shard's metrics, the
 	// half that makes Engine.Snapshot safe during Run: the owning worker
-	// copies metricsView() into pub under pubMu (publish), and Snapshot
+	// writes metricsView() into pub under pubMu (publish), and Snapshot
 	// readers copy it back out under the same lock, never touching the
 	// live accumulators. pubWrites is the Writes value at the last
 	// publish, the owner's cheap dirty check; it is only ever accessed
@@ -368,23 +368,29 @@ func (u *shard) touch(rs []routedReq) {
 // folded in. Only the owning goroutine (or a post-run caller) may use
 // it; concurrent readers go through the published copy instead.
 func (u *shard) metricsView() Metrics {
-	m := u.m
+	var m Metrics
+	u.viewInto(&m)
+	return m
+}
+
+// viewInto writes metricsView into m, copying the metrics once.
+func (u *shard) viewInto(m *Metrics) {
+	*m = u.m
 	if u.wear != nil && u.opts.TrackWear {
 		m.Wear = u.wear.Summary()
 	}
 	if u.fm != nil {
 		m.Faults = u.fm.Stats
 	}
-	return m
 }
 
-// publish copies the live metrics into the snapshot buffer. Called by
-// the owning worker between chunks (see Engine.publishOwned), so
-// Snapshot readers lag a shard by a bounded number of chunks.
+// publish copies the live metrics into the snapshot buffer, once,
+// under the lock. Called by the owning worker between chunks (see
+// Engine.publishOwned), so Snapshot readers lag a shard by a bounded
+// number of chunks.
 func (u *shard) publish() {
-	m := u.metricsView()
 	u.pubMu.Lock()
-	u.pub = m
+	u.viewInto(&u.pub)
 	u.pubMu.Unlock()
 }
 

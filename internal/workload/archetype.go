@@ -5,9 +5,9 @@
 // — value populations with distinct compressibility and bias signatures
 // (zero-dominated, small integers, pointer arrays, walking chains of
 // wide integers, clustered doubles, text, random) — plus a rewrite model
-// controlling how much of a line changes per write. DESIGN.md §2
-// documents the substitution and its calibration targets (Figure 4
-// coverage, Figure 8/9 magnitudes).
+// controlling how much of a line changes per write. The profiles
+// (profile.go) hold the mixtures, calibrated to Figure 4's coverage and
+// the Figure 8/9 magnitudes.
 package workload
 
 import (

@@ -19,7 +19,7 @@
 //     paper's SPEC CPU2006 / PARSEC benchmark profiles.
 //
 // The full evaluation harness that regenerates the paper's figures lives
-// in cmd/experiments; see DESIGN.md and EXPERIMENTS.md.
+// in cmd/experiments; see EXPERIMENTS.md.
 package wlcrc
 
 import (
