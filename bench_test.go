@@ -10,11 +10,11 @@ package wlcrc_test
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 	"time"
 
 	"wlcrc"
+	"wlcrc/internal/benchpair"
 	"wlcrc/internal/core"
 	"wlcrc/internal/coset"
 	"wlcrc/internal/exp"
@@ -254,10 +254,9 @@ func benchReplay(b *testing.B, workers int) {
 func BenchmarkReplaySerial(b *testing.B) { benchReplay(b, 1) }
 
 // BenchmarkReplayParallelScaling replays the fixture at fixed worker
-// counts — the scaling curve the benchguard replay gate reads. Fixed
-// counts (not GOMAXPROCS) keep the series comparable across machines:
-// benchguard reads the workers=1 time as the serial baseline and gates
-// the parallel/serial wall-clock ratio, never absolute times.
+// counts: the scaling curve, with fixed counts (not GOMAXPROCS) so the
+// series compares across machines. BenchmarkReplayPaired times the
+// ratio the benchguard replay gate reads.
 func BenchmarkReplayParallelScaling(b *testing.B) {
 	schemes, src := engineFixture(b)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -269,6 +268,17 @@ func BenchmarkReplayParallelScaling(b *testing.B) {
 			b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
 		})
 	}
+}
+
+// BenchmarkReplayPaired is the in-process paired rung of the engine's
+// dispatch over the replay fixture: four workers against one, timed
+// round-robin (benchpair). It reports the median per-round
+// workers=4/workers=1 wall-clock ratio, which a broadcast-style fan-out
+// or a lost-parallelism bug drags toward, or past, 1.
+func BenchmarkReplayPaired(b *testing.B) {
+	schemes, src := engineFixture(b)
+	arm := func(workers int) func() { return func() { replayOnce(b, schemes, src, workers) } }
+	benchpair.Run(b, 1, benchpair.Pair{Metric: "workers=4/workers=1", Num: arm(4), Den: arm(1)})
 }
 
 // BenchmarkReplaySpeedup interleaves serial and parallel replays of the
@@ -359,8 +369,9 @@ func schemePool(b *testing.B, sch core.Scheme) (ps core.CounterPlaneScheme, olds
 // BenchmarkEncodePlanesInto measures the bare codec hot path — the
 // keyed plane encode replay runs for every scheme — over a rotating set
 // of steady-state (old, data) pairs, no memory map or metrics in the
-// loop. This is the headline series the encode row of BENCH_encode.json
-// gates; allocs/op must be 0 for every scheme.
+// loop; allocs/op must be 0 for every scheme. It is a measurement and
+// gates nothing: internal/core's BenchmarkEncodePaired gates each scheme's
+// encode against its scalar reference.
 func BenchmarkEncodePlanesInto(b *testing.B) {
 	for _, name := range wlcrc.SchemeNames() {
 		b.Run(name, func(b *testing.B) {
@@ -405,56 +416,24 @@ func BenchmarkDecodePlanesInto(b *testing.B) {
 // the machine's state of the moment. The rung reports, per scheme, the
 // median over the rounds of that round's lane/float time ratio.
 func BenchmarkLaneKernelPaired(b *testing.B) {
-	type arm struct {
-		ps         core.CounterPlaneScheme
-		olds, news [][]uint64
-		data       []wlcrc.Line
-	}
-	names := []string{"WLCRC-16", "COC+4cosets"}
-	var arms []arm // lane and float arm of names[i] at 2i and 2i+1
-	for _, name := range names {
-		for _, reset := range []float64{0, 0.5} {
+	var pairs []benchpair.Pair
+	for _, name := range []string{"WLCRC-16", "COC+4cosets"} {
+		var arms [2]func() // lane and float arm
+		for i, reset := range []float64{0, 0.5} {
 			cfg := core.DefaultConfig()
 			cfg.Energy.Reset += reset
 			sch, err := core.NewScheme(name, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var a arm
-			a.ps, a.olds, a.news, a.data = schemePool(b, sch)
-			arms = append(arms, a)
-		}
-	}
-	const passes = 8 // pool passes per arm per round
-	run := func(a *arm) time.Duration {
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			for k := range a.olds {
-				a.ps.EncodeCtrPlanesInto(a.news[k], a.olds[k], uint64(k), 2, &a.data[k])
+			ps, olds, news, data := schemePool(b, sch)
+			arms[i] = func() {
+				for k := range olds {
+					ps.EncodeCtrPlanesInto(news[k], olds[k], uint64(k), 2, &data[k])
+				}
 			}
 		}
-		return time.Since(start)
+		pairs = append(pairs, benchpair.Pair{Metric: name + "-lane/float", Num: arms[0], Den: arms[1]})
 	}
-	ratios := make([][]float64, len(names))
-	took := make([]time.Duration, len(arms))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range arms {
-			a := (i + j) % len(arms)
-			took[a] = run(&arms[a])
-		}
-		for s := range names {
-			ratios[s] = append(ratios[s], took[2*s].Seconds()/took[2*s+1].Seconds())
-		}
-	}
-	for s, name := range names {
-		b.ReportMetric(median(ratios[s]), name+"-lane/float")
-	}
-}
-
-// median returns the median of xs, reordering them.
-func median(xs []float64) float64 {
-	sort.Float64s(xs)
-	n := len(xs)
-	return (xs[(n-1)/2] + xs[n/2]) / 2
+	benchpair.Run(b, 8, pairs...) // eight pool passes per arm per round
 }

@@ -159,14 +159,6 @@ func bdiWrite(l *memline.Line, cfg bdiConfig, w *BitWriter) {
 	}
 }
 
-// BDICompress encodes the line with the cheapest applicable BDI encoding
-// and returns the packed stream and its size in bits.
-func BDICompress(l *memline.Line) ([]byte, int) {
-	w := NewBitWriter(BDIMaxBits)
-	bits := BDICompressTo(l, w)
-	return w.Bytes(), bits
-}
-
 // BDICompressTo encodes the line into w (back it with at least
 // BDIMaxBits of storage) and returns the stream length in bits. All
 // working state lives in fixed-size scratch, so the call itself never
@@ -175,19 +167,6 @@ func BDICompressTo(l *memline.Line, w *BitWriter) int {
 	cfg, _ := bdiChoose(l)
 	bdiWrite(l, cfg, w)
 	return w.Len()
-}
-
-// BDISize returns only the compressed size in bits.
-func BDISize(l *memline.Line) int {
-	_, n := bdiChoose(l)
-	return n
-}
-
-// BDIDecompress reconstructs a line from a BDI stream held in words, as
-// FPCDecompress reads FPC.
-func BDIDecompress(stream []uint64) memline.Line {
-	r := wordReader{buf: stream}
-	return bdiDecode(&r)
 }
 
 // bdiDecode reads one BDI stream from r.
@@ -273,15 +252,8 @@ func FPCBDISize(l *memline.Line) int {
 	return bits
 }
 
-// FPCBDICompress encodes with the better of FPC and BDI behind a one-bit
-// selector (0 = FPC, 1 = BDI).
-func FPCBDICompress(l *memline.Line) ([]byte, int) {
-	w := NewBitWriter(FPCBDIMaxBits)
-	bits := FPCBDICompressTo(l, w)
-	return w.Bytes(), bits
-}
-
-// FPCBDICompressTo encodes into w (back it with at least FPCBDIMaxBits
+// FPCBDICompressTo encodes with the better of FPC and BDI behind a
+// one-bit selector (0 = FPC, 1 = BDI) into w (back it with at least FPCBDIMaxBits
 // of storage) and returns the stream length in bits. The candidates are
 // sized first and only the winner is written, so the call never
 // allocates.
@@ -308,8 +280,9 @@ func FPCBDICompressLimit(l *memline.Line, w *BitWriter, maxBits int) int {
 	return w.Len()
 }
 
-// FPCBDIDecompress inverts FPCBDICompress, reading the stream from
-// words as FPCDecompress does.
+// FPCBDIDecompress inverts FPCBDICompressTo, reading the stream from
+// words (stream bit i at bit i%64 of stream[i/64]); bits past its end
+// read as zero.
 func FPCBDIDecompress(stream []uint64) memline.Line {
 	r := wordReader{buf: stream}
 	if r.ReadBits(1) == 1 {

@@ -20,31 +20,16 @@ type BitWriter struct {
 	bits int
 }
 
-// NewBitWriter returns a writer with capacity preallocated for sizeBits.
-func NewBitWriter(sizeBits int) *BitWriter {
-	return &BitWriter{buf: make([]byte, 0, (sizeBits+7)/8)}
-}
-
-// WrapBitWriter returns a value writer over caller storage. As long as
-// the stream fits cap(buf), writing never allocates — encode hot paths
-// wrap fixed-size stack arrays.
+// WrapBitWriter returns a value writer over caller storage. The stream
+// must fit cap(buf), and writing never allocates: encode hot paths wrap
+// fixed-size stack arrays sized by the compressor's worst case.
 func WrapBitWriter(buf []byte) BitWriter { return BitWriter{buf: buf[:0]} }
-
-// Reset clears the writer for reuse, keeping its backing buffer.
-func (w *BitWriter) Reset() {
-	w.buf = w.buf[:0]
-	w.bits = 0
-}
 
 // WriteBits appends the n low bits of v, LSB first. n must be in [0, 64].
 // The write runs a byte at a time — merge into the current partial byte,
-// then whole-byte stores — instead of bit-by-bit.
-//
-// Growth is deliberately written without append: append makes escape
-// analysis move every stack-backed writer to the heap, defeating
-// WrapBitWriter's purpose. With a right-sized buffer (every compressor
-// here has a known worst case) the grow branch never runs and the call
-// is allocation-free.
+// then whole-byte stores — instead of bit-by-bit. Writing past the
+// writer's capacity panics; it never grows (append would make escape
+// analysis move every stack-backed writer to the heap).
 func (w *BitWriter) WriteBits(v uint64, n int) {
 	if n <= 0 {
 		return
@@ -53,9 +38,6 @@ func (w *BitWriter) WriteBits(v uint64, n int) {
 		v &= 1<<uint(n) - 1
 	}
 	need := (w.bits + n + 7) / 8
-	for need > cap(w.buf) {
-		w.grow()
-	}
 	// Newly exposed bytes must be zeroed: Wrap callers hand in
 	// uninitialized storage.
 	for len(w.buf) < need {
@@ -73,14 +55,6 @@ func (w *BitWriter) WriteBits(v uint64, n int) {
 		v >>= 8
 		written += 8
 	}
-}
-
-// grow replaces the backing buffer with a larger heap copy; only hit
-// when a writer was constructed with too little capacity.
-func (w *BitWriter) grow() {
-	nb := make([]byte, len(w.buf), 2*cap(w.buf)+8)
-	copy(nb, w.buf)
-	w.buf = nb
 }
 
 // Len returns the number of bits written so far.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"wlcrc/internal/memline"
 	"wlcrc/internal/prng"
 )
 
@@ -77,4 +78,51 @@ func TestWordReaderMatchesBitReader(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The helpers below run the streams production writes and reads: a
+// writer over fresh storage, each compressor's CompressTo into it, and
+// the word-stream decoders.
+
+// newBitWriter returns a writer over fresh storage for sizeBits.
+func newBitWriter(sizeBits int) *BitWriter {
+	w := WrapBitWriter(make([]byte, 0, (sizeBits+7)/8))
+	return &w
+}
+
+// fpcCompress returns l's FPC stream and its length in bits.
+func fpcCompress(l *memline.Line) ([]byte, int) {
+	w := newBitWriter(FPCMaxBits)
+	bits := FPCCompressTo(l, w)
+	return w.Bytes(), bits
+}
+
+// bdiCompress returns l's BDI stream and its length in bits.
+func bdiCompress(l *memline.Line) ([]byte, int) {
+	w := newBitWriter(BDIMaxBits)
+	bits := BDICompressTo(l, w)
+	return w.Bytes(), bits
+}
+
+// fpcbdiCompress returns l's FPC+BDI stream and its length in bits.
+func fpcbdiCompress(l *memline.Line) ([]byte, int) {
+	w := newBitWriter(FPCBDIMaxBits)
+	bits := FPCBDICompressTo(l, w)
+	return w.Bytes(), bits
+}
+
+// bdiSize returns l's BDI stream length in bits.
+func bdiSize(l *memline.Line) int {
+	_, bits := bdiChoose(l)
+	return bits
+}
+
+func fpcDecompress(stream []uint64) memline.Line {
+	r := wordReader{buf: stream}
+	return fpcDecode(&r)
+}
+
+func bdiDecompress(stream []uint64) memline.Line {
+	r := wordReader{buf: stream}
+	return bdiDecode(&r)
 }

@@ -46,7 +46,7 @@ func cocBestRef(v, prev uint64, hasPrev bool) (tag int, payload uint64, bits int
 // payload through BitWriter, a byte at a time. It returns the packed
 // bytes and the stream length in bits.
 func cocCompressRef(l *memline.Line) ([]byte, int) {
-	w := NewBitWriter(COCMaxBits)
+	w := newBitWriter(COCMaxBits)
 	var prev uint64
 	for i := 0; i < memline.LineWords; i++ {
 		v := l.Word(i)

@@ -17,7 +17,7 @@ func randomLine(r *prng.Xoshiro256) memline.Line {
 // --- BitWriter / BitReader ---
 
 func TestBitIORoundTrip(t *testing.T) {
-	w := NewBitWriter(128)
+	w := newBitWriter(128)
 	w.WriteBits(0b101, 3)
 	w.WriteBits(0xdeadbeef, 32)
 	w.WriteBits(1, 1)
@@ -49,7 +49,7 @@ func TestBitIORoundTrip(t *testing.T) {
 
 func TestQuickBitIO(t *testing.T) {
 	f := func(vals [8]uint64, widths [8]uint8) bool {
-		w := NewBitWriter(512)
+		w := newBitWriter(512)
 		want := make([]uint64, 8)
 		ns := make([]int, 8)
 		for i := range vals {
@@ -133,7 +133,10 @@ func TestWLCLineRoundTrip(t *testing.T) {
 		t.Fatal("line should be compressible")
 	}
 	c := w.CompressLine(&l)
-	d := w.DecompressLine(&c)
+	var d memline.Line
+	for i := 0; i < memline.LineWords; i++ {
+		d.SetWord(i, w.DecompressWord(c.Word(i)))
+	}
 	if !d.Equal(&l) {
 		t.Error("line round trip failed")
 	}
@@ -171,7 +174,7 @@ func TestQuickWLCRoundTrip(t *testing.T) {
 
 func TestFPCZeroLine(t *testing.T) {
 	var l memline.Line
-	_, bits := FPCCompress(&l)
+	_, bits := fpcCompress(&l)
 	// 16 zero words = 2 runs of 8 = 2*(3+3) = 12 bits.
 	if bits != 12 {
 		t.Errorf("zero line FPC size = %d, want 12", bits)
@@ -193,8 +196,8 @@ func TestFPCRoundTripPatterns(t *testing.T) {
 		lines = append(lines, randomLine(r))
 	}
 	for i, ln := range lines {
-		buf, _ := FPCCompress(&ln)
-		got := FPCDecompress(streamWords(buf))
+		buf, _ := fpcCompress(&ln)
+		got := fpcDecompress(streamWords(buf))
 		if !got.Equal(&ln) {
 			t.Fatalf("line %d: FPC round trip failed\n in: %v\nout: %v", i, ln.String(), got.String())
 		}
@@ -204,7 +207,7 @@ func TestFPCRoundTripPatterns(t *testing.T) {
 func TestFPCRandomLineIsLarge(t *testing.T) {
 	r := prng.New(9)
 	l := randomLine(r)
-	if s := FPCSize(&l); s < 500 {
+	if s := fpcSize(&l, FPCMaxBits); s < 500 {
 		t.Errorf("random line FPC size = %d, suspiciously small", s)
 	}
 }
@@ -213,13 +216,13 @@ func TestFPCRandomLineIsLarge(t *testing.T) {
 
 func TestBDIZeroAndRep(t *testing.T) {
 	var l memline.Line
-	if s := BDISize(&l); s != 4 {
+	if s := bdiSize(&l); s != 4 {
 		t.Errorf("zeros size = %d, want 4", s)
 	}
 	for i := 0; i < memline.LineWords; i++ {
 		l.SetWord(i, 0xdeadbeefcafebabe)
 	}
-	if s := BDISize(&l); s != 68 {
+	if s := bdiSize(&l); s != 68 {
 		t.Errorf("rep8 size = %d, want 68", s)
 	}
 }
@@ -230,12 +233,12 @@ func TestBDIBaseDelta(t *testing.T) {
 	for i := 0; i < memline.LineWords; i++ {
 		l.SetWord(i, base+uint64(i*16))
 	}
-	buf, bits := BDICompress(&l)
+	buf, bits := bdiCompress(&l)
 	// base8-delta1: 4 + 64 + 8*8 + 8 = 140.
 	if bits != 140 {
 		t.Errorf("pointer line size = %d, want 140", bits)
 	}
-	got := BDIDecompress(streamWords(buf))
+	got := bdiDecompress(streamWords(buf))
 	if !got.Equal(&l) {
 		t.Fatal("BDI round trip failed")
 	}
@@ -251,8 +254,8 @@ func TestBDIMixedZeroBase(t *testing.T) {
 			l.SetWord(i, 0x5500000000000000+uint64(i))
 		}
 	}
-	buf, _ := BDICompress(&l)
-	got := BDIDecompress(streamWords(buf))
+	buf, _ := bdiCompress(&l)
+	got := bdiDecompress(streamWords(buf))
 	if !got.Equal(&l) {
 		t.Fatal("BDI immediate round trip failed")
 	}
@@ -262,8 +265,8 @@ func TestBDIRoundTripRandom(t *testing.T) {
 	r := prng.New(17)
 	for i := 0; i < 100; i++ {
 		l := randomLine(r)
-		buf, bits := BDICompress(&l)
-		got := BDIDecompress(streamWords(buf))
+		buf, bits := bdiCompress(&l)
+		got := bdiDecompress(streamWords(buf))
 		if !got.Equal(&l) {
 			t.Fatalf("BDI round trip failed for random line %d", i)
 		}
@@ -281,16 +284,16 @@ func TestFPCBDISelectsBetter(t *testing.T) {
 	for i := 0; i < memline.LineWords; i++ {
 		l.SetWord(i, 0x00007f8812340000+uint64(i*8))
 	}
-	if got := FPCBDISize(&l); got != BDISize(&l)+1 {
-		t.Errorf("FPCBDISize = %d, want BDI+1 = %d", got, BDISize(&l)+1)
+	if got := FPCBDISize(&l); got != bdiSize(&l)+1 {
+		t.Errorf("FPCBDISize = %d, want BDI+1 = %d", got, bdiSize(&l)+1)
 	}
 	// Small-int line: FPC wins.
 	var l2 memline.Line
 	for i := 0; i < memline.LineWords; i++ {
 		l2.SetWord(i, uint64(i)) // each 32-bit half is tiny
 	}
-	if got := FPCBDISize(&l2); got != FPCSize(&l2)+1 {
-		t.Errorf("FPCBDISize = %d, want FPC+1 = %d", got, FPCSize(&l2)+1)
+	if got := FPCBDISize(&l2); got != fpcSize(&l2, FPCMaxBits)+1 {
+		t.Errorf("FPCBDISize = %d, want FPC+1 = %d", got, fpcSize(&l2, FPCMaxBits)+1)
 	}
 }
 
@@ -304,11 +307,46 @@ func TestFPCBDIRoundTrip(t *testing.T) {
 				l.SetWord(w, uint64(int64(int8(l[w]))))
 			}
 		}
-		buf, _ := FPCBDICompress(&l)
+		buf, _ := fpcbdiCompress(&l)
 		got := FPCBDIDecompress(streamWords(buf))
 		if !got.Equal(&l) {
 			t.Fatalf("FPC+BDI round trip failed for line %d", i)
 		}
+	}
+}
+
+// TestFPCBDICompressLimit holds the limited writer DIN stores through
+// to the unlimited one: at or under the limit it writes the same
+// stream, past it nothing, and it reports FPCBDISize either way when
+// that fits the limit.
+func TestFPCBDICompressLimit(t *testing.T) {
+	const limit = 369
+	r := prng.New(29)
+	wrote, skipped := 0, 0
+	for i := 0; i < 200; i++ {
+		l := randomLine(r)
+		if i%2 == 0 {
+			for w := 0; w < memline.LineWords; w++ {
+				l.SetWord(w, uint64(int64(int16(l.Word(w)))))
+			}
+		}
+		want, wantBits := fpcbdiCompress(&l)
+		w := newBitWriter(limit)
+		bits := FPCBDICompressLimit(&l, w, limit)
+		if wantBits <= limit {
+			wrote++
+			if bits != wantBits || bits != FPCBDISize(&l) || string(w.Bytes()) != string(want) {
+				t.Fatalf("line %d: limited stream (%d bits) differs from the unlimited one (%d bits)", i, bits, wantBits)
+			}
+			continue
+		}
+		skipped++
+		if bits <= limit || w.Len() != 0 {
+			t.Fatalf("line %d: %d-bit stream over the limit returned %d with %d bits written", i, wantBits, bits, w.Len())
+		}
+	}
+	if wrote == 0 || skipped == 0 {
+		t.Fatalf("fixture wrote %d and skipped %d lines, want both", wrote, skipped)
 	}
 }
 
@@ -401,8 +439,8 @@ func TestQuickCOCRoundTrip(t *testing.T) {
 func TestQuickFPCRoundTrip(t *testing.T) {
 	f := func(ws [memline.LineWords]uint64) bool {
 		l := memline.FromWords(ws)
-		buf, _ := FPCCompress(&l)
-		got := FPCDecompress(streamWords(buf))
+		buf, _ := fpcCompress(&l)
+		got := fpcDecompress(streamWords(buf))
 		return got.Equal(&l)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -413,8 +451,8 @@ func TestQuickFPCRoundTrip(t *testing.T) {
 func TestQuickBDIRoundTrip(t *testing.T) {
 	f := func(ws [memline.LineWords]uint64) bool {
 		l := memline.FromWords(ws)
-		buf, _ := BDICompress(&l)
-		got := BDIDecompress(streamWords(buf))
+		buf, _ := bdiCompress(&l)
+		got := bdiDecompress(streamWords(buf))
 		return got.Equal(&l)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -63,14 +63,6 @@ func fpcClassify(v uint32) (prefix int, payload uint64, bits int) {
 // FPCCompressTo.
 const FPCMaxBits = fpcWords * (3 + 32)
 
-// FPCCompress encodes the line and returns the packed stream and its
-// length in bits.
-func FPCCompress(l *memline.Line) ([]byte, int) {
-	w := NewBitWriter(FPCMaxBits)
-	bits := FPCCompressTo(l, w)
-	return w.Bytes(), bits
-}
-
 // FPCCompressTo encodes the line into w (back it with at least
 // FPCMaxBits of storage) and returns the stream length in bits.
 func FPCCompressTo(l *memline.Line, w *BitWriter) int {
@@ -93,9 +85,6 @@ func FPCCompressTo(l *memline.Line, w *BitWriter) int {
 	}
 	return w.Len()
 }
-
-// FPCSize returns only the compressed size in bits.
-func FPCSize(l *memline.Line) int { return fpcSize(l, FPCMaxBits) }
 
 // fpcSize computes the FPC stream length without writing the stream,
 // reading the line a 64-bit word at a time; once the running length
@@ -121,14 +110,6 @@ func fpcSize(l *memline.Line, limit int) int {
 		}
 	}
 	return bits
-}
-
-// FPCDecompress reconstructs a line from an FPC stream held in words
-// (stream bit i at bit i%64 of stream[i/64]); bits past its end read as
-// zero.
-func FPCDecompress(stream []uint64) memline.Line {
-	r := wordReader{buf: stream}
-	return fpcDecode(&r)
 }
 
 // fpcDecode reads one FPC stream from r.

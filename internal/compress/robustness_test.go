@@ -20,8 +20,8 @@ func TestDecompressorsNeverPanicOnGarbage(t *testing.T) {
 					t.Fatalf("trial %d (len %d): panic: %v", trial, n, p)
 				}
 			}()
-			_ = FPCDecompress(streamWords(buf))
-			_ = BDIDecompress(streamWords(buf))
+			_ = fpcDecompress(streamWords(buf))
+			_ = bdiDecompress(streamWords(buf))
 			_ = COCDecompress(streamWords(buf))
 			_ = FPCBDIDecompress(streamWords(buf))
 		}()
@@ -37,8 +37,8 @@ func TestDecompressorsTolerateTruncation(t *testing.T) {
 		comp func() []byte
 		dec  func([]byte)
 	}{
-		{"FPC", func() []byte { b, _ := FPCCompress(&l); return b }, func(b []byte) { FPCDecompress(streamWords(b)) }},
-		{"BDI", func() []byte { b, _ := BDICompress(&l); return b }, func(b []byte) { BDIDecompress(streamWords(b)) }},
+		{"FPC", func() []byte { b, _ := fpcCompress(&l); return b }, func(b []byte) { fpcDecompress(streamWords(b)) }},
+		{"BDI", func() []byte { b, _ := bdiCompress(&l); return b }, func(b []byte) { bdiDecompress(streamWords(b)) }},
 		{"COC", func() []byte { b, _ := cocCompressRef(&l); return b }, func(b []byte) { COCDecompress(streamWords(b)) }},
 	} {
 		buf := tc.comp()

@@ -64,12 +64,3 @@ func (w WLC) CompressLine(l *memline.Line) memline.Line {
 	}
 	return out
 }
-
-// DecompressLine applies DecompressWord to every word.
-func (w WLC) DecompressLine(l *memline.Line) memline.Line {
-	var out memline.Line
-	for i := 0; i < memline.LineWords; i++ {
-		out.SetWord(i, w.DecompressWord(l.Word(i)))
-	}
-	return out
-}

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"sort"
 	"testing"
-	"time"
 
+	"wlcrc/internal/benchpair"
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
@@ -210,22 +209,36 @@ func TestC1ClosedForm(t *testing.T) {
 	}
 }
 
-// decodePool is a steady-state pool of one scheme's stored lines: line
-// k of a gcc stream stored over its predecessor at that address, the
-// planes a replay's Verify decodes.
-func decodePool(b *testing.B, s Scheme) [][]uint64 {
+// writePool is a steady-state pool of one scheme's writes: line k of a
+// gcc stream stored at address k (counter 1) from erased cells, and the
+// next line of the stream, the data the pool's write at counter 2
+// stores over it.
+func writePool(b *testing.B, s Scheme) (olds [][]uint64, data []memline.Line) {
 	g := workload.NewGenerator(gccProfile(b), 64, 9)
 	ps := CtrPlaneCodec(s)
 	n := coset.PlaneWords(s.TotalCells())
 	fresh := make([]uint64, n)
-	pool := make([][]uint64, 64)
-	for k := range pool {
+	olds = make([][]uint64, 64)
+	data = make([]memline.Line, len(olds))
+	for k := range olds {
 		warm, _ := g.Next()
 		next, _ := g.Next()
-		old := make([]uint64, n)
-		pool[k] = make([]uint64, n)
-		ps.EncodeCtrPlanesInto(old, fresh, uint64(k), 1, &warm.New)
-		ps.EncodeCtrPlanesInto(pool[k], old, uint64(k), 2, &next.New)
+		olds[k] = make([]uint64, n)
+		ps.EncodeCtrPlanesInto(olds[k], fresh, uint64(k), 1, &warm.New)
+		data[k] = next.New
+	}
+	return olds, data
+}
+
+// decodePool is the planes writePool's writes store, the lines a
+// replay's Verify decodes.
+func decodePool(b *testing.B, s Scheme) [][]uint64 {
+	olds, data := writePool(b, s)
+	ps := CtrPlaneCodec(s)
+	pool := make([][]uint64, len(olds))
+	for k := range pool {
+		pool[k] = make([]uint64, len(olds[k]))
+		ps.EncodeCtrPlanesInto(pool[k], olds[k], uint64(k), 2, &data[k])
 	}
 	return pool
 }
@@ -247,13 +260,16 @@ func gccProfile(b *testing.B) workload.Profile {
 // reports, per scheme, the median over the rounds of that round's
 // new/ref time ratio.
 func BenchmarkDecodePaired(b *testing.B) {
-	type arm struct {
-		dec  func(planes []uint64, dst *memline.Line)
-		pool [][]uint64
+	var out memline.Line
+	arm := func(dec func(planes []uint64, dst *memline.Line), pool [][]uint64) func() {
+		return func() {
+			for _, planes := range pool {
+				dec(planes, &out)
+			}
+		}
 	}
-	names := EvaluationSchemes()
-	var arms []arm // new and ref arm of names[i] at 2i and 2i+1
-	for _, name := range names {
+	var pairs []benchpair.Pair
+	for _, name := range EvaluationSchemes() {
 		s, err := NewScheme(name, DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -264,34 +280,45 @@ func BenchmarkDecodePaired(b *testing.B) {
 			b.Fatalf("%s: no reference decoder", name)
 		}
 		pool := decodePool(b, s)
-		arms = append(arms, arm{ps.DecodePlanesInto, pool}, arm{ref, pool})
+		pairs = append(pairs, benchpair.Pair{Metric: name + "-new/ref",
+			Num: arm(ps.DecodePlanesInto, pool), Den: arm(ref, pool)})
 	}
-	const passes = 16 // pool passes per arm per round
-	var out memline.Line
-	run := func(a *arm) time.Duration {
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			for _, planes := range a.pool {
-				a.dec(planes, &out)
-			}
+	benchpair.Run(b, 16, pairs...) // sixteen pool passes per arm per round
+}
+
+// BenchmarkEncodePaired is the in-process paired rung of the plane
+// encoders: each of the twelve registered plane schemes and
+// Enc(WLCRC-16), the production keyed plane encode replay stores
+// through (CtrPlaneCodec) against the scheme's scalar reference
+// (encodeCtrRef), on one steady-state gcc pool per scheme. The
+// reference is frozen test code, so one scheme's speedup moves no other
+// scheme's ratio. One op is one round: every arm encodes its pool four
+// times, in an order that rotates each round. The rung reports, per
+// scheme, the median over the rounds of that round's new/ref time
+// ratio.
+func BenchmarkEncodePaired(b *testing.B) {
+	schemes := append(allSchemes(b), newTestScheme(b, "Enc(WLCRC-16)", DefaultConfig()))
+	var pairs []benchpair.Pair
+	for _, s := range schemes {
+		olds, data := writePool(b, s)
+		oldCells := make([][]pcm.State, len(olds))
+		for k := range olds {
+			oldCells[k] = make([]pcm.State, s.TotalCells())
+			coset.UnpackLine(olds[k], oldCells[k])
 		}
-		return time.Since(start)
+		ps, ref := CtrPlaneCodec(s), encodeCtrRef(b, s)
+		dstP, dstC := make([]uint64, len(olds[0])), make([]pcm.State, s.TotalCells())
+		pairs = append(pairs, benchpair.Pair{Metric: s.Name() + "-new/ref",
+			Num: func() {
+				for k := range olds {
+					ps.EncodeCtrPlanesInto(dstP, olds[k], uint64(k), 2, &data[k])
+				}
+			},
+			Den: func() {
+				for k := range oldCells {
+					ref(dstC, oldCells[k], uint64(k), 2, &data[k])
+				}
+			}})
 	}
-	ratios := make([][]float64, len(names))
-	took := make([]time.Duration, len(arms))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range arms {
-			a := (i + j) % len(arms)
-			took[a] = run(&arms[a])
-		}
-		for s := range names {
-			ratios[s] = append(ratios[s], took[2*s].Seconds()/took[2*s+1].Seconds())
-		}
-	}
-	for s, name := range names {
-		sort.Float64s(ratios[s])
-		m := len(ratios[s])
-		b.ReportMetric((ratios[s][(m-1)/2]+ratios[s][m/2])/2, name+"-new/ref")
-	}
+	benchpair.Run(b, 4, pairs...) // four pool passes per arm per round
 }

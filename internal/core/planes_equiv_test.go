@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"wlcrc/internal/coset"
@@ -216,19 +217,24 @@ var counterPlaneSchemes = []string{"VCC-2", "VCC-4", "VCC-8", "Enc(WLCRC-16)", "
 
 // TestCounterPlanesMatchScalar is the keyed twin of
 // TestEncodePlanesMatchesScalar: for several (addr, ctr) keys, the
-// counter schemes' plane encode must equal the packed cell encode, leave
-// old untouched and the tail zero, decode back to the data under the
-// same key, and agree with the cell compression gate. CtrPlaneCodec must
-// resolve to the scheme's own keyed codec.
+// counter schemes' plane encode must equal the packed cell reference,
+// leave old untouched and the tail zero, decode back to the data under
+// the same key, and agree with the cell compression gate. CtrPlaneCodec
+// must resolve to the scheme's own keyed codec. The reference of an
+// Enc(<inner>) row is encodeCtrRef, which whitens the data with
+// vcc.Cipher and stores it through the inner scheme's scalar reference,
+// independent of the Encrypted wrapper. A VCC-n row is held to its cell
+// encode here, and its plane encode to the independent sweep refSweep
+// in internal/vcc.
 func TestCounterPlanesMatchScalar(t *testing.T) {
 	r := prng.New(20261017)
 	keys := [][2]uint64{{0, 0}, {0, 1}, {7, 1}, {7, 2}, {0xDEAD, 42}, {1 << 40, 1<<32 + 3}}
 	for _, name := range counterPlaneSchemes {
-		s, err := NewScheme(name, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
+		s := newTestScheme(t, name, DefaultConfig())
+		ref := refCtrEncodeFunc(s.(CounterScheme).EncodeCtrInto)
+		if strings.HasPrefix(name, "Enc(") {
+			ref = encodeCtrRef(t, s)
 		}
-		cs := s.(CounterScheme)
 		ps, ok := s.(CounterPlaneScheme)
 		if !ok {
 			t.Fatalf("%s: no keyed plane codec", name)
@@ -248,7 +254,7 @@ func TestCounterPlanesMatchScalar(t *testing.T) {
 				data := randomBiasedLine(r)
 				old := randomOld(r, n)
 				want := make([]pcm.State, n)
-				cs.EncodeCtrInto(want, old, addr, ctr, &data)
+				ref(want, old, addr, ctr, &data)
 				wantP := packedPlanes(want)
 
 				oldP := packedPlanes(old)
@@ -259,7 +265,7 @@ func TestCounterPlanesMatchScalar(t *testing.T) {
 				}
 				ps.EncodeCtrPlanesInto(dst, oldP, addr, ctr, &data)
 				if !reflect.DeepEqual(wantP, dst) {
-					t.Fatalf("%s (addr %#x ctr %d): plane encode differs from packed EncodeCtrInto\nwant %x\ngot  %x",
+					t.Fatalf("%s (addr %#x ctr %d): plane encode differs from the packed reference\nwant %x\ngot  %x",
 						name, addr, ctr, wantP, dst)
 				}
 				if !reflect.DeepEqual(oldSnap, oldP) {

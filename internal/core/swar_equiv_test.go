@@ -1,12 +1,14 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"wlcrc/internal/compress"
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
+	"wlcrc/internal/vcc"
 )
 
 // Per-cell scalar references: every plane encoder must produce exactly
@@ -490,6 +492,32 @@ func encodeRef(t testing.TB, s Scheme, dst, old []pcm.State, data *memline.Line)
 	default:
 		t.Fatalf("%s: no scalar reference", s.Name())
 	}
+}
+
+// refCtrEncodeFunc is the scalar reference of a keyed write.
+type refCtrEncodeFunc func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line)
+
+// encodeCtrRef returns the scalar reference of a scheme's keyed write,
+// built with newTestScheme. For Enc(<inner>) it whitens the data under
+// the (addr, ctr) pad of the scheme's key (vcc.Cipher) and stores the
+// ciphertext through the inner scheme's encodeRef, independent of the
+// Encrypted wrapper; every other plane scheme ignores the key.
+func encodeCtrRef(t testing.TB, s Scheme) refCtrEncodeFunc {
+	t.Helper()
+	cfg, ok := configOf(s)
+	if !ok {
+		t.Fatalf("%s: built without a recorded Config, so it has no reference", s.Name())
+	}
+	if name, ok := strings.CutPrefix(s.Name(), "Enc("); ok {
+		inner := newTestScheme(t, strings.TrimSuffix(name, ")"), cfg)
+		cipher := vcc.Cipher{Key: cfg.EncryptionKey}
+		return func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
+			ct := *data
+			cipher.WhitenLine(&ct, addr, ctr)
+			encodeRef(t, inner, dst, old, &ct)
+		}
+	}
+	return func(dst, old []pcm.State, _, _ uint64, data *memline.Line) { encodeRef(t, s, dst, old, data) }
 }
 
 // equivSchemes returns the twelve registered plane schemes plus the

@@ -1,10 +1,9 @@
 package pcm
 
 import (
-	"sort"
 	"testing"
-	"time"
 
+	"wlcrc/internal/benchpair"
 	"wlcrc/internal/prng"
 )
 
@@ -105,45 +104,23 @@ func BenchmarkCountDisturbMasks(b *testing.B) {
 // chunk/word time ratio.
 func BenchmarkDisturbPaired(b *testing.B) {
 	dm := DefaultDisturb()
-	type arm struct {
-		pool  []settlePair
-		total int
-		walk  func(newP, masks []uint64, totalCells, dataCells int, rnd Sampler) DisturbStats
-	}
-	var arms []arm // chunk and word arm of settleCases[i] at 2i and 2i+1
-	for _, tc := range settleCases {
-		pool := settleFixture(tc.total, tc.pChange)
-		arms = append(arms, arm{pool, tc.total, dm.CountDisturbMasks}, arm{pool, tc.total, dm.countDisturbWords})
-	}
-	const passes = 8 // pool passes per arm per round
 	var sink DisturbStats
-	run := func(a *arm) time.Duration {
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			for k := range a.pool {
-				sink.Add(a.walk(a.pool[k].newP, a.pool[k].masks, a.total, 256, nil))
+	walkArm := func(pool []settlePair, total int, walk func(newP, masks []uint64, totalCells, dataCells int, rnd Sampler) DisturbStats) func() {
+		return func() {
+			for k := range pool {
+				sink.Add(walk(pool[k].newP, pool[k].masks, total, 256, nil))
 			}
 		}
-		return time.Since(start)
 	}
-	ratios := make([][]float64, len(settleCases))
-	took := make([]time.Duration, len(arms))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range arms {
-			a := (i + j) % len(arms)
-			took[a] = run(&arms[a])
-		}
-		for c := range settleCases {
-			ratios[c] = append(ratios[c], took[2*c].Seconds()/took[2*c+1].Seconds())
-		}
+	var pairs []benchpair.Pair
+	for _, tc := range settleCases {
+		pool := settleFixture(tc.total, tc.pChange)
+		pairs = append(pairs, benchpair.Pair{Metric: tc.name + "-chunk/word",
+			Num: walkArm(pool, tc.total, dm.CountDisturbMasks),
+			Den: walkArm(pool, tc.total, dm.countDisturbWords)})
 	}
+	benchpair.Run(b, 8, pairs...) // eight pool passes per arm per round
 	if sink.Errors() == 0 {
 		b.Fatal("no disturbance counted")
-	}
-	for c, tc := range settleCases {
-		sort.Float64s(ratios[c])
-		n := len(ratios[c])
-		b.ReportMetric((ratios[c][(n-1)/2]+ratios[c][n/2])/2, tc.name+"-chunk/word")
 	}
 }

@@ -11,14 +11,15 @@ package sim
 //
 // Comparing adjacent layers attributes regressions: a shard slowdown
 // with flat line cost is accounting overhead; an engine slowdown with
-// flat shard cost is dispatch overhead. BenchmarkReplayStorage (this
-// file) sets the serial engine against the cell-vector reference store
-// of the tests, the line-store gate.
+// flat shard cost is dispatch overhead. BenchmarkReplayStoragePaired
+// (this file) sets the serial engine against the cell-vector reference
+// store of the tests, the line-store gate.
 
 import (
 	"fmt"
 	"testing"
 
+	"wlcrc/internal/benchpair"
 	"wlcrc/internal/core"
 	"wlcrc/internal/fault"
 	"wlcrc/internal/trace"
@@ -134,17 +135,17 @@ func BenchmarkEngineRunFaults(b *testing.B) {
 	}
 }
 
-// BenchmarkReplayStorage replays the root replay benchmarks' fixture
-// (the eight Fig. 8 schemes over 4000 gcc writes on a 1024-line
-// footprint) serially on both line stores: storage=planes is the Engine
-// with Workers: 1 on its plane arena, storage=scalar the cell-vector
-// reference store of the tests (scalarOracle). Results are
+// BenchmarkReplayStoragePaired replays the root replay benchmarks'
+// fixture (the eight Fig. 8 schemes over 4000 gcc writes on a
+// 1024-line footprint) serially on both line stores, timed round-robin
+// (benchpair): the Engine with Workers: 1 on its plane arena, and the
+// cell-vector reference store of the tests (scalarOracle). Results are
 // bit-identical (TestScalarStorageBitIdentical); only wall-clock
-// changes. The benchguard arena gate reads the scalar/planes wall-clock ratio —
-// a same-box number that is meaningful on any machine, unlike absolute
-// times — so a regression that erases the arena's advantage, such as
-// cell-level settle work creeping back into the hot loop, fails CI.
-func BenchmarkReplayStorage(b *testing.B) {
+// changes. The rung reports the median per-round scalar/planes time
+// ratio the benchguard arena gate reads, which collapses toward 1 when
+// cell-level settle work or map lookups creep back into the replay hot
+// path.
+func BenchmarkReplayStoragePaired(b *testing.B) {
 	p, ok := workload.ProfileByName("gcc")
 	if !ok {
 		b.Fatal("gcc profile missing")
@@ -154,24 +155,14 @@ func BenchmarkReplayStorage(b *testing.B) {
 		"COC+4cosets", "WLC+4cosets", "WLCRC-16")
 	opts := DefaultOptions()
 	opts.Workers = 1
-	for _, storage := range []string{"planes", "scalar"} {
-		b.Run("storage="+storage, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				src.Rewind()
-				var err error
-				if storage == "planes" {
-					err = NewEngine(opts, schemes...).Run(src, 0)
-				} else {
-					err = newScalarOracle(opts, schemes...).Run(src)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			writes := float64(len(src.Reqs) * len(schemes) * b.N)
-			b.ReportMetric(writes/b.Elapsed().Seconds(), "writes/s")
-		})
+	run := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
+	benchpair.Run(b, 1, benchpair.Pair{Metric: "scalar/planes",
+		Num: func() { src.Rewind(); run(newScalarOracle(opts, schemes...).Run(src)) },
+		Den: func() { src.Rewind(); run(NewEngine(opts, schemes...).Run(src, 0)) }})
 }
 
 func schemesForBench(b *testing.B, names ...string) []core.Scheme {

@@ -1,10 +1,9 @@
 package vcc
 
 import (
-	"sort"
 	"testing"
-	"time"
 
+	"wlcrc/internal/benchpair"
 	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
@@ -41,51 +40,24 @@ func newCtrPool(s *Scheme, lines int) ctrPool {
 // state of the moment. The rung reports, per scheme, the median over
 // the rounds of that round's new/ref time ratio.
 func BenchmarkVCCPaired(b *testing.B) {
-	type arm struct {
-		enc  func(dst, old []uint64, addr, ctr uint64, data *memline.Line)
-		pool *ctrPool
-		dst  []uint64
-	}
-	ns := []int{2, 4, 8}
-	var names []string
-	var arms []arm // new and ref arm of ns[i] at 2i and 2i+1
-	for _, n := range ns {
+	var pairs []benchpair.Pair
+	for _, n := range []int{2, 4, 8} {
 		s, err := New(pcm.DefaultEnergy(), n, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		names = append(names, s.Name())
 		pool := newCtrPool(s, 128)
 		width := coset.PlaneWords(s.TotalCells())
-		arms = append(arms,
-			arm{s.EncodeCtrPlanesInto, &pool, make([]uint64, width)},
-			arm{newRefSweep(s).EncodeCtrPlanesInto, &pool, make([]uint64, width)})
-	}
-	const passes = 8 // pool passes per arm per round
-	run := func(a *arm) time.Duration {
-		start := time.Now()
-		for p := 0; p < passes; p++ {
-			for k := range a.pool.olds {
-				a.enc(a.dst, a.pool.olds[k], uint64(k), 2, &a.pool.data[k])
+		arm := func(enc func(dst, old []uint64, addr, ctr uint64, data *memline.Line)) func() {
+			dst := make([]uint64, width)
+			return func() {
+				for k := range pool.olds {
+					enc(dst, pool.olds[k], uint64(k), 2, &pool.data[k])
+				}
 			}
 		}
-		return time.Since(start)
+		pairs = append(pairs, benchpair.Pair{Metric: s.Name() + "-new/ref",
+			Num: arm(s.EncodeCtrPlanesInto), Den: arm(newRefSweep(s).EncodeCtrPlanesInto)})
 	}
-	ratios := make([][]float64, len(names))
-	took := make([]time.Duration, len(arms))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range arms {
-			a := (i + j) % len(arms)
-			took[a] = run(&arms[a])
-		}
-		for c := range names {
-			ratios[c] = append(ratios[c], took[2*c].Seconds()/took[2*c+1].Seconds())
-		}
-	}
-	for c, name := range names {
-		sort.Float64s(ratios[c])
-		m := len(ratios[c])
-		b.ReportMetric((ratios[c][(m-1)/2]+ratios[c][m/2])/2, name+"-new/ref")
-	}
+	benchpair.Run(b, 8, pairs...) // eight pool passes per arm per round
 }
