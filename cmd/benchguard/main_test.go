@@ -70,6 +70,7 @@ func committedRuns(t *testing.T, tab *table) map[string]map[string]float64 {
 		{"replay", "replay_paired", "median_by_metric", ""},
 		{"ingest", "ingest_paired", "median_by_metric", ""},
 		{"arena", "arena_paired", "median_by_metric", ""},
+		{"units", "units_paired", "median_by_metric", ""},
 		{"lanes", "lane_kernel_paired", "lane_over_float_by_scheme", "-lane/float"},
 		{"settle", "disturb_paired", "chunk_over_word_by_pool", "-chunk/word"},
 		{"vcc", "vcc_paired", "new_over_ref_by_scheme", "-new/ref"},
@@ -124,6 +125,7 @@ func TestCommittedGatesTrip(t *testing.T) {
 	runs := committedRuns(t, tab)
 	bounds := map[string]float64{
 		"replay/workers=4/workers=1": 0.9, "ingest/mapped/reader": 0.25, "arena/scalar/planes": 2.5,
+		"units/units256/units1":     1.06,
 		"lanes/WLCRC-16-lane/float": 0.6, "lanes/COC+4cosets-lane/float": 0.75,
 		"settle/gcc-chunk/word": 0.95, "settle/ciphertext-chunk/word": 0.95,
 		"vcc/VCC-2-new/ref": 0.9, "vcc/VCC-4-new/ref": 0.9, "vcc/VCC-8-new/ref": 0.9,

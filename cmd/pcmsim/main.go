@@ -106,7 +106,7 @@ func main() {
 		faultEndur  = flag.Uint64("fault-endurance", 0, "mean cell endurance in program cycles before stuck-at onset (0 = 1e7)")
 		faultSpread = flag.Float64("fault-spread", 0, "relative half-width of the per-cell endurance threshold draw (0 = exact)")
 		faultECC    = flag.Int("fault-ecc-bits", 0, "per-line correctable-bit ECC budget, rounded up to t=2 BCH ways (0 = 4)")
-		faultSpares = flag.Int("fault-spares", 0, "spare lines per shard for retirement remapping (0 = 16)")
+		faultSpares = flag.Int("fault-spares", 0, "spare lines per routing unit for retirement remapping (0 = 16)")
 		faultRetire = flag.Float64("fault-retire-frac", 0, "retired-line fraction of touched lines that ends the run degraded (0 = 0.25)")
 		faultStatic = flag.Int("fault-static", 0, "pre-seed N random stuck cells (manufacturing defects) over the first -footprint lines (4096 when unset)")
 		failFast    = flag.Bool("failfast", false, "abort replay on the first uncorrectable write instead of degrading gracefully")
@@ -282,7 +282,7 @@ func main() {
 			// A failed replay — an aborted -failfast run, a degraded
 			// graceful one, a trace decode error, a SIGINT — still has
 			// merged partial metrics worth reporting: Snapshot drains
-			// whatever the shards got through before the stop. Report,
+			// whatever the stores got through before the stop. Report,
 			// keep going (or stop, on interrupt), and exit non-zero at
 			// the end.
 			if ctx.Err() != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"wlcrc/internal/coset"
@@ -220,21 +219,17 @@ var counterPlaneSchemes = []string{"VCC-2", "VCC-4", "VCC-8", "Enc(WLCRC-16)", "
 // counter schemes' plane encode must equal the packed cell reference,
 // leave old untouched and the tail zero, decode back to the data under
 // the same key, and agree with the cell compression gate. CtrPlaneCodec
-// must resolve to the scheme's own keyed codec. The reference of an
-// Enc(<inner>) row is encodeCtrRef, which whitens the data with
-// vcc.Cipher and stores it through the inner scheme's scalar reference,
-// independent of the Encrypted wrapper. A VCC-n row is held to its cell
-// encode here, and its plane encode to the independent sweep refSweep
-// in internal/vcc.
+// must resolve to the scheme's own keyed codec. Every row's reference
+// is encodeCtrRef, independent of the codec: an Enc(<inner>) row
+// whitens the data with vcc.Cipher and stores it through the inner
+// scheme's scalar reference, and a VCC-n row runs the per-cell
+// candidate sweep vccSweepRef.
 func TestCounterPlanesMatchScalar(t *testing.T) {
 	r := prng.New(20261017)
 	keys := [][2]uint64{{0, 0}, {0, 1}, {7, 1}, {7, 2}, {0xDEAD, 42}, {1 << 40, 1<<32 + 3}}
 	for _, name := range counterPlaneSchemes {
 		s := newTestScheme(t, name, DefaultConfig())
-		ref := refCtrEncodeFunc(s.(CounterScheme).EncodeCtrInto)
-		if strings.HasPrefix(name, "Enc(") {
-			ref = encodeCtrRef(t, s)
-		}
+		ref := encodeCtrRef(t, s)
 		ps, ok := s.(CounterPlaneScheme)
 		if !ok {
 			t.Fatalf("%s: no keyed plane codec", name)

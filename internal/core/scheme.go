@@ -39,7 +39,7 @@ import (
 // every frontend. Scheme implementations are immutable after
 // construction and safe for concurrent use — all per-call scratch lives
 // on the caller's stack — so the parallel engine shares one instance
-// across its shards.
+// across its stores.
 type Scheme interface {
 	// Name identifies the scheme in reports (e.g. "WLCRC-16").
 	Name() string
@@ -56,10 +56,10 @@ type Scheme interface {
 // encrypted schemes of internal/vcc, whose keystreams and candidate
 // vectors derive from (key, addr, counter). The counter models the
 // counter store a counter-mode encryption engine already maintains: the
-// replay frontends (sim shards, the public Memory) own it, incrementing
+// replay frontends (sim stores, the public Memory) own it, incrementing
 // it on every write to an address and presenting the same value back
 // at decode. Requests to one address replay in trace order on a single
-// shard, so the counters — and therefore all results — stay
+// store, so the counters — and therefore all results — stay
 // bit-identical across worker counts.
 type CounterScheme interface {
 	// EncodeCtrInto writes the TotalCells() states to program when

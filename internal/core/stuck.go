@@ -24,7 +24,7 @@ type StuckAwareEncoder interface {
 // EncodeStuckFunc resolves a scheme's stuck-aware re-encode entry
 // point, or nil when the scheme cannot trade candidate freedom against
 // stuck cells (the pipeline then goes straight to ECC). Resolved once
-// at shard construction like the other optional extensions.
+// at store construction like the other optional extensions.
 func EncodeStuckFunc(s Scheme) func(dst, old []uint64, data *memline.Line, stuck *fault.LineStuck) bool {
 	if sa, ok := s.(StuckAwareEncoder); ok {
 		return sa.EncodeStuckPlanesInto

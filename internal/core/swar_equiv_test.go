@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"strings"
 	"testing"
 
@@ -501,12 +503,16 @@ type refCtrEncodeFunc func(dst, old []pcm.State, addr, ctr uint64, data *memline
 // built with newTestScheme. For Enc(<inner>) it whitens the data under
 // the (addr, ctr) pad of the scheme's key (vcc.Cipher) and stores the
 // ciphertext through the inner scheme's encodeRef, independent of the
-// Encrypted wrapper; every other plane scheme ignores the key.
+// Encrypted wrapper; for VCC-n it is vccSweepRef; every other plane
+// scheme ignores the key.
 func encodeCtrRef(t testing.TB, s Scheme) refCtrEncodeFunc {
 	t.Helper()
 	cfg, ok := configOf(s)
 	if !ok {
 		t.Fatalf("%s: built without a recorded Config, so it has no reference", s.Name())
+	}
+	if v, ok := s.(*vcc.Scheme); ok {
+		return vccSweepRef(v.Candidates(), cfg)
 	}
 	if name, ok := strings.CutPrefix(s.Name(), "Enc("); ok {
 		inner := newTestScheme(t, strings.TrimSuffix(name, ")"), cfg)
@@ -518,6 +524,50 @@ func encodeCtrRef(t testing.TB, s Scheme) refCtrEncodeFunc {
 		}
 	}
 	return func(dst, old []pcm.State, _, _ uint64, data *memline.Line) { encodeRef(t, s, dst, old, data) }
+}
+
+// vccSweepRef is the per-cell reference of a VCC-n write under cfg,
+// built from vcc's exported keystream and coset.C1 alone. Per data word
+// it prices each of the n candidates cell by cell: cell j stores
+// coset.C1 of its symbol in the ciphertext word (data ^ Keystream.Pad)
+// XORed with the candidate (Keystream.Candidate), and costs that
+// state's write energy wherever the old state differs. The cheapest
+// candidate wins, the lowest index on ties, and the winners' indices,
+// log2(n) bits each LSB-first, fill the aux cells two bits per cell.
+// Costs sum in cell order, which equals the codec's per-state sums
+// exactly under integer write energies such as Table II's.
+func vccSweepRef(n int, cfg Config) refCtrEncodeFunc {
+	cipher := vcc.Cipher{Key: cfg.EncryptionKey}
+	idxBits := bits.Len(uint(n)) - 1
+	return func(dst, old []pcm.State, addr, ctr uint64, data *memline.Line) {
+		ks := cipher.Keystream(addr, ctr)
+		var idx uint64
+		for w := 0; w < memline.LineWords; w++ {
+			cw := data.Word(w) ^ ks.Pad(w)
+			cells := dst[w*memline.WordCells : (w+1)*memline.WordCells]
+			best, bestCost := 0, math.Inf(1)
+			for c := 0; c < n; c++ {
+				y := cw ^ ks.Candidate(c, w)
+				cost := 0.0
+				for j := range cells {
+					if st := coset.C1[y>>(2*j)&3]; old[w*memline.WordCells+j] != st {
+						cost += cfg.Energy.WriteEnergy(st)
+					}
+				}
+				if cost < bestCost {
+					best, bestCost = c, cost
+				}
+			}
+			y := cw ^ ks.Candidate(best, w)
+			for j := range cells {
+				cells[j] = coset.C1[y>>(2*j)&3]
+			}
+			idx |= uint64(best) << (w * idxBits)
+		}
+		for k := range dst[memline.LineCells:] {
+			dst[memline.LineCells+k] = pcm.State(idx >> (2 * k) & 3)
+		}
+	}
 }
 
 // equivSchemes returns the twelve registered plane schemes plus the

@@ -14,7 +14,7 @@ import (
 // true worst-case bit bound.
 //
 // An ECC is read-only after construction and may be shared by every
-// shard of an engine; per-call scratch lives in the caller's
+// store of an engine; per-call scratch lives in the caller's
 // ECCScratch.
 type ECC struct {
 	code *bch.Code

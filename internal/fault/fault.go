@@ -3,7 +3,7 @@
 // bounded number of program cycles and freeze at their last-programmed
 // state (stuck-at faults), and a production controller layers recourses
 // — re-encode retries, ECC correction, line retirement to a spare pool —
-// before giving up on a line. The package provides the per-shard fault
+// before giving up on a line. The package provides the per-unit fault
 // state (Map), the per-line stuck view schemes and ECC consume
 // (LineStuck), the interleaved BCH corrector (ECC), and the mergeable
 // Stats the replay engine folds into its metrics.
@@ -63,7 +63,7 @@ type Config struct {
 	// effective budget is the next even number. 0 means 4.
 	ECCBits int
 
-	// SpareLines is each shard's spare-line pool: lines whose stuck
+	// SpareLines is each routing unit's spare-line pool: lines whose stuck
 	// cells exceed the ECC budget are retired and remapped to a spare
 	// until the pool is empty. 0 means 16.
 	SpareLines int
@@ -91,8 +91,8 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Stats is the mergeable fault/repair digest of one shard (or, after
-// merging, one scheme). All counters are monotonic adds except
+// Stats is the mergeable fault/repair digest of one routing unit (or,
+// after merging, one scheme). All counters are monotonic adds except
 // FirstRetireSeq, which merges by minimum.
 type Stats struct {
 	// StuckCells counts cells that ever became stuck, from any source;
@@ -130,12 +130,12 @@ type Stats struct {
 	Uncorrectable uint64
 
 	// FirstRetireSeq is the 1-based global trace sequence number of the
-	// first line retirement (0 = none): the shard's writes-to-first-
+	// first line retirement (0 = none): the unit's writes-to-first-
 	// retirement lifetime figure.
 	FirstRetireSeq uint64
 }
 
-// Merge folds another shard's stats into s.
+// Merge folds another unit's stats into s.
 func (s *Stats) Merge(o Stats) {
 	s.StuckCells += o.StuckCells
 	s.WearStuck += o.WearStuck
@@ -262,9 +262,10 @@ type lineRec struct {
 	parity []uint8
 }
 
-// Map is one shard's stuck-at fault state: per-line stuck cells,
-// endurance thresholds, the spare-line pool, and the shard's fault
-// stats. Like the shard that owns it, a Map is single-goroutine.
+// Map is one routing unit's stuck-at fault state: per-line stuck
+// cells, endurance thresholds, the spare-line pool, and the unit's
+// fault stats. Like the store that holds its unit, a Map is
+// single-goroutine.
 type Map struct {
 	cfg   Config
 	seed  uint64
@@ -276,14 +277,14 @@ type Map struct {
 	static []StuckCell
 	spares int
 
-	// Stats is the shard's live fault digest. The repair pipeline in
-	// the owning shard updates the recourse counters directly.
+	// Stats is the unit's live fault digest. The repair pipeline in
+	// the owning store updates the recourse counters directly.
 	Stats Stats
 }
 
 // NewMap builds a fault map for lines of cellsPerLine cells. seed
-// decorrelates this shard's threshold draws from every other shard's;
-// ecc may be shared across shards (it is read-only after construction).
+// decorrelates this unit's threshold draws from every other unit's;
+// ecc may be shared across units (it is read-only after construction).
 // cfg should already have defaults resolved.
 func NewMap(cfg Config, seed uint64, cellsPerLine int, ecc *ECC) *Map {
 	cfg = cfg.WithDefaults()
@@ -350,7 +351,7 @@ func (m *Map) InjectStuck(addr uint64, cell int, st pcm.State) bool {
 
 // drawThreshold returns the endurance threshold of (addr, cell) in
 // incarnation gen — a pure hash of the coordinates, so the value never
-// depends on the order shards or workers evaluate it.
+// depends on the order units or workers evaluate it.
 func (m *Map) drawThreshold(addr uint64, cell int, gen uint32) uint32 {
 	e := m.cfg.CellEndurance
 	sp := m.cfg.EnduranceSpread
@@ -371,7 +372,7 @@ func (m *Map) drawThreshold(addr uint64, cell int, gen uint32) uint32 {
 // cell whose program count crossed its endurance threshold at the state
 // this write just programmed (its last-programmed state — the write
 // succeeded, the cell dies holding it). counts is the line's live
-// per-cell wear from the shard's recorder, already including this
+// per-cell wear from the store's recorder, already including this
 // write; nil disables wear onset (no recorder).
 func (m *Map) OnWrite(addr uint64, changed []bool, states []pcm.State, counts []uint32) {
 	r := m.rec(addr)

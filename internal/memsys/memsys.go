@@ -49,7 +49,9 @@ type Config struct {
 
 // DefaultSubShards is the per-bank sub-shard count used when
 // Config.SubShards is zero: enough to let worker counts run well past
-// the bank count without inflating the shard table.
+// the bank count. Routing units are the replay engine's determinism
+// contract and carry only a small per-unit record each; its line
+// stores and buffers are per worker, so more units cost little.
 const DefaultSubShards = 4
 
 // TableII returns the paper's configuration. Timing reflects MLC PCM's
@@ -111,8 +113,8 @@ func (c Config) Banks() int { return c.Channels * c.DIMMsPerChan * c.BanksPerDIM
 // BankOf maps a line address to a bank (line interleaving across
 // channels, then DIMMs, then banks). Both the cycle-based Controller and
 // the parallel replay engine in internal/sim shard the address space
-// with this function, so "one shard per bank" matches the hardware's own
-// notion of independent lines.
+// with this function, so no routing unit spans two banks, matching the
+// hardware's own notion of independent lines.
 func (c Config) BankOf(addr uint64) int {
 	return int(addr % uint64(c.Banks()))
 }

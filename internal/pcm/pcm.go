@@ -186,7 +186,7 @@ func ChangedMask(old, new []State) []bool {
 
 // ChangedMaskInto fills dst with the changed-cell mask, reusing dst's
 // backing when it is large enough — the allocation-free form replay hot
-// paths use with a per-shard scratch buffer.
+// paths use with a per-store scratch buffer.
 func ChangedMaskInto(dst []bool, old, new []State) []bool {
 	if len(old) != len(new) {
 		panic("pcm: ChangedMask on cell vectors of different length")

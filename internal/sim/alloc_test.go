@@ -23,11 +23,12 @@ var allocSchemes = []string{
 	"VCC-2", "VCC-4", "VCC-8",
 }
 
-// allocFixture builds a shard and a warmed routed request set: every
-// address has been written once, so the measured loop only exercises
-// the steady-state rewrite path. Like the Engine, it gives the shard a
-// PRNG substream when opts samples disturbance or injects faults.
-func allocFixture(t testing.TB, name string, opts Options) (*shard, []routedReq) {
+// allocFixture builds a one-unit store and a warmed routed request
+// set: every address has been written once, so the measured loop only
+// exercises the steady-state rewrite path. Like the Engine, it gives
+// the unit a PRNG substream when opts samples disturbance or injects
+// faults.
+func allocFixture(t testing.TB, name string, opts Options) (*store, []routedReq) {
 	t.Helper()
 	sch, err := core.NewScheme(name, core.DefaultConfig())
 	if err != nil {
@@ -40,7 +41,7 @@ func allocFixture(t testing.TB, name string, opts Options) (*shard, []routedReq)
 	if opts.SampleDisturb || opts.InjectFaults {
 		rnd = prng.New(7)
 	}
-	u := newShard(&opts, sch, rnd, nil)
+	u := newTestStore(&opts, sch, rnd, nil)
 	p, ok := workload.ProfileByName("gcc")
 	if !ok {
 		t.Fatal("gcc profile missing")
@@ -54,9 +55,21 @@ func allocFixture(t testing.TB, name string, opts Options) (*shard, []routedReq)
 	return u, rs
 }
 
+// newTestStore builds a store holding one routing unit, whose PRNG
+// substream and fault map are rnd and fm (either may be nil), for tests
+// that drive a store directly; applyUnit replays through that unit.
+func newTestStore(opts *Options, sch core.Scheme, rnd *prng.Xoshiro256, fm *fault.Map) *store {
+	return newStore(opts, sch, []unit{{rnd: rnd, fm: fm}})
+}
+
+// applyUnit replays rs through a test store's one unit.
+func (s *store) applyUnit(rs []routedReq) (errSeq uint64, err error) {
+	return s.applyRun(&s.units[0], rs)
+}
+
 // routedBatch wraps requests as one routed unit run, sequence-numbered
-// in order, for tests that drive the engine's shard entry point
-// (shard.applyRun) directly.
+// in order, for tests that drive the engine's store entry point
+// (store.applyRun) directly.
 func routedBatch(reqs []trace.Request) []routedReq {
 	rs := make([]routedReq, len(reqs))
 	for i := range reqs {
@@ -66,9 +79,9 @@ func routedBatch(reqs []trace.Request) []routedReq {
 }
 
 // applyOne replays request i (mod len(rs)) as a one-request batch.
-func applyOne(u *shard, rs []routedReq, i int) error {
+func applyOne(u *store, rs []routedReq, i int) error {
 	k := i % len(rs)
-	_, err := u.applyRun(rs[k : k+1])
+	_, err := u.applyUnit(rs[k : k+1])
 	return err
 }
 
@@ -140,7 +153,7 @@ func TestSteadyStateApplyRunZeroAllocs(t *testing.T) {
 					opts.Verify = verify
 					u, rs := allocFixture(t, scheme, opts)
 					avg := testing.AllocsPerRun(20, func() {
-						if _, err := u.applyRun(rs); err != nil {
+						if _, err := u.applyUnit(rs); err != nil {
 							t.Fatal(err)
 						}
 					})
@@ -208,7 +221,7 @@ func TestSteadyStateApplyZeroAllocsStuckRepair(t *testing.T) {
 			opts := DefaultOptions()
 			opts.Verify = true
 			opts.MaxVnRIterations = 16
-			u := newShard(&opts, sch, nil, fm)
+			u := newTestStore(&opts, sch, nil, fm)
 			p, ok := workload.ProfileByName("gcc")
 			if !ok {
 				t.Fatal("gcc profile missing")
@@ -219,7 +232,7 @@ func TestSteadyStateApplyZeroAllocsStuckRepair(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if u.fm.Stats.Detected == 0 {
+			if fm.Stats.Detected == 0 {
 				t.Fatal("warm-up never hit a stuck cell; the test is not exercising repair")
 			}
 			i := len(rs)

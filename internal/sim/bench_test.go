@@ -5,15 +5,16 @@ package sim
 //
 //	word:   internal/coset BenchmarkSWARBestWord / BenchmarkSWARApplyWord
 //	line:   root BenchmarkEncodePlanesInto (codec hot path, no simulation state)
-//	shard:  BenchmarkShardApply (this file)
+//	store:  BenchmarkShardApply (this file)
 //	engine: BenchmarkEngineRun (this file), root BenchmarkReplaySerial /
 //	        BenchmarkReplayParallelScaling (full dispatch pipeline)
 //
-// Comparing adjacent layers attributes regressions: a shard slowdown
+// Comparing adjacent layers attributes regressions: a store slowdown
 // with flat line cost is accounting overhead; an engine slowdown with
-// flat shard cost is dispatch overhead. BenchmarkReplayStoragePaired
+// flat store cost is dispatch overhead. BenchmarkReplayStoragePaired
 // (this file) sets the serial engine against the cell-vector reference
-// store of the tests, the line-store gate.
+// store of the tests, the line-store gate, and BenchmarkUnitsPaired
+// sets a Table II pass against a one-unit pass, the unit-overhead gate.
 
 import (
 	"fmt"
@@ -22,11 +23,12 @@ import (
 	"wlcrc/internal/benchpair"
 	"wlcrc/internal/core"
 	"wlcrc/internal/fault"
+	"wlcrc/internal/memsys"
 	"wlcrc/internal/trace"
 	"wlcrc/internal/workload"
 )
 
-// BenchmarkShardApply measures the shard layer: one op replays a warmed
+// BenchmarkShardApply measures the store layer: one op replays a warmed
 // 256-request routed run through touch and applyRun, the calls every
 // Engine worker makes, so each request is encoded and settled against its
 // line's stored planes. The schemes span the cost spectrum — plain
@@ -52,7 +54,7 @@ func BenchmarkShardApply(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				u.touch(rs)
-				if _, err := u.applyRun(rs); err != nil {
+				if _, err := u.applyUnit(rs); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -151,8 +153,7 @@ func BenchmarkReplayStoragePaired(b *testing.B) {
 		b.Fatal("gcc profile missing")
 	}
 	src := trace.Record(workload.NewGenerator(p, 1024, 17), 4000)
-	schemes := schemesForBench(b, "Baseline", "FlipMin", "FNW", "DIN", "6cosets",
-		"COC+4cosets", "WLC+4cosets", "WLCRC-16")
+	schemes := schemesForBench(b, fig8Schemes...)
 	opts := DefaultOptions()
 	opts.Workers = 1
 	run := func(err error) {
@@ -163,6 +164,47 @@ func BenchmarkReplayStoragePaired(b *testing.B) {
 	benchpair.Run(b, 1, benchpair.Pair{Metric: "scalar/planes",
 		Num: func() { src.Rewind(); run(newScalarOracle(opts, schemes...).Run(src)) },
 		Den: func() { src.Rewind(); run(NewEngine(opts, schemes...).Run(src, 0)) }})
+}
+
+// fig8Schemes are the eight schemes of the paper's Fig. 8.
+var fig8Schemes = []string{"Baseline", "FlipMin", "FNW", "DIN", "6cosets",
+	"COC+4cosets", "WLC+4cosets", "WLCRC-16"}
+
+// BenchmarkUnitsPaired times one engine pass — NewEngine, Run and
+// Metrics, the pass wlcrc.Replay makes — on the fig8 fixture (the
+// eight Fig. 8 schemes over 12000 gcc writes on a 4096-line footprint,
+// Workers: 1, one ingest router) under Table II's 256 routing units
+// and under a one-unit geometry, round-robin (benchpair), and reports
+// the median per-round units256/units1 time ratio the benchguard units
+// gate reads. The float sums merge over different units in the two
+// geometries, so their results may differ in the last bits; only the
+// timing is compared. The ratio is what the unit partition costs a
+// pass: it grows when engine state is kept per routing unit instead of
+// per worker (per-unit line stores, metrics or buffers to build, fill,
+// publish and merge).
+func BenchmarkUnitsPaired(b *testing.B) {
+	p, ok := workload.ProfileByName("gcc")
+	if !ok {
+		b.Fatal("gcc profile missing")
+	}
+	src := trace.Record(workload.NewGenerator(p, 4096, 1), 12000)
+	schemes := schemesForBench(b, fig8Schemes...)
+	pass := func(geo memsys.Config) func() {
+		opts := DefaultOptions()
+		opts.Workers = 1
+		opts.IngestRouters = -1
+		opts.Geometry = geo
+		return func() {
+			src.Rewind()
+			e := NewEngine(opts, schemes...)
+			if err := e.Run(src, 0); err != nil {
+				b.Fatal(err)
+			}
+			e.Metrics()
+		}
+	}
+	benchpair.Run(b, 1, benchpair.Pair{Metric: "units256/units1",
+		Num: pass(memsys.TableII()), Den: pass(serialGeometry())})
 }
 
 func schemesForBench(b *testing.B, names ...string) []core.Scheme {

@@ -25,8 +25,8 @@ func encryptedTrace(t *testing.T, n int) *trace.SliceSource {
 
 // TestEngineCounterSchemesBitIdenticalAcrossWorkers extends the
 // engine's determinism guarantee to counter-keyed schemes: the per-line
-// write counters live in the bank shards, and because one address
-// always replays in trace order on one shard, metrics must stay
+// write counters live in the engine's stores, and because one address
+// always replays in trace order on one store, metrics must stay
 // bit-identical for every worker count — with Verify on, so every write
 // also round-trips through decrypt.
 func TestEngineCounterSchemesBitIdenticalAcrossWorkers(t *testing.T) {
@@ -104,7 +104,7 @@ func TestShardCounterAdvances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		u := newShard(&opts, sch, nil, nil)
+		u := newTestStore(&opts, sch, nil, nil)
 		if got, keyed := u.lineCtrs != nil, core.UsesCounters(sch); got != keyed {
 			t.Errorf("%s: counter store present = %v, UsesCounters = %v", name, got, keyed)
 		}
@@ -113,7 +113,7 @@ func TestShardCounterAdvances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := newShard(&opts, sch, nil, nil)
+	u := newTestStore(&opts, sch, nil, nil)
 	rs := routedBatch(encryptedTrace(t, 1).Reqs)
 	addr := rs[0].addr
 	ctr := func() uint64 {

@@ -18,52 +18,63 @@ import (
 	"wlcrc/internal/trace"
 )
 
-// Engine is the concurrent sharded replay pipeline. It maintains one
-// shard per (scheme, bank, sub-shard) triple — the bank comes from the
-// configured memsys geometry, exactly the interleaving the Table II
-// memory controller uses, and each bank is further split into
-// address-interleaved sub-shards (memsys.Config.SubShards) so the
+// Engine is the concurrent sharded replay pipeline. It splits the
+// address space into routing units — (bank, sub-shard) pairs: the bank
+// comes from the configured memsys geometry, exactly the interleaving
+// the Table II memory controller uses, and each bank is further split
+// into address-interleaved sub-shards (memsys.Config.SubShards) so the
 // worker count is not capped at the bank count — and streams the trace
 // through per-worker queues.
+//
+// Units are the determinism contract; stores are the per-worker state.
+// Every (scheme, unit) pair has a small record (unit): its float metric
+// sums, its PRNG substream, its fault map and its error freeze, the
+// state whose evolution must not depend on the worker count. Everything
+// else — the line store, write counters, wear counts, encode and decode
+// buffers, and the integer and maximum metrics — lives in one store per
+// (scheme, worker), shared by all the units the worker owns, so the
+// per-pass engine cost follows the worker count, not the 256 units of
+// Table II.
 //
 // Reading and routing run off the workers: the ingest stage (ingest.go)
 // pulls sequence-stamped chunks from the source and groups each chunk
 // by routing unit on Options.IngestRouters router goroutines. Every
-// routing unit (bank, sub-shard) is owned by exactly one worker (unit
-// mod workers, all schemes of the unit together). The Run goroutine
-// hands each routed chunk, in sequence order, to every worker's queue
-// as it is — one grouping, one queue, one pooled buffer — and each
-// worker applies only the runs of the units it owns. A chunk carries a
-// reference count, and the last worker to finish with it returns it to
-// the pool, so an arbitrarily long streamed trace runs with zero
-// steady-state dispatcher allocations.
+// routing unit is owned by exactly one worker (unit mod workers, all
+// schemes of the unit together). The Run goroutine hands each routed
+// chunk, in sequence order, to every worker's queue as it is — one
+// grouping, one queue, one pooled buffer — and each worker applies only
+// the runs of the units it owns. A chunk carries a reference count, and
+// the last worker to finish with it returns it to the pool, so an
+// arbitrarily long streamed trace runs with zero steady-state
+// dispatcher allocations.
 //
 // A worker replays its share of a chunk scheme-major through each
-// scheme's shards: it first touches the lines of every run it owns
-// (shard.touch, so their cache misses overlap across the chunk), then
-// applies the runs one request at a time (shard.applyRun). All of one
-// scheme's state — SWAR cost tables, coset selectors, the shard's line
-// store — stays hot across the chunk instead of being evicted by the
+// scheme's store: it first touches the lines of every run it owns
+// (store.touch, so their cache misses overlap across the chunk), then
+// applies the runs one request at a time (store.applyRun). All of one
+// scheme's state — SWAR cost tables, coset selectors, the store's line
+// arena — stays hot across the chunk instead of being evicted by the
 // next scheme's on every request.
 //
 // Determinism: results never depend on Options.Workers or
 // Options.IngestRouters. Unit ownership is static and sub-shard
-// assignment depends only on the address, so every shard sees its
-// lines' requests in trace order (chunks are handed off in sequence,
-// every worker drains its queue FIFO, and a unit's run within a chunk
-// keeps trace order); each shard's PRNG substream is seeded only from
-// (Options.Seed, scheme, unit); and Metrics folds the shards in fixed
-// (scheme, bank, sub-shard) order. Workers = 1 is therefore the serial
-// mode of the same engine, and a parallel run is bit-identical to it —
-// floats included.
+// assignment depends only on the address, so every unit sees its
+// requests in trace order (chunks are handed off in sequence, every
+// worker drains its queue FIFO, and a unit's run within a chunk keeps
+// trace order); each unit's PRNG substream is seeded only from
+// (Options.Seed, scheme, unit); integer metrics merge the same in any
+// grouping; and Metrics folds the units' float sums in fixed (scheme,
+// bank, sub-shard) order. Workers = 1 is therefore the serial mode of
+// the same engine, and a parallel run is bit-identical to it — floats
+// included.
 //
 // Observability: Snapshot may be called from any goroutine while Run is
-// executing — each worker publishes a copy of its shards' metrics
+// executing — each worker publishes a copy of its stores' metrics
 // whenever its queue runs dry and at least every publishEvery chunks,
-// so a snapshot lags a shard by at most that many chunks plus the one
-// in flight — and Options.Progress delivers live dispatcher throughput. Run, Metrics and
-// the Reset methods themselves must still not be called concurrently
-// with each other.
+// so a snapshot lags a store by at most that many chunks plus the one
+// in flight — and Options.Progress delivers live dispatcher throughput.
+// Run, Metrics and the Reset methods themselves must still not be
+// called concurrently with each other.
 type Engine struct {
 	opts      Options
 	schemes   []core.Scheme
@@ -72,9 +83,10 @@ type Engine struct {
 	subShards int
 	units     int // banks * subShards
 	workers   int
-	// shards[i*units+u] is scheme i's view of routing unit u; unit
-	// u = bank*subShards + subShard.
-	shards []*shard
+	// stores[i*workers+w] is scheme i's store of worker w. It holds the
+	// records of the units u ≡ w (mod workers), where unit
+	// u = bank*subShards + subShard; unitOf finds one.
+	stores []*store
 	// workerReqs[w] counts the requests worker w applied during the last
 	// Run — each worker owns its slot, and post-Run readers see the
 	// final values after the worker WaitGroup settles. It backs the
@@ -101,6 +113,9 @@ type Engine struct {
 // worker count is capped only at the total routing-unit count —
 // banks x sub-shards, 256 under Table II — not at the bank count; the
 // resolved value is reported by Workers and in every Progress callback.
+// It builds one store per (scheme, worker) and one small unit record
+// per (scheme, routing unit), so an engine over the Fig. 8 schemes
+// builds eight stores at Workers = 1 whatever the geometry.
 func NewEngine(opts Options, schemes ...core.Scheme) *Engine {
 	if opts.MaxVnRIterations == 0 {
 		opts.MaxVnRIterations = 16
@@ -136,7 +151,7 @@ func NewEngine(opts Options, schemes ...core.Scheme) *Engine {
 	for i := 0; i < cap(e.freeChunks); i++ {
 		e.freeChunks <- newIngestChunk()
 	}
-	e.shards = make([]*shard, len(schemes)*units)
+	e.stores = make([]*store, len(schemes)*workers)
 	sampled := opts.SampleDisturb || opts.InjectFaults
 	var ecc *fault.ECC
 	var fcfg fault.Config
@@ -145,39 +160,43 @@ func NewEngine(opts Options, schemes ...core.Scheme) *Engine {
 		ecc = fault.NewECC(fcfg.ECCBits)
 	}
 	for i, sch := range schemes {
-		for u := 0; u < units; u++ {
-			var rnd *prng.Xoshiro256
-			var fm *fault.Map
-			if sampled || opts.Faults.Enabled {
+		for w := 0; w < workers; w++ {
+			recs := make([]unit, (units-w+workers-1)/workers)
+			for k := range recs {
+				if !sampled && !opts.Faults.Enabled {
+					break // deterministic and fault-free: nothing per unit to seed
+				}
+				u := k*workers + w
 				r := prng.New(shardSeed(opts.Seed, i, u))
 				if opts.Faults.Enabled {
 					// The fault map's threshold seed is the first draw of
-					// the shard's PRNG substream; static defects route to
+					// the unit's PRNG substream; static defects route to
 					// the unit that owns their address. The substream is
-					// handed to the shard only when disturbance sampling
+					// handed to the unit only when disturbance sampling
 					// asked for it, so fault-only runs keep deterministic
 					// expected-value disturb accounting.
-					fm = fault.NewMap(fcfg, r.Uint64(), sch.TotalCells(), ecc)
+					fm := fault.NewMap(fcfg, r.Uint64(), sch.TotalCells(), ecc)
 					for _, sc := range fcfg.Static {
 						if e.routeOf(sc.Addr) == u {
 							fm.SeedStatic(sc)
 						}
 					}
+					recs[k].fm = fm
 				}
 				if sampled {
-					rnd = r
+					recs[k].rnd = r
 				}
 			}
-			e.shards[i*units+u] = newShard(&e.opts, sch, rnd, fm)
+			e.stores[i*workers+w] = newStore(&e.opts, sch, recs)
 		}
 	}
 	return e
 }
 
-// shardSeed derives the PRNG seed of shard (scheme, unit) from the run
+// shardSeed derives the PRNG seed of unit (scheme, unit) from the run
 // seed. The substreams must be decorrelated (adjacent integer seeds feed
 // SplitMix64, whose output is well-mixed) and must depend only on the
-// run seed and the shard coordinates — never on scheduling.
+// run seed and the unit coordinates — never on scheduling.
 func shardSeed(seed uint64, scheme, unit int) uint64 {
 	sm := prng.NewSplitMix64(seed ^ (0x9e3779b97f4a7c15 * (uint64(scheme)<<20 + uint64(unit) + 1)))
 	return sm.Uint64()
@@ -198,6 +217,13 @@ func (e *Engine) SubShards() int { return e.subShards }
 // upper bound on useful worker counts.
 func (e *Engine) Units() int { return e.units }
 
+// unitOf returns scheme i's store that holds routing unit u and u's
+// record in it.
+func (e *Engine) unitOf(i, u int) (*store, *unit) {
+	s := e.stores[i*e.workers+u%e.workers]
+	return s, &s.units[u/e.workers]
+}
+
 // IngestRouters returns the resolved ingest-router count, the number of
 // goroutines that read and route the source during Run — between 1 and
 // Units() (Options.IngestRouters documents the resolution rule). Like Workers,
@@ -215,10 +241,10 @@ func (e *Engine) routeOf(addr uint64) int {
 	return int((addr%banks)*k + (addr/banks)%k)
 }
 
-// routedReq is what a shard replays of one request: its global trace
+// routedReq is what a store replays of one request: its global trace
 // sequence number (for deterministic error ordering), its line address
 // and the content to store. The request's Old line is not carried:
-// shards diff against their own stored planes.
+// stores diff against their own stored planes.
 type routedReq struct {
 	seq  uint64
 	addr uint64
@@ -239,9 +265,9 @@ type routedReq struct {
 // failing request in trace order — deterministic even though the
 // failure is detected concurrently: the globally-first failing request
 // was necessarily read before any failure that could trigger a stop,
-// so it is always dispatched and applied. A shard that erred freezes,
-// so its own metrics cover exactly its prefix up to the failure;
-// metrics of other shards cover an unspecified prefix of the tail,
+// so it is always dispatched and applied. A unit that erred freezes,
+// so its own requests are applied exactly up to the failure; the
+// requests of other units cover an unspecified prefix of the tail,
 // since how many requests were read before the stop depends on timing.
 // Metrics of error-free runs are always exact and worker-count
 // independent.
@@ -282,7 +308,7 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) erro
 						e.workerReqs[w] += uint64(run.end - run.start)
 					}
 				}
-				e.applyRuns(c.perm, mine, &failed)
+				e.applyRuns(w, c.perm, mine, &failed)
 				if c.refs.Add(-1) == 0 {
 					e.freeChunks <- c
 				}
@@ -313,17 +339,18 @@ func (e *Engine) RunContext(ctx context.Context, src trace.Source, max int) erro
 	return degradedError(e.Metrics(), e.opts.Faults)
 }
 
-// reserveLineCap bounds the per-shard arena preallocation a Count()
-// hint can request. The request count only upper-bounds the distinct
-// lines (most traces rewrite heavily), so the hint is treated as a
-// growth-churn saver, not a sizing guarantee — past the cap, the
-// arena's amortized doubling takes over.
+// reserveLineCap bounds the per-unit share of a store's arena
+// preallocation a Count() hint can request. The request count only
+// upper-bounds the distinct lines (most traces rewrite heavily), so the
+// hint is treated as a growth-churn saver, not a sizing guarantee —
+// past the cap, the arena's amortized doubling takes over.
 const reserveLineCap = 4096
 
-// reserveLines sizes every shard's arena from the source's request
+// reserveLines sizes every store's arena from the source's request
 // count when it advertises one (mmap-backed and pre-parsed sources
-// implement Count). Shards partition the address space, so each gets
-// the per-unit share.
+// implement Count). Units partition the address space, so each unit's
+// share is the per-unit hint, capped at reserveLineCap, and a store
+// reserves the sum of its units' shares.
 func (e *Engine) reserveLines(src trace.Source, max int) {
 	c, ok := src.(interface{ Count() uint64 })
 	if !ok {
@@ -337,8 +364,8 @@ func (e *Engine) reserveLines(src trace.Source, max int) {
 	if hint > reserveLineCap {
 		hint = reserveLineCap
 	}
-	for _, u := range e.shards {
-		u.reserve(hint)
+	for _, s := range e.stores {
+		s.reserve(hint * len(s.units))
 	}
 }
 
@@ -356,89 +383,103 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// applyRuns replays one worker's share of a routed chunk: runs are the
-// chunk's runs of units the worker owns, and all schemes' shards of
-// those units share the owner, so no other goroutine ever touches the
-// shards referenced here. Each scheme goes through every run before the
-// next scheme starts, which keeps its tables and line store hot, and
-// its touch pass covers all the runs before the first apply, so the
-// line misses of the whole share overlap.
-func (e *Engine) applyRuns(perm []routedReq, runs []unitRun, failed *atomic.Bool) {
+// applyRuns replays worker w's share of a routed chunk: runs are the
+// chunk's runs of units the worker owns, and all of them land on the
+// worker's own stores, so no other goroutine ever touches the state
+// referenced here. Each scheme goes through every run before the next
+// scheme starts, which keeps its tables and line store hot, and its
+// touch pass covers all the runs before the first apply, so the line
+// misses of the whole share overlap.
+func (e *Engine) applyRuns(w int, perm []routedReq, runs []unitRun, failed *atomic.Bool) {
 	for i := range e.schemes {
-		shards := e.shards[i*e.units : (i+1)*e.units]
+		s := e.stores[i*e.workers+w]
 		for _, run := range runs {
-			if u := shards[run.unit]; u.err == nil {
-				u.touch(perm[run.start:run.end])
+			if s.units[int(run.unit)/e.workers].err == nil {
+				s.touch(perm[run.start:run.end])
 			}
 		}
 		for _, run := range runs {
-			u := shards[run.unit]
-			if u.err != nil {
+			un := &s.units[int(run.unit)/e.workers]
+			if un.err != nil {
 				continue // frozen after its first failure
 			}
-			if seq, err := u.applyRun(perm[run.start:run.end]); err != nil {
-				u.err = err
-				u.errSeq = seq
+			if seq, err := s.applyRun(un, perm[run.start:run.end]); err != nil {
+				un.err = err
+				un.errSeq = seq
 				failed.Store(true)
 			}
 		}
 	}
 }
 
-// publishOwned refreshes the snapshot copies of every shard worker w
-// owns (cheap for shards without new writes).
+// publishOwned refreshes the snapshot copies of worker w's stores
+// (cheap for stores without new writes).
 func (e *Engine) publishOwned(w int) {
-	for unit := w; unit < e.units; unit += e.workers {
-		for i := range e.schemes {
-			e.shards[i*e.units+unit].publishIfDirty()
-		}
+	for i := range e.schemes {
+		e.stores[i*e.workers+w].publishIfDirty()
 	}
 }
 
 // firstError returns the recorded error with the lowest sequence number
-// (ties broken by shard index), or nil.
+// (ties broken by (scheme, unit) order), or nil.
 func (e *Engine) firstError() error {
 	var err error
 	var errSeq uint64
-	for _, u := range e.shards {
-		if u.err != nil && (err == nil || u.errSeq < errSeq) {
-			err, errSeq = u.err, u.errSeq
+	for i := range e.schemes {
+		for u := 0; u < e.units; u++ {
+			_, un := e.unitOf(i, u)
+			if un.err != nil && (err == nil || un.errSeq < errSeq) {
+				err, errSeq = un.err, un.errSeq
+			}
 		}
 	}
 	return err
 }
 
-// Metrics merges the shards of every scheme, in fixed (bank, sub-shard)
-// order, and returns the per-scheme metrics index-aligned with the
-// schemes passed to NewEngine. It reads the live accumulators and must
-// not be called concurrently with Run — use Snapshot for that.
+// Metrics merges every scheme's stores and then its units' float sums,
+// in fixed (bank, sub-shard) order, and returns the per-scheme metrics
+// index-aligned with the schemes passed to NewEngine. It reads the live
+// accumulators and must not be called concurrently with Run — use
+// Snapshot for that.
 func (e *Engine) Metrics() []Metrics {
 	out := make([]Metrics, len(e.schemes))
 	for i, sch := range e.schemes {
 		m := newMetrics(sch.Name())
+		var v Metrics
+		for w := 0; w < e.workers; w++ {
+			e.stores[i*e.workers+w].viewInto(&v)
+			m.Merge(v)
+		}
 		for u := 0; u < e.units; u++ {
-			m.Merge(e.shards[i*e.units+u].metricsView())
+			_, un := e.unitOf(i, u)
+			un.sums.addTo(&m)
 		}
 		out[i] = m
 	}
 	return out
 }
 
-// Snapshot merges the per-shard published metric copies, in the same
-// fixed order as Metrics, and is safe to call from any goroutine
-// while Run is executing. Workers publish whenever their queue runs
-// dry and at least every publishEvery chunks, so a snapshot lags each
-// shard by at most that many chunks plus the one in flight; once Run has
-// returned, Snapshot and Metrics agree exactly. Counters within one
-// scheme are mutually consistent per shard (each publish is an atomic
-// copy under the shard's lock), and Writes per scheme is monotonically
-// non-decreasing across snapshots.
+// Snapshot merges the published copies of every store and of its
+// units' float sums, in the same fixed order as Metrics, and is safe to
+// call from any goroutine while Run is executing. Workers publish
+// whenever their queue runs dry and at least every publishEvery chunks,
+// so a snapshot lags each store by at most that many chunks plus the
+// one in flight; once Run has returned, Snapshot and Metrics agree
+// exactly. Counters within one scheme are mutually consistent per store
+// (each publish is an atomic copy under the store's lock), and Writes
+// per scheme is monotonically non-decreasing across snapshots.
 func (e *Engine) Snapshot() []Metrics {
 	out := make([]Metrics, len(e.schemes))
+	sums := make([][]unitSums, e.workers)
 	for i, sch := range e.schemes {
 		m := newMetrics(sch.Name())
+		for w := range sums {
+			var v Metrics
+			v, sums[w] = e.stores[i*e.workers+w].snapshot()
+			m.Merge(v)
+		}
 		for u := 0; u < e.units; u++ {
-			m.Merge(e.shards[i*e.units+u].snapshot())
+			sums[u%e.workers][u/e.workers].addTo(&m)
 		}
 		out[i] = m
 	}
@@ -456,20 +497,20 @@ func (e *Engine) MetricsFor(name string) (Metrics, bool) {
 }
 
 // ResetMetrics clears the accumulated metrics (wear counts included;
-// the tracked footprint stays) but keeps every shard's memory state —
+// the tracked footprint stays) but keeps every store's memory state —
 // used after a warm-up phase so reported numbers reflect steady-state
 // behavior rather than cold first writes.
 func (e *Engine) ResetMetrics() {
-	for _, u := range e.shards {
-		u.resetMetrics()
+	for _, s := range e.stores {
+		s.resetMetrics()
 	}
 }
 
 // Reset clears metrics and memory state (schemes and PRNG positions are
 // kept; build a fresh Engine for an independent randomized run).
 func (e *Engine) Reset() {
-	for _, u := range e.shards {
-		u.reset()
+	for _, s := range e.stores {
+		s.reset()
 	}
 }
 
@@ -483,8 +524,8 @@ func (e *Engine) RetiredLines() [][]uint64 {
 	for i := range e.schemes {
 		var all []uint64
 		for u := 0; u < e.units; u++ {
-			if fm := e.shards[i*e.units+u].fm; fm != nil {
-				all = append(all, fm.Retired()...)
+			if _, un := e.unitOf(i, u); un.fm != nil {
+				all = append(all, un.fm.Retired()...)
 			}
 		}
 		// Each unit's list is sorted, but units interleave addresses.

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"wlcrc/internal/memsys"
 	"wlcrc/internal/trace"
@@ -188,5 +190,30 @@ func TestEngineRunMaxLimit(t *testing.T) {
 	}
 	if m := e.Metrics()[0]; m.Writes != 100 {
 		t.Errorf("writes = %d, want 100", m.Writes)
+	}
+}
+
+// TestNewEngineFootprint pins the engine's build cost to its stores,
+// not its routing units: NewEngine over the eight Fig. 8 schemes at
+// Workers = 1 under Table II's 256 units builds one store per scheme
+// and, apart from the ingest chunk pool, allocates under 1 MB. Per-unit
+// line stores, metrics and buffers (about 9 MB here when every unit
+// carried them) fail it.
+func TestNewEngineFootprint(t *testing.T) {
+	schemes := schemesForTest(t, fig8Schemes...)
+	opts := DefaultOptions()
+	opts.Workers = 1
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEngine(opts, schemes...)
+	runtime.ReadMemStats(&after)
+	if len(e.stores) != len(schemes) || e.Units() != 256 {
+		t.Fatalf("%d stores over %d units, want %d stores over 256", len(e.stores), e.Units(), len(schemes))
+	}
+	pool := uint64(cap(e.freeChunks)) * ingestChunkCap * uint64(unsafe.Sizeof(routedReq{}))
+	const bound = 1 << 20
+	if got := after.TotalAlloc - before.TotalAlloc - pool; got > bound {
+		t.Errorf("NewEngine allocated %d bytes beside its %d-byte chunk pool, want at most %d", got, pool, bound)
 	}
 }

@@ -27,7 +27,7 @@ func faultTestTrace(t *testing.T, profile string, footprint, n int, seed uint64)
 }
 
 // checkReadBack reads every written address back through its owning
-// shard's controller read path, for every scheme, and compares it
+// store's controller read path, for every scheme, and compares it
 // bit-exactly against the last write — the fault pipeline's end-to-end
 // recoverability contract.
 func checkReadBack(t *testing.T, e *Engine, final map[uint64]*memline.Line) {
@@ -35,8 +35,8 @@ func checkReadBack(t *testing.T, e *Engine, final map[uint64]*memline.Line) {
 	for i := range e.schemes {
 		var got memline.Line
 		for addr, want := range final {
-			u := e.lineShard(i, addr)
-			ok, err := u.readLine(addr, &got)
+			u, un := e.lineUnit(i, addr)
+			ok, err := u.readLine(un, addr, &got)
 			if err != nil {
 				t.Fatalf("%s: read %#x: %v", u.scheme.Name(), addr, err)
 			}
@@ -415,7 +415,7 @@ func TestRetiredLinesMergesInterleavedUnits(t *testing.T) {
 		// insertion.
 		for a := uint64(lines); a > 0; a-- {
 			addr := (a - 1) * 3
-			if !e.shards[i*e.units+e.routeOf(addr)].fm.Retire(addr, nil, addr) {
+			if _, un := e.lineUnit(i, addr); !un.fm.Retire(addr, nil, addr) {
 				t.Fatalf("scheme %d: spare pool exhausted at %d", i, addr)
 			}
 		}
@@ -434,9 +434,9 @@ func TestRetiredLinesMergesInterleavedUnits(t *testing.T) {
 
 // TestFaultDisabledEngineCarriesNoFaultState pins the fault model's
 // zero cost when disabled, at the engine layer: an engine built with
-// Faults off gives no shard a fault map or any of its repair scratch,
+// Faults off gives no unit a fault map and no store any repair scratch,
 // builds a wear recorder only when TrackWear asks for one, and settles
-// a warmed routed batch through an engine-built shard at 0 allocs/op.
+// a warmed routed batch through an engine-built store at 0 allocs/op.
 // The leaks it names (fault state built unconditionally, wear tracking
 // created without TrackWear, an allocation on the fault-free settle
 // path) show here as a structural fact, independent of wall-clock
@@ -452,25 +452,30 @@ func TestFaultDisabledEngineCarriesNoFaultState(t *testing.T) {
 		if err := e.Run(src, 0); err != nil {
 			t.Fatal(err)
 		}
-		for _, u := range e.shards {
+		for _, u := range e.stores {
 			name := u.scheme.Name()
-			if u.fm != nil || u.encodeStuck != nil || u.cellsOld != nil || u.cellsNew != nil {
-				t.Errorf("TrackWear=%v %s: fault-disabled shard carries fault state", trackWear, name)
+			if u.encodeStuck != nil || u.cellsOld != nil || u.cellsNew != nil {
+				t.Errorf("TrackWear=%v %s: fault-disabled store carries fault state", trackWear, name)
+			}
+			for k := range u.units {
+				if u.units[k].fm != nil {
+					t.Errorf("TrackWear=%v %s: fault-disabled unit carries a fault map", trackWear, name)
+				}
 			}
 			if got := u.wear != nil; got != trackWear {
 				t.Errorf("TrackWear=%v %s: wear recorder built = %v", trackWear, name, got)
 			}
 		}
 		for i := range e.schemes {
-			u := e.lineShard(i, src.Reqs[0].Addr)
+			u, un := e.lineUnit(i, src.Reqs[0].Addr)
 			var rs []routedReq
 			for k, req := range src.Reqs {
-				if e.lineShard(i, req.Addr) == u {
+				if _, v := e.lineUnit(i, req.Addr); v == un {
 					rs = append(rs, routedReq{seq: uint64(k), addr: req.Addr, data: req.New})
 				}
 			}
 			avg := testing.AllocsPerRun(10, func() {
-				if _, err := u.applyRun(rs); err != nil {
+				if _, err := u.applyRun(un, rs); err != nil {
 					t.Fatal(err)
 				}
 			})

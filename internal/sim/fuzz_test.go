@@ -95,8 +95,8 @@ func FuzzStuckRepair(f *testing.F) {
 				rs := map[uint64]readResult{}
 				var got memline.Line
 				for addr, want := range final {
-					u := s.lineShard(i, addr)
-					ok, rerr := u.readLine(addr, &got)
+					u, un := s.lineUnit(i, addr)
+					ok, rerr := u.readLine(un, addr, &got)
 					if !ok {
 						t.Fatalf("%s: written addr %#x not resident", u.scheme.Name(), addr)
 					}
@@ -105,9 +105,9 @@ func FuzzStuckRepair(f *testing.F) {
 						r.err = rerr.Error()
 					}
 					rs[addr] = r
-					if u.fm.Stats.Uncorrectable == 0 && !r.match {
+					if un.fm.Stats.Uncorrectable == 0 && !r.match {
 						t.Fatalf("%s: addr %#x reads back wrong with zero uncorrectable writes (stats %+v)",
-							u.scheme.Name(), addr, u.fm.Stats)
+							u.scheme.Name(), addr, un.fm.Stats)
 					}
 				}
 				reads[sch.Name()] = rs
@@ -151,8 +151,8 @@ func fuzzGeometries() []memsys.Config {
 //     into exactly (BankOf, SubShardOf);
 //   - no request is dropped or duplicated: every scheme's merged write
 //     count equals the stream length;
-//   - every line ends up resident in exactly the shard its address
-//     routes to, and in no other shard;
+//   - every line ends up resident in exactly the store of the worker
+//     that owns its routed unit, and in no other store;
 //   - no request is reordered within its line's sub-shard: metrics of
 //     the parallel run are bit-identical to the Workers=1 serial
 //     reference of the same engine — with a counter-keyed scheme (VCC-4,
@@ -223,24 +223,25 @@ func FuzzRouteSubShard(f *testing.F) {
 			}
 		}
 
-		// Residency: each address's line lives in exactly its routed
-		// shard (checked for every scheme's shard array).
+		// Residency: each address's line lives in exactly the store of
+		// the worker that owns its routed unit (checked for every
+		// scheme's stores).
 		want := map[uint64]bool{}
 		for i := range reqs {
 			want[reqs[i].Addr] = true
 		}
+		w := e.Workers()
 		for si := range schemes {
 			seen := map[uint64]bool{}
-			for u := 0; u < units; u++ {
-				sh := e.shards[si*units+u]
+			for wi := 0; wi < w; wi++ {
 				var bad error
-				sh.eachResident(func(addr uint64) {
-					if e.routeOf(addr) != u {
-						bad = fmt.Errorf("scheme %d: addr %#x resident in unit %d, routes to %d",
-							si, addr, u, e.routeOf(addr))
+				e.stores[si*w+wi].eachResident(func(addr uint64) {
+					if u := e.routeOf(addr); u%w != wi {
+						bad = fmt.Errorf("scheme %d: addr %#x resident in worker %d's store, routes to unit %d",
+							si, addr, wi, u)
 					}
 					if seen[addr] {
-						bad = fmt.Errorf("scheme %d: addr %#x resident in two shards", si, addr)
+						bad = fmt.Errorf("scheme %d: addr %#x resident in two stores", si, addr)
 					}
 					seen[addr] = true
 				})

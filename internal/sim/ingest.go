@@ -23,7 +23,7 @@ import (
 //	         into the chunk grouped by unit (within-unit order preserved,
 //	         every request stamped with its global sequence number) and
 //	         indexes the groups. The decoded requests stay in the
-//	         router's scratch; a chunk carries only what shards replay.
+//	         router's scratch; a chunk carries only what stores replay.
 //	hand-off the Run goroutine takes routed chunks through a fixed ring,
 //	         strictly in chunk-sequence order, and sends each chunk to
 //	         every worker's queue. A worker applies the runs of the units
@@ -34,7 +34,7 @@ import (
 // and the chunk it fills; the hand-off runs in chunk order on one
 // goroutine. Every worker receives the chunks in that order over one
 // FIFO channel, and a unit's run inside a chunk keeps trace order, so
-// each shard sees its requests in trace order for every router and
+// each unit sees its requests in trace order for every router and
 // worker count and results are bit-identical across both — which the
 // ingest determinism tests assert for Source, BatchSource and
 // MappedSource inputs alike.
@@ -48,10 +48,10 @@ import (
 // ingestChunkCap is the fixed chunk size in requests (~330 KB of
 // 80-byte routed requests). A unit run averages ingestChunkCap/units
 // requests (16 under Table II), and the chunk is sized by that: the
-// longer a worker stays on one shard, the more its line store and
-// metrics stay in cache, and the touch pass, which covers a worker's
-// whole share of a chunk per scheme, needs enough lines in flight to
-// overlap their misses while that share still fits in L2. It is small
+// longer a worker stays on one unit's run, the more its lines stay in
+// cache, and the touch pass, which covers a worker's whole share of a
+// chunk per scheme, needs enough lines in flight to overlap their
+// misses while that share still fits in L2. It is small
 // enough that a short trace reaches its workers after the first chunk.
 const ingestChunkCap = 4096
 
@@ -61,9 +61,9 @@ const ingestChunkCap = 4096
 const chunkQueueCap = 4
 
 // publishEvery bounds how many chunks a busy worker applies between two
-// Snapshot publishes of its shards. Publishing copies a shard's whole
+// Snapshot publishes of its stores. Publishing copies a store's whole
 // Metrics, so doing it after every chunk, with only a few requests per
-// shard in between, would cost a large share of a cheap scheme's replay.
+// store in between, would cost a large share of a cheap scheme's replay.
 const publishEvery = 4
 
 // ingestAutoMax caps the auto-resolved router count: decode + routing

@@ -87,7 +87,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	for i, sch := range schemes {
 		for addr, want := range lastWrite {
 			var got memline.Line
-			ok, err := s.lineShard(i, addr).readLine(addr, &got)
+			st, un := s.lineUnit(i, addr)
+			ok, err := st.readLine(un, addr, &got)
 			if err != nil || !ok {
 				t.Fatalf("%s: no state for addr %d (ok=%v err=%v)", sch.Name(), addr, ok, err)
 			}

@@ -8,13 +8,15 @@
 // Engine (engine.go) is the one replay frontend. It fans the trace out
 // to workers and, within a scheme, shards the address space by (bank,
 // sub-shard) routing unit (memsys geometry), so independent lines replay
-// in parallel on far more workers than there are banks. Each shard
-// (shard.go) stores its lines as bit planes in an arena and charges the
-// models on planes. Per-shard metrics are merged in a fixed order, so a
-// run is bit-identical for every worker count — Options.Workers = 1 is
-// the serial mode of the same engine. The tests keep a cell-vector
-// reference store (scalar_oracle_test.go) that the engine must match bit
-// for bit.
+// in parallel on far more workers than there are banks. Routing units
+// are the determinism contract: each keeps its own float metric sums,
+// PRNG substream and fault state, merged in a fixed order, so a run is
+// bit-identical for every worker count — Options.Workers = 1 is the
+// serial mode of the same engine. Stores (store.go) are the per-worker
+// state: one per (scheme, worker) keeps the lines of the units that
+// worker owns as bit planes in an arena and charges the models on
+// planes. The tests keep a cell-vector reference store
+// (scalar_oracle_test.go) that the engine must match bit for bit.
 package sim
 
 import (
@@ -30,7 +32,7 @@ import (
 )
 
 // Bucket widths of the per-write metric histograms. Fixed so every
-// shard's histogram is mergeable with every other's: per-write energy in
+// store's histogram is mergeable with every other's: per-write energy in
 // 1024 pJ steps (64 buckets span 0..64k pJ, beyond the worst realistic
 // full-line write; the rest overflows), updated cells in steps of 8 (64
 // buckets span 0..512, above any scheme's total cell count).
@@ -85,7 +87,7 @@ type Metrics struct {
 
 // newMetrics returns an empty accumulator for one scheme with the
 // histogram bucket widths configured. All metric construction funnels
-// through here so every shard's histograms stay mergeable.
+// through here so every store's histograms stay mergeable.
 func newMetrics(scheme string) Metrics {
 	return Metrics{
 		Scheme:      scheme,
@@ -94,10 +96,12 @@ func newMetrics(scheme string) Metrics {
 	}
 }
 
-// Merge folds another shard's metrics for the same scheme into m:
+// Merge folds another partial run's metrics for the same scheme into m:
 // counters and accumulators add, worst-case trackers take the maximum.
-// The Engine merges its per-bank shards in a fixed order so the result
-// is independent of how work was scheduled across workers.
+// Float sums do not associate, so the Engine adds its units' float sums
+// in a fixed unit order, the order Merge over per-unit metrics would
+// add them, so the result is independent of how work was scheduled
+// across workers.
 func (m *Metrics) Merge(o Metrics) {
 	m.Writes += o.Writes
 	m.Energy.Add(o.Energy)

@@ -27,8 +27,8 @@ func schemesForTest(t *testing.T, names ...string) []core.Scheme {
 }
 
 // serialGeometry is a single routing unit (one bank, one sub-shard): an
-// Engine over it keeps exactly one shard per scheme, covering every
-// address, so per-shard resources such as the fault model's spare pool
+// Engine over it keeps exactly one unit per scheme, covering every
+// address, so per-unit resources such as the fault model's spare pool
 // are shared by the whole footprint.
 func serialGeometry() memsys.Config {
 	return memsys.Config{Channels: 1, DIMMsPerChan: 1, BanksPerDIMM: 1, SubShards: 1,
@@ -42,11 +42,6 @@ func newSerialEngine(opts Options, schemes ...core.Scheme) *Engine {
 	opts.Workers = 1
 	opts.Geometry = serialGeometry()
 	return NewEngine(opts, schemes...)
-}
-
-// lineShard returns scheme i's shard that owns addr.
-func (e *Engine) lineShard(i int, addr uint64) *shard {
-	return e.shards[i*e.units+e.routeOf(addr)]
 }
 
 // TestSimulatorBasicRun replays a short gcc stream on the serial engine
@@ -127,7 +122,7 @@ type brokenScheme struct{ core.Baseline }
 func (brokenScheme) Name() string { return "broken" }
 
 // DecodePlanesInto corrupts every decode, so the breakage surfaces on
-// the plane path the shard stores lines through.
+// the plane path the store keeps lines through.
 func (b brokenScheme) DecodePlanesInto(planes []uint64, dst *memline.Line) {
 	b.Baseline.DecodePlanesInto(planes, dst)
 	dst[0] ^= 0xff

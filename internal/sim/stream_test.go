@@ -118,7 +118,7 @@ func TestEngineSnapshotWhileIdle(t *testing.T) {
 
 // TestDispatcherSteadyStateAllocs asserts the pooled routed dispatcher
 // runs allocation-free at steady state: after a warm-up Run has filled
-// the shard memory, a whole second Run on the prefilled chunk pool
+// the stores' line memory, a whole second Run on the prefilled chunk pool
 // amortizes to (near) zero allocations per request — only the fixed
 // per-Run setup (channels, router and worker goroutines, per-router
 // and per-worker scratch) remains.

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"wlcrc/internal/coset"
+	"wlcrc/internal/fault"
 	"wlcrc/internal/pcm"
 )
 
@@ -22,7 +23,7 @@ type VnRStats struct {
 	Residual        uint64 // errors left when the iteration cap was hit
 }
 
-// Merge folds another shard's VnR stats into v: accumulators add,
+// Merge folds another unit's VnR stats into v: accumulators add,
 // MaxIterations takes the maximum.
 func (v *VnRStats) Merge(o VnRStats) {
 	v.InjectedErrors += o.InjectedErrors
@@ -35,30 +36,30 @@ func (v *VnRStats) Merge(o VnRStats) {
 	v.Residual += o.Residual
 }
 
-// runVnR injects disturbance faults for a completed write and repairs
-// them, on plane masks. newP is the freshly-programmed line (the
-// intended content) and u.masks marks the cells this write programmed.
-// The stored copy equals newP at every draw: disturbance drives each
-// hit to the SET state S2, the read-after-write then finds exactly the
-// hits whose intended state is not S2, and restore rewrites those
-// cells, so a round's restored cells are hits &^ (lo &^ hi). The
+// runVnR injects disturbance faults for a completed write of unit un
+// and repairs them, on plane masks. newP is the freshly-programmed line
+// (the intended content) and s.masks marks the cells this write
+// programmed. The stored copy equals newP at every draw: disturbance
+// drives each hit to the SET state S2, the read-after-write then finds
+// exactly the hits whose intended state is not S2, and restore rewrites
+// those cells, so a round's restored cells are hits &^ (lo &^ hi). The
 // restore writes are RESET events of their own and may disturb their
 // idle neighbors again, up to Options.MaxVnRIterations rounds. Hits are
-// drawn in ascending cell order and restore energy is added in
-// ascending cell order, so draws and sums match the cell-vector
-// reference kept in the tests (scalar_oracle_test.go). Residual errors
-// at the cap — disturbance VnR never cleared — feed the fault pipeline
-// when it is enabled: the affected cells of addr are injected as stuck
-// at S2.
-func (u *shard) runVnR(newP []uint64, addr uint64) {
-	m := &u.m
-	dm, em := &u.opts.Disturb, &u.opts.Energy
-	n := u.scheme.TotalCells()
-	hits, restore := u.vnrHits, u.vnrRestore
-	nHits := dm.DisturbedMasksInto(hits, newP, u.masks, n, u.rnd)
+// drawn from the unit's substream in ascending cell order and restore
+// energy is added in ascending cell order, so draws and sums match the
+// cell-vector reference kept in the tests (scalar_oracle_test.go).
+// Residual errors at the cap — disturbance VnR never cleared — feed the
+// fault pipeline when it is enabled: the affected cells of addr are
+// injected as stuck at S2.
+func (s *store) runVnR(un *unit, newP []uint64, addr uint64) {
+	m := &s.m
+	dm, em := &s.opts.Disturb, &s.opts.Energy
+	n := s.scheme.TotalCells()
+	hits, restore := s.vnrHits, s.vnrRestore
+	nHits := dm.DisturbedMasksInto(hits, newP, s.masks, n, un.rnd)
 	m.VnR.InjectedErrors += uint64(nHits)
 	iter := 0
-	for nHits > 0 && iter < u.opts.MaxVnRIterations {
+	for nHits > 0 && iter < s.opts.MaxVnRIterations {
 		iter++
 		for w, h := range hits {
 			lo, hi := newP[2*w], newP[2*w+1]
@@ -69,7 +70,7 @@ func (u *shard) runVnR(newP []uint64, addr uint64) {
 				m.VnR.RestoreEnergyPJ += em.WriteEnergy(pcm.PlaneState(lo, hi, bits.TrailingZeros64(r)))
 			}
 		}
-		nHits = dm.DisturbedMasksInto(hits, newP, restore, n, u.rnd)
+		nHits = dm.DisturbedMasksInto(hits, newP, restore, n, un.rnd)
 		m.VnR.InjectedErrors += uint64(nHits)
 	}
 	m.VnR.Iterations += uint64(iter)
@@ -78,24 +79,24 @@ func (u *shard) runVnR(newP []uint64, addr uint64) {
 	}
 	if nHits > 0 {
 		m.VnR.Residual += uint64(nHits)
-		if u.fm != nil {
-			u.injectResiduals(addr, newP, hits)
+		if un.fm != nil {
+			s.injectResiduals(un.fm, addr, newP, hits)
 		}
 	}
 }
 
-// injectResiduals freezes the VnR residual cells of the hit mask at the
-// SET state the disturbance drove them to and classifies the line's
-// recoverability: residuals beyond the ECC budget make reads of the
-// line deterministic garbage, counted as uncorrectable (no retry or
-// retirement recourse — the write itself succeeded; the corruption
-// crept in afterwards). Only the ECC classification unpacks newP to
-// cells.
-func (u *shard) injectResiduals(addr uint64, newP, hits []uint64) {
+// injectResiduals freezes the VnR residual cells of the hit mask in
+// fault map fm at the SET state the disturbance drove them to and
+// classifies the line's recoverability: residuals beyond the ECC budget
+// make reads of the line deterministic garbage, counted as
+// uncorrectable (no retry or retirement recourse — the write itself
+// succeeded; the corruption crept in afterwards). Only the ECC
+// classification unpacks newP to cells.
+func (s *store) injectResiduals(fm *fault.Map, addr uint64, newP, hits []uint64) {
 	injected := 0
 	for w, h := range hits {
 		for ; h != 0; h &= h - 1 {
-			if u.fm.InjectStuck(addr, w*32+bits.TrailingZeros64(h), pcm.S2) {
+			if fm.InjectStuck(addr, w*32+bits.TrailingZeros64(h), pcm.S2) {
 				injected++
 			}
 		}
@@ -103,9 +104,9 @@ func (u *shard) injectResiduals(addr uint64, newP, hits []uint64) {
 	if injected == 0 {
 		return
 	}
-	cells := u.cellsNew[:u.scheme.TotalCells()]
+	cells := s.cellsNew[:s.scheme.TotalCells()]
 	coset.UnpackLine(newP, cells)
-	if _, ok := u.fm.Correct(cells, u.fm.Stuck(addr), &u.eccSc); !ok {
-		u.fm.Stats.Uncorrectable++
+	if _, ok := fm.Correct(cells, fm.Stuck(addr), &s.eccSc); !ok {
+		fm.Stats.Uncorrectable++
 	}
 }

@@ -3,8 +3,8 @@ package stats
 // HistogramBuckets is the fixed bucket count of Histogram. Fixing the
 // count (rather than the range) keeps the type a plain value — no slice,
 // no allocation — so the simulator can embed histograms in its
-// per-shard metrics, copy them when publishing snapshots, and merge
-// per-bank partials with plain integer adds, all without touching the
+// per-store metrics, copy them when publishing snapshots, and merge
+// per-store partials with plain integer adds, all without touching the
 // heap.
 const HistogramBuckets = 64
 
@@ -14,7 +14,7 @@ const HistogramBuckets = 64
 // exact largest sample). The zero value is inert: it merges as an
 // identity element and adopts the width of the first non-zero histogram
 // merged into it, which is what lets a zero Metrics accumulator fold
-// per-shard partials without knowing the widths up front.
+// per-store partials without knowing the widths up front.
 //
 // Histogram is a value type. Observe and Merge mutate through a
 // pointer; copying a Histogram snapshots it.

@@ -3,6 +3,7 @@ package vcc
 import (
 	"math/bits"
 
+	"wlcrc/internal/coset"
 	"wlcrc/internal/memline"
 	"wlcrc/internal/pcm"
 	"wlcrc/internal/prng"
@@ -44,14 +45,15 @@ func (c Cipher) Candidates(addr, ctr uint64, n int,
 // and a second oracle in checkAgainstScalar.
 type refSweep struct {
 	s    *Scheme
+	swar coset.SWARTable // C1 and its energies, applied by table
 	prod [pcm.NumStates][memline.WordCells + 1]float64
 }
 
 func newRefSweep(s *Scheme) *refSweep {
-	r := &refSweep{s: s}
+	r := &refSweep{s: s, swar: coset.C1.SWAR(&s.em)}
 	for st := range r.prod {
 		for k := range r.prod[st] {
-			r.prod[st][k] = float64(k) * s.swar.Energy[st]
+			r.prod[st][k] = float64(k) * r.swar.Energy[st]
 		}
 	}
 	return r
@@ -97,7 +99,7 @@ func (r *refSweep) bestCandidate(cw, old uint64, vecs *[MaxCandidates][memline.L
 	k1 := spreadLo &^ fieldIs(old, fieldPol(1))
 	k2 := spreadLo &^ fieldIs(old, fieldPol(2))
 	k3 := spreadLo &^ fieldIs(old, fieldPol(3))
-	p0, p1, p2, p3 := fieldPol(s.swar.Inv[0]), fieldPol(s.swar.Inv[1]), fieldPol(s.swar.Inv[2]), fieldPol(s.swar.Inv[3])
+	p0, p1, p2, p3 := fieldPol(r.swar.Inv[0]), fieldPol(r.swar.Inv[1]), fieldPol(r.swar.Inv[2]), fieldPol(r.swar.Inv[3])
 	prod := &r.prod
 	price := func(x uint64) float64 {
 		n0 := bits.OnesCount64(fieldIs(x, p0) & k0)
@@ -112,6 +114,6 @@ func (r *refSweep) bestCandidate(cw, old uint64, vecs *[MaxCandidates][memline.L
 			best, bestCost = c, cost
 		}
 	}
-	lo, hi = s.swar.ApplyPlanes(memline.LoHiPlanes(cw ^ vecs[best][w]))
+	lo, hi = r.swar.ApplyPlanes(memline.LoHiPlanes(cw ^ vecs[best][w]))
 	return best, lo, hi
 }

@@ -54,8 +54,6 @@ type Scheme struct {
 	idxBits int // bits per stored index: log2(n)
 	cipher  Cipher
 	em      pcm.EnergyModel
-	// swar applies the fixed C1 mapping (and its inverse) word-parallel.
-	swar coset.SWARTable
 	// Exactly one product table is set: iprod when the write energies
 	// are integers, else fprod.
 	iprod *costs[uint64]
@@ -98,12 +96,13 @@ func New(em pcm.EnergyModel, n int, key uint64) (*Scheme, error) {
 		idxBits: idxBits,
 		cipher:  Cipher{Key: key},
 		em:      em,
-		swar:    coset.C1.SWAR(&em),
 	}
-	if e, ok := s.swar.IntEnergy(); ok {
+	// The C1 table lists the write energies in state order.
+	swar := coset.C1.SWAR(&em)
+	if e, ok := swar.IntEnergy(); ok {
 		s.iprod = newCosts([pcm.NumStates]uint64{uint64(e[0]), uint64(e[1]), uint64(e[2]), uint64(e[3])})
 	} else {
-		s.fprod = newCosts(s.swar.Energy)
+		s.fprod = newCosts(swar.Energy)
 	}
 	return s, nil
 }
@@ -158,7 +157,9 @@ const spreadLo = 0x5555555555555555
 // the (addr, ctr) pad, prices the n candidates of the word, candidate 0
 // the zero vector and candidate c output LineWords·c + w of the
 // keystream, writes the cheapest's state planes (the ciphertext word
-// XORed with it, mapped through C1) into dst[2w], dst[2w+1], and returns
+// XORed with it, mapped through C1 in closed form: over a symbol's bits
+// (b0, b1) the planes are lo = b0 ^ b1, hi = b0, which TestC1ClosedForm
+// pins) into dst[2w], dst[2w+1], and returns
 // the winning indices, idxBits each, LSB-first. Candidate v programs the
 // cells whose symbol in cw^v maps to state s wherever the stored state
 // is not already s; ties keep the lower index.
@@ -192,7 +193,8 @@ func sweep[C uint64 | float64](s *Scheme, prod *costs[C], dst, old []uint64, add
 				best, bestV, bestCost = c, v, cost
 			}
 		}
-		dst[2*w], dst[2*w+1] = s.swar.ApplyPlanes(memline.LoHiPlanes(cw ^ bestV))
+		b0, b1 := memline.LoHiPlanes(cw ^ bestV)
+		dst[2*w], dst[2*w+1] = b0^b1, b0
 		idx |= uint64(best) << uint(w*s.idxBits)
 	}
 	return idx
@@ -208,16 +210,17 @@ func (s *Scheme) DecodeCtrInto(cells []pcm.State, addr, ctr uint64, dst *memline
 
 // DecodeCtrPlanesInto implements core.CounterPlaneScheme: read the
 // tail indices, regenerate each word's pad and winning candidate word
-// of (addr, ctr) through Keystream, and undo the winning XOR and the
-// pad. dst is fully overwritten.
+// of (addr, ctr) through Keystream, and undo C1 in closed form
+// (b0 = hi, b1 = lo ^ hi), the winning XOR and the pad. dst is fully
+// overwritten.
 func (s *Scheme) DecodeCtrPlanesInto(planes []uint64, addr, ctr uint64, dst *memline.Line) {
 	ks := s.cipher.Keystream(addr, ctr)
 	idx := memline.InterleavePlanes(planes[tailWord], planes[tailWord+1])
 	mask := uint64(s.n - 1)
 	for w := 0; w < memline.LineWords; w++ {
-		dlo, dhi := s.swar.ApplyInvPlanes(planes[2*w], planes[2*w+1])
+		lo, hi := planes[2*w], planes[2*w+1]
 		c := int(idx >> uint(w*s.idxBits) & mask)
-		dst.SetWord(w, memline.InterleavePlanes(dlo, dhi)^ks.Candidate(c, w)^ks.Pad(w))
+		dst.SetWord(w, memline.InterleavePlanes(hi, lo^hi)^ks.Candidate(c, w)^ks.Pad(w))
 	}
 }
 

@@ -641,3 +641,50 @@ func TestEncryptSourceNextBatchMatchesNext(t *testing.T) {
 		}
 	}
 }
+
+// TestC1ClosedForm pins the closed form the codec stores C1 with
+// (state planes lo = b0 ^ b1, hi = b0 over a symbol's bits (b0, b1),
+// decoded back as b0 = hi, b1 = lo ^ hi) against coset.C1: every data
+// cell of an encoded line must hold C1 of its stored symbol, the
+// ciphertext word XORed with the winning candidate, and the line must
+// decode back, so a change to C1 fails here.
+func TestC1ClosedForm(t *testing.T) {
+	if want := (coset.Mapping{pcm.S1, pcm.S4, pcm.S2, pcm.S3}); coset.C1 != want {
+		t.Fatalf("coset.C1 = %v, the closed form encodes %v", coset.C1, want)
+	}
+	r := prng.New(31)
+	for _, n := range []int{2, 4, 8} {
+		s, err := New(pcm.DefaultEnergy(), n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 50; trial++ {
+			data := randomLine(r)
+			addr, ctr := r.Uint64(), r.Uint64()
+			old := make([]uint64, tailWord+2)
+			for i := range old[:tailWord] {
+				old[i] = r.Uint64() & coset.AllCells
+			}
+			dst := make([]uint64, tailWord+2)
+			s.EncodeCtrPlanesInto(dst, old, addr, ctr, &data)
+			ks := s.cipher.Keystream(addr, ctr)
+			idx := memline.InterleavePlanes(dst[tailWord], dst[tailWord+1])
+			for w := 0; w < memline.LineWords; w++ {
+				c := int(idx >> uint(w*s.idxBits) & uint64(n-1))
+				y := data.Word(w) ^ ks.Pad(w) ^ ks.Candidate(c, w)
+				for cell := 0; cell < memline.WordCells; cell++ {
+					st := pcm.State(dst[2*w]>>cell&1 | dst[2*w+1]>>cell&1<<1)
+					if sym := y >> (2 * cell) & 3; st != coset.C1[sym] {
+						t.Fatalf("%s word %d cell %d: symbol %02b stored as %v, C1 maps it to %v",
+							s.Name(), w, cell, sym, st, coset.C1[sym])
+					}
+				}
+			}
+			var got memline.Line
+			s.DecodeCtrPlanesInto(dst, addr, ctr, &got)
+			if !got.Equal(&data) {
+				t.Fatalf("%s trial %d: closed-form decode round trip failed", s.Name(), trial)
+			}
+		}
+	}
+}

@@ -7,13 +7,13 @@
 // cell endurance budget.
 //
 // The package is built for the streaming replay engine in internal/sim:
-// each single-threaded shard owns a Dense recorder (per-cell uint32
-// counts over the shard's line footprint, map-free on the hot path once
+// each single-threaded store owns a Dense recorder (per-cell uint32
+// counts over the store's line footprint, map-free on the hot path once
 // a line is known), and maintains a fixed-size, mergeable Summary
 // incrementally with every programmed cell. Only the Summary travels —
 // it is embedded in the simulator's Metrics, copied into concurrent
-// snapshots, and folded across shards with plain adds and maxes — while
-// the dense count array never leaves its owning shard.
+// snapshots, and folded across stores with plain adds and maxes — while
+// the dense count array never leaves its owning store.
 package wear
 
 import (
@@ -33,9 +33,9 @@ const summaryBuckets = 33
 
 // Summary is the fixed-size, mergeable digest of a wear distribution.
 // It is a plain value (no slices), so the simulator can embed it in
-// metrics, copy it when publishing snapshots, and merge per-shard
+// metrics, copy it when publishing snapshots, and merge per-store
 // partials deterministically: counters add, MaxCellWear takes the
-// maximum. Because shards partition the address space, cells are never
+// maximum. Because stores partition the address space, cells are never
 // double-counted across merged summaries.
 type Summary struct {
 	// Writes is the number of recorded line writes.
@@ -57,7 +57,7 @@ type Summary struct {
 	Buckets [summaryBuckets]uint64
 }
 
-// Merge folds another shard's summary into s. Shards partition the
+// Merge folds another store's summary into s. Stores partition the
 // address space, so every tracked cell belongs to exactly one operand.
 func (s *Summary) Merge(o Summary) {
 	s.Writes += o.Writes
@@ -178,10 +178,10 @@ func (s Summary) RelativeLifetime(other Summary) float64 {
 
 // Dense accumulates per-cell program counts for a set of lines in one
 // flat uint32 array, keyed by the caller's dense line slot — in the
-// replay engine, the shard arena's slot, assigned in first-touch order.
+// replay engine, the store arena's slot, assigned in first-touch order.
 // A write of a known slot is direct array increments, allocation-free.
 // Dense is single-writer by design — in the replay engine exactly one
-// shard (hence one goroutine) owns each Dense — and the mergeable
+// store (hence one goroutine) owns each Dense — and the mergeable
 // Summary is maintained incrementally so readers never need to scan the
 // count array.
 type Dense struct {
